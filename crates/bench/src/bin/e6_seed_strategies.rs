@@ -455,9 +455,7 @@ fn fastpath_comparison() -> Vec<String> {
 /// tape-level batching alone.  Emits `BENCH_hash_batch.json`.
 fn hash_batch_comparison() {
     // Pin the fold to one worker so per-seed evaluation cost is what's
-    // measured (and recorded) — not thread scaling.  `PARCOLOR_THREADS`
-    // is the knob with the highest precedence, so pinning it wins even
-    // when the deprecated `PARCOLOR_SEED_THREADS` alias is also set.
+    // measured (and recorded) — not thread scaling.
     let prev_threads = std::env::var("PARCOLOR_THREADS").ok();
     std::env::set_var("PARCOLOR_THREADS", "1");
 

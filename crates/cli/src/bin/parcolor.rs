@@ -20,11 +20,10 @@
 //! load zero-copy via `mmap` on little-endian unix, and `gen -o x.pcg`
 //! writes it directly.
 //!
-//! `--workers` runs the whole pipeline — seed search, striped round
-//! simulation, and the parallel reduces — on W executor workers (0 =
-//! auto: `PARCOLOR_THREADS`, or the deprecated `PARCOLOR_SEED_THREADS`
-//! alias, else all hardware threads); the chosen seeds — and hence the
-//! coloring — are identical at every worker count.
+//! `--workers` runs the seed search and the striped round simulation on
+//! W executor workers (0 = auto: `PARCOLOR_THREADS`, else all hardware
+//! threads); the chosen seeds — and hence the coloring — are identical
+//! at every worker count.
 //!
 //! `--simd` forces a SIMD kernel path (default auto: the
 //! `PARCOLOR_SIMD` env var, else runtime CPU detection picks the best of

@@ -10,17 +10,10 @@
 //! <.pcg container bytes — see crate::pcg>
 //! ```
 //!
-//! Version 2 (current) ships the binary `.pcg` container, so workers
-//! decode the CSR arrays directly instead of re-parsing text DIMACS on
-//! every `Welcome`; the checksum guards the wire transfer for free.
-//! Version 1 (DIMACS payload) is still decoded for compatibility:
-//!
-//! ```text
-//! parcolor-job 1 <seed_bits> <strategy>
-//! p edge <n> <m>
-//! e <u> <v>
-//! ...
-//! ```
+//! Version 2 ships the binary `.pcg` container, so workers decode the
+//! CSR arrays directly instead of re-parsing text DIMACS on every
+//! `Welcome`; the checksum guards the wire transfer for free.  It is the
+//! only version this build decodes.
 //!
 //! `<strategy>` is `ex` (exhaustive), `bw` (bitwise conditional
 //! expectations), `fs:<k>` (fixed subset) or `ss:<seed>` (single seed).
@@ -29,10 +22,8 @@
 //! [`decode_job`] — the coordinator decodes its *own* encoding — so the
 //! replicas can never disagree on a default the header doesn't carry.
 
-use crate::parse_dimacs;
 use crate::pcg::{read_pcg_bytes, write_pcg};
 use parcolor_core::{D1lcInstance, Graph, Params, SeedStrategy};
-use std::io::BufReader;
 
 /// Current job-format version (the leading header field).
 pub const JOB_VERSION: u32 = 2;
@@ -99,7 +90,7 @@ pub fn decode_job(job: &[u8]) -> Result<(D1lcInstance, Params), String> {
         .next()
         .and_then(|s| s.parse().ok())
         .ok_or("job: bad version field")?;
-    if version != 1 && version != JOB_VERSION {
+    if version != JOB_VERSION {
         return Err(format!(
             "job: version {version} not supported (this build speaks {JOB_VERSION})"
         ));
@@ -112,12 +103,7 @@ pub fn decode_job(job: &[u8]) -> Result<(D1lcInstance, Params), String> {
     if parts.next().is_some() {
         return Err("job: trailing header fields".into());
     }
-    let payload = &job[nl + 1..];
-    let g = if version == 1 {
-        parse_dimacs(BufReader::new(payload)).map_err(|e| format!("job graph: {e}"))?
-    } else {
-        read_pcg_bytes(payload).map_err(|e| format!("job graph: {e}"))?
-    };
+    let g = read_pcg_bytes(&job[nl + 1..]).map_err(|e| format!("job graph: {e}"))?;
     let params = Params::default()
         .with_seed_bits(seed_bits)
         .with_strategy(strategy);
@@ -151,28 +137,41 @@ mod tests {
 
     #[test]
     fn rejects_malformed_jobs() {
-        assert!(decode_job(b"").is_err());
-        assert!(decode_job(b"no newline here").is_err());
-        assert!(decode_job(b"wrong-magic 1 6 ex\np edge 1 0\n").is_err());
-        assert!(decode_job(b"parcolor-job 99 6 ex\np edge 1 0\n").is_err());
-        assert!(decode_job(b"parcolor-job 1 six ex\np edge 1 0\n").is_err());
-        assert!(decode_job(b"parcolor-job 1 6 warp\np edge 1 0\n").is_err());
-        assert!(decode_job(b"parcolor-job 1 6 fs:many\np edge 1 0\n").is_err());
-        assert!(decode_job(b"parcolor-job 1 6 ex extra\np edge 1 0\n").is_err());
-        assert!(decode_job(b"parcolor-job 1 6 ex\ne 1 2\n").is_err());
-        // v2 with a mangled binary payload
-        assert!(decode_job(b"parcolor-job 2 6 ex\nnot a pcg container").is_err());
+        for (job, field) in [
+            (&b""[..], "missing header"),
+            (b"no newline here", "missing header"),
+            // A well-formed header over a mangled binary payload.
+            (b"parcolor-job 2 6 ex\nnot a pcg container", "job graph"),
+        ] {
+            let err = decode_job(job).unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
+        // Each malformed header must fail on the field it targets: the
+        // payload is a valid `.pcg` container, so a rejection can only
+        // come from the header.
+        for (header, field) in [
+            ("wrong-magic 2 6 ex", "bad magic"),
+            ("parcolor-job 99 6 ex", "version 99 not supported"),
+            ("parcolor-job 2 six ex", "seed_bits"),
+            ("parcolor-job 2 6", "missing strategy"),
+            ("parcolor-job 2 6 warp", "unknown strategy"),
+            ("parcolor-job 2 6 fs:many", "fixed-subset"),
+            ("parcolor-job 2 6 ex extra", "trailing"),
+        ] {
+            let mut job = format!("{header}\n").into_bytes();
+            write_pcg(&mut job, &sample_graph()).unwrap();
+            let err = decode_job(&job).unwrap_err();
+            assert!(err.contains(field), "{header:?}: {err}");
+        }
     }
 
+    /// Version 1 (a DIMACS payload) is no longer decoded: its header is
+    /// refused as an unsupported version before the payload is read.
     #[test]
-    fn still_decodes_version_1_dimacs_jobs() {
+    fn rejects_version_1_dimacs_jobs() {
         let job = b"parcolor-job 1 9 fs:16\np edge 4 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n";
-        let (inst, params) = decode_job(job).expect("legacy decode");
-        assert_eq!(inst.n(), 4);
-        assert_eq!(inst.graph.m(), 4);
-        assert_eq!(params.seed_bits, 9);
-        assert_eq!(params.strategy, SeedStrategy::FixedSubset(16));
-        assert_eq!(inst.graph, sample_graph());
+        let err = decode_job(job).unwrap_err();
+        assert!(err.contains("version 1 not supported"), "{err}");
     }
 
     #[test]

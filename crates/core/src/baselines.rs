@@ -12,10 +12,9 @@
 use crate::instance::{ColoringState, D1lcInstance, NO_COLOR};
 use parcolor_local::graph::NodeId;
 use parcolor_local::tape::{CryptoTape, Randomness, SplitMix};
-use serde::Serialize;
 
 /// Result of a baseline run.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct BaselineResult {
     /// Rounds used (sequential baselines report `n`).
     pub rounds: u64,

@@ -13,10 +13,9 @@
 
 use parcolor_local::simd::SimdPath;
 use parcolor_prg::SeedStrategy;
-use serde::Serialize;
 
 /// How PRG output is split into per-node chunks (Lemma 10).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChunkMode {
     /// The paper's scheme: a proper coloring of `G^{4τ}` indexes chunks.
     /// Faithful, but the power graph has degree `Δ^{4τ}` — only used when
@@ -28,7 +27,7 @@ pub enum ChunkMode {
 }
 
 /// Full configuration for the D1LC solvers.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct Params {
     // ---- MPC model ----
     /// Local-space exponent φ ∈ (0,1): machines hold `O(n^φ)` words.
@@ -47,14 +46,13 @@ pub struct Params {
     pub chunking: ChunkMode,
     /// Locality radius τ of the normal procedures (all of ours are O(1)).
     pub tau: u32,
-    /// Worker threads for every parallel surface of the pipeline — the
-    /// sharded seed search, striped round simulation, and the
-    /// executor-backed reduces (`0` = auto: the `PARCOLOR_THREADS` env
-    /// var if set, the deprecated `PARCOLOR_SEED_THREADS` alias
-    /// otherwise, else all hardware threads).  Any value yields
-    /// bit-identical results — all reduces are grouping-invariant and
-    /// stripe splices are positional — so this is purely a throughput
-    /// knob.
+    /// Worker threads for the sharded seed search and the striped round
+    /// simulation (`0` = auto: the `PARCOLOR_THREADS` env var if set,
+    /// else all hardware threads).  The MPC accounting folds, the
+    /// partition's worst-ratio fold and the edge/adoption sorts always
+    /// take the auto count.  Any value yields bit-identical results —
+    /// all reduces are grouping-invariant and stripe splices are
+    /// positional — so this is purely a throughput knob.
     pub workers: usize,
     /// Force a specific SIMD kernel path (`None` = auto: the
     /// `PARCOLOR_SIMD` env var if set, else runtime CPU detection).
@@ -244,13 +242,6 @@ impl Params {
     pub fn with_simd(mut self, path: SimdPath) -> Self {
         self.simd = Some(path);
         self
-    }
-
-    /// Deprecated alias of [`Params::with_workers`], kept from when the
-    /// knob governed only the seed search.
-    #[deprecated(note = "use with_workers: the knob now governs every parallel surface")]
-    pub fn with_seed_workers(self, workers: usize) -> Self {
-        self.with_workers(workers)
     }
 
     /// Cap the mid-degree threshold (forces the partition recursion on

@@ -15,7 +15,6 @@ use crate::config::Params;
 use crate::instance::D1lcInstance;
 use crate::solver::{Solution, Solver};
 use parcolor_local::graph::{Graph, NodeId};
-use rayon::prelude::*;
 
 /// The line graph of `G` plus the edge list indexing its nodes.
 pub struct LineGraph {
@@ -170,7 +169,7 @@ pub fn verify_edge_coloring(g: &Graph, ec: &EdgeColoring) -> Result<(), String> 
 pub fn line_graph_degree_bound_holds(g: &Graph) -> bool {
     let lg = line_graph(g);
     lg.edges
-        .par_iter()
+        .iter()
         .enumerate()
         .all(|(i, &(u, v))| lg.graph.degree(i as NodeId) == g.degree(u) + g.degree(v) - 2)
 }

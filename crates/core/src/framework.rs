@@ -79,7 +79,6 @@ use parcolor_mpc::{MpcConfig, NodeMpc};
 use parcolor_prg::{
     select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedSelection, SeedStrategy, SEED_BLOCK,
 };
-use serde::Serialize;
 
 /// Output of simulating one normal procedure (the `Out_v` of Definition 5,
 /// gathered for the whole graph).
@@ -563,7 +562,7 @@ pub trait NormalProcedure: Sync {
 }
 
 /// Per-step execution report.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct StepReport {
     /// Procedure name.
     pub name: &'static str,
@@ -599,8 +598,9 @@ pub type BlockEval<'a> = &'a (dyn Fn(u64, &mut [f64], &mut SimScratch) + Sync);
 /// arenas.
 ///
 /// Searches within one solve are issued sequentially and in a
-/// deterministic order (the solver tree is walked depth-first and the
-/// rayon shim's `collect` terminal is sequential); backends that
+/// deterministic order: the solver tree is walked depth-first, and
+/// `Solver::solve_rec` solves a partition level's restricted bins in an
+/// explicit sequential `for` loop, in bin order.  Backends that
 /// replicate solver state across machines may rely on that order.
 pub trait SeedSearcher: Send + Sync {
     /// Run one seed search.

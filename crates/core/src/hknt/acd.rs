@@ -17,7 +17,6 @@
 use crate::config::Params;
 use crate::node_params::ParamTable;
 use parcolor_local::graph::{sorted_intersection_size, Graph, NodeId};
-use rayon::prelude::*;
 
 /// Classification of a node by the ACD.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -197,7 +196,6 @@ pub fn compute_acd(
 
     // Active-filtered sorted adjacency (reused for intersections).
     let act_adj: Vec<Vec<NodeId>> = (0..n as NodeId)
-        .into_par_iter()
         .map(|v| {
             if !active[v as usize] {
                 return Vec::new();
@@ -224,30 +222,19 @@ pub fn compute_acd(
     }
 
     // Step 2: friend edges among dense candidates.
-    let act_adj_ref = &act_adj;
-    let class_ref = &class;
-    let friend_edges: Vec<(NodeId, NodeId)> = nodes
-        .par_iter()
-        .flat_map_iter(|&v| {
-            let is_dense_v = matches!(class_ref[v as usize], NodeClass::Dense(_));
-            let adj = &act_adj_ref[v as usize];
-            let dv = adj.len();
-            adj.iter()
-                .filter(move |&&u| is_dense_v && u > v)
-                .filter(|&&u| matches!(class_ref[u as usize], NodeClass::Dense(_)))
-                .filter_map(move |&u| {
-                    let du = act_adj_ref[u as usize].len();
-                    let cn = sorted_intersection_size(
-                        &act_adj_ref[v as usize],
-                        &act_adj_ref[u as usize],
-                    );
-                    let need = (1.0 - params.eps_friend) * dv.max(du) as f64;
-                    (cn as f64 >= need).then_some((v, u))
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-        })
-        .collect();
+    let is_dense = |v: NodeId| matches!(class[v as usize], NodeClass::Dense(_));
+    let mut friend_edges: Vec<(NodeId, NodeId)> = Vec::new();
+    for &v in nodes.iter().filter(|&&v| is_dense(v)) {
+        let adj = &act_adj[v as usize];
+        for &u in adj.iter().filter(|&&u| u > v && is_dense(u)) {
+            let adj_u = &act_adj[u as usize];
+            let cn = sorted_intersection_size(adj, adj_u);
+            let need = (1.0 - params.eps_friend) * adj.len().max(adj_u.len()) as f64;
+            if cn as f64 >= need {
+                friend_edges.push((v, u));
+            }
+        }
+    }
 
     // Step 3: components of the friend graph.
     let mut dsu = Dsu::new(n);

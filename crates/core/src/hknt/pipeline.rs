@@ -19,10 +19,9 @@ use crate::hknt::vstart::identify_vstart;
 use crate::instance::ColoringState;
 use crate::node_params::compute_params;
 use parcolor_local::graph::NodeId;
-use serde::Serialize;
 
 /// Statistics of one `ColorMiddle` invocation.
-#[derive(Clone, Debug, Serialize, Default)]
+#[derive(Clone, Debug, Default)]
 pub struct MidReport {
     /// Nodes the stage started with.
     pub stage_size: usize,

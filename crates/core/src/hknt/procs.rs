@@ -17,7 +17,6 @@ use crate::instance::ColoringState;
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_local::tape::Randomness;
 use parcolor_prg::SEED_BLOCK;
-use rayon::prelude::*;
 
 /// Streams used to separate the random draws inside one procedure.
 const S_PICK: u64 = 1;
@@ -143,7 +142,7 @@ fn evaluate_ssp(
         SspMode::Colored => {
             let adopted = adoption_map(state.n(), out);
             set.active
-                .par_iter()
+                .iter()
                 .copied()
                 .filter(|&v| adopted[v as usize] == crate::instance::NO_COLOR)
                 .collect()
@@ -151,7 +150,7 @@ fn evaluate_ssp(
         SspMode::SlackRatio(ratio) => {
             let adopted = adoption_map(state.n(), out);
             set.active
-                .par_iter()
+                .iter()
                 .copied()
                 .filter(|&v| {
                     if adopted[v as usize] != crate::instance::NO_COLOR {
@@ -165,8 +164,8 @@ fn evaluate_ssp(
         SspMode::SlackTarget(targets) => {
             let adopted = adoption_map(state.n(), out);
             set.active
-                .par_iter()
-                .zip(targets.par_iter())
+                .iter()
+                .zip(targets)
                 .filter_map(|(&v, &t)| {
                     if t <= 0.0 || adopted[v as usize] != crate::instance::NO_COLOR {
                         return None;
@@ -537,7 +536,7 @@ impl NormalProcedure for TryRandomColor<'_> {
         let adoptions: Vec<(NodeId, u32)> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .filter_map(|&v| {
                 let c = self.pick(state, rng, v);
                 let clash = self
@@ -984,14 +983,14 @@ impl NormalProcedure for MultiTrial<'_> {
         let draws: Vec<Vec<u32>> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .map(|&v| self.draw(state, rng, v))
             .collect();
         // Phase 2: adopt the first candidate no active neighbor drew.
         let adoptions: Vec<(NodeId, u32)> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .enumerate()
             .filter_map(|(i, &v)| {
                 let mine = &draws[i];
@@ -1228,7 +1227,7 @@ impl NormalProcedure for GenerateSlack<'_> {
         let adoptions: Vec<(NodeId, u32)> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .filter_map(|&v| {
                 if !self.sampled(rng, v) {
                     return None;
@@ -1491,7 +1490,7 @@ impl NormalProcedure for SynchColorTrial<'_> {
         let mut proposal = vec![crate::instance::NO_COLOR; state.n()];
         let deals: Vec<Vec<(NodeId, u32)>> = self
             .cliques
-            .par_iter()
+            .iter()
             .map(|ct| {
                 let pal = state.palette(ct.leader);
                 if pal.is_empty() {
@@ -1528,7 +1527,7 @@ impl NormalProcedure for SynchColorTrial<'_> {
         let adoptions: Vec<(NodeId, u32)> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .filter_map(|&v| {
                 let c = proposal[v as usize];
                 if c == crate::instance::NO_COLOR || !state.palette(v).contains(&c) {
@@ -1814,7 +1813,7 @@ impl NormalProcedure for PutAside<'_> {
         let aux: Vec<NodeId> = self
             .set
             .active
-            .par_iter()
+            .iter()
             .copied()
             .filter(|&v| {
                 let pv = self.prob_of(&probs, v);

@@ -23,10 +23,9 @@ use crate::hknt::procs::{MultiTrial, SspMode, StageSet, TryRandomColor, MULTI_TR
 use crate::instance::ColoringState;
 use parcolor_local::engine::{log_star, tower};
 use parcolor_local::graph::NodeId;
-use serde::Serialize;
 
 /// Summary of one SlackColor series.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SlackColorReport {
     /// Caller-supplied series label.
     pub label: String,

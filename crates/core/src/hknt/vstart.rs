@@ -20,7 +20,6 @@ use crate::hknt::acd::{Acd, NodeClass};
 use crate::instance::ColoringState;
 use crate::node_params::ParamTable;
 use parcolor_local::graph::{Graph, NodeId};
-use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// The subsets computed on the way to `Vstart` (exposed for tests and the
@@ -61,7 +60,7 @@ pub fn identify_vstart(
 
     // Vbalanced and Vdisc.
     let balanced: Vec<NodeId> = sparse
-        .par_iter()
+        .iter()
         .copied()
         .filter(|&v| {
             let d = act_deg(v);
@@ -74,7 +73,7 @@ pub fn identify_vstart(
         })
         .collect();
     let disc: Vec<NodeId> = sparse
-        .par_iter()
+        .iter()
         .copied()
         .filter(|&v| table.get(v).discrepancy >= params.eps2 * act_deg(v) as f64)
         .collect();
@@ -90,7 +89,7 @@ pub fn identify_vstart(
         }
     }
     let many_dense: Vec<NodeId> = sparse
-        .par_iter()
+        .iter()
         .copied()
         .filter(|&v| {
             let d = act_deg(v);
@@ -111,7 +110,7 @@ pub fn identify_vstart(
 
     // Vheavy: heavy-color mass.
     let heavy: Vec<NodeId> = sparse
-        .par_iter()
+        .iter()
         .copied()
         .filter(|&v| !easy_mask[v as usize])
         .filter(|&v| {
@@ -140,7 +139,7 @@ pub fn identify_vstart(
 
     // Vstart.
     let start: Vec<NodeId> = sparse
-        .par_iter()
+        .iter()
         .copied()
         .filter(|&v| !easy_mask[v as usize] && !heavy_mask[v as usize])
         .filter(|&v| {

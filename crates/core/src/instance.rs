@@ -10,7 +10,6 @@
 //! and machine-checks the invariant.
 
 use parcolor_local::graph::{Graph, NodeId};
-use rayon::prelude::*;
 
 /// Sentinel for "not colored yet".
 pub const NO_COLOR: u32 = u32::MAX;
@@ -319,56 +318,43 @@ impl ColoringState {
                 }
             }
         }
-        // Pull-based neighbor updates, parallel over affected nodes.
+        // Pull-based neighbor updates, once per affected node.
         let mut affected: Vec<NodeId> = adoptions
             .iter()
             .flat_map(|&(v, _)| g.neighbors(v).iter().copied())
             .filter(|&u| !self.is_colored(u))
             .collect();
-        affected.par_sort_unstable();
+        parcolor_exec::par_sort_unstable(
+            parcolor_exec::Executor::global(),
+            parcolor_exec::resolve_workers(0),
+            &mut affected,
+        );
         affected.dedup();
-        // Split palette arena into per-node slices for data-parallel
-        // mutation.  Safety: `affected` is strictly increasing, so slices
-        // are disjoint.
-        let pal_off = &self.pal_off;
-        let pal_ptr = SendPtr(self.pal.as_mut_ptr());
-        let len_ptr = SendPtr(self.pal_len.as_mut_ptr());
-        let deg_ptr = SendPtr(self.unc_deg.as_mut_ptr());
-        let stamp = &self.stamp;
-        let color = &self.color;
-        affected.par_iter().for_each(|&u| {
-            let start = pal_off[u as usize] as usize;
-            // SAFETY: each `u` appears once in `affected`; the regions
-            // [start, start+len) are disjoint across nodes, and pal_len /
-            // unc_deg entries are per-node.
-            unsafe {
-                let len_slot = len_ptr.get().add(u as usize);
-                let deg_slot = deg_ptr.get().add(u as usize);
-                let mut live = *len_slot as usize;
-                for &w in g.neighbors(u) {
-                    if stamp[w as usize] == epoch {
-                        *deg_slot -= 1;
-                        let c = color[w as usize];
-                        // Remove c from the live palette prefix if present.
-                        let slice = std::slice::from_raw_parts_mut(pal_ptr.get().add(start), live);
-                        if let Some(pos) = slice.iter().position(|&x| x == c) {
-                            slice.swap(pos, live - 1);
-                            live -= 1;
-                        }
+        for &u in &affected {
+            let start = self.pal_off[u as usize] as usize;
+            let mut live = self.pal_len[u as usize] as usize;
+            for &w in g.neighbors(u) {
+                if self.stamp[w as usize] == epoch {
+                    self.unc_deg[u as usize] -= 1;
+                    let c = self.color[w as usize];
+                    // Remove c from the live palette prefix if present.
+                    let slice = &mut self.pal[start..start + live];
+                    if let Some(pos) = slice.iter().position(|&x| x == c) {
+                        slice.swap(pos, live - 1);
+                        live -= 1;
                     }
                 }
-                *len_slot = live as u32;
             }
-        });
+            self.pal_len[u as usize] = live as u32;
+        }
     }
 
     /// The D1LC invariant `p(v) ≥ d(v) + 1` on every uncolored node — the
     /// self-reducibility property (Definition 11) that the entire pipeline
     /// depends on.  Returns the first violating node, if any.
     pub fn invariant_violation(&self) -> Option<NodeId> {
-        (0..self.n as NodeId).into_par_iter().find_first(|&v| {
-            !self.is_colored(v) && self.pal_len[v as usize] <= self.unc_deg[v as usize]
-        })
+        (0..self.n as NodeId)
+            .find(|&v| !self.is_colored(v) && self.pal_len[v as usize] <= self.unc_deg[v as usize])
     }
 
     /// Verify properness of the colored part against the graph.
@@ -414,7 +400,7 @@ impl ColoringState {
         debug_assert!(nodes.iter().all(|&v| !self.is_colored(v)));
         let (sub, map) = g.induced(nodes);
         let lists: Vec<Vec<u32>> = map
-            .par_iter()
+            .iter()
             .map(|&old| {
                 self.palette(old)
                     .iter()
@@ -454,23 +440,6 @@ impl ColoringState {
         &self.color
     }
 }
-
-/// Raw-pointer wrapper asserting cross-thread safety for the disjoint
-/// per-node writes in `apply_adoptions` (see the safety comments there).
-/// The pointer is reached through a method so closures capture the whole
-/// wrapper (edition-2021 closures capture disjoint *fields*, which would
-/// otherwise smuggle the bare `*mut T` past the `Sync` assertion).
-struct SendPtr<T>(*mut T);
-
-impl<T> SendPtr<T> {
-    #[inline]
-    fn get(&self) -> *mut T {
-        self.0
-    }
-}
-
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

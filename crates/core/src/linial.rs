@@ -14,7 +14,6 @@
 //! solver (`lowdeg`), our substitute for CDP21c's Lemma 14.
 
 use parcolor_local::graph::{Graph, NodeId};
-use rayon::prelude::*;
 
 /// Result of running Linial color reduction.
 #[derive(Clone, Debug)]
@@ -100,7 +99,6 @@ fn linial_step(
         assert!(k <= 64, "k blow-up; m={m}, Δ={max_deg}");
     };
     let new_codes: Vec<u64> = (0..g.n() as NodeId)
-        .into_par_iter()
         .map(|v| {
             if !active[v as usize] {
                 return 0;
@@ -132,7 +130,6 @@ pub fn linial_coloring(g: &Graph, active: &[bool]) -> LinialColoring {
     let n = g.n();
     assert_eq!(active.len(), n);
     let max_deg = (0..n as NodeId)
-        .into_par_iter()
         .filter(|&v| active[v as usize])
         .map(|v| {
             g.neighbors(v)
@@ -169,7 +166,6 @@ pub fn linial_coloring(g: &Graph, active: &[bool]) -> LinialColoring {
 /// by the framework tests).
 pub fn is_proper_on_active(g: &Graph, active: &[bool], colors: &[u32]) -> bool {
     (0..g.n() as NodeId)
-        .into_par_iter()
         .filter(|&v| active[v as usize])
         .all(|v| {
             g.neighbors(v)

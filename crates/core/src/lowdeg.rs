@@ -27,10 +27,9 @@ use crate::linial::linial_coloring;
 use parcolor_local::engine::RoundEngine;
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_mpc::NodeMpc;
-use serde::Serialize;
 
 /// Report of one low-degree coloring invocation.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct LowDegReport {
     /// Nodes handled by the invocation.
     pub participants: usize,
@@ -115,7 +114,7 @@ pub fn color_low_degree(
 }
 
 /// Report of the Linial-based fallback.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct LinialSweepReport {
     /// Nodes handled by the invocation.
     pub participants: usize,

@@ -15,11 +15,9 @@
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_local::tape::{CryptoTape, Randomness};
 use parcolor_prg::{select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedStrategy, SEED_BLOCK};
-use rayon::prelude::*;
-use serde::Serialize;
 
 /// Result of one MIS construction.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct MisResult {
     /// Membership mask of the independent set.
     pub in_mis: Vec<bool>,
@@ -35,7 +33,6 @@ pub struct MisResult {
 /// enter the MIS this round).  Pure in `(live, rng, round)`.
 fn luby_round(g: &Graph, live: &[bool], rng: &dyn Randomness, round: u64) -> Vec<NodeId> {
     (0..g.n() as NodeId)
-        .into_par_iter()
         .filter(|&v| live[v as usize])
         .filter(|&v| {
             let pv = rng.word(v, round, 0);

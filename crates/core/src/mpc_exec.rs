@@ -23,7 +23,6 @@ use crate::instance::{ColoringState, D1lcInstance};
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_mpc::cluster::{Cluster, Dist};
 use parcolor_mpc::MpcConfig;
-use rayon::prelude::*;
 
 /// Definition 2 quantities produced by the materialized pipeline.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -140,13 +139,10 @@ pub fn compute_params_mpc(inst: &D1lcInstance, state: &ColoringState, phi: f64) 
     // machine of v then knows every edge incident to its neighborhood.
     cluster.metrics().begin_phase("two_hop");
     let triples: Vec<(NodeId, NodeId, NodeId)> = (0..n as NodeId)
-        .into_par_iter()
-        .flat_map_iter(|u| {
+        .flat_map(move |u| {
             let nu = g.neighbors(u);
             nu.iter()
                 .flat_map(move |&v| nu.iter().map(move |&w| (v, u, w)))
-                .collect::<Vec<_>>()
-                .into_iter()
         })
         .collect();
     let d: Dist<(NodeId, NodeId, NodeId)> = cluster.distribute(triples, 3);

@@ -8,7 +8,6 @@
 
 use crate::instance::ColoringState;
 use parcolor_local::graph::{Graph, NodeId};
-use rayon::prelude::*;
 
 /// Definition 2 parameters for one node.
 #[derive(Clone, Copy, Debug, Default)]
@@ -64,70 +63,63 @@ pub fn compute_params(
 ) -> ParamTable {
     let n = g.n();
     let mut per_node = vec![NodeParams::default(); n];
-    let computed: Vec<(NodeId, NodeParams)> = nodes
-        .par_iter()
-        .map(|&v| {
-            let nv: Vec<NodeId> = g
-                .neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| active[u as usize])
-                .collect();
-            let d = nv.len();
-            let p = state.palette_size(v);
-            let slack = p as i64 - d as i64;
-            // m(N(v)) within the active subgraph.
-            let m_nv: usize = nv
-                .iter()
-                .map(|&u| {
-                    g.neighbors(u)
-                        .iter()
-                        .filter(|&&w| active[w as usize] && nv.binary_search(&w).is_ok())
-                        .count()
-                })
-                .sum::<usize>()
-                / 2;
-            let sparsity = if d >= 2 {
-                let pairs = (d * (d - 1) / 2) as f64;
-                (pairs - m_nv as f64) / d as f64
-            } else {
-                0.0
-            };
-            // Disparity sums: |Ψ(u) \ Ψ(v)|.  Residual palettes are
-            // unsorted (swap-remove), so sort a local copy of v's palette
-            // once and probe with binary search — palettes are small and
-            // this sits inside the sparsity loop, where a hash set's
-            // allocation and hashing overhead dominates.
-            let mut pv: Vec<u32> = state.palette(v).to_vec();
-            pv.sort_unstable();
-            let mut discrepancy = 0.0;
-            let mut unevenness = 0.0;
-            for &u in &nv {
-                let pu = state.palette(u);
-                if !pu.is_empty() {
-                    let outside = pu.iter().filter(|c| pv.binary_search(c).is_err()).count();
-                    discrepancy += outside as f64 / pu.len() as f64;
-                }
-                let du = g
-                    .neighbors(u)
+    for &v in nodes {
+        let nv: Vec<NodeId> = g
+            .neighbors(v)
+            .iter()
+            .copied()
+            .filter(|&u| active[u as usize])
+            .collect();
+        let d = nv.len();
+        let p = state.palette_size(v);
+        let slack = p as i64 - d as i64;
+        // m(N(v)) within the active subgraph.
+        let m_nv: usize = nv
+            .iter()
+            .map(|&u| {
+                g.neighbors(u)
                     .iter()
-                    .filter(|&&w| active[w as usize])
-                    .count();
-                unevenness += (du.saturating_sub(d)) as f64 / (du as f64 + 1.0);
+                    .filter(|&&w| active[w as usize] && nv.binary_search(&w).is_ok())
+                    .count()
+            })
+            .sum::<usize>()
+            / 2;
+        let sparsity = if d >= 2 {
+            let pairs = (d * (d - 1) / 2) as f64;
+            (pairs - m_nv as f64) / d as f64
+        } else {
+            0.0
+        };
+        // Disparity sums: |Ψ(u) \ Ψ(v)|.  Residual palettes are unsorted
+        // (swap-remove), so sort a local copy of v's palette once and
+        // probe with binary search — palettes are small and this sits
+        // inside the sparsity loop, where a hash set's allocation and
+        // hashing overhead dominates.
+        let mut pv: Vec<u32> = state.palette(v).to_vec();
+        pv.sort_unstable();
+        let mut discrepancy = 0.0;
+        let mut unevenness = 0.0;
+        for &u in &nv {
+            let pu = state.palette(u);
+            if !pu.is_empty() {
+                let outside = pu.iter().filter(|c| pv.binary_search(c).is_err()).count();
+                discrepancy += outside as f64 / pu.len() as f64;
             }
-            let params = NodeParams {
-                slack,
-                sparsity,
-                discrepancy,
-                unevenness,
-                slackability: discrepancy + sparsity,
-                strong_slackability: unevenness + sparsity,
-            };
-            (v, params)
-        })
-        .collect();
-    for (v, p) in computed {
-        per_node[v as usize] = p;
+            let du = g
+                .neighbors(u)
+                .iter()
+                .filter(|&&w| active[w as usize])
+                .count();
+            unevenness += (du.saturating_sub(d)) as f64 / (du as f64 + 1.0);
+        }
+        per_node[v as usize] = NodeParams {
+            slack,
+            sparsity,
+            discrepancy,
+            unevenness,
+            slackability: discrepancy + sparsity,
+            strong_slackability: unevenness + sparsity,
+        };
     }
     ParamTable { per_node }
 }

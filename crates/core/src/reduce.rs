@@ -15,13 +15,18 @@
 use crate::instance::ColoringState;
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_prg::hashing::{KWiseFamily, KWiseHash};
-use rayon::prelude::*;
-use serde::Serialize;
 
 /// Independence of the partition hashes.  CDP21d uses `O(log n)`-wise
 /// independence for Chernoff-type concentration of in-bin degrees; 8-wise
 /// is ample at every scale this repo reaches.
 const HASH_INDEPENDENCE: u32 = 8;
+
+/// High nodes stolen at a time by the worst-ratio pool fold.
+const FOLD_BLOCK: u64 = 1024;
+
+/// Below this many high nodes the worst-ratio fold runs inline: pool
+/// scheduling would cost more than the walk.
+const MIN_PARALLEL_LEN: usize = 4096;
 
 /// Result of one `LowSpacePartition` call.
 #[derive(Debug)]
@@ -39,7 +44,7 @@ pub struct PartitionOutcome {
 }
 
 /// Diagnostics of one partition level (experiment E4's row).
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PartitionStats {
     /// Node bins `B`.
     pub bins: usize,
@@ -168,7 +173,7 @@ fn violating_nodes(
     bins: usize,
 ) -> (Vec<NodeId>, usize) {
     let marks: Vec<(bool, bool)> = high
-        .par_iter()
+        .iter()
         .enumerate()
         .map(|(i, &v)| {
             let b = plane.high_bins[i];
@@ -288,28 +293,44 @@ pub fn low_space_partition(
     }
 
     // Diagnostic: realized degree-reduction ratio (off the chosen seed's
-    // plane — identical to re-evaluating h₁ per node and neighbor).
-    let worst_ratio = high
-        .par_iter()
-        .copied()
-        .filter(|&v| !is_violator[v as usize])
-        .map(|v| {
-            let b = plane.bin_of[v as usize];
-            let d = deg_of(v).max(1);
-            let d_in = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| {
-                    high_mask[u as usize]
-                        && !is_violator[u as usize]
-                        && plane.bin_of[u as usize] == b
-                })
-                .count();
-            d_in as f64 * bins as f64 / d as f64
-        })
-        .fold(|| f64::NEG_INFINITY, f64::max)
-        .reduce(|| f64::NEG_INFINITY, f64::max);
-    // NEG_INFINITY identity so a genuine max survives the reduce even if
+    // plane — identical to re-evaluating h₁ per node and neighbor).  A
+    // max is exact under any grouping, so the pool fold over `high` gives
+    // the same value at every worker count.
+    let fold_block = |start: u64, len: u64, worst: f64| {
+        high[start as usize..(start + len) as usize]
+            .iter()
+            .filter(|&&v| !is_violator[v as usize])
+            .map(|&v| {
+                let b = plane.bin_of[v as usize];
+                let d = deg_of(v).max(1);
+                let d_in = g
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&u| {
+                        high_mask[u as usize]
+                            && !is_violator[u as usize]
+                            && plane.bin_of[u as usize] == b
+                    })
+                    .count();
+                d_in as f64 * bins as f64 / d as f64
+            })
+            .fold(worst, f64::max)
+    };
+    let worst_ratio = if high.len() < MIN_PARALLEL_LEN {
+        fold_block(0, high.len() as u64, f64::NEG_INFINITY)
+    } else {
+        parcolor_exec::par_fold(
+            parcolor_exec::Executor::global(),
+            parcolor_exec::resolve_workers(0).min(high.len() / FOLD_BLOCK as usize),
+            0..high.len() as u64,
+            FOLD_BLOCK,
+            || (),
+            || f64::NEG_INFINITY,
+            |start, len, worst, _: &mut ()| fold_block(start, len, worst),
+            f64::max,
+        )
+    };
+    // NEG_INFINITY identity so a genuine max survives the fold even if
     // every ratio were negative (a 0.0 identity would clamp it); with no
     // participating nodes the max stays -inf, reported as 0.0.
     let worst_ratio = if worst_ratio.is_finite() {

@@ -22,8 +22,6 @@ use crate::instance::{ColoringState, D1lcInstance};
 use crate::lowdeg::color_low_degree;
 use crate::reduce::{low_space_partition, PartitionStats};
 use parcolor_local::graph::NodeId;
-use rayon::prelude::*;
-use serde::Serialize;
 
 /// Execution mode of the solver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -38,7 +36,7 @@ pub enum SolveMode {
 }
 
 /// Critical-path cost bundle (rounds are the model's clock; space is max).
-#[derive(Clone, Copy, Debug, Default, Serialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Cost {
     /// LOCAL rounds on the critical path.
     pub local_rounds: u64,
@@ -73,7 +71,7 @@ impl Cost {
 }
 
 /// Aggregate statistics of a solve.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct SolveStats {
     /// Depth of the degree-reduction recursion actually used.
     pub max_partition_depth: u32,
@@ -210,39 +208,28 @@ impl Solver {
             budget_violations: 0,
         };
 
-        // --- Restricted bins 0..B-2: independent sub-instances, solved in
-        // parallel; their colors cannot conflict (disjoint color bins). ---
+        // --- Restricted bins 0..B-2: independent sub-instances whose
+        // colors cannot conflict (disjoint color bins), so the model runs
+        // them in parallel and charges their costs with `Cost::par`.  Here
+        // they are solved one after another, in bin order: this loop is
+        // what makes the solve's seed searches reach the `SeedSearcher`
+        // in one fixed sequence (see its doc). ---
         let color_hash = &part.color_hash;
-        type BinResult = (Vec<(NodeId, u32)>, Cost, SolveStats);
-        let sub_results: Vec<BinResult> = part
-            .bins
-            .iter()
-            .take(bins - 1)
-            .enumerate()
-            .collect::<Vec<_>>()
-            .into_par_iter()
-            .filter(|(_, bin_nodes)| !bin_nodes.is_empty())
-            .map(|(b, bin_nodes)| {
-                let (sub, map) = state
-                    .restricted_instance(&inst.graph, bin_nodes, |c| {
-                        color_hash.eval(c as u64) as usize == b
-                    })
-                    .expect("Lemma 23 selection produced an invalid bin instance");
-                let (sub_colors, c, s) = self.solve_rec(&sub, n_orig, depth + 1);
-                let adoptions: Vec<(NodeId, u32)> = map
-                    .iter()
-                    .zip(sub_colors.iter())
-                    .map(|(&orig, &col)| (orig, col))
-                    .collect();
-                (adoptions, c, s)
-            })
-            .collect();
         let mut parallel_cost = Cost::default();
         let mut all_adoptions = Vec::new();
-        for (adoptions, c, s) in sub_results {
+        for (b, bin_nodes) in part.bins.iter().enumerate().take(bins - 1) {
+            if bin_nodes.is_empty() {
+                continue;
+            }
+            let (sub, map) = state
+                .restricted_instance(&inst.graph, bin_nodes, |c| {
+                    color_hash.eval(c as u64) as usize == b
+                })
+                .expect("Lemma 23 selection produced an invalid bin instance");
+            let (sub_colors, c, s) = self.solve_rec(&sub, n_orig, depth + 1);
             parallel_cost = parallel_cost.par(c);
             stats.absorb(s);
-            all_adoptions.extend(adoptions);
+            all_adoptions.extend(map.into_iter().zip(sub_colors));
         }
         state.apply_adoptions(&inst.graph, &all_adoptions);
         cost = cost.seq(parallel_cost);

@@ -119,20 +119,31 @@ fn duplicated_results_are_merged_exactly_once() {
                 len,
             } => {
                 let agg = fold_seed_range_in(&mut pool, start, len, &eval);
-                let result = Msg::Result {
-                    epoch,
-                    search_id,
-                    fold_id,
-                    batch: vec![UnitResult {
-                        lease_id,
-                        unit,
-                        sum: agg.sum,
-                        min: agg.min,
-                        argmin: agg.argmin,
-                    }],
+                let copy = UnitResult {
+                    lease_id,
+                    unit,
+                    sum: agg.sum,
+                    min: agg.min,
+                    argmin: agg.argmin,
                 };
-                write_frame(&mut peer.writer, &result.encode()).unwrap();
-                write_frame(&mut peer.writer, &result.encode()).unwrap();
+                // Grants come lowest unit first, so the last unit's first
+                // copy closes the fold; a second frame for it could land
+                // after the fold stops draining.  Its two copies share one
+                // batch instead, which drains as a whole.
+                let batches = if unit + 1 == 8 {
+                    vec![vec![copy, copy]]
+                } else {
+                    vec![vec![copy], vec![copy]]
+                };
+                for batch in batches {
+                    let result = Msg::Result {
+                        epoch,
+                        search_id,
+                        fold_id,
+                        batch,
+                    };
+                    write_frame(&mut peer.writer, &result.encode()).unwrap();
+                }
             }
             Msg::Chosen { selection, .. } => break selection,
             Msg::Ping | Msg::Bye => {}

@@ -5,9 +5,12 @@
 //! blocks off one shared atomic counter** and fold per-worker partials
 //! that a grouping-invariant merge combines into a deterministic result.
 //! This crate generalizes that scheduler so every data-parallel surface —
-//! seed search, the rayon-shim `fold().reduce()` terminals, node-striped
-//! round simulation — shares **one lazily-spawned persistent pool**
-//! instead of spawning scoped threads per call.
+//! seed search, node-striped round simulation, the MPC accounting and
+//! partition-diagnostic folds, and the edge/adoption sorts — shares **one
+//! lazily-spawned persistent pool** instead of spawning scoped threads
+//! per call.  Callers reach it directly through [`par_fold`],
+//! [`par_fill`], [`par_sort_unstable`] and friends; everything else in
+//! the workspace is plain sequential code.
 //!
 //! ## The executor contract
 //!
@@ -128,16 +131,14 @@ fn env_threads(key: &str) -> Option<usize> {
 }
 
 /// Worker-thread count configured for this process: the
-/// `PARCOLOR_THREADS` env var if set, else the deprecated
-/// `PARCOLOR_SEED_THREADS` alias (the seed-search-only knob this crate's
-/// knob supersedes), else all hardware threads.  A malformed value
-/// (`"abc"`, `"0"`, `"-3"`…) warns once and falls through as if unset.
+/// `PARCOLOR_THREADS` env var if set, else all hardware threads.  A
+/// malformed value (`"abc"`, `"0"`, `"-3"`…) warns once and falls
+/// through as if unset.
 ///
 /// Read per call (not cached) so benches can pin a section by setting
 /// the variable at runtime.
 pub fn configured_threads() -> usize {
     env_threads("PARCOLOR_THREADS")
-        .or_else(|| env_threads("PARCOLOR_SEED_THREADS"))
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
 }
 
@@ -488,7 +489,7 @@ where
 
 /// [`par_fold_in`] with per-worker scratches built by `make_scratch`
 /// (called once per participating worker, on that worker's thread).
-// Eight arguments mirror the rayon `fold(||id, op).reduce(||id, op)`
+// Eight arguments mirror the classic `fold(||id, op).reduce(||id, op)`
 // shape plus the scheduling knobs; a builder would only obscure it.
 #[allow(clippy::too_many_arguments)]
 pub fn par_fold<T, S, MS, I, E, R>(

@@ -2,15 +2,13 @@
 //!
 //! The LOCAL model charges one round per synchronous message exchange.  The
 //! procedures in this workspace are written as whole-graph data-parallel
-//! passes (the natural shape for rayon), so the engine's job is to *account*
-//! rounds and message volume rather than to route individual messages: each
-//! procedure declares how many LOCAL rounds a pass costs, mirroring how the
-//! paper charges its subprocedures (Definition 5 fixes a per-procedure τ).
-
-use serde::Serialize;
+//! passes, so the engine's job is to *account* rounds and message volume
+//! rather than to route individual messages: each procedure declares how
+//! many LOCAL rounds a pass costs, mirroring how the paper charges its
+//! subprocedures (Definition 5 fixes a per-procedure τ).
 
 /// Cumulative LOCAL-model metrics for one execution.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default)]
 pub struct LocalMetrics {
     /// Total LOCAL rounds charged.
     pub rounds: u64,

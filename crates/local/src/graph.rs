@@ -2,11 +2,9 @@
 //!
 //! All algorithms in the workspace operate on undirected simple graphs with
 //! nodes identified by dense `u32` ids.  The CSR layout (one flat adjacency
-//! array plus an offsets array) keeps neighbor scans cache-friendly and lets
-//! rayon parallelize per-node work over disjoint slices — the core idiom
-//! recommended by the Rust Performance Book for this kind of workload.
-
-use rayon::prelude::*;
+//! array plus an offsets array) keeps neighbor scans cache-friendly and
+//! splits per-node work into disjoint slices — the core idiom recommended
+//! by the Rust Performance Book for this kind of workload.
 
 /// Dense node identifier.
 pub type NodeId = u32;
@@ -206,7 +204,6 @@ impl Graph {
     /// Maximum degree Δ.
     pub fn max_degree(&self) -> usize {
         (0..self.n() as NodeId)
-            .into_par_iter()
             .map(|v| self.degree(v))
             .max()
             .unwrap_or(0)
@@ -265,43 +262,21 @@ impl Graph {
         let mut sorted: Vec<NodeId> = nodes.to_vec();
         sorted.sort_unstable();
         debug_assert!(sorted.windows(2).all(|w| w[0] != w[1]), "duplicate nodes");
-        // old id -> new id lookup via binary search on `sorted`.
-        let degs: Vec<usize> = sorted
-            .par_iter()
-            .map(|&v| {
-                self.neighbors(v)
-                    .iter()
-                    .filter(|&&u| sorted.binary_search(&u).is_ok())
-                    .count()
-            })
-            .collect();
+        // old id -> new id lookup via binary search on `sorted`; rows come
+        // out sorted because `sorted` and every neighbor list are.
         let mut offsets = Vec::with_capacity(sorted.len() + 1);
         offsets.push(0u64);
-        for d in &degs {
-            offsets.push(offsets.last().unwrap() + *d as u64);
+        let mut adj: Vec<NodeId> = Vec::new();
+        for &v in &sorted {
+            adj.extend(
+                self.neighbors(v)
+                    .iter()
+                    .filter_map(|u| sorted.binary_search(u).ok().map(|new_u| new_u as NodeId)),
+            );
+            offsets.push(adj.len() as u64);
         }
-        let mut adj = vec![0 as NodeId; *offsets.last().unwrap() as usize];
-        // Fill rows in parallel: rows are disjoint slices.
-        {
-            let mut rows: Vec<&mut [NodeId]> = Vec::with_capacity(sorted.len());
-            let mut rest: &mut [NodeId] = &mut adj;
-            for d in &degs {
-                let (row, tail) = rest.split_at_mut(*d);
-                rows.push(row);
-                rest = tail;
-            }
-            rows.par_iter_mut().enumerate().for_each(|(new_v, row)| {
-                let v = sorted[new_v];
-                let mut k = 0;
-                for &u in self.neighbors(v) {
-                    if let Ok(new_u) = sorted.binary_search(&u) {
-                        row[k] = new_u as NodeId;
-                        k += 1;
-                    }
-                }
-                debug_assert_eq!(k, row.len());
-            });
-        }
+        // The graph keeps `adj` for life: drop the growth slack.
+        adj.shrink_to_fit();
         (
             Graph {
                 store: Store::Owned { offsets, adj },
@@ -315,7 +290,7 @@ impl Graph {
     /// treats every entry as a committed color.
     pub fn is_proper_coloring(&self, colors: &[u32]) -> bool {
         assert_eq!(colors.len(), self.n());
-        (0..self.n() as NodeId).into_par_iter().all(|v| {
+        (0..self.n() as NodeId).all(|v| {
             self.neighbors(v)
                 .iter()
                 .all(|&u| colors[u as usize] != colors[v as usize])
@@ -509,7 +484,11 @@ impl GraphBuilder {
 
     /// Finalize into CSR form: sorts, dedups and symmetrizes. `O(m log m)`.
     pub fn build(mut self) -> Graph {
-        self.edges.par_sort_unstable();
+        parcolor_exec::par_sort_unstable(
+            parcolor_exec::Executor::global(),
+            parcolor_exec::resolve_workers(0),
+            &mut self.edges,
+        );
         self.edges.dedup();
         let mut deg = vec![0u64; self.n];
         for &(u, v) in &self.edges {

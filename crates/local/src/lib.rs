@@ -19,11 +19,10 @@
 //! * [`engine`] — a synchronous round engine with round/message metrics,
 //!   used to run LOCAL procedures and to charge their simulation cost.
 //!
-//! The design follows the session's HPC guides: data-parallel loops are
-//! expressed with rayon over disjoint per-node slices (data-race freedom by
-//! construction), hot paths avoid per-node allocation (flat arenas +
-//! offsets), and all cross-thread accumulation uses reductions rather than
-//! shared mutable state.
+//! Design rules: parallel loops run on the `parcolor-exec` pool over
+//! disjoint per-node slices (data-race freedom by construction), hot paths
+//! avoid per-node allocation (flat arenas + offsets), and all cross-thread
+//! accumulation uses reductions rather than shared mutable state.
 
 pub mod engine;
 pub mod graph;

@@ -1,8 +1,8 @@
 //! A genuine synchronous message-passing executor for the LOCAL model.
 //!
 //! The coloring procedures in `parcolor-core` are written as whole-graph
-//! data-parallel passes (the natural rayon shape) that *account* their
-//! LOCAL round cost.  This module provides the ground truth those passes
+//! data-parallel passes that *account* their LOCAL round cost.  This
+//! module provides the ground truth those passes
 //! are compared against: nodes hold private state, exchange messages with
 //! neighbors in synchronous rounds through real mailboxes, and cannot see
 //! anything else.  The cross-check test
@@ -12,7 +12,6 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::tape::Randomness;
-use rayon::prelude::*;
 
 /// A node-level synchronous message-passing algorithm.
 ///
@@ -71,14 +70,14 @@ pub fn run_message_passing<A: MessageAlgorithm>(
     let mut rounds = 0u32;
     let mut messages = 0u64;
     for round in 0..max_rounds {
-        if states.par_iter().all(|s| algo.done(s)) {
+        if states.iter().all(|s| algo.done(s)) {
             break;
         }
         rounds = round + 1;
-        // Compute all outgoing messages in parallel (each node owns its
+        // Compute every node's outgoing messages (each node owns its
         // state slot and reads only its own inbox).
         let outgoing: Vec<Vec<(NodeId, A::Msg)>> = states
-            .par_iter_mut()
+            .iter_mut()
             .enumerate()
             .map(|(v, state)| {
                 let v = v as NodeId;

@@ -9,7 +9,6 @@
 //! scale — see `parcolor-core::framework::ChunkMode`).
 
 use crate::graph::{Graph, NodeId};
-use rayon::prelude::*;
 
 /// Build `G^k`: same nodes, an edge between any pair at distance `1..=k`
 /// in `G`.  `k = 0` yields the empty graph; `k = 1` is a copy of `G`.
@@ -25,7 +24,6 @@ pub fn power_graph(g: &Graph, k: usize) -> Graph {
     }
     let n = g.n();
     let rows: Vec<Vec<NodeId>> = (0..n as NodeId)
-        .into_par_iter()
         .map(|v| {
             let mut reached = ball(g, v, k);
             reached.retain(|&u| u != v);

@@ -4,8 +4,9 @@
 //! *pure function* of `(node, stream, index)` through a [`Randomness`]
 //! source.  This is the key enabler for derandomization by the method of
 //! conditional expectations: re-running a procedure under a different seed
-//! is just calling the same pure code with a different source, and rayon
-//! can evaluate many seeds in parallel with no shared mutable state.
+//! is just calling the same pure code with a different source, and the
+//! seed search can evaluate many seeds in parallel with no shared mutable
+//! state.
 //!
 //! Two families of sources exist:
 //!

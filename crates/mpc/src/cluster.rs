@@ -9,11 +9,10 @@
 //! Round charges: `sort_by_key` charges 3 rounds (sample gather, splitter
 //! broadcast, routed exchange), `prefix_sum` charges 2 (converge-cast,
 //! scatter), `exchange` and `broadcast` charge 1.  Local computation within
-//! a round is free in the model and executed with rayon here.
+//! a round is free in the model and runs machine by machine here.
 
 use crate::config::MpcConfig;
 use crate::metrics::MpcMetrics;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 /// A dataset partitioned across machines.
@@ -121,7 +120,7 @@ impl Cluster {
     ) -> Dist<U> {
         let parts: Vec<Vec<U>> = d
             .parts
-            .into_par_iter()
+            .into_iter()
             .enumerate()
             .map(|(i, p)| f(i, p))
             .collect();
@@ -142,7 +141,7 @@ impl Cluster {
         // Outboxes: machine i computes, for each destination, its records.
         let outboxes: Vec<Vec<(usize, T)>> = d
             .parts
-            .into_par_iter()
+            .into_iter()
             .map(|part| {
                 part.into_iter()
                     .map(|r| {
@@ -245,7 +244,7 @@ impl Cluster {
     ) -> Dist<(T, u64)> {
         let local_sums: Vec<u64> = d
             .parts
-            .par_iter()
+            .iter()
             .map(|part| part.iter().map(&value).sum::<u64>())
             .collect();
         // Converge-cast local sums to coordinator, scatter offsets back.
@@ -259,7 +258,7 @@ impl Cluster {
         }
         let parts: Vec<Vec<(T, u64)>> = d
             .parts
-            .into_par_iter()
+            .into_iter()
             .zip(offsets)
             .map(|(part, mut off)| {
                 part.into_iter()
@@ -295,7 +294,7 @@ impl Cluster {
         combine: impl Fn(A, A) -> A,
         identity: A,
     ) -> A {
-        let partials: Vec<A> = d.parts.par_iter().map(|p| summarize(p)).collect();
+        let partials: Vec<A> = d.parts.iter().map(|p| summarize(p)).collect();
         self.metrics.add_rounds(1);
         self.metrics.add_messages(partials.len() as u64);
         partials.into_iter().fold(identity, combine)

@@ -1,9 +1,7 @@
 //! MPC model configuration: local-space exponent φ and derived budgets.
 
-use serde::Serialize;
-
 /// Configuration of the MPC instance the simulation runs on.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct MpcConfig {
     /// Number of nodes of the *original* input graph; space budgets are
     /// always expressed in terms of this `n`, even when working on smaller

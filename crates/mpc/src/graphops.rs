@@ -8,17 +8,57 @@
 //! per-node assignment.
 //!
 //! `NodeMpc` charges these operations: computation is carried out by the
-//! caller with rayon over nodes; the accountant verifies the degree bound,
-//! charges rounds/messages, and records per-node-machine space against the
-//! budget `s`.  This keeps the simulator honest about the two quantities
-//! the paper's theorems constrain (rounds, words) without forcing every
-//! neighbor scan through a mailbox data structure.
+//! caller; the accountant verifies the degree bound, charges
+//! rounds/messages, and records per-node-machine space against the
+//! budget `s`, folding over the nodes on the `parcolor-exec` pool.  This
+//! keeps the simulator honest about the two quantities the paper's
+//! theorems constrain (rounds, words) without forcing every neighbor scan
+//! through a mailbox data structure.
 
 use crate::config::MpcConfig;
 use crate::metrics::MpcMetrics;
 use parcolor_local::graph::{Graph, NodeId};
-use rayon::prelude::*;
 use std::sync::Arc;
+
+/// Nodes stolen at a time by [`charge_active`]'s pool fold.
+const FOLD_BLOCK: u64 = 1024;
+
+/// Below this many nodes [`charge_active`] folds inline: pool scheduling
+/// would cost more than the walk.
+const MIN_PARALLEL_LEN: usize = 4096;
+
+/// Observe `words(v)` on `v`'s machine for every active node and return
+/// `(active count, Σ words)`.  Large graphs fold on the executor pool in
+/// [`FOLD_BLOCK`]-node blocks; both sums are integers, so the result is
+/// the same at every worker count.
+fn charge_active<A, W>(n: usize, active: A, words: W) -> (usize, u64)
+where
+    A: Fn(NodeId) -> bool + Sync,
+    W: Fn(NodeId) -> u64 + Sync,
+{
+    let fold_block = |start: u64, len: u64, mut acc: (usize, u64)| {
+        for v in start as NodeId..(start + len) as NodeId {
+            if active(v) {
+                acc.0 += 1;
+                acc.1 += words(v);
+            }
+        }
+        acc
+    };
+    if n < MIN_PARALLEL_LEN {
+        return fold_block(0, n as u64, (0, 0));
+    }
+    parcolor_exec::par_fold(
+        parcolor_exec::Executor::global(),
+        parcolor_exec::resolve_workers(0).min(n / FOLD_BLOCK as usize),
+        0..n as u64,
+        FOLD_BLOCK,
+        || (),
+        || (0, 0),
+        |start, len, acc, _: &mut ()| fold_block(start, len, acc),
+        |a, b| (a.0 + b.0, a.1 + b.1),
+    )
+}
 
 /// Accountant for Lemma 17-style per-node MPC operations.
 pub struct NodeMpc {
@@ -63,16 +103,11 @@ impl NodeMpc {
         A: Fn(NodeId) -> bool + Sync,
     {
         let s = self.cfg.local_space() as u64;
-        let (count, msgs) = (0..g.n() as NodeId)
-            .into_par_iter()
-            .filter(|&v| active(v))
-            .map(|v| {
-                let w = (g.degree(v) * width) as u64;
-                self.metrics.observe_machine(w, s);
-                (1usize, w)
-            })
-            .fold(|| (0usize, 0u64), |a, b| (a.0 + b.0, a.1 + b.1))
-            .reduce(|| (0usize, 0u64), |a, b| (a.0 + b.0, a.1 + b.1));
+        let (count, msgs) = charge_active(g.n(), active, |v| {
+            let w = (g.degree(v) * width) as u64;
+            self.metrics.observe_machine(w, s);
+            w
+        });
         self.metrics.add_rounds(1);
         self.metrics.add_messages(msgs);
         count
@@ -86,16 +121,11 @@ impl NodeMpc {
         A: Fn(NodeId) -> bool + Sync,
     {
         let s = self.cfg.local_space() as u64;
-        let (count, msgs) = (0..g.n() as NodeId)
-            .into_par_iter()
-            .filter(|&v| active(v))
-            .map(|v| {
-                let w: u64 = g.neighbors(v).iter().map(|&u| g.degree(u) as u64).sum();
-                self.metrics.observe_machine(w, s);
-                (1usize, w)
-            })
-            .fold(|| (0usize, 0u64), |a, b| (a.0 + b.0, a.1 + b.1))
-            .reduce(|| (0usize, 0u64), |a, b| (a.0 + b.0, a.1 + b.1));
+        let (count, msgs) = charge_active(g.n(), active, |v| {
+            let w: u64 = g.neighbors(v).iter().map(|&u| g.degree(u) as u64).sum();
+            self.metrics.observe_machine(w, s);
+            w
+        });
         self.metrics.add_rounds(1);
         self.metrics.add_messages(msgs);
         count

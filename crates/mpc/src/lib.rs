@@ -16,9 +16,9 @@
 //!   are implemented and tested against the model's `O(1)`-round budget.
 //! * [`graphops`] — the Lemma 17 layer: one (virtual) machine per node,
 //!   `d(v) ≤ √s` ops ("send `d(v)` words to each neighbor", "collect the
-//!   2-hop neighborhood").  Work is executed data-parallel with rayon while
-//!   the accountant charges the rounds and words the op would use and
-//!   records violations of the `s` budget.
+//!   2-hop neighborhood").  The caller does the work; the accountant
+//!   charges the rounds and words the op would use and records
+//!   violations of the `s` budget.
 //! * [`metrics`] — round/space/message accounting shared by both layers.
 //!
 //! The split mirrors how the paper itself operates: correctness lives in

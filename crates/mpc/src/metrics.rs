@@ -1,17 +1,22 @@
 //! Round/space/message accounting for MPC executions.
 //!
-//! Accumulation happens from rayon-parallel per-machine closures, so the
-//! peak trackers are atomics (fetch_max) and the cold-path phase log sits
-//! behind a `parking_lot` mutex, per the session's concurrency guide: no
-//! locks on hot paths, atomics with explicit orderings where contention is
-//! possible.
+//! Accumulation happens from per-node closures folded on the
+//! `parcolor-exec` pool, so the peak trackers are atomics (fetch_max) and
+//! the cold-path phase log sits behind a mutex: no locks on hot paths,
+//! atomics with explicit orderings where contention is possible.
 
-use parking_lot::Mutex;
-use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `m`, recovering the data from a poisoned lock: every critical
+/// section below leaves the log consistent, so a panic elsewhere never
+/// makes it unreadable.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One phase's snapshot in the metrics log.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct PhaseMetrics {
     /// Phase label.
     pub label: String,
@@ -36,8 +41,8 @@ pub struct MpcMetrics {
     phase_peak: AtomicU64,
 }
 
-/// Serializable snapshot of [`MpcMetrics`].
-#[derive(Clone, Debug, Serialize)]
+/// Point-in-time snapshot of [`MpcMetrics`].
+#[derive(Clone, Debug)]
 pub struct MetricsSnapshot {
     /// Total rounds charged.
     pub rounds: u64,
@@ -86,7 +91,7 @@ impl MpcMetrics {
     /// Start a labelled phase (ends any open one).
     pub fn begin_phase(&self, label: impl Into<String>) {
         self.end_phase();
-        *self.phase_open.lock() = Some((
+        *lock(&self.phase_open) = Some((
             label.into(),
             self.rounds.load(Ordering::Relaxed),
             self.messages.load(Ordering::Relaxed),
@@ -96,8 +101,8 @@ impl MpcMetrics {
 
     /// Close the open phase, recording its deltas.
     pub fn end_phase(&self) {
-        if let Some((label, r0, m0)) = self.phase_open.lock().take() {
-            self.phases.lock().push(PhaseMetrics {
+        if let Some((label, r0, m0)) = lock(&self.phase_open).take() {
+            lock(&self.phases).push(PhaseMetrics {
                 label,
                 rounds: self.rounds.load(Ordering::Relaxed) - r0,
                 max_machine_words: self.phase_peak.load(Ordering::Relaxed),
@@ -121,7 +126,7 @@ impl MpcMetrics {
         self.budget_violations.load(Ordering::Relaxed)
     }
 
-    /// Serializable snapshot (closes any open phase).
+    /// Snapshot of the totals and the phase log (closes any open phase).
     pub fn snapshot(&self) -> MetricsSnapshot {
         self.end_phase();
         MetricsSnapshot {
@@ -130,7 +135,7 @@ impl MpcMetrics {
             global_words_peak: self.global_words_peak.load(Ordering::Relaxed),
             messages: self.messages.load(Ordering::Relaxed),
             budget_violations: self.budget_violations.load(Ordering::Relaxed),
-            phases: self.phases.lock().clone(),
+            phases: lock(&self.phases).clone(),
         }
     }
 }
@@ -188,11 +193,22 @@ mod tests {
 
     #[test]
     fn concurrent_observation_is_safe() {
-        use rayon::prelude::*;
+        const THREADS: u64 = 4;
         let m = MpcMetrics::new();
-        (0..1000u64).into_par_iter().for_each(|i| {
-            m.observe_machine(i, 500);
-            m.add_messages(1);
+        // Each thread observes a disjoint slice of 0..1000; the barrier
+        // releases them together so the atomics see contended updates.
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let (m, start) = (&m, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in (t * 1000 / THREADS)..((t + 1) * 1000 / THREADS) {
+                        m.observe_machine(i, 500);
+                        m.add_messages(1);
+                    }
+                });
+            }
         });
         assert_eq!(m.max_machine_words(), 999);
         assert_eq!(m.snapshot().messages, 1000);

@@ -21,7 +21,6 @@
 //! detail; stripes of any length, including empty, are valid.
 
 use parcolor_local::tape::{splitmix64, MIX_LANES};
-use rayon::prelude::*;
 
 /// The Mersenne prime `2^61 - 1`.
 pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
@@ -188,12 +187,7 @@ impl PairwiseHash {
 /// family spreads loads as pairwise independence predicts.
 pub fn bucket_chi_square(h: &KWiseHash, nkeys: u64, range: u64) -> f64 {
     let counts: Vec<u64> = (0..range)
-        .map(|b| {
-            (0..nkeys)
-                .into_par_iter()
-                .filter(|&x| h.eval(x) == b)
-                .count() as u64
-        })
+        .map(|b| (0..nkeys).filter(|&x| h.eval(x) == b).count() as u64)
         .collect();
     let expected = nkeys as f64 / range as f64;
     counts

@@ -20,8 +20,9 @@
 //! On top of both sits [`seed_search`]: deterministic seed selection by
 //! exhaustive evaluation, fixed-subset evaluation, or the bitwise **method
 //! of conditional expectations** (the form actually run on an MPC, Lemma
-//! 10).  Seed evaluation is embarrassingly parallel and is distributed with
-//! rayon — the hot loop of the whole reproduction.
+//! 10).  Seed evaluation is embarrassingly parallel and is distributed over
+//! the `parcolor-exec` work-stealing pool — the hot loop of the whole
+//! reproduction.
 
 pub mod hashing;
 pub mod prg;

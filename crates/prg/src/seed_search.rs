@@ -7,8 +7,8 @@
 //! find a seed whose cost is at most the mean over the seed space.  Three
 //! interchangeable strategies are provided:
 //!
-//! * [`SeedStrategy::Exhaustive`] — evaluate every seed (rayon-parallel)
-//!   and take the argmin.  Gold standard; cost `2^d · eval`.
+//! * [`SeedStrategy::Exhaustive`] — evaluate every seed and take the
+//!   argmin.  Gold standard; cost `2^d · eval`.
 //! * [`SeedStrategy::BitwiseCondExp`] — the textbook method of conditional
 //!   expectations: fix seed bits one at a time, each time choosing the
 //!   branch with the smaller conditional mean.  This is the form that maps
@@ -25,11 +25,12 @@
 //!
 //! ## Fast path: [`select_seed_with`]
 //!
-//! [`select_seed`] evaluates a plain `cost(seed)` closure and (for
+//! [`select_seed`] is the sequential reference: it evaluates a plain
+//! `cost(seed)` closure seed by seed, on the calling thread, and (for
 //! `Exhaustive`/`BitwiseCondExp`) materializes the whole `2^d`-entry cost
 //! table — simple, but allocation-heavy and wasteful when each evaluation
 //! itself wants reusable scratch buffers.  [`select_seed_with`] is the
-//! batched replacement used by the framework's hot loop:
+//! batched, pool-parallel replacement used by the framework's hot loop:
 //!
 //! * the caller provides a `make_scratch` factory and an
 //!   `eval(seed, &mut scratch)` closure, so each worker thread owns one
@@ -48,8 +49,6 @@
 //!   verified by `tests/seed_fastpath_equivalence.rs`).
 
 use parcolor_exec::{Executor, SumMinArgmin};
-use rayon::prelude::*;
-use serde::Serialize;
 
 /// Width of one seed block: [`select_seed_blocks`] hands its evaluator up
 /// to this many **contiguous** seeds at a time, so cost functions can
@@ -62,7 +61,7 @@ pub const SEED_BLOCK: usize = 8;
 const _: () = assert!(SEED_BLOCK <= u8::BITS as usize, "lane masks are u8");
 
 /// Strategy for choosing a PRG seed deterministically.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum SeedStrategy {
     /// Evaluate all `2^seed_bits` seeds, pick the argmin (ties → lowest).
     Exhaustive,
@@ -75,7 +74,7 @@ pub enum SeedStrategy {
 }
 
 /// Result of a seed search.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SeedSelection {
     /// The chosen seed.
     pub seed: u64,
@@ -102,7 +101,7 @@ impl SeedSelection {
 
 /// Deterministically choose a seed from `{0,1}^seed_bits` minimizing
 /// `cost`, following `strategy`.  `cost` must be a pure function of the
-/// seed; evaluation is parallelized over seeds with rayon.
+/// seed; seeds are evaluated in order on the calling thread.
 pub fn select_seed<F>(seed_bits: u32, strategy: SeedStrategy, cost: F) -> SeedSelection
 where
     F: Fn(u64) -> f64 + Sync,
@@ -124,15 +123,15 @@ where
         }
         SeedStrategy::FixedSubset(k) => {
             let k = k.clamp(1, space);
-            let costs: Vec<f64> = (0..k).into_par_iter().map(&cost).collect();
+            let costs: Vec<f64> = (0..k).map(&cost).collect();
             argmin_selection(&costs, k)
         }
         SeedStrategy::Exhaustive => {
-            let costs: Vec<f64> = (0..space).into_par_iter().map(&cost).collect();
+            let costs: Vec<f64> = (0..space).map(&cost).collect();
             argmin_selection(&costs, space)
         }
         SeedStrategy::BitwiseCondExp => {
-            let costs: Vec<f64> = (0..space).into_par_iter().map(&cost).collect();
+            let costs: Vec<f64> = (0..space).map(&cost).collect();
             bitwise_walk(seed_bits, &costs)
         }
     }
@@ -148,10 +147,10 @@ where
 /// exactly the same `SeedSelection` as [`select_seed`] for integer-valued
 /// cost functionals, for every strategy.
 ///
-/// Parallelism is over **seeds only**: chunks of the seed space are folded
-/// on scoped threads, each owning one scratch.  Evaluations must therefore
-/// be sequential internally — exactly the regime the framework's
-/// `simulate_into` implementations are written for.
+/// Parallelism is over **seeds only**: blocks of the seed space are folded
+/// on the executor pool, each worker owning one scratch.  Evaluations
+/// must therefore be sequential internally — exactly the regime the
+/// framework's `simulate_into` implementations are written for.
 pub fn select_seed_with<S, M, F>(
     seed_bits: u32,
     strategy: SeedStrategy,
@@ -225,8 +224,7 @@ where
 }
 
 /// [`select_seed_blocks`] with an explicit worker count (`0` = auto: the
-/// `PARCOLOR_THREADS` env var — `PARCOLOR_SEED_THREADS` is honored as a
-/// deprecated alias — else all hardware threads).
+/// `PARCOLOR_THREADS` env var, else all hardware threads).
 ///
 /// Workers **steal seed blocks** off one shared atomic counter instead of
 /// owning fixed contiguous chunks, so a straggler block (dense
@@ -453,9 +451,8 @@ where
 }
 
 /// Worker threads for a fold over `len` seeds.  `requested = 0` means
-/// auto: the `PARCOLOR_THREADS` env var if set (with
-/// `PARCOLOR_SEED_THREADS` honored as a deprecated alias), else all
-/// hardware threads — see [`parcolor_exec::resolve_workers`].  Tiny
+/// auto: the `PARCOLOR_THREADS` env var if set, else all hardware
+/// threads — see [`parcolor_exec::resolve_workers`].  Tiny
 /// ranges stay serial — scheduling overhead would dominate — and the
 /// count is capped so every worker has ≥ 32 seeds.
 pub fn seed_workers(len: u64, requested: usize) -> usize {
@@ -516,7 +513,7 @@ fn bitwise_walk(seed_bits: u32, costs: &[f64]) -> SeedSelection {
 fn range_mean(costs: &[f64], start: u64, len: u64) -> f64 {
     let s = start as usize;
     let e = s + len as usize;
-    costs[s..e].par_iter().sum::<f64>() / len as f64
+    costs[s..e].iter().sum::<f64>() / len as f64
 }
 
 #[cfg(test)]
@@ -622,7 +619,7 @@ mod tests {
 
     /// Worker count must not change the outcome (chunk merge is ordered).
     /// Exercised through the explicit-worker fold rather than the
-    /// `PARCOLOR_SEED_THREADS` env var: tests run multi-threaded in one
+    /// `PARCOLOR_THREADS` env var: tests run multi-threaded in one
     /// process, so mutating the environment would race other tests.
     #[test]
     fn fold_is_worker_count_invariant() {
