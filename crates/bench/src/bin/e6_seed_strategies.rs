@@ -353,11 +353,10 @@ fn write_seed_search_json(
     engine: &[String],
 ) {
     let json = format!(
-        "{{\n  \"experiment\": \"e6_seed_search_fastpath\",\n  \"simd_path\": \"{}\",\n  \
+        "{{\n  \"experiment\": \"e6_seed_search_fastpath\",\n  \
          \"rows\": [\n{}\n  ],\n  \
          \"block_procs\": [\n{}\n  ],\n  \"workers_matrix\": [\n{}\n  ],\n  \
          \"engine_parallel\": [\n{}\n  ]\n}}\n",
-        parcolor_core::simd::active_path(),
         fastpath.join(",\n"),
         blocks.join(",\n"),
         workers.join(",\n"),

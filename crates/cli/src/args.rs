@@ -3,7 +3,7 @@
 //! friendly diagnostic and exit with a meaningful status (2 for usage
 //! errors, 1 for runtime failures) and tests can assert on the messages.
 
-use parcolor_core::{SeedStrategy, SimdPath};
+use parcolor_core::SeedStrategy;
 use parcolor_dist::DistConfig;
 
 /// Validated options for `parcolor solve`.
@@ -19,10 +19,6 @@ pub struct SolveOpts {
     pub seed_bits: u32,
     /// Worker threads (`--workers`, default 0 = auto).
     pub workers: usize,
-    /// Forced SIMD kernel path (`--simd`, default `None` = auto:
-    /// `PARCOLOR_SIMD` env, else runtime detection).  Bit-identical
-    /// results on every path — a throughput/testing knob.
-    pub simd: Option<SimdPath>,
 }
 
 /// Seed lengths outside this range are either degenerate or blow the
@@ -45,10 +41,8 @@ pub fn parse_solve_args<S: AsRef<str>>(args: &[S]) -> Result<SolveOpts, String> 
         randomized: None,
         seed_bits: 6,
         workers: 0,
-        simd: None,
     };
     let mut seen_seed_bits = false;
-    let mut seen_simd = false;
     let mut it = args.iter().map(AsRef::as_ref);
     while let Some(arg) = it.next() {
         let mut value_of = |flag: &str| -> Result<&str, String> {
@@ -80,18 +74,6 @@ pub fn parse_solve_args<S: AsRef<str>>(args: &[S]) -> Result<SolveOpts, String> 
             }
             "--workers" => {
                 opts.workers = parsed("--workers", value_of("--workers")?)?;
-            }
-            "--simd" => {
-                if seen_simd {
-                    return Err("--simd given twice".into());
-                }
-                seen_simd = true;
-                let v = value_of("--simd")?;
-                if !v.eq_ignore_ascii_case("auto") {
-                    opts.simd = Some(SimdPath::parse(v).ok_or(format!(
-                        "--simd expects scalar|avx2|avx512|neon|auto, got {v:?}"
-                    ))?);
-                }
             }
             flag if flag.starts_with('-') && flag.len() > 1 => {
                 return Err(format!("unknown flag {flag}"));
@@ -359,6 +341,121 @@ pub fn parse_worker_args<S: AsRef<str>>(args: &[S]) -> Result<WorkerOpts, String
     Ok(opts)
 }
 
+/// A graph family `parcolor gen` can write.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum GenFamily {
+    /// `gnm`: G(n, m); param = m.
+    Gnm,
+    /// `gnp`: G(n, p); param = p·1000.
+    Gnp,
+    /// `regular`: random d-regular; param = d.
+    Regular,
+    /// `powerlaw`: power-law degrees; param = average degree.
+    PowerLaw,
+    /// `ring`: the n-cycle; param unused.
+    Ring,
+    /// `torus`: the side × side torus; param = side.
+    Torus,
+}
+
+impl GenFamily {
+    /// The family's name on the command line.
+    pub fn name(self) -> &'static str {
+        match self {
+            GenFamily::Gnm => "gnm",
+            GenFamily::Gnp => "gnp",
+            GenFamily::Regular => "regular",
+            GenFamily::PowerLaw => "powerlaw",
+            GenFamily::Ring => "ring",
+            GenFamily::Torus => "torus",
+        }
+    }
+}
+
+/// Validated options for `parcolor gen`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct GenOpts {
+    /// Graph family.
+    pub family: GenFamily,
+    /// Node count, at most `u32::MAX` (the node-id range).
+    pub n: usize,
+    /// The family's integer parameter (see [`GenFamily`]).
+    pub param: usize,
+    /// Generator seed (optional fourth positional, default 42).
+    pub seed: u64,
+    /// Output graph path (`-o`), DIMACS on stdout when absent.
+    pub out: Option<String>,
+}
+
+/// Parse and validate the arguments of `parcolor gen`:
+/// `<family> <n> <param> [seed] [-o out]`.  Same contract as
+/// [`parse_solve_args`].
+pub fn parse_gen_args<S: AsRef<str>>(args: &[S]) -> Result<GenOpts, String> {
+    let mut out = None;
+    let mut positional = Vec::new();
+    let mut it = args.iter().map(AsRef::as_ref);
+    while let Some(arg) = it.next() {
+        match arg {
+            "-o" => {
+                let v = it.next().ok_or("-o requires a value")?;
+                if out.replace(v.to_string()).is_some() {
+                    return Err("-o given twice".into());
+                }
+            }
+            flag if flag.starts_with('-') && flag.len() > 1 => {
+                return Err(format!("unknown flag {flag}"));
+            }
+            p => positional.push(p),
+        }
+    }
+    let (family, n, param, seed) = match positional[..] {
+        [f, n, p] => (f, n, p, None),
+        [f, n, p, s] => (f, n, p, Some(s)),
+        [_, _, _, _, extra, ..] => return Err(format!("unexpected extra argument {extra:?}")),
+        _ => return Err("expected <family> <n> <param> [seed]".into()),
+    };
+    let family = match family {
+        "gnm" => GenFamily::Gnm,
+        "gnp" => GenFamily::Gnp,
+        "regular" => GenFamily::Regular,
+        "powerlaw" => GenFamily::PowerLaw,
+        "ring" => GenFamily::Ring,
+        "torus" => GenFamily::Torus,
+        other => {
+            return Err(format!(
+                "unknown family {other:?} (expected gnm|gnp|regular|powerlaw|ring|torus)"
+            ))
+        }
+    };
+    let n: usize = parsed("n", n)?;
+    if n > u32::MAX as usize {
+        return Err(format!(
+            "n must be at most {} (the node-id range), got {n}",
+            u32::MAX
+        ));
+    }
+    let param = match family {
+        GenFamily::Gnp => param.parse().map_err(|_| {
+            format!(
+                "gnp param is the edge probability p·1000 as an integer \
+                 (4 means p = 0.004), got {param:?}"
+            )
+        })?,
+        _ => parsed("param", param)?,
+    };
+    let seed = match seed {
+        Some(s) => parsed("seed", s)?,
+        None => 42,
+    };
+    Ok(GenOpts {
+        family,
+        n,
+        param,
+        seed,
+        out,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -429,29 +526,6 @@ mod tests {
         assert!(e.contains("contradict"), "{e}");
         // --randomized alone is fine (default bits are not "given").
         assert!(parse(&["g.col", "--randomized", "7"]).is_ok());
-    }
-
-    #[test]
-    fn parses_simd_flag() {
-        assert_eq!(parse(&["g.col"]).unwrap().simd, None);
-        assert_eq!(
-            parse(&["g.col", "--simd", "scalar"]).unwrap().simd,
-            Some(SimdPath::Scalar)
-        );
-        assert_eq!(
-            parse(&["g.col", "--simd", "AVX2"]).unwrap().simd,
-            Some(SimdPath::Avx2)
-        );
-        // "auto" is accepted and means "no forcing".
-        assert_eq!(parse(&["g.col", "--simd", "Auto"]).unwrap().simd, None);
-        let e = parse(&["g.col", "--simd", "sse9"]).unwrap_err();
-        assert!(e.contains("scalar|avx2|avx512|neon|auto"), "{e}");
-        assert!(parse(&["g.col", "--simd", "avx2", "--simd", "auto"])
-            .unwrap_err()
-            .contains("twice"));
-        assert!(parse(&["g.col", "--simd"])
-            .unwrap_err()
-            .contains("requires a value"));
     }
 
     #[test]
@@ -587,5 +661,47 @@ mod tests {
         assert!(e.contains("empty address"), "{e}");
         let e = parse_worker_args(&["--connect", "a:1", "stray"]).unwrap_err();
         assert!(e.contains("unexpected argument"), "{e}");
+    }
+
+    #[test]
+    fn gen_accepts_family_sizes_seed_and_output() {
+        let o = parse_gen_args(&["gnp", "2000", "4"]).unwrap();
+        assert_eq!(o.family, GenFamily::Gnp);
+        assert_eq!((o.n, o.param, o.seed), (2000, 4, 42));
+        assert!(o.out.is_none());
+        let o = parse_gen_args(&["-o", "g.pcg", "torus", "0", "30", "7"]).unwrap();
+        assert_eq!(o.family, GenFamily::Torus);
+        assert_eq!((o.param, o.seed), (30, 7));
+        assert_eq!(o.out.as_deref(), Some("g.pcg"));
+        let e = parse_gen_args(&["gnm", "10"]).unwrap_err();
+        assert!(e.contains("expected <family>"), "{e}");
+        let e = parse_gen_args(&["cube", "10", "3"]).unwrap_err();
+        assert!(e.contains("unknown family"), "{e}");
+    }
+
+    #[test]
+    fn gen_rejects_non_integer_sizes() {
+        let e = parse_gen_args(&["gnm", "1e5", "10"]).unwrap_err();
+        assert!(e.contains("n expects a number"), "{e}");
+        let e = parse_gen_args(&["gnm", "100", "ten"]).unwrap_err();
+        assert!(e.contains("param expects a number"), "{e}");
+        // gnp's param is per-mille; a fractional p says so.
+        let e = parse_gen_args(&["gnp", "2000", "0.0004"]).unwrap_err();
+        assert!(e.contains("p·1000"), "{e}");
+    }
+
+    #[test]
+    fn gen_rejects_n_beyond_node_ids() {
+        assert!(parse_gen_args(&["ring", "4294967295", "0"]).is_ok());
+        let e = parse_gen_args(&["ring", "4294967296", "0"]).unwrap_err();
+        assert!(e.contains("at most 4294967295"), "{e}");
+    }
+
+    #[test]
+    fn gen_rejects_malformed_seed() {
+        let e = parse_gen_args(&["gnm", "100", "200", "0x2a"]).unwrap_err();
+        assert!(e.contains("seed expects a number"), "{e}");
+        let e = parse_gen_args(&["gnm", "100", "200", "1", "2"]).unwrap_err();
+        assert!(e.contains("unexpected extra argument"), "{e}");
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! parcolor solve       <graph.col|.pcg> [-o coloring.txt] [--randomized <key>] [--seed-bits B]
-//!                      [--workers W] [--simd scalar|avx2|avx512|neon|auto]
+//!                      [--workers W]
 //! parcolor verify      <graph.col|.pcg> <coloring.txt>
 //! parcolor gen         <family> <n> <param> [seed] [-o graph.col|.pcg]
 //! parcolor convert     <in.col|.pcg> <out.col|.pcg>
@@ -25,13 +25,6 @@
 //! threads); the chosen seeds — and hence the coloring — are identical
 //! at every worker count.
 //!
-//! `--simd` forces a SIMD kernel path (default auto: the
-//! `PARCOLOR_SIMD` env var, else runtime CPU detection picks the best of
-//! scalar/AVX2/AVX-512/NEON compiled into the binary).  Every path is
-//! bit-identical — the flag exists for benchmarking and forced-path
-//! testing; the selected path is reported in the solve summary and by
-//! `parcolor stats`.
-//!
 //! `coordinator` serves the deterministic solve to a fleet: workers
 //! connect, lease seed ranges, and return grouping-invariant aggregates,
 //! so the coloring is bit-identical to `parcolor solve` on one machine —
@@ -44,11 +37,13 @@
 //! the `parcolor-dist` crate docs for the protocol, the epoch-fencing
 //! rules, and the lease-lifecycle contract.
 //!
-//! Families for `gen`: `gnm` (param = m), `gnp` (param = p·1000),
-//! `regular` (param = d), `powerlaw` (param = avg-degree), `ring`,
-//! `torus` (param = side).
+//! Families for `gen`: `gnm` (param = m), `gnp` (param = p·1000, an
+//! integer), `regular` (param = d), `powerlaw` (param = avg-degree),
+//! `ring`, `torus` (param = side); `n` is at most `u32::MAX`.
 
-use parcolor_cli::args::{parse_coordinator_args, parse_solve_args, parse_worker_args};
+use parcolor_cli::args::{
+    parse_coordinator_args, parse_gen_args, parse_solve_args, parse_worker_args, GenFamily,
+};
 use parcolor_cli::job::{decode_job, encode_job};
 use parcolor_cli::pcg::write_pcg;
 use parcolor_cli::{instance_of, load_graph, parse_coloring, write_coloring, write_dimacs};
@@ -62,7 +57,7 @@ use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  parcolor solve       <graph.col|.pcg> [-o out.txt] [--randomized <key>] [--seed-bits B] [--workers W] [--simd P]\n  parcolor verify      <graph.col|.pcg> <coloring.txt>\n  parcolor gen         <gnm|gnp|regular|powerlaw|ring|torus> <n> <param> [seed] [-o out.col|.pcg]\n  parcolor convert     <in.col|.pcg> <out.col|.pcg>\n  parcolor stats       <graph.col|.pcg>\n  parcolor coordinator <graph.col|.pcg> --listen HOST:PORT [--min-workers K] [--seed-bits B] [--strategy S] [--workers W] [--blocks-per-lease N] [--local-patience-ms T] [--lease-timeout-ms T] [--heartbeat-timeout-ms T] [-o out.txt]\n  parcolor coordinator --listen HOST:PORT --standby PRIMARY:PORT [-o out.txt]\n  parcolor worker      --connect HOST:PORT[,HOST:PORT] [--workers W]"
+        "usage:\n  parcolor solve       <graph.col|.pcg> [-o out.txt] [--randomized <key>] [--seed-bits B] [--workers W]\n  parcolor verify      <graph.col|.pcg> <coloring.txt>\n  parcolor gen         <gnm|gnp|regular|powerlaw|ring|torus> <n> <param> [seed] [-o out.col|.pcg]\n  parcolor convert     <in.col|.pcg> <out.col|.pcg>\n  parcolor stats       <graph.col|.pcg>\n  parcolor coordinator <graph.col|.pcg> --listen HOST:PORT [--min-workers K] [--seed-bits B] [--strategy S] [--workers W] [--blocks-per-lease N] [--local-patience-ms T] [--lease-timeout-ms T] [--heartbeat-timeout-ms T] [-o out.txt]\n  parcolor coordinator --listen HOST:PORT --standby PRIMARY:PORT [-o out.txt]\n  parcolor worker      --connect HOST:PORT[,HOST:PORT] [--workers W]"
     );
     exit(2)
 }
@@ -95,23 +90,15 @@ fn main() {
     }
 }
 
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
 fn report_solution(inst: &parcolor_core::D1lcInstance, sol: &Solution) {
     eprintln!(
-        "solved: n={} m={} Δ={}  MPC rounds={}  LOCAL rounds={}  peak machine words={}  simd={}",
+        "solved: n={} m={} Δ={}  MPC rounds={}  LOCAL rounds={}  peak machine words={}",
         inst.n(),
         inst.graph.m(),
         inst.graph.max_degree(),
         sol.cost.mpc_rounds,
         sol.cost.local_rounds,
-        sol.cost.max_machine_words,
-        parcolor_core::simd::active_path()
+        sol.cost.max_machine_words
     );
 }
 
@@ -138,19 +125,10 @@ fn cmd_solve(args: &[String]) {
         exit(1)
     });
     let inst = instance_of(g);
-    let mut params = Params::default()
+    let params = Params::default()
         .with_seed_bits(opts.seed_bits)
         .with_strategy(SeedStrategy::FixedSubset(16))
         .with_workers(opts.workers);
-    if let Some(path) = opts.simd {
-        // Validate here for a friendly diagnostic; the solver would
-        // otherwise panic on an unavailable path.
-        if let Err(e) = parcolor_core::simd::force_path(path) {
-            eprintln!("parcolor solve: {e}");
-            exit(1);
-        }
-        params = params.with_simd(path);
-    }
     let sol = match opts.randomized {
         Some(key) => Solver::randomized(params, key).solve(&inst),
         None => Solver::deterministic(params).solve(&inst),
@@ -327,33 +305,21 @@ fn cmd_verify(args: &[String]) {
 }
 
 fn cmd_gen(args: &[String]) {
-    let (family, n, param) = match args {
-        [f, n, p, ..] => (
-            f.as_str(),
-            n.parse::<usize>().expect("n"),
-            p.parse::<usize>().expect("param"),
-        ),
-        _ => usage(),
+    let opts = parse_gen_args(args).unwrap_or_else(|e| die_usage("gen", &e));
+    let (n, param, seed) = (opts.n, opts.param, opts.seed);
+    let g = match opts.family {
+        GenFamily::Gnm => parcolor_graphgen::gnm(n, param, seed),
+        GenFamily::Gnp => parcolor_graphgen::gnp(n, param as f64 / 1000.0, seed),
+        GenFamily::Regular => parcolor_graphgen::random_regular(n, param, seed),
+        GenFamily::PowerLaw => parcolor_graphgen::power_law(n, 2.5, param as f64, seed),
+        GenFamily::Ring => parcolor_graphgen::ring(n),
+        GenFamily::Torus => parcolor_graphgen::torus(param, param),
     };
-    let seed: u64 = args
-        .get(3)
-        .filter(|s| !s.starts_with('-'))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let g = match family {
-        "gnm" => parcolor_graphgen::gnm(n, param, seed),
-        "gnp" => parcolor_graphgen::gnp(n, param as f64 / 1000.0, seed),
-        "regular" => parcolor_graphgen::random_regular(n, param, seed),
-        "powerlaw" => parcolor_graphgen::power_law(n, 2.5, param as f64, seed),
-        "ring" => parcolor_graphgen::ring(n),
-        "torus" => parcolor_graphgen::torus(param, param),
-        other => {
-            eprintln!("unknown family {other}");
-            exit(2)
-        }
-    };
-    let comment = format!("parcolor gen {family} n={n} param={param} seed={seed}");
-    match flag_value(args, "-o") {
+    let comment = format!(
+        "parcolor gen {} n={n} param={param} seed={seed}",
+        opts.family.name()
+    );
+    match opts.out.as_deref() {
         Some(out) => {
             write_graph_file(out, &g, &comment);
             eprintln!("graph written to {out} (n={} m={})", g.n(), g.m());
@@ -407,18 +373,9 @@ fn cmd_stats(args: &[String]) {
     println!("Δ          = {}", g.max_degree());
     println!("avg degree = {:.2}", degsum as f64 / g.n().max(1) as f64);
     println!("components = {ncomp}");
-    let biggest = (0..ncomp)
-        .map(|c| comp.iter().filter(|&&x| x == c as u32).count())
-        .max()
-        .unwrap_or(0);
-    println!("largest cc = {biggest}");
-    let available: Vec<&str> = parcolor_core::simd::available_paths()
-        .iter()
-        .map(|p| p.name())
-        .collect();
-    println!(
-        "simd path  = {} (available: {})",
-        parcolor_core::simd::active_path(),
-        available.join(", ")
-    );
+    let mut sizes = vec![0usize; ncomp];
+    for &c in &comp {
+        sizes[c as usize] += 1;
+    }
+    println!("largest cc = {}", sizes.iter().max().unwrap_or(&0));
 }

@@ -41,6 +41,13 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<Graph, String> {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .ok_or(format!("line {}: bad n", lineno + 1))?;
+                if nn > u32::MAX as usize {
+                    return Err(format!(
+                        "line {}: n = {nn} exceeds the node-id range (at most {})",
+                        lineno + 1,
+                        u32::MAX
+                    ));
+                }
                 if n.replace(nn).is_some() {
                     return Err(format!("line {}: duplicate p line", lineno + 1));
                 }
@@ -178,6 +185,8 @@ mod tests {
     fn rejects_out_of_range() {
         assert!(parse_dimacs(Cursor::new("p edge 2 1\ne 1 5\n")).is_err());
         assert!(parse_dimacs(Cursor::new("p edge 2 1\ne 0 1\n")).is_err());
+        let e = parse_dimacs(Cursor::new("c big\np edge 99999999999 1\n")).unwrap_err();
+        assert!(e.starts_with("line 2:"), "{e}");
     }
 
     #[test]

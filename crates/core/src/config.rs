@@ -11,7 +11,6 @@
 //! so that instances in the 10³–10⁶ node range actually exercise all of
 //! the pipeline's regimes.  DESIGN.md §5 records this substitution.
 
-use parcolor_local::simd::SimdPath;
 use parcolor_prg::SeedStrategy;
 
 /// How PRG output is split into per-node chunks (Lemma 10).
@@ -54,12 +53,6 @@ pub struct Params {
     /// all reduces are grouping-invariant and stripe splices are
     /// positional — so this is purely a throughput knob.
     pub workers: usize,
-    /// Force a specific SIMD kernel path (`None` = auto: the
-    /// `PARCOLOR_SIMD` env var if set, else runtime CPU detection).
-    /// Every path is bit-identical to the scalar reference — this is a
-    /// throughput/testing knob, applied **process-wide** at solve start
-    /// (the dispatch cache in `parcolor_local::simd` is global).
-    pub simd: Option<SimdPath>,
 
     // ---- degree thresholds (scaled substitutes for log⁷ n etc.) ----
     /// Low-degree threshold = `low_beta · ln(n)^low_exp`; nodes at or below
@@ -140,7 +133,6 @@ impl Default for Params {
             chunking: ChunkMode::PerNode,
             tau: 1,
             workers: 0,
-            simd: None,
             low_beta: 1.5,
             low_exp: 1.2,
             mid_degree_cap: None,
@@ -233,14 +225,6 @@ impl Params {
     /// Set the worker count for all parallel surfaces (`0` = auto).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Force the SIMD kernel path for solves under these params (must be
-    /// runtime-available on the executing host; see
-    /// `parcolor_local::simd::available_paths`).
-    pub fn with_simd(mut self, path: SimdPath) -> Self {
-        self.simd = Some(path);
         self
     }
 

@@ -44,12 +44,10 @@
 //! 4. **Batched randomness plane** ([`PickPlane`]).  A procedure's random
 //!    draws are materialized for a whole stripe of active nodes in one
 //!    `Randomness::fill_*` call per stream — the tape's seed/stream mixer
-//!    rounds are hoisted once per stripe and the per-node rounds run in
-//!    explicit four-lane SIMD (`parcolor_local::simd::splitmix4`,
-//!    runtime-dispatched to the best of scalar/AVX2/AVX-512/NEON the CPU
-//!    supports, every path bit-identical) — instead of one scalar `word`
-//!    per node.  The plane is bit-identical to the
-//!    scalar tape walk (same mixer outputs, same picks, same chosen
+//!    rounds are hoisted once per stripe and the per-node rounds run four
+//!    lanes at a time through the inline `parcolor_local::simd::splitmix4`
+//!    — instead of one scalar `word` per node.  The plane is bit-identical
+//!    to the scalar tape walk (same mixer outputs, same picks, same chosen
 //!    seeds; see the batch contract in `parcolor_local::tape`), so the
 //!    reference `simulate` path and the golden hashes are unchanged.
 //! 5. **Seed-lane block evaluation.**  Every procedure overrides

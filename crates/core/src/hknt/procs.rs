@@ -15,6 +15,7 @@
 use crate::framework::{NormalProcedure, Outcome, PickPlane, SimScratch};
 use crate::instance::ColoringState;
 use parcolor_local::graph::{Graph, NodeId};
+use parcolor_local::simd::lane_eq_mask8;
 use parcolor_local::tape::Randomness;
 use parcolor_prg::SEED_BLOCK;
 
@@ -736,11 +737,11 @@ impl NormalProcedure for TryRandomColor<'_> {
     /// Seed-lane block evaluation: the picks of all the block's seeds are
     /// materialized as one structure-of-arrays plane (`soa[v] = [pick
     /// under seed lane 0, …, lane 7]`), then **one** pass over the active
-    /// edge list compares whole lanes at a time (AVX2 `cmpeq` on targets
-    /// that have it) — amortizing the clash scan's memory traffic across
-    /// up to `SEED_BLOCK` seeds, where the scalar fused path re-walks the
-    /// edges once per seed.  Unused lanes are padded with the node's own
-    /// id, which can never collide across an edge.
+    /// edge list compares whole 8-lane rows at a time (`lane_eq_mask8`) —
+    /// amortizing the clash scan's memory traffic across up to
+    /// `SEED_BLOCK` seeds, where the scalar fused path re-walks the edges
+    /// once per seed.  Unused lanes are padded with the node's own id,
+    /// which can never collide across an edge.
     ///
     /// For `Colored`/`Auto` each lane's clashed-node count is the cost
     /// directly; for the slack SSPs the clash masks become the lane
@@ -801,9 +802,8 @@ impl NormalProcedure for TryRandomColor<'_> {
         }
         let soa = &plane.soa;
         let mask = &mut plane.lane_mask;
-        let lane_eq = parcolor_local::simd::kernels().lane_eq_mask8;
         for &(a, b) in self.active_edges() {
-            let eq = lane_eq(&soa[a as usize], &soa[b as usize]);
+            let eq = lane_eq_mask8(&soa[a as usize], &soa[b as usize]);
             mask[a as usize] |= eq;
             mask[b as usize] |= eq;
         }
@@ -1368,13 +1368,12 @@ impl NormalProcedure for GenerateSlack<'_> {
             let soa = &plane.soa;
             let valid = &plane.valid_mask;
             let mask = &mut plane.lane_mask;
-            let lane_eq = parcolor_local::simd::kernels().lane_eq_mask8;
             for &(a, b) in self.active_edges() {
                 let both = valid[a as usize] & valid[b as usize];
                 if both == 0 {
                     continue;
                 }
-                let eq = lane_eq(&soa[a as usize], &soa[b as usize]) & both;
+                let eq = lane_eq_mask8(&soa[a as usize], &soa[b as usize]) & both;
                 mask[a as usize] |= eq;
                 mask[b as usize] |= eq;
             }
@@ -1498,7 +1497,7 @@ impl NormalProcedure for SynchColorTrial<'_> {
                 }
                 // Leader permutes its palette with its own randomness:
                 // the Fisher-Yates words (idx 1..|pal|) arrive as one
-                // dispatched `fill_words_seq` stripe fetch — only the
+                // `fill_words_seq` stripe fetch — only the
                 // data-dependent swaps stay sequential.  `below(v, s, i,
                 // i+1)` is the Lemire reduction of `word(v, s, i)`, so
                 // this is bit-identical to per-draw scalar calls.
@@ -1669,13 +1668,12 @@ impl NormalProcedure for SynchColorTrial<'_> {
             let soa = &plane.soa;
             let valid = &plane.valid_mask;
             let mask = &mut plane.lane_mask;
-            let lane_eq = parcolor_local::simd::kernels().lane_eq_mask8;
             for &(a, b) in prop_edges {
                 let both = valid[a as usize] & valid[b as usize];
                 if both == 0 {
                     continue;
                 }
-                let eq = lane_eq(&soa[a as usize], &soa[b as usize]) & both;
+                let eq = lane_eq_mask8(&soa[a as usize], &soa[b as usize]) & both;
                 mask[a as usize] |= eq;
                 mask[b as usize] |= eq;
             }

@@ -51,6 +51,7 @@ pub mod mis;
 pub mod mpc_exec;
 pub mod node_params;
 pub mod reduce;
+pub mod simd;
 pub mod solver;
 
 pub use config::{ChunkMode, Params};
@@ -63,7 +64,4 @@ pub use solver::{Cost, Solution, SolveMode, SolveStats, Solver};
 
 // Re-export the substrate types users need to build instances.
 pub use parcolor_local::graph::{Graph, NodeId};
-// The runtime SIMD dispatch layer (path selection, forced-path testing).
-pub use parcolor_local::simd;
-pub use parcolor_local::simd::SimdPath;
 pub use parcolor_prg::{SeedSelection, SeedStrategy};

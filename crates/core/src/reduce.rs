@@ -24,10 +24,6 @@ const HASH_INDEPENDENCE: u32 = 8;
 /// High nodes stolen at a time by the worst-ratio pool fold.
 const FOLD_BLOCK: u64 = 1024;
 
-/// Below this many high nodes the worst-ratio fold runs inline: pool
-/// scheduling would cost more than the walk.
-const MIN_PARALLEL_LEN: usize = 4096;
-
 /// Result of one `LowSpacePartition` call.
 #[derive(Debug)]
 pub struct PartitionOutcome {
@@ -296,40 +292,35 @@ pub fn low_space_partition(
     // plane — identical to re-evaluating h₁ per node and neighbor).  A
     // max is exact under any grouping, so the pool fold over `high` gives
     // the same value at every worker count.
-    let fold_block = |start: u64, len: u64, worst: f64| {
-        high[start as usize..(start + len) as usize]
-            .iter()
-            .filter(|&&v| !is_violator[v as usize])
-            .map(|&v| {
-                let b = plane.bin_of[v as usize];
-                let d = deg_of(v).max(1);
-                let d_in = g
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&u| {
-                        high_mask[u as usize]
-                            && !is_violator[u as usize]
-                            && plane.bin_of[u as usize] == b
-                    })
-                    .count();
-                d_in as f64 * bins as f64 / d as f64
-            })
-            .fold(worst, f64::max)
-    };
-    let worst_ratio = if high.len() < MIN_PARALLEL_LEN {
-        fold_block(0, high.len() as u64, f64::NEG_INFINITY)
-    } else {
-        parcolor_exec::par_fold(
-            parcolor_exec::Executor::global(),
-            parcolor_exec::resolve_workers(0).min(high.len() / FOLD_BLOCK as usize),
-            0..high.len() as u64,
-            FOLD_BLOCK,
-            || (),
-            || f64::NEG_INFINITY,
-            |start, len, worst, _: &mut ()| fold_block(start, len, worst),
-            f64::max,
-        )
-    };
+    let worst_ratio = parcolor_exec::par_fold(
+        parcolor_exec::Executor::global(),
+        parcolor_exec::resolve_workers(0),
+        0..high.len() as u64,
+        FOLD_BLOCK,
+        || (),
+        || f64::NEG_INFINITY,
+        |start, len, worst, _: &mut ()| {
+            high[start as usize..(start + len) as usize]
+                .iter()
+                .filter(|&&v| !is_violator[v as usize])
+                .map(|&v| {
+                    let b = plane.bin_of[v as usize];
+                    let d = deg_of(v).max(1);
+                    let d_in = g
+                        .neighbors(v)
+                        .iter()
+                        .filter(|&&u| {
+                            high_mask[u as usize]
+                                && !is_violator[u as usize]
+                                && plane.bin_of[u as usize] == b
+                        })
+                        .count();
+                    d_in as f64 * bins as f64 / d as f64
+                })
+                .fold(worst, f64::max)
+        },
+        f64::max,
+    );
     // NEG_INFINITY identity so a genuine max survives the fold even if
     // every ratio were negative (a 0.0 identity would clamp it); with no
     // participating nodes the max stays -inf, reported as 0.0.

@@ -158,12 +158,6 @@ impl Solver {
 
     /// Solve the instance; the returned coloring is verified before return.
     pub fn solve(&self, inst: &D1lcInstance) -> Solution {
-        if let Some(path) = self.params.simd {
-            // Process-wide: the kernel dispatch cache is global.  All
-            // paths are bit-identical, so this only changes throughput.
-            parcolor_local::simd::force_path(path)
-                .expect("Params::simd names a path this host cannot run");
-        }
         let n_orig = inst.n().max(2);
         let (colors, cost, stats) = self.solve_rec(inst, n_orig, 0);
         inst.verify_coloring(&colors)

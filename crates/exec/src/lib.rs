@@ -487,8 +487,14 @@ where
     out
 }
 
+/// [`par_fold`] folds ranges shorter than this many blocks inline on the
+/// caller: pool scheduling would cost more than the walk.
+const MIN_PARALLEL_FOLD_BLOCKS: u64 = 4;
+
 /// [`par_fold_in`] with per-worker scratches built by `make_scratch`
 /// (called once per participating worker, on that worker's thread).
+/// Ranges shorter than `MIN_PARALLEL_FOLD_BLOCKS` blocks run inline on
+/// the caller, and no more workers than blocks take part.
 // Eight arguments mirror the classic `fold(||id, op).reduce(||id, op)`
 // shape plus the scheduling knobs; a builder would only obscure it.
 #[allow(clippy::too_many_arguments)]
@@ -515,8 +521,12 @@ where
     if len == 0 {
         return identity();
     }
-    let workers = workers.clamp(1, MAX_WORKERS);
     let nblocks = len.div_ceil(block);
+    let workers = if nblocks < MIN_PARALLEL_FOLD_BLOCKS {
+        1
+    } else {
+        workers.clamp(1, MAX_WORKERS).min(nblocks as usize)
+    };
     let next = AtomicU64::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..workers).map(|_| Mutex::new(None)).collect();
     let run = |w: usize| {
@@ -752,6 +762,28 @@ mod tests {
         );
         assert_eq!(total, 999 * 1000 / 2);
         assert_eq!(scratches.iter().sum::<u64>(), 1000, "every index once");
+    }
+
+    #[test]
+    fn short_fold_runs_inline_on_the_caller() {
+        let pool = Executor::global();
+        let threads = Mutex::new(HashSet::new());
+        let total = par_fold(
+            pool,
+            8,
+            0..3 * 16,
+            16,
+            || (),
+            || 0u64,
+            |start, len, acc: u64, _: &mut ()| {
+                threads.lock().unwrap().insert(std::thread::current().id());
+                acc + (start..start + len).sum::<u64>()
+            },
+            |a, b| a + b,
+        );
+        assert_eq!(total, (0..48).sum::<u64>());
+        let caller = std::thread::current().id();
+        assert_eq!(threads.into_inner().unwrap(), HashSet::from([caller]));
     }
 
     #[test]

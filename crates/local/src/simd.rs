@@ -1,543 +1,37 @@
-//! Runtime-dispatched SIMD kernels for the hot randomness/clash-scan
-//! inner loops — the places where the autovectorizer stops.
+//! The four-lane mixer and eight-lane compare of the hot randomness and
+//! clash-scan loops.
 //!
-//! # The dispatch contract
-//!
-//! A shipped binary cannot assume the CPU it was compiled on: the
-//! workspace builds for **baseline x86-64** (or baseline aarch64) and
-//! selects the fastest compiled-in kernel variant **at runtime**:
-//!
-//! * **Detection once.**  The first call to [`kernels`] (equivalently,
-//!   the first dispatched kernel call) probes the CPU with
-//!   `is_x86_feature_detected!` and caches the winner in an atomic; every
-//!   later call is one relaxed load plus an indirect call.  Hot loops
-//!   hoist the [`KernelTable`] once per stripe, so the dispatch cost is
-//!   amortized to nothing.
-//! * **Override precedence.**  An explicit [`force_path`] call (the
-//!   `Params::simd` knob and the CLI `--simd` flag route here) beats the
-//!   `PARCOLOR_SIMD` environment variable, which beats auto-detection.
-//!   `PARCOLOR_SIMD` accepts `scalar`, `avx2`, `avx512`, `neon`, or
-//!   `auto`; naming a path the host cannot run warns to stderr and falls
-//!   back to auto-detection (all paths are bit-identical, so the
-//!   fallback is a throughput change only).  [`reset_auto`] clears any
-//!   cached choice and re-runs the env-then-detect selection.
-//! * **Bit-identity.**  Every variant of every kernel produces exactly
-//!   the bytes of the scalar reference ([`crate::tape::splitmix64`] and
-//!   the scalar compare loop) — integer lane arithmetic is exact, so
-//!   colorings, seed selections, and golden hashes do not depend on the
-//!   selected path.  `tests/simd_dispatch_equivalence.rs` pins every
-//!   runtime-available path against scalar, and the forced-scalar golden
-//!   leg pins the whole solver.
-//!
-//! # Kernel inventory
-//!
-//! * [`splitmix4`] — four independent [`crate::tape::splitmix64`] lanes.
-//!   - *AVX2*: no 64-bit lane multiply exists, so the two mixer
-//!     multiplies are composed from `vpmuludq` 32×32→64 partial products
-//!     (exact arithmetic mod 2⁶⁴).
-//!   - *AVX-512* (F+DQ+VL): `vpmullq` makes each 64-bit multiply one
-//!     instruction on the same 256-bit vectors.
-//!   - *NEON* (aarch64): the same partial-product composition from
-//!     `vmull_u32`/`vmlal_u32`, two lanes per `uint64x2_t`.
-//! * [`lane_eq_mask8`] — the seed-lane clash compare: one `u8` whose bit
-//!   `s` says whether two 8-lane `u32` pick rows agree in lane `s`.
-//!   - *AVX2*: `vpcmpeqd` + movemask.
-//!   - *AVX-512*: `vpcmpeqd` straight into a mask register
-//!     (`_mm256_cmpeq_epi32_mask`), no movemask round-trip.
-//!   - *NEON*: `vceqq_u32` + per-lane bit weights + horizontal add.
-//!
-//! The batch contract of the `tape` module is preserved verbatim by
-//! every variant; callers can use these unconditionally.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! Both are plain scalar code, inlined at their call sites.  The fixed
+//! lane shape (whole `[u64; 4]` / `[u32; 8]` arrays, no tail) is what the
+//! callers keep: it hands the optimizer straight-line lanes it can
+//! vectorize for the build target, and it measured faster end to end than
+//! per-element loops in the same callers.  Integer lane arithmetic is
+//! exact, so every build target produces the same bytes as
+//! [`crate::tape::splitmix64`] and the per-lane `==`.
 
 /// Number of 64-bit lanes [`splitmix4`] mixes at once.
 pub const SPLITMIX_LANES: usize = 4;
 
-/// One selectable kernel implementation family.
-///
-/// `Scalar` is compiled into every binary; the vector paths exist only
-/// on their architecture and are selected at runtime when the CPU
-/// supports them.  All paths are bit-identical (see module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-pub enum SimdPath {
-    /// Portable scalar reference (always available).
-    Scalar = 0,
-    /// x86-64 AVX2: 256-bit vectors, 64-bit multiplies composed from
-    /// 32×32→64 partial products.
-    Avx2 = 1,
-    /// x86-64 AVX-512 (F+DQ+VL): `vpmullq` single-instruction 64-bit
-    /// multiplies and mask-register compares.
-    Avx512 = 2,
-    /// aarch64 NEON: 128-bit vectors, two 64-bit lanes per register.
-    Neon = 3,
-}
-
-impl SimdPath {
-    /// Every path in preference order, slowest first.
-    pub const ALL: [SimdPath; 4] = [
-        SimdPath::Scalar,
-        SimdPath::Avx2,
-        SimdPath::Avx512,
-        SimdPath::Neon,
-    ];
-
-    /// Canonical lowercase name (`scalar`, `avx2`, `avx512`, `neon`) —
-    /// the vocabulary of `PARCOLOR_SIMD` and the CLI `--simd` flag.
-    pub fn name(self) -> &'static str {
-        match self {
-            SimdPath::Scalar => "scalar",
-            SimdPath::Avx2 => "avx2",
-            SimdPath::Avx512 => "avx512",
-            SimdPath::Neon => "neon",
-        }
-    }
-
-    /// Parse a canonical name (case-insensitive).  `None` for unknown
-    /// tokens — `auto` is *not* a path; callers map it to detection.
-    pub fn parse(s: &str) -> Option<SimdPath> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(SimdPath::Scalar),
-            "avx2" => Some(SimdPath::Avx2),
-            "avx512" => Some(SimdPath::Avx512),
-            "neon" => Some(SimdPath::Neon),
-            _ => None,
-        }
-    }
-
-    fn from_u8(v: u8) -> SimdPath {
-        match v {
-            0 => SimdPath::Scalar,
-            1 => SimdPath::Avx2,
-            2 => SimdPath::Avx512,
-            3 => SimdPath::Neon,
-            other => unreachable!("invalid SimdPath encoding {other}"),
-        }
-    }
-}
-
-impl std::fmt::Display for SimdPath {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Four independent [`crate::tape::splitmix64`] lanes.
-pub type Splitmix4Fn = fn([u64; SPLITMIX_LANES]) -> [u64; SPLITMIX_LANES];
-/// Bit `s` of the result ⇔ `a[s] == b[s]`.
-pub type LaneEqMask8Fn = fn(&[u32; 8], &[u32; 8]) -> u8;
-
-/// One path's kernel set.  Hot loops fetch this once per stripe via
-/// [`kernels`] and call through the `fn` pointers, so selection costs one
-/// predictable indirect call per 4-lane chunk.
-pub struct KernelTable {
-    /// Which path these kernels implement.
-    pub path: SimdPath,
-    /// Four [`crate::tape::splitmix64`] lanes at once.
-    pub splitmix4: Splitmix4Fn,
-    /// 8-lane `u32` equality compare to a bitmask.
-    pub lane_eq_mask8: LaneEqMask8Fn,
-}
-
-// ---------------------------------------------------------------------
-// Scalar reference (every target)
-// ---------------------------------------------------------------------
-
-mod scalar {
-    /// Four [`crate::tape::splitmix64`] lanes (scalar reference).
-    pub(super) fn splitmix4(z: [u64; 4]) -> [u64; 4] {
-        [
-            crate::tape::splitmix64(z[0]),
-            crate::tape::splitmix64(z[1]),
-            crate::tape::splitmix64(z[2]),
-            crate::tape::splitmix64(z[3]),
-        ]
-    }
-
-    /// Bit `s` of the result ⇔ `a[s] == b[s]` (scalar reference).
-    pub(super) fn lane_eq_mask8(a: &[u32; 8], b: &[u32; 8]) -> u8 {
-        let mut eq = 0u8;
-        for s in 0..8 {
-            eq |= u8::from(a[s] == b[s]) << s;
-        }
-        eq
-    }
-}
-
-// ---------------------------------------------------------------------
-// x86-64: AVX2 and AVX-512 variants
-// ---------------------------------------------------------------------
-
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use std::arch::x86_64::*;
-
-    /// `a.wrapping_mul(b)` per 64-bit lane, from 32×32→64 partials:
-    /// `lo(a)·lo(b) + ((hi(a)·lo(b) + lo(a)·hi(b)) << 32)` — the high
-    /// cross-product overflow drops out mod 2⁶⁴ exactly like scalar
-    /// wrapping multiply.
-    #[inline(always)]
-    unsafe fn mul64(a: __m256i, b: __m256i) -> __m256i {
-        let lo = _mm256_mul_epu32(a, b);
-        let cross = _mm256_add_epi64(
-            _mm256_mul_epu32(_mm256_srli_epi64::<32>(a), b),
-            _mm256_mul_epu32(a, _mm256_srli_epi64::<32>(b)),
-        );
-        _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn splitmix4_tf(z: [u64; 4]) -> [u64; 4] {
-        let c1 = _mm256_set1_epi64x(0xBF58_476D_1CE4_E5B9_u64 as i64);
-        let c2 = _mm256_set1_epi64x(0x94D0_49BB_1331_11EB_u64 as i64);
-        let golden = _mm256_set1_epi64x(0x9E37_79B9_7F4A_7C15_u64 as i64);
-        let mut v = _mm256_loadu_si256(z.as_ptr() as *const __m256i);
-        v = _mm256_add_epi64(v, golden);
-        v = mul64(_mm256_xor_si256(v, _mm256_srli_epi64::<30>(v)), c1);
-        v = mul64(_mm256_xor_si256(v, _mm256_srli_epi64::<27>(v)), c2);
-        v = _mm256_xor_si256(v, _mm256_srli_epi64::<31>(v));
-        let mut out = [0u64; 4];
-        _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, v);
-        out
-    }
-
-    #[target_feature(enable = "avx2")]
-    unsafe fn lane_eq_mask8_tf(a: &[u32; 8], b: &[u32; 8]) -> u8 {
-        let va = _mm256_loadu_si256(a.as_ptr() as *const __m256i);
-        let vb = _mm256_loadu_si256(b.as_ptr() as *const __m256i);
-        let eq = _mm256_cmpeq_epi32(va, vb);
-        _mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u8
-    }
-
-    /// Safe `fn`-pointer-coercible wrapper.
-    pub(super) fn splitmix4(z: [u64; 4]) -> [u64; 4] {
-        // SAFETY: this table entry is only reachable after
-        // `is_x86_feature_detected!("avx2")` confirmed the CPU.
-        unsafe { splitmix4_tf(z) }
-    }
-
-    /// Safe `fn`-pointer-coercible wrapper.
-    pub(super) fn lane_eq_mask8(a: &[u32; 8], b: &[u32; 8]) -> u8 {
-        // SAFETY: as above — selection implies detection.
-        unsafe { lane_eq_mask8_tf(a, b) }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod avx512 {
-    use std::arch::x86_64::*;
-
-    #[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-    unsafe fn splitmix4_tf(z: [u64; 4]) -> [u64; 4] {
-        // `vpmullq` (AVX-512 DQ+VL) gives the two mixer multiplies in one
-        // instruction each — the whole AVX2 partial-product dance
-        // collapses.
-        let c1 = _mm256_set1_epi64x(0xBF58_476D_1CE4_E5B9_u64 as i64);
-        let c2 = _mm256_set1_epi64x(0x94D0_49BB_1331_11EB_u64 as i64);
-        let golden = _mm256_set1_epi64x(0x9E37_79B9_7F4A_7C15_u64 as i64);
-        let mut v = _mm256_loadu_si256(z.as_ptr() as *const __m256i);
-        v = _mm256_add_epi64(v, golden);
-        v = _mm256_mullo_epi64(_mm256_xor_si256(v, _mm256_srli_epi64::<30>(v)), c1);
-        v = _mm256_mullo_epi64(_mm256_xor_si256(v, _mm256_srli_epi64::<27>(v)), c2);
-        v = _mm256_xor_si256(v, _mm256_srli_epi64::<31>(v));
-        let mut out = [0u64; 4];
-        _mm256_storeu_si256(out.as_mut_ptr() as *mut __m256i, v);
-        out
-    }
-
-    #[target_feature(enable = "avx512f,avx512vl")]
-    unsafe fn lane_eq_mask8_tf(a: &[u32; 8], b: &[u32; 8]) -> u8 {
-        // The compare lands directly in a mask register — no float
-        // movemask round-trip as on AVX2.
-        let va = _mm256_loadu_si256(a.as_ptr() as *const __m256i);
-        let vb = _mm256_loadu_si256(b.as_ptr() as *const __m256i);
-        _mm256_cmpeq_epi32_mask(va, vb)
-    }
-
-    /// Safe `fn`-pointer-coercible wrapper.
-    pub(super) fn splitmix4(z: [u64; 4]) -> [u64; 4] {
-        // SAFETY: this table entry is only reachable after
-        // `is_x86_feature_detected!` confirmed avx512f+dq+vl.
-        unsafe { splitmix4_tf(z) }
-    }
-
-    /// Safe `fn`-pointer-coercible wrapper.
-    pub(super) fn lane_eq_mask8(a: &[u32; 8], b: &[u32; 8]) -> u8 {
-        // SAFETY: as above — selection implies detection.
-        unsafe { lane_eq_mask8_tf(a, b) }
-    }
-}
-
-// ---------------------------------------------------------------------
-// aarch64: NEON variants
-// ---------------------------------------------------------------------
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use std::arch::aarch64::*;
-
-    /// `a.wrapping_mul(b)` per 64-bit lane from 32×32→64 partials
-    /// (`vmull_u32` low halves, `vmlal_u32`-accumulated cross terms
-    /// shifted up 32) — exact mod 2⁶⁴, same identity as the AVX2 path.
-    #[inline(always)]
-    unsafe fn mul64(a: uint64x2_t, b: uint64x2_t) -> uint64x2_t {
-        let a_lo = vmovn_u64(a);
-        let a_hi = vshrn_n_u64::<32>(a);
-        let b_lo = vmovn_u64(b);
-        let b_hi = vshrn_n_u64::<32>(b);
-        let lo = vmull_u32(a_lo, b_lo);
-        let cross = vmlal_u32(vmull_u32(a_hi, b_lo), a_lo, b_hi);
-        vaddq_u64(lo, vshlq_n_u64::<32>(cross))
-    }
-
-    #[inline(always)]
-    unsafe fn splitmix2(mut v: uint64x2_t) -> uint64x2_t {
-        let c1 = vdupq_n_u64(0xBF58_476D_1CE4_E5B9);
-        let c2 = vdupq_n_u64(0x94D0_49BB_1331_11EB);
-        let golden = vdupq_n_u64(0x9E37_79B9_7F4A_7C15);
-        v = vaddq_u64(v, golden);
-        v = mul64(veorq_u64(v, vshrq_n_u64::<30>(v)), c1);
-        v = mul64(veorq_u64(v, vshrq_n_u64::<27>(v)), c2);
-        veorq_u64(v, vshrq_n_u64::<31>(v))
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn splitmix4_tf(z: [u64; 4]) -> [u64; 4] {
-        let lo = splitmix2(vld1q_u64(z.as_ptr()));
-        let hi = splitmix2(vld1q_u64(z.as_ptr().add(2)));
-        let mut out = [0u64; 4];
-        vst1q_u64(out.as_mut_ptr(), lo);
-        vst1q_u64(out.as_mut_ptr().add(2), hi);
-        out
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn lane_eq_mask8_tf(a: &[u32; 8], b: &[u32; 8]) -> u8 {
-        // vceqq yields all-ones lanes; AND with per-lane bit weights and
-        // horizontally add to assemble the 8-bit mask.
-        let w0: [u32; 4] = [1, 2, 4, 8];
-        let w1: [u32; 4] = [16, 32, 64, 128];
-        let eq0 = vceqq_u32(vld1q_u32(a.as_ptr()), vld1q_u32(b.as_ptr()));
-        let eq1 = vceqq_u32(vld1q_u32(a.as_ptr().add(4)), vld1q_u32(b.as_ptr().add(4)));
-        let bits0 = vaddvq_u32(vandq_u32(eq0, vld1q_u32(w0.as_ptr())));
-        let bits1 = vaddvq_u32(vandq_u32(eq1, vld1q_u32(w1.as_ptr())));
-        (bits0 | bits1) as u8
-    }
-
-    /// Safe `fn`-pointer-coercible wrapper.
-    pub(super) fn splitmix4(z: [u64; 4]) -> [u64; 4] {
-        // SAFETY: NEON is architecturally mandatory on aarch64.
-        unsafe { splitmix4_tf(z) }
-    }
-
-    /// Safe `fn`-pointer-coercible wrapper.
-    pub(super) fn lane_eq_mask8(a: &[u32; 8], b: &[u32; 8]) -> u8 {
-        // SAFETY: NEON is architecturally mandatory on aarch64.
-        unsafe { lane_eq_mask8_tf(a, b) }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Tables, detection, and the cached selection
-// ---------------------------------------------------------------------
-
-static SCALAR_TABLE: KernelTable = KernelTable {
-    path: SimdPath::Scalar,
-    splitmix4: scalar::splitmix4,
-    lane_eq_mask8: scalar::lane_eq_mask8,
-};
-
-#[cfg(target_arch = "x86_64")]
-static AVX2_TABLE: KernelTable = KernelTable {
-    path: SimdPath::Avx2,
-    splitmix4: avx2::splitmix4,
-    lane_eq_mask8: avx2::lane_eq_mask8,
-};
-
-#[cfg(target_arch = "x86_64")]
-static AVX512_TABLE: KernelTable = KernelTable {
-    path: SimdPath::Avx512,
-    splitmix4: avx512::splitmix4,
-    lane_eq_mask8: avx512::lane_eq_mask8,
-};
-
-#[cfg(target_arch = "aarch64")]
-static NEON_TABLE: KernelTable = KernelTable {
-    path: SimdPath::Neon,
-    splitmix4: neon::splitmix4,
-    lane_eq_mask8: neon::lane_eq_mask8,
-};
-
-/// Can this binary run `path` on this CPU right now?
-///
-/// `Scalar` is always available; vector paths require both the matching
-/// compile target (the variant must exist in the binary) and a runtime
-/// CPU probe.
-pub fn is_available(path: SimdPath) -> bool {
-    match path {
-        SimdPath::Scalar => true,
-        SimdPath::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                is_x86_feature_detected!("avx2")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                false
-            }
-        }
-        SimdPath::Avx512 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                is_x86_feature_detected!("avx512f")
-                    && is_x86_feature_detected!("avx512dq")
-                    && is_x86_feature_detected!("avx512vl")
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                false
-            }
-        }
-        SimdPath::Neon => cfg!(target_arch = "aarch64"),
-    }
-}
-
-/// The kernel table for `path`, or `None` if the host cannot run it.
-///
-/// This never touches the cached global selection — benchmarks and tests
-/// use it to exercise a specific variant without perturbing concurrent
-/// callers of [`kernels`].
-pub fn kernels_for(path: SimdPath) -> Option<&'static KernelTable> {
-    if !is_available(path) {
-        return None;
-    }
-    Some(match path {
-        SimdPath::Scalar => &SCALAR_TABLE,
-        #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx2 => &AVX2_TABLE,
-        #[cfg(target_arch = "x86_64")]
-        SimdPath::Avx512 => &AVX512_TABLE,
-        #[cfg(target_arch = "aarch64")]
-        SimdPath::Neon => &NEON_TABLE,
-        // `is_available` returned true, so the variant exists on this
-        // target; the arm is only needed to satisfy exhaustiveness on
-        // foreign-arch builds.
-        #[allow(unreachable_patterns)]
-        other => unreachable!("path {other} unavailable on this target"),
-    })
-}
-
-/// Every path the host can run, in preference order (scalar first).
-pub fn available_paths() -> Vec<SimdPath> {
-    SimdPath::ALL
-        .into_iter()
-        .filter(|&p| is_available(p))
-        .collect()
-}
-
-/// The best path auto-detection would pick (ignores overrides).
-pub fn detected_path() -> SimdPath {
-    *available_paths()
-        .last()
-        .expect("scalar is always available")
-}
-
-/// Cached selection: `UNSET` until the first dispatch (or an explicit
-/// [`force_path`]); afterwards a `SimdPath as u8`.
-const UNSET: u8 = u8::MAX;
-static ACTIVE: AtomicU8 = AtomicU8::new(UNSET);
-
-/// The active kernel table — one relaxed atomic load after the one-time
-/// selection.  Hot loops should hoist this once per stripe.
-#[inline]
-pub fn kernels() -> &'static KernelTable {
-    let v = ACTIVE.load(Ordering::Relaxed);
-    if v == UNSET {
-        return select_slow();
-    }
-    kernels_for(SimdPath::from_u8(v)).expect("cached path was validated at selection")
-}
-
-/// One-time selection: `PARCOLOR_SIMD` env override, else detection.
-#[cold]
-fn select_slow() -> &'static KernelTable {
-    let path = match std::env::var("PARCOLOR_SIMD") {
-        Ok(v) if !v.is_empty() && !v.eq_ignore_ascii_case("auto") => match SimdPath::parse(&v) {
-            Some(p) if is_available(p) => p,
-            Some(p) => {
-                eprintln!(
-                    "parcolor: PARCOLOR_SIMD={p} is not available on this host; \
-                         falling back to {} (results are bit-identical either way)",
-                    detected_path()
-                );
-                detected_path()
-            }
-            None => {
-                eprintln!(
-                    "parcolor: unknown PARCOLOR_SIMD value {v:?} \
-                         (expected scalar|avx2|avx512|neon|auto); auto-detecting"
-                );
-                detected_path()
-            }
-        },
-        _ => detected_path(),
-    };
-    // A concurrent force_path wins the race: keep whatever landed first.
-    let _ = ACTIVE.compare_exchange(UNSET, path as u8, Ordering::Relaxed, Ordering::Relaxed);
-    kernels_for(SimdPath::from_u8(ACTIVE.load(Ordering::Relaxed)))
-        .expect("selection stored an available path")
-}
-
-/// The path [`kernels`] currently dispatches to (running selection first
-/// if it has not happened yet).
-pub fn active_path() -> SimdPath {
-    kernels().path
-}
-
-/// Force dispatch onto `path` for the whole process (overrides env and
-/// detection).  Errors if the host cannot run `path`; on error the
-/// current selection is left untouched.
-pub fn force_path(path: SimdPath) -> Result<(), String> {
-    if !is_available(path) {
-        return Err(format!(
-            "SIMD path {path} is not available on this host (available: {})",
-            available_paths()
-                .iter()
-                .map(|p| p.name())
-                .collect::<Vec<_>>()
-                .join(", ")
-        ));
-    }
-    ACTIVE.store(path as u8, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Drop any forced/cached choice; the next dispatch re-runs the
-/// env-then-detect selection.  Intended for tests and benchmarks that
-/// iterate paths via [`force_path`].
-pub fn reset_auto() {
-    ACTIVE.store(UNSET, Ordering::Relaxed);
-}
-
-// ---------------------------------------------------------------------
-// Dispatched convenience wrappers
-// ---------------------------------------------------------------------
-
-/// Four independent [`crate::tape::splitmix64`] lanes on the active path.
-///
-/// Stripe loops should hoist [`kernels`] instead of calling this per
-/// chunk (saves the atomic load; the indirect call itself predicts
-/// perfectly).
 #[inline]
 pub fn splitmix4(z: [u64; SPLITMIX_LANES]) -> [u64; SPLITMIX_LANES] {
-    (kernels().splitmix4)(z)
+    [
+        crate::tape::splitmix64(z[0]),
+        crate::tape::splitmix64(z[1]),
+        crate::tape::splitmix64(z[2]),
+        crate::tape::splitmix64(z[3]),
+    ]
 }
 
-/// Bit `s` of the result ⇔ `a[s] == b[s]`, on the active path.
+/// Bit `s` of the result ⇔ `a[s] == b[s]`: the seed-lane clash compare
+/// of two 8-lane pick rows.
 #[inline]
 pub fn lane_eq_mask8(a: &[u32; 8], b: &[u32; 8]) -> u8 {
-    (kernels().lane_eq_mask8)(a, b)
+    let mut eq = 0u8;
+    for s in 0..8 {
+        eq |= u8::from(a[s] == b[s]) << s;
+    }
+    eq
 }
 
 #[cfg(test)]
@@ -554,50 +48,7 @@ mod tests {
     }
 
     #[test]
-    fn every_available_path_splitmix_matches_scalar() {
-        for path in available_paths() {
-            let t = kernels_for(path).unwrap();
-            assert_eq!(t.path, path);
-            for w in probes().chunks(4) {
-                let mut z = [0u64; 4];
-                z[..w.len()].copy_from_slice(w);
-                let got = (t.splitmix4)(z);
-                for l in 0..4 {
-                    assert_eq!(got[l], splitmix64(z[l]), "{path}: lane {l} of {z:?}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn every_available_path_lane_eq_matches_scalar() {
-        let a = [1u32, 2, 3, u32::MAX, 5, 0, 7, 8];
-        for path in available_paths() {
-            let t = kernels_for(path).unwrap();
-            let mut b = a;
-            assert_eq!((t.lane_eq_mask8)(&a, &b), 0xFF, "{path}");
-            b[0] = 9;
-            b[3] = 0;
-            b[7] = 0;
-            assert_eq!((t.lane_eq_mask8)(&a, &b), 0b0111_0110, "{path}");
-            assert_eq!((t.lane_eq_mask8)(&a, &[0; 8]), 0b0010_0000, "{path}");
-            // Exhaustive single-lane flips against the scalar reference.
-            for flip in 0..8 {
-                let mut c = a;
-                c[flip] ^= 0x8000_0001;
-                assert_eq!(
-                    (t.lane_eq_mask8)(&a, &c),
-                    scalar::lane_eq_mask8(&a, &c),
-                    "{path}: flip {flip}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn splitmix4_matches_scalar() {
-        // The dispatched wrapper (whatever path is active) is still
-        // bit-identical to the reference.
         for w in probes().chunks(4) {
             let mut z = [0u64; 4];
             z[..w.len()].copy_from_slice(w);
@@ -618,61 +69,11 @@ mod tests {
         b[7] = 0;
         assert_eq!(lane_eq_mask8(&a, &b), 0b0111_0110);
         assert_eq!(lane_eq_mask8(&a, &[0; 8]), 0b0010_0000);
-    }
-
-    #[test]
-    fn scalar_is_always_available_and_preference_order_holds() {
-        let paths = available_paths();
-        assert_eq!(paths.first(), Some(&SimdPath::Scalar));
-        // ALL is ordered slowest-first, so detected_path is the last.
-        assert_eq!(detected_path(), *paths.last().unwrap());
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            assert_ne!(
-                detected_path(),
-                SimdPath::Scalar,
-                "an AVX2-capable host must not auto-select scalar"
-            );
+        // Every single-lane flip clears exactly that lane's bit.
+        for flip in 0..8 {
+            let mut c = a;
+            c[flip] ^= 0x8000_0001;
+            assert_eq!(lane_eq_mask8(&a, &c), !(1u8 << flip), "flip {flip}");
         }
-    }
-
-    #[test]
-    fn parse_roundtrips_names() {
-        for p in SimdPath::ALL {
-            assert_eq!(SimdPath::parse(p.name()), Some(p));
-            assert_eq!(SimdPath::parse(&p.name().to_uppercase()), Some(p));
-        }
-        assert_eq!(SimdPath::parse("auto"), None);
-        assert_eq!(SimdPath::parse("sse9"), None);
-    }
-
-    #[test]
-    fn force_and_reset_govern_dispatch() {
-        // Global state: this is the only test in the crate that mutates
-        // the selection, and every kernel is bit-identical, so a
-        // concurrent reader of `kernels()` cannot observe a behavioral
-        // difference.
-        force_path(SimdPath::Scalar).unwrap();
-        assert_eq!(active_path(), SimdPath::Scalar);
-        assert_eq!(kernels().path, SimdPath::Scalar);
-        for p in available_paths() {
-            force_path(p).unwrap();
-            assert_eq!(active_path(), p);
-        }
-        let unavailable = SimdPath::ALL.into_iter().find(|&p| !is_available(p));
-        if let Some(p) = unavailable {
-            let before = active_path();
-            assert!(force_path(p).is_err());
-            assert_eq!(active_path(), before, "failed force must not disturb");
-        }
-        reset_auto();
-        // After reset, selection honors PARCOLOR_SIMD then detection.
-        let expect = match std::env::var("PARCOLOR_SIMD") {
-            Ok(v) => SimdPath::parse(&v)
-                .filter(|&p| is_available(p))
-                .unwrap_or_else(detected_path),
-            Err(_) => detected_path(),
-        };
-        assert_eq!(active_path(), expect);
     }
 }

@@ -36,6 +36,8 @@
 //!   `word` calls (chunked through `fill_words` where that helps), so a
 //!   tape only implementing `word` is already a valid, if slower, source.
 
+use crate::simd::{splitmix4, SPLITMIX_LANES};
+
 /// A deterministic source of random words addressed by
 /// `(node, stream, index)`.
 ///
@@ -161,10 +163,10 @@ fn mix4(key: u64, node: u32, stream: u64, idx: u32) -> u64 {
     splitmix64(c ^ (idx as u64).wrapping_mul(0x5897_89E6_C7C0_A791))
 }
 
-/// Fixed lane width of the batched mixers.  An internal tuning knob (wide
-/// enough for one AVX-512 register of u64 lanes, small enough to stay in
-/// registers); exposed only so equivalence tests can probe lane-boundary
-/// stripe sizes.  Callers must not depend on its value.
+/// Fixed lane width of the batched k-wise hash (`KWiseHash::eval_batch`
+/// in `parcolor-prg`): eight independent Horner accumulators, few enough
+/// to stay in registers.  Exposed so equivalence tests can probe
+/// lane-boundary stripe sizes; callers must not depend on its value.
 pub const MIX_LANES: usize = 8;
 
 /// A stateless keyed tape built from [`splitmix64`]; stands in for "true"
@@ -192,24 +194,21 @@ impl Randomness for CryptoTape {
 
     /// [`mix4`] over lanes: the key round is hoisted once per stripe and
     /// the stream/idx products are loop invariants, leaving three
-    /// straight-line splitmix rounds per lane — mixed four lanes at a time
-    /// by the runtime-dispatched [`crate::simd`] kernel table (AVX2 /
-    /// AVX-512 / NEON when the CPU has them, the identical scalar rounds
-    /// otherwise), hoisted once per stripe.
+    /// straight-line splitmix rounds per lane, mixed four lanes at a time
+    /// by [`splitmix4`] with a scalar tail.
     fn fill_words(&self, stream: u64, nodes: &[u32], idx: u32, out: &mut [u64]) {
         debug_assert_eq!(nodes.len(), out.len());
-        let k = crate::simd::kernels();
         let a = splitmix64(self.key ^ 0xA076_1D64_78BD_642F);
         let sm = stream.wrapping_mul(0x8EBC_6AF0_9C88_C6E3);
         let im = (idx as u64).wrapping_mul(0x5897_89E6_C7C0_A791);
-        let mut node_it = nodes.chunks_exact(crate::simd::SPLITMIX_LANES);
-        let mut out_it = out.chunks_exact_mut(crate::simd::SPLITMIX_LANES);
+        let mut node_it = nodes.chunks_exact(SPLITMIX_LANES);
+        let mut out_it = out.chunks_exact_mut(SPLITMIX_LANES);
         for (nch, och) in (&mut node_it).zip(&mut out_it) {
-            let b = (k.splitmix4)(std::array::from_fn(|l| {
+            let b = splitmix4(std::array::from_fn(|l| {
                 a ^ (nch[l] as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB)
             }));
-            let c = (k.splitmix4)(std::array::from_fn(|l| b[l] ^ sm));
-            let w = (k.splitmix4)(std::array::from_fn(|l| c[l] ^ im));
+            let c = splitmix4(std::array::from_fn(|l| b[l] ^ sm));
+            let w = splitmix4(std::array::from_fn(|l| c[l] ^ im));
             och.copy_from_slice(&w);
         }
         for (&v, o) in node_it.remainder().iter().zip(out_it.into_remainder()) {
@@ -220,22 +219,21 @@ impl Randomness for CryptoTape {
     }
 
     /// [`mix4`] along one node's tape: key, node and stream rounds hoisted
-    /// once, one splitmix round per output word (four words per dispatched
-    /// [`crate::simd`] kernel call).
+    /// once, one splitmix round per output word (four words per
+    /// [`splitmix4`] call, then a scalar tail).
     fn fill_words_seq(&self, node: u32, stream: u64, idx0: u32, out: &mut [u64]) {
-        let k = crate::simd::kernels();
         let a = splitmix64(self.key ^ 0xA076_1D64_78BD_642F);
         let b = splitmix64(a ^ (node as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB));
         let c = splitmix64(b ^ stream.wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
-        let mut out_it = out.chunks_exact_mut(crate::simd::SPLITMIX_LANES);
+        let mut out_it = out.chunks_exact_mut(SPLITMIX_LANES);
         let mut i = 0u32;
         for och in &mut out_it {
-            let w = (k.splitmix4)(std::array::from_fn(|l| {
+            let w = splitmix4(std::array::from_fn(|l| {
                 let idx = idx0.wrapping_add(i).wrapping_add(l as u32);
                 c ^ (idx as u64).wrapping_mul(0x5897_89E6_C7C0_A791)
             }));
             och.copy_from_slice(&w);
-            i += crate::simd::SPLITMIX_LANES as u32;
+            i += SPLITMIX_LANES as u32;
         }
         for o in out_it.into_remainder() {
             let idx = idx0.wrapping_add(i);

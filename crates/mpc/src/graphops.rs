@@ -23,12 +23,8 @@ use std::sync::Arc;
 /// Nodes stolen at a time by [`charge_active`]'s pool fold.
 const FOLD_BLOCK: u64 = 1024;
 
-/// Below this many nodes [`charge_active`] folds inline: pool scheduling
-/// would cost more than the walk.
-const MIN_PARALLEL_LEN: usize = 4096;
-
 /// Observe `words(v)` on `v`'s machine for every active node and return
-/// `(active count, Σ words)`.  Large graphs fold on the executor pool in
+/// `(active count, Σ words)`, folded on the executor pool in
 /// [`FOLD_BLOCK`]-node blocks; both sums are integers, so the result is
 /// the same at every worker count.
 fn charge_active<A, W>(n: usize, active: A, words: W) -> (usize, u64)
@@ -36,26 +32,22 @@ where
     A: Fn(NodeId) -> bool + Sync,
     W: Fn(NodeId) -> u64 + Sync,
 {
-    let fold_block = |start: u64, len: u64, mut acc: (usize, u64)| {
-        for v in start as NodeId..(start + len) as NodeId {
-            if active(v) {
-                acc.0 += 1;
-                acc.1 += words(v);
-            }
-        }
-        acc
-    };
-    if n < MIN_PARALLEL_LEN {
-        return fold_block(0, n as u64, (0, 0));
-    }
     parcolor_exec::par_fold(
         parcolor_exec::Executor::global(),
-        parcolor_exec::resolve_workers(0).min(n / FOLD_BLOCK as usize),
+        parcolor_exec::resolve_workers(0),
         0..n as u64,
         FOLD_BLOCK,
         || (),
         || (0, 0),
-        |start, len, acc, _: &mut ()| fold_block(start, len, acc),
+        |start, len, mut acc: (usize, u64), _: &mut ()| {
+            for v in start as NodeId..(start + len) as NodeId {
+                if active(v) {
+                    acc.0 += 1;
+                    acc.1 += words(v);
+                }
+            }
+            acc
+        },
         |a, b| (a.0 + b.0, a.1 + b.1),
     )
 }

@@ -7,6 +7,7 @@
 //! function of `(seed, chunk, index)`, so the "output string" is virtual
 //! and arbitrarily long; `ChunkAssignment` carries the node→chunk map.
 
+use parcolor_local::simd::{splitmix4, SPLITMIX_LANES};
 use parcolor_local::tape::{splitmix64, Randomness};
 
 /// A PRG family parameterized by seed length in bits.
@@ -58,11 +59,8 @@ impl Prg {
     ///
     /// The seed round and the idx product are hoisted once per stripe;
     /// what remains per lane is the chunk lookup plus two splitmix rounds
-    /// run four lanes at a time by the runtime-dispatched
-    /// [`parcolor_local::simd`] kernel table (AVX2 / AVX-512 / NEON when
-    /// the CPU has them, identical scalar rounds otherwise).
-    /// Bit-identical to the scalar path by construction (same rounds,
-    /// same constants — the dispatch contract in the `simd` module).
+    /// (see [`fill_two_rounds`]).  Bit-identical to the scalar path by
+    /// construction: same rounds, same constants.
     pub fn fill_words(
         &self,
         seed: u64,
@@ -89,8 +87,7 @@ impl Prg {
 
 /// The two per-lane mixer rounds shared by both chunk assignments:
 /// `out[i] = splitmix64(splitmix64(a ^ chunk(nodes[i])·K) ^ im)`, four
-/// lanes per dispatched kernel call with a scalar tail (the kernel table
-/// is hoisted once per stripe).
+/// lanes per [`splitmix4`] call with a scalar tail.
 #[inline]
 fn fill_two_rounds(
     a: u64,
@@ -99,8 +96,6 @@ fn fill_two_rounds(
     out: &mut [u64],
     mut chunk_of: impl FnMut(u32) -> u64,
 ) {
-    use parcolor_local::simd::{kernels, SPLITMIX_LANES};
-    let k = kernels();
     let mut node_it = nodes.chunks_exact(SPLITMIX_LANES);
     let mut out_it = out.chunks_exact_mut(SPLITMIX_LANES);
     for (nch, och) in (&mut node_it).zip(&mut out_it) {
@@ -108,8 +103,8 @@ fn fill_two_rounds(
         for l in 0..SPLITMIX_LANES {
             z[l] = a ^ chunk_of(nch[l]).wrapping_mul(0x2545_F491_4F6C_DD1D);
         }
-        let b = (k.splitmix4)(z);
-        let w = (k.splitmix4)(std::array::from_fn(|l| b[l] ^ im));
+        let b = splitmix4(z);
+        let w = splitmix4(std::array::from_fn(|l| b[l] ^ im));
         och.copy_from_slice(&w);
     }
     for (&v, o) in node_it.remainder().iter().zip(out_it.into_remainder()) {
@@ -219,8 +214,6 @@ impl Randomness for PrgTape<'_> {
     /// is `splitmix64(stream) ^ (idx0 + i)` — identical to what the
     /// scalar [`Randomness::word`] computes per call.
     fn fill_words_seq(&self, node: u32, stream: u64, idx0: u32, out: &mut [u64]) {
-        use parcolor_local::simd::{kernels, SPLITMIX_LANES};
-        let k = kernels();
         let s = splitmix64(stream) as u32;
         let chunk = self.chunks.chunk_of(node);
         let a = splitmix64(self.seed ^ 0xD1B5_4A32_D192_ED03);
@@ -228,7 +221,7 @@ impl Randomness for PrgTape<'_> {
         let mut out_it = out.chunks_exact_mut(SPLITMIX_LANES);
         let mut i = 0u32;
         for och in &mut out_it {
-            let w = (k.splitmix4)(std::array::from_fn(|l| {
+            let w = splitmix4(std::array::from_fn(|l| {
                 let idx = s ^ idx0.wrapping_add(i).wrapping_add(l as u32);
                 b ^ (idx as u64).wrapping_mul(0x9E6C_63D0_876A_368B)
             }));

@@ -7,7 +7,8 @@
 //! the batched `fill_words` / `fill_words_seq` / `fill_below` /
 //! `fill_bernoulli` must equal the scalar `word` / `below` / `bernoulli`
 //! calls element-for-element, over random node stripes and explicitly at
-//! every lane-boundary size (0, 1, lane−1, lane, lane+1).  Likewise
+//! the lane boundaries of both lane widths (the 4-lane `splitmix4`
+//! mixers and the 8-lane k-wise hash).  Likewise
 //! `KWiseHash::eval_batch` must equal `eval` for every independence
 //! `k ∈ 1..=4`.
 
@@ -17,10 +18,20 @@ use parcolor_prg::hashing::KWiseFamily;
 use parcolor_prg::{ChunkAssignment, Prg, PrgTape};
 use proptest::prelude::*;
 
-/// Stripe lengths every property probes: the lane boundaries plus the
-/// full random stripe.
+/// Stripe lengths every property probes: the lane boundaries of
+/// [`SPLITMIX_LANES`] and [`MIX_LANES`] plus the full random stripe.
 fn probe_sizes(full: usize) -> Vec<usize> {
-    let mut sizes = vec![0, 1, MIX_LANES - 1, MIX_LANES, MIX_LANES + 1, full];
+    let mut sizes = vec![
+        0,
+        1,
+        SPLITMIX_LANES - 1,
+        SPLITMIX_LANES,
+        SPLITMIX_LANES + 1,
+        MIX_LANES - 1,
+        MIX_LANES,
+        MIX_LANES + 1,
+        full,
+    ];
     sizes.retain(|&s| s <= full);
     sizes
 }
@@ -112,10 +123,8 @@ proptest! {
         }
     }
 
-    // The dispatched SIMD kernels (whichever path runtime detection or
-    // `PARCOLOR_SIMD` selected) must be bit-identical to the scalar
-    // mixer/compare they replace — the selection is invisible to callers.
-    // Per-path coverage lives in tests/simd_dispatch_equivalence.rs.
+    // The lane kernels must be bit-identical to the per-lane mixer and
+    // compare they batch.
     #[test]
     fn simd_kernels_match_scalar(
         zs in proptest::collection::vec(any::<u64>(), SPLITMIX_LANES),
