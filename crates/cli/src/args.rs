@@ -456,6 +456,47 @@ pub fn parse_gen_args<S: AsRef<str>>(args: &[S]) -> Result<GenOpts, String> {
     })
 }
 
+/// Exactly `N` positionals for a subcommand that takes no flags: a flag,
+/// a missing or an extra argument is an error, and a missing one quotes
+/// the subcommand's `form`.
+fn positionals<const N: usize, S: AsRef<str>>(
+    args: &[S],
+    form: &str,
+) -> Result<[String; N], String> {
+    let mut found = Vec::with_capacity(N);
+    for arg in args.iter().map(AsRef::as_ref) {
+        if arg.starts_with('-') && arg.len() > 1 {
+            return Err(format!("unknown flag {arg}"));
+        }
+        if found.len() == N {
+            return Err(format!("unexpected extra argument {arg:?}"));
+        }
+        found.push(arg.to_string());
+    }
+    found.try_into().map_err(|_| format!("expected {form}"))
+}
+
+/// Parse `parcolor convert <in> <out>` into `(input, output)` paths.
+/// Same contract as [`parse_solve_args`].
+pub fn parse_convert_args<S: AsRef<str>>(args: &[S]) -> Result<(String, String), String> {
+    let [input, out] = positionals(args, "<in.col|.pcg> <out.col|.pcg>")?;
+    Ok((input, out))
+}
+
+/// Parse `parcolor verify <graph> <coloring>` into `(graph, coloring)`
+/// paths.  Same contract as [`parse_solve_args`].
+pub fn parse_verify_args<S: AsRef<str>>(args: &[S]) -> Result<(String, String), String> {
+    let [graph, coloring] = positionals(args, "<graph.col|.pcg> <coloring.txt>")?;
+    Ok((graph, coloring))
+}
+
+/// Parse `parcolor stats <graph>` into the graph path.  Same contract as
+/// [`parse_solve_args`].
+pub fn parse_stats_args<S: AsRef<str>>(args: &[S]) -> Result<String, String> {
+    let [graph] = positionals(args, "<graph.col|.pcg>")?;
+    Ok(graph)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -695,6 +736,40 @@ mod tests {
         assert!(parse_gen_args(&["ring", "4294967295", "0"]).is_ok());
         let e = parse_gen_args(&["ring", "4294967296", "0"]).unwrap_err();
         assert!(e.contains("at most 4294967295"), "{e}");
+    }
+
+    #[test]
+    fn convert_takes_exactly_input_and_output() {
+        let (i, o) = parse_convert_args(&["g.col", "g.pcg"]).unwrap();
+        assert_eq!((i.as_str(), o.as_str()), ("g.col", "g.pcg"));
+        let e = parse_convert_args(&["g.col"]).unwrap_err();
+        assert!(e.contains("expected <in.col|.pcg> <out.col|.pcg>"), "{e}");
+        let e = parse_convert_args(&["g.col", "out.pcg", "extra", "junk"]).unwrap_err();
+        assert!(e.contains("unexpected extra argument \"extra\""), "{e}");
+        let e = parse_convert_args(&["g.col", "-o", "out.pcg"]).unwrap_err();
+        assert!(e.contains("unknown flag -o"), "{e}");
+    }
+
+    #[test]
+    fn verify_takes_exactly_graph_and_coloring() {
+        let (g, c) = parse_verify_args(&["g.col", "c.txt"]).unwrap();
+        assert_eq!((g.as_str(), c.as_str()), ("g.col", "c.txt"));
+        let e = parse_verify_args(&[] as &[&str]).unwrap_err();
+        assert!(
+            e.contains("expected <graph.col|.pcg> <coloring.txt>"),
+            "{e}"
+        );
+        let e = parse_verify_args(&["g.col", "c.txt", "d.txt"]).unwrap_err();
+        assert!(e.contains("unexpected extra argument \"d.txt\""), "{e}");
+    }
+
+    #[test]
+    fn stats_takes_exactly_one_graph() {
+        assert_eq!(parse_stats_args(&["g.col"]).unwrap(), "g.col");
+        let e = parse_stats_args(&[] as &[&str]).unwrap_err();
+        assert!(e.contains("expected <graph.col|.pcg>"), "{e}");
+        let e = parse_stats_args(&["g.col", "junk"]).unwrap_err();
+        assert!(e.contains("unexpected extra argument \"junk\""), "{e}");
     }
 
     #[test]

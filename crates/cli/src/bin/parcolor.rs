@@ -42,7 +42,8 @@
 //! `ring`, `torus` (param = side); `n` is at most `u32::MAX`.
 
 use parcolor_cli::args::{
-    parse_coordinator_args, parse_gen_args, parse_solve_args, parse_worker_args, GenFamily,
+    parse_convert_args, parse_coordinator_args, parse_gen_args, parse_solve_args, parse_stats_args,
+    parse_verify_args, parse_worker_args, GenFamily,
 };
 use parcolor_cli::job::{decode_job, encode_job};
 use parcolor_cli::pcg::write_pcg;
@@ -62,11 +63,30 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// How write errors name standard output.
+const STDOUT: &str = "standard output";
+
 /// Print a usage-level diagnostic for `subcmd` and exit 2.
 fn die_usage(subcmd: &str, msg: &str) -> ! {
     eprintln!("parcolor {subcmd}: {msg}");
     eprintln!("(run `parcolor` with no arguments for usage)");
     exit(2)
+}
+
+/// Exit 1 with `cannot write <path>: <err>` if writing `path` failed.
+fn check_written(path: &str, written: std::io::Result<()>) {
+    if let Err(e) = written {
+        eprintln!("cannot write {path}: {e}");
+        exit(1)
+    }
+}
+
+/// `File::create` for an output path, exiting 1 on failure.
+fn create(path: &str) -> BufWriter<File> {
+    BufWriter::new(File::create(path).unwrap_or_else(|e| {
+        eprintln!("cannot create {path}: {e}");
+        exit(1)
+    }))
 }
 
 fn open(path: &str) -> BufReader<File> {
@@ -105,16 +125,10 @@ fn report_solution(inst: &parcolor_core::D1lcInstance, sol: &Solution) {
 fn emit_coloring(out: Option<&str>, colors: &[u32]) {
     match out {
         Some(out) => {
-            let f = BufWriter::new(File::create(out).unwrap_or_else(|e| {
-                eprintln!("cannot create {out}: {e}");
-                exit(1)
-            }));
-            write_coloring(f, colors).expect("write");
+            check_written(out, write_coloring(create(out), colors));
             eprintln!("coloring written to {out}");
         }
-        None => {
-            write_coloring(std::io::stdout().lock(), colors).expect("write");
-        }
+        None => check_written(STDOUT, write_coloring(std::io::stdout().lock(), colors)),
     }
 }
 
@@ -273,16 +287,13 @@ fn cmd_worker(args: &[String]) {
 }
 
 fn cmd_verify(args: &[String]) {
-    let (gp, cp) = match args {
-        [g, c, ..] => (g, c),
-        _ => usage(),
-    };
-    let g = load_graph(gp).unwrap_or_else(|e| {
+    let (gp, cp) = parse_verify_args(args).unwrap_or_else(|e| die_usage("verify", &e));
+    let g = load_graph(&gp).unwrap_or_else(|e| {
         eprintln!("parse error: {e}");
         exit(1)
     });
     let inst = instance_of(g);
-    let colors = parse_coloring(open(cp), inst.n()).unwrap_or_else(|e| {
+    let colors = parse_coloring(open(&cp), inst.n()).unwrap_or_else(|e| {
         eprintln!("coloring parse error: {e}");
         exit(1)
     });
@@ -324,34 +335,29 @@ fn cmd_gen(args: &[String]) {
             write_graph_file(out, &g, &comment);
             eprintln!("graph written to {out} (n={} m={})", g.n(), g.m());
         }
-        None => write_dimacs(std::io::stdout().lock(), &g, &comment).expect("write"),
+        None => check_written(STDOUT, write_dimacs(std::io::stdout().lock(), &g, &comment)),
     }
 }
 
 /// Write `g` to `out`, choosing the format by extension (`.pcg` binary,
 /// DIMACS otherwise).
 fn write_graph_file(out: &str, g: &Graph, comment: &str) {
-    let f = BufWriter::new(File::create(out).unwrap_or_else(|e| {
-        eprintln!("cannot create {out}: {e}");
-        exit(1)
-    }));
-    if out.ends_with(".pcg") {
-        write_pcg(f, g).expect("write");
+    let f = create(out);
+    let written = if out.ends_with(".pcg") {
+        write_pcg(f, g)
     } else {
-        write_dimacs(f, g, comment).expect("write");
-    }
+        write_dimacs(f, g, comment)
+    };
+    check_written(out, written);
 }
 
 fn cmd_convert(args: &[String]) {
-    let (input, out) = match args {
-        [i, o, ..] => (i.as_str(), o.as_str()),
-        _ => usage(),
-    };
-    let g = load_graph(input).unwrap_or_else(|e| {
+    let (input, out) = parse_convert_args(args).unwrap_or_else(|e| die_usage("convert", &e));
+    let g = load_graph(&input).unwrap_or_else(|e| {
         eprintln!("parse error: {e}");
         exit(1)
     });
-    write_graph_file(out, &g, &format!("converted from {input}"));
+    write_graph_file(&out, &g, &format!("converted from {input}"));
     eprintln!(
         "{input} -> {out} (n={} m={}{})",
         g.n(),
@@ -361,8 +367,8 @@ fn cmd_convert(args: &[String]) {
 }
 
 fn cmd_stats(args: &[String]) {
-    let path = args.first().unwrap_or_else(|| usage());
-    let g = load_graph(path).unwrap_or_else(|e| {
+    let path = parse_stats_args(args).unwrap_or_else(|e| die_usage("stats", &e));
+    let g = load_graph(&path).unwrap_or_else(|e| {
         eprintln!("parse error: {e}");
         exit(1)
     });

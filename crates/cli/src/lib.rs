@@ -91,7 +91,7 @@ pub fn write_dimacs<W: Write>(mut w: W, g: &Graph, comment: &str) -> std::io::Re
     for (u, v) in g.edges() {
         writeln!(w, "e {} {}", u + 1, v + 1)?;
     }
-    Ok(())
+    w.flush()
 }
 
 /// Write a coloring as `<node> <color>` lines (0-based).
@@ -99,7 +99,7 @@ pub fn write_coloring<W: Write>(mut w: W, colors: &[u32]) -> std::io::Result<()>
     for (v, c) in colors.iter().enumerate() {
         writeln!(w, "{v} {c}")?;
     }
-    Ok(())
+    w.flush()
 }
 
 /// Parse a coloring file produced by [`write_coloring`].
@@ -207,5 +207,27 @@ mod tests {
     #[test]
     fn coloring_detects_missing_nodes() {
         assert!(parse_coloring(Cursor::new("0 1\n"), 2).is_err());
+    }
+
+    /// A sink that accepts nothing, like a full disk.
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(std::io::Error::other("no space left"))
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writers_report_a_failing_sink_behind_a_buffer() {
+        // Both outputs fit the buffer, so only the final flush reaches
+        // the sink; an error there must not be lost on drop.
+        let g = parse_dimacs(Cursor::new(SAMPLE)).unwrap();
+        assert!(write_dimacs(std::io::BufWriter::new(Full), &g, "x").is_err());
+        assert!(write_coloring(std::io::BufWriter::new(Full), &[0, 1, 0, 1]).is_err());
     }
 }

@@ -47,9 +47,10 @@ pub struct Params {
     pub tau: u32,
     /// Worker threads for the sharded seed search and the striped round
     /// simulation (`0` = auto: the `PARCOLOR_THREADS` env var if set,
-    /// else all hardware threads).  The MPC accounting folds, the
-    /// partition's worst-ratio fold and the edge/adoption sorts always
-    /// take the auto count.  Any value yields bit-identical results —
+    /// else all hardware threads).  The Definition-2 stage pass
+    /// (`compute_params`), the MPC accounting folds, the partition's
+    /// worst-ratio fold and the edge/adoption sorts always take the auto
+    /// count.  Any value yields bit-identical results —
     /// all reduces are grouping-invariant and stripe splices are
     /// positional — so this is purely a throughput knob.
     pub workers: usize,

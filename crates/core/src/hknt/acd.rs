@@ -182,8 +182,52 @@ impl Dsu {
     }
 }
 
+/// Active-filtered sorted adjacency of the dense candidates, in CSR
+/// form: the friend test, the repair pass and the outlier split only
+/// ever intersect candidates' neighborhoods.
+struct CandidateAdj {
+    /// The candidates, ascending.
+    nodes: Vec<NodeId>,
+    /// `adj[offsets[i]..offsets[i + 1]]` is `nodes[i]`'s row.
+    offsets: Vec<usize>,
+    adj: Vec<NodeId>,
+}
+
+impl CandidateAdj {
+    fn new(g: &Graph, class: &[NodeClass], active: &[bool], table: &ParamTable) -> Self {
+        let nodes: Vec<NodeId> = (0..class.len() as NodeId)
+            .filter(|&v| matches!(class[v as usize], NodeClass::Dense(_)))
+            .collect();
+        let mut offsets = Vec::with_capacity(nodes.len() + 1);
+        offsets.push(0);
+        // A row's length is the node's active degree.
+        let mut adj = Vec::with_capacity(nodes.iter().map(|&v| table.degree(v)).sum());
+        for &v in &nodes {
+            adj.extend(
+                g.neighbors(v)
+                    .iter()
+                    .copied()
+                    .filter(|&u| active[u as usize]),
+            );
+            offsets.push(adj.len());
+        }
+        CandidateAdj {
+            nodes,
+            offsets,
+            adj,
+        }
+    }
+
+    /// The active neighbors of candidate `v`, ascending.
+    fn of(&self, v: NodeId) -> &[NodeId] {
+        let i = self.nodes.binary_search(&v).expect("not a dense candidate");
+        &self.adj[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
 /// Compute the (deg+1)-ACD of the subgraph induced by `active`, using the
-/// already-computed Definition 2 parameters.
+/// already-computed Definition 2 parameters (and their active degrees,
+/// so `table` must have been computed over the same `active`).
 pub fn compute_acd(
     g: &Graph,
     nodes: &[NodeId],
@@ -194,24 +238,10 @@ pub fn compute_acd(
     let n = g.n();
     let mut class = vec![NodeClass::Inactive; n];
 
-    // Active-filtered sorted adjacency (reused for intersections).
-    let act_adj: Vec<Vec<NodeId>> = (0..n as NodeId)
-        .map(|v| {
-            if !active[v as usize] {
-                return Vec::new();
-            }
-            g.neighbors(v)
-                .iter()
-                .copied()
-                .filter(|&u| active[u as usize])
-                .collect()
-        })
-        .collect();
-
     // Step 1: sparse / uneven / dense-candidate classification.
     for &v in nodes {
         let t = table.get(v);
-        let d = act_adj[v as usize].len() as f64;
+        let d = table.degree(v) as f64;
         class[v as usize] = if t.sparsity >= params.eps_sp * d {
             NodeClass::Sparse
         } else if t.unevenness >= params.eps_sp * d {
@@ -220,14 +250,15 @@ pub fn compute_acd(
             NodeClass::Dense(u32::MAX) // candidate; component id assigned below
         };
     }
+    let act_adj = CandidateAdj::new(g, &class, active, table);
 
     // Step 2: friend edges among dense candidates.
     let is_dense = |v: NodeId| matches!(class[v as usize], NodeClass::Dense(_));
     let mut friend_edges: Vec<(NodeId, NodeId)> = Vec::new();
     for &v in nodes.iter().filter(|&&v| is_dense(v)) {
-        let adj = &act_adj[v as usize];
+        let adj = act_adj.of(v);
         for &u in adj.iter().filter(|&&u| u > v && is_dense(u)) {
-            let adj_u = &act_adj[u as usize];
+            let adj_u = act_adj.of(u);
             let cn = sorted_intersection_size(adj, adj_u);
             let need = (1.0 - params.eps_friend) * adj.len().max(adj_u.len()) as f64;
             if cn as f64 >= need {
@@ -264,8 +295,9 @@ pub fn compute_acd(
             .iter()
             .copied()
             .filter(|&v| {
-                let d = act_adj[v as usize].len() as f64;
-                let inside = act_adj[v as usize]
+                let d = table.degree(v) as f64;
+                let inside = act_adj
+                    .of(v)
                     .iter()
                     .filter(|&&u| members.binary_search(&u).is_ok())
                     .count() as f64;
@@ -290,11 +322,7 @@ pub fn compute_acd(
         for &v in &keep {
             class[v as usize] = NodeClass::Dense(id);
         }
-        let max_degree = keep
-            .iter()
-            .map(|&v| act_adj[v as usize].len())
-            .max()
-            .unwrap();
+        let max_degree = keep.iter().map(|&v| table.degree(v)).max().unwrap();
         // Leader: minimum slackability (ties → lowest id).
         let leader = keep
             .iter()
@@ -308,7 +336,7 @@ pub fn compute_acd(
                     .then(a.cmp(&b))
             })
             .unwrap();
-        let (outliers, inliers) = split_outliers(g, &keep, leader, table, &act_adj);
+        let (outliers, inliers) = split_outliers(&keep, leader, &act_adj);
         let ell = params.ell(max_degree.max(2));
         let low_slack = table.get(leader).slackability <= ell;
         cliques.push(Clique {
@@ -331,14 +359,12 @@ pub fn compute_acd(
 /// leader itself is kept out of the inlier list (it must survive to deal
 /// colors in SynchColorTrial).
 fn split_outliers(
-    _g: &Graph,
     members: &[NodeId],
     leader: NodeId,
-    _table: &ParamTable,
-    act_adj: &[Vec<NodeId>],
+    act_adj: &CandidateAdj,
 ) -> (Vec<NodeId>, Vec<NodeId>) {
     let csize = members.len();
-    let leader_adj = &act_adj[leader as usize];
+    let leader_adj = act_adj.of(leader);
     let d_leader = leader_adj.len();
 
     let mut out = vec![false; csize];
@@ -353,12 +379,7 @@ fn split_outliers(
     let mut by_common: Vec<(usize, usize)> = members
         .iter()
         .enumerate()
-        .map(|(i, &v)| {
-            (
-                sorted_intersection_size(&act_adj[v as usize], leader_adj),
-                i,
-            )
-        })
+        .map(|(i, &v)| (sorted_intersection_size(act_adj.of(v), leader_adj), i))
         .collect();
     by_common.sort_unstable();
     for &(_, i) in by_common.iter().take(take_a) {
@@ -369,7 +390,7 @@ fn split_outliers(
     let mut by_deg: Vec<(usize, usize)> = members
         .iter()
         .enumerate()
-        .map(|(i, &v)| (act_adj[v as usize].len(), i))
+        .map(|(i, &v)| (act_adj.of(v).len(), i))
         .collect();
     by_deg.sort_unstable_by(|a, b| b.cmp(a));
     for &(_, i) in by_deg.iter().take(take_b) {

@@ -116,12 +116,6 @@ pub fn color_middle(
         .collect();
     let gs_nodes = live(runner, state, &gs_nodes);
     if !gs_nodes.is_empty() {
-        let act_deg = |v: NodeId| {
-            g.neighbors(v)
-                .iter()
-                .filter(|&&u| active[u as usize])
-                .count() as f64
-        };
         // SSP slack targets (HKNT Lemmas 10-18, scaled): sparse nodes must
         // earn slack proportional to their sparsity; uneven nodes rely on
         // later-colored high-degree neighbors (temporary slack) — auto.
@@ -129,7 +123,7 @@ pub fn color_middle(
             .iter()
             .map(|&v| {
                 if acd.class[v as usize] == NodeClass::Sparse {
-                    params.slack_frac * table.get(v).sparsity.min(act_deg(v))
+                    params.slack_frac * table.get(v).sparsity.min(table.degree(v) as f64)
                 } else {
                     0.0
                 }

@@ -38,7 +38,8 @@ pub struct VstartSets {
     pub start: Vec<NodeId>,
 }
 
-/// Compute `Vstart` for the current stage.
+/// Compute `Vstart` for the current stage.  Active degrees come from
+/// `table`, which must have been computed over the same `active`.
 pub fn identify_vstart(
     g: &Graph,
     state: &ColoringState,
@@ -48,12 +49,6 @@ pub fn identify_vstart(
     params: &Params,
 ) -> VstartSets {
     let n = g.n();
-    let act_deg = |v: NodeId| -> usize {
-        g.neighbors(v)
-            .iter()
-            .filter(|&&u| active[u as usize])
-            .count()
-    };
     let is_sparse = |v: NodeId| acd.class[v as usize] == NodeClass::Sparse;
 
     let sparse: Vec<NodeId> = (0..n as NodeId).filter(|&v| is_sparse(v)).collect();
@@ -63,11 +58,11 @@ pub fn identify_vstart(
         .iter()
         .copied()
         .filter(|&v| {
-            let d = act_deg(v);
+            let d = table.degree(v);
             let big = g
                 .neighbors(v)
                 .iter()
-                .filter(|&&u| active[u as usize] && act_deg(u) * 3 > 2 * d)
+                .filter(|&&u| active[u as usize] && table.degree(u) * 3 > 2 * d)
                 .count();
             big as f64 >= params.eps1 * d as f64
         })
@@ -75,7 +70,7 @@ pub fn identify_vstart(
     let disc: Vec<NodeId> = sparse
         .iter()
         .copied()
-        .filter(|&v| table.get(v).discrepancy >= params.eps2 * act_deg(v) as f64)
+        .filter(|&v| table.get(v).discrepancy >= params.eps2 * table.degree(v) as f64)
         .collect();
 
     // Veasy.
@@ -92,7 +87,7 @@ pub fn identify_vstart(
         .iter()
         .copied()
         .filter(|&v| {
-            let d = act_deg(v);
+            let d = table.degree(v);
             let dense_nb = g
                 .neighbors(v)
                 .iter()
@@ -129,7 +124,7 @@ pub fn identify_vstart(
                 }
             }
             let heavy_mass: f64 = h.values().filter(|&&m| m >= params.heavy_const).sum();
-            heavy_mass >= params.eps4 * act_deg(v) as f64
+            heavy_mass >= params.eps4 * table.degree(v) as f64
         })
         .collect();
     let mut heavy_mask = vec![false; n];
@@ -143,7 +138,7 @@ pub fn identify_vstart(
         .copied()
         .filter(|&v| !easy_mask[v as usize] && !heavy_mask[v as usize])
         .filter(|&v| {
-            let d = act_deg(v);
+            let d = table.degree(v);
             let easy_nb = g
                 .neighbors(v)
                 .iter()

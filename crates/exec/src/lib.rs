@@ -5,10 +5,10 @@
 //! blocks off one shared atomic counter** and fold per-worker partials
 //! that a grouping-invariant merge combines into a deterministic result.
 //! This crate generalizes that scheduler so every data-parallel surface —
-//! seed search, node-striped round simulation, the MPC accounting and
-//! partition-diagnostic folds, and the edge/adoption sorts — shares **one
-//! lazily-spawned persistent pool** instead of spawning scoped threads
-//! per call.  Callers reach it directly through [`par_fold`],
+//! seed search, node-striped round simulation, the Definition-2 stage
+//! pass, the MPC accounting and partition-diagnostic folds, and the
+//! edge/adoption sorts — shares **one lazily-spawned persistent pool**
+//! instead of spawning scoped threads per call.  Callers reach it directly through [`par_fold`],
 //! [`par_fill`], [`par_sort_unstable`] and friends; everything else in
 //! the workspace is plain sequential code.
 //!

@@ -10,10 +10,12 @@
 //! `NodeMpc` charges these operations: computation is carried out by the
 //! caller; the accountant verifies the degree bound, charges
 //! rounds/messages, and records per-node-machine space against the
-//! budget `s`, folding over the nodes on the `parcolor-exec` pool.  This
-//! keeps the simulator honest about the two quantities the paper's
-//! theorems constrain (rounds, words) without forcing every neighbor scan
-//! through a mailbox data structure.
+//! budget `s`.  Each charge folds `(count, Σ words, max words, machines
+//! over budget)` over the nodes on the `parcolor-exec` pool — the
+//! per-node closures touch no shared state — and publishes the fold to
+//! [`MpcMetrics`] once.  This keeps the simulator honest about the two
+//! quantities the paper's theorems constrain (rounds, words) without
+//! forcing every neighbor scan through a mailbox data structure.
 
 use crate::config::MpcConfig;
 use crate::metrics::MpcMetrics;
@@ -23,11 +25,35 @@ use std::sync::Arc;
 /// Nodes stolen at a time by [`charge_active`]'s pool fold.
 const FOLD_BLOCK: u64 = 1024;
 
-/// Observe `words(v)` on `v`'s machine for every active node and return
-/// `(active count, Σ words)`, folded on the executor pool in
-/// [`FOLD_BLOCK`]-node blocks; both sums are integers, so the result is
-/// the same at every worker count.
-fn charge_active<A, W>(n: usize, active: A, words: W) -> (usize, u64)
+/// One charge folded over the active nodes' machines.
+#[derive(Clone, Copy, Default)]
+struct Charge {
+    /// Active nodes.
+    count: usize,
+    /// Σ words over their machines.
+    words: u64,
+    /// The largest machine's words.
+    max_words: u64,
+    /// Machines over the budget.
+    over_budget: u64,
+}
+
+impl Charge {
+    fn merge(self, o: Charge) -> Charge {
+        Charge {
+            count: self.count + o.count,
+            words: self.words + o.words,
+            max_words: self.max_words.max(o.max_words),
+            over_budget: self.over_budget + o.over_budget,
+        }
+    }
+}
+
+/// Fold `words(v)` over the machines of every active node against the
+/// per-machine `budget`, on the executor pool in [`FOLD_BLOCK`]-node
+/// blocks.  Sums, max and count are integers, so the result is the same
+/// at every worker count.
+fn charge_active<A, W>(n: usize, active: A, words: W, budget: u64) -> Charge
 where
     A: Fn(NodeId) -> bool + Sync,
     W: Fn(NodeId) -> u64 + Sync,
@@ -38,17 +64,20 @@ where
         0..n as u64,
         FOLD_BLOCK,
         || (),
-        || (0, 0),
-        |start, len, mut acc: (usize, u64), _: &mut ()| {
+        Charge::default,
+        |start, len, mut acc: Charge, _: &mut ()| {
             for v in start as NodeId..(start + len) as NodeId {
                 if active(v) {
-                    acc.0 += 1;
-                    acc.1 += words(v);
+                    let w = words(v);
+                    acc.count += 1;
+                    acc.words += w;
+                    acc.max_words = acc.max_words.max(w);
+                    acc.over_budget += u64::from(w > budget);
                 }
             }
             acc
         },
-        |a, b| (a.0 + b.0, a.1 + b.1),
+        Charge::merge,
     )
 }
 
@@ -94,15 +123,13 @@ impl NodeMpc {
     where
         A: Fn(NodeId) -> bool + Sync,
     {
-        let s = self.cfg.local_space() as u64;
-        let (count, msgs) = charge_active(g.n(), active, |v| {
-            let w = (g.degree(v) * width) as u64;
-            self.metrics.observe_machine(w, s);
-            w
-        });
-        self.metrics.add_rounds(1);
-        self.metrics.add_messages(msgs);
-        count
+        let charge = charge_active(
+            g.n(),
+            active,
+            |v| (g.degree(v) * width) as u64,
+            self.cfg.local_space() as u64,
+        );
+        self.publish_round(charge)
     }
 
     /// Charge the `O(1)`-round collection of 2-hop neighborhoods for all
@@ -112,15 +139,23 @@ impl NodeMpc {
     where
         A: Fn(NodeId) -> bool + Sync,
     {
-        let s = self.cfg.local_space() as u64;
-        let (count, msgs) = charge_active(g.n(), active, |v| {
-            let w: u64 = g.neighbors(v).iter().map(|&u| g.degree(u) as u64).sum();
-            self.metrics.observe_machine(w, s);
-            w
-        });
+        let charge = charge_active(
+            g.n(),
+            active,
+            |v| g.neighbors(v).iter().map(|&u| g.degree(u) as u64).sum(),
+            self.cfg.local_space() as u64,
+        );
+        self.publish_round(charge)
+    }
+
+    /// Publish one folded round: its machines, its traffic, and the
+    /// round itself.  Returns the number of active nodes.
+    fn publish_round(&self, charge: Charge) -> usize {
+        self.metrics
+            .observe_machines(charge.max_words, charge.over_budget);
         self.metrics.add_rounds(1);
-        self.metrics.add_messages(msgs);
-        count
+        self.metrics.add_messages(charge.words);
+        charge.count
     }
 
     /// Charge `r` rounds of coordination (leader election, converge-casts,
@@ -207,11 +242,29 @@ mod tests {
 
     #[test]
     fn budget_violation_on_tiny_machines() {
-        let g = star(50);
-        // s = 1 * 50^0.3 ≈ 3 words; center broadcast of 49 words violates.
-        let mpc = NodeMpc::new(MpcConfig::new(50, 49, 0.3).with_space_constant(1.0));
-        mpc.charge_neighbor_broadcast(&g, |_| true, 1);
-        assert!(mpc.metrics().budget_violations() > 0);
+        // s = ⌈1 · 50^0.3⌉ = 4 words.
+        let cfg = MpcConfig::new(50, 49, 0.3).with_space_constant(1.0);
+        assert_eq!(cfg.local_space(), 4);
+        // Star: only the center's 49-word broadcast violates.
+        let mpc = NodeMpc::new(cfg);
+        mpc.charge_neighbor_broadcast(&star(50), |_| true, 1);
+        assert_eq!(mpc.metrics().budget_violations(), 1);
+        assert_eq!(mpc.metrics().max_machine_words(), 49);
+
+        // Five disjoint K_{1,4} with 2-word messages: each center sends
+        // 8 > 4 words, each leaf 2 — one violation per center.
+        let edges: Vec<_> = (0..5u32)
+            .flat_map(|c| (1..5u32).map(move |i| (5 * c, 5 * c + i)))
+            .collect();
+        let stars = Graph::from_edges(25, &edges);
+        let fresh = NodeMpc::new(cfg);
+        fresh.charge_neighbor_broadcast(&stars, |_| true, 2);
+        assert_eq!(fresh.metrics().budget_violations(), 5);
+        assert_eq!(fresh.metrics().max_machine_words(), 8);
+        // A later charge adds its violations and keeps the earlier peak.
+        mpc.charge_neighbor_broadcast(&stars, |_| true, 2);
+        assert_eq!(mpc.metrics().budget_violations(), 1 + 5);
+        assert_eq!(mpc.metrics().max_machine_words(), 49);
     }
 
     #[test]

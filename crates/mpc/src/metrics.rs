@@ -1,9 +1,11 @@
 //! Round/space/message accounting for MPC executions.
 //!
-//! Accumulation happens from per-node closures folded on the
-//! `parcolor-exec` pool, so the peak trackers are atomics (fetch_max) and
-//! the cold-path phase log sits behind a mutex: no locks on hot paths,
-//! atomics with explicit orderings where contention is possible.
+//! Callers may publish from any thread — the cluster's machines and the
+//! node-machine charges of `graphops`, which fold over their nodes on the
+//! `parcolor-exec` pool and publish each fold once through
+//! [`MpcMetrics::observe_machines`], so per-node closures never touch
+//! these atomics.  The peak trackers are atomics (fetch_max) and the
+//! cold-path phase log sits behind a mutex: no locks on hot paths.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -76,10 +78,20 @@ impl MpcMetrics {
 
     /// Record that some machine currently holds `words` words.
     pub fn observe_machine(&self, words: u64, budget: u64) {
-        self.max_machine_words.fetch_max(words, Ordering::Relaxed);
-        self.phase_peak.fetch_max(words, Ordering::Relaxed);
-        if words > budget {
-            self.budget_violations.fetch_add(1, Ordering::Relaxed);
+        self.observe_machines(words, u64::from(words > budget));
+    }
+
+    /// Record a folded batch of machines whose largest holds `max_words`
+    /// words and of which `over_budget` exceeded their budget — the same
+    /// totals as one [`observe_machine`](Self::observe_machine) per
+    /// machine, published with one update per tracker.
+    pub fn observe_machines(&self, max_words: u64, over_budget: u64) {
+        self.max_machine_words
+            .fetch_max(max_words, Ordering::Relaxed);
+        self.phase_peak.fetch_max(max_words, Ordering::Relaxed);
+        if over_budget > 0 {
+            self.budget_violations
+                .fetch_add(over_budget, Ordering::Relaxed);
         }
     }
 
