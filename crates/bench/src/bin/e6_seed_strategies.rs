@@ -3,53 +3,77 @@
 //! (the paper's MPC implementation), the deterministic fixed-subset
 //! surrogate, and an unoptimized single seed.
 //!
-//! The second half benchmarks the **seed-search fast path** (scratch-buffer
-//! simulation + per-seed pick caching + seed-parallel fold) against the
-//! reference allocation-heavy path at `seed_bits = 16`, and writes the
-//! before/after numbers to `BENCH_seed_search.json`; the third half
-//! benchmarks the **batched randomness plane** (lane-mixed tape stripes +
-//! `KWiseHash::eval_batch`) against the scalar tape walk and writes
-//! `BENCH_hash_batch.json`.
-//!
-//! `PARCOLOR_TAPE_MODE=scalar|batched` (default `batched`) selects the
-//! tape driving the strategy table, so CI exercises both modes; the
-//! batched-vs-scalar comparison section always runs both legs.
+//! The second half benchmarks the **seed-search fast path**
+//! (`select_seed_blocks_n` + `seed_cost_block`: seed-lane blocks,
+//! reusable scratch arenas and the pool fold) against the reference
+//! allocation-heavy path at `seed_bits = 16`, and 1-lane blocks against
+//! full blocks, and writes the numbers to `BENCH_seed_search.json`; the
+//! third half benchmarks the **batched randomness plane** (lane-mixed
+//! tape stripes + `KWiseHash::eval_batch`) against forced-scalar tapes
+//! and writes `BENCH_hash_batch.json`.  Every search asserts that it
+//! selects what its comparison leg selects.
 
-use parcolor_bench::{f1, f2, s, scaled, timed, Table};
+use parcolor_bench::{f1, f2, host_json, s, scaled, timed, Table};
 use parcolor_core::framework::{NormalProcedure, SimScratch};
 use parcolor_core::hknt::procs::{GenerateSlack, SspMode, StageSet, TryRandomColor};
 use parcolor_core::instance::ColoringState;
-use parcolor_core::mis::luby_round_seed_search;
 use parcolor_core::{D1lcInstance, NodeId};
 use parcolor_graphgen::gnm;
 use parcolor_local::tape::{ForceScalar, Randomness};
 use parcolor_prg::hashing::KWiseFamily;
 use parcolor_prg::{
-    select_seed, select_seed_blocks, select_seed_blocks_n, select_seed_with, ChunkAssignment, Prg,
-    PrgTape, SeedStrategy, SEED_BLOCK,
+    select_seed, select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedSelection, SeedStrategy,
+    SEED_BLOCK,
 };
 
-/// The `PARCOLOR_TAPE_MODE` setting: batch plane on or forced scalar.
-fn tape_mode() -> &'static str {
-    match std::env::var("PARCOLOR_TAPE_MODE").as_deref() {
-        Ok("scalar") => "scalar",
-        _ => "batched",
-    }
+/// The production seed search over `proc` (`select_seed_blocks_n` +
+/// `seed_cost_block`, per-node chunks) with `workers` workers (`0` =
+/// auto).  Each block of seeds is costed `lanes` lanes per
+/// `seed_cost_block` call — `SEED_BLOCK` in production, 1 to cost every
+/// seed on its own — and `force_scalar` routes every tape through the
+/// scalar trait defaults instead of the lane mixers.
+fn block_search(
+    proc: &dyn NormalProcedure,
+    state: &ColoringState,
+    seed_bits: u32,
+    strategy: SeedStrategy,
+    workers: usize,
+    lanes: usize,
+    force_scalar: bool,
+) -> SeedSelection {
+    let prg = Prg::new(seed_bits);
+    let chunks = ChunkAssignment::PerNode;
+    select_seed_blocks_n(
+        seed_bits,
+        strategy,
+        workers,
+        || SimScratch::new(state.n()),
+        |seed0, costs, scratch| {
+            let tapes = prg.block_tapes(seed0, &chunks).map(ForceScalar);
+            let refs: [&dyn Randomness; SEED_BLOCK] = std::array::from_fn(|i| {
+                if force_scalar {
+                    &tapes[i] as &dyn Randomness
+                } else {
+                    &tapes[i].0
+                }
+            });
+            let refs = &refs[..costs.len()];
+            for (t, c) in refs.chunks(lanes).zip(costs.chunks_mut(lanes)) {
+                proc.seed_cost_block(state, t, scratch, c);
+            }
+        },
+    )
 }
 
 fn main() {
-    let mode = tape_mode();
-    println!("# E6: seed-selection strategies (one TryRandomColor step, {mode} tape)\n");
+    println!("# E6: seed-selection strategies (one TryRandomColor step)\n");
     let n = scaled(4_000, 800);
     let g = gnm(n, n * 4, 5);
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
     let set = StageSet::new(n, (0..n as NodeId).collect());
     let proc = TryRandomColor::new(&g, set, SspMode::Colored, 1);
-
     let seed_bits = 10;
-    let prg = Prg::new(seed_bits);
-    let chunks = ChunkAssignment::PerNode;
 
     let mut t = Table::new(&[
         "strategy",
@@ -67,21 +91,8 @@ fn main() {
         ("FixedSubset(8)", SeedStrategy::FixedSubset(8)),
         ("SingleSeed(0)", SeedStrategy::SingleSeed(0)),
     ] {
-        let (sel, ms) = timed(|| {
-            select_seed_with(
-                seed_bits,
-                strat,
-                || SimScratch::new(n),
-                |seed, scratch| {
-                    let tape = PrgTape::new(prg, seed, &chunks);
-                    if mode == "scalar" {
-                        proc.seed_cost_fused(&state, &ForceScalar(tape), scratch)
-                    } else {
-                        proc.seed_cost_fused(&state, &tape, scratch)
-                    }
-                },
-            )
-        });
+        let (sel, ms) =
+            timed(|| block_search(&proc, &state, seed_bits, strat, 0, SEED_BLOCK, false));
         t.row(&[
             s(name),
             s(sel.evaluated),
@@ -100,18 +111,12 @@ fn main() {
     println!("\nBitwiseCondExp must land at or below the mean (Lemma 10); Exhaustive");
     println!("gives the floor; FixedSubset trades a little quality for throughput.");
 
-    // The comparison sections time both tape modes internally (that's
-    // their point), so a scalar-mode run — CI's smoke leg — skips them
-    // rather than duplicating the expensive seed_bits = 16 searches; the
-    // batched-mode (default) run writes both BENCH_*.json artifacts.
-    if mode != "scalar" {
-        let fastpath_rows = fastpath_comparison();
-        let block_rows = block_proc_comparison();
-        let worker_rows = workers_matrix();
-        let engine_rows = engine_parallel_matrix();
-        write_seed_search_json(&fastpath_rows, &block_rows, &worker_rows, &engine_rows);
-        hash_batch_comparison();
-    }
+    let fastpath_rows = fastpath_comparison();
+    let block_rows = block_proc_comparison();
+    let worker_rows = workers_matrix();
+    let engine_rows = engine_parallel_matrix();
+    write_seed_search_json(&fastpath_rows, &block_rows, &worker_rows, &engine_rows);
+    hash_batch_comparison();
 }
 
 /// Node-striped parallel round simulation: one `TryRandomColor` round on
@@ -174,111 +179,62 @@ fn engine_parallel_matrix() -> Vec<String> {
     rows
 }
 
-/// Seed-lane block evaluation vs the per-seed fused fallback for the
-/// procedures the PR 4 plane did NOT cover: `GenerateSlack`'s
-/// slack-target scan and Luby MIS's undominated scan.  One worker, so
-/// the measured ratio is pure per-seed-eval speedup.
+/// Full seed-lane blocks vs 1-lane blocks (every seed costed on its own)
+/// for `GenerateSlack`'s slack-target scan, the hottest non-clash cost.
+/// One worker, so the measured ratio is pure per-seed-eval speedup.
 fn block_proc_comparison() -> Vec<String> {
     let seed_bits = 14u32;
     let n = scaled(2_000, 256);
     let g = gnm(n, n * 4, 7);
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
-    let prg = Prg::new(seed_bits);
-    let chunks = ChunkAssignment::PerNode;
     println!(
-        "\n# Slack-plane block evaluation vs per-seed fallback \
+        "\n# Slack-plane block evaluation, full blocks vs 1-lane blocks \
          (seed_bits = {seed_bits}, n = {n}, m = {}, 1 worker)",
         g.m()
     );
-    let mut t = Table::new(&[
-        "procedure",
-        "per-seed ms",
-        "block ms",
-        "speedup",
-        "same seed",
-    ]);
-    let mut rows = Vec::new();
-
-    // -- GenerateSlack: slack-target SSP, the hottest non-clash cost ---
+    let mut t = Table::new(&["procedure", "1-lane ms", "block ms", "speedup", "same seed"]);
     let set = StageSet::new(n, (0..n as NodeId).collect());
     // Demanding targets (≈ the initial slack of a mid-degree node) so
-    // costs are non-trivial and the block-vs-fallback assert below
-    // compares real failure counts, not a degenerate all-zero space.
+    // costs are non-trivial and the assert below compares real failure
+    // counts, not a degenerate all-zero space.
     let targets = vec![g.max_degree() as f64 * 0.6; n];
     let proc = GenerateSlack::new(&g, set, 0.2, targets, 3);
-    let (scalar_sel, scalar_ms) = timed(|| {
-        select_seed_blocks_n(
-            seed_bits,
-            SeedStrategy::Exhaustive,
-            1,
-            || SimScratch::new(n),
-            |seed0, costs, scratch| {
-                // The PR 4 regime: the default per-seed fused loop.
-                for (i, c) in costs.iter_mut().enumerate() {
-                    let tape = PrgTape::new(prg, seed0 + i as u64, &chunks);
-                    *c = proc.seed_cost_fused(&state, &tape, scratch);
-                }
-            },
-        )
-    });
-    let (block_sel, block_ms) = timed(|| {
-        select_seed_blocks_n(
-            seed_bits,
-            SeedStrategy::Exhaustive,
-            1,
-            || SimScratch::new(n),
-            |seed0, costs, scratch| {
-                let tapes = prg.block_tapes(seed0, &chunks);
-                let refs: [&dyn Randomness; SEED_BLOCK] =
-                    std::array::from_fn(|i| &tapes[i] as &dyn Randomness);
-                proc.seed_cost_block(&state, &refs[..costs.len()], scratch, costs);
-            },
-        )
-    });
-    let same = scalar_sel.seed == block_sel.seed && scalar_sel.cost == block_sel.cost;
+    let search = |lanes| {
+        timed(|| {
+            block_search(
+                &proc,
+                &state,
+                seed_bits,
+                SeedStrategy::Exhaustive,
+                1,
+                lanes,
+                false,
+            )
+        })
+    };
+    let (lane_sel, lane_ms) = search(1);
+    let (block_sel, block_ms) = search(SEED_BLOCK);
+    let same = lane_sel.seed == block_sel.seed && lane_sel.cost == block_sel.cost;
     assert!(
         same,
-        "GenerateSlack: block path diverged from per-seed path"
+        "GenerateSlack: full blocks diverged from 1-lane blocks"
     );
-    let speedup = scalar_ms / block_ms.max(1e-9);
+    let speedup = lane_ms / block_ms.max(1e-9);
     t.row(&[
         s("GenerateSlack"),
-        f1(scalar_ms),
+        f1(lane_ms),
         f1(block_ms),
         f2(speedup),
         s(same),
     ]);
-    rows.push(format!(
-        "    {{\"procedure\": \"GenerateSlack\", \"per_seed_ms\": {scalar_ms:.1}, \
+    t.print();
+    vec![format!(
+        "    {{\"procedure\": \"GenerateSlack\", \"one_lane_ms\": {lane_ms:.1}, \
          \"block_ms\": {block_ms:.1}, \"per_eval_speedup\": {speedup:.2}, \
          \"chosen_seed\": {}, \"chosen_cost\": {}}}",
         block_sel.seed, block_sel.cost
-    ));
-
-    // -- Luby MIS: undominated scan over the priority plane ------------
-    let (mis_scalar, mis_scalar_ms) =
-        timed(|| luby_round_seed_search(&g, seed_bits, SeedStrategy::Exhaustive, 1, false));
-    let (mis_block, mis_block_ms) =
-        timed(|| luby_round_seed_search(&g, seed_bits, SeedStrategy::Exhaustive, 1, true));
-    let same = mis_scalar.seed == mis_block.seed && mis_scalar.cost == mis_block.cost;
-    assert!(same, "Luby MIS: block path diverged from per-seed path");
-    let speedup = mis_scalar_ms / mis_block_ms.max(1e-9);
-    t.row(&[
-        s("Luby MIS"),
-        f1(mis_scalar_ms),
-        f1(mis_block_ms),
-        f2(speedup),
-        s(same),
-    ]);
-    rows.push(format!(
-        "    {{\"procedure\": \"LubyMIS\", \"per_seed_ms\": {mis_scalar_ms:.1}, \
-         \"block_ms\": {mis_block_ms:.1}, \"per_eval_speedup\": {speedup:.2}, \
-         \"chosen_seed\": {}, \"chosen_cost\": {}}}",
-        mis_block.seed, mis_block.cost
-    ));
-    t.print();
-    rows
+    )]
 }
 
 /// Sharded seed search: the same block search at `workers ∈ {1, 2, 4, 8}`.
@@ -293,8 +249,6 @@ fn workers_matrix() -> Vec<String> {
     let state = ColoringState::new(&inst);
     let set = StageSet::new(n, (0..n as NodeId).collect());
     let proc = TryRandomColor::new(&g, set, SspMode::Colored, 1);
-    let prg = Prg::new(seed_bits);
-    let chunks = ChunkAssignment::PerNode;
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
         "\n# Sharded seed search, workers matrix (seed_bits = {seed_bits}, n = {n}, \
@@ -307,17 +261,14 @@ fn workers_matrix() -> Vec<String> {
     let mut reference: Option<(u64, f64)> = None;
     for workers in [1usize, 2, 4, 8] {
         let (sel, ms) = timed(|| {
-            select_seed_blocks_n(
+            block_search(
+                &proc,
+                &state,
                 seed_bits,
                 SeedStrategy::Exhaustive,
                 workers,
-                || SimScratch::new(n),
-                |seed0, costs, scratch| {
-                    let tapes = prg.block_tapes(seed0, &chunks);
-                    let refs: [&dyn Randomness; SEED_BLOCK] =
-                        std::array::from_fn(|i| &tapes[i] as &dyn Randomness);
-                    proc.seed_cost_block(&state, &refs[..costs.len()], scratch, costs);
-                },
+                SEED_BLOCK,
+                false,
             )
         });
         match reference {
@@ -353,10 +304,11 @@ fn write_seed_search_json(
     engine: &[String],
 ) {
     let json = format!(
-        "{{\n  \"experiment\": \"e6_seed_search_fastpath\",\n  \
+        "{{\n  \"experiment\": \"e6_seed_search_fastpath\",\n  \"host\": {},\n  \
          \"rows\": [\n{}\n  ],\n  \
          \"block_procs\": [\n{}\n  ],\n  \"workers_matrix\": [\n{}\n  ],\n  \
          \"engine_parallel\": [\n{}\n  ]\n}}\n",
+        host_json(),
         fastpath.join(",\n"),
         blocks.join(",\n"),
         workers.join(",\n"),
@@ -381,7 +333,7 @@ fn fastpath_comparison() -> Vec<String> {
     let proc = TryRandomColor::new(&g, set, SspMode::Colored, 1);
     let prg = Prg::new(seed_bits);
     let chunks = ChunkAssignment::PerNode;
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let workers = parcolor_exec::resolve_workers(0);
 
     println!(
         "\n# Fast path vs reference at seed_bits = {seed_bits} (n = {n}, m = {})",
@@ -406,17 +358,8 @@ fn fastpath_comparison() -> Vec<String> {
                 proc.seed_cost(&state, &out)
             })
         });
-        let (new_sel, new_ms) = timed(|| {
-            select_seed_with(
-                seed_bits,
-                strategy,
-                || SimScratch::new(n),
-                |seed, scratch| {
-                    let tape = PrgTape::new(prg, seed, &chunks);
-                    proc.seed_cost_fused(&state, &tape, scratch)
-                },
-            )
-        });
+        let (new_sel, new_ms) =
+            timed(|| block_search(&proc, &state, seed_bits, strategy, 0, SEED_BLOCK, false));
         let same = old_sel.seed == new_sel.seed && old_sel.cost == new_sel.cost;
         assert!(same, "{name}: fast path diverged from reference");
         let speedup = old_ms / new_ms.max(1e-9);
@@ -448,16 +391,12 @@ fn fastpath_comparison() -> Vec<String> {
 
 /// Batched randomness plane vs the scalar tape walk — `eval_batch`
 /// throughput and the end-to-end seed search at `seed_bits = 16` on a
-/// single worker.  Both legs run the *same* plane-based `simulate_into`;
-/// the scalar leg forces the tape's scalar trait defaults (the PR 1
-/// regime: one mixer call per node per seed), so the measured gap is the
-/// tape-level batching alone.  Emits `BENCH_hash_batch.json`.
+/// single worker (so per-seed evaluation cost is what's measured, not
+/// thread scaling).  Both legs run the *same* `seed_cost_block`; the
+/// scalar leg forces the tape's scalar trait defaults (one mixer call per
+/// node per seed), so the measured gap is the tape-level batching alone.
+/// Emits `BENCH_hash_batch.json`.
 fn hash_batch_comparison() {
-    // Pin the fold to one worker so per-seed evaluation cost is what's
-    // measured (and recorded) — not thread scaling.
-    let prev_threads = std::env::var("PARCOLOR_THREADS").ok();
-    std::env::set_var("PARCOLOR_THREADS", "1");
-
     println!("\n# Batched randomness plane vs scalar tape (1 worker)");
 
     // -- KWiseHash::eval_batch throughput ------------------------------
@@ -515,8 +454,6 @@ fn hash_batch_comparison() {
     let state = ColoringState::new(&inst);
     let set = StageSet::new(n, (0..n as NodeId).collect());
     let proc = TryRandomColor::new(&g, set, SspMode::Colored, 1);
-    let prg = Prg::new(seed_bits);
-    let chunks = ChunkAssignment::PerNode;
 
     println!(
         "\n# Seed search, scalar tape vs batched plane (seed_bits = {seed_bits}, n = {n}, \
@@ -535,30 +472,21 @@ fn hash_batch_comparison() {
         ("Exhaustive", SeedStrategy::Exhaustive),
         ("BitwiseCondExp", SeedStrategy::BitwiseCondExp),
     ] {
-        let (scalar_sel, scalar_ms) = timed(|| {
-            select_seed_with(
-                seed_bits,
-                strategy,
-                || SimScratch::new(n),
-                |seed, scratch| {
-                    let tape = ForceScalar(PrgTape::new(prg, seed, &chunks));
-                    proc.seed_cost_fused(&state, &tape, scratch)
-                },
-            )
-        });
-        let (batched_sel, batched_ms) = timed(|| {
-            select_seed_blocks(
-                seed_bits,
-                strategy,
-                || SimScratch::new(n),
-                |seed0, costs, scratch| {
-                    let tapes = prg.block_tapes(seed0, &chunks);
-                    let refs: [&dyn Randomness; SEED_BLOCK] =
-                        std::array::from_fn(|i| &tapes[i] as &dyn Randomness);
-                    proc.seed_cost_block(&state, &refs[..costs.len()], scratch, costs);
-                },
-            )
-        });
+        let search = |force_scalar| {
+            timed(|| {
+                block_search(
+                    &proc,
+                    &state,
+                    seed_bits,
+                    strategy,
+                    1,
+                    SEED_BLOCK,
+                    force_scalar,
+                )
+            })
+        };
+        let (scalar_sel, scalar_ms) = search(true);
+        let (batched_sel, batched_ms) = search(false);
         let same = scalar_sel.seed == batched_sel.seed && scalar_sel.cost == batched_sel.cost;
         assert!(same, "{name}: batched plane diverged from scalar tape");
         // Both legs evaluate the same number of seeds, so wall-clock
@@ -575,9 +503,10 @@ fn hash_batch_comparison() {
     t.print();
 
     let json = format!(
-        "{{\n  \"experiment\": \"e6_hash_batch\",\n  \"seed_bits\": {seed_bits},\n  \
-         \"n\": {n},\n  \"m\": {},\n  \"workers\": 1,\n  \"eval_batch\": [\n{}\n  ],\n  \
-         \"seed_search\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"e6_hash_batch\",\n  \"host\": {},\n  \
+         \"seed_bits\": {seed_bits},\n  \"n\": {n},\n  \"m\": {},\n  \"workers\": 1,\n  \
+         \"eval_batch\": [\n{}\n  ],\n  \"seed_search\": [\n{}\n  ]\n}}\n",
+        host_json(),
         g.m(),
         hash_rows.join(",\n"),
         search_rows.join(",\n")
@@ -585,10 +514,5 @@ fn hash_batch_comparison() {
     match std::fs::write("BENCH_hash_batch.json", &json) {
         Ok(()) => println!("\nwrote BENCH_hash_batch.json"),
         Err(e) => eprintln!("\ncannot write BENCH_hash_batch.json: {e}"),
-    }
-
-    match prev_threads {
-        Some(v) => std::env::set_var("PARCOLOR_THREADS", v),
-        None => std::env::remove_var("PARCOLOR_THREADS"),
     }
 }

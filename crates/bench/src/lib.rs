@@ -77,6 +77,24 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (r, t0.elapsed().as_secs_f64() * 1e3)
 }
 
+/// This host as the `"host"` object of a BENCH JSON file: hardware
+/// threads and the CPU model (`model name` in `/proc/cpuinfo`,
+/// `"unknown"` where that is unavailable).
+pub fn host_json() -> String {
+    let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines().find_map(|line| {
+                let (key, model) = line.split_once(':')?;
+                (key.trim() == "model name").then(|| model.trim().to_string())
+            })
+        })
+        .unwrap_or_else(|| "unknown".into());
+    let cpu = cpu.replace('\\', "\\\\").replace('"', "\\\"");
+    format!("{{\"threads\": {threads}, \"cpu\": \"{cpu}\"}}")
+}
+
 /// Peak resident set size of this process in bytes.
 ///
 /// Reads `VmHWM` from `/proc/self/status` on Linux; returns 0 on other

@@ -25,6 +25,26 @@ pub struct SolveOpts {
 /// exhaustive/fixed-subset search past any practical budget.
 pub const SEED_BITS_RANGE: std::ops::RangeInclusive<u32> = 1..=24;
 
+/// Check the seed-search parameters of a job where they enter the
+/// program (coordinator flags, job bytes off the wire): `seed_bits` in
+/// [`SEED_BITS_RANGE`], and a `SingleSeed` inside the `2^seed_bits` seed
+/// space.  The error names the offending field.
+pub fn check_seed_search(seed_bits: u32, strategy: SeedStrategy) -> Result<(), String> {
+    if !SEED_BITS_RANGE.contains(&seed_bits) {
+        return Err(format!(
+            "seed_bits must be in {}..={}, got {seed_bits}",
+            SEED_BITS_RANGE.start(),
+            SEED_BITS_RANGE.end()
+        ));
+    }
+    match strategy {
+        SeedStrategy::SingleSeed(seed) if seed >> seed_bits != 0 => Err(format!(
+            "strategy ss:{seed} is outside the 2^{seed_bits} seed space"
+        )),
+        _ => Ok(()),
+    }
+}
+
 fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
     value
         .parse()
@@ -290,14 +310,7 @@ pub fn parse_coordinator_args<S: AsRef<str>>(args: &[S]) -> Result<CoordinatorOp
     } else if opts.input.is_none() {
         return Err("missing input graph (expected a .col path)".into());
     }
-    if !SEED_BITS_RANGE.contains(&opts.seed_bits) {
-        return Err(format!(
-            "--seed-bits must be in {}..={}, got {}",
-            SEED_BITS_RANGE.start(),
-            SEED_BITS_RANGE.end(),
-            opts.seed_bits
-        ));
-    }
+    check_seed_search(opts.seed_bits, opts.strategy)?;
     Ok(opts)
 }
 
@@ -654,6 +667,20 @@ mod tests {
         let e = parse_coordinator_args(&["g.col", "--listen", ":9000", "--strategy", "zz"])
             .unwrap_err();
         assert!(e.contains("unknown strategy"), "{e}");
+        let e = parse_coordinator_args(&["g.col", "--listen", ":9000", "--seed-bits", "30"])
+            .unwrap_err();
+        assert!(e.contains("seed_bits must be in 1..=24"), "{e}");
+        let e = parse_coordinator_args(&[
+            "g.col",
+            "--listen",
+            ":9000",
+            "--seed-bits",
+            "6",
+            "--strategy",
+            "ss:64",
+        ])
+        .unwrap_err();
+        assert!(e.contains("ss:64 is outside the 2^6 seed space"), "{e}");
     }
 
     #[test]
@@ -682,6 +709,10 @@ mod tests {
             "1024",
             "--lease-timeout-ms",
             "10",
+            "--seed-bits",
+            "6",
+            "--strategy",
+            "ss:63",
         ])
         .is_ok());
     }

@@ -52,7 +52,7 @@ use parcolor_core::Graph;
 use parcolor_core::{Params, SeedStrategy, Solution, Solver};
 use parcolor_dist::{run_standby, run_worker, DistConfig, DistCoordinator};
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::process::exit;
 use std::sync::Arc;
 
@@ -79,6 +79,16 @@ fn check_written(path: &str, written: std::io::Result<()>) {
         eprintln!("cannot write {path}: {e}");
         exit(1)
     }
+}
+
+/// Print `text` on standard output, exiting 1 if the write fails (a full
+/// device, a closed pipe) — the same contract as every output file.
+fn print_stdout(text: &str) {
+    let mut out = std::io::stdout().lock();
+    check_written(
+        STDOUT,
+        out.write_all(text.as_bytes()).and_then(|()| out.flush()),
+    );
 }
 
 /// `File::create` for an output path, exiting 1 on failure.
@@ -302,14 +312,14 @@ fn cmd_verify(args: &[String]) {
             let mut distinct: Vec<u32> = colors.clone();
             distinct.sort_unstable();
             distinct.dedup();
-            println!(
-                "VALID: {} nodes, {} distinct colors",
+            print_stdout(&format!(
+                "VALID: {} nodes, {} distinct colors\n",
                 inst.n(),
                 distinct.len()
-            );
+            ));
         }
         Err(e) => {
-            println!("INVALID: {e}");
+            print_stdout(&format!("INVALID: {e}\n"));
             exit(1)
         }
     }
@@ -374,14 +384,17 @@ fn cmd_stats(args: &[String]) {
     });
     let (comp, ncomp) = g.components();
     let degsum: usize = (0..g.n() as u32).map(|v| g.degree(v)).sum();
-    println!("n          = {}", g.n());
-    println!("m          = {}", g.m());
-    println!("Δ          = {}", g.max_degree());
-    println!("avg degree = {:.2}", degsum as f64 / g.n().max(1) as f64);
-    println!("components = {ncomp}");
     let mut sizes = vec![0usize; ncomp];
     for &c in &comp {
         sizes[c as usize] += 1;
     }
-    println!("largest cc = {}", sizes.iter().max().unwrap_or(&0));
+    print_stdout(&format!(
+        "n          = {}\nm          = {}\nΔ          = {}\navg degree = {:.2}\n\
+         components = {ncomp}\nlargest cc = {}\n",
+        g.n(),
+        g.m(),
+        g.max_degree(),
+        degsum as f64 / g.n().max(1) as f64,
+        sizes.iter().max().unwrap_or(&0)
+    ));
 }

@@ -103,6 +103,7 @@ pub fn decode_job(job: &[u8]) -> Result<(D1lcInstance, Params), String> {
     if parts.next().is_some() {
         return Err("job: trailing header fields".into());
     }
+    crate::args::check_seed_search(seed_bits, strategy).map_err(|e| format!("job: {e}"))?;
     let g = read_pcg_bytes(&job[nl + 1..]).map_err(|e| format!("job graph: {e}"))?;
     let params = Params::default()
         .with_seed_bits(seed_bits)
@@ -157,6 +158,9 @@ mod tests {
             ("parcolor-job 2 6 warp", "unknown strategy"),
             ("parcolor-job 2 6 fs:many", "fixed-subset"),
             ("parcolor-job 2 6 ex extra", "trailing"),
+            ("parcolor-job 2 30 ex", "seed_bits must be in 1..=24"),
+            ("parcolor-job 2 0 ex", "seed_bits must be in 1..=24"),
+            ("parcolor-job 2 6 ss:64", "strategy ss:64"),
         ] {
             let mut job = format!("{header}\n").into_bytes();
             write_pcg(&mut job, &sample_graph()).unwrap();

@@ -236,13 +236,6 @@ impl Params {
         self
     }
 
-    /// Override the low-degree threshold's β and exponent.
-    pub fn with_low_threshold(mut self, beta: f64, exp: f64) -> Self {
-        self.low_beta = beta;
-        self.low_exp = exp;
-        self
-    }
-
     /// Set the collect-onto-one-machine greedy cutoff.
     pub fn with_greedy_cutoff(mut self, c: usize) -> Self {
         self.greedy_cutoff = c;

@@ -10,7 +10,7 @@
 //! * [`Runner`] executes a series of procedures either **randomized**
 //!   (CryptoTape, Lemma 4) or **derandomized** (Lemma 10: simulate under
 //!   every PRG seed, pick one with at most the mean number of SSP failures
-//!   via `parcolor-prg::select_seed`, defer the failures).
+//!   via `parcolor_prg::select_seed_blocks_n`, defer the failures).
 //!
 //! Theorem 12's outer loop — re-running the whole series on the deferred
 //! residual instance `O(1/δ)` times, then finishing greedily on one
@@ -20,27 +20,36 @@
 //! ## The seed-search fast path and its cost model
 //!
 //! The derandomizer's hot loop evaluates the pessimistic estimator once
-//! per candidate seed — `2^seed_bits` full simulations per step.  Three
-//! structural decisions keep that loop at memory speed:
+//! per candidate seed — `2^seed_bits` evaluations per step — and every
+//! candidate goes through [`NormalProcedure::seed_cost_block`].  The
+//! outcome of the *chosen* seed is built once per step by
+//! [`NormalProcedure::simulate_into`], or by its node-striped variant
+//! [`NormalProcedure::simulate_into_par`].  Four structural decisions
+//! keep the hot loop at memory speed:
 //!
-//! 1. **Scratch-buffer simulation** ([`SimScratch`]).  Every procedure
-//!    implements [`NormalProcedure::simulate_into`], writing its outcome
-//!    into a reusable arena (epoch-stamped per-node caches, flat adoption
-//!    / aux buffers).  After one warm-up evaluation a seed evaluation
-//!    performs **zero heap allocation**.
-//! 2. **Per-seed pick caching.**  A node's random draw under a fixed seed
-//!    is the same no matter which neighbor asks, so `simulate_into`
-//!    computes each active node's pick **once** into the scratch
-//!    (`O(n_active)` tape reads) and resolves clashes with `O(m)` array
-//!    lookups — versus `O(Σ_v d(v))` tape reads for the naïve
-//!    re-evaluate-per-edge formulation of [`NormalProcedure::simulate`].
+//! 1. **Seed-lane block evaluation.**  Every HKNT procedure overrides
+//!    [`NormalProcedure::seed_cost_block`]: a block of up to `SEED_BLOCK`
+//!    seeds materializes its picks/samples/proposals as one
+//!    structure-of-arrays plane (`PickPlane::soa` + the lane bitmasks),
+//!    and the clash/slack/undominated scans run ONCE over the graph with
+//!    lane-parallel compares, instead of once per seed.  See the block
+//!    contract on [`NormalProcedure::seed_cost_block`].
+//! 2. **Pick caching in reusable arenas** ([`SimScratch`]).  A node's
+//!    random draw under a fixed seed is the same no matter which neighbor
+//!    asks, so both the block evaluators and `simulate_into` compute each
+//!    active node's pick **once** (`O(n_active)` tape reads) and resolve
+//!    clashes with `O(m)` array lookups — versus `O(Σ_v d(v))` tape reads
+//!    for the naïve re-evaluate-per-edge formulation of
+//!    [`NormalProcedure::simulate`].  The arena's buffers are retained
+//!    across evaluations, so after warm-up an evaluation performs **zero
+//!    heap allocation**.
 //! 3. **Sharded seed-parallelism.**  `parcolor_prg::select_seed_blocks_n`
-//!    folds the seed space over scoped threads, one scratch per worker;
-//!    the per-seed simulation is sequential.  Workers steal `SEED_BLOCK`-
-//!    sized blocks off one shared atomic counter, and the fold merges
-//!    `(sum, min, argmin)` with a lowest-seed tie-break — grouping-
-//!    invariant for the integer SSP costs, so results are bit-identical
-//!    for any worker count and any steal order.
+//!    folds the seed space on the persistent `parcolor-exec` pool, one
+//!    scratch per worker; each block evaluation is sequential.  Workers
+//!    steal `SEED_BLOCK`-sized blocks off one shared atomic counter, and
+//!    the fold merges `(sum, min, argmin)` with a lowest-seed tie-break —
+//!    grouping-invariant for the integer SSP costs, so results are
+//!    bit-identical for any worker count and any steal order.
 //! 4. **Batched randomness plane** ([`PickPlane`]).  A procedure's random
 //!    draws are materialized for a whole stripe of active nodes in one
 //!    `Randomness::fill_*` call per stream — the tape's seed/stream mixer
@@ -50,21 +59,15 @@
 //!    to the scalar tape walk (same mixer outputs, same picks, same chosen
 //!    seeds; see the batch contract in `parcolor_local::tape`), so the
 //!    reference `simulate` path and the golden hashes are unchanged.
-//! 5. **Seed-lane block evaluation.**  Every procedure overrides
-//!    [`NormalProcedure::seed_cost_block`]: a block of up to `SEED_BLOCK`
-//!    seeds materializes its picks/samples/proposals as one
-//!    structure-of-arrays plane (`PickPlane::soa` + the lane bitmasks),
-//!    and the clash/slack/undominated scans run ONCE over the graph with
-//!    lane-parallel compares, instead of once per seed.  See the block
-//!    contract on [`NormalProcedure::seed_cost_block`].
 //!
 //! Per derandomized step the fast path therefore costs
 //! `O(2^seed_bits · (n_active + m_active) / workers)` with no allocation,
 //! and `BitwiseCondExp` streams each half-space mean instead of
 //! materializing the `2^seed_bits` cost table (see
 //! `parcolor_prg::seed_search`).  `tests/seed_fastpath_equivalence.rs`
-//! pins the fast path to the reference path: identical `SeedSelection`
-//! (seed, cost, mean, trace) and identical outcomes for every strategy.
+//! pins the fast path to the reference path (`simulate` + `seed_cost`
+//! under `select_seed`): identical `SeedSelection` (seed, cost, mean,
+//! trace) and identical outcomes for every strategy.
 
 use crate::config::{ChunkMode, Params};
 use crate::instance::{ColoringState, NO_COLOR};
@@ -125,11 +128,11 @@ pub struct PickPlane {
     pub valid_mask: Vec<u8>,
     /// Per-node seed-lane **adoption** bits (bit `s` ⇔ the node adopted
     /// [`PickPlane::soa`]`[v][s]` under seed lane `s`), dense by node id —
-    /// the block-evaluation analogue of [`SimScratch::adopted_color`],
+    /// the block-evaluation analogue of an [`Outcome`]'s adoptions,
     /// consumed by the lane-parallel SSP evaluators.
     pub adopted_mask: Vec<u8>,
     /// Per-lane sorted-set buffers for lane-parallel slack evaluation
-    /// (the block analogue of [`SimScratch::taken`]).
+    /// (the distinct lost palette colors of one node, per lane).
     pub taken_lanes: [Vec<u32>; SEED_BLOCK],
 }
 
@@ -182,14 +185,15 @@ impl PickPlane {
     }
 }
 
-/// Reusable per-worker arena for seed evaluations — the zero-allocation
-/// backing store of [`NormalProcedure::simulate_into`].
+/// Reusable arena for procedure evaluations: one per seed-search worker
+/// for [`NormalProcedure::seed_cost_block`], and one per runner for the
+/// chosen seed's [`NormalProcedure::simulate_into`].
 ///
 /// All per-node caches are **epoch-stamped**: [`SimScratch::begin`] bumps
 /// one epoch counter instead of clearing `O(n)` memory, so starting a new
-/// seed evaluation is `O(1)` plus truncating the flat outcome buffers.
+/// evaluation is `O(1)` plus truncating the flat outcome buffers.
 /// Capacity is retained across evaluations; after the first evaluation of
-/// a step, subsequent seeds perform no heap allocation.
+/// a step, subsequent evaluations perform no heap allocation.
 #[derive(Clone, Debug)]
 pub struct SimScratch {
     n: usize,
@@ -199,24 +203,17 @@ pub struct SimScratch {
     pub adoptions: Vec<(NodeId, u32)>,
     /// Aux node-set output of the current evaluation.
     pub aux: Vec<NodeId>,
-    // -- dense adopted-color view (valid where stamp matches epoch) --
-    adopted: Vec<u32>,
-    adopted_stamp: Vec<u32>,
-    // -- per-node caches for pick/proposal, sample bits, probabilities --
+    // -- per-node caches for pick/proposal and sample bits --
     picks: Vec<u32>,
     pick_stamp: Vec<u32>,
     bits: Vec<bool>,
     bit_stamp: Vec<u32>,
-    probs: Vec<f64>,
-    prob_stamp: Vec<u32>,
     mark_stamp: Vec<u32>,
     // -- flat arenas reused by individual procedures --
     /// Flat candidate-color arena (MultiTrial draws).
     pub draw_colors: Vec<u32>,
     /// Offsets into [`SimScratch::draw_colors`], one per active node + 1.
     pub draw_off: Vec<usize>,
-    /// Small sorted-set buffer (SSP slack evaluation).
-    pub taken: Vec<u32>,
     /// Permutation buffer (SynchColorTrial leader deals).
     pub perm: Vec<u32>,
     /// Batched randomness plane (stripe-scoped, no per-seed clearing).
@@ -231,18 +228,13 @@ impl SimScratch {
             epoch: 0,
             adoptions: Vec::new(),
             aux: Vec::new(),
-            adopted: vec![NO_COLOR; n],
-            adopted_stamp: vec![0; n],
             picks: vec![NO_COLOR; n],
             pick_stamp: vec![0; n],
             bits: vec![false; n],
             bit_stamp: vec![0; n],
-            probs: vec![0.0; n],
-            prob_stamp: vec![0; n],
             mark_stamp: vec![0; n],
             draw_colors: Vec::new(),
             draw_off: Vec::new(),
-            taken: Vec::new(),
             perm: Vec::new(),
             plane: PickPlane::default(),
         }
@@ -259,10 +251,8 @@ impl SimScratch {
     pub fn begin(&mut self) {
         if self.epoch == u32::MAX {
             // Stamp wrap (once per 2^32 evaluations): hard-reset.
-            self.adopted_stamp.iter_mut().for_each(|s| *s = 0);
             self.pick_stamp.iter_mut().for_each(|s| *s = 0);
             self.bit_stamp.iter_mut().for_each(|s| *s = 0);
-            self.prob_stamp.iter_mut().for_each(|s| *s = 0);
             self.mark_stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = 0;
         }
@@ -273,22 +263,10 @@ impl SimScratch {
         self.draw_off.clear();
     }
 
-    /// Record an adoption `(v, c)` (also maintains the dense view).
+    /// Record an adoption `(v, c)`.
     #[inline]
     pub fn record_adoption(&mut self, v: NodeId, c: u32) {
         self.adoptions.push((v, c));
-        self.adopted[v as usize] = c;
-        self.adopted_stamp[v as usize] = self.epoch;
-    }
-
-    /// Color adopted by `v` in the current evaluation (`NO_COLOR` if none).
-    #[inline]
-    pub fn adopted_color(&self, v: NodeId) -> u32 {
-        if self.adopted_stamp[v as usize] == self.epoch {
-            self.adopted[v as usize]
-        } else {
-            NO_COLOR
-        }
     }
 
     /// Cache a pick/proposal for `v`.
@@ -313,26 +291,18 @@ impl SimScratch {
         self.picks[v as usize]
     }
 
-    /// Stamp-free pick write for fused cost evaluations that fill every
-    /// node they will subsequently read via [`SimScratch::pick_raw`].
-    /// Never mix with stamped reads ([`SimScratch::pick`]) in the same
-    /// evaluation.
-    #[inline]
-    pub fn set_pick_raw(&mut self, v: NodeId, c: u32) {
-        self.picks[v as usize] = c;
-    }
-
-    /// Stamp-free pick read; only valid after [`SimScratch::set_pick_raw`]
-    /// wrote `v` in the same evaluation.
+    /// Stamp-free pick read; only valid after `v`'s pick was written in
+    /// the same evaluation through [`SimScratch::plane_and_picks`].
     #[inline]
     pub fn pick_raw(&self, v: NodeId) -> u32 {
         self.picks[v as usize]
     }
 
     /// Split-borrow the randomness plane together with the dense pick
-    /// array (stamp-free, [`SimScratch::set_pick_raw`] contract) —
-    /// striped `simulate_into_par` overrides fill picks from plane
-    /// stripes in parallel and need both halves mutably at once.
+    /// array (stamp-free: read back with [`SimScratch::pick_raw`], never
+    /// with the stamped [`SimScratch::pick`]) — striped
+    /// `simulate_into_par` overrides fill picks from plane stripes in
+    /// parallel and need both halves mutably at once.
     pub fn plane_and_picks(&mut self) -> (&mut PickPlane, &mut [u32]) {
         (&mut self.plane, &mut self.picks)
     }
@@ -350,36 +320,10 @@ impl SimScratch {
         self.bit_stamp[v as usize] == self.epoch && self.bits[v as usize]
     }
 
-    /// Cache a per-node probability for `v`.
-    #[inline]
-    pub fn set_prob(&mut self, v: NodeId, p: f64) {
-        self.probs[v as usize] = p;
-        self.prob_stamp[v as usize] = self.epoch;
-    }
-
-    /// Cached probability of `v` (0.0 if unset this evaluation).
-    #[inline]
-    pub fn prob(&self, v: NodeId) -> f64 {
-        if self.prob_stamp[v as usize] == self.epoch {
-            self.probs[v as usize]
-        } else {
-            0.0
-        }
-    }
-
     /// Add `v` to the evaluation-scoped mark set.
     #[inline]
     pub fn mark(&mut self, v: NodeId) {
         self.mark_stamp[v as usize] = self.epoch;
-    }
-
-    /// Add `v` to the mark set, reporting whether it was newly added
-    /// (lets clash scans count distinct clashed nodes on the fly).
-    #[inline]
-    pub fn mark_new(&mut self, v: NodeId) -> bool {
-        let fresh = self.mark_stamp[v as usize] != self.epoch;
-        self.mark_stamp[v as usize] = self.epoch;
-        fresh
     }
 
     /// Whether `v` is in the mark set.
@@ -412,7 +356,8 @@ impl SimScratch {
 ///
 /// Implementations must keep `simulate` **pure**: the outcome must be a
 /// deterministic function of `(state, rng)` and must not mutate anything —
-/// the derandomizer calls it once per candidate seed, in parallel.
+/// it is the reference every other evaluation method must reproduce, and
+/// the derandomizer evaluates candidate seeds in parallel.
 pub trait NormalProcedure: Sync {
     /// Human-readable procedure name (for reports).
     fn name(&self) -> &'static str;
@@ -433,13 +378,13 @@ pub trait NormalProcedure: Sync {
     /// Simulate the procedure on the current state under `rng`.
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome;
 
-    /// Simulate into a reusable scratch arena — the zero-allocation fast
-    /// path driven once per candidate seed by the derandomizer.
+    /// Simulate into a reusable scratch arena — builds the outcome of the
+    /// chosen seed (or of true randomness) once per step.
     ///
     /// Must be **outcome-equivalent** to [`NormalProcedure::simulate`]
     /// (same adoptions in the same order, same aux set) and must call
-    /// `scratch.begin()` first.  Implementations should be sequential:
-    /// seed-level parallelism is supplied outside, by `select_seed_with`.
+    /// `scratch.begin()` first.  Implementations are sequential; the
+    /// node-striped variant is [`NormalProcedure::simulate_into_par`].
     /// The default delegates to `simulate` (correct, but allocating).
     fn simulate_into(&self, state: &ColoringState, rng: &dyn Randomness, scratch: &mut SimScratch) {
         let out = self.simulate(state, rng);
@@ -469,54 +414,31 @@ pub trait NormalProcedure: Sync {
         self.simulate_into(state, rng, scratch);
     }
 
-    /// [`NormalProcedure::seed_cost`] evaluated against the scratch arena
-    /// filled by the latest `simulate_into` — must return exactly the same
-    /// value `seed_cost` would for the equivalent [`Outcome`].  The
-    /// default materializes the outcome (allocating); hot procedures
-    /// override it with allocation-free counting.
-    fn seed_cost_scratch(&self, state: &ColoringState, scratch: &mut SimScratch) -> f64 {
-        let out = scratch.to_outcome();
-        self.seed_cost(state, &out)
-    }
-
-    /// One fused seed evaluation: simulate under `rng` and return the seed
-    /// cost.  Must equal `simulate_into` + `seed_cost_scratch` (and hence
-    /// `simulate` + `seed_cost`) — but implementations may skip producing
-    /// the outcome when the cost alone is cheaper to compute (e.g. a
-    /// clash count).  This is what the derandomizer calls per candidate
-    /// seed; the outcome of the *chosen* seed is always re-simulated via
-    /// `simulate_into`.
-    fn seed_cost_fused(
-        &self,
-        state: &ColoringState,
-        rng: &dyn Randomness,
-        scratch: &mut SimScratch,
-    ) -> f64 {
-        self.simulate_into(state, rng, scratch);
-        self.seed_cost_scratch(state, scratch)
-    }
-
-    /// Fused cost evaluation for a **block** of candidate seeds, one tape
-    /// per seed (at most `parcolor_prg::SEED_BLOCK`): must write
-    /// `costs[i] = seed_cost_fused(state, tapes[i], scratch)` for every
-    /// lane.  The default is exactly that loop; hot procedures override
-    /// it to materialize the whole block's picks into the seed-lane plane
-    /// (`PickPlane::soa`) and amortize their clash scan across lanes.
+    /// Cost evaluation for a **block** of candidate seeds, one tape per
+    /// seed (at most `parcolor_prg::SEED_BLOCK`): must write
+    /// `costs[i] = seed_cost(state, &simulate(state, tapes[i]))` for every
+    /// lane.  This is the only path the derandomizer costs candidate
+    /// seeds through; a per-seed evaluation is a 1-lane block.  The
+    /// default is exactly that reference loop (allocating); every HKNT
+    /// procedure overrides it to materialize the whole block's picks into
+    /// the seed-lane plane (`PickPlane::soa`) and amortize its clash scan
+    /// across lanes.
     ///
     /// ## The block contract
     ///
     /// An override must guarantee, for every lane `i < costs.len()`:
     ///
     /// 1. **Per-lane purity.**  `costs[i]` is a pure function of seed
-    ///    lane `i` alone — exactly the value `seed_cost_fused(state,
-    ///    tapes[i], scratch)` computes, bit-for-bit (costs are integer
-    ///    SSP-failure counts, so "bit-for-bit" is meaningful).  Lanes
-    ///    must not leak into one another: the block fold regroups blocks
-    ///    freely across workers, and `tests/seed_fastpath_equivalence.rs`
-    ///    pins every override to the per-seed fused path.
+    ///    lane `i` alone — exactly the value `seed_cost(state,
+    ///    &simulate(state, tapes[i]))` computes, bit-for-bit (costs are
+    ///    integer SSP-failure counts, so "bit-for-bit" is meaningful).
+    ///    Lanes must not leak into one another: the block fold regroups
+    ///    blocks freely across workers, and
+    ///    `tests/seed_fastpath_equivalence.rs` pins every override to the
+    ///    reference path.
     /// 2. **Tape addressing is unchanged.**  Each lane draws through its
-    ///    own tape with the same `(node, stream, idx)` addresses the
-    ///    scalar path uses — materializing lanes into the plane is a
+    ///    own tape with the same `(node, stream, idx)` addresses
+    ///    `simulate` reads — materializing lanes into the plane is a
     ///    layout change, never a randomness change.
     /// 3. **Stale lanes are masked.**  Dense SoA rows
     ///    (`PickPlane::soa`) retain garbage from earlier blocks in lanes
@@ -537,8 +459,9 @@ pub trait NormalProcedure: Sync {
         costs: &mut [f64],
     ) {
         debug_assert_eq!(tapes.len(), costs.len());
+        let _ = scratch;
         for (tape, c) in tapes.iter().zip(costs.iter_mut()) {
-            *c = self.seed_cost_fused(state, *tape, scratch);
+            *c = self.seed_cost(state, &self.simulate(state, *tape));
         }
     }
 

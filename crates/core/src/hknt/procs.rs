@@ -72,16 +72,14 @@ impl StageSet {
     }
 }
 
-/// Post-outcome metrics: active degree and slack of `v` under a given
-/// adopted-color lookup (dense map for the reference path, scratch view
-/// for the fast path — one formula, two lookups, so the two paths cannot
-/// diverge).  `taken` is a reusable sorted-set buffer.
-fn post_deg_slack_with(
+/// Post-outcome metrics: active degree and slack of `v` under the dense
+/// adoption map `adopted` — the reference formula the lane kernel
+/// [`lane_slack_fail_costs`] evaluates per seed lane.
+fn post_deg_slack(
     g: &Graph,
     state: &ColoringState,
     set: &StageSet,
-    adopted_of: impl Fn(NodeId) -> u32,
-    taken: &mut Vec<u32>,
+    adopted: &[u32],
     v: NodeId,
 ) -> (usize, i64) {
     let mut deg = 0usize;
@@ -90,13 +88,13 @@ fn post_deg_slack_with(
     // Colors adopted by ≥1 neighbor that intersect v's palette.  Distinct
     // colors only: two non-adjacent neighbors may adopt the same color but
     // v's palette loses it once.  Neighbor lists are short (≤ Δ); a sorted
-    // scratch vector beats hashing here.
-    taken.clear();
+    // vector beats hashing here.
+    let mut taken: Vec<u32> = Vec::new();
     for &u in g.neighbors(v) {
         if !set.contains(u) {
             continue;
         }
-        let c = adopted_of(u);
+        let c = adopted[u as usize];
         if c == crate::instance::NO_COLOR {
             deg += 1;
         } else if pal.contains(&c) {
@@ -108,18 +106,6 @@ fn post_deg_slack_with(
     }
     let slack = (pal.len() - pal_lost) as i64 - deg as i64;
     (deg, slack)
-}
-
-/// [`post_deg_slack_with`] against a dense adoption map (reference path).
-fn post_deg_slack(
-    g: &Graph,
-    state: &ColoringState,
-    set: &StageSet,
-    adopted: &[u32],
-    v: NodeId,
-) -> (usize, i64) {
-    let mut taken = Vec::new();
-    post_deg_slack_with(g, state, set, |u| adopted[u as usize], &mut taken, v)
 }
 
 /// Dense `adopted-color` lookup built once per SSP evaluation.
@@ -189,92 +175,6 @@ fn uncolored_cost(set: &StageSet, state: &ColoringState, out: &Outcome) -> f64 {
         .count() as f64
 }
 
-// ---------------------------------------------------------------------
-// Allocation-free SSP evaluation against a SimScratch (fast path).
-//
-// These mirror `post_deg_slack` / `evaluate_ssp` / `uncolored_cost` but
-// read the scratch's dense adopted view and count instead of collecting —
-// no adoption map, no Vec of failures, no per-call allocation.
-// ---------------------------------------------------------------------
-
-/// [`post_deg_slack_with`] against the scratch's adopted view (fast path).
-fn post_deg_slack_scratch(
-    g: &Graph,
-    state: &ColoringState,
-    set: &StageSet,
-    scratch: &SimScratch,
-    taken: &mut Vec<u32>,
-    v: NodeId,
-) -> (usize, i64) {
-    post_deg_slack_with(g, state, set, |u| scratch.adopted_color(u), taken, v)
-}
-
-/// `evaluate_ssp(..).len()` without materializing anything.
-fn evaluate_ssp_count(
-    g: &Graph,
-    state: &ColoringState,
-    set: &StageSet,
-    ssp: &SspMode,
-    scratch: &mut SimScratch,
-) -> usize {
-    match ssp {
-        SspMode::Auto => 0,
-        // Adoptions are unique active nodes, so the uncolored count is a
-        // length difference — O(1) in the hottest SSP mode.
-        SspMode::Colored => uncolored_count_scratch(set, scratch),
-        SspMode::SlackRatio(ratio) => {
-            let mut taken = std::mem::take(&mut scratch.taken);
-            let count = set
-                .active
-                .iter()
-                .filter(|&&v| {
-                    if scratch.adopted_color(v) != crate::instance::NO_COLOR {
-                        return false; // colored ⇒ success
-                    }
-                    let (deg, slack) =
-                        post_deg_slack_scratch(g, state, set, scratch, &mut taken, v);
-                    (slack as f64) < ratio * deg as f64
-                })
-                .count();
-            scratch.taken = taken;
-            count
-        }
-        SspMode::SlackTarget(targets) => slack_target_count(g, state, set, targets, scratch),
-    }
-}
-
-/// `SlackTarget` failure count against per-active-node targets.
-fn slack_target_count(
-    g: &Graph,
-    state: &ColoringState,
-    set: &StageSet,
-    targets: &[f64],
-    scratch: &mut SimScratch,
-) -> usize {
-    let mut taken = std::mem::take(&mut scratch.taken);
-    let count = set
-        .active
-        .iter()
-        .zip(targets.iter())
-        .filter(|&(&v, &t)| {
-            if t <= 0.0 || scratch.adopted_color(v) != crate::instance::NO_COLOR {
-                return false;
-            }
-            let (_, slack) = post_deg_slack_scratch(g, state, set, scratch, &mut taken, v);
-            (slack as f64) < t
-        })
-        .count();
-    scratch.taken = taken;
-    count
-}
-
-/// Active nodes left uncolored in the scratch evaluation.  Adoptions are
-/// unique active nodes, so this is a constant-time difference.
-fn uncolored_count_scratch(set: &StageSet, scratch: &SimScratch) -> usize {
-    debug_assert!(scratch.adoptions.iter().all(|&(v, _)| set.contains(v)));
-    set.active.len() - scratch.adoptions.len()
-}
-
 /// All edges whose endpoints are both in `set`, each once as `(a, b)` with
 /// `a < b`.  One flat pass at first use replaces per-seed adjacency walks:
 /// the clash scan then touches a contiguous edge array with pre-filtered
@@ -301,16 +201,16 @@ fn collect_active_edges(g: &Graph, set: &StageSet) -> Vec<(NodeId, NodeId)> {
 // pair (`PickPlane::soa`, `PickPlane::adopted_mask`): lane `s` of node
 // `v` adopted color `soa[v][s]` iff bit `s` of `adopted_mask[v]` is set.
 // These kernels then compute every lane's seed cost in ONE pass over the
-// relevant nodes/neighborhoods — amortizing the graph traffic that the
-// per-seed fallback pays once per seed — while evaluating, per lane,
-// exactly the formulas of `evaluate_ssp_count` / `uncolored_count_scratch`
-// (same arithmetic, same dedup, same comparisons), so block costs are
-// bit-identical to the fused scalar path.
+// relevant nodes/neighborhoods — amortizing the graph traffic a per-seed
+// evaluation would pay once per seed — while evaluating, per lane,
+// exactly the formulas of `evaluate_ssp` / `uncolored_cost` (same
+// arithmetic, same dedup, same comparisons), so block costs are
+// bit-identical to the reference `seed_cost`.
 // ---------------------------------------------------------------------
 
 /// `costs[s] =` number of active nodes unadopted in lane `s` — the lane
-/// analogue of [`uncolored_count_scratch`] (and of `SspMode::Colored`'s
-/// failure count).
+/// analogue of [`uncolored_cost`] (and of `SspMode::Colored`'s failure
+/// count in [`evaluate_ssp`]).
 fn lane_uncolored_costs(set: &StageSet, plane: &PickPlane, lanes: usize, costs: &mut [f64]) {
     let mut adopted = [0usize; SEED_BLOCK];
     for &v in &set.active {
@@ -328,11 +228,11 @@ fn lane_uncolored_costs(set: &StageSet, plane: &PickPlane, lanes: usize, costs: 
 /// number of active nodes `v` with `skip(i) == false`, unadopted in lane
 /// `s`, whose post-outcome slack in lane `s` falls below
 /// `thresh(i, deg_s)` (where `deg_s` is `v`'s count of unadopted active
-/// neighbors in lane `s`) — the lane analogue of [`slack_target_count`] /
-/// the `SlackRatio` arm of [`evaluate_ssp_count`].  Walks each candidate
-/// node's neighborhood ONCE for all lanes, reading adopted colors as
-/// 32-byte SoA rows, with per-lane sorted-set dedup identical to the
-/// scalar path's `taken` buffer.
+/// neighbors in lane `s`) — the lane analogue of the `SlackTarget` and
+/// `SlackRatio` arms of [`evaluate_ssp`].  Walks each candidate node's
+/// neighborhood ONCE for all lanes, reading adopted colors as 32-byte SoA
+/// rows, with per-lane sorted-set dedup identical to the `taken` buffer
+/// of [`post_deg_slack`].
 #[allow(clippy::too_many_arguments)] // one shared kernel, two threshold shapes
 fn lane_slack_fail_costs(
     g: &Graph,
@@ -387,9 +287,9 @@ fn lane_slack_fail_costs(
                 adopted_nbrs[s] += 1;
                 let c = row[s];
                 if pal.contains(&c) {
-                    // Distinct colors only, exactly like the scalar
-                    // `taken` dedup: two neighbors adopting the same
-                    // color cost v's palette one entry.
+                    // Distinct colors only, exactly like the `taken`
+                    // dedup of `post_deg_slack`: two neighbors adopting
+                    // the same color cost v's palette one entry.
                     let taken = &mut taken_lanes[s];
                     if let Err(pos) = taken.binary_search(&c) {
                         taken.insert(pos, c);
@@ -414,8 +314,8 @@ fn lane_slack_fail_costs(
 }
 
 /// Dispatch a whole block's SSP costs off the adoption plane — one entry
-/// point for every `SspMode`, mirroring the per-seed dispatch in
-/// [`evaluate_ssp_count`] (with `Auto` mapped to the uncolored count,
+/// point for every `SspMode`, mirroring the dispatch in [`evaluate_ssp`]
+/// (with `Auto` mapped to the uncolored count of [`uncolored_cost`],
 /// matching the warm-up `seed_cost` overrides).
 fn lane_ssp_costs(
     g: &Graph,
@@ -683,64 +583,13 @@ impl NormalProcedure for TryRandomColor<'_> {
         scratch.plane = plane;
     }
 
-    fn seed_cost_scratch(&self, state: &ColoringState, scratch: &mut SimScratch) -> f64 {
-        match self.ssp {
-            SspMode::Auto => uncolored_count_scratch(&self.set, scratch) as f64,
-            _ => evaluate_ssp_count(self.g, state, &self.set, &self.ssp, scratch) as f64,
-        }
-    }
-
-    fn seed_cost_fused(
-        &self,
-        state: &ColoringState,
-        rng: &dyn Randomness,
-        scratch: &mut SimScratch,
-    ) -> f64 {
-        match self.ssp {
-            // For Colored (and the Auto warm-up cost) the failure count is
-            // exactly the number of clashed nodes: skip recording the
-            // adoption outcome entirely and count marks during the scan.
-            SspMode::Colored | SspMode::Auto => {
-                scratch.begin();
-                // Stamp-free fill off the batched plane: every pick read
-                // below is of a node written in this pass, so the validity
-                // stamps are dead weight here.
-                let mut plane = std::mem::take(&mut scratch.plane);
-                plane.draw_below(
-                    rng,
-                    S_PICK ^ self.round_tag << 8,
-                    0,
-                    &self.set.active,
-                    |v| state.palette(v).len() as u64,
-                );
-                for (i, &v) in self.set.active.iter().enumerate() {
-                    scratch.set_pick_raw(v, state.palette(v)[plane.vals[i] as usize]);
-                }
-                scratch.plane = plane;
-                let mut clashed = 0usize;
-                for &(a, b) in self.active_edges() {
-                    if scratch.pick_raw(a) == scratch.pick_raw(b) {
-                        clashed += usize::from(scratch.mark_new(a));
-                        clashed += usize::from(scratch.mark_new(b));
-                    }
-                }
-                clashed as f64
-            }
-            // Slack-based SSPs need neighbors' adopted colors: full path.
-            _ => {
-                self.simulate_into(state, rng, scratch);
-                self.seed_cost_scratch(state, scratch)
-            }
-        }
-    }
-
     /// Seed-lane block evaluation: the picks of all the block's seeds are
     /// materialized as one structure-of-arrays plane (`soa[v] = [pick
     /// under seed lane 0, …, lane 7]`), then **one** pass over the active
     /// edge list compares whole 8-lane rows at a time (`lane_eq_mask8`) —
     /// amortizing the clash scan's memory traffic across up to
-    /// `SEED_BLOCK` seeds, where the scalar fused path re-walks the edges
-    /// once per seed.  Unused lanes are padded with the node's own id,
+    /// `SEED_BLOCK` seeds, where a per-seed evaluation would re-walk the
+    /// edges once per seed.  Unused lanes are padded with the node's own id,
     /// which can never collide across an edge.
     ///
     /// For `Colored`/`Auto` each lane's clashed-node count is the cost
@@ -1051,21 +900,14 @@ impl NormalProcedure for MultiTrial<'_> {
         scratch.perm = tmp;
     }
 
-    fn seed_cost_scratch(&self, state: &ColoringState, scratch: &mut SimScratch) -> f64 {
-        match self.ssp {
-            SspMode::Auto => uncolored_count_scratch(&self.set, scratch) as f64,
-            _ => evaluate_ssp_count(self.g, state, &self.set, &self.ssp, scratch) as f64,
-        }
-    }
-
     /// Seed-lane block evaluation: all lanes' candidate sets are drawn
     /// into one lane-major flat arena (identical tape addresses to the
     /// scalar draw), then the adoption scan walks each node's
     /// neighborhood **once** for the whole block — per neighbor, a
     /// sorted merge-intersection eliminates the node's surviving
     /// candidates in every lane at once (64-bit alive masks, one bit per
-    /// candidate), where the per-seed fallback re-walks the neighbor
-    /// list and re-runs the binary searches once per seed.  The first
+    /// candidate), where a per-seed evaluation would re-walk the neighbor
+    /// list and re-run the binary searches once per seed.  The first
     /// surviving candidate per lane is the adopted color, feeding the
     /// lane-parallel SSP kernel.
     fn seed_cost_block(
@@ -1297,10 +1139,6 @@ impl NormalProcedure for GenerateSlack<'_> {
         }
     }
 
-    fn seed_cost_scratch(&self, state: &ColoringState, scratch: &mut SimScratch) -> f64 {
-        slack_target_count(self.g, state, &self.set, &self.targets, scratch) as f64
-    }
-
     /// Slack-lane block evaluation: all lanes' sample bits and picks are
     /// materialized once (Bernoulli stripes over the active set, bounded
     /// draws over each lane's gathered sampled subset — the same tape
@@ -1308,8 +1146,8 @@ impl NormalProcedure for GenerateSlack<'_> {
     /// over the active edge list finds same-pick collisions between
     /// sampled endpoints for the whole block, and the lane-parallel slack
     /// kernel evaluates every lane's slack-target failures in one
-    /// neighborhood pass per candidate node — where the per-seed fallback
-    /// re-walks edges and neighborhoods once per seed.
+    /// neighborhood pass per candidate node — where a per-seed evaluation
+    /// would re-walk edges and neighborhoods once per seed.
     fn seed_cost_block(
         &self,
         state: &ColoringState,
@@ -1590,30 +1428,13 @@ impl NormalProcedure for SynchColorTrial<'_> {
         }
     }
 
-    fn seed_cost_scratch(&self, _state: &ColoringState, scratch: &mut SimScratch) -> f64 {
-        let mut total = 0usize;
-        for ct in &self.cliques {
-            let failed = ct
-                .inliers
-                .iter()
-                .filter(|&&v| {
-                    self.set.contains(v) && scratch.adopted_color(v) == crate::instance::NO_COLOR
-                })
-                .count();
-            if failed > self.tolerance {
-                total += failed;
-            }
-        }
-        total as f64
-    }
-
     /// Seed-lane block evaluation: every lane's leader deals (the
     /// data-dependent Fisher-Yates stays per-lane, fed by one idx-stripe
     /// off that lane's tape) land in the proposal SoA plane, then **one**
     /// lane-masked pass over the proposal-holder edge list resolves
     /// conflicts for the whole block, and one pass over the cliques
-    /// counts every lane's tolerance-gated failures — where the per-seed
-    /// fallback re-walks inlier neighborhoods once per seed.
+    /// counts every lane's tolerance-gated failures — where a per-seed
+    /// evaluation would re-walk inlier neighborhoods once per seed.
     fn seed_cost_block(
         &self,
         state: &ColoringState,
@@ -1862,35 +1683,14 @@ impl NormalProcedure for PutAside<'_> {
         }
     }
 
-    fn seed_cost_scratch(&self, _state: &ColoringState, scratch: &mut SimScratch) -> f64 {
-        // Mark P, then count per-clique target misses — allocation-free
-        // equivalent of `ssp_failures(..).len()`.
-        for i in 0..scratch.aux.len() {
-            let v = scratch.aux[i];
-            scratch.mark(v);
-        }
-        let mut total = 0usize;
-        for cq in &self.cliques {
-            let got = cq.inliers.iter().filter(|&&v| scratch.is_marked(v)).count();
-            if got < cq.target {
-                total += cq
-                    .inliers
-                    .iter()
-                    .filter(|&&v| self.set.contains(v) && !scratch.is_marked(v))
-                    .count();
-            }
-        }
-        total as f64
-    }
-
     /// Seed-lane block evaluation: every lane's sample bits are
     /// materialized as per-node lane bitmasks (one Bernoulli stripe per
     /// clique per lane, later cliques overwriting shared inliers exactly
     /// like the scalar last-writer probability table), then **one**
     /// neighborhood pass computes every lane's kept set `P` (sampled, no
     /// sampled active neighbor) and one pass over the cliques counts all
-    /// lanes' target misses — where the per-seed fallback re-walks the
-    /// inlier neighborhoods once per seed.
+    /// lanes' target misses — where a per-seed evaluation would re-walk
+    /// the inlier neighborhoods once per seed.
     fn seed_cost_block(
         &self,
         state: &ColoringState,

@@ -47,17 +47,6 @@ fn luby_round(g: &Graph, live: &[bool], rng: &dyn Randomness, round: u64) -> Vec
         .collect()
 }
 
-/// Nodes of the live set not dominated by a joined set, where membership
-/// is supplied as a predicate — the ONE undominated-count kernel shared
-/// by the reference path (dense `Vec<bool>` mask) and the scratch path
-/// (epoch stamps), so the two cannot diverge.
-fn undominated_count(g: &Graph, live: &[bool], is_joined: impl Fn(NodeId) -> bool) -> usize {
-    (0..g.n() as NodeId)
-        .filter(|&v| live[v as usize] && !is_joined(v))
-        .filter(|&v| !g.neighbors(v).iter().any(|&u| is_joined(u)))
-        .count()
-}
-
 /// Nodes of the live set not dominated by `joined` (the SSP failures of
 /// the round if the round were the whole procedure): live nodes with no
 /// joined node in their closed neighborhood after this round... for the
@@ -68,23 +57,20 @@ fn undominated(g: &Graph, live: &[bool], joined: &[NodeId]) -> usize {
     for &v in joined {
         jmask[v as usize] = true;
     }
-    undominated_count(g, live, |v| jmask[v as usize])
+    (0..g.n() as NodeId)
+        .filter(|&v| live[v as usize] && !jmask[v as usize])
+        .filter(|&v| !g.neighbors(v).iter().any(|&u| jmask[u as usize]))
+        .count()
 }
 
-/// Per-worker scratch for the derandomized seed search: a reusable
-/// `joined` buffer, an epoch-stamped domination mask, and the round's
-/// **priority plane** — the live nodes' tape words, filled by one batched
-/// `fill_words` stripe per seed and scattered densely so the winner scan
-/// reads priorities as array lookups instead of re-mixing the tape once
-/// per incident edge.  One seed evaluation allocates nothing after
-/// warm-up.
+/// Per-worker scratch for the derandomized seed search: the round's
+/// seed-lane **priority plane** — the live nodes' tape words, filled by
+/// one batched `fill_words` stripe per lane and scattered densely so the
+/// winner scan reads priorities as array lookups instead of re-mixing the
+/// tape once per incident edge.  One block evaluation allocates nothing
+/// after warm-up.
+#[derive(Default)]
 struct LubyScratch {
-    joined: Vec<NodeId>,
-    stamp: Vec<u32>,
-    epoch: u32,
-    /// Dense priority plane, valid at live-node positions for the seed
-    /// under evaluation.
-    prio: Vec<u64>,
     /// Stripe buffer aligned with the round's live-node list.
     vals: Vec<u64>,
     /// Seed-lane priority plane: the priorities of up to [`SEED_BLOCK`]
@@ -96,75 +82,14 @@ struct LubyScratch {
     join_mask: Vec<u8>,
 }
 
-impl LubyScratch {
-    fn new(n: usize) -> Self {
-        LubyScratch {
-            joined: Vec::new(),
-            stamp: vec![0; n],
-            epoch: 0,
-            prio: vec![0; n],
-            vals: Vec::new(),
-            prio_soa: Vec::new(),
-            join_mask: Vec::new(),
-        }
-    }
-}
-
-/// `luby_round`, writing into a reusable buffer (sequential: the seed
-/// search parallelizes over seeds, not nodes).  `live_list` is the
-/// ascending list of live nodes (the same order the scalar scan visits);
-/// their priorities come off the tape as one batched stripe — bit-
-/// identical words, so the joined set matches [`luby_round`] exactly.
-fn luby_round_into(
-    g: &Graph,
-    live: &[bool],
-    live_list: &[NodeId],
-    rng: &dyn Randomness,
-    round: u64,
-    scratch: &mut LubyScratch,
-) {
-    scratch.vals.resize(live_list.len(), 0);
-    rng.fill_words(round, live_list, 0, &mut scratch.vals);
-    for (i, &v) in live_list.iter().enumerate() {
-        scratch.prio[v as usize] = scratch.vals[i];
-    }
-    let prio = &scratch.prio;
-    let out = &mut scratch.joined;
-    out.clear();
-    for &v in live_list {
-        let pv = prio[v as usize];
-        let wins = g.neighbors(v).iter().all(|&u| {
-            !live[u as usize] || {
-                let pu = prio[u as usize];
-                pv > pu || (pv == pu && v < u)
-            }
-        });
-        if wins {
-            out.push(v);
-        }
-    }
-}
-
-/// [`undominated_count`] against an epoch-stamped membership mask (no
-/// per-call `Vec<bool>`).
-fn undominated_scratch(g: &Graph, live: &[bool], scratch: &mut LubyScratch) -> usize {
-    scratch.epoch += 1;
-    let epoch = scratch.epoch;
-    for &v in &scratch.joined {
-        scratch.stamp[v as usize] = epoch;
-    }
-    let stamp = &scratch.stamp;
-    undominated_count(g, live, |v| stamp[v as usize] == epoch)
-}
-
 /// Seed-lane block evaluation of one Luby round: all lanes' priorities
 /// are materialized as one structure-of-arrays plane (one batched
 /// `fill_words` stripe per lane), then **one** pass over the live
 /// neighborhoods decides every lane's winners (lane-masked strict-max
-/// compare with the scalar path's id tiebreak) and a second pass counts
-/// every lane's undominated nodes — where the per-seed fallback re-walks
-/// the neighborhoods once per seed.  `costs[s]` equals exactly what
-/// `luby_round_into` + `undominated_scratch` computes for tape `s`.
+/// compare with [`luby_round`]'s id tiebreak) and a second pass counts
+/// every lane's undominated nodes — where a per-seed evaluation would
+/// re-walk the neighborhoods once per seed.  `costs[s]` equals exactly
+/// `undominated(g, live, &luby_round(g, live, &tapes[s], round))`.
 #[allow(clippy::too_many_arguments)] // internal block kernel, all state explicit
 fn luby_round_block_costs(
     g: &Graph,
@@ -308,7 +233,7 @@ pub fn derandomized_luby_mis_sharded(
             seed_bits,
             strategy,
             workers,
-            || LubyScratch::new(g.n()),
+            LubyScratch::default,
             |seed0, costs, scratch| {
                 let tapes = prg.block_tapes(seed0, &chunks);
                 luby_round_block_costs(
@@ -337,51 +262,6 @@ pub fn derandomized_luby_mis_sharded(
         rounds,
         deferrals_per_round: deferrals,
         guarantee_checks: checks,
-    }
-}
-
-/// Bench/testing hook: run one Luby round's seed search over the whole
-/// graph (everyone live) and return the selection — either through the
-/// seed-lane **block** path ([`luby_round_block_costs`], what
-/// [`derandomized_luby_mis`] drives) or through the **per-seed** fused
-/// fallback (`luby_round_into` + `undominated_scratch`, the regime before
-/// the block port).  Both must select identically; benches measure the
-/// block path's per-seed-eval speedup through this single entry point.
-pub fn luby_round_seed_search(
-    g: &Graph,
-    seed_bits: u32,
-    strategy: SeedStrategy,
-    workers: usize,
-    block: bool,
-) -> parcolor_prg::SeedSelection {
-    let prg = Prg::new(seed_bits);
-    let chunks = ChunkAssignment::PerNode;
-    let live = vec![true; g.n()];
-    let live_list: Vec<NodeId> = (0..g.n() as NodeId).collect();
-    let (live, live_list) = (&live, &live_list);
-    if block {
-        select_seed_blocks_n(
-            seed_bits,
-            strategy,
-            workers,
-            || LubyScratch::new(g.n()),
-            |seed0, costs, scratch| {
-                let tapes = prg.block_tapes(seed0, &chunks);
-                luby_round_block_costs(g, live, live_list, &tapes, costs.len(), 1, scratch, costs);
-            },
-        )
-    } else {
-        parcolor_prg::select_seed_with_n(
-            seed_bits,
-            strategy,
-            workers,
-            || LubyScratch::new(g.n()),
-            |seed, scratch| {
-                let tape = PrgTape::new(prg, seed, &chunks);
-                luby_round_into(g, live, live_list, &tape, 1, scratch);
-                undominated_scratch(g, live, scratch) as f64
-            },
-        )
     }
 }
 
@@ -424,45 +304,42 @@ mod tests {
 
     #[test]
     fn batched_round_matches_reference_round() {
-        // The priority-plane round must produce exactly the joined set of
-        // the scalar reference round, on full and partial live sets.
+        // Every lane of the seed-lane block evaluation must cost exactly
+        // what the reference round (`luby_round` + `undominated`) costs
+        // under that lane's tape: full, short and unit blocks, on full
+        // and partial live sets, through one reused scratch.
         let g = random_graph(300, 1200, 9);
-        let tape = CryptoTape::new(31);
-        let mut scratch = LubyScratch::new(g.n());
-        for round in 1..4u64 {
-            let live: Vec<bool> = (0..g.n()).map(|v| v % (round as usize + 1) != 1).collect();
+        let prg = Prg::new(6);
+        let chunks = ChunkAssignment::PerNode;
+        let mut scratch = LubyScratch::default();
+        let mut nonzero = 0;
+        for (round, stride) in [(1u64, 1usize), (2, 2), (3, 3)] {
+            // Stride 1 keeps every node live.
+            let live: Vec<bool> = (0..g.n()).map(|v| v % stride == 0).collect();
             let live_list: Vec<NodeId> =
                 (0..g.n() as NodeId).filter(|&v| live[v as usize]).collect();
-            let reference = luby_round(&g, &live, &tape, round);
-            luby_round_into(&g, &live, &live_list, &tape, round, &mut scratch);
-            assert_eq!(scratch.joined, reference, "round {round}");
-            assert_eq!(
-                undominated_scratch(&g, &live, &mut scratch),
-                undominated(&g, &live, &reference),
-                "round {round}"
-            );
+            for (seed0, lanes) in [(0u64, SEED_BLOCK), (8, 3), (63, 1)] {
+                let tapes = prg.block_tapes(seed0, &chunks);
+                let mut costs = vec![0.0f64; lanes];
+                luby_round_block_costs(
+                    &g,
+                    &live,
+                    &live_list,
+                    &tapes,
+                    lanes,
+                    round,
+                    &mut scratch,
+                    &mut costs,
+                );
+                for (s, &got) in costs.iter().enumerate() {
+                    let joined = luby_round(&g, &live, &tapes[s], round);
+                    let want = undominated(&g, &live, &joined) as f64;
+                    assert_eq!(got, want, "round {round}, lane {s} of block at {seed0}");
+                    nonzero += usize::from(want > 0.0);
+                }
+            }
         }
-    }
-
-    #[test]
-    fn block_round_search_matches_per_seed_path() {
-        // The seed-lane block evaluation must select exactly what the
-        // per-seed fused fallback selects, for every strategy.
-        let g = random_graph(250, 900, 4);
-        for strategy in [
-            SeedStrategy::Exhaustive,
-            SeedStrategy::BitwiseCondExp,
-            SeedStrategy::FixedSubset(13),
-            SeedStrategy::SingleSeed(5),
-        ] {
-            let scalar = luby_round_seed_search(&g, 6, strategy, 1, false);
-            let block = luby_round_seed_search(&g, 6, strategy, 1, true);
-            assert_eq!(scalar.seed, block.seed, "{strategy:?}");
-            assert_eq!(scalar.cost, block.cost, "{strategy:?}");
-            assert_eq!(scalar.mean_cost, block.mean_cost, "{strategy:?}");
-            assert_eq!(scalar.min_cost, block.min_cost, "{strategy:?}");
-            assert_eq!(scalar.trace, block.trace, "{strategy:?}");
-        }
+        assert!(nonzero > 0, "every lane cost 0: the pin compared nothing");
     }
 
     #[test]

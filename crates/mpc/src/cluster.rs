@@ -13,7 +13,6 @@
 
 use crate::config::MpcConfig;
 use crate::metrics::MpcMetrics;
-use std::sync::Arc;
 
 /// A dataset partitioned across machines.
 #[derive(Clone, Debug)]
@@ -48,7 +47,7 @@ impl<T> Dist<T> {
 /// The cluster: a machine-count, a per-machine word budget, and metrics.
 pub struct Cluster {
     cfg: MpcConfig,
-    metrics: Arc<MpcMetrics>,
+    metrics: MpcMetrics,
 }
 
 impl Cluster {
@@ -56,7 +55,7 @@ impl Cluster {
     pub fn new(cfg: MpcConfig) -> Self {
         Cluster {
             cfg,
-            metrics: Arc::new(MpcMetrics::new()),
+            metrics: MpcMetrics::new(),
         }
     }
 
@@ -68,11 +67,6 @@ impl Cluster {
     /// The metrics sink.
     pub fn metrics(&self) -> &MpcMetrics {
         &self.metrics
-    }
-
-    /// Shared handle to the metrics sink.
-    pub fn metrics_arc(&self) -> Arc<MpcMetrics> {
-        Arc::clone(&self.metrics)
     }
 
     fn capacity(&self) -> usize {

@@ -20,7 +20,6 @@
 use crate::config::MpcConfig;
 use crate::metrics::MpcMetrics;
 use parcolor_local::graph::{Graph, NodeId};
-use std::sync::Arc;
 
 /// Nodes stolen at a time by [`charge_active`]'s pool fold.
 const FOLD_BLOCK: u64 = 1024;
@@ -84,7 +83,7 @@ where
 /// Accountant for Lemma 17-style per-node MPC operations.
 pub struct NodeMpc {
     cfg: MpcConfig,
-    metrics: Arc<MpcMetrics>,
+    metrics: MpcMetrics,
 }
 
 impl NodeMpc {
@@ -92,13 +91,8 @@ impl NodeMpc {
     pub fn new(cfg: MpcConfig) -> Self {
         NodeMpc {
             cfg,
-            metrics: Arc::new(MpcMetrics::new()),
+            metrics: MpcMetrics::new(),
         }
-    }
-
-    /// Share the metrics sink of an existing execution.
-    pub fn with_metrics(cfg: MpcConfig, metrics: Arc<MpcMetrics>) -> Self {
-        NodeMpc { cfg, metrics }
     }
 
     /// The metrics sink.
@@ -170,12 +164,6 @@ impl NodeMpc {
     pub fn charge_single_machine(&self, words: usize) {
         self.metrics
             .observe_machine(words as u64, self.cfg.local_space() as u64);
-    }
-
-    /// Charge holding the graph across machines (baseline residency used
-    /// for the global-space accounting of E2).
-    pub fn charge_graph_residency(&self, g: &Graph) {
-        self.metrics.observe_global(g.words() as u64);
     }
 }
 

@@ -31,9 +31,8 @@ pub mod seed_search;
 pub use hashing::{KWiseFamily, PairwiseHash};
 pub use prg::{ChunkAssignment, Prg, PrgTape};
 pub use seed_search::{
-    fold_seed_range_in, seed_workers, select_seed, select_seed_blocks, select_seed_blocks_n,
-    select_seed_folded, select_seed_with, select_seed_with_n, RangeFolder, SeedSelection,
-    SeedStrategy, SEED_BLOCK,
+    fold_seed_range_in, seed_workers, select_seed, select_seed_blocks_n, select_seed_folded,
+    RangeFolder, SeedSelection, SeedStrategy, SEED_BLOCK,
 };
 // Re-exported so remote-sharding backends can merge partial folds with
 // the exact kernel the local path uses.

@@ -158,8 +158,8 @@ impl Prg {
     /// seed — a block evaluator only reads lanes `0..costs.len()`, so the
     /// clamped tapes are never consulted; the clamp exists solely to keep
     /// the construction in range.  This is the one place that invariant
-    /// lives: every `select_seed_blocks` call site should build its tapes
-    /// here.
+    /// lives: every `select_seed_blocks_n` call site should build its
+    /// tapes here.
     pub fn block_tapes<'a>(
         &self,
         seed0: u64,

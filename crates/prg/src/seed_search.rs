@@ -23,40 +23,45 @@
 //! `SingleSeed` pins the seed (used to measure "no derandomization" in
 //! ablations).
 //!
-//! ## Fast path: [`select_seed_with`]
+//! ## Entry points
 //!
-//! [`select_seed`] is the sequential reference: it evaluates a plain
-//! `cost(seed)` closure seed by seed, on the calling thread, and (for
-//! `Exhaustive`/`BitwiseCondExp`) materializes the whole `2^d`-entry cost
-//! table — simple, but allocation-heavy and wasteful when each evaluation
-//! itself wants reusable scratch buffers.  [`select_seed_with`] is the
-//! batched, pool-parallel replacement used by the framework's hot loop:
+//! Three functions run a strategy; for integer-valued costs they return
+//! field-for-field the same [`SeedSelection`]:
 //!
-//! * the caller provides a `make_scratch` factory and an
-//!   `eval(seed, &mut scratch)` closure, so each worker thread owns one
-//!   scratch arena and seed evaluations allocate nothing after warm-up;
-//! * seeds are folded on the **persistent work-stealing pool** of
-//!   [`parcolor_exec`] (seed-level parallelism only — evaluations
-//!   themselves must be sequential): workers steal [`SEED_BLOCK`]-sized
-//!   blocks off one shared atomic counter, merging `(sum, min, argmin)`
-//!   with a lowest-seed tie-break; the block fold is grouping-invariant,
-//!   so the result is independent of both the worker count and the steal
-//!   order (the `_n` variants pin the worker count explicitly);
-//! * `BitwiseCondExp` becomes a true streaming conditional-expectation
-//!   walk: each half-space mean is a fresh parallel reduction, nothing is
-//!   materialized, and the trace/guarantee fields match the exhaustive
-//!   table walk bit-for-bit for integer-valued costs (SSP failure counts —
-//!   verified by `tests/seed_fastpath_equivalence.rs`).
+//! * [`select_seed`] — the sequential reference.  It evaluates a plain
+//!   `cost(seed)` closure seed by seed on the calling thread and (for
+//!   `Exhaustive`/`BitwiseCondExp`) materializes the whole `2^d`-entry
+//!   cost table: simple, but allocation-heavy.
+//! * [`select_seed_blocks_n`] — the pool search behind the framework's
+//!   hot loop, Luby MIS and the distributed worker:
+//!   - the caller provides a `make_scratch` factory and an
+//!     `eval_block(seed0, costs, &mut scratch)` closure costing up to
+//!     [`SEED_BLOCK`] contiguous seeds at once, so each worker owns one
+//!     scratch arena and evaluations allocate nothing after warm-up;
+//!   - seeds are folded on the **persistent work-stealing pool** of
+//!     [`parcolor_exec`] (seed-level parallelism only — evaluations
+//!     themselves must be sequential): workers steal [`SEED_BLOCK`]-sized
+//!     blocks off one shared atomic counter, merging `(sum, min, argmin)`
+//!     with a lowest-seed tie-break; the block fold is grouping-invariant,
+//!     so the result is independent of both the worker count and the
+//!     steal order;
+//!   - `BitwiseCondExp` becomes a true streaming conditional-expectation
+//!     walk: each half-space mean is a fresh parallel reduction, nothing
+//!     is materialized, and the trace/guarantee fields match the
+//!     exhaustive table walk bit-for-bit (verified by
+//!     `tests/seed_fastpath_equivalence.rs`).
+//! * [`select_seed_folded`] — the strategy logic against any
+//!   [`RangeFolder`].  `select_seed_blocks_n` is this over the in-process
+//!   folder; the distributed coordinator runs it over a fleet.
 
 use parcolor_exec::{Executor, SumMinArgmin};
 
-/// Width of one seed block: [`select_seed_blocks`] hands its evaluator up
-/// to this many **contiguous** seeds at a time, so cost functions can
+/// Width of one seed block: [`select_seed_blocks_n`] hands its evaluator
+/// up to this many **contiguous** seeds at a time, so cost functions can
 /// amortize shared work (graph scans, plane fills) across the block's
-/// seed lanes.  Sized to one AVX2 register of `u32` picks — and capped at
-/// 8 by the `u8` lane bitmasks block evaluators accumulate clash bits in
-/// (widen those before raising this).  Evaluators may rely on block
-/// lengths never exceeding this.
+/// seed lanes.  Capped at 8 by the `u8` lane bitmasks block evaluators
+/// accumulate clash bits in (widen those before raising this).
+/// Evaluators may rely on block lengths never exceeding this.
 pub const SEED_BLOCK: usize = 8;
 const _: () = assert!(SEED_BLOCK <= u8::BITS as usize, "lane masks are u8");
 
@@ -137,102 +142,35 @@ where
     }
 }
 
-/// Deterministically choose a seed using per-thread scratch state — the
-/// zero-allocation fast path of the seed search.
+/// Deterministically choose a seed with a **block** evaluator on the
+/// executor pool — the batched fast path of the seed search.
 ///
-/// `make_scratch` builds one scratch arena per worker thread;
-/// `eval(seed, &mut scratch)` must be a pure function of the seed (the
-/// scratch is an optimization detail, not state: evaluations must not
-/// depend on what a previous seed left in it beyond capacity).  Returns
-/// exactly the same `SeedSelection` as [`select_seed`] for integer-valued
-/// cost functionals, for every strategy.
-///
-/// Parallelism is over **seeds only**: blocks of the seed space are folded
-/// on the executor pool, each worker owning one scratch.  Evaluations
-/// must therefore be sequential internally — exactly the regime the
-/// framework's `simulate_into` implementations are written for.
-pub fn select_seed_with<S, M, F>(
-    seed_bits: u32,
-    strategy: SeedStrategy,
-    make_scratch: M,
-    eval: F,
-) -> SeedSelection
-where
-    S: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(u64, &mut S) -> f64 + Sync,
-{
-    select_seed_with_n(seed_bits, strategy, 0, make_scratch, eval)
-}
-
-/// [`select_seed_with`] with an explicit worker count (`0` = auto); see
-/// [`select_seed_blocks_n`] for the sharding semantics.
-pub fn select_seed_with_n<S, M, F>(
-    seed_bits: u32,
-    strategy: SeedStrategy,
-    workers: usize,
-    make_scratch: M,
-    eval: F,
-) -> SeedSelection
-where
-    S: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(u64, &mut S) -> f64 + Sync,
-{
-    // The scalar evaluator is a degenerate block evaluator.
-    select_seed_blocks_n(
-        seed_bits,
-        strategy,
-        workers,
-        make_scratch,
-        |seed0, costs, scratch| {
-            for (i, c) in costs.iter_mut().enumerate() {
-                *c = eval(seed0 + i as u64, scratch);
-            }
-        },
-    )
-}
-
-/// [`select_seed_with`] with a **block** evaluator — the batched
-/// randomness-plane form of the seed search.
-///
+/// `make_scratch` builds one scratch arena per worker;
 /// `eval_block(seed0, costs, scratch)` must write
-/// `costs[i] = cost(seed0 + i)` for every `i < costs.len()`; blocks are
+/// `costs[i] = cost(seed0 + i)` for every `i < costs.len()`.  Blocks are
 /// contiguous, at most [`SEED_BLOCK`] long, and aligned to block-index
-/// boundaries of the evaluated range.  Because each cost must be a pure
-/// function of its own seed, block grouping (and hence worker count) can
-/// never change the outcome; the selection is field-for-field identical
-/// to [`select_seed`] for integer-valued costs.
+/// boundaries of the evaluated range.  Each cost must be a pure function
+/// of its own seed (the scratch is an optimization detail, not state:
+/// evaluations must not depend on what a previous block left in it
+/// beyond capacity), so block grouping can never change the outcome; the
+/// selection is field-for-field identical to [`select_seed`] for
+/// integer-valued costs.
 ///
 /// The block form is what lets evaluators amortize per-seed fixed costs:
 /// a procedure can materialize the pick plane of all the block's seeds
 /// (structure-of-arrays, one `u32` lane per seed) and run its clash scan
 /// once over the graph with lane-parallel compares, instead of once per
 /// seed.
-pub fn select_seed_blocks<S, M, F>(
-    seed_bits: u32,
-    strategy: SeedStrategy,
-    make_scratch: M,
-    eval_block: F,
-) -> SeedSelection
-where
-    S: Send,
-    M: Fn() -> S + Sync,
-    F: Fn(u64, &mut [f64], &mut S) + Sync,
-{
-    select_seed_blocks_n(seed_bits, strategy, 0, make_scratch, eval_block)
-}
-
-/// [`select_seed_blocks`] with an explicit worker count (`0` = auto: the
-/// `PARCOLOR_THREADS` env var, else all hardware threads).
 ///
-/// Workers **steal seed blocks** off one shared atomic counter instead of
-/// owning fixed contiguous chunks, so a straggler block (dense
-/// neighborhood, cache miss storm) never idles the other workers.  The
-/// fold merges `(sum, min, argmin)` with an explicit lowest-seed
-/// tie-break, which makes the selection independent of the (nondeterministic)
-/// steal order: for integer-valued costs — every cost functional in this
-/// workspace — the result is bit-identical at every worker count.
+/// `workers` is the worker count (`0` = auto: the `PARCOLOR_THREADS` env
+/// var, else all hardware threads).  Workers **steal seed blocks** off one
+/// shared atomic counter instead of owning fixed contiguous chunks, so a
+/// straggler block (dense neighborhood, cache miss storm) never idles the
+/// other workers.  The fold merges `(sum, min, argmin)` with an explicit
+/// lowest-seed tie-break, which makes the selection independent of the
+/// (nondeterministic) steal order: for integer-valued costs — every cost
+/// functional in this workspace — the result is bit-identical at every
+/// worker count.
 ///
 /// Callers supplying **non-integer** costs keep a deterministic
 /// `best_seed`/`min_cost` (the min/argmin merge is order-invariant), but
@@ -595,28 +533,6 @@ mod tests {
         assert_eq!(b.seed, 0);
     }
 
-    /// The fast path must agree with the reference path field-for-field on
-    /// integer-valued costs, for every strategy.
-    #[test]
-    fn select_seed_with_matches_reference() {
-        let cost = |s: u64| ((s * 37 + 11) % 19) as f64;
-        for strategy in [
-            SeedStrategy::Exhaustive,
-            SeedStrategy::BitwiseCondExp,
-            SeedStrategy::FixedSubset(23),
-            SeedStrategy::SingleSeed(5),
-        ] {
-            let old = select_seed(8, strategy, cost);
-            let new = select_seed_with(8, strategy, || (), |s, _| cost(s));
-            assert_eq!(old.seed, new.seed, "{strategy:?}");
-            assert_eq!(old.cost, new.cost, "{strategy:?}");
-            assert_eq!(old.mean_cost, new.mean_cost, "{strategy:?}");
-            assert_eq!(old.min_cost, new.min_cost, "{strategy:?}");
-            assert_eq!(old.evaluated, new.evaluated, "{strategy:?}");
-            assert_eq!(old.trace, new.trace, "{strategy:?}");
-        }
-    }
-
     /// Worker count must not change the outcome (chunk merge is ordered).
     /// Exercised through the explicit-worker fold rather than the
     /// `PARCOLOR_THREADS` env var: tests run multi-threaded in one
@@ -651,9 +567,10 @@ mod tests {
             SeedStrategy::SingleSeed(5),
         ] {
             let old = select_seed(8, strategy, cost);
-            let new = select_seed_blocks(
+            let new = select_seed_blocks_n(
                 8,
                 strategy,
+                0,
                 || (),
                 |s0, out: &mut [f64], _| {
                     assert!(out.len() <= SEED_BLOCK);
@@ -666,6 +583,7 @@ mod tests {
             assert_eq!(old.cost, new.cost, "{strategy:?}");
             assert_eq!(old.mean_cost, new.mean_cost, "{strategy:?}");
             assert_eq!(old.min_cost, new.min_cost, "{strategy:?}");
+            assert_eq!(old.evaluated, new.evaluated, "{strategy:?}");
             assert_eq!(old.trace, new.trace, "{strategy:?}");
         }
     }
@@ -676,17 +594,21 @@ mod tests {
     fn scratch_is_reused_across_seeds() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let factories = AtomicUsize::new(0);
-        let sel = select_seed_with(
+        let sel = select_seed_blocks_n(
             8,
             SeedStrategy::Exhaustive,
+            0,
             || {
                 factories.fetch_add(1, Ordering::Relaxed);
                 Vec::<u64>::new()
             },
-            |s, scratch| {
+            |s0, costs: &mut [f64], scratch| {
                 scratch.clear();
-                scratch.push(s);
-                (s % 7) as f64
+                for (i, c) in costs.iter_mut().enumerate() {
+                    let s = s0 + i as u64;
+                    scratch.push(s);
+                    *c = (s % 7) as f64;
+                }
             },
         );
         assert_eq!(sel.seed, 0);
@@ -734,9 +656,22 @@ mod tests {
             SeedStrategy::BitwiseCondExp,
             SeedStrategy::FixedSubset(200),
         ] {
-            let reference = select_seed_with_n(9, strategy, 1, || (), |s, _| cost(s));
+            let run = |workers: usize| {
+                select_seed_blocks_n(
+                    9,
+                    strategy,
+                    workers,
+                    || (),
+                    |s0, costs: &mut [f64], _| {
+                        for (i, c) in costs.iter_mut().enumerate() {
+                            *c = cost(s0 + i as u64);
+                        }
+                    },
+                )
+            };
+            let reference = run(1);
             for workers in [2usize, 4, 8] {
-                let got = select_seed_with_n(9, strategy, workers, || (), |s, _| cost(s));
+                let got = run(workers);
                 assert_eq!(reference.seed, got.seed, "{strategy:?} workers {workers}");
                 assert_eq!(reference.cost, got.cost, "{strategy:?} workers {workers}");
                 assert_eq!(reference.mean_cost, got.mean_cost, "{strategy:?}");

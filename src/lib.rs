@@ -13,4 +13,4 @@ pub use parcolor_core::{
     ChunkMode, ColoringState, D1lcInstance, Graph, NodeId, NormalProcedure, Outcome, PaletteArena,
     Params, Runner, SeedStrategy, Solution, Solver, StepReport, NO_COLOR,
 };
-pub use parcolor_prg::{select_seed, select_seed_with, SeedSelection};
+pub use parcolor_prg::{select_seed, select_seed_blocks_n, SeedSelection};

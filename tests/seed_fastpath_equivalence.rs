@@ -1,14 +1,15 @@
 //! Equivalence of the zero-allocation seed-search fast path with the
 //! reference (allocation-heavy) path.
 //!
-//! For every [`SeedStrategy`] and every HKNT procedure, the pair
-//! (`select_seed_with` + `simulate_into` + `seed_cost_scratch`) must
-//! reproduce the pair (`select_seed` + `simulate` + `seed_cost`)
+//! For every [`SeedStrategy`] and every HKNT procedure, the production
+//! search (`select_seed_blocks_n` + `seed_cost_block`) must reproduce the
+//! reference (`select_seed` + `simulate` + `seed_cost`)
 //! **bit-identically**: same chosen seed, same cost / mean / min, same
-//! per-bit conditional-expectation trace, and the same outcome (adoptions
-//! in the same order, same aux set) under the chosen seed.  Costs here are
-//! SSP failure counts — integers in `f64` — so even the streamed sums of
-//! the bitwise walk are exact.
+//! per-bit conditional-expectation trace; and `simulate_into` must build
+//! the same outcome as `simulate` (adoptions in the same order, same aux
+//! set) under the chosen seed.  Costs here are SSP failure counts —
+//! integers in `f64` — so even the streamed sums of the bitwise walk are
+//! exact.
 
 use parcolor_core::framework::{NormalProcedure, SimScratch};
 use parcolor_core::hknt::procs::{
@@ -20,8 +21,8 @@ use parcolor_core::{Graph, NodeId};
 use parcolor_graphgen::gnm;
 use parcolor_local::tape::{ForceScalar, Randomness};
 use parcolor_prg::{
-    select_seed, select_seed_blocks, select_seed_blocks_n, select_seed_with, ChunkAssignment, Prg,
-    PrgTape, SeedSelection, SeedStrategy, SEED_BLOCK,
+    select_seed, select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedSelection, SeedStrategy,
+    SEED_BLOCK,
 };
 use proptest::prelude::*;
 
@@ -45,6 +46,32 @@ fn assert_selection_eq(old: &SeedSelection, new: &SeedSelection, ctx: &str) {
     assert_eq!(old.trace, new.trace, "{ctx}: trace");
 }
 
+/// The production search: `select_seed_blocks_n` over `seed_cost_block`
+/// (what `Runner::run_step` drives), each lane's tape passed through
+/// `wrap`.
+fn block_selection<'c, T: Randomness>(
+    proc: &dyn NormalProcedure,
+    state: &ColoringState,
+    chunks: &'c ChunkAssignment,
+    strategy: SeedStrategy,
+    workers: usize,
+    wrap: impl Fn(PrgTape<'c>) -> T + Sync,
+) -> SeedSelection {
+    let prg = Prg::new(SEED_BITS);
+    select_seed_blocks_n(
+        SEED_BITS,
+        strategy,
+        workers,
+        || SimScratch::new(state.n()),
+        |seed0, costs, scratch| {
+            let tapes = prg.block_tapes(seed0, chunks).map(&wrap);
+            let refs: [&dyn Randomness; SEED_BLOCK] =
+                std::array::from_fn(|i| &tapes[i] as &dyn Randomness);
+            proc.seed_cost_block(state, &refs[..costs.len()], scratch, costs);
+        },
+    )
+}
+
 /// Run both paths over the full strategy set and demand bit-identity.
 fn check_equivalence(proc: &dyn NormalProcedure, state: &ColoringState, ctx: &str) {
     let prg = Prg::new(SEED_BITS);
@@ -55,66 +82,22 @@ fn check_equivalence(proc: &dyn NormalProcedure, state: &ColoringState, ctx: &st
             let out = proc.simulate(state, &tape);
             proc.seed_cost(state, &out)
         });
-        let new = select_seed_with(
-            SEED_BITS,
-            strategy,
-            || SimScratch::new(state.n()),
-            |seed, scratch| {
-                let tape = PrgTape::new(prg, seed, &chunks);
-                proc.simulate_into(state, &tape, scratch);
-                proc.seed_cost_scratch(state, scratch)
-            },
+        let blocked = block_selection(proc, state, &chunks, strategy, 0, |t| t);
+        assert_selection_eq(&old, &blocked, &format!("{ctx} / {strategy:?} (block)"));
+        assert!(
+            blocked.satisfies_guarantee(),
+            "{ctx} / {strategy:?}: guarantee"
         );
-        assert_selection_eq(&old, &new, &format!("{ctx} / {strategy:?}"));
-        assert!(new.satisfies_guarantee(), "{ctx} / {strategy:?}: guarantee");
-
-        // The fused evaluation (what Runner::run_step actually calls per
-        // candidate seed) must agree as well.
-        let fused = select_seed_with(
-            SEED_BITS,
-            strategy,
-            || SimScratch::new(state.n()),
-            |seed, scratch| {
-                let tape = PrgTape::new(prg, seed, &chunks);
-                proc.seed_cost_fused(state, &tape, scratch)
-            },
-        );
-        assert_selection_eq(&old, &fused, &format!("{ctx} / {strategy:?} (fused)"));
 
         // And with batching forced off at the tape level: the PickPlane
         // consuming the scalar trait defaults must reproduce the lane
         // mixers word-for-word, hence the identical selection.
-        let scalar_forced = select_seed_with(
-            SEED_BITS,
-            strategy,
-            || SimScratch::new(state.n()),
-            |seed, scratch| {
-                let tape = ForceScalar(PrgTape::new(prg, seed, &chunks));
-                proc.seed_cost_fused(state, &tape, scratch)
-            },
-        );
+        let forced = block_selection(proc, state, &chunks, strategy, 0, ForceScalar);
         assert_selection_eq(
             &old,
-            &scalar_forced,
+            &forced,
             &format!("{ctx} / {strategy:?} (forced scalar)"),
         );
-
-        // The seed-lane block evaluation (what Runner::run_step actually
-        // drives): up to SEED_BLOCK seeds per call through
-        // `seed_cost_block`, which hot procedures override with the
-        // structure-of-arrays plane and a shared clash scan.
-        let blocked = select_seed_blocks(
-            SEED_BITS,
-            strategy,
-            || SimScratch::new(state.n()),
-            |seed0, costs, scratch| {
-                let tapes = prg.block_tapes(seed0, &chunks);
-                let refs: [&dyn Randomness; SEED_BLOCK] =
-                    std::array::from_fn(|i| &tapes[i] as &dyn Randomness);
-                proc.seed_cost_block(state, &refs[..costs.len()], scratch, costs);
-            },
-        );
-        assert_selection_eq(&old, &blocked, &format!("{ctx} / {strategy:?} (block)"));
 
         // Outcome equivalence under the chosen seed.
         let tape = PrgTape::new(prg, old.seed, &chunks);
@@ -246,9 +229,9 @@ fn put_aside_matches_reference_path() {
 }
 
 // ---------------------------------------------------------------------
-// PR 5 additions: slack-plane block coverage for every SspMode, a
-// property test pinning every procedure's `seed_cost_block` to the fused
-// scalar path, and worker-count invariance of the stolen-block fold.
+// Slack-plane block coverage for every SspMode, a property test pinning
+// every lane of every procedure's `seed_cost_block` to the reference
+// cost, and worker-count invariance of the stolen-block fold.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -307,14 +290,13 @@ fn generate_slack_matches_reference_path_more_probs() {
     }
 }
 
-/// Direct block-vs-fused pin: for a block of tapes, `seed_cost_block`
-/// must write exactly the per-seed `seed_cost_fused` values — including
-/// short and unit blocks (the tail/SingleSeed shapes).
-fn assert_block_matches_fused(proc: &dyn NormalProcedure, state: &ColoringState, ctx: &str) {
+/// Direct lane pin: for a block of tapes, `seed_cost_block` must write
+/// exactly the reference `seed_cost(simulate(tape))` of every lane —
+/// including short and unit blocks (the tail/SingleSeed shapes).
+fn assert_block_matches_reference(proc: &dyn NormalProcedure, state: &ColoringState, ctx: &str) {
     let prg = Prg::new(SEED_BITS);
     let chunks = ChunkAssignment::PerNode;
     let mut block_scratch = SimScratch::new(state.n());
-    let mut fused_scratch = SimScratch::new(state.n());
     for seed0 in [0u64, 8, 56] {
         for blen in [SEED_BLOCK, 3, 1] {
             let tapes = prg.block_tapes(seed0, &chunks);
@@ -324,7 +306,7 @@ fn assert_block_matches_fused(proc: &dyn NormalProcedure, state: &ColoringState,
             proc.seed_cost_block(state, &refs[..blen], &mut block_scratch, &mut costs);
             for (i, &got) in costs.iter().enumerate() {
                 let tape = PrgTape::new(prg, seed0 + i as u64, &chunks);
-                let want = proc.seed_cost_fused(state, &tape, &mut fused_scratch);
+                let want = proc.seed_cost(state, &proc.simulate(state, &tape));
                 assert_eq!(
                     got, want,
                     "{ctx}: lane {i} of block at seed0 {seed0} (len {blen})"
@@ -337,10 +319,10 @@ fn assert_block_matches_fused(proc: &dyn NormalProcedure, state: &ColoringState,
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Every procedure's block override equals the fused scalar path on
+    // Every procedure's block override equals the reference cost on
     // random graphs, random sampling probabilities, and every SspMode.
     #[test]
-    fn block_costs_match_fused_on_random_instances(
+    fn block_costs_match_reference_on_random_instances(
         gseed in 0u64..10_000,
         n in 30usize..70,
         extra in 0usize..160,
@@ -361,12 +343,12 @@ proptest! {
             SspMode::SlackTarget(targets.clone()),
         ] {
             let proc = TryRandomColor::new(&g, full.clone(), ssp.clone(), 1);
-            assert_block_matches_fused(&proc, &state, &format!("TryRandomColor {ssp:?}"));
+            assert_block_matches_reference(&proc, &state, &format!("TryRandomColor {ssp:?}"));
             let proc = MultiTrial::new(&g, full.clone(), x, ssp.clone(), 2);
-            assert_block_matches_fused(&proc, &state, &format!("MultiTrial x{x} {ssp:?}"));
+            assert_block_matches_reference(&proc, &state, &format!("MultiTrial x{x} {ssp:?}"));
         }
         let proc = GenerateSlack::new(&g, full.clone(), prob, targets, 3);
-        assert_block_matches_fused(&proc, &state, "GenerateSlack");
+        assert_block_matches_reference(&proc, &state, "GenerateSlack");
         // Two overlapping cliques exercise the last-writer deal/sample
         // semantics of the clique procedures.
         let half: Vec<NodeId> = (0..n as NodeId / 2).collect();
@@ -381,7 +363,7 @@ proptest! {
             tol,
             4,
         );
-        assert_block_matches_fused(&proc, &state, "SynchColorTrial");
+        assert_block_matches_reference(&proc, &state, "SynchColorTrial");
         let proc = PutAside {
             g: &g,
             set: full,
@@ -391,7 +373,7 @@ proptest! {
             ],
             round_tag: 5,
         };
-        assert_block_matches_fused(&proc, &state, "PutAside");
+        assert_block_matches_reference(&proc, &state, "PutAside");
     }
 }
 
@@ -404,21 +386,9 @@ fn sharded_search_is_worker_invariant_on_procedures() {
     let set = active_uncolored(&state);
     let targets: Vec<f64> = set.active.iter().map(|_| 1.0).collect();
     let proc = GenerateSlack::new(&inst.graph, set, 0.3, targets, 6);
-    let prg = Prg::new(SEED_BITS);
     let chunks = ChunkAssignment::PerNode;
     let run = |workers: usize, strategy: SeedStrategy| {
-        select_seed_blocks_n(
-            SEED_BITS,
-            strategy,
-            workers,
-            || SimScratch::new(state.n()),
-            |seed0, costs, scratch| {
-                let tapes = prg.block_tapes(seed0, &chunks);
-                let refs: [&dyn Randomness; SEED_BLOCK] =
-                    std::array::from_fn(|i| &tapes[i] as &dyn Randomness);
-                proc.seed_cost_block(&state, &refs[..costs.len()], scratch, costs);
-            },
-        )
+        block_selection(&proc, &state, &chunks, strategy, workers, |t| t)
     };
     for strategy in all_strategies() {
         let reference = run(1, strategy);
