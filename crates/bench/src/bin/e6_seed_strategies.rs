@@ -114,69 +114,8 @@ fn main() {
     let fastpath_rows = fastpath_comparison();
     let block_rows = block_proc_comparison();
     let worker_rows = workers_matrix();
-    let engine_rows = engine_parallel_matrix();
-    write_seed_search_json(&fastpath_rows, &block_rows, &worker_rows, &engine_rows);
+    write_seed_search_json(&fastpath_rows, &block_rows, &worker_rows);
     hash_batch_comparison();
-}
-
-/// Node-striped parallel round simulation: one `TryRandomColor` round on
-/// a large instance, evaluated through `simulate_into_par` at `workers ∈
-/// {1, 2, 4, 8}`.  The adoptions MUST be identical at every worker count
-/// (positional splice of pure stripes) — asserted here, so CI fails if
-/// striping ever changes a round outcome.
-fn engine_parallel_matrix() -> Vec<String> {
-    use parcolor_local::tape::CryptoTape;
-    let n = scaled(400_000, 40_000);
-    let g = gnm(n, n * 6, 11);
-    let inst = D1lcInstance::delta_plus_one(g.clone());
-    let state = ColoringState::new(&inst);
-    let set = StageSet::new(n, (0..n as NodeId).collect());
-    let proc = TryRandomColor::new(&g, set, SspMode::Auto, 5);
-    let tape = CryptoTape::new(0xE6E6);
-    let reps = scaled(20, 4);
-    let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    println!(
-        "\n# Node-striped round simulation, workers matrix (n = {n}, m = {}, \
-         {reps} rounds, host threads = {host_threads})",
-        g.m()
-    );
-    let mut t = Table::new(&["workers", "ms", "speedup vs 1", "adoptions"]);
-    let mut rows = Vec::new();
-    let mut base_ms = 0.0f64;
-    let mut reference: Option<Vec<(NodeId, u32)>> = None;
-    let pool = parcolor_exec::Executor::global();
-    for workers in [1usize, 2, 4, 8] {
-        let mut scratch = SimScratch::new(n);
-        // Warm-up evaluates once outside the timing (pool spawn, page
-        // faults, arena growth).
-        proc.simulate_into_par(&state, &tape, &mut scratch, pool, workers);
-        let (_, ms) = timed(|| {
-            for _ in 0..reps {
-                proc.simulate_into_par(&state, &tape, &mut scratch, pool, workers);
-            }
-        });
-        match &reference {
-            None => {
-                base_ms = ms;
-                reference = Some(scratch.adoptions.clone());
-            }
-            Some(adoptions) => {
-                assert_eq!(
-                    &scratch.adoptions, adoptions,
-                    "workers = {workers}: striped simulation changed the round outcome"
-                );
-            }
-        }
-        let scaling = base_ms / ms.max(1e-9);
-        t.row(&[s(workers), f1(ms), f2(scaling), s(scratch.adoptions.len())]);
-        rows.push(format!(
-            "    {{\"workers\": {workers}, \"ms\": {ms:.1}, \"speedup_vs_1\": {scaling:.2}, \
-             \"host_threads\": {host_threads}}}"
-        ));
-    }
-    t.print();
-    println!("\nIdentical adoptions at every worker count (asserted).");
-    rows
 }
 
 /// Full seed-lane blocks vs 1-lane blocks (every seed costed on its own)
@@ -297,22 +236,15 @@ fn workers_matrix() -> Vec<String> {
     rows
 }
 
-fn write_seed_search_json(
-    fastpath: &[String],
-    blocks: &[String],
-    workers: &[String],
-    engine: &[String],
-) {
+fn write_seed_search_json(fastpath: &[String], blocks: &[String], workers: &[String]) {
     let json = format!(
         "{{\n  \"experiment\": \"e6_seed_search_fastpath\",\n  \"host\": {},\n  \
          \"rows\": [\n{}\n  ],\n  \
-         \"block_procs\": [\n{}\n  ],\n  \"workers_matrix\": [\n{}\n  ],\n  \
-         \"engine_parallel\": [\n{}\n  ]\n}}\n",
+         \"block_procs\": [\n{}\n  ],\n  \"workers_matrix\": [\n{}\n  ]\n}}\n",
         host_json(),
         fastpath.join(",\n"),
         blocks.join(",\n"),
-        workers.join(",\n"),
-        engine.join(",\n")
+        workers.join(",\n")
     );
     match std::fs::write("BENCH_seed_search.json", &json) {
         Ok(()) => println!("\nwrote BENCH_seed_search.json"),

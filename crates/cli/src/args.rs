@@ -66,7 +66,7 @@ pub fn parse_solve_args<S: AsRef<str>>(args: &[S]) -> Result<SolveOpts, String> 
     let mut it = args.iter().map(AsRef::as_ref);
     while let Some(arg) = it.next() {
         let mut value_of = |flag: &str| -> Result<&str, String> {
-            it.next().ok_or(format!("{flag} requires a value"))
+            it.next().ok_or_else(|| format!("{flag} requires a value"))
         };
         match arg {
             "-o" => {
@@ -198,7 +198,7 @@ pub fn parse_coordinator_args<S: AsRef<str>>(args: &[S]) -> Result<CoordinatorOp
     let mut it = args.iter().map(AsRef::as_ref);
     while let Some(arg) = it.next() {
         let mut value_of = |flag: &str| -> Result<&str, String> {
-            it.next().ok_or(format!("{flag} requires a value"))
+            it.next().ok_or_else(|| format!("{flag} requires a value"))
         };
         match arg {
             "--listen" => {
@@ -325,7 +325,7 @@ pub fn parse_worker_args<S: AsRef<str>>(args: &[S]) -> Result<WorkerOpts, String
     let mut it = args.iter().map(AsRef::as_ref);
     while let Some(arg) = it.next() {
         let mut value_of = |flag: &str| -> Result<&str, String> {
-            it.next().ok_or(format!("{flag} requires a value"))
+            it.next().ok_or_else(|| format!("{flag} requires a value"))
         };
         match arg {
             "--connect" => {

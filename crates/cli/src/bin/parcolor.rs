@@ -20,10 +20,11 @@
 //! load zero-copy via `mmap` on little-endian unix, and `gen -o x.pcg`
 //! writes it directly.
 //!
-//! `--workers` runs the seed search and the striped round simulation on
-//! W executor workers (0 = auto: `PARCOLOR_THREADS`, else all hardware
-//! threads); the chosen seeds — and hence the coloring — are identical
-//! at every worker count.
+//! `--workers` runs the seed search on W executor workers (0 = auto:
+//! `PARCOLOR_THREADS`, else all hardware threads); the chosen seeds —
+//! and hence the coloring — are identical at every worker count.  Each
+//! step then applies its chosen seed in one sequential pass, so
+//! `--randomized` solves, which search no seeds, do not use W.
 //!
 //! `coordinator` serves the deterministic solve to a fleet: workers
 //! connect, lease seed ranges, and return grouping-invariant aggregates,

@@ -30,7 +30,7 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<Graph, String> {
             Some("p") => {
                 let kind = parts
                     .next()
-                    .ok_or(format!("line {}: missing format", lineno + 1))?;
+                    .ok_or_else(|| format!("line {}: missing format", lineno + 1))?;
                 if kind != "edge" && kind != "edges" && kind != "col" {
                     return Err(format!(
                         "line {}: unsupported problem type {kind}",
@@ -40,7 +40,7 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<Graph, String> {
                 let nn: usize = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or(format!("line {}: bad n", lineno + 1))?;
+                    .ok_or_else(|| format!("line {}: bad n", lineno + 1))?;
                 if nn > u32::MAX as usize {
                     return Err(format!(
                         "line {}: n = {nn} exceeds the node-id range (at most {})",
@@ -53,15 +53,15 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<Graph, String> {
                 }
             }
             Some("e") => {
-                let n = n.ok_or(format!("line {}: e before p", lineno + 1))?;
+                let n = n.ok_or_else(|| format!("line {}: e before p", lineno + 1))?;
                 let u: usize = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or(format!("line {}: bad endpoint", lineno + 1))?;
+                    .ok_or_else(|| format!("line {}: bad endpoint", lineno + 1))?;
                 let v: usize = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or(format!("line {}: bad endpoint", lineno + 1))?;
+                    .ok_or_else(|| format!("line {}: bad endpoint", lineno + 1))?;
                 if u == 0 || v == 0 || u > n || v > n {
                     return Err(format!(
                         "line {}: endpoint out of range (1-based)",
@@ -115,11 +115,11 @@ pub fn parse_coloring<R: BufRead>(reader: R, n: usize) -> Result<Vec<u32>, Strin
         let v: usize = parts
             .next()
             .and_then(|s| s.parse().ok())
-            .ok_or(format!("line {}: bad node", lineno + 1))?;
+            .ok_or_else(|| format!("line {}: bad node", lineno + 1))?;
         let c: u32 = parts
             .next()
             .and_then(|s| s.parse().ok())
-            .ok_or(format!("line {}: bad color", lineno + 1))?;
+            .ok_or_else(|| format!("line {}: bad color", lineno + 1))?;
         if v >= n {
             return Err(format!("line {}: node {v} out of range", lineno + 1));
         }

@@ -45,14 +45,15 @@ pub struct Params {
     pub chunking: ChunkMode,
     /// Locality radius τ of the normal procedures (all of ours are O(1)).
     pub tau: u32,
-    /// Worker threads for the sharded seed search and the striped round
-    /// simulation (`0` = auto: the `PARCOLOR_THREADS` env var if set,
-    /// else all hardware threads).  The Definition-2 stage pass
-    /// (`compute_params`), the MPC accounting folds, the partition's
-    /// worst-ratio fold and the edge/adoption sorts always take the auto
-    /// count.  Any value yields bit-identical results —
-    /// all reduces are grouping-invariant and stripe splices are
-    /// positional — so this is purely a throughput knob.
+    /// Worker threads for the sharded seed search (`0` = auto: the
+    /// `PARCOLOR_THREADS` env var if set, else all hardware threads).
+    /// Randomized mode runs no seed search, and a step's chosen seed is
+    /// applied by one sequential `simulate_into` call in both modes.  The
+    /// Definition-2 stage pass (`compute_params`), the MPC accounting
+    /// folds, the partition's worst-ratio fold and the edge/adoption
+    /// sorts always take the auto count.  Any value yields bit-identical
+    /// results — all reduces are grouping-invariant and stripe splices
+    /// are positional — so this is purely a throughput knob.
     pub workers: usize,
 
     // ---- degree thresholds (scaled substitutes for log⁷ n etc.) ----

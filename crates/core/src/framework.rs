@@ -22,10 +22,12 @@
 //! The derandomizer's hot loop evaluates the pessimistic estimator once
 //! per candidate seed — `2^seed_bits` evaluations per step — and every
 //! candidate goes through [`NormalProcedure::seed_cost_block`].  The
-//! outcome of the *chosen* seed is built once per step by
-//! [`NormalProcedure::simulate_into`], or by its node-striped variant
-//! [`NormalProcedure::simulate_into_par`].  Four structural decisions
-//! keep the hot loop at memory speed:
+//! outcome of the *chosen* seed (or, randomized, of the keyed tape) is
+//! built once per step by one sequential
+//! [`NormalProcedure::simulate_into`] call; only `TryRandomColor` and
+//! `MultiTrial` override it, because their reference `simulate` is
+//! measurably slower (see that method's docs).  Four structural
+//! decisions keep the hot loop at memory speed:
 //!
 //! 1. **Seed-lane block evaluation.**  Every HKNT procedure overrides
 //!    [`NormalProcedure::seed_cost_block`]: a block of up to `SEED_BLOCK`
@@ -36,8 +38,8 @@
 //!    contract on [`NormalProcedure::seed_cost_block`].
 //! 2. **Pick caching in reusable arenas** ([`SimScratch`]).  A node's
 //!    random draw under a fixed seed is the same no matter which neighbor
-//!    asks, so both the block evaluators and `simulate_into` compute each
-//!    active node's pick **once** (`O(n_active)` tape reads) and resolve
+//!    asks, so the block evaluators compute each active node's pick
+//!    **once** per lane (`O(n_active)` tape reads) and resolve
 //!    clashes with `O(m)` array lookups — versus `O(Σ_v d(v))` tape reads
 //!    for the naïve re-evaluate-per-edge formulation of
 //!    [`NormalProcedure::simulate`].  The arena's buffers are retained
@@ -92,11 +94,12 @@ pub struct Outcome {
 }
 
 /// Batched randomness plane of one seed evaluation — staging buffers that
-/// `simulate_into` implementations fill with one `Randomness::fill_*`
-/// call per (stream, stripe) instead of one scalar tape read per node.
+/// the block evaluators (and `TryRandomColor::simulate_into`) fill with
+/// one `Randomness::fill_*` call per (stream, stripe) instead of one
+/// scalar tape read per node.
 ///
-/// All buffers are stripe-scoped: each `draw_*` call overwrites them for
-/// its own stripe, so nothing needs clearing between seed evaluations and
+/// All buffers are stripe-scoped: each draw overwrites them for its own
+/// stripe, so nothing needs clearing between seed evaluations and
 /// capacity is retained across the whole seed search.  Every draw is
 /// bit-identical to the scalar calls it replaces (the tape-level batch
 /// contract), which is what keeps the fast path pinned to the reference
@@ -153,36 +156,6 @@ impl PickPlane {
         rng.fill_below(stream, nodes, idx, &self.bounds, &mut self.vals);
         &self.vals
     }
-
-    /// Bernoulli trials for `nodes` — `bits[i] = bernoulli(nodes[i],
-    /// stream, idx, p)` — in one batched tape pass.
-    pub fn draw_bernoulli(
-        &mut self,
-        rng: &dyn Randomness,
-        stream: u64,
-        idx: u32,
-        nodes: &[NodeId],
-        p: f64,
-    ) -> &[bool] {
-        self.bits.resize(nodes.len(), false);
-        rng.fill_bernoulli(stream, nodes, idx, p, &mut self.bits);
-        &self.bits
-    }
-
-    /// `len` consecutive words of one node's tape starting at `idx0` —
-    /// the idx-stripe shape used by permutation deals and multi-draws.
-    pub fn draw_words_seq(
-        &mut self,
-        rng: &dyn Randomness,
-        node: NodeId,
-        stream: u64,
-        idx0: u32,
-        len: usize,
-    ) -> &[u64] {
-        self.vals.resize(len, 0);
-        rng.fill_words_seq(node, stream, idx0, &mut self.vals);
-        &self.vals
-    }
 }
 
 /// Reusable arena for procedure evaluations: one per seed-search worker
@@ -203,11 +176,9 @@ pub struct SimScratch {
     pub adoptions: Vec<(NodeId, u32)>,
     /// Aux node-set output of the current evaluation.
     pub aux: Vec<NodeId>,
-    // -- per-node caches for pick/proposal and sample bits --
+    // -- per-node pick cache and clash marks --
     picks: Vec<u32>,
     pick_stamp: Vec<u32>,
-    bits: Vec<bool>,
-    bit_stamp: Vec<u32>,
     mark_stamp: Vec<u32>,
     // -- flat arenas reused by individual procedures --
     /// Flat candidate-color arena (MultiTrial draws).
@@ -230,8 +201,6 @@ impl SimScratch {
             aux: Vec::new(),
             picks: vec![NO_COLOR; n],
             pick_stamp: vec![0; n],
-            bits: vec![false; n],
-            bit_stamp: vec![0; n],
             mark_stamp: vec![0; n],
             draw_colors: Vec::new(),
             draw_off: Vec::new(),
@@ -252,7 +221,6 @@ impl SimScratch {
         if self.epoch == u32::MAX {
             // Stamp wrap (once per 2^32 evaluations): hard-reset.
             self.pick_stamp.iter_mut().for_each(|s| *s = 0);
-            self.bit_stamp.iter_mut().for_each(|s| *s = 0);
             self.mark_stamp.iter_mut().for_each(|s| *s = 0);
             self.epoch = 0;
         }
@@ -276,48 +244,13 @@ impl SimScratch {
         self.pick_stamp[v as usize] = self.epoch;
     }
 
-    /// Cached pick of `v`, if set this evaluation.
-    #[inline]
-    pub fn pick(&self, v: NodeId) -> Option<u32> {
-        (self.pick_stamp[v as usize] == self.epoch).then(|| self.picks[v as usize])
-    }
-
-    /// Cached pick of `v` without the stamp check — for hot loops where
-    /// the caller guarantees `set_pick(v, ..)` ran this evaluation (e.g.
-    /// every active node was filled in a prior pass).
+    /// Cached pick of `v` — the caller guarantees `set_pick(v, ..)` ran
+    /// this evaluation (e.g. every active node was filled in a prior
+    /// pass); debug builds check the stamp.
     #[inline]
     pub fn pick_unchecked(&self, v: NodeId) -> u32 {
         debug_assert_eq!(self.pick_stamp[v as usize], self.epoch, "stale pick");
         self.picks[v as usize]
-    }
-
-    /// Stamp-free pick read; only valid after `v`'s pick was written in
-    /// the same evaluation through [`SimScratch::plane_and_picks`].
-    #[inline]
-    pub fn pick_raw(&self, v: NodeId) -> u32 {
-        self.picks[v as usize]
-    }
-
-    /// Split-borrow the randomness plane together with the dense pick
-    /// array (stamp-free: read back with [`SimScratch::pick_raw`], never
-    /// with the stamped [`SimScratch::pick`]) — striped
-    /// `simulate_into_par` overrides fill picks from plane stripes in
-    /// parallel and need both halves mutably at once.
-    pub fn plane_and_picks(&mut self) -> (&mut PickPlane, &mut [u32]) {
-        (&mut self.plane, &mut self.picks)
-    }
-
-    /// Cache a boolean (e.g. "sampled") for `v`.
-    #[inline]
-    pub fn set_bit(&mut self, v: NodeId, b: bool) {
-        self.bits[v as usize] = b;
-        self.bit_stamp[v as usize] = self.epoch;
-    }
-
-    /// Cached boolean of `v` (false if unset this evaluation).
-    #[inline]
-    pub fn bit(&self, v: NodeId) -> bool {
-        self.bit_stamp[v as usize] == self.epoch && self.bits[v as usize]
     }
 
     /// Add `v` to the evaluation-scoped mark set.
@@ -378,40 +311,24 @@ pub trait NormalProcedure: Sync {
     /// Simulate the procedure on the current state under `rng`.
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome;
 
-    /// Simulate into a reusable scratch arena — builds the outcome of the
-    /// chosen seed (or of true randomness) once per step.
+    /// Simulate into a reusable scratch arena — the runner's one way to
+    /// build a step's outcome, once per step, under the chosen seed (or,
+    /// randomized, under the keyed tape).
     ///
     /// Must be **outcome-equivalent** to [`NormalProcedure::simulate`]
     /// (same adoptions in the same order, same aux set) and must call
-    /// `scratch.begin()` first.  Implementations are sequential; the
-    /// node-striped variant is [`NormalProcedure::simulate_into_par`].
-    /// The default delegates to `simulate` (correct, but allocating).
+    /// `scratch.begin()` first.  The default runs `simulate` and copies
+    /// its outcome into the arena.  Only `TryRandomColor` and
+    /// `MultiTrial` override it, because their `simulate` is measurably
+    /// slower at scale: `TryRandomColor`'s re-draws a neighbor's pick
+    /// once per incident edge (over 10× the override's time at 10^6
+    /// active nodes), and `MultiTrial`'s allocates one candidate set per
+    /// node (10–20% slower).  The other procedures run about once per
+    /// stage, and at 10^6 nodes an override saved them a few tens of
+    /// milliseconds per call at most.
     fn simulate_into(&self, state: &ColoringState, rng: &dyn Randomness, scratch: &mut SimScratch) {
         let out = self.simulate(state, rng);
         scratch.load_outcome(&out);
-    }
-
-    /// [`NormalProcedure::simulate_into`] with node-striped parallelism
-    /// on the executor pool — the once-per-step application of the
-    /// chosen seed (or of true randomness), where the instance is large
-    /// and the evaluation is not already inside a seed-search worker.
-    ///
-    /// Must be **bit-identical** to `simulate_into` at every worker
-    /// count: overrides may parallelize only node stripes whose values
-    /// are independent given the previous round's state (batch tape
-    /// draws, per-node clash predicates), and must keep every
-    /// order-sensitive effect (adoption recording) in sequential active
-    /// order.  The default simply runs the sequential path.
-    fn simulate_into_par(
-        &self,
-        state: &ColoringState,
-        rng: &dyn Randomness,
-        scratch: &mut SimScratch,
-        pool: &parcolor_exec::Executor,
-        workers: usize,
-    ) {
-        let _ = (pool, workers);
-        self.simulate_into(state, rng, scratch);
     }
 
     /// Cost evaluation for a **block** of candidate seeds, one tape per
@@ -603,11 +520,8 @@ pub struct Runner<'g> {
     chaos: f64,
     /// Nodes deferred by injection rather than SSP failure (telemetry).
     pub chaos_deferrals: usize,
-    /// Reusable arena for applying the chosen seed (derandomized mode).
+    /// Reusable arena for the once-per-step `simulate_into`.
     scratch: Option<SimScratch>,
-    /// Worker count for striped round simulation (`0` = auto); the seed
-    /// search has its own copy inside [`Mode::Derandomized`].
-    workers: usize,
 }
 
 impl<'g> Runner<'g> {
@@ -628,7 +542,6 @@ impl<'g> Runner<'g> {
             chaos: params.chaos_defer_prob,
             chaos_deferrals: 0,
             scratch: None,
-            workers: params.workers,
         }
     }
 
@@ -685,7 +598,6 @@ impl<'g> Runner<'g> {
             chaos: params.chaos_defer_prob,
             chaos_deferrals: 0,
             scratch: None,
-            workers: params.workers,
         }
     }
 
@@ -736,29 +648,12 @@ impl<'g> Runner<'g> {
             .charge_neighbor_broadcast(self.graph, |v| !state.is_colored(v), 1);
         self.mpc.charge_rounds(tau + 1);
 
-        let (outcome, selection) = match &self.mode {
-            Mode::Randomized { tape } => {
-                let keyed = StreamTape {
-                    inner: tape,
-                    stream,
-                };
-                // Scratch-arena path (outcome-equivalent to `simulate` —
-                // pinned by the framework tests) so the one simulation per
-                // step can stripe across the executor pool.
-                let n = state.n();
-                let scratch = self.scratch.get_or_insert_with(|| SimScratch::new(n));
-                if scratch.n() != n {
-                    *scratch = SimScratch::new(n);
-                }
-                proc.simulate_into_par(
-                    state,
-                    &keyed,
-                    scratch,
-                    parcolor_exec::Executor::global(),
-                    self.workers,
-                );
-                (scratch.to_outcome(), None)
-            }
+        // Derandomized: Lemma 10's seed search picks the PRG seed the
+        // step runs under.  Randomized: the keyed tape stands in for
+        // true randomness (Lemma 4) and there is nothing to search.
+        let chosen;
+        let (tape, selection): (&dyn Randomness, _) = match &self.mode {
+            Mode::Randomized { tape } => (tape, None),
             Mode::Derandomized {
                 prg,
                 strategy,
@@ -766,16 +661,14 @@ impl<'g> Runner<'g> {
                 workers,
                 searcher,
             } => {
-                // Fast path: scratch-buffer simulation, one arena per
-                // seed-search worker, sequential inner simulation, seeds
-                // evaluated in blocks so procedures can amortize their
-                // scans across the block's seed lanes; blocks are dealt
-                // to workers by atomic stealing (grouping-invariant).
-                // The search itself runs wherever the backend says —
-                // in-process pool or a distributed fleet; either way the
-                // selection is identical (see `SeedSearcher`).
+                // One arena per seed-search worker, seeds evaluated in
+                // blocks so procedures can amortize their scans across
+                // the block's seed lanes; blocks are dealt to workers by
+                // atomic stealing (grouping-invariant).  The search runs
+                // wherever the backend says — in-process pool or a
+                // distributed fleet; either way the selection is
+                // identical (see `SeedSearcher`).
                 let st: &ColoringState = state;
-                let n = st.n();
                 let eval_block = |seed0: u64, costs: &mut [f64], scratch: &mut SimScratch| {
                     let tapes = prg.block_tapes(seed0, chunks);
                     let keyed: [StreamTape<PrgTape>; SEED_BLOCK] =
@@ -787,28 +680,25 @@ impl<'g> Runner<'g> {
                         std::array::from_fn(|i| &keyed[i] as &dyn Randomness);
                     proc.seed_cost_block(st, &refs[..costs.len()], scratch, costs);
                 };
-                let sel = searcher.select(prg.seed_bits(), *strategy, *workers, n, &eval_block);
+                let sel =
+                    searcher.select(prg.seed_bits(), *strategy, *workers, st.n(), &eval_block);
                 debug_assert!(sel.satisfies_guarantee());
-                let tape = PrgTape::new(*prg, sel.seed, chunks);
-                let keyed = StreamTape {
-                    inner: &tape,
-                    stream,
-                };
-                let scratch = &mut self.scratch;
-                let scratch = scratch.get_or_insert_with(|| SimScratch::new(n));
-                if scratch.n() != n {
-                    *scratch = SimScratch::new(n);
-                }
-                proc.simulate_into_par(
-                    st,
-                    &keyed,
-                    scratch,
-                    parcolor_exec::Executor::global(),
-                    self.workers,
-                );
-                (scratch.to_outcome(), Some(sel))
+                chosen = PrgTape::new(*prg, sel.seed, chunks);
+                (&chosen, Some(sel))
             }
         };
+        // Apply the step's randomness once, through the reusable arena.
+        let keyed = StreamTape {
+            inner: tape,
+            stream,
+        };
+        let n = state.n();
+        let scratch = self.scratch.get_or_insert_with(|| SimScratch::new(n));
+        if scratch.n() != n {
+            *scratch = SimScratch::new(n);
+        }
+        proc.simulate_into(state, &keyed, scratch);
+        let outcome = scratch.to_outcome();
 
         let failures = proc.ssp_failures(state, &outcome);
         let adopted = outcome.adoptions.len();

@@ -24,13 +24,6 @@ const S_PICK: u64 = 1;
 const S_SAMPLE: u64 = 2;
 const S_PERM: u64 = 3;
 
-/// Active-node stripe dealt per steal by the striped
-/// `simulate_into_par` overrides.  Doubles as the parallelism floor:
-/// with fewer than two full stripes of active nodes the fork/join
-/// overhead beats the win and the override falls back to the
-/// sequential arena path.
-const PAR_STRIPE: usize = 1024;
-
 /// Strong-success-property variants used across the pipeline.
 #[derive(Clone, Debug)]
 pub enum SspMode {
@@ -485,102 +478,6 @@ impl NormalProcedure for TryRandomColor<'_> {
                 scratch.record_adoption(v, c);
             }
         }
-    }
-
-    /// Node-striped parallel round simulation: given the previous
-    /// round's state, each active node's pick and clash bit depend only
-    /// on read-only inputs, so the draw/scatter pass and the clash pass
-    /// both run as stolen stripes on the executor pool.  The adoption
-    /// scan stays sequential in active order, so the recorded outcome is
-    /// bit-identical to [`NormalProcedure::simulate_into`] at every
-    /// worker count.
-    fn simulate_into_par(
-        &self,
-        state: &ColoringState,
-        rng: &dyn Randomness,
-        scratch: &mut SimScratch,
-        pool: &parcolor_exec::Executor,
-        workers: usize,
-    ) {
-        let n_active = self.set.active.len();
-        let w = parcolor_exec::resolve_workers(workers)
-            .min(n_active / PAR_STRIPE)
-            .max(1);
-        if w <= 1 {
-            self.simulate_into(state, rng, scratch);
-            return;
-        }
-        scratch.begin();
-        let mut plane = std::mem::take(&mut scratch.plane);
-        let stream = S_PICK ^ self.round_tag << 8;
-        let active = &self.set.active[..];
-        {
-            let (_, picks) = scratch.plane_and_picks();
-            // Pass 1: bounds gathered sequentially (one cheap scan),
-            // then the bounded draws land stripe-by-stripe on the pool —
-            // the tape's batch contract makes each node's draw
-            // independent of stripe geometry — and each worker scatters
-            // its stripe's picks (active nodes are unique, so the
-            // destinations are disjoint).
-            plane.bounds.clear();
-            plane
-                .bounds
-                .extend(active.iter().map(|&v| state.palette(v).len() as u64));
-            plane.vals.resize(n_active, 0);
-            {
-                let bounds = &plane.bounds[..];
-                let scatter = parcolor_exec::ScatterMut::new(picks);
-                let scatter = &scatter;
-                parcolor_exec::par_fill(
-                    pool,
-                    w,
-                    &mut plane.vals,
-                    PAR_STRIPE,
-                    move |start, stripe| {
-                        let nodes = &active[start..start + stripe.len()];
-                        rng.fill_below(
-                            stream,
-                            nodes,
-                            0,
-                            &bounds[start..start + stripe.len()],
-                            stripe,
-                        );
-                        for (i, &v) in nodes.iter().enumerate() {
-                            let c = state.palette(v)[stripe[i] as usize];
-                            // SAFETY: active nodes are unique, so
-                            // workers write disjoint slots.
-                            unsafe { scatter.write(v as usize, c) };
-                        }
-                    },
-                );
-            }
-            // Pass 2: clash bits, active-aligned.  Clashing is
-            // symmetric and reads only picks written in pass 1, so each
-            // node evaluates its own bit independently.
-            plane.bits.resize(n_active, false);
-            let picks: &[u32] = picks;
-            parcolor_exec::par_fill(pool, w, &mut plane.bits, PAR_STRIPE, |start, stripe| {
-                for (i, bit) in stripe.iter_mut().enumerate() {
-                    let v = active[start + i];
-                    let c = picks[v as usize];
-                    *bit = self
-                        .g
-                        .neighbors(v)
-                        .iter()
-                        .any(|&u| self.set.contains(u) && picks[u as usize] == c);
-                }
-            });
-        }
-        // Pass 3: adoption is order-sensitive (`record_adoption` appends)
-        // and stays sequential over the active order — exactly the order
-        // the sequential path records.
-        for (i, &v) in self.set.active.iter().enumerate() {
-            if !plane.bits[i] {
-                let c = scratch.pick_raw(v);
-                scratch.record_adoption(v, c);
-            }
-        }
-        scratch.plane = plane;
     }
 
     /// Seed-lane block evaluation: the picks of all the block's seeds are
@@ -1087,58 +984,6 @@ impl NormalProcedure for GenerateSlack<'_> {
         }
     }
 
-    fn simulate_into(&self, state: &ColoringState, rng: &dyn Randomness, scratch: &mut SimScratch) {
-        scratch.begin();
-        // Cache sampling + pick once per active node ("sampled" ⇔ a pick
-        // is cached); the naïve path re-derives both per incident edge.
-        // Two plane stripes: Bernoulli bits over all active nodes, then
-        // bounded picks over the gathered sampled subset only (the scalar
-        // path also draws picks only for sampled nodes).
-        let mut plane = std::mem::take(&mut scratch.plane);
-        plane.draw_bernoulli(
-            rng,
-            S_SAMPLE ^ (self.round_tag << 8),
-            0,
-            &self.set.active,
-            self.prob,
-        );
-        let mut sampled = std::mem::take(&mut plane.nodes);
-        sampled.clear();
-        sampled.extend(
-            self.set
-                .active
-                .iter()
-                .zip(plane.bits.iter())
-                .filter(|&(_, &hit)| hit)
-                .map(|(&v, _)| v),
-        );
-        plane.draw_below(rng, S_PICK ^ (self.round_tag << 8), 1, &sampled, |v| {
-            state.palette(v).len() as u64
-        });
-        for (i, &v) in sampled.iter().enumerate() {
-            scratch.set_pick(v, state.palette(v)[plane.vals[i] as usize]);
-        }
-        plane.nodes = sampled;
-        scratch.plane = plane;
-        // Same-pick collisions between sampled nodes are symmetric: one
-        // pass over the pre-filtered active edge list marks both ends.
-        for &(a, b) in self.active_edges() {
-            if let (Some(ca), Some(cb)) = (scratch.pick(a), scratch.pick(b)) {
-                if ca == cb {
-                    scratch.mark(a);
-                    scratch.mark(b);
-                }
-            }
-        }
-        for &v in &self.set.active {
-            if let Some(c) = scratch.pick(v) {
-                if !scratch.is_marked(v) {
-                    scratch.record_adoption(v, c);
-                }
-            }
-        }
-    }
-
     /// Slack-lane block evaluation: all lanes' sample bits and picks are
     /// materialized once (Bernoulli stripes over the active set, bounded
     /// draws over each lane's gathered sampled subset — the same tape
@@ -1384,50 +1229,6 @@ impl NormalProcedure for SynchColorTrial<'_> {
         }
     }
 
-    fn simulate_into(&self, state: &ColoringState, rng: &dyn Randomness, scratch: &mut SimScratch) {
-        scratch.begin();
-        // Phase 1: leaders deal colors; proposals live in the pick cache.
-        let mut perm = std::mem::take(&mut scratch.perm);
-        let mut plane = std::mem::take(&mut scratch.plane);
-        for ct in &self.cliques {
-            let pal = state.palette(ct.leader);
-            if pal.is_empty() {
-                continue;
-            }
-            // Leader permutes its palette with its own randomness: the
-            // Fisher-Yates words (idx 1..|pal|) come off the plane as one
-            // idx-stripe, the data-dependent swaps stay sequential.
-            perm.clear();
-            perm.extend_from_slice(pal);
-            let stream = S_PERM ^ (self.round_tag << 8);
-            plane.draw_words_seq(rng, ct.leader, stream, 1, perm.len().saturating_sub(1));
-            for i in (1..perm.len()).rev() {
-                let j = ((plane.vals[i - 1] as u128 * (i as u128 + 1)) >> 64) as usize;
-                perm.swap(i, j);
-            }
-            for (k, &v) in ct.inliers.iter().take(perm.len()).enumerate() {
-                scratch.set_pick(v, perm[k]);
-            }
-        }
-        scratch.perm = perm;
-        scratch.plane = plane;
-        // Phase 2: symmetric conflict resolution + palette membership.
-        for &v in &self.set.active {
-            let Some(c) = scratch.pick(v) else { continue };
-            if !state.palette(v).contains(&c) {
-                continue;
-            }
-            let clash = self
-                .g
-                .neighbors(v)
-                .iter()
-                .any(|&u| scratch.pick(u) == Some(c));
-            if !clash {
-                scratch.record_adoption(v, c);
-            }
-        }
-    }
-
     /// Seed-lane block evaluation: every lane's leader deals (the
     /// data-dependent Fisher-Yates stays per-lane, fed by one idx-stripe
     /// off that lane's tape) land in the proposal SoA plane, then **one**
@@ -1647,39 +1448,6 @@ impl NormalProcedure for PutAside<'_> {
         Outcome {
             adoptions: Vec::new(),
             aux,
-        }
-    }
-
-    fn simulate_into(&self, state: &ColoringState, rng: &dyn Randomness, scratch: &mut SimScratch) {
-        let _ = state;
-        scratch.begin();
-        // Sample bits cached once per inlier (≙ once per edge before),
-        // batched per clique — each clique's inliers share one sampling
-        // probability, so they form one Bernoulli stripe.  Later cliques
-        // overwrite shared inliers, matching the scalar path's last-writer
-        // probability table; nodes in no clique stay unset (⇔ bit false).
-        let mut plane = std::mem::take(&mut scratch.plane);
-        let stream = S_SAMPLE ^ (self.round_tag << 8) ^ 0x5041;
-        for cq in &self.cliques {
-            plane.draw_bernoulli(rng, stream, 0, &cq.inliers, cq.prob);
-            for (i, &v) in cq.inliers.iter().enumerate() {
-                scratch.set_bit(v, cq.prob > 0.0 && plane.bits[i]);
-            }
-        }
-        scratch.plane = plane;
-        // P = sampled nodes with no sampled neighbor (anywhere).
-        for &v in &self.set.active {
-            if !scratch.bit(v) {
-                continue;
-            }
-            let blocked = self
-                .g
-                .neighbors(v)
-                .iter()
-                .any(|&u| self.set.contains(u) && scratch.bit(u));
-            if !blocked {
-                scratch.aux.push(v);
-            }
         }
     }
 

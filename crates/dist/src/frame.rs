@@ -149,7 +149,7 @@ impl<'a> Dec<'a> {
     }
 
     fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.buf.len() - self.pos < n {
+        if self.remaining() < n {
             return Err(truncated());
         }
         let s = &self.buf[self.pos..self.pos + n];
@@ -178,9 +178,13 @@ impl<'a> Dec<'a> {
         let n = self.u32()? as usize;
         Ok(self.take(n)?.to_vec())
     }
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
     /// Whether every byte was consumed.
     pub fn done(&self) -> bool {
-        self.pos == self.buf.len()
+        self.remaining() == 0
     }
 }
 

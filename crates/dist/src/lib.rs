@@ -61,7 +61,7 @@
 //!   | -- Bye / <-- Bye -------------- |   orderly shutdown            |
 //! ```
 //!
-//! A v1 `Hello` (no role byte) is answered with
+//! A `Hello` with any other version is answered with
 //! `Refuse{required_version: 2, ...}` — a clean version refusal on both
 //! sides, never a panic.  `Result` is a **batch**: workers coalesce
 //! completed units under a `result_flush_ms` window (flushing early on

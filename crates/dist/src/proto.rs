@@ -16,10 +16,10 @@
 //! (deliberate leadership handover) and [`Msg::Refuse`] (friendly
 //! handshake refusal — version mismatch or "not primary yet").
 //!
-//! v1 peers are refused cleanly: a v1 `Hello` (no role byte) still
-//! decodes, so a v2 coordinator can answer it with `Refuse` instead of
-//! hanging up silently, and a v1 coordinator's silence makes a v2
-//! worker's handshake fail with a timeout, not a panic.
+//! Count fields never size memory on their own: every reservation is
+//! capped by the bytes left in the frame over the entry's minimum wire
+//! size, so a frame claiming 2^24 selections but carrying none fails on
+//! truncation without reserving a gigabyte first.
 
 use crate::frame::{Dec, Enc};
 use parcolor_prg::SeedSelection;
@@ -39,6 +39,20 @@ const T_BYE: u8 = 7;
 const T_REPLICATE: u8 = 8;
 const T_PROMOTE: u8 = 9;
 const T_REFUSE: u8 = 10;
+
+/// Minimum wire sizes of the count-prefixed entries, for capping
+/// decoder reservations by the bytes left in the frame: a selection
+/// with an empty trace (five 8-byte fields and the `u32` trace count),
+/// one trace entry, and one [`UnitResult`].
+const SELECTION_MIN_WIRE: usize = 5 * 8 + 4;
+const TRACE_ENTRY_WIRE: usize = 4 + 2 * 8;
+const UNIT_RESULT_WIRE: usize = 4 + 4 * 8;
+
+/// `Vec::with_capacity` for `n` claimed entries of at least `min_wire`
+/// bytes each, never reserving more than the rest of the frame can hold.
+fn reserve_for<T>(d: &Dec, n: usize, min_wire: usize) -> Vec<T> {
+    Vec::with_capacity(n.min(d.remaining() / min_wire))
+}
 
 /// What a connecting peer is (carried in `Hello` since v2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,8 +103,7 @@ pub enum Msg {
     Hello {
         /// Must equal [`PROTO_VERSION`].
         version: u32,
-        /// Worker or standby (v1 peers, which have no role byte, decode
-        /// as `Worker` so the coordinator can refuse them politely).
+        /// Worker or standby.
         role: Role,
     },
     /// Coordinator → peer: handshake reply.  Carries everything a fresh
@@ -233,7 +246,7 @@ fn get_selection(d: &mut Dec) -> io::Result<SeedSelection> {
             "absurd trace length",
         ));
     }
-    let mut trace = Vec::with_capacity(ntrace);
+    let mut trace = reserve_for(d, ntrace, TRACE_ENTRY_WIRE);
     for _ in 0..ntrace {
         let bit = d.u32()?;
         let m0 = d.f64()?;
@@ -368,18 +381,10 @@ impl Msg {
     pub fn decode(buf: &[u8]) -> io::Result<Msg> {
         let mut d = Dec::new(buf);
         let msg = match d.u8()? {
-            T_HELLO => {
-                let version = d.u32()?;
-                // v1 Hello carries no role byte; decode it as a worker
-                // so the handshake can refuse it with a reason instead
-                // of a silent hangup.
-                let role = if d.done() {
-                    Role::Worker
-                } else {
-                    Role::from_u8(d.u8()?)?
-                };
-                Msg::Hello { version, role }
-            }
+            T_HELLO => Msg::Hello {
+                version: d.u32()?,
+                role: Role::from_u8(d.u8()?)?,
+            },
             T_WELCOME => {
                 let worker_id = d.u64()?;
                 let epoch = d.u64()?;
@@ -391,7 +396,7 @@ impl Msg {
                         "absurd history length",
                     ));
                 }
-                let mut history = Vec::with_capacity(n);
+                let mut history = reserve_for(&d, n, SELECTION_MIN_WIRE);
                 for _ in 0..n {
                     history.push(get_selection(&mut d)?);
                 }
@@ -422,7 +427,7 @@ impl Msg {
                         "absurd result batch",
                     ));
                 }
-                let mut batch = Vec::with_capacity(n);
+                let mut batch = reserve_for(&d, n, UNIT_RESULT_WIRE);
                 for _ in 0..n {
                     batch.push(UnitResult {
                         lease_id: d.u64()?,
@@ -586,22 +591,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_hello_still_decodes_as_worker() {
-        // A v1 peer's Hello is tag + u32 version, no role byte.  It must
-        // decode (as a worker) so the coordinator can send a friendly
-        // Refuse instead of hanging up on an opaque decode error.
-        let mut wire = vec![T_HELLO];
-        wire.extend_from_slice(&1u32.to_le_bytes());
-        match Msg::decode(&wire).unwrap() {
-            Msg::Hello { version, role } => {
-                assert_eq!(version, 1);
-                assert_eq!(role, Role::Worker);
-            }
-            other => panic!("expected Hello, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn malformed_payloads_error_not_panic() {
         assert!(Msg::decode(&[]).is_err());
         assert!(Msg::decode(&[99]).is_err(), "unknown tag");
@@ -620,12 +609,16 @@ mod tests {
         let mut wire2 = Msg::Ping.encode();
         wire2.push(0);
         assert!(Msg::decode(&wire2).is_err(), "trailing bytes");
+        // A Hello must carry its role byte.
+        let mut hello = vec![T_HELLO];
+        hello.extend_from_slice(&PROTO_VERSION.to_le_bytes());
+        assert!(Msg::decode(&hello).is_err(), "role-less hello");
     }
 
     #[test]
     fn malformed_replicate_and_promote_are_rejected() {
         // Truncation at every prefix must error cleanly, exactly like
-        // the seven v1 messages.
+        // the seven original messages.
         let repl = Msg::Replicate {
             epoch: 1,
             search_id: 2,

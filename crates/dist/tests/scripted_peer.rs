@@ -2,7 +2,7 @@
 //! protocol directly to a real coordinator, exercising the merge/fence/
 //! evict edges no well-behaved worker produces — double-sent results,
 //! wrong-epoch batches, silent peers past the heartbeat deadline, and
-//! v1 handshakes.
+//! version-mismatched handshakes.
 
 use parcolor_core::framework::{SeedSearcher, SimScratch};
 use parcolor_core::SeedStrategy;
@@ -322,9 +322,10 @@ fn silent_peer_is_evicted_and_its_leases_requeued() {
 }
 
 #[test]
-fn v1_hello_gets_a_clean_version_refusal() {
+fn version_mismatch_hello_gets_a_clean_refusal() {
     let coordinator = Arc::new(
-        DistCoordinator::bind("127.0.0.1:0", b"v1-test".to_vec(), patient_cfg()).expect("bind"),
+        DistCoordinator::bind("127.0.0.1:0", b"version-test".to_vec(), patient_cfg())
+            .expect("bind"),
     );
     let stream = TcpStream::connect(coordinator.local_addr()).expect("connect");
     stream
@@ -332,11 +333,12 @@ fn v1_hello_gets_a_clean_version_refusal() {
         .unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = FrameReader::new(stream);
-    // A protocol-v1 Hello on the wire: tag byte 1, u32 version 1 — no
-    // role byte (v1 predates roles).
-    let mut v1_hello = vec![1u8];
-    v1_hello.extend_from_slice(&1u32.to_le_bytes());
-    write_frame(&mut writer, &v1_hello).unwrap();
+    // A well-formed Hello from a peer one protocol version ahead.
+    let hello = Msg::Hello {
+        version: PROTO_VERSION + 1,
+        role: Role::Worker,
+    };
+    write_frame(&mut writer, &hello.encode()).unwrap();
     let reply = loop {
         match reader.poll_frame() {
             Ok(Some(f)) => break Msg::decode(&f).expect("refusal must decode"),

@@ -5,12 +5,14 @@
 //! blocks off one shared atomic counter** and fold per-worker partials
 //! that a grouping-invariant merge combines into a deterministic result.
 //! This crate generalizes that scheduler so every data-parallel surface —
-//! seed search, node-striped round simulation, the Definition-2 stage
-//! pass, the MPC accounting and partition-diagnostic folds, and the
-//! edge/adoption sorts — shares **one lazily-spawned persistent pool**
-//! instead of spawning scoped threads per call.  Callers reach it directly through [`par_fold`],
+//! seed search, the Definition-2 stage pass, the MPC accounting and
+//! partition-diagnostic folds, and the edge/adoption sorts — shares
+//! **one lazily-spawned persistent pool** instead of spawning scoped
+//! threads per call.  Callers reach it directly through [`par_fold`],
 //! [`par_fill`], [`par_sort_unstable`] and friends; everything else in
-//! the workspace is plain sequential code.
+//! the workspace is plain sequential code.  That includes applying a
+//! derandomized step's chosen seed: it is one pass per step, and
+//! striping it over the pool measured no faster at 2 workers.
 //!
 //! ## The executor contract
 //!
@@ -370,14 +372,13 @@ impl<S> SharedScratches<S> {
     }
 }
 
-/// A mutable slice shared across workers for **disjoint scattered
-/// writes** (e.g. writing each active node's pick into a dense-by-node
-/// array from index-chunked workers).
+/// A mutable slice shared across workers for **disjoint stripe
+/// writes** (e.g. sorting each node's adjacency row from node-chunked
+/// workers).
 ///
-/// SAFETY contract: across one parallel call, every index must be
-/// written by at most one worker, and no reads may overlap writes.
-/// [`ScatterMut::write`] is `unsafe` to keep that obligation visible at
-/// the call site.
+/// SAFETY contract: across one parallel call, the stripes handed to
+/// different workers must not overlap.  [`ScatterMut::stripe_mut`] is
+/// `unsafe` to keep that obligation visible at the call site.
 pub struct ScatterMut<'a, T> {
     ptr: *mut T,
     len: usize,
@@ -387,7 +388,7 @@ pub struct ScatterMut<'a, T> {
 unsafe impl<T: Send> Sync for ScatterMut<'_, T> {}
 
 impl<'a, T> ScatterMut<'a, T> {
-    /// Wrap a slice for scattered parallel writes.
+    /// Wrap a slice for disjoint parallel stripe writes.
     pub fn new(slice: &'a mut [T]) -> Self {
         ScatterMut {
             ptr: slice.as_mut_ptr(),
@@ -396,22 +397,11 @@ impl<'a, T> ScatterMut<'a, T> {
         }
     }
 
-    /// Write `slice[i] = value`.
-    ///
-    /// # Safety
-    /// Within the enclosing parallel call, index `i` must be written by
-    /// at most one worker and not read concurrently.
-    #[inline]
-    pub unsafe fn write(&self, i: usize, value: T) {
-        debug_assert!(i < self.len);
-        *self.ptr.add(i) = value;
-    }
-
     /// Reborrow `slice[start..start + len]` as a mutable stripe.
     ///
     /// # Safety
     /// Within the enclosing parallel call, stripes handed to different
-    /// workers must be disjoint and must not overlap any `write` index.
+    /// workers must be disjoint.
     // `&self -> &mut` is this type's entire purpose: the `unsafe` fn plus
     // the disjointness contract above replace the usual exclusivity rule.
     #[allow(clippy::mut_from_ref)]
@@ -556,8 +546,8 @@ where
 /// Indexed chunk map: workers steal `chunk`-sized index chunks of
 /// `0..len` off one shared counter and call `apply(start, len)` for
 /// each.  `apply` is responsible for writing **disjoint** outputs (use
-/// [`ScatterMut`] for scattered destinations or [`par_fill`] for one
-/// contiguous output slice).
+/// [`ScatterMut`] for disjoint stripes of a shared slice or
+/// [`par_fill`] for one contiguous output slice).
 pub fn par_map_chunks<F>(pool: &Executor, workers: usize, len: usize, chunk: usize, apply: F)
 where
     F: Fn(usize, usize) + Sync,
