@@ -2,26 +2,22 @@
 //! pipeline: build-ms, solve-ms, and peak RSS per `(family, n)` leg.
 //!
 //! Every leg builds its graph through the two-pass streaming path (the
-//! only path the generators have).  For legs up to the identity cap the
-//! sweep re-builds the same edge set through `GraphBuilder` and asserts
-//! the CSR arrays — and, where the leg solves, the colorings — are
-//! **bit-identical**; one leg additionally roundtrips through a `.pcg`
-//! file and asserts the mmap-loaded solve matches the owned-memory
-//! solve.  Any mismatch aborts the run (non-zero exit), which is what
-//! the CI `scale-smoke` job keys on.  Writes `BENCH_scale.json`.
+//! only edge-to-CSR path there is).  The first solved leg also
+//! roundtrips through a `.pcg` file and asserts the mmap-loaded solve
+//! is **bit-identical** to the owned-memory solve; a mismatch aborts
+//! the run (non-zero exit), which is what the CI `scale-smoke` job keys
+//! on.  Writes `BENCH_scale.json`, with the host's thread count and CPU
+//! model.
 //!
 //! Peak RSS is the kernel's `VmHWM` — monotone over the process — so
 //! legs run smallest-first and the recorded value is the cumulative
 //! peak after that leg.
 
-use parcolor_bench::{f1, peak_rss, quick, s, timed, Table};
+use parcolor_bench::{f1, host_json, peak_rss, quick, s, timed, Table};
 use parcolor_core::{D1lcInstance, Graph, Params, SeedStrategy, Solver};
 use parcolor_graphgen as gen;
 
 const SEED: u64 = 42;
-/// Rebuild-and-compare ceiling: above this the edge-list rebuild would
-/// reintroduce exactly the memory spike the streaming path removes.
-const IDENTITY_CAP: usize = 100_000;
 
 fn build(family: &str, n: usize) -> Graph {
     match family {
@@ -55,7 +51,6 @@ struct Row {
     build_ms: f64,
     solve_ms: f64, // < 0 when the leg is build-only
     peak_rss_mb: f64,
-    identity_checked: bool,
 }
 
 fn main() {
@@ -74,41 +69,15 @@ fn main() {
         for family in families {
             let (g, build_ms) = timed(|| build(family, n));
             let m = g.m();
-            let identity_checked = n <= IDENTITY_CAP;
             let mut solve_ms = -1.0;
-            if identity_checked {
-                // Rebuild the identical edge set through the edge-list
-                // path; the CSR must match bit for bit.
-                let edges: Vec<_> = g.edges().collect();
-                let rebuilt = Graph::from_edges(n, &edges);
-                assert_eq!(
-                    g.offsets(),
-                    rebuilt.offsets(),
-                    "{family} n={n}: stream offsets diverge from builder"
-                );
-                assert_eq!(
-                    g.adj(),
-                    rebuilt.adj(),
-                    "{family} n={n}: stream adj diverges from builder"
-                );
-                if solve {
-                    let g2 = g.clone();
-                    let (colors, ms) = timed(|| solve_colors(g2));
-                    solve_ms = ms;
-                    let colors_rebuilt = solve_colors(rebuilt);
-                    assert_eq!(
-                        colors, colors_rebuilt,
-                        "{family} n={n}: stream-built coloring diverges from builder-built"
-                    );
-                    if !pcg_checked {
-                        assert_pcg_solve_matches(&g, &colors, family, n);
-                        pcg_checked = true;
-                    }
-                }
-            } else if solve {
+            if solve {
                 let g2 = g.clone();
-                let (_, ms) = timed(|| solve_colors(g2));
+                let (colors, ms) = timed(|| solve_colors(g2));
                 solve_ms = ms;
+                if !pcg_checked {
+                    assert_pcg_solve_matches(&g, &colors, family, n);
+                    pcg_checked = true;
+                }
             }
             drop(g);
             rows.push(Row {
@@ -118,7 +87,6 @@ fn main() {
                 build_ms,
                 solve_ms,
                 peak_rss_mb: peak_rss() as f64 / (1024.0 * 1024.0),
-                identity_checked,
             });
             eprintln!(
                 "  {family} n={n}: m={m} build={build_ms:.0}ms solve={solve_ms:.0}ms rss={:.0}MB",
@@ -128,7 +96,7 @@ fn main() {
     }
     if !quick() {
         // The 10^7 frontier: gnp build-only (construction dominates
-        // end-to-end there, which is exactly what this PR attacks).
+        // end-to-end there).
         let n = 10_000_000;
         let (g, build_ms) = timed(|| build("gnp", n));
         rows.push(Row {
@@ -138,7 +106,6 @@ fn main() {
             build_ms,
             solve_ms: -1.0,
             peak_rss_mb: peak_rss() as f64 / (1024.0 * 1024.0),
-            identity_checked: false,
         });
         eprintln!(
             "  gnp n={n}: m={} build={build_ms:.0}ms rss={:.0}MB",
@@ -164,20 +131,22 @@ fn main() {
         ]);
     }
     t.print();
-    println!("\nStream-built CSR and colorings bit-identical to builder-built (asserted up to n={IDENTITY_CAP}); .pcg mmap solve bit-identical to owned (asserted).");
+    println!("\n.pcg mmap solve bit-identical to owned (asserted).");
 
     let json_rows: Vec<String> = rows
         .iter()
         .map(|r| {
             format!(
                 "    {{\"family\": \"{}\", \"n\": {}, \"m\": {}, \"build_ms\": {:.1}, \
-                 \"solve_ms\": {:.1}, \"peak_rss_mb\": {:.1}, \"identity_checked\": {}}}",
-                r.family, r.n, r.m, r.build_ms, r.solve_ms, r.peak_rss_mb, r.identity_checked
+                 \"solve_ms\": {:.1}, \"peak_rss_mb\": {:.1}}}",
+                r.family, r.n, r.m, r.build_ms, r.solve_ms, r.peak_rss_mb
             )
         })
         .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"e18_scale\",\n  \"quick\": {},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"e18_scale\",\n  \"host\": {},\n  \"quick\": {},\n  \
+         \"rows\": [\n{}\n  ]\n}}\n",
+        host_json(),
         quick(),
         json_rows.join(",\n")
     );

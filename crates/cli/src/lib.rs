@@ -15,13 +15,34 @@
 use parcolor_core::{D1lcInstance, Graph, NodeId};
 use std::io::{BufRead, Write};
 
+/// A DIMACS `p` line may declare up to this many nodes whatever the
+/// input size; past it, `n` may not exceed the input's byte count.
+/// Building the CSR costs 16 bytes per node (offsets and a write
+/// cursor) before any edge names one, so without this bound a 20-byte
+/// header could size gigabytes.
+const DIMACS_FREE_NODES: usize = 1 << 20;
+
 /// Parse a DIMACS `.col` graph from a reader.
-pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<Graph, String> {
-    let mut n: Option<usize> = None;
+///
+/// Rejects a `p` line declaring more than `max(DIMACS_FREE_NODES, input
+/// bytes)` nodes, checked after the last line and before anything
+/// sized by `n` is allocated.
+pub fn parse_dimacs<R: BufRead>(mut reader: R) -> Result<Graph, String> {
+    // `(n, line number)` of the `p` line.
+    let mut header: Option<(usize, usize)> = None;
     let mut edges: Vec<(NodeId, NodeId)> = Vec::new();
-    for (lineno, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        let line = line.trim();
+    let mut bytes = 0usize;
+    let mut buf = String::new();
+    for lineno in 1.. {
+        buf.clear();
+        let read = reader
+            .read_line(&mut buf)
+            .map_err(|e| format!("line {lineno}: {e}"))?;
+        if read == 0 {
+            break;
+        }
+        bytes += read;
+        let line = buf.trim();
         if line.is_empty() || line.starts_with('c') {
             continue;
         }
@@ -30,55 +51,54 @@ pub fn parse_dimacs<R: BufRead>(reader: R) -> Result<Graph, String> {
             Some("p") => {
                 let kind = parts
                     .next()
-                    .ok_or_else(|| format!("line {}: missing format", lineno + 1))?;
+                    .ok_or_else(|| format!("line {lineno}: missing format"))?;
                 if kind != "edge" && kind != "edges" && kind != "col" {
-                    return Err(format!(
-                        "line {}: unsupported problem type {kind}",
-                        lineno + 1
-                    ));
+                    return Err(format!("line {lineno}: unsupported problem type {kind}"));
                 }
                 let nn: usize = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("line {}: bad n", lineno + 1))?;
+                    .ok_or_else(|| format!("line {lineno}: bad n"))?;
                 if nn > u32::MAX as usize {
                     return Err(format!(
-                        "line {}: n = {nn} exceeds the node-id range (at most {})",
-                        lineno + 1,
+                        "line {lineno}: n = {nn} exceeds the node-id range (at most {})",
                         u32::MAX
                     ));
                 }
-                if n.replace(nn).is_some() {
-                    return Err(format!("line {}: duplicate p line", lineno + 1));
+                if header.replace((nn, lineno)).is_some() {
+                    return Err(format!("line {lineno}: duplicate p line"));
                 }
             }
             Some("e") => {
-                let n = n.ok_or_else(|| format!("line {}: e before p", lineno + 1))?;
+                let (n, _) = header.ok_or_else(|| format!("line {lineno}: e before p"))?;
                 let u: usize = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("line {}: bad endpoint", lineno + 1))?;
+                    .ok_or_else(|| format!("line {lineno}: bad endpoint"))?;
                 let v: usize = parts
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("line {}: bad endpoint", lineno + 1))?;
+                    .ok_or_else(|| format!("line {lineno}: bad endpoint"))?;
                 if u == 0 || v == 0 || u > n || v > n {
-                    return Err(format!(
-                        "line {}: endpoint out of range (1-based)",
-                        lineno + 1
-                    ));
+                    return Err(format!("line {lineno}: endpoint out of range (1-based)"));
                 }
                 if u != v {
                     edges.push(((u - 1) as NodeId, (v - 1) as NodeId));
                 }
             }
             Some(other) => {
-                return Err(format!("line {}: unknown directive {other}", lineno + 1));
+                return Err(format!("line {lineno}: unknown directive {other}"));
             }
             None => {}
         }
     }
-    let n = n.ok_or("missing p line")?;
+    let (n, p_line) = header.ok_or("missing p line")?;
+    if n > DIMACS_FREE_NODES.max(bytes) {
+        return Err(format!(
+            "line {p_line}: n = {n} exceeds what a {bytes}-byte input may declare \
+             (at most max({DIMACS_FREE_NODES}, input bytes) nodes)"
+        ));
+    }
     Ok(Graph::from_edges(n, &edges))
 }
 
@@ -187,6 +207,11 @@ mod tests {
         assert!(parse_dimacs(Cursor::new("p edge 2 1\ne 0 1\n")).is_err());
         let e = parse_dimacs(Cursor::new("c big\np edge 99999999999 1\n")).unwrap_err();
         assert!(e.starts_with("line 2:"), "{e}");
+        // A header alone may not size memory past the input.
+        let e = parse_dimacs(Cursor::new("p edge 4000000000 0\n")).unwrap_err();
+        assert!(e.starts_with("line 1:"), "{e}");
+        let g = parse_dimacs(Cursor::new("p edge 1048576 0\n")).unwrap();
+        assert_eq!(g.n(), DIMACS_FREE_NODES);
     }
 
     #[test]

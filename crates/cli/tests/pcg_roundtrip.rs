@@ -1,9 +1,13 @@
 //! Property coverage for the `.pcg` codec: write → load is the
-//! identity, corruption in any byte is rejected cleanly, and the
-//! mmap-backed load agrees with the owned-memory load — including the
-//! solver output over both storages.
+//! identity, corruption in any byte is rejected cleanly, a malformed CSR
+//! is rejected even under a valid checksum, and the mmap-backed load
+//! agrees with the owned-memory load — including the solver output over
+//! both storages.
 
-use parcolor_cli::pcg::{load_pcg, load_pcg_owned, read_pcg_bytes, write_pcg, PCG_HEADER_LEN};
+use parcolor_cli::pcg::{
+    checksum_words, load_pcg, load_pcg_owned, read_pcg_bytes, write_pcg, PCG_HEADER_LEN, PCG_MAGIC,
+    PCG_VERSION,
+};
 use parcolor_core::{Graph, NodeId, Params, SeedStrategy, Solver};
 use proptest::prelude::*;
 
@@ -110,4 +114,48 @@ fn header_constant_matches_layout() {
         PCG_HEADER_LEN.is_multiple_of(8),
         "offsets must stay 8-aligned"
     );
+}
+
+/// A `.pcg` container around arbitrary arrays, with a correct header
+/// and checksum — what a buggy or hostile writer could produce.
+fn container(offsets: &[u64], adj: &[u32]) -> Vec<u8> {
+    let mut bytes = vec![0u8; PCG_HEADER_LEN];
+    bytes[0..8].copy_from_slice(PCG_MAGIC);
+    bytes[8..12].copy_from_slice(&PCG_VERSION.to_le_bytes());
+    bytes[16..24].copy_from_slice(&(offsets.len() as u64 - 1).to_le_bytes());
+    bytes[24..32].copy_from_slice(&(adj.len() as u64).to_le_bytes());
+    bytes[32..40].copy_from_slice(&checksum_words(offsets, adj).to_le_bytes());
+    bytes.extend(offsets.iter().flat_map(|x| x.to_le_bytes()));
+    bytes.extend(adj.iter().flat_map(|x| x.to_le_bytes()));
+    bytes
+}
+
+#[test]
+fn malformed_csr_under_a_valid_checksum_is_rejected() {
+    // Three nodes each; every container passes the header and checksum
+    // checks, so only the loaders' structural CSR checks stand between
+    // it and the solver.
+    let cases: [(&str, &[u64], &[u32]); 6] = [
+        ("unsorted-row", &[0, 2, 3, 4], &[2, 1, 0, 0]),
+        ("duplicate-neighbor", &[0, 2, 3, 3], &[1, 1, 0]),
+        ("self-loop", &[0, 1, 1, 1], &[0]),
+        ("out-of-range", &[0, 1, 1, 1], &[3]),
+        ("non-monotone-offsets", &[0, 2, 1, 2], &[1, 2]),
+        ("offsets-short-of-adj", &[0, 1, 2, 2], &[1, 0, 2]),
+    ];
+    let mapped = if cfg!(all(unix, target_endian = "little")) {
+        "mapped graph:"
+    } else {
+        "csr graph:"
+    };
+    for (tag, offsets, adj) in cases {
+        let bytes = container(offsets, adj);
+        let e = read_pcg_bytes(&bytes).expect_err(tag);
+        assert!(e.contains("csr graph:"), "{tag}: {e}");
+        let path = temp_path(tag);
+        std::fs::write(&path, &bytes).unwrap();
+        let e = load_pcg(&path).expect_err(tag);
+        std::fs::remove_file(&path).ok();
+        assert!(e.contains(mapped), "{tag}: {e}");
+    }
 }

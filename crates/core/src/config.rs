@@ -50,8 +50,8 @@ pub struct Params {
     /// Randomized mode runs no seed search, and a step's chosen seed is
     /// applied by one sequential `simulate_into` call in both modes.  The
     /// Definition-2 stage pass (`compute_params`), the MPC accounting
-    /// folds, the partition's worst-ratio fold and the edge/adoption
-    /// sorts always take the auto count.  Any value yields bit-identical
+    /// folds, the partition's worst-ratio fold and the CSR row sort
+    /// always take the auto count.  Any value yields bit-identical
     /// results — all reduces are grouping-invariant and stripe splices
     /// are positional — so this is purely a throughput knob.
     pub workers: usize,

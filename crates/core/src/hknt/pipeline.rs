@@ -217,20 +217,12 @@ pub fn color_middle(
             cliques: put_cliques,
             round_tag: 0x31,
         };
-        let rep = runner.run_step(&proc, state);
-        // Re-simulate bookkeeping: run_step applied no adoptions (PutAside
-        // has none); its aux (the put-aside set) is in the last report?
-        // The outcome is not retained by run_step, so recompute via the
-        // deferred mask: we instead read the aux from the report count.
-        let _ = rep;
+        runner.run_step(&proc, state);
+        for &v in runner.last_aux() {
+            put_aside_mask[v as usize] = true;
+        }
+        report.put_aside = runner.last_aux().len();
     }
-    // run_step does not hand back aux; recompute P deterministically by
-    // re-running the chosen step is wasteful — instead PutAside marks its
-    // set through `Runner::last_aux` (see framework).
-    for &v in runner.last_aux() {
-        put_aside_mask[v as usize] = true;
-    }
-    report.put_aside = runner.last_aux().len();
 
     // Step 4: SlackColor(outliers) — put-aside nodes excluded everywhere.
     let outliers: Vec<NodeId> = acd

@@ -324,11 +324,7 @@ impl ColoringState {
             .flat_map(|&(v, _)| g.neighbors(v).iter().copied())
             .filter(|&u| !self.is_colored(u))
             .collect();
-        parcolor_exec::par_sort_unstable(
-            parcolor_exec::Executor::global(),
-            parcolor_exec::resolve_workers(0),
-            &mut affected,
-        );
+        affected.sort_unstable();
         affected.dedup();
         for &u in &affected {
             let start = self.pal_off[u as usize] as usize;

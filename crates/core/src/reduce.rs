@@ -297,9 +297,8 @@ pub fn low_space_partition(
         parcolor_exec::resolve_workers(0),
         0..high.len() as u64,
         FOLD_BLOCK,
-        || (),
         || f64::NEG_INFINITY,
-        |start, len, worst, _: &mut ()| {
+        |start, len, worst| {
             high[start as usize..(start + len) as usize]
                 .iter()
                 .filter(|&&v| !is_violator[v as usize])

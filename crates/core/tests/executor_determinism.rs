@@ -50,9 +50,8 @@ proptest! {
                 workers,
                 0..len,
                 64,
-                || (),
                 || SumMinArgmin::EMPTY,
-                |start, blen, mut acc: SumMinArgmin, _: &mut ()| {
+                |start, blen, mut acc: SumMinArgmin| {
                     jitter(seed, start);
                     for i in start..start + blen {
                         acc.observe(i, cost(seed, i));

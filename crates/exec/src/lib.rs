@@ -6,13 +6,14 @@
 //! that a grouping-invariant merge combines into a deterministic result.
 //! This crate generalizes that scheduler so every data-parallel surface —
 //! seed search, the Definition-2 stage pass, the MPC accounting and
-//! partition-diagnostic folds, and the edge/adoption sorts — shares
-//! **one lazily-spawned persistent pool** instead of spawning scoped
-//! threads per call.  Callers reach it directly through [`par_fold`],
-//! [`par_fill`], [`par_sort_unstable`] and friends; everything else in
-//! the workspace is plain sequential code.  That includes applying a
-//! derandomized step's chosen seed: it is one pass per step, and
-//! striping it over the pool measured no faster at 2 workers.
+//! partition-diagnostic folds, and the CSR row sort — shares **one
+//! lazily-spawned persistent pool** instead of spawning scoped threads
+//! per call.  Callers reach it directly through [`par_fold`],
+//! [`par_fill`] and friends; everything else in the workspace is plain
+//! sequential code.  That includes applying a derandomized step's chosen
+//! seed (one pass per step; striping it over the pool measured no faster
+//! at 2 workers) and the adoption batch's sort (a plain `sort_unstable`
+//! measured no slower than a pool sort at 2 workers).
 //!
 //! ## The executor contract
 //!
@@ -481,66 +482,42 @@ where
 /// caller: pool scheduling would cost more than the walk.
 const MIN_PARALLEL_FOLD_BLOCKS: u64 = 4;
 
-/// [`par_fold_in`] with per-worker scratches built by `make_scratch`
-/// (called once per participating worker, on that worker's thread).
-/// Ranges shorter than `MIN_PARALLEL_FOLD_BLOCKS` blocks run inline on
-/// the caller, and no more workers than blocks take part.
-// Eight arguments mirror the classic `fold(||id, op).reduce(||id, op)`
-// shape plus the scheduling knobs; a builder would only obscure it.
-#[allow(clippy::too_many_arguments)]
-pub fn par_fold<T, S, MS, I, E, R>(
+/// Work-stealing fold over `range` in `block`-sized index blocks, for
+/// folds that need no per-worker scratch: the worker-count policy in
+/// front of [`par_fold_in`].  Ranges shorter than
+/// `MIN_PARALLEL_FOLD_BLOCKS` blocks run inline on the caller, and no
+/// more workers than blocks take part.
+pub fn par_fold<T, I, E, R>(
     pool: &Executor,
     workers: usize,
     range: Range<u64>,
     block: u64,
-    make_scratch: MS,
     identity: I,
     eval: E,
     merge: R,
 ) -> T
 where
     T: Send,
-    S: Send,
-    MS: Fn() -> S + Sync,
     I: Fn() -> T + Sync,
-    E: Fn(u64, u64, T, &mut S) -> T + Sync,
+    E: Fn(u64, u64, T) -> T + Sync,
     R: Fn(T, T) -> T + Sync,
 {
     assert!(block > 0);
-    let len = range.end.saturating_sub(range.start);
-    if len == 0 {
-        return identity();
-    }
-    let nblocks = len.div_ceil(block);
+    let nblocks = range.end.saturating_sub(range.start).div_ceil(block);
     let workers = if nblocks < MIN_PARALLEL_FOLD_BLOCKS {
         1
     } else {
         workers.clamp(1, MAX_WORKERS).min(nblocks as usize)
     };
-    let next = AtomicU64::new(0);
-    let slots: Vec<Mutex<Option<T>>> = (0..workers).map(|_| Mutex::new(None)).collect();
-    let run = |w: usize| {
-        let mut scratch = make_scratch();
-        let mut acc = identity();
-        loop {
-            let b = next.fetch_add(1, Ordering::Relaxed);
-            if b >= nblocks {
-                break;
-            }
-            let start = range.start + b * block;
-            let blen = (range.end - start).min(block);
-            acc = eval(start, blen, acc, &mut scratch);
-        }
-        *slots[w].lock().unwrap() = Some(acc);
-    };
-    pool.run_on(workers, &run);
-    let mut out = identity();
-    for slot in &slots {
-        if let Some(part) = slot.lock().unwrap().take() {
-            out = merge(out, part);
-        }
-    }
-    out
+    par_fold_in(
+        pool,
+        &mut vec![(); workers],
+        range,
+        block,
+        identity,
+        |start, len, acc, _: &mut ()| eval(start, len, acc),
+        merge,
+    )
 }
 
 /// Indexed chunk map: workers steal `chunk`-sized index chunks of
@@ -592,114 +569,6 @@ where
     });
 }
 
-// ---------------------------------------------------------------------
-// Pool-parallel sort
-// ---------------------------------------------------------------------
-
-/// Below this many elements [`par_sort_unstable`] stays sequential — the
-/// stripe scheduling plus the merge buffer would cost more than the sort.
-pub const MIN_PARALLEL_SORT_LEN: usize = 1 << 14;
-
-/// Largest number of stripes the parallel sort deals; merging is
-/// `log2(stripes)` rounds, so more stripes past the worker count only
-/// add merge traffic.
-const MAX_SORT_STRIPES: usize = 64;
-
-/// Sort `data` on the pool: the slice is cut into `k` fixed stripes
-/// (`k` = workers rounded up to a power of two, capped), each stripe is
-/// `sort_unstable`d by a stealing worker, and the sorted runs are merged
-/// k-way in `log2(k)` rounds of pairwise parallel merges, ping-ponging
-/// through one scratch buffer.
-///
-/// The output is the sorted permutation of the input, which for `Copy`
-/// payloads is a unique byte sequence — so the result is **bit-identical
-/// at every worker count and steal order**, with no grouping-invariance
-/// caveat to discharge.  `Copy` is required because elements transit the
-/// scratch buffer by plain memcpy (every workspace sort key is a small
-/// integer tuple); short slices and nested-pool callers fall back to
-/// `sort_unstable` inline.
-pub fn par_sort_unstable<T: Ord + Send + Sync + Copy>(
-    pool: &Executor,
-    workers: usize,
-    data: &mut [T],
-) {
-    let len = data.len();
-    let workers = workers.clamp(1, MAX_WORKERS);
-    if len < MIN_PARALLEL_SORT_LEN || workers <= 1 || in_pool_worker() {
-        data.sort_unstable();
-        return;
-    }
-    let k = workers.next_power_of_two().clamp(2, MAX_SORT_STRIPES);
-    let bound = |i: usize| ((i as u128 * len as u128) / k as u128) as usize;
-    // Phase 1: sort each fixed stripe (disjoint, so ScatterMut is sound).
-    {
-        let scatter = ScatterMut::new(data);
-        let scatter = &scatter;
-        par_map_chunks(pool, workers, k, 1, move |i, _| {
-            let (s, e) = (bound(i), bound(i + 1));
-            // SAFETY: stripe boundaries depend only on (len, k); stripes
-            // are pairwise disjoint.
-            let stripe = unsafe { scatter.stripe_mut(s, e - s) };
-            stripe.sort_unstable();
-        });
-    }
-    // Phase 2: pairwise merge rounds, ping-ponging between `data` and a
-    // scratch buffer; each pair writes a disjoint output range.
-    let mut runs: Vec<(usize, usize)> = (0..k).map(|i| (bound(i), bound(i + 1))).collect();
-    let mut buf: Vec<T> = vec![data[0]; len];
-    let mut in_data = true;
-    while runs.len() > 1 {
-        let next_runs: Vec<(usize, usize)> = runs
-            .chunks(2)
-            .map(|pair| (pair[0].0, pair[pair.len() - 1].1))
-            .collect();
-        {
-            let (src, dst): (&[T], &mut [T]) = if in_data {
-                (&*data, &mut buf)
-            } else {
-                (&buf, data)
-            };
-            let scatter = ScatterMut::new(dst);
-            let scatter = &scatter;
-            let runs = &runs;
-            par_map_chunks(pool, workers, runs.len().div_ceil(2), 1, move |p, _| {
-                let a = runs[2 * p];
-                // SAFETY: each pair's output range is disjoint.
-                if let Some(&b) = runs.get(2 * p + 1) {
-                    let out = unsafe { scatter.stripe_mut(a.0, b.1 - a.0) };
-                    merge_sorted(&src[a.0..a.1], &src[b.0..b.1], out);
-                } else {
-                    let out = unsafe { scatter.stripe_mut(a.0, a.1 - a.0) };
-                    out.copy_from_slice(&src[a.0..a.1]);
-                }
-            });
-        }
-        runs = next_runs;
-        in_data = !in_data;
-    }
-    if !in_data {
-        data.copy_from_slice(&buf);
-    }
-}
-
-/// Two-pointer merge of sorted `a` and `b` into `out`
-/// (`out.len() == a.len() + b.len()`).
-fn merge_sorted<T: Ord + Copy>(a: &[T], b: &[T], out: &mut [T]) {
-    debug_assert_eq!(a.len() + b.len(), out.len());
-    let (mut i, mut j) = (0, 0);
-    for slot in out.iter_mut() {
-        // `<=` keeps the merge stable (equal keys draw from `a` first);
-        // immaterial for Copy payloads but cheap to guarantee.
-        *slot = if i < a.len() && (j >= b.len() || a[i] <= b[j]) {
-            i += 1;
-            a[i - 1]
-        } else {
-            j += 1;
-            b[j - 1]
-        };
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,9 +581,8 @@ mod tests {
             workers,
             0..n,
             8,
-            || (),
             || SumMinArgmin::EMPTY,
-            |start, len, mut acc: SumMinArgmin, _: &mut ()| {
+            |start, len, mut acc: SumMinArgmin| {
                 for i in start..start + len {
                     acc.observe(i, ((i * 37 + 11) % 19) as f64);
                 }
@@ -763,9 +631,8 @@ mod tests {
             8,
             0..3 * 16,
             16,
-            || (),
             || 0u64,
-            |start, len, acc: u64, _: &mut ()| {
+            |start, len, acc: u64| {
                 threads.lock().unwrap().insert(std::thread::current().id());
                 acc + (start..start + len).sum::<u64>()
             },
@@ -784,9 +651,8 @@ mod tests {
             8,
             5..5,
             4,
-            || (),
             || 0u64,
-            |_, _, acc: u64, _: &mut ()| acc + 1,
+            |_, _, acc: u64| acc + 1,
             |a, b| a + b,
         );
         assert_eq!(x, 0);
@@ -869,77 +735,6 @@ mod tests {
         // Merge in either order: lowest index wins.
         assert_eq!(a.merge(b).argmin, 1);
         assert_eq!(b.merge(a).argmin, 1);
-    }
-
-    /// SplitMix-style mixer for deterministic pseudo-random test data.
-    fn mix(x: u64) -> u64 {
-        let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    #[test]
-    fn par_sort_matches_std_at_every_worker_count() {
-        let pool = Executor::global();
-        let base: Vec<u64> = (0..(3 * MIN_PARALLEL_SORT_LEN as u64 + 7))
-            .map(|i| mix(i) % 1000) // plenty of duplicates
-            .collect();
-        let mut expected = base.clone();
-        expected.sort_unstable();
-        for workers in [1usize, 2, 3, 4, 8] {
-            let mut got = base.clone();
-            par_sort_unstable(pool, workers, &mut got);
-            assert_eq!(got, expected, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn par_sort_handles_tuples_and_presorted() {
-        let pool = Executor::global();
-        let n = 2 * MIN_PARALLEL_SORT_LEN;
-        let base: Vec<(u32, u32)> = (0..n)
-            .map(|i| {
-                (
-                    (mix(i as u64) % 512) as u32,
-                    (mix(i as u64 ^ 0xA5) % 512) as u32,
-                )
-            })
-            .collect();
-        let mut expected = base.clone();
-        expected.sort_unstable();
-        let mut got = base.clone();
-        par_sort_unstable(pool, 4, &mut got);
-        assert_eq!(got, expected);
-        // Already sorted and reverse-sorted inputs.
-        par_sort_unstable(pool, 4, &mut got);
-        assert_eq!(got, expected);
-        got.reverse();
-        par_sort_unstable(pool, 4, &mut got);
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn par_sort_short_and_empty_slices() {
-        let pool = Executor::global();
-        let mut empty: Vec<u32> = Vec::new();
-        par_sort_unstable(pool, 8, &mut empty);
-        assert!(empty.is_empty());
-        let mut small = vec![3u32, 1, 4, 1, 5, 9, 2, 6];
-        par_sort_unstable(pool, 8, &mut small);
-        assert_eq!(small, vec![1, 1, 2, 3, 4, 5, 6, 9]);
-    }
-
-    #[test]
-    fn merge_sorted_interleaves() {
-        let a = [1u32, 4, 4, 9];
-        let b = [2u32, 4, 8];
-        let mut out = [0u32; 7];
-        merge_sorted(&a, &b, &mut out);
-        assert_eq!(out, [1, 2, 4, 4, 4, 8, 9]);
-        let mut only_a = [0u32; 4];
-        merge_sorted(&a, &[], &mut only_a);
-        assert_eq!(only_a, a);
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! same draw sequence (seeded rng, dedup set and all) on both passes,
 //! so the two-pass builder counts degrees and then scatters without
 //! ever materializing a `Vec<(u32, u32)>` edge list.  This is the
-//! memory-lean construction path that makes n = 10^7 instances fit;
-//! outputs are bit-identical to the old `GraphBuilder` versions.
+//! memory-lean construction path that makes n = 10^7 instances fit.
 
 use crate::edgeset::EdgeSet;
 use parcolor_local::graph::{Graph, NodeId};

@@ -5,6 +5,14 @@
 //! array plus an offsets array) keeps neighbor scans cache-friendly and
 //! splits per-node work into disjoint slices — the core idiom recommended
 //! by the Rust Performance Book for this kind of workload.
+//!
+//! There is one construction path from edges: [`Graph::from_edge_stream`]
+//! counts, scatters, sorts and deduplicates in two passes over a
+//! re-runnable edge sequence, and [`Graph::from_edges`] replays a slice
+//! through it.  Codecs that already hold CSR arrays hand them to
+//! [`Graph::from_csr`] (or `Graph::from_mapped`), which run the same
+//! linear structural checks that [`Graph::validate`] extends with
+//! symmetry.
 
 /// Dense node identifier.
 pub type NodeId = u32;
@@ -95,68 +103,113 @@ impl Graph {
     /// builds still run the full [`Graph::validate`].
     #[cfg(all(unix, target_endian = "little"))]
     pub fn from_mapped(csr: crate::store::MappedCsr) -> Result<Self, String> {
-        {
-            let offsets = csr.offsets();
-            let adj = csr.adj();
-            let n = offsets.len() - 1;
-            if *offsets.last().unwrap() as usize != adj.len() || offsets[0] != 0 {
-                return Err("mapped graph: offsets do not cover adj".into());
-            }
-            if offsets.windows(2).any(|w| w[0] > w[1]) {
-                return Err("mapped graph: offsets not monotone".into());
-            }
-            for v in 0..n {
-                let row = &adj[offsets[v] as usize..offsets[v + 1] as usize];
-                if !row.windows(2).all(|w| w[0] < w[1]) {
-                    return Err(format!("mapped graph: adjacency of {v} not sorted/dedup"));
-                }
-                if row.iter().any(|&u| u as usize >= n || u as usize == v) {
-                    return Err(format!("mapped graph: bad neighbor at {v}"));
-                }
-            }
-        }
+        check_csr(csr.offsets(), csr.adj()).map_err(|e| format!("mapped graph: {e}"))?;
         let g = Graph {
             store: Store::Mapped(csr),
         };
         debug_assert!(g.validate().is_ok(), "invalid mapped CSR");
         Ok(g)
     }
-    /// Build a graph from an edge list over `n` nodes.
+
+    /// Build a graph from an edge list over `n` nodes by replaying the
+    /// slice through [`Graph::from_edge_stream`].
     ///
-    /// Edges may appear in any orientation and with duplicates; self-loops
-    /// are rejected.  Cost: `O(m log m)`.
+    /// Edges may appear in any orientation and with duplicates;
+    /// self-loops and out-of-range endpoints panic.
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Self {
-        let mut builder = GraphBuilder::new(n);
-        for &(u, v) in edges {
-            builder.add_edge(u, v);
-        }
-        builder.build()
+        Graph::from_edge_stream(n, |sink| {
+            for &(u, v) in edges {
+                sink(u, v);
+            }
+        })
     }
 
-    /// Build a graph from a **re-runnable** edge stream over `n` nodes,
-    /// without ever materializing the edge list.
+    /// Build a graph from a **re-runnable** edge stream over `n` nodes —
+    /// the one path from an edge sequence to CSR arrays.
     ///
     /// `stream` is invoked twice with an edge sink and must emit the
     /// *exact same* edge sequence both times (deterministic generators
-    /// replayed from the same seed qualify).  The first pass counts
-    /// degrees, the second scatters directly into the CSR adjacency
-    /// array; rows are then sorted and deduplicated in place.  Peak
-    /// memory is the final CSR plus one `u64` cursor per node — no
-    /// `Vec<(u32, u32)>` edge buffer and no global sort scratch, which
-    /// is what makes n = 10^7 instances fit.
+    /// replayed from the same seed, or a slice, qualify).  The first
+    /// pass counts degrees, which are prefix-summed into offsets; the
+    /// second scatters each edge straight into its two rows; rows are
+    /// then sorted and deduplicated in place.  Peak memory is the final
+    /// CSR plus one `u64` cursor per node — no edge buffer and no global
+    /// sort scratch, which is what makes n = 10^7 instances fit.
     ///
-    /// Output is bit-identical to queueing the same edges on a
-    /// [`GraphBuilder`]: duplicates collapse, orientation is ignored,
-    /// and self-loops or out-of-range endpoints panic.
+    /// Duplicates collapse and orientation is ignored.  Self-loops,
+    /// out-of-range endpoints, and a stream that emits a different
+    /// sequence on its second pass panic.
     pub fn from_edge_stream<F>(n: usize, stream: F) -> Self
     where
         F: Fn(&mut dyn FnMut(NodeId, NodeId)),
     {
-        let mut sb = StreamBuilder::new(n);
-        stream(&mut |u, v| sb.count_edge(u, v));
-        sb.finish_counting();
-        stream(&mut |u, v| sb.scatter_edge(u, v));
-        sb.finish()
+        let check = move |u: NodeId, v: NodeId| {
+            assert!(u != v, "self loop {u}");
+            assert!(
+                (u as usize) < n && (v as usize) < n,
+                "edge ({u},{v}) out of range n={n}"
+            );
+        };
+        // The sinks own their slices (`move`), so the compiler sees that no
+        // store into a row can change a slice's pointer or length.  Sinks
+        // that borrow the `Vec`s reload and re-check both per edge, which
+        // cost about 10% of a gnp 10^6 build.
+        //
+        // Pass 1: per-node degree counts, prefix-summed into offsets; the
+        // counts then become per-node write cursors.
+        let mut cursor = vec![0u64; n];
+        let deg = &mut cursor[..];
+        stream(&mut move |u, v| {
+            check(u, v);
+            deg[u as usize] += 1;
+            deg[v as usize] += 1;
+        });
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0u64);
+        for &d in &cursor {
+            offsets.push(offsets[offsets.len() - 1] + d);
+        }
+        let mut adj = vec![0 as NodeId; offsets[n] as usize];
+        cursor.copy_from_slice(&offsets[..n]);
+        // Pass 2: scatter each edge into both rows.
+        let (cur, ends, out) = (&mut cursor[..], &offsets[1..], &mut adj[..]);
+        stream(&mut move |u, v| {
+            check(u, v);
+            let (ui, vi) = (u as usize, v as usize);
+            assert!(
+                cur[ui] < ends[ui] && cur[vi] < ends[vi],
+                "edge stream changed between passes (extra edge ({u},{v}))"
+            );
+            out[cur[ui] as usize] = v;
+            cur[ui] += 1;
+            out[cur[vi] as usize] = u;
+            cur[vi] += 1;
+        });
+        assert!(
+            cursor[..] == offsets[1..],
+            "edge stream changed between passes (missing edges)"
+        );
+        sort_rows(&offsets, &mut adj);
+        // In-place per-row dedup compaction.  The write head `w` never
+        // overtakes the read head, and offsets are rewritten only after
+        // the original row bounds have been consumed.
+        let mut w = 0usize;
+        let mut read_lo = 0usize;
+        for v in 0..n {
+            let read_hi = offsets[v + 1] as usize;
+            let row_start = w;
+            for r in read_lo..read_hi {
+                let x = adj[r];
+                if w == row_start || adj[w - 1] != x {
+                    adj[w] = x;
+                    w += 1;
+                }
+            }
+            offsets[v + 1] = w as u64;
+            read_lo = read_hi;
+        }
+        adj.truncate(w);
+        Graph::from_parts(offsets, adj)
     }
 
     /// The empty graph on `n` nodes.
@@ -356,7 +409,8 @@ impl Graph {
         self.offsets().len() + self.adj().len()
     }
 
-    /// Construct directly from parts (used by [`GraphBuilder`] and tests).
+    /// Construct directly from parts the caller built valid (the edge
+    /// stream and graph powers).
     pub(crate) fn from_parts(offsets: Vec<u64>, adj: Vec<NodeId>) -> Self {
         let g = Graph {
             store: Store::Owned { offsets, adj },
@@ -371,25 +425,7 @@ impl Graph {
     /// This is the portable loading path for on-disk formats: codecs parse
     /// the two arrays and hand them over without an `O(m log m)` rebuild.
     pub fn from_csr(offsets: Vec<u64>, adj: Vec<NodeId>) -> Result<Self, String> {
-        if offsets.is_empty() {
-            return Err("csr graph: empty offsets array".into());
-        }
-        let n = offsets.len() - 1;
-        if *offsets.last().unwrap() as usize != adj.len() || offsets[0] != 0 {
-            return Err("csr graph: offsets do not cover adj".into());
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("csr graph: offsets not monotone".into());
-        }
-        for v in 0..n {
-            let row = &adj[offsets[v] as usize..offsets[v + 1] as usize];
-            if !row.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("csr graph: adjacency of {v} not sorted/dedup"));
-            }
-            if row.iter().any(|&u| u as usize >= n || u as usize == v) {
-                return Err(format!("csr graph: bad neighbor at {v}"));
-            }
-        }
+        check_csr(&offsets, &adj).map_err(|e| format!("csr graph: {e}"))?;
         let g = Graph {
             store: Store::Owned { offsets, adj },
         };
@@ -397,24 +433,13 @@ impl Graph {
         Ok(g)
     }
 
-    /// Validate all structural invariants; used by property tests.
+    /// Validate all structural invariants: the linear checks every
+    /// constructor runs, plus symmetry.  Used by property tests and debug
+    /// assertions.
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.n();
-        if *self.offsets().last().unwrap() as usize != self.adj().len() {
-            return Err("offsets do not cover adj".into());
-        }
-        for v in 0..n as NodeId {
-            let nb = self.neighbors(v);
-            if !nb.windows(2).all(|w| w[0] < w[1]) {
-                return Err(format!("adjacency of {v} not sorted/dedup"));
-            }
-            if nb.contains(&v) {
-                return Err(format!("self loop at {v}"));
-            }
-            if nb.iter().any(|&u| u as usize >= n) {
-                return Err(format!("out of range neighbor at {v}"));
-            }
-            for &u in nb {
+        check_csr(self.offsets(), self.adj())?;
+        for v in 0..self.n() as NodeId {
+            for &u in self.neighbors(v) {
                 if !self.has_edge(u, v) {
                     return Err(format!("asymmetric edge {v}-{u}"));
                 }
@@ -422,6 +447,31 @@ impl Graph {
         }
         Ok(())
     }
+}
+
+/// The linear structural CSR checks: offsets start at 0, never decrease
+/// and end at `adj.len()`; every row is strictly increasing (sorted and
+/// duplicate-free) and holds only in-range neighbors other than its own
+/// node.  `O(n + m)`, no allocation; symmetry is left to
+/// [`Graph::validate`].
+fn check_csr(offsets: &[u64], adj: &[NodeId]) -> Result<(), String> {
+    let n = offsets.len().checked_sub(1).ok_or("empty offsets array")?;
+    if offsets[0] != 0 || offsets[n] != adj.len() as u64 {
+        return Err("offsets do not cover adj".into());
+    }
+    if offsets.windows(2).any(|w| w[0] > w[1]) {
+        return Err("offsets not monotone".into());
+    }
+    for v in 0..n {
+        let row = &adj[offsets[v] as usize..offsets[v + 1] as usize];
+        if !row.windows(2).all(|w| w[0] < w[1]) {
+            return Err(format!("adjacency of {v} not sorted/dedup"));
+        }
+        if row.iter().any(|&u| u as usize >= n || u as usize == v) {
+            return Err(format!("bad neighbor at {v}"));
+        }
+    }
+    Ok(())
 }
 
 /// Size of the intersection of two sorted slices.
@@ -449,79 +499,12 @@ pub fn sorted_intersection_size(a: &[NodeId], b: &[NodeId]) -> usize {
     out
 }
 
-/// Incremental builder that deduplicates and symmetrizes edges.
-#[derive(Clone, Debug)]
-pub struct GraphBuilder {
-    n: usize,
-    edges: Vec<(NodeId, NodeId)>,
-}
-
-impl GraphBuilder {
-    /// Builder over `n` nodes with no edges yet.
-    pub fn new(n: usize) -> Self {
-        GraphBuilder {
-            n,
-            edges: Vec::new(),
-        }
-    }
-
-    /// Queue the undirected edge `{u, v}`.  Panics on self-loops or
-    /// out-of-range endpoints.
-    pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
-        assert!(u != v, "self loop {u}");
-        assert!(
-            (u as usize) < self.n && (v as usize) < self.n,
-            "edge ({u},{v}) out of range n={}",
-            self.n
-        );
-        self.edges.push(if u < v { (u, v) } else { (v, u) });
-    }
-
-    /// Number of nodes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Finalize into CSR form: sorts, dedups and symmetrizes. `O(m log m)`.
-    pub fn build(mut self) -> Graph {
-        parcolor_exec::par_sort_unstable(
-            parcolor_exec::Executor::global(),
-            parcolor_exec::resolve_workers(0),
-            &mut self.edges,
-        );
-        self.edges.dedup();
-        let mut deg = vec![0u64; self.n];
-        for &(u, v) in &self.edges {
-            deg[u as usize] += 1;
-            deg[v as usize] += 1;
-        }
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        offsets.push(0u64);
-        for d in &deg {
-            offsets.push(offsets.last().unwrap() + d);
-        }
-        let mut cursor: Vec<u64> = offsets[..self.n].to_vec();
-        let mut adj = vec![0 as NodeId; *offsets.last().unwrap() as usize];
-        for &(u, v) in &self.edges {
-            adj[cursor[u as usize] as usize] = v;
-            cursor[u as usize] += 1;
-            adj[cursor[v as usize] as usize] = u;
-            cursor[v as usize] += 1;
-        }
-        // Rows were filled in increasing (u,v) order: row of u receives v's
-        // in increasing order for v>u but interleaved with v<u entries, so a
-        // per-row sort is still required.
-        sort_rows(&offsets, &mut adj);
-        Graph::from_parts(offsets, adj)
-    }
-}
-
 /// Sort every CSR row of `adj` in place, in parallel over node chunks.
 ///
 /// Rows are the disjoint slices `offsets[v]..offsets[v+1]`, so striping
 /// the adjacency array at node-chunk boundaries gives each pool task an
 /// exclusive span; stealing balances the skewed row lengths.
-pub(crate) fn sort_rows(offsets: &[u64], adj: &mut [NodeId]) {
+fn sort_rows(offsets: &[u64], adj: &mut [NodeId]) {
     const NODE_CHUNK: usize = 1024;
     let n = offsets.len() - 1;
     let workers = parcolor_exec::resolve_workers(0);
@@ -544,131 +527,6 @@ pub(crate) fn sort_rows(offsets: &[u64], adj: &mut [NodeId]) {
             span[s..e].sort_unstable();
         }
     });
-}
-
-/// Two-pass streaming CSR builder — the million-node construction path.
-///
-/// Protocol (what [`Graph::from_edge_stream`] drives):
-/// 1. feed every edge to [`StreamBuilder::count_edge`] (pass 1),
-/// 2. call [`StreamBuilder::finish_counting`] once,
-/// 3. replay the *same* edge sequence through
-///    [`StreamBuilder::scatter_edge`] (pass 2),
-/// 4. call [`StreamBuilder::finish`].
-///
-/// Unlike [`GraphBuilder`], no edge list is ever materialized: pass 1
-/// accumulates degree counts, `finish_counting` prefix-sums them into
-/// offsets and allocates the adjacency array, pass 2 scatters each edge
-/// straight into its two rows, and `finish` sorts and deduplicates rows
-/// in place.  Peak memory is the final CSR plus one `u64` cursor per
-/// node.  The result is bit-identical to queueing the same edges on a
-/// [`GraphBuilder`].
-#[derive(Clone, Debug)]
-pub struct StreamBuilder {
-    n: usize,
-    /// Pass 1: per-node degree counts.  After [`StreamBuilder::finish_counting`]:
-    /// per-node write cursors for the scatter pass.
-    cursor: Vec<u64>,
-    offsets: Vec<u64>,
-    adj: Vec<NodeId>,
-    counting: bool,
-}
-
-impl StreamBuilder {
-    /// Builder over `n` nodes, ready for the counting pass.
-    pub fn new(n: usize) -> Self {
-        StreamBuilder {
-            n,
-            cursor: vec![0; n],
-            offsets: Vec::new(),
-            adj: Vec::new(),
-            counting: true,
-        }
-    }
-
-    #[inline]
-    fn check_edge(&self, u: NodeId, v: NodeId) {
-        assert!(u != v, "self loop {u}");
-        assert!(
-            (u as usize) < self.n && (v as usize) < self.n,
-            "edge ({u},{v}) out of range n={}",
-            self.n
-        );
-    }
-
-    /// Pass 1: count the undirected edge `{u, v}`.  Panics on self-loops
-    /// or out-of-range endpoints, like [`GraphBuilder::add_edge`].
-    #[inline]
-    pub fn count_edge(&mut self, u: NodeId, v: NodeId) {
-        debug_assert!(self.counting, "count_edge after finish_counting");
-        self.check_edge(u, v);
-        self.cursor[u as usize] += 1;
-        self.cursor[v as usize] += 1;
-    }
-
-    /// Seal pass 1: prefix-sum the degree counts into offsets and
-    /// allocate the adjacency array for the scatter pass.
-    pub fn finish_counting(&mut self) {
-        assert!(self.counting, "finish_counting called twice");
-        let mut offsets = Vec::with_capacity(self.n + 1);
-        offsets.push(0u64);
-        for &d in &self.cursor {
-            offsets.push(offsets.last().unwrap() + d);
-        }
-        self.adj = vec![0 as NodeId; *offsets.last().unwrap() as usize];
-        self.cursor.copy_from_slice(&offsets[..self.n]);
-        self.offsets = offsets;
-        self.counting = false;
-    }
-
-    /// Pass 2: scatter the undirected edge `{u, v}` into both rows.
-    /// Panics if the stream emits more edges for a node than pass 1
-    /// counted — i.e. the stream was not re-runnable.
-    #[inline]
-    pub fn scatter_edge(&mut self, u: NodeId, v: NodeId) {
-        debug_assert!(!self.counting, "scatter_edge before finish_counting");
-        self.check_edge(u, v);
-        let (ui, vi) = (u as usize, v as usize);
-        assert!(
-            self.cursor[ui] < self.offsets[ui + 1] && self.cursor[vi] < self.offsets[vi + 1],
-            "edge stream changed between passes (extra edge ({u},{v}))"
-        );
-        self.adj[self.cursor[ui] as usize] = v;
-        self.cursor[ui] += 1;
-        self.adj[self.cursor[vi] as usize] = u;
-        self.cursor[vi] += 1;
-    }
-
-    /// Finalize: sort rows in parallel, deduplicate them in place, and
-    /// wrap the compacted arrays.  Panics if pass 2 emitted fewer edges
-    /// than pass 1 (the stream was not re-runnable).
-    pub fn finish(mut self) -> Graph {
-        assert!(!self.counting, "finish before finish_counting");
-        assert!(
-            self.cursor[..] == self.offsets[1..],
-            "edge stream changed between passes (missing edges)"
-        );
-        sort_rows(&self.offsets, &mut self.adj);
-        // In-place per-row dedup compaction.  The write head `w` never
-        // overtakes the read head, and offsets are rewritten only after
-        // the original row bounds have been consumed.
-        let mut w = 0usize;
-        let mut read_lo = 0usize;
-        for v in 0..self.n {
-            let read_hi = self.offsets[v + 1] as usize;
-            let row_start = w;
-            for r in read_lo..read_hi {
-                let x = self.adj[r];
-                if w == row_start || self.adj[w - 1] != x {
-                    self.adj[w] = x;
-                    w += 1;
-                }
-            }
-            self.offsets[v + 1] = w as u64;
-            read_lo = read_hi;
-        }
-        self.adj.truncate(w);
-        Graph::from_parts(self.offsets, self.adj)
-    }
 }
 
 #[cfg(test)]

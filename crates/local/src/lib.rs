@@ -34,7 +34,7 @@ pub mod store;
 pub mod tape;
 
 pub use engine::{LocalMetrics, RoundEngine};
-pub use graph::{Graph, GraphBuilder, NodeId, StreamBuilder};
+pub use graph::{Graph, NodeId};
 #[cfg(all(unix, target_endian = "little"))]
 pub use store::{MappedCsr, Mmap};
 pub use tape::{CryptoTape, Randomness, SplitMix};

@@ -1,31 +1,44 @@
-//! The streaming two-pass CSR builder must be **bit-identical** to the
-//! edge-list [`GraphBuilder`] path on arbitrary inputs: same offsets
-//! array, same adjacency array, for any mix of duplicate edges and
-//! orientations.  This is the contract the scale bench and the `.pcg`
-//! pipeline rely on.
+//! The two-pass CSR builder ([`Graph::from_edge_stream`], which
+//! [`Graph::from_edges`] replays a slice through) must produce exactly
+//! the CSR of a `BTreeSet` adjacency model on arbitrary inputs: same
+//! offsets array, same adjacency array, for any mix of duplicate edges
+//! and orientations.  This is the contract the scale bench and the
+//! `.pcg` pipeline rely on.
 
-use parcolor_local::{Graph, GraphBuilder, NodeId};
+use parcolor_local::{Graph, NodeId};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
-fn build_both(n: usize, edges: &[(NodeId, NodeId)]) -> (Graph, Graph) {
-    let mut b = GraphBuilder::new(n);
+/// The CSR arrays of the simple graph on `n` nodes spanned by `edges`,
+/// from one ordered neighbor set per node.
+fn model_csr(n: usize, edges: &[(NodeId, NodeId)]) -> (Vec<u64>, Vec<NodeId>) {
+    let mut rows = vec![BTreeSet::new(); n];
     for &(u, v) in edges {
-        b.add_edge(u, v);
+        rows[u as usize].insert(v);
+        rows[v as usize].insert(u);
     }
-    let built = b.build();
-    let streamed = Graph::from_edge_stream(n, |sink| {
+    let mut offsets = vec![0u64];
+    let mut adj = Vec::new();
+    for row in rows {
+        adj.extend(row);
+        offsets.push(adj.len() as u64);
+    }
+    (offsets, adj)
+}
+
+fn stream(n: usize, edges: &[(NodeId, NodeId)]) -> Graph {
+    Graph::from_edge_stream(n, |sink| {
         for &(u, v) in edges {
             sink(u, v);
         }
-    });
-    (built, streamed)
+    })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn stream_built_equals_builder_built(
+    fn stream_built_equals_model(
         n in 2usize..80,
         raw in proptest::collection::vec((0u32..1 << 16, 0u32..1 << 16), 0..400),
     ) {
@@ -43,22 +56,18 @@ proptest! {
                 edges.push((v, u));
             }
         }
-        let (built, streamed) = build_both(n, &edges);
-        prop_assert_eq!(streamed.offsets(), built.offsets());
-        prop_assert_eq!(streamed.adj(), built.adj());
+        let streamed = stream(n, &edges);
+        let (offsets, adj) = model_csr(n, &edges);
+        prop_assert_eq!(streamed.offsets(), &offsets[..]);
+        prop_assert_eq!(streamed.adj(), &adj[..]);
         prop_assert!(streamed.validate().is_ok());
-        prop_assert_eq!(&streamed, &built);
+        prop_assert_eq!(&Graph::from_edges(n, &edges), &streamed);
     }
 }
 
 #[test]
 fn stream_builder_collapses_duplicates_and_orientations() {
-    let edges = [(0u32, 1u32), (1, 0), (0, 1), (1, 2), (2, 1), (3, 1)];
-    let g = Graph::from_edge_stream(5, |sink| {
-        for &(u, v) in &edges {
-            sink(u, v);
-        }
-    });
+    let g = stream(5, &[(0, 1), (1, 0), (0, 1), (1, 2), (2, 1), (3, 1)]);
     assert_eq!(g.n(), 5);
     assert_eq!(g.m(), 3);
     assert_eq!(g.neighbors(1), &[0, 2, 3]);
@@ -80,37 +89,24 @@ fn non_rerunnable_stream_is_caught() {
     });
 }
 
-/// A large enough instance to push `sort_rows` onto the pool path
+/// A large enough instance to push the row sort onto the pool path
 /// (adjacency above the 1<<14 sequential floor).
 #[test]
-fn large_stream_matches_builder_on_pool_path() {
+fn large_stream_matches_model_on_pool_path() {
     let n = 5000usize;
     let m = 40_000usize;
-    let edge = |i: u64| {
-        // splitmix-style hash: deterministic, re-runnable.
-        let mut z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z ^= z >> 31;
-        let u = (z % n as u64) as NodeId;
-        let v = ((z >> 32) % n as u64) as NodeId;
-        (u, v)
-    };
-    let streamed = Graph::from_edge_stream(n, |sink| {
-        for i in 0..m as u64 {
-            let (u, v) = edge(i);
-            if u != v {
-                sink(u, v);
-            }
-        }
-    });
-    let mut b = GraphBuilder::new(n);
-    for i in 0..m as u64 {
-        let (u, v) = edge(i);
-        if u != v {
-            b.add_edge(u, v);
-        }
-    }
-    let built = b.build();
-    assert_eq!(streamed.offsets(), built.offsets());
-    assert_eq!(streamed.adj(), built.adj());
+    let edges: Vec<(NodeId, NodeId)> = (0..m as u64)
+        .map(|i| {
+            // splitmix-style hash: deterministic, re-runnable.
+            let mut z = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z ^= z >> 31;
+            ((z % n as u64) as NodeId, ((z >> 32) % n as u64) as NodeId)
+        })
+        .filter(|&(u, v)| u != v)
+        .collect();
+    let streamed = stream(n, &edges);
+    let (offsets, adj) = model_csr(n, &edges);
+    assert_eq!(streamed.offsets(), &offsets[..]);
+    assert_eq!(streamed.adj(), &adj[..]);
 }

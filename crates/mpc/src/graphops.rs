@@ -62,9 +62,8 @@ where
         parcolor_exec::resolve_workers(0),
         0..n as u64,
         FOLD_BLOCK,
-        || (),
         Charge::default,
-        |start, len, mut acc: Charge, _: &mut ()| {
+        |start, len, mut acc: Charge| {
             for v in start as NodeId..(start + len) as NodeId {
                 if active(v) {
                     let w = words(v);
