@@ -44,8 +44,10 @@ fn bench_seed_search(c: &mut Criterion) {
     }
     // Fast path: seed-lane block evaluation in scratch arenas + the
     // seed-parallel fold (select_seed_blocks_n + seed_cost_block, what a
-    // solve runs).  Same workload, same strategies — the gap against the
-    // rows above is the fast path's speedup.
+    // solve runs).  Same workload, same strategies.  The rows above run
+    // the reference `simulate`, which also draws each pick once, so the
+    // gap is what lane blocks and the pool add over one sequential
+    // simulation per seed.
     for bits in [4u32, 6, 8, 12] {
         let prg = Prg::new(bits);
         for (label, strategy) in [

@@ -48,7 +48,7 @@ pub struct Params {
     /// Worker threads for the sharded seed search (`0` = auto: the
     /// `PARCOLOR_THREADS` env var if set, else all hardware threads).
     /// Randomized mode runs no seed search, and a step's chosen seed is
-    /// applied by one sequential `simulate_into` call in both modes.  The
+    /// applied by one sequential `simulate` call in both modes.  The
     /// Definition-2 stage pass (`compute_params`), the MPC accounting
     /// folds, the partition's worst-ratio fold and the CSR row sort
     /// always take the auto count.  Any value yields bit-identical

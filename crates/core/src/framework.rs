@@ -23,28 +23,25 @@
 //! per candidate seed — `2^seed_bits` evaluations per step — and every
 //! candidate goes through [`NormalProcedure::seed_cost_block`].  The
 //! outcome of the *chosen* seed (or, randomized, of the keyed tape) is
-//! built once per step by one sequential
-//! [`NormalProcedure::simulate_into`] call; only `TryRandomColor` and
-//! `MultiTrial` override it, because their reference `simulate` is
-//! measurably slower (see that method's docs).  Four structural
-//! decisions keep the hot loop at memory speed:
+//! built once per step by one sequential [`NormalProcedure::simulate`]
+//! call — the same reference every block evaluator is pinned to.  Four
+//! structural decisions keep the hot loop at memory speed:
 //!
 //! 1. **Seed-lane block evaluation.**  Every HKNT procedure overrides
 //!    [`NormalProcedure::seed_cost_block`]: a block of up to `SEED_BLOCK`
 //!    seeds materializes its picks/samples/proposals as one
-//!    structure-of-arrays plane (`PickPlane::soa` + the lane bitmasks),
+//!    structure-of-arrays plane (`SimScratch::soa` + the lane bitmasks),
 //!    and the clash/slack/undominated scans run ONCE over the graph with
 //!    lane-parallel compares, instead of once per seed.  See the block
 //!    contract on [`NormalProcedure::seed_cost_block`].
 //! 2. **Pick caching in reusable arenas** ([`SimScratch`]).  A node's
 //!    random draw under a fixed seed is the same no matter which neighbor
 //!    asks, so the block evaluators compute each active node's pick
-//!    **once** per lane (`O(n_active)` tape reads) and resolve
-//!    clashes with `O(m)` array lookups — versus `O(Σ_v d(v))` tape reads
-//!    for the naïve re-evaluate-per-edge formulation of
-//!    [`NormalProcedure::simulate`].  The arena's buffers are retained
-//!    across evaluations, so after warm-up an evaluation performs **zero
-//!    heap allocation**.
+//!    **once** per lane (`O(n_active)` tape reads) and resolve clashes
+//!    with `O(m)` array lookups — as the reference
+//!    `TryRandomColor::simulate` does for its one tape.  The arena's
+//!    buffers are retained across evaluations, so after warm-up an
+//!    evaluation performs **zero heap allocation**.
 //! 3. **Sharded seed-parallelism.**  `parcolor_prg::select_seed_blocks_n`
 //!    folds the seed space on the persistent `parcolor-exec` pool, one
 //!    scratch per worker; each block evaluation is sequential.  Workers
@@ -52,7 +49,7 @@
 //!    the fold merges `(sum, min, argmin)` with a lowest-seed tie-break —
 //!    grouping-invariant for the integer SSP costs, so results are
 //!    bit-identical for any worker count and any steal order.
-//! 4. **Batched randomness plane** ([`PickPlane`]).  A procedure's random
+//! 4. **Batched randomness plane** ([`SimScratch`]).  A procedure's random
 //!    draws are materialized for a whole stripe of active nodes in one
 //!    `Randomness::fill_*` call per stream — the tape's seed/stream mixer
 //!    rounds are hoisted once per stripe and the per-node rounds run four
@@ -69,10 +66,10 @@
 //! `parcolor_prg::seed_search`).  `tests/seed_fastpath_equivalence.rs`
 //! pins the fast path to the reference path (`simulate` + `seed_cost`
 //! under `select_seed`): identical `SeedSelection` (seed, cost, mean,
-//! trace) and identical outcomes for every strategy.
+//! trace) for every strategy, and identical costs in every block lane.
 
 use crate::config::{ChunkMode, Params};
-use crate::instance::{ColoringState, NO_COLOR};
+use crate::instance::ColoringState;
 use crate::linial::linial_coloring;
 use parcolor_local::engine::RoundEngine;
 use parcolor_local::graph::{Graph, NodeId};
@@ -93,194 +90,76 @@ pub struct Outcome {
     pub aux: Vec<NodeId>,
 }
 
-/// Batched randomness plane of one seed evaluation — staging buffers that
-/// the block evaluators (and `TryRandomColor::simulate_into`) fill with
-/// one `Randomness::fill_*` call per (stream, stripe) instead of one
-/// scalar tape read per node.
+/// Reusable arena for [`NormalProcedure::seed_cost_block`], one per
+/// seed-search worker: the batched randomness plane and the seed-lane
+/// planes the block evaluators fill with one `Randomness::fill_*` call
+/// per (stream, stripe) instead of one scalar tape read per node.
 ///
-/// All buffers are stripe-scoped: each draw overwrites them for its own
-/// stripe, so nothing needs clearing between seed evaluations and
-/// capacity is retained across the whole seed search.  Every draw is
-/// bit-identical to the scalar calls it replaces (the tape-level batch
-/// contract), which is what keeps the fast path pinned to the reference
-/// path.
-#[derive(Clone, Debug, Default)]
-pub struct PickPlane {
+/// Every buffer is block-scoped: each block evaluation overwrites what it
+/// reads for its own stripe (or resets the dense rows of its own active
+/// nodes), so nothing needs clearing between evaluations and capacity is
+/// retained across the whole seed search — after warm-up an evaluation
+/// performs no heap allocation.  Every draw is bit-identical to the
+/// scalar calls it replaces (the tape-level batch contract), which is
+/// what keeps the block evaluators pinned to the reference path.
+#[derive(Clone, Debug)]
+pub struct SimScratch {
     /// Node stripe scratch (gathered subsets, e.g. sampled nodes).
-    pub nodes: Vec<NodeId>,
+    pub(crate) nodes: Vec<NodeId>,
     /// Per-node draw bounds gathered for the current stripe.
-    pub bounds: Vec<u64>,
+    pub(crate) bounds: Vec<u64>,
     /// Raw words or bounded draws, aligned with the stripe.
-    pub vals: Vec<u64>,
+    pub(crate) vals: Vec<u64>,
     /// Bernoulli outcomes, aligned with the stripe.
-    pub bits: Vec<bool>,
+    pub(crate) bits: Vec<bool>,
     /// Seed-lane plane: picks of up to [`SEED_BLOCK`] seeds per node,
     /// dense by node id, one `u32` lane per seed — the
     /// structure-of-arrays layout block cost evaluators scan with
     /// lane-parallel compares.
-    pub soa: Vec<[u32; SEED_BLOCK]>,
+    pub(crate) soa: Vec<[u32; SEED_BLOCK]>,
     /// Per-node seed-lane bit accumulator (bit `s` ⇔ event in lane `s`),
     /// dense by node id — clash scans OR into it branchlessly and count
     /// bits per lane afterwards.
-    pub lane_mask: Vec<u8>,
+    pub(crate) lane_mask: Vec<u8>,
     /// Per-node seed-lane validity bits (bit `s` ⇔ the node holds a draw
     /// in lane `s`: it was sampled / received a proposal under seed lane
     /// `s`), dense by node id.  Lane-masked scans AND with both
-    /// endpoints' validity so stale [`PickPlane::soa`] lanes never
-    /// produce phantom clashes.
-    pub valid_mask: Vec<u8>,
+    /// endpoints' validity so stale `soa` lanes never produce phantom
+    /// clashes.
+    pub(crate) valid_mask: Vec<u8>,
     /// Per-node seed-lane **adoption** bits (bit `s` ⇔ the node adopted
-    /// [`PickPlane::soa`]`[v][s]` under seed lane `s`), dense by node id —
-    /// the block-evaluation analogue of an [`Outcome`]'s adoptions,
-    /// consumed by the lane-parallel SSP evaluators.
-    pub adopted_mask: Vec<u8>,
+    /// `soa[v][s]` under seed lane `s`), dense by node id — the
+    /// block-evaluation analogue of an [`Outcome`]'s adoptions, consumed
+    /// by the lane-parallel SSP evaluators.
+    pub(crate) adopted_mask: Vec<u8>,
     /// Per-lane sorted-set buffers for lane-parallel slack evaluation
     /// (the distinct lost palette colors of one node, per lane).
-    pub taken_lanes: [Vec<u32>; SEED_BLOCK],
-}
-
-impl PickPlane {
-    /// Bounded draws for `nodes` — `vals[i] = below(nodes[i], stream, idx,
-    /// bound_of(nodes[i]))` — in one batched tape pass.
-    pub fn draw_below(
-        &mut self,
-        rng: &dyn Randomness,
-        stream: u64,
-        idx: u32,
-        nodes: &[NodeId],
-        mut bound_of: impl FnMut(NodeId) -> u64,
-    ) -> &[u64] {
-        self.bounds.clear();
-        self.bounds.extend(nodes.iter().map(|&v| bound_of(v)));
-        self.vals.resize(nodes.len(), 0);
-        rng.fill_below(stream, nodes, idx, &self.bounds, &mut self.vals);
-        &self.vals
-    }
-}
-
-/// Reusable arena for procedure evaluations: one per seed-search worker
-/// for [`NormalProcedure::seed_cost_block`], and one per runner for the
-/// chosen seed's [`NormalProcedure::simulate_into`].
-///
-/// All per-node caches are **epoch-stamped**: [`SimScratch::begin`] bumps
-/// one epoch counter instead of clearing `O(n)` memory, so starting a new
-/// evaluation is `O(1)` plus truncating the flat outcome buffers.
-/// Capacity is retained across evaluations; after the first evaluation of
-/// a step, subsequent evaluations perform no heap allocation.
-#[derive(Clone, Debug)]
-pub struct SimScratch {
-    n: usize,
-    epoch: u32,
-    // -- outcome buffers (the Outcome of the current evaluation) --
-    /// Conflict-free adoptions of the current evaluation, in active order.
-    pub adoptions: Vec<(NodeId, u32)>,
-    /// Aux node-set output of the current evaluation.
-    pub aux: Vec<NodeId>,
-    // -- per-node pick cache and clash marks --
-    picks: Vec<u32>,
-    pick_stamp: Vec<u32>,
-    mark_stamp: Vec<u32>,
-    // -- flat arenas reused by individual procedures --
+    pub(crate) taken_lanes: [Vec<u32>; SEED_BLOCK],
     /// Flat candidate-color arena (MultiTrial draws).
-    pub draw_colors: Vec<u32>,
-    /// Offsets into [`SimScratch::draw_colors`], one per active node + 1.
-    pub draw_off: Vec<usize>,
+    pub(crate) draw_colors: Vec<u32>,
+    /// Offsets into `draw_colors`, one per (lane, active node) + 1.
+    pub(crate) draw_off: Vec<usize>,
     /// Permutation buffer (SynchColorTrial leader deals).
-    pub perm: Vec<u32>,
-    /// Batched randomness plane (stripe-scoped, no per-seed clearing).
-    pub plane: PickPlane,
+    pub(crate) perm: Vec<u32>,
 }
 
 impl SimScratch {
-    /// Arena for an `n`-node state.
+    /// Arena for an `n`-node state.  The dense per-node planes are zeroed
+    /// allocations, so only the rows a search touches become resident.
     pub fn new(n: usize) -> Self {
         SimScratch {
-            n,
-            epoch: 0,
-            adoptions: Vec::new(),
-            aux: Vec::new(),
-            picks: vec![NO_COLOR; n],
-            pick_stamp: vec![0; n],
-            mark_stamp: vec![0; n],
+            nodes: Vec::new(),
+            bounds: Vec::new(),
+            vals: Vec::new(),
+            bits: Vec::new(),
+            soa: vec![[0; SEED_BLOCK]; n],
+            lane_mask: vec![0; n],
+            valid_mask: vec![0; n],
+            adopted_mask: vec![0; n],
+            taken_lanes: Default::default(),
             draw_colors: Vec::new(),
             draw_off: Vec::new(),
             perm: Vec::new(),
-            plane: PickPlane::default(),
-        }
-    }
-
-    /// Number of nodes the arena is sized for.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Start a fresh evaluation: invalidate all per-node caches (O(1))
-    /// and truncate the outcome buffers.  Every `simulate_into`
-    /// implementation must call this first.
-    pub fn begin(&mut self) {
-        if self.epoch == u32::MAX {
-            // Stamp wrap (once per 2^32 evaluations): hard-reset.
-            self.pick_stamp.iter_mut().for_each(|s| *s = 0);
-            self.mark_stamp.iter_mut().for_each(|s| *s = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-        self.adoptions.clear();
-        self.aux.clear();
-        self.draw_colors.clear();
-        self.draw_off.clear();
-    }
-
-    /// Record an adoption `(v, c)`.
-    #[inline]
-    pub fn record_adoption(&mut self, v: NodeId, c: u32) {
-        self.adoptions.push((v, c));
-    }
-
-    /// Cache a pick/proposal for `v`.
-    #[inline]
-    pub fn set_pick(&mut self, v: NodeId, c: u32) {
-        self.picks[v as usize] = c;
-        self.pick_stamp[v as usize] = self.epoch;
-    }
-
-    /// Cached pick of `v` — the caller guarantees `set_pick(v, ..)` ran
-    /// this evaluation (e.g. every active node was filled in a prior
-    /// pass); debug builds check the stamp.
-    #[inline]
-    pub fn pick_unchecked(&self, v: NodeId) -> u32 {
-        debug_assert_eq!(self.pick_stamp[v as usize], self.epoch, "stale pick");
-        self.picks[v as usize]
-    }
-
-    /// Add `v` to the evaluation-scoped mark set.
-    #[inline]
-    pub fn mark(&mut self, v: NodeId) {
-        self.mark_stamp[v as usize] = self.epoch;
-    }
-
-    /// Whether `v` is in the mark set.
-    #[inline]
-    pub fn is_marked(&self, v: NodeId) -> bool {
-        self.mark_stamp[v as usize] == self.epoch
-    }
-
-    /// Copy an [`Outcome`] into the arena (used by the default
-    /// `simulate_into`, which delegates to allocating `simulate`).
-    pub fn load_outcome(&mut self, out: &Outcome) {
-        self.begin();
-        for &(v, c) in &out.adoptions {
-            self.record_adoption(v, c);
-        }
-        self.aux.extend_from_slice(&out.aux);
-    }
-
-    /// Materialize the current evaluation as an [`Outcome`] (allocates;
-    /// used once per step to apply the chosen seed, never per seed).
-    pub fn to_outcome(&self) -> Outcome {
-        Outcome {
-            adoptions: self.adoptions.clone(),
-            aux: self.aux.clone(),
         }
     }
 }
@@ -308,28 +187,10 @@ pub trait NormalProcedure: Sync {
     /// Number of participating nodes (for reporting and failure bounds).
     fn active_count(&self) -> usize;
 
-    /// Simulate the procedure on the current state under `rng`.
+    /// Simulate the procedure on the current state under `rng` — the
+    /// runner's one way to build a step's outcome, once per step, under
+    /// the chosen seed (or, randomized, under the keyed tape).
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome;
-
-    /// Simulate into a reusable scratch arena — the runner's one way to
-    /// build a step's outcome, once per step, under the chosen seed (or,
-    /// randomized, under the keyed tape).
-    ///
-    /// Must be **outcome-equivalent** to [`NormalProcedure::simulate`]
-    /// (same adoptions in the same order, same aux set) and must call
-    /// `scratch.begin()` first.  The default runs `simulate` and copies
-    /// its outcome into the arena.  Only `TryRandomColor` and
-    /// `MultiTrial` override it, because their `simulate` is measurably
-    /// slower at scale: `TryRandomColor`'s re-draws a neighbor's pick
-    /// once per incident edge (over 10× the override's time at 10^6
-    /// active nodes), and `MultiTrial`'s allocates one candidate set per
-    /// node (10–20% slower).  The other procedures run about once per
-    /// stage, and at 10^6 nodes an override saved them a few tens of
-    /// milliseconds per call at most.
-    fn simulate_into(&self, state: &ColoringState, rng: &dyn Randomness, scratch: &mut SimScratch) {
-        let out = self.simulate(state, rng);
-        scratch.load_outcome(&out);
-    }
 
     /// Cost evaluation for a **block** of candidate seeds, one tape per
     /// seed (at most `parcolor_prg::SEED_BLOCK`): must write
@@ -338,7 +199,7 @@ pub trait NormalProcedure: Sync {
     /// seeds through; a per-seed evaluation is a 1-lane block.  The
     /// default is exactly that reference loop (allocating); every HKNT
     /// procedure overrides it to materialize the whole block's picks into
-    /// the seed-lane plane (`PickPlane::soa`) and amortize its clash scan
+    /// the seed-lane plane (`SimScratch::soa`) and amortize its clash scan
     /// across lanes.
     ///
     /// ## The block contract
@@ -358,9 +219,9 @@ pub trait NormalProcedure: Sync {
     ///    `simulate` reads — materializing lanes into the plane is a
     ///    layout change, never a randomness change.
     /// 3. **Stale lanes are masked.**  Dense SoA rows
-    ///    (`PickPlane::soa`) retain garbage from earlier blocks in lanes
+    ///    (`SimScratch::soa`) retain garbage from earlier blocks in lanes
     ///    a node did not draw in; any lane-parallel compare must AND
-    ///    with the validity bits (`PickPlane::valid_mask`) or pad unused
+    ///    with the validity bits (`SimScratch::valid_mask`) or pad unused
     ///    lanes with values that cannot collide (e.g. the node's own
     ///    id across an edge).
     /// 4. **Short blocks are legal.**  `tapes.len()` may be any length
@@ -520,8 +381,6 @@ pub struct Runner<'g> {
     chaos: f64,
     /// Nodes deferred by injection rather than SSP failure (telemetry).
     pub chaos_deferrals: usize,
-    /// Reusable arena for the once-per-step `simulate_into`.
-    scratch: Option<SimScratch>,
 }
 
 impl<'g> Runner<'g> {
@@ -541,7 +400,6 @@ impl<'g> Runner<'g> {
             last_aux: Vec::new(),
             chaos: params.chaos_defer_prob,
             chaos_deferrals: 0,
-            scratch: None,
         }
     }
 
@@ -597,7 +455,6 @@ impl<'g> Runner<'g> {
             last_aux: Vec::new(),
             chaos: params.chaos_defer_prob,
             chaos_deferrals: 0,
-            scratch: None,
         }
     }
 
@@ -687,23 +544,17 @@ impl<'g> Runner<'g> {
                 (&chosen, Some(sel))
             }
         };
-        // Apply the step's randomness once, through the reusable arena.
+        // Apply the step's randomness once: one `simulate` in both modes.
         let keyed = StreamTape {
             inner: tape,
             stream,
         };
-        let n = state.n();
-        let scratch = self.scratch.get_or_insert_with(|| SimScratch::new(n));
-        if scratch.n() != n {
-            *scratch = SimScratch::new(n);
-        }
-        proc.simulate_into(state, &keyed, scratch);
-        let outcome = scratch.to_outcome();
+        let outcome = proc.simulate(state, &keyed);
 
         let failures = proc.ssp_failures(state, &outcome);
         let adopted = outcome.adoptions.len();
-        self.last_aux = outcome.aux.clone();
         state.apply_adoptions(self.graph, &outcome.adoptions);
+        self.last_aux = outcome.aux;
         for &v in &failures {
             debug_assert!(
                 !state.is_colored(v),

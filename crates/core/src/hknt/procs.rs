@@ -12,7 +12,7 @@
 //!   [`Randomness`] tape, keeping `simulate` a pure function of the seed —
 //!   the property the derandomizer relies on.
 
-use crate::framework::{NormalProcedure, Outcome, PickPlane, SimScratch};
+use crate::framework::{NormalProcedure, Outcome, SimScratch};
 use crate::instance::ColoringState;
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_local::simd::lane_eq_mask8;
@@ -191,7 +191,7 @@ fn collect_active_edges(g: &Graph, set: &StageSet) -> Vec<(NodeId, NodeId)> {
 // Lane-parallel SSP evaluation against the seed-lane adoption plane.
 //
 // A block evaluator materializes the whole block's outcome as the plane
-// pair (`PickPlane::soa`, `PickPlane::adopted_mask`): lane `s` of node
+// pair (`SimScratch::soa`, `SimScratch::adopted_mask`): lane `s` of node
 // `v` adopted color `soa[v][s]` iff bit `s` of `adopted_mask[v]` is set.
 // These kernels then compute every lane's seed cost in ONE pass over the
 // relevant nodes/neighborhoods — amortizing the graph traffic a per-seed
@@ -204,10 +204,10 @@ fn collect_active_edges(g: &Graph, set: &StageSet) -> Vec<(NodeId, NodeId)> {
 /// `costs[s] =` number of active nodes unadopted in lane `s` — the lane
 /// analogue of [`uncolored_cost`] (and of `SspMode::Colored`'s failure
 /// count in [`evaluate_ssp`]).
-fn lane_uncolored_costs(set: &StageSet, plane: &PickPlane, lanes: usize, costs: &mut [f64]) {
+fn lane_uncolored_costs(set: &StageSet, scratch: &SimScratch, lanes: usize, costs: &mut [f64]) {
     let mut adopted = [0usize; SEED_BLOCK];
     for &v in &set.active {
-        let am = plane.adopted_mask[v as usize];
+        let am = scratch.adopted_mask[v as usize];
         for (s, a) in adopted.iter_mut().enumerate().take(lanes) {
             *a += usize::from(am >> s & 1 == 1);
         }
@@ -231,18 +231,18 @@ fn lane_slack_fail_costs(
     g: &Graph,
     state: &ColoringState,
     set: &StageSet,
-    plane: &mut PickPlane,
+    scratch: &mut SimScratch,
     lanes: usize,
     mut skip: impl FnMut(usize) -> bool,
     mut thresh: impl FnMut(usize, usize) -> f64,
     costs: &mut [f64],
 ) {
-    let PickPlane {
+    let SimScratch {
         soa,
         adopted_mask,
         taken_lanes,
         ..
-    } = plane;
+    } = scratch;
     let full: u8 = ((1u16 << lanes) - 1) as u8;
     let mut fails = [0usize; SEED_BLOCK];
     for (i, &v) in set.active.iter().enumerate() {
@@ -315,19 +315,19 @@ fn lane_ssp_costs(
     state: &ColoringState,
     set: &StageSet,
     ssp: &SspMode,
-    plane: &mut PickPlane,
+    scratch: &mut SimScratch,
     lanes: usize,
     costs: &mut [f64],
 ) {
     match ssp {
-        SspMode::Auto | SspMode::Colored => lane_uncolored_costs(set, plane, lanes, costs),
+        SspMode::Auto | SspMode::Colored => lane_uncolored_costs(set, scratch, lanes, costs),
         SspMode::SlackRatio(ratio) => {
             let r = *ratio;
             lane_slack_fail_costs(
                 g,
                 state,
                 set,
-                plane,
+                scratch,
                 lanes,
                 |_| false,
                 |_, deg| r * deg as f64,
@@ -339,7 +339,7 @@ fn lane_ssp_costs(
                 g,
                 state,
                 set,
-                plane,
+                scratch,
                 lanes,
                 |i| targets[i] <= 0.0,
                 |i, _| targets[i],
@@ -408,13 +408,6 @@ impl<'a> TryRandomColor<'a> {
         self.active_edges
             .get_or_init(|| collect_active_edges(self.g, &self.set))
     }
-
-    #[inline]
-    fn pick(&self, state: &ColoringState, rng: &dyn Randomness, v: NodeId) -> u32 {
-        let pal = state.palette(v);
-        debug_assert!(!pal.is_empty());
-        pal[rng.below(v, S_PICK ^ self.round_tag << 8, 0, pal.len() as u64) as usize]
-    }
 }
 
 impl NormalProcedure for TryRandomColor<'_> {
@@ -427,56 +420,37 @@ impl NormalProcedure for TryRandomColor<'_> {
     }
 
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome {
-        let adoptions: Vec<(NodeId, u32)> = self
-            .set
-            .active
+        // A node's pick is a pure function of (node, tape), whichever
+        // neighbor asks, so each active node's pick is drawn once — one
+        // `fill_below` stripe over the active set — into a dense array.
+        let active = &self.set.active;
+        let bounds: Vec<u64> = active
             .iter()
-            .filter_map(|&v| {
-                let c = self.pick(state, rng, v);
-                let clash = self
-                    .g
-                    .neighbors(v)
-                    .iter()
-                    .any(|&u| self.set.contains(u) && self.pick(state, rng, u) == c);
-                (!clash).then_some((v, c))
-            })
+            .map(|&v| state.palette(v).len() as u64)
+            .collect();
+        let mut vals = vec![0u64; active.len()];
+        rng.fill_below(S_PICK ^ self.round_tag << 8, active, 0, &bounds, &mut vals);
+        let mut pick = vec![0u32; state.n()];
+        for (&v, &i) in active.iter().zip(&vals) {
+            pick[v as usize] = state.palette(v)[i as usize];
+        }
+        // Clashing is symmetric: one pass over the pre-filtered active
+        // edge list marks both endpoints of every same-pick edge.
+        let mut clashed = vec![false; state.n()];
+        for &(a, b) in self.active_edges() {
+            if pick[a as usize] == pick[b as usize] {
+                clashed[a as usize] = true;
+                clashed[b as usize] = true;
+            }
+        }
+        let adoptions = active
+            .iter()
+            .filter(|&&v| !clashed[v as usize])
+            .map(|&v| (v, pick[v as usize]))
             .collect();
         Outcome {
             adoptions,
             aux: Vec::new(),
-        }
-    }
-
-    fn simulate_into(&self, state: &ColoringState, rng: &dyn Randomness, scratch: &mut SimScratch) {
-        scratch.begin();
-        // Pick caching through the batched plane: one `fill_below` stripe
-        // over the active nodes (the naïve `simulate` above re-derives
-        // `pick(u)` once per incident edge, one scalar mixer call each).
-        let mut plane = std::mem::take(&mut scratch.plane);
-        plane.draw_below(
-            rng,
-            S_PICK ^ self.round_tag << 8,
-            0,
-            &self.set.active,
-            |v| state.palette(v).len() as u64,
-        );
-        for (i, &v) in self.set.active.iter().enumerate() {
-            scratch.set_pick(v, state.palette(v)[plane.vals[i] as usize]);
-        }
-        scratch.plane = plane;
-        // Clashing is symmetric: one pass over the pre-filtered active
-        // edge list marks both endpoints of every same-pick edge.
-        for &(a, b) in self.active_edges() {
-            if scratch.pick_unchecked(a) == scratch.pick_unchecked(b) {
-                scratch.mark(a);
-                scratch.mark(b);
-            }
-        }
-        for &v in &self.set.active {
-            if !scratch.is_marked(v) {
-                let c = scratch.pick_unchecked(v);
-                scratch.record_adoption(v, c);
-            }
         }
     }
 
@@ -501,31 +475,29 @@ impl NormalProcedure for TryRandomColor<'_> {
         costs: &mut [f64],
     ) {
         debug_assert_eq!(tapes.len(), costs.len());
-        scratch.begin();
-        let mut plane = std::mem::take(&mut scratch.plane);
         // Bounds gathered once for the whole block.
         let n_active = self.set.active.len();
-        plane.bounds.clear();
-        plane.bounds.extend(
+        scratch.bounds.clear();
+        scratch.bounds.extend(
             self.set
                 .active
                 .iter()
                 .map(|&v| state.palette(v).len() as u64),
         );
-        plane.soa.resize(state.n(), [0u32; SEED_BLOCK]);
+        scratch.soa.resize(state.n(), [0u32; SEED_BLOCK]);
         // All lanes' draws land in one stripe-major buffer
         // (lane s at offset s·n_active) …
-        plane.vals.resize(n_active * tapes.len(), 0);
+        scratch.vals.resize(n_active * tapes.len(), 0);
         let stream = S_PICK ^ self.round_tag << 8;
         for (s, tape) in tapes.iter().enumerate() {
-            let out = &mut plane.vals[s * n_active..(s + 1) * n_active];
-            tape.fill_below(stream, &self.set.active, 0, &plane.bounds, out);
+            let out = &mut scratch.vals[s * n_active..(s + 1) * n_active];
+            tape.fill_below(stream, &self.set.active, 0, &scratch.bounds, out);
         }
         // … so the pick map resolves each node's palette once and
         // writes its whole seed-lane row (pad lanes get the node's
         // own id, which can never collide across an edge).
-        let vals = &plane.vals;
-        let soa = &mut plane.soa;
+        let vals = &scratch.vals;
+        let soa = &mut scratch.soa;
         for (i, &v) in self.set.active.iter().enumerate() {
             let pal = state.palette(v);
             let lanes = &mut soa[v as usize];
@@ -542,12 +514,12 @@ impl NormalProcedure for TryRandomColor<'_> {
         // clash case costs the same as the clean case.  Pad lanes
         // never fire (distinct endpoint ids), so every set bit
         // belongs to a real seed lane.
-        plane.lane_mask.resize(state.n(), 0);
+        scratch.lane_mask.resize(state.n(), 0);
         for &v in &self.set.active {
-            plane.lane_mask[v as usize] = 0;
+            scratch.lane_mask[v as usize] = 0;
         }
-        let soa = &plane.soa;
-        let mask = &mut plane.lane_mask;
+        let soa = &scratch.soa;
+        let mask = &mut scratch.lane_mask;
         for &(a, b) in self.active_edges() {
             let eq = lane_eq_mask8(&soa[a as usize], &soa[b as usize]);
             mask[a as usize] |= eq;
@@ -560,7 +532,7 @@ impl NormalProcedure for TryRandomColor<'_> {
             SspMode::Colored | SspMode::Auto => {
                 let mut clashed = [0usize; SEED_BLOCK];
                 for &v in &self.set.active {
-                    let m = plane.lane_mask[v as usize];
+                    let m = scratch.lane_mask[v as usize];
                     if m != 0 {
                         for (s, c) in clashed.iter_mut().enumerate() {
                             *c += usize::from(m >> s & 1);
@@ -576,22 +548,21 @@ impl NormalProcedure for TryRandomColor<'_> {
             // mask; the lane-parallel slack kernel does the rest.
             _ => {
                 let full: u8 = ((1u16 << tapes.len()) - 1) as u8;
-                plane.adopted_mask.resize(state.n(), 0);
+                scratch.adopted_mask.resize(state.n(), 0);
                 for &v in &self.set.active {
-                    plane.adopted_mask[v as usize] = !plane.lane_mask[v as usize] & full;
+                    scratch.adopted_mask[v as usize] = !scratch.lane_mask[v as usize] & full;
                 }
                 lane_ssp_costs(
                     self.g,
                     state,
                     &self.set,
                     &self.ssp,
-                    &mut plane,
+                    scratch,
                     tapes.len(),
                     costs,
                 );
             }
         }
-        scratch.plane = plane;
     }
 
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
@@ -651,20 +622,11 @@ impl<'a> MultiTrial<'a> {
         }
     }
 
-    /// Sorted set of `min(x, p(v))` distinct colors from `v`'s palette.
-    fn draw(&self, state: &ColoringState, rng: &dyn Randomness, v: NodeId) -> Vec<u32> {
-        let mut buf = Vec::new();
-        let mut tmp = Vec::new();
-        let mut words = Vec::new();
-        self.draw_into(state, rng, v, &mut buf, &mut tmp, &mut words);
-        buf
-    }
-
-    /// Append the sorted candidate set of `v` to `buf` (allocation-free
-    /// once the buffers have warmed up).  The node's tape words are
-    /// fetched as one `fill_words_seq` stripe into `words`; tape
-    /// addressing is identical to the historical scalar `draw`, so
-    /// outcomes are unchanged.
+    /// Append the sorted set of `min(x, p(v))` distinct colors from `v`'s
+    /// palette to `buf` (allocation-free once the buffers have warmed
+    /// up).  The node's tape words are fetched as one `fill_words_seq`
+    /// stripe into `words`; tape addressing is identical to a scalar
+    /// walk of `word(v, stream, idx)`.
     fn draw_into(
         &self,
         state: &ColoringState,
@@ -725,13 +687,16 @@ impl NormalProcedure for MultiTrial<'_> {
     }
 
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome {
-        // Phase 1: every active node draws its candidate set.
-        let draws: Vec<Vec<u32>> = self
-            .set
-            .active
-            .iter()
-            .map(|&v| self.draw(state, rng, v))
-            .collect();
+        // Phase 1: every active node draws into one flat candidate arena;
+        // active node i's set is `colors[off[i]..off[i + 1]]`.
+        let (mut colors, mut tmp, mut words) = (Vec::new(), Vec::new(), Vec::new());
+        let mut off = Vec::with_capacity(self.set.active.len() + 1);
+        off.push(0);
+        for &v in &self.set.active {
+            self.draw_into(state, rng, v, &mut colors, &mut tmp, &mut words);
+            off.push(colors.len());
+        }
+        let draw = |i: usize| &colors[off[i]..off[i + 1]];
         // Phase 2: adopt the first candidate no active neighbor drew.
         let adoptions: Vec<(NodeId, u32)> = self
             .set
@@ -739,13 +704,12 @@ impl NormalProcedure for MultiTrial<'_> {
             .iter()
             .enumerate()
             .filter_map(|(i, &v)| {
-                let mine = &draws[i];
-                'cand: for &c in mine {
+                'cand: for &c in draw(i) {
                     for &u in self.g.neighbors(v) {
                         if !self.set.contains(u) {
                             continue;
                         }
-                        let theirs = &draws[self.pos[u as usize] as usize];
+                        let theirs = draw(self.pos[u as usize] as usize);
                         if theirs.binary_search(&c).is_ok() {
                             continue 'cand;
                         }
@@ -759,42 +723,6 @@ impl NormalProcedure for MultiTrial<'_> {
             adoptions,
             aux: Vec::new(),
         }
-    }
-
-    fn simulate_into(&self, state: &ColoringState, rng: &dyn Randomness, scratch: &mut SimScratch) {
-        scratch.begin();
-        // Phase 1: every active node draws into the flat candidate arena.
-        let mut draw_colors = std::mem::take(&mut scratch.draw_colors);
-        let mut draw_off = std::mem::take(&mut scratch.draw_off);
-        let mut tmp = std::mem::take(&mut scratch.perm);
-        let mut words = std::mem::take(&mut scratch.plane.vals);
-        draw_off.push(0);
-        for &v in &self.set.active {
-            self.draw_into(state, rng, v, &mut draw_colors, &mut tmp, &mut words);
-            draw_off.push(draw_colors.len());
-        }
-        scratch.plane.vals = words;
-        // Phase 2: adopt the first candidate no active neighbor drew.
-        for (i, &v) in self.set.active.iter().enumerate() {
-            let mine = &draw_colors[draw_off[i]..draw_off[i + 1]];
-            'cand: for &c in mine {
-                for &u in self.g.neighbors(v) {
-                    if !self.set.contains(u) {
-                        continue;
-                    }
-                    let p = self.pos[u as usize] as usize;
-                    let theirs = &draw_colors[draw_off[p]..draw_off[p + 1]];
-                    if theirs.binary_search(&c).is_ok() {
-                        continue 'cand;
-                    }
-                }
-                scratch.record_adoption(v, c);
-                break;
-            }
-        }
-        scratch.draw_colors = draw_colors;
-        scratch.draw_off = draw_off;
-        scratch.perm = tmp;
     }
 
     /// Seed-lane block evaluation: all lanes' candidate sets are drawn
@@ -816,24 +744,30 @@ impl NormalProcedure for MultiTrial<'_> {
     ) {
         debug_assert_eq!(tapes.len(), costs.len());
         let lanes = tapes.len();
-        scratch.begin();
         let n_active = self.set.active.len();
-        let mut plane = std::mem::take(&mut scratch.plane);
-        let mut draw_colors = std::mem::take(&mut scratch.draw_colors);
-        let mut draw_off = std::mem::take(&mut scratch.draw_off);
-        let mut tmp = std::mem::take(&mut scratch.perm);
+        let SimScratch {
+            draw_colors,
+            draw_off,
+            perm: tmp,
+            vals,
+            soa,
+            adopted_mask,
+            ..
+        } = &mut *scratch;
         // Phase 1: lane-major candidate arena; range of (lane s, active
         // index i) is draw_off[s·n_active + i] .. draw_off[s·n_active + i + 1].
+        draw_colors.clear();
+        draw_off.clear();
         draw_off.push(0);
         for tape in tapes {
             for &v in &self.set.active {
-                self.draw_into(state, *tape, v, &mut draw_colors, &mut tmp, &mut plane.vals);
+                self.draw_into(state, *tape, v, draw_colors, tmp, vals);
                 draw_off.push(draw_colors.len());
             }
         }
         // Phase 2: block adoption scan.
-        plane.soa.resize(state.n(), [0u32; SEED_BLOCK]);
-        plane.adopted_mask.resize(state.n(), 0);
+        soa.resize(state.n(), [0u32; SEED_BLOCK]);
+        adopted_mask.resize(state.n(), 0);
         let off = |s: usize, i: usize| (draw_off[s * n_active + i], draw_off[s * n_active + i + 1]);
         for (i, &v) in self.set.active.iter().enumerate() {
             let mut alive = [0u64; SEED_BLOCK];
@@ -866,7 +800,7 @@ impl NormalProcedure for MultiTrial<'_> {
                 }
             }
             let mut am = 0u8;
-            let row = &mut plane.soa[v as usize];
+            let row = &mut soa[v as usize];
             for (s, &a) in alive.iter().enumerate().take(lanes) {
                 if a != 0 {
                     let (lo, _) = off(s, i);
@@ -876,15 +810,9 @@ impl NormalProcedure for MultiTrial<'_> {
                     am |= 1 << s;
                 }
             }
-            plane.adopted_mask[v as usize] = am;
+            adopted_mask[v as usize] = am;
         }
-        lane_ssp_costs(
-            self.g, state, &self.set, &self.ssp, &mut plane, lanes, costs,
-        );
-        scratch.plane = plane;
-        scratch.draw_colors = draw_colors;
-        scratch.draw_off = draw_off;
-        scratch.perm = tmp;
+        lane_ssp_costs(self.g, state, &self.set, &self.ssp, scratch, lanes, costs);
     }
 
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
@@ -914,8 +842,9 @@ pub struct GenerateSlack<'a> {
     pub set: StageSet,
     /// Sampling probability (paper: 1/10).
     pub prob: f64,
-    /// Per-active-node slack targets (the SSP); entries `≤ 0` auto-succeed.
-    pub targets: Vec<f64>,
+    /// The SSP: `SspMode::SlackTarget` over per-active-node slack targets;
+    /// entries `≤ 0` auto-succeed.
+    ssp: SspMode,
     /// Distinguishes repeated calls within one stage.
     pub round_tag: u64,
     /// Active-active edges, built lazily at first seed evaluation.
@@ -930,7 +859,7 @@ impl<'a> GenerateSlack<'a> {
             g,
             set,
             prob,
-            targets,
+            ssp: SspMode::SlackTarget(targets),
             round_tag,
             active_edges: std::sync::OnceLock::new(),
         }
@@ -1002,55 +931,52 @@ impl NormalProcedure for GenerateSlack<'_> {
     ) {
         debug_assert_eq!(tapes.len(), costs.len());
         let lanes = tapes.len();
-        scratch.begin();
-        let mut plane = std::mem::take(&mut scratch.plane);
         let n = state.n();
-        plane.soa.resize(n, [0u32; SEED_BLOCK]);
-        plane.valid_mask.resize(n, 0);
-        plane.lane_mask.resize(n, 0);
-        plane.adopted_mask.resize(n, 0);
+        scratch.soa.resize(n, [0u32; SEED_BLOCK]);
+        scratch.valid_mask.resize(n, 0);
+        scratch.lane_mask.resize(n, 0);
+        scratch.adopted_mask.resize(n, 0);
         for &v in &self.set.active {
-            plane.valid_mask[v as usize] = 0;
-            plane.lane_mask[v as usize] = 0;
+            scratch.valid_mask[v as usize] = 0;
+            scratch.lane_mask[v as usize] = 0;
         }
         // Per lane: Bernoulli stripe over the active set, then bounded
         // picks over the gathered sampled subset only (the scalar path
         // also draws picks only for sampled nodes).
         let stream_s = S_SAMPLE ^ (self.round_tag << 8);
         let stream_p = S_PICK ^ (self.round_tag << 8);
-        let mut sampled = std::mem::take(&mut plane.nodes);
+        let sampled = &mut scratch.nodes;
         for (s, tape) in tapes.iter().enumerate() {
-            plane.bits.resize(self.set.active.len(), false);
-            tape.fill_bernoulli(stream_s, &self.set.active, 0, self.prob, &mut plane.bits);
+            scratch.bits.resize(self.set.active.len(), false);
+            tape.fill_bernoulli(stream_s, &self.set.active, 0, self.prob, &mut scratch.bits);
             sampled.clear();
             sampled.extend(
                 self.set
                     .active
                     .iter()
-                    .zip(plane.bits.iter())
+                    .zip(scratch.bits.iter())
                     .filter(|&(_, &hit)| hit)
                     .map(|(&v, _)| v),
             );
-            plane.bounds.clear();
-            plane
+            scratch.bounds.clear();
+            scratch
                 .bounds
                 .extend(sampled.iter().map(|&v| state.palette(v).len() as u64));
-            plane.vals.resize(sampled.len(), 0);
-            tape.fill_below(stream_p, &sampled, 1, &plane.bounds, &mut plane.vals);
+            scratch.vals.resize(sampled.len(), 0);
+            tape.fill_below(stream_p, sampled, 1, &scratch.bounds, &mut scratch.vals);
             for (i, &v) in sampled.iter().enumerate() {
-                plane.soa[v as usize][s] = state.palette(v)[plane.vals[i] as usize];
-                plane.valid_mask[v as usize] |= 1 << s;
+                scratch.soa[v as usize][s] = state.palette(v)[scratch.vals[i] as usize];
+                scratch.valid_mask[v as usize] |= 1 << s;
             }
         }
-        plane.nodes = sampled;
         // Lane-masked collision scan: an edge clashes in lane `s` iff
         // both endpoints are sampled there and drew the same color.
         // ANDing with both validity masks keeps stale SoA lanes (nodes
         // unsampled this block) from producing phantom clashes.
         {
-            let soa = &plane.soa;
-            let valid = &plane.valid_mask;
-            let mask = &mut plane.lane_mask;
+            let soa = &scratch.soa;
+            let valid = &scratch.valid_mask;
+            let mask = &mut scratch.lane_mask;
             for &(a, b) in self.active_edges() {
                 let both = valid[a as usize] & valid[b as usize];
                 if both == 0 {
@@ -1062,30 +988,14 @@ impl NormalProcedure for GenerateSlack<'_> {
             }
         }
         for &v in &self.set.active {
-            plane.adopted_mask[v as usize] =
-                plane.valid_mask[v as usize] & !plane.lane_mask[v as usize];
+            scratch.adopted_mask[v as usize] =
+                scratch.valid_mask[v as usize] & !scratch.lane_mask[v as usize];
         }
-        lane_slack_fail_costs(
-            self.g,
-            state,
-            &self.set,
-            &mut plane,
-            lanes,
-            |i| self.targets[i] <= 0.0,
-            |i, _| self.targets[i],
-            costs,
-        );
-        scratch.plane = plane;
+        lane_ssp_costs(self.g, state, &self.set, &self.ssp, scratch, lanes, costs);
     }
 
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
-        evaluate_ssp(
-            self.g,
-            state,
-            &self.set,
-            &SspMode::SlackTarget(self.targets.clone()),
-            out,
-        )
+        evaluate_ssp(self.g, state, &self.set, &self.ssp, out)
     }
 }
 
@@ -1245,18 +1155,16 @@ impl NormalProcedure for SynchColorTrial<'_> {
     ) {
         debug_assert_eq!(tapes.len(), costs.len());
         let lanes = tapes.len();
-        scratch.begin();
         let (holders, prop_edges) = self.prop_edges();
-        let mut plane = std::mem::take(&mut scratch.plane);
-        let mut perm = std::mem::take(&mut scratch.perm);
+        let perm = &mut scratch.perm;
         let n = state.n();
-        plane.soa.resize(n, [0u32; SEED_BLOCK]);
-        plane.valid_mask.resize(n, 0);
-        plane.lane_mask.resize(n, 0);
-        plane.adopted_mask.resize(n, 0);
+        scratch.soa.resize(n, [0u32; SEED_BLOCK]);
+        scratch.valid_mask.resize(n, 0);
+        scratch.lane_mask.resize(n, 0);
+        scratch.adopted_mask.resize(n, 0);
         for &v in holders.active.iter().chain(self.set.active.iter()) {
-            plane.valid_mask[v as usize] = 0;
-            plane.lane_mask[v as usize] = 0;
+            scratch.valid_mask[v as usize] = 0;
+            scratch.lane_mask[v as usize] = 0;
         }
         // Phase 1: leaders deal colors, one Fisher-Yates per (clique,
         // lane); cliques outer so shared inliers keep the scalar path's
@@ -1270,15 +1178,15 @@ impl NormalProcedure for SynchColorTrial<'_> {
             for (s, tape) in tapes.iter().enumerate() {
                 perm.clear();
                 perm.extend_from_slice(pal);
-                plane.vals.resize(perm.len().saturating_sub(1), 0);
-                tape.fill_words_seq(ct.leader, stream, 1, &mut plane.vals);
+                scratch.vals.resize(perm.len().saturating_sub(1), 0);
+                tape.fill_words_seq(ct.leader, stream, 1, &mut scratch.vals);
                 for i in (1..perm.len()).rev() {
-                    let j = ((plane.vals[i - 1] as u128 * (i as u128 + 1)) >> 64) as usize;
+                    let j = ((scratch.vals[i - 1] as u128 * (i as u128 + 1)) >> 64) as usize;
                     perm.swap(i, j);
                 }
                 for (k, &v) in ct.inliers.iter().take(perm.len()).enumerate() {
-                    plane.soa[v as usize][s] = perm[k];
-                    plane.valid_mask[v as usize] |= 1 << s;
+                    scratch.soa[v as usize][s] = perm[k];
+                    scratch.valid_mask[v as usize] |= 1 << s;
                 }
             }
         }
@@ -1287,9 +1195,9 @@ impl NormalProcedure for SynchColorTrial<'_> {
         // there — palette membership gates adoption, not clashing,
         // exactly as in the scalar path.
         {
-            let soa = &plane.soa;
-            let valid = &plane.valid_mask;
-            let mask = &mut plane.lane_mask;
+            let soa = &scratch.soa;
+            let valid = &scratch.valid_mask;
+            let mask = &mut scratch.lane_mask;
             for &(a, b) in prop_edges {
                 let both = valid[a as usize] & valid[b as usize];
                 if both == 0 {
@@ -1302,10 +1210,10 @@ impl NormalProcedure for SynchColorTrial<'_> {
         }
         // Adoption: proposal held, in own palette, clash-free.
         for &v in &self.set.active {
-            let mut am = plane.valid_mask[v as usize] & !plane.lane_mask[v as usize];
+            let mut am = scratch.valid_mask[v as usize] & !scratch.lane_mask[v as usize];
             if am != 0 {
                 let pal = state.palette(v);
-                let row = &plane.soa[v as usize];
+                let row = &scratch.soa[v as usize];
                 let mut keep = 0u8;
                 for (s, c) in row.iter().enumerate().take(lanes) {
                     if am >> s & 1 == 1 && pal.contains(c) {
@@ -1314,7 +1222,7 @@ impl NormalProcedure for SynchColorTrial<'_> {
                 }
                 am = keep;
             }
-            plane.adopted_mask[v as usize] = am;
+            scratch.adopted_mask[v as usize] = am;
         }
         // Tolerance-gated per-clique failure counts, all lanes at once.
         let mut total = [0usize; SEED_BLOCK];
@@ -1324,7 +1232,7 @@ impl NormalProcedure for SynchColorTrial<'_> {
                 if !self.set.contains(v) {
                     continue;
                 }
-                let am = plane.adopted_mask[v as usize];
+                let am = scratch.adopted_mask[v as usize];
                 for (s, f) in failed.iter_mut().enumerate().take(lanes) {
                     *f += usize::from(am >> s & 1 == 0);
                 }
@@ -1338,8 +1246,6 @@ impl NormalProcedure for SynchColorTrial<'_> {
         for (s, c) in costs.iter_mut().enumerate() {
             *c = total[s] as f64;
         }
-        scratch.plane = plane;
-        scratch.perm = perm;
     }
 
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
@@ -1468,34 +1374,32 @@ impl NormalProcedure for PutAside<'_> {
     ) {
         debug_assert_eq!(tapes.len(), costs.len());
         let lanes = tapes.len();
-        scratch.begin();
-        let mut plane = std::mem::take(&mut scratch.plane);
         let n = state.n();
-        plane.valid_mask.resize(n, 0);
-        plane.adopted_mask.resize(n, 0);
+        scratch.valid_mask.resize(n, 0);
+        scratch.adopted_mask.resize(n, 0);
         for &v in &self.set.active {
-            plane.valid_mask[v as usize] = 0;
-            plane.adopted_mask[v as usize] = 0;
+            scratch.valid_mask[v as usize] = 0;
+            scratch.adopted_mask[v as usize] = 0;
         }
         for cq in &self.cliques {
             for &v in &cq.inliers {
-                plane.valid_mask[v as usize] = 0;
-                plane.adopted_mask[v as usize] = 0;
+                scratch.valid_mask[v as usize] = 0;
+                scratch.adopted_mask[v as usize] = 0;
             }
         }
         let stream = S_SAMPLE ^ (self.round_tag << 8) ^ 0x5041;
         for cq in &self.cliques {
             for (s, tape) in tapes.iter().enumerate() {
-                plane.bits.resize(cq.inliers.len(), false);
-                tape.fill_bernoulli(stream, &cq.inliers, 0, cq.prob, &mut plane.bits);
+                scratch.bits.resize(cq.inliers.len(), false);
+                tape.fill_bernoulli(stream, &cq.inliers, 0, cq.prob, &mut scratch.bits);
                 for (i, &v) in cq.inliers.iter().enumerate() {
                     // Last-writer overwrite per lane, matching the scalar
                     // path's dense probability table.
                     let bit = 1u8 << s;
-                    if cq.prob > 0.0 && plane.bits[i] {
-                        plane.valid_mask[v as usize] |= bit;
+                    if cq.prob > 0.0 && scratch.bits[i] {
+                        scratch.valid_mask[v as usize] |= bit;
                     } else {
-                        plane.valid_mask[v as usize] &= !bit;
+                        scratch.valid_mask[v as usize] &= !bit;
                     }
                 }
             }
@@ -1503,20 +1407,20 @@ impl NormalProcedure for PutAside<'_> {
         // P per lane: sampled with no sampled active neighbor.
         let full: u8 = ((1u16 << lanes) - 1) as u8;
         for &v in &self.set.active {
-            let sv = plane.valid_mask[v as usize];
+            let sv = scratch.valid_mask[v as usize];
             if sv == 0 {
                 continue;
             }
             let mut blocked = 0u8;
             for &u in self.g.neighbors(v) {
                 if self.set.contains(u) {
-                    blocked |= plane.valid_mask[u as usize];
+                    blocked |= scratch.valid_mask[u as usize];
                     if blocked & full == full {
                         break;
                     }
                 }
             }
-            plane.adopted_mask[v as usize] = sv & !blocked;
+            scratch.adopted_mask[v as usize] = sv & !blocked;
         }
         // Per-clique target misses, all lanes at once.
         let mut total = [0usize; SEED_BLOCK];
@@ -1524,7 +1428,7 @@ impl NormalProcedure for PutAside<'_> {
             let mut got = [0usize; SEED_BLOCK];
             let mut missing = [0usize; SEED_BLOCK];
             for &v in &cq.inliers {
-                let pm = plane.adopted_mask[v as usize];
+                let pm = scratch.adopted_mask[v as usize];
                 let in_set = self.set.contains(v);
                 for s in 0..lanes {
                     let kept = pm >> s & 1 == 1;
@@ -1541,7 +1445,6 @@ impl NormalProcedure for PutAside<'_> {
         for (s, c) in costs.iter_mut().enumerate() {
             *c = total[s] as f64;
         }
-        scratch.plane = plane;
     }
 
     fn ssp_failures(&self, _state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
@@ -1638,8 +1541,10 @@ mod tests {
         let state = ColoringState::new(&inst);
         let proc = MultiTrial::new(&g, full_set(10), 2, SspMode::Auto, 0);
         let tape = CryptoTape::new(3);
+        let (mut d, mut tmp, mut words) = (Vec::new(), Vec::new(), Vec::new());
         for v in 0..10 {
-            let d = proc.draw(&state, &tape, v);
+            d.clear();
+            proc.draw_into(&state, &tape, v, &mut d, &mut tmp, &mut words);
             assert_eq!(d.len(), 2);
             assert!(d[0] < d[1]);
         }

@@ -202,7 +202,7 @@ pub fn derandomized_luby_mis(
 
 /// [`derandomized_luby_mis`] with an explicit seed-search worker count
 /// (`0` = auto).  Seeds are evaluated in [`SEED_BLOCK`]-lane blocks
-/// ([`luby_round_block_costs`]) dealt to workers by atomic stealing; any
+/// (`luby_round_block_costs`) dealt to workers by atomic stealing; any
 /// worker count selects the identical seed every round, so the MIS is
 /// identical too.
 pub fn derandomized_luby_mis_sharded(

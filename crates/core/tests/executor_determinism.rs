@@ -2,9 +2,8 @@
 //! built on it: the generic reduces and whole solver runs must produce
 //! **bit-identical** results at every worker count and under randomized
 //! steal orders.  Applying a step's chosen seed is one sequential
-//! `simulate_into` call (overridden only by `TryRandomColor` and
-//! `MultiTrial`, whose reference `simulate` is slower), so the solver
-//! runs below pin it at every worker count too.
+//! `simulate` call, so the solver runs below pin it at every worker
+//! count too.
 //!
 //! Steal order is randomized indirectly: per-block busy-spin jitter of
 //! pseudo-random length perturbs worker timing, so across proptest

@@ -16,7 +16,7 @@
 //! **standby's embedded coordinator** (`bind_standby`, driven by
 //! [`crate::standby::StandbySearcher`]) refuses workers with a friendly
 //! [`Msg::Refuse`] until promotion, then runs searches through
-//! [`DistCoordinator::run_search`] with the replicated completion state
+//! `DistCoordinator::run_search` with the replicated completion state
 //! pre-seeded into each fold's [`LeaseTable`] — only what was still in
 //! flight at the primary's death is re-leased.
 

@@ -192,7 +192,7 @@ impl Randomness for CryptoTape {
         mix4(self.key, node, stream, idx)
     }
 
-    /// [`mix4`] over lanes: the key round is hoisted once per stripe and
+    /// `mix4` over lanes: the key round is hoisted once per stripe and
     /// the stream/idx products are loop invariants, leaving three
     /// straight-line splitmix rounds per lane, mixed four lanes at a time
     /// by [`splitmix4`] with a scalar tail.
@@ -218,7 +218,7 @@ impl Randomness for CryptoTape {
         }
     }
 
-    /// [`mix4`] along one node's tape: key, node and stream rounds hoisted
+    /// `mix4` along one node's tape: key, node and stream rounds hoisted
     /// once, one splitmix round per output word (four words per
     /// [`splitmix4`] call, then a scalar tail).
     fn fill_words_seq(&self, node: u32, stream: u64, idx0: u32, out: &mut [u64]) {

@@ -59,7 +59,7 @@ impl Prg {
     ///
     /// The seed round and the idx product are hoisted once per stripe;
     /// what remains per lane is the chunk lookup plus two splitmix rounds
-    /// (see [`fill_two_rounds`]).  Bit-identical to the scalar path by
+    /// (see `fill_two_rounds`).  Bit-identical to the scalar path by
     /// construction: same rounds, same constants.
     pub fn fill_words(
         &self,

@@ -185,7 +185,7 @@ pub fn any<T: Arbitrary>() -> Any<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Length specification for [`vec`]: fixed or ranged.
+    /// Length specification for [`vec()`]: fixed or ranged.
     pub struct SizeRange {
         min: usize,
         max_exclusive: usize,

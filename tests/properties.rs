@@ -1,7 +1,8 @@
 //! Property-based tests (proptest) for the core invariants:
 //! * the D1LC self-reducibility invariant `p(v) ≥ d(v)+1` under arbitrary
 //!   valid partial colorings (Definition 11 / E14),
-//! * properness and palette-membership of every solver output,
+//! * properness and palette-membership of every solver output, in both
+//!   modes,
 //! * graph/CSR structural invariants under random edge lists,
 //! * seed-selection guarantees for arbitrary cost functions.
 
@@ -98,9 +99,13 @@ proptest! {
     }
 
     #[test]
-    fn solver_output_is_always_valid(g in graph_strategy(40, 120)) {
+    fn solver_output_is_always_valid(g in graph_strategy(40, 120), key in any::<u64>()) {
+        // Both modes: the derandomized solver and the randomized one
+        // (Lemma 4) under an arbitrary master key.
         let inst = D1lcInstance::delta_plus_one(g);
         let sol = Solver::deterministic(Params::default().with_seed_bits(4)).solve(&inst);
+        prop_assert!(inst.verify_coloring(&sol.colors).is_ok());
+        let sol = Solver::randomized(Params::default(), key).solve(&inst);
         prop_assert!(inst.verify_coloring(&sol.colors).is_ok());
     }
 
@@ -115,6 +120,7 @@ proptest! {
     fn arbitrary_list_palettes_solve(
         g in graph_strategy(30, 80),
         offset in 0u32..1000,
+        key in any::<u64>(),
     ) {
         // Palettes = {offset·v, …} windows: valid but adversarial lists.
         let lists: Vec<Vec<u32>> = (0..g.n() as NodeId)
@@ -125,6 +131,8 @@ proptest! {
             .collect();
         let inst = D1lcInstance::new(g, PaletteArena::from_lists(&lists));
         let sol = Solver::deterministic(Params::default().with_seed_bits(4)).solve(&inst);
+        prop_assert!(inst.verify_coloring(&sol.colors).is_ok());
+        let sol = Solver::randomized(Params::default(), key).solve(&inst);
         prop_assert!(inst.verify_coloring(&sol.colors).is_ok());
     }
 
