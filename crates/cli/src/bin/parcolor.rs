@@ -122,14 +122,17 @@ fn main() {
 }
 
 fn report_solution(inst: &parcolor_core::D1lcInstance, sol: &Solution) {
+    let steps = &sol.stats.steps;
     eprintln!(
-        "solved: n={} m={} Δ={}  MPC rounds={}  LOCAL rounds={}  peak machine words={}",
+        "solved: n={} m={} Δ={}  MPC rounds={}  LOCAL rounds={}  peak machine words={}  seed searches={} skipped={}",
         inst.n(),
         inst.graph.m(),
         inst.graph.max_degree(),
         sol.cost.mpc_rounds,
         sol.cost.local_rounds,
-        sol.cost.max_machine_words
+        sol.cost.max_machine_words,
+        steps.iter().filter(|s| s.selection.is_some()).count(),
+        steps.iter().filter(|s| s.certified).count()
     );
 }
 

@@ -10,7 +10,9 @@
 //! * [`Runner`] executes a series of procedures either **randomized**
 //!   (CryptoTape, Lemma 4) or **derandomized** (Lemma 10: simulate under
 //!   every PRG seed, pick one with at most the mean number of SSP failures
-//!   via `parcolor_prg::select_seed_blocks_n`, defer the failures).
+//!   via `parcolor_prg::select_seed_blocks_n`, defer the failures).  A
+//!   derandomized step whose cost a seed-independent bound shows to be 0
+//!   under every seed skips the search (see below).
 //!
 //! Theorem 12's outer loop — re-running the whole series on the deferred
 //! residual instance `O(1/δ)` times, then finishing greedily on one
@@ -67,6 +69,16 @@
 //! pins the fast path to the reference path (`simulate` + `seed_cost`
 //! under `select_seed`): identical `SeedSelection` (seed, cost, mean,
 //! trace) for every strategy, and identical costs in every block lane.
+//!
+//! A step can skip its search altogether.  Before searching, the runner
+//! asks [`NormalProcedure::zero_cost_under_every_seed`] whether a bound
+//! that does not depend on the seed already shows the step's cost is 0
+//! under every seed.  If it does, Lemma 10's mean is 0, every seed
+//! reaches it, and the runner applies the seed every strategy selects on
+//! a constant cost (`SeedStrategy::constant_cost_seed`).  Such a
+//! *certified* step costs one `O(n_active + m_active)` pass for the bound
+//! and evaluates no seed; its coloring is the one the search would have
+//! produced (`tests/ssp_certificate.rs`).
 
 use crate::config::{ChunkMode, Params};
 use crate::instance::ColoringState;
@@ -258,6 +270,20 @@ pub trait NormalProcedure: Sync {
     fn seed_cost(&self, state: &ColoringState, out: &Outcome) -> f64 {
         self.ssp_failures(state, out).len() as f64
     }
+
+    /// Whether a bound that does not depend on the seed shows this step's
+    /// seed cost is 0 under every seed.  Contract: return `true` only if
+    /// `seed_cost(state, &simulate(state, t)) == 0` for **every** tape
+    /// `t`.  The runner then skips the seed search and applies
+    /// `SeedStrategy::constant_cost_seed`, the seed any search over a
+    /// constant cost selects.  Asked once per derandomized step, before
+    /// the search; it must be a pure function of `state`, so every replica
+    /// of a distributed solve skips the same steps.  The default claims
+    /// nothing.
+    fn zero_cost_under_every_seed(&self, state: &ColoringState) -> bool {
+        let _ = state;
+        false
+    }
 }
 
 /// Per-step execution report.
@@ -273,8 +299,16 @@ pub struct StepReport {
     pub failures: usize,
     /// Lemma 10's deferral bound for this step: `1/2 + n_G · Δ^{-11τ}`.
     pub failure_bound: f64,
-    /// The seed search's outcome (derandomized mode only).
+    /// The seed search's outcome.  `None` in randomized mode, and for a
+    /// `certified` step: it evaluated no seed, so it has no selection to
+    /// report.
     pub selection: Option<SeedSelection>,
+    /// Whether the step skipped its seed search because a seed-independent
+    /// bound showed its cost is 0 under every seed
+    /// ([`NormalProcedure::zero_cost_under_every_seed`]); the step then
+    /// ran under `SeedStrategy::constant_cost_seed`.  Always `false` in
+    /// randomized mode.
+    pub certified: bool,
 }
 
 /// The block evaluator a [`SeedSearcher`] receives: writes
@@ -299,8 +333,12 @@ pub type BlockEval<'a> = &'a (dyn Fn(u64, &mut [f64], &mut SimScratch) + Sync);
 /// Searches within one solve are issued sequentially and in a
 /// deterministic order: the solver tree is walked depth-first, and
 /// `Solver::solve_rec` solves a partition level's restricted bins in an
-/// explicit sequential `for` loop, in bin order.  Backends that
-/// replicate solver state across machines may rely on that order.
+/// explicit sequential `for` loop, in bin order.  A search is issued only
+/// for a step its procedure does not certify
+/// ([`NormalProcedure::zero_cost_under_every_seed`]); that check is a
+/// pure function of the solver state, so every replica skips the same
+/// steps.  Backends that replicate solver state across machines may rely
+/// on that order.
 pub trait SeedSearcher: Send + Sync {
     /// Run one seed search.
     fn select(
@@ -506,11 +544,26 @@ impl<'g> Runner<'g> {
         self.mpc.charge_rounds(tau + 1);
 
         // Derandomized: Lemma 10's seed search picks the PRG seed the
-        // step runs under.  Randomized: the keyed tape stands in for
-        // true randomness (Lemma 4) and there is nothing to search.
+        // step runs under, unless a seed-independent bound shows every
+        // seed costs 0.  Randomized: the keyed tape stands in for true
+        // randomness (Lemma 4) and there is nothing to search.
+        let certified = matches!(self.mode, Mode::Derandomized { .. })
+            && proc.zero_cost_under_every_seed(state);
         let chosen;
         let (tape, selection): (&dyn Randomness, _) = match &self.mode {
             Mode::Randomized { tape } => (tape, None),
+            Mode::Derandomized {
+                prg,
+                strategy,
+                chunks,
+                ..
+            } if certified => {
+                // The mean cost is 0 and every seed reaches it: apply the
+                // seed any strategy selects on a constant cost.
+                let seed = strategy.constant_cost_seed(prg.seed_bits());
+                chosen = PrgTape::new(*prg, seed, chunks);
+                (&chosen, None)
+            }
             Mode::Derandomized {
                 prg,
                 strategy,
@@ -589,6 +642,7 @@ impl<'g> Runner<'g> {
             failures: failures.len(),
             failure_bound,
             selection,
+            certified,
         };
         self.reports.push(report.clone());
         report

@@ -158,6 +158,44 @@ fn evaluate_ssp(
     }
 }
 
+/// Whether a bound that does not depend on the tape shows that the seed
+/// cost under `ssp` is 0 under every outcome — the certificate behind
+/// `zero_cost_under_every_seed` of TryRandomColor, MultiTrial and
+/// GenerateSlack, in which every active node adopts at most one color.
+/// Stops at the first node it cannot certify.
+///
+/// Each of v's `d_S(v)` neighbors in `set` either stays unadopted (it
+/// counts in v's post-step degree) or adopts one color (it removes at
+/// most one color from v's palette).  So under every outcome v's
+/// post-step slack is at least `|Ψ(v)| − d_S(v)` and its post-step
+/// degree at most `d_S(v)`; the comparisons are [`evaluate_ssp`]'s, on
+/// the same `f64`s.  For `Auto` (whose cost is the uncolored count) and
+/// `Colored`, v is certified when it has a color to pick and no active
+/// neighbor: TryRandomColor and MultiTrial then always adopt.
+/// GenerateSlack, which samples, always holds a `SlackTarget`.
+fn zero_cost_certified(g: &Graph, state: &ColoringState, set: &StageSet, ssp: &SspMode) -> bool {
+    let d_s = |v: NodeId| g.neighbors(v).iter().filter(|&&u| set.contains(u)).count();
+    let slack_floor = |v: NodeId, d: usize| (state.palette(v).len() as i64 - d as i64) as f64;
+    match ssp {
+        SspMode::Auto | SspMode::Colored => set
+            .active
+            .iter()
+            .all(|&v| !state.palette(v).is_empty() && d_s(v) == 0),
+        SspMode::SlackRatio(ratio) => {
+            *ratio >= 0.0
+                && set.active.iter().all(|&v| {
+                    let d = d_s(v);
+                    slack_floor(v, d) >= ratio * d as f64
+                })
+        }
+        SspMode::SlackTarget(targets) => set
+            .active
+            .iter()
+            .zip(targets)
+            .all(|(&v, &t)| t <= 0.0 || slack_floor(v, d_s(v)) >= t),
+    }
+}
+
 /// Count of active nodes left uncolored by `out` — the progress-oriented
 /// seed cost used by warm-up steps.
 fn uncolored_cost(set: &StageSet, state: &ColoringState, out: &Outcome) -> f64 {
@@ -576,6 +614,10 @@ impl NormalProcedure for TryRandomColor<'_> {
             _ => self.ssp_failures(state, out).len() as f64,
         }
     }
+
+    fn zero_cost_under_every_seed(&self, state: &ColoringState) -> bool {
+        zero_cost_certified(self.g, state, &self.set, &self.ssp)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -825,6 +867,10 @@ impl NormalProcedure for MultiTrial<'_> {
             _ => self.ssp_failures(state, out).len() as f64,
         }
     }
+
+    fn zero_cost_under_every_seed(&self, state: &ColoringState) -> bool {
+        zero_cost_certified(self.g, state, &self.set, &self.ssp)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -996,6 +1042,10 @@ impl NormalProcedure for GenerateSlack<'_> {
 
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
         evaluate_ssp(self.g, state, &self.set, &self.ssp, out)
+    }
+
+    fn zero_cost_under_every_seed(&self, state: &ColoringState) -> bool {
+        zero_cost_certified(self.g, state, &self.set, &self.ssp)
     }
 }
 

@@ -78,6 +78,35 @@ pub enum SeedStrategy {
     SingleSeed(u64),
 }
 
+impl SeedStrategy {
+    /// The seed this strategy selects when every seed costs the same,
+    /// found without evaluating one: the lowest seed for `Exhaustive` and
+    /// `FixedSubset` (ties break to the lowest seed) and for
+    /// `BitwiseCondExp` (the walk keeps the 0 branch on equal means), and
+    /// `s` for `SingleSeed(s)`.  A search over a constant cost returns
+    /// exactly this seed.  Panics on the parameters every search refuses.
+    pub fn constant_cost_seed(self, seed_bits: u32) -> u64 {
+        check_seed_space(seed_bits, self);
+        match self {
+            SeedStrategy::SingleSeed(seed) => seed,
+            SeedStrategy::Exhaustive
+            | SeedStrategy::FixedSubset(_)
+            | SeedStrategy::BitwiseCondExp => 0,
+        }
+    }
+}
+
+/// Size of the `2^seed_bits` seed space.  Panics when `seed_bits` is
+/// outside `1..=24` or a `SingleSeed` lies outside the space.
+fn check_seed_space(seed_bits: u32, strategy: SeedStrategy) -> u64 {
+    assert!((1..=24).contains(&seed_bits));
+    let space = 1u64 << seed_bits;
+    if let SeedStrategy::SingleSeed(seed) = strategy {
+        assert!(seed < space, "seed {seed} outside 2^{seed_bits} space");
+    }
+    space
+}
+
 /// Result of a seed search.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SeedSelection {
@@ -111,11 +140,9 @@ pub fn select_seed<F>(seed_bits: u32, strategy: SeedStrategy, cost: F) -> SeedSe
 where
     F: Fn(u64) -> f64 + Sync,
 {
-    assert!((1..=24).contains(&seed_bits));
-    let space = 1u64 << seed_bits;
+    let space = check_seed_space(seed_bits, strategy);
     match strategy {
         SeedStrategy::SingleSeed(seed) => {
-            assert!(seed < space, "seed {seed} outside 2^{seed_bits} space");
             let c = cost(seed);
             SeedSelection {
                 seed,
@@ -228,11 +255,9 @@ pub fn select_seed_folded(
     strategy: SeedStrategy,
     folder: &mut dyn RangeFolder,
 ) -> SeedSelection {
-    assert!((1..=24).contains(&seed_bits));
-    let space = 1u64 << seed_bits;
+    let space = check_seed_space(seed_bits, strategy);
     match strategy {
         SeedStrategy::SingleSeed(seed) => {
-            assert!(seed < space, "seed {seed} outside 2^{seed_bits} space");
             let c = folder.eval_seed(seed);
             SeedSelection {
                 seed,
@@ -516,6 +541,48 @@ mod tests {
     #[should_panic]
     fn single_seed_out_of_range_panics() {
         select_seed(4, SeedStrategy::SingleSeed(16), quad);
+    }
+
+    #[test]
+    #[should_panic]
+    fn constant_cost_seed_refuses_out_of_range_single_seed() {
+        SeedStrategy::SingleSeed(16).constant_cost_seed(4);
+    }
+
+    /// `constant_cost_seed` is the seed every entry point selects on a
+    /// constant cost, so a caller that knows its cost is constant may
+    /// apply it without searching.
+    #[test]
+    fn constant_cost_seed_matches_the_searches() {
+        for seed_bits in [1u32, 4, 10] {
+            let space = 1u64 << seed_bits;
+            for strategy in [
+                SeedStrategy::Exhaustive,
+                SeedStrategy::BitwiseCondExp,
+                SeedStrategy::FixedSubset(1),
+                SeedStrategy::FixedSubset(3),
+                SeedStrategy::FixedSubset(space + 5),
+                SeedStrategy::SingleSeed(0),
+                SeedStrategy::SingleSeed(space - 1),
+                SeedStrategy::SingleSeed(space / 2),
+            ] {
+                let expected = strategy.constant_cost_seed(seed_bits);
+                for c in [0.0, 5.0] {
+                    let reference = select_seed(seed_bits, strategy, |_| c);
+                    let blocks = select_seed_blocks_n(
+                        seed_bits,
+                        strategy,
+                        0,
+                        || (),
+                        |_, out: &mut [f64], _| out.fill(c),
+                    );
+                    for sel in [&reference, &blocks] {
+                        assert_eq!(sel.seed, expected, "{strategy:?} bits {seed_bits} cost {c}");
+                        assert_eq!((sel.cost, sel.mean_cost, sel.min_cost), (c, c, c));
+                    }
+                }
+            }
+        }
     }
 
     #[test]
