@@ -1,8 +1,6 @@
 //! E1 — Theorem 1's headline shape: deterministic D1LC round counts grow
 //! like `O(log log log n)` (near-flat), matching the randomized pipeline
 //! (Lemma 4) up to a constant factor.
-//!
-//! Regenerates the "rounds vs n" table of EXPERIMENTS.md.
 
 use parcolor_bench::{f1, f2, s, scaled, timed, Table};
 use parcolor_core::{Params, SeedStrategy, Solver};

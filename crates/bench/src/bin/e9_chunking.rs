@@ -57,5 +57,5 @@ fn main() {
     t.print();
     println!("\nBoth modes satisfy the guarantee; PowerColoring pays the G^{{4τ}}");
     println!("construction (quadratic in Δ^{{4τ}}) which PerNode avoids entirely —");
-    println!("the substitution recorded in DESIGN.md §5.");
+    println!("the substitution `ChunkMode::PerNode` documents.");
 }

@@ -1,4 +1,4 @@
-//! Run every experiment binary in sequence (the EXPERIMENTS.md refresh).
+//! Run every experiment binary in sequence.
 //!
 //! ```sh
 //! cargo run --release -p parcolor-bench --bin run_all_experiments

@@ -1,10 +1,9 @@
 #![warn(missing_docs)]
 //! Shared infrastructure for the experiment binaries.
 //!
-//! Each `eN_*` binary regenerates one table of EXPERIMENTS.md.  Binaries
-//! honor the `PARCOLOR_QUICK=1` environment variable to shrink instance
-//! sizes (used by CI-style smoke runs); published numbers use the default
-//! sizes.
+//! Each `eN_*` binary prints one experiment's table.  Binaries honor the
+//! `PARCOLOR_QUICK=1` environment variable to shrink instance sizes (used
+//! by CI-style smoke runs); published numbers use the default sizes.
 
 use std::time::Instant;
 

@@ -9,7 +9,7 @@
 //! `log⁷ n > n` and every node would be "low-degree".  We therefore expose
 //! the *shape* (`β · ln^e n`) with configurable `β, e`; defaults are chosen
 //! so that instances in the 10³–10⁶ node range actually exercise all of
-//! the pipeline's regimes.  DESIGN.md §5 records this substitution.
+//! the pipeline's regimes.
 
 use parcolor_prg::SeedStrategy;
 
@@ -50,8 +50,8 @@ pub struct Params {
     /// Randomized mode runs no seed search, and a step's chosen seed is
     /// applied by one sequential `simulate` call in both modes.  The
     /// Definition-2 stage pass (`compute_params`), the MPC accounting
-    /// folds, the partition's worst-ratio fold and the CSR row sort
-    /// always take the auto count.  Any value yields bit-identical
+    /// folds, the partition's hash search and the CSR row sort always
+    /// take the auto count.  Any value yields bit-identical
     /// results — all reduces are grouping-invariant and stripe splices
     /// are positional — so this is purely a throughput knob.
     pub workers: usize,

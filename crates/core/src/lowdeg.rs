@@ -1,32 +1,23 @@
 //! Deterministic D1LC for low-degree instances — our substitute for
-//! CDP21c's Lemma 14 (see DESIGN.md §5 for the substitution record).
+//! CDP21c's Lemma 14 (the end of the next paragraph says what it keeps).
 //!
-//! Primary method ([`color_low_degree`]): repeated **derandomized
-//! TryRandomColor**.  Under uniform random trials a node with
-//! `p(v) ≥ d(v) + 1` keeps its color with probability
-//! `∏_{u∈N(v)} (1 − 1/p(u)) ≥ e^{-1}`-ish, so the expected colored
-//! fraction per round is a constant; the conditional-expectations seed
-//! choice turns that expectation into a *deterministic guarantee* (the
-//! chosen seed colors at least the seed-space mean).  Hence `O(log n)`
-//! deterministic rounds, each `O(1)` MPC rounds — the same framework
-//! machinery as the main pipeline, applied to the low-degree remainder.
-//! (CDP21c's own Lemma 14 achieves `O(log log log n)`; it is an entire
-//! separate paper.  Our substitute preserves the contract that matters
-//! here: deterministic, complete, round count ≪ any polynomial.)
-//!
-//! Fallback/ablation method ([`color_low_degree_linial`]): Linial's
-//! `O(Δ²·polylog)`-coloring followed by a one-round-per-class greedy
-//! sweep — the textbook approach, whose round count degrades to `O(n)`
-//! when `Δ² log n ≳ n` (measured by experiment E9's cousin in
-//! EXPERIMENTS.md).
+//! [`color_low_degree`] runs repeated **derandomized TryRandomColor**.
+//! Under uniform random trials a node with `p(v) ≥ d(v) + 1` keeps its
+//! color with probability `∏_{u∈N(v)} (1 − 1/p(u)) ≥ e^{-1}`-ish, so the
+//! expected colored fraction per round is a constant; the
+//! conditional-expectations seed choice turns that expectation into a
+//! *deterministic guarantee* (the chosen seed colors at least the
+//! seed-space mean).  Hence `O(log n)` deterministic rounds, each `O(1)`
+//! MPC rounds — the same framework machinery as the main pipeline,
+//! applied to the low-degree remainder.  (CDP21c's own Lemma 14 achieves
+//! `O(log log log n)`; it is an entire separate paper.  Our substitute
+//! preserves the contract that matters here: deterministic, complete,
+//! round count ≪ any polynomial.)
 
 use crate::framework::Runner;
 use crate::hknt::procs::{SspMode, StageSet, TryRandomColor};
 use crate::instance::ColoringState;
-use crate::linial::linial_coloring;
-use parcolor_local::engine::RoundEngine;
 use parcolor_local::graph::{Graph, NodeId};
-use parcolor_mpc::NodeMpc;
 
 /// Report of one low-degree coloring invocation.
 #[derive(Clone, Debug)]
@@ -113,81 +104,12 @@ pub fn color_low_degree(
     report
 }
 
-/// Report of the Linial-based fallback.
-#[derive(Clone, Debug)]
-pub struct LinialSweepReport {
-    /// Nodes handled by the invocation.
-    pub participants: usize,
-    /// Colors in the Linial coloring.
-    pub linial_colors: usize,
-    /// Rounds Linial's reduction used.
-    pub linial_rounds: u64,
-    /// Non-empty classes swept (one round each).
-    pub classes_used: usize,
-}
-
-/// The textbook alternative: Linial coloring + class-by-class greedy.
-/// One MPC round per non-empty class; kept for the ablation table and as
-/// a runner-free fallback.
-pub fn color_low_degree_linial(
-    g: &Graph,
-    state: &mut ColoringState,
-    nodes: &[NodeId],
-    engine: &mut RoundEngine,
-    mpc: &NodeMpc,
-) -> LinialSweepReport {
-    debug_assert!(nodes.iter().all(|&v| !state.is_colored(v)));
-    if nodes.is_empty() {
-        return LinialSweepReport {
-            participants: 0,
-            linial_colors: 0,
-            linial_rounds: 0,
-            classes_used: 0,
-        };
-    }
-    let mut active = vec![false; g.n()];
-    for &v in nodes {
-        active[v as usize] = true;
-    }
-    let lin = linial_coloring(g, &active);
-    engine.charge(lin.rounds, nodes.len() as u64);
-    mpc.charge_rounds(lin.rounds);
-    mpc.charge_neighbor_broadcast(g, |v| active[v as usize], 1);
-
-    let mut buckets: Vec<Vec<NodeId>> = vec![Vec::new(); lin.color_count];
-    for &v in nodes {
-        buckets[lin.colors[v as usize] as usize].push(v);
-    }
-    let mut classes_used = 0usize;
-    for bucket in buckets.iter().filter(|b| !b.is_empty()) {
-        classes_used += 1;
-        let adoptions: Vec<(NodeId, u32)> = bucket
-            .iter()
-            .map(|&v| {
-                let pal = state.palette(v);
-                assert!(!pal.is_empty(), "empty residual palette (invariant broken)");
-                (v, pal[0])
-            })
-            .collect();
-        state.apply_adoptions(g, &adoptions);
-        engine.charge(1, adoptions.len() as u64);
-        mpc.charge_rounds(1);
-    }
-    LinialSweepReport {
-        participants: nodes.len(),
-        linial_colors: lin.color_count,
-        linial_rounds: lin.rounds,
-        classes_used,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Params;
     use crate::instance::D1lcInstance;
     use parcolor_local::tape::SplitMix;
-    use parcolor_mpc::MpcConfig;
 
     fn random_graph(n: usize, m: usize, seed: u64) -> Graph {
         let mut rng = SplitMix::new(seed);
@@ -272,40 +194,5 @@ mod tests {
         let rep = color_low_degree(&g, &mut state, &[], &mut runner, 8);
         assert_eq!(rep.participants, 0);
         assert_eq!(runner.mpc.metrics().rounds(), 0);
-    }
-
-    #[test]
-    fn linial_fallback_still_works() {
-        let g = random_graph(400, 1200, 5);
-        let inst = D1lcInstance::delta_plus_one(g.clone());
-        let mut state = ColoringState::new(&inst);
-        let mut engine = RoundEngine::new();
-        let mpc = NodeMpc::new(MpcConfig::new(400, 1200, 0.5));
-        let nodes = state.uncolored_nodes();
-        let rep = color_low_degree_linial(&g, &mut state, &nodes, &mut engine, &mpc);
-        assert!(rep.classes_used <= rep.linial_colors.max(400));
-        let colors = state.into_colors().unwrap();
-        inst.verify_coloring(&colors).unwrap();
-    }
-
-    #[test]
-    fn framework_beats_linial_sweep_on_round_count() {
-        // The motivating regime: Δ²·log n ≳ n, where the Linial sweep
-        // degenerates to ~n rounds but the framework stays logarithmic.
-        let g = random_graph(1000, 6000, 17);
-        let (_, rep, _, fw_rounds) = run_framework(&g);
-        let inst = D1lcInstance::delta_plus_one(g.clone());
-        let mut state = ColoringState::new(&inst);
-        let mut engine = RoundEngine::new();
-        let mpc = NodeMpc::new(MpcConfig::new(1000, 6000, 0.5));
-        let nodes = state.uncolored_nodes();
-        let lin = color_low_degree_linial(&g, &mut state, &nodes, &mut engine, &mpc);
-        let lin_rounds = mpc.metrics().rounds();
-        assert!(
-            fw_rounds * 3 < lin_rounds,
-            "framework {fw_rounds} vs linial sweep {lin_rounds} ({} classes, {} trials)",
-            lin.classes_used,
-            rep.trial_rounds
-        );
     }
 }

@@ -9,20 +9,29 @@
 //! degree `d'(v) < 2 d(v)/B` and in-bin palette `p'(v) > d'(v)` — are
 //! achieved by a deterministic search over a pairwise-independent hash
 //! family (the method of conditional expectations over the family, run
-//! here as a deterministic argmin over an indexed prefix of the family
-//! with an exhaustive-equivalent widening fallback).
+//! here as a deterministic argmin over an indexed prefix of the family).
+//!
+//! The search costs hash seeds on the pool kernel every PRG seed search
+//! uses ([`fold_seed_range_in`]).  It folds the doubling prefixes
+//! `[0,1), [1,2), [2,4), …` of its budget and stops after the first one
+//! that holds a seed of cost 0, the least possible cost.  The chosen seed
+//! is therefore the lowest minimum-cost seed of the whole budget, and a
+//! search whose first perfect seed is `s` evaluates at most `2(s + 1)`
+//! seeds.
 
 use crate::instance::ColoringState;
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_prg::hashing::{KWiseFamily, KWiseHash};
+use parcolor_prg::{fold_seed_range_in, seed_workers, SumMinArgmin};
 
 /// Independence of the partition hashes.  CDP21d uses `O(log n)`-wise
 /// independence for Chernoff-type concentration of in-bin degrees; 8-wise
 /// is ample at every scale this repo reaches.
 const HASH_INDEPENDENCE: u32 = 8;
 
-/// High nodes stolen at a time by the worst-ratio pool fold.
-const FOLD_BLOCK: u64 = 1024;
+/// [`HashPlane::bin_of`] entry of a node outside every bin: not high, or
+/// a violator of the chosen seed.
+const NO_BIN: u64 = u64::MAX;
 
 /// Result of one `LowSpacePartition` call.
 #[derive(Debug)]
@@ -65,21 +74,27 @@ pub struct PartitionStats {
     pub worst_degree_ratio: f64,
 }
 
-/// Per-search scratch of the batched hash plane (Lemma 23's search).
+/// One search worker's scratch of the batched hash plane (Lemma 23's
+/// search).
 ///
-/// The stripe inputs — high node ids and the color hash inputs — are
-/// built **once per partition call**; per candidate seed, two
+/// The seed-independent inputs — high node ids, the color hash inputs and
+/// each high node's high-degree `d(v)` — are built **once per partition
+/// call** and cloned to each worker; per candidate seed, two
 /// [`KWiseHash::eval_batch`] passes fill the output planes and a dense
 /// node→bin scatter turns the per-incident-edge `h₁` evaluations of the
 /// scalar formulation into array reads.  Every lookup reproduces the
 /// scalar `eval` bit-for-bit (the hashing batch contract), so the chosen
 /// seed and all statistics are unchanged.
+#[derive(Clone)]
 struct HashPlane {
     /// High node ids as `h₁` inputs (fixed across seeds).
     xs_high: Vec<u64>,
+    /// `d(v)`: high neighbors of each high node, aligned with `xs_high`.
+    high_deg: Vec<usize>,
     /// `h₁` bins aligned with `xs_high` (refilled per seed).
     high_bins: Vec<u64>,
-    /// Dense node → `h₁` bin, valid at high positions (refilled per seed).
+    /// Dense node → `h₁` bin (refilled per seed at high positions,
+    /// [`NO_BIN`] elsewhere, so only high neighbors share a bin).
     bin_of: Vec<u64>,
     /// `h₂` inputs: the color universe `0..=max_color` (dense mode) or
     /// the concatenated high-node palettes (occurrence mode).
@@ -94,6 +109,21 @@ struct HashPlane {
 impl HashPlane {
     fn new(g: &Graph, state: &ColoringState, high: &[NodeId]) -> Self {
         let xs_high: Vec<u64> = high.iter().map(|&v| v as u64).collect();
+        // Until the first fill, `bin_of` marks the high set: d(v) counts
+        // the neighbors off NO_BIN.
+        let mut bin_of = vec![NO_BIN; g.n()];
+        for &v in high {
+            bin_of[v as usize] = 0;
+        }
+        let high_deg = high
+            .iter()
+            .map(|&v| {
+                g.neighbors(v)
+                    .iter()
+                    .filter(|&&u| bin_of[u as usize] != NO_BIN)
+                    .count()
+            })
+            .collect();
         let pal_words: usize = high.iter().map(|&v| state.palette(v).len()).sum();
         let max_color = high
             .iter()
@@ -119,8 +149,9 @@ impl HashPlane {
         };
         HashPlane {
             xs_high,
+            high_deg,
             high_bins: vec![0; high.len()],
-            bin_of: vec![u64::MAX; g.n()],
+            bin_of,
             color_bins: vec![0; xs_colors.len()],
             xs_colors,
             color_off,
@@ -128,10 +159,10 @@ impl HashPlane {
     }
 
     /// Evaluate `(h1, h2)` over the stripes and scatter the node bins.
-    fn fill(&mut self, high: &[NodeId], h1: &KWiseHash, h2: &KWiseHash) {
+    fn fill(&mut self, h1: &KWiseHash, h2: &KWiseHash) {
         h1.eval_batch(&self.xs_high, &mut self.high_bins);
-        for (i, &v) in high.iter().enumerate() {
-            self.bin_of[v as usize] = self.high_bins[i];
+        for (&x, &b) in self.xs_high.iter().zip(&self.high_bins) {
+            self.bin_of[x as usize] = b;
         }
         h2.eval_batch(&self.xs_colors, &mut self.color_bins);
     }
@@ -152,55 +183,42 @@ impl HashPlane {
                 .count()
         }
     }
-}
 
-/// Violations of Lemma 23's two properties for a candidate `(h1, h2)`,
-/// read off a filled [`HashPlane`].  Returns `(hard_violators,
-/// soft_count)`: *hard* = the restricted palette would not cover the
-/// in-bin degree (breaks the D1LC promise of the sub-instance — those
-/// nodes must fall back to `G_mid`); *soft* = the `2d/B` degree bound is
-/// exceeded (slows the recursion but breaks nothing).
-fn violating_nodes(
-    g: &Graph,
-    state: &ColoringState,
-    high: &[NodeId],
-    high_mask: &[bool],
-    plane: &HashPlane,
-    bins: usize,
-) -> (Vec<NodeId>, usize) {
-    let marks: Vec<(bool, bool)> = high
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| {
-            let b = plane.high_bins[i];
-            let d: usize = g
+    /// Violations of Lemma 23's two properties under the filled seed:
+    /// `(hard, soft)` counts, with `on_hard` called on each hard violator.
+    /// *Hard* = the restricted palette would not cover the in-bin degree
+    /// (breaks the D1LC promise of the sub-instance — those nodes must
+    /// fall back to `G_mid`); *soft* = the `2d/B` degree bound is exceeded
+    /// (slows the recursion but breaks nothing).
+    fn violations(
+        &self,
+        g: &Graph,
+        state: &ColoringState,
+        bins: usize,
+        mut on_hard: impl FnMut(NodeId),
+    ) -> (usize, usize) {
+        let (mut hard, mut soft) = (0, 0);
+        for (i, &x) in self.xs_high.iter().enumerate() {
+            let v = x as NodeId;
+            let b = self.high_bins[i];
+            let d_in = g
                 .neighbors(v)
                 .iter()
-                .filter(|&&u| high_mask[u as usize])
-                .count();
-            let d_in: usize = g
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| high_mask[u as usize] && plane.bin_of[u as usize] == b)
+                .filter(|&&u| self.bin_of[u as usize] == b)
                 .count();
             // Degree reduction: d'(v) < max(2, 2 d(v)/B).  The `max(2)`
             // absorbs integer effects at small degrees (Lemma 23 is stated
             // for Δ ≥ n^{7δ} where 2d/B ≫ 1).
-            let deg_bound = (2.0 * d as f64 / bins as f64).max(2.0);
-            let soft = d_in as f64 >= deg_bound;
+            let deg_bound = (2.0 * self.high_deg[i] as f64 / bins as f64).max(2.0);
+            soft += usize::from(d_in as f64 >= deg_bound);
             // Palette property for restricted bins only.
-            let hard = (b as usize) < bins - 1 && plane.palette_in_bin(state, i, v, b) <= d_in;
-            (hard, soft)
-        })
-        .collect();
-    let hard: Vec<NodeId> = high
-        .iter()
-        .zip(marks.iter())
-        .filter(|(_, &(h, _))| h)
-        .map(|(&v, _)| v)
-        .collect();
-    let soft = marks.iter().filter(|&&(_, s)| s).count();
-    (hard, soft)
+            if (b as usize) < bins - 1 && self.palette_in_bin(state, i, v, b) <= d_in {
+                hard += 1;
+                on_hard(v);
+            }
+        }
+        (hard, soft)
+    }
 }
 
 /// Run one partition level over `nodes` (uncolored).  `threshold` is the
@@ -228,10 +246,6 @@ pub fn low_space_partition(
     };
     let (mut mid, high): (Vec<NodeId>, Vec<NodeId>) =
         nodes.iter().partition(|&&v| deg_of(v) <= threshold);
-    let mut high_mask = vec![false; g.n()];
-    for &v in &high {
-        high_mask[v as usize] = true;
-    }
 
     let node_family = KWiseFamily::new(HASH_INDEPENDENCE, bins as u64);
     let color_family = KWiseFamily::new(HASH_INDEPENDENCE, bins as u64 - 1);
@@ -244,90 +258,77 @@ pub fn low_space_partition(
 
     // Deterministic search (the method of conditional expectations over
     // the hash family, realized as an argmin over an indexed prefix):
-    // hard violations dominate the cost; stop early at a perfect seed.
-    // Each candidate seed expands its coefficients once and fills the
-    // batched hash plane; the violation scan then reads array entries.
-    let mut plane = HashPlane::new(g, state, &high);
-    let mut best: Option<(u64, Vec<NodeId>, usize, u64)> = None;
-    let mut tried = 0u64;
-    for seed in 0..budget.max(1) {
-        tried += 1;
-        let (h1, h2) = derive(seed);
-        plane.fill(&high, &h1, &h2);
-        let (hard, soft) = violating_nodes(g, state, &high, &high_mask, &plane, bins);
-        let score = hard.len() as u64 * 1_000_000 + soft as u64;
-        let better = best.as_ref().is_none_or(|&(_, _, _, bs)| score < bs);
-        if better {
-            let done = score == 0;
-            best = Some((seed, hard, soft, score));
-            if done {
-                break;
-            }
+    // hard violations dominate the cost.  Each candidate seed expands its
+    // coefficients once and fills its worker's plane; the violation scan
+    // then reads array entries.  Costs are integers far below 2^53, so the
+    // fold's min and lowest-seed argmin are exact at every worker count.
+    let cost_block = |seed0: u64, costs: &mut [f64], plane: &mut HashPlane| {
+        for (seed, cost) in (seed0..).zip(costs.iter_mut()) {
+            let (h1, h2) = derive(seed);
+            plane.fill(&h1, &h2);
+            let (hard, soft) = plane.violations(g, state, bins, |_| {});
+            *cost = (hard * 1_000_000 + soft) as f64;
         }
+    };
+    let budget = budget.max(1);
+    let mut pool = vec![HashPlane::new(g, state, &high)];
+    let mut best = SumMinArgmin::EMPTY;
+    let mut tried = 0;
+    // Prefixes [0,1), [1,2), [2,4), …: no seed beats cost 0, so the first
+    // prefix holding one ends the search.
+    while tried < budget && best.min > 0.0 {
+        let len = tried.max(1).min(budget - tried);
+        let workers = seed_workers(len, 0);
+        while pool.len() < workers {
+            pool.push(pool[0].clone());
+        }
+        let fold = fold_seed_range_in(&mut pool[..workers], tried, len, &cost_block);
+        best = best.merge(fold);
+        tried += len;
     }
-    let (chosen_seed, violators, soft_violations, _) = best.unwrap();
+    let chosen_seed = best.argmin;
     let (h1, h2) = derive(chosen_seed);
-    plane.fill(&high, &h1, &h2);
-    let plane = &plane;
+    pool.truncate(1);
+    let plane = &mut pool[0];
+    plane.fill(&h1, &h2);
+    let mut violators = Vec::new();
+    let (_, soft_violations) = plane.violations(g, state, bins, |v| violators.push(v));
 
-    // Fallback: violators join G_mid (they keep full palettes and are
-    // colored after the bins, so correctness is unaffected; only the
-    // degree bound of the mid instance may be looser — recorded).
-    let violations_moved = violators.len();
-    let mut is_violator = vec![false; g.n()];
+    // Fallback: violators leave their bin and join G_mid (they keep full
+    // palettes and are colored after the bins, so correctness is
+    // unaffected; only the degree bound of the mid instance may be
+    // looser — recorded).
     for &v in &violators {
-        is_violator[v as usize] = true;
+        plane.bin_of[v as usize] = NO_BIN;
     }
-    mid.extend(violators.iter().copied());
+    mid.extend(&violators);
     mid.sort_unstable();
 
     let mut bins_vec: Vec<Vec<NodeId>> = vec![Vec::new(); bins];
     for &v in &high {
-        if !is_violator[v as usize] {
-            bins_vec[plane.bin_of[v as usize] as usize].push(v);
+        let b = plane.bin_of[v as usize];
+        if b != NO_BIN {
+            bins_vec[b as usize].push(v);
         }
     }
 
-    // Diagnostic: realized degree-reduction ratio (off the chosen seed's
-    // plane — identical to re-evaluating h₁ per node and neighbor).  A
-    // max is exact under any grouping, so the pool fold over `high` gives
-    // the same value at every worker count.
-    let worst_ratio = parcolor_exec::par_fold(
-        parcolor_exec::Executor::global(),
-        parcolor_exec::resolve_workers(0),
-        0..high.len() as u64,
-        FOLD_BLOCK,
-        || f64::NEG_INFINITY,
-        |start, len, worst| {
-            high[start as usize..(start + len) as usize]
+    // Diagnostic: realized degree-reduction ratio of the binned nodes (off
+    // the chosen seed's plane — identical to re-evaluating h₁ per node and
+    // neighbor).  Every ratio is ≥ 0, so 0.0 is both the fold's identity
+    // and the reading when no node is binned.
+    let worst_ratio = bins_vec
+        .iter()
+        .flatten()
+        .map(|&v| {
+            let b = plane.bin_of[v as usize];
+            let d_in = g
+                .neighbors(v)
                 .iter()
-                .filter(|&&v| !is_violator[v as usize])
-                .map(|&v| {
-                    let b = plane.bin_of[v as usize];
-                    let d = deg_of(v).max(1);
-                    let d_in = g
-                        .neighbors(v)
-                        .iter()
-                        .filter(|&&u| {
-                            high_mask[u as usize]
-                                && !is_violator[u as usize]
-                                && plane.bin_of[u as usize] == b
-                        })
-                        .count();
-                    d_in as f64 * bins as f64 / d as f64
-                })
-                .fold(worst, f64::max)
-        },
-        f64::max,
-    );
-    // NEG_INFINITY identity so a genuine max survives the fold even if
-    // every ratio were negative (a 0.0 identity would clamp it); with no
-    // participating nodes the max stays -inf, reported as 0.0.
-    let worst_ratio = if worst_ratio.is_finite() {
-        worst_ratio
-    } else {
-        0.0
-    };
+                .filter(|&&u| plane.bin_of[u as usize] == b)
+                .count();
+            d_in as f64 * bins as f64 / deg_of(v).max(1) as f64
+        })
+        .fold(0.0, f64::max);
 
     let stats = PartitionStats {
         bins,
@@ -335,7 +336,7 @@ pub fn low_space_partition(
         mid_nodes: mid.len(),
         seeds_tried: tried,
         chosen_seed,
-        violations_moved_to_mid: violations_moved,
+        violations_moved_to_mid: violators.len(),
         soft_degree_violations: soft_violations,
         worst_degree_ratio: worst_ratio,
     };
@@ -450,9 +451,8 @@ mod tests {
         assert!(out.bins.iter().all(Vec::is_empty));
     }
 
-    /// Regression: the worst-ratio reduce uses a `NEG_INFINITY` identity
-    /// (a `0.0` identity would silently clamp the max); the -inf of an
-    /// empty participation set must be reported as 0.0, never leak out.
+    /// Regression: with no binned node the worst ratio reads 0.0, and
+    /// with some it is their positive, finite maximum.
     #[test]
     fn worst_ratio_identity_is_neutral() {
         // Threshold above every degree → no high nodes participate.
@@ -462,9 +462,8 @@ mod tests {
         let out = low_space_partition(&inst.graph, &state, &nodes, 10_000, 3, 16);
         assert_eq!(out.stats.high_nodes, 0);
         assert_eq!(out.stats.worst_degree_ratio, 0.0);
-        // Nonempty participation: the reduce identity must not distort
-        // the max — every surviving high node's realized ratio is a
-        // lower bound on the reported worst ratio.
+        // Nonempty participation: the fold's 0.0 identity must not hide
+        // the binned nodes' ratios.
         let inst = dense_instance(600, 120, 1);
         let state = ColoringState::new(&inst);
         let nodes = state.uncolored_nodes();
@@ -472,5 +471,34 @@ mod tests {
         assert!(out.stats.high_nodes > 0);
         assert!(out.stats.worst_degree_ratio.is_finite());
         assert!(out.stats.worst_degree_ratio > 0.0);
+    }
+
+    /// A search whose first perfect seed is `s` picks `s` and evaluates at
+    /// most `2(s + 1)` seeds; a budget of `s` finds no perfect seed, and
+    /// a budget of `s + 1` picks `s` after evaluating all of it.
+    #[test]
+    fn search_stops_after_first_perfect_seed() {
+        let perfect = |o: &PartitionOutcome| {
+            o.stats.violations_moved_to_mid == 0 && o.stats.soft_degree_violations == 0
+        };
+        for inst_seed in [1, 6, 9] {
+            let inst = dense_instance(600, 60, inst_seed);
+            let state = ColoringState::new(&inst);
+            let nodes = state.uncolored_nodes();
+            let run = |budget| low_space_partition(&inst.graph, &state, &nodes, 20, 3, budget);
+            let out = run(64);
+            let s = out.stats.chosen_seed;
+            assert!(perfect(&out) && s > 0, "{:?}", out.stats);
+            assert!(out.stats.seeds_tried > s && out.stats.seeds_tried <= 2 * (s + 1));
+            let below = run(s);
+            assert!(!perfect(&below), "{:?}", below.stats);
+            assert_eq!(below.stats.seeds_tried, s);
+            let exact = run(s + 1);
+            assert_eq!(
+                (exact.stats.chosen_seed, exact.stats.seeds_tried),
+                (s, s + 1)
+            );
+            assert_eq!((exact.bins, exact.mid), (out.bins, out.mid));
+        }
     }
 }

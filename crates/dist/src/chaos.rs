@@ -5,7 +5,7 @@
 //! dropped, delayed, or the connection severed, but a frame is never
 //! split, so chaos exercises the protocol's loss handling rather than
 //! trivially corrupting the codec.  Every decision comes from a
-//! [`SplitMix64`] stream seeded per `(proxy seed, connection, frame
+//! [`SplitMix`] stream seeded per `(proxy seed, connection, frame
 //! direction)`, so a schedule is reproducible: the same seed yields the
 //! same drop/delay pattern at every run (modulo wall-clock
 //! interleaving, which the protocol must tolerate anyway — that is the
@@ -16,38 +16,12 @@
 //! reconnect (a fresh proxied connection) models its restart.
 
 use crate::frame::{write_frame, FrameReader};
+use parcolor_local::tape::SplitMix;
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// `splitmix64` — the tiny, high-quality seeded PRG used for every
-/// chaos decision and for worker backoff jitter (no crates.io RNGs in
-/// this workspace).
-#[derive(Clone, Copy, Debug)]
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    /// Seeded stream.
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    /// Next 64 uniform bits.
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    /// Bernoulli draw: true with probability `num`/1000.
-    pub fn per_mille(&mut self, num: u32) -> bool {
-        (self.next_u64() % 1000) < num as u64
-    }
-}
 
 /// When to kill a coordinator, in deterministic progress units rather
 /// than wall clock — the same spec fires at the same logical point in
@@ -340,7 +314,7 @@ fn pump(
     shutdown: Arc<AtomicBool>,
 ) {
     let _ = src.set_read_timeout(Some(Duration::from_millis(20)));
-    let mut prg = SplitMix64::new(
+    let mut prg = SplitMix::new(
         cfg.seed ^ conn_index.wrapping_mul(0x9E37_79B9) ^ direction.wrapping_mul(0x85EB_CA6B),
     );
     let mut reader = FrameReader::new(src.try_clone().expect("clone pump src"));
@@ -361,7 +335,10 @@ fn pump(
                 }
                 let protected = frame_idx < cfg.protect_first;
                 frame_idx += 1;
-                if !protected && cfg.drop_per_mille > 0 && prg.per_mille(cfg.drop_per_mille) {
+                if !protected
+                    && cfg.drop_per_mille > 0
+                    && prg.next_u64() % 1000 < cfg.drop_per_mille as u64
+                {
                     continue; // dropped on the floor
                 }
                 let delay = cfg.delay_min_ms
@@ -392,8 +369,8 @@ mod tests {
 
     #[test]
     fn splitmix_is_deterministic_and_spread() {
-        let mut a = SplitMix64::new(7);
-        let mut b = SplitMix64::new(7);
+        let mut a = SplitMix::new(7);
+        let mut b = SplitMix::new(7);
         let xs: Vec<u64> = (0..64).map(|_| a.next_u64()).collect();
         let ys: Vec<u64> = (0..64).map(|_| b.next_u64()).collect();
         assert_eq!(xs, ys);

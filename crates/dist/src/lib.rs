@@ -166,7 +166,7 @@ pub mod proto;
 pub mod standby;
 pub mod worker;
 
-pub use chaos::{ChaosConfig, ChaosProxy, FailoverSchedule, KillSpec, KillSwitch, SplitMix64};
+pub use chaos::{ChaosConfig, ChaosProxy, FailoverSchedule, KillSpec, KillSwitch};
 pub use cluster::{
     install_quiet_kill_hook, solve_on_cluster, solve_on_failover_cluster, ClusterOutcome,
     FailoverOutcome,

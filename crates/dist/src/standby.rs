@@ -32,20 +32,20 @@
 //! the same exactness argument as lease re-issue: units have unique
 //! aggregates and the merge is grouping-invariant.
 
-use crate::chaos::{KillSwitch, SplitMix64};
+use crate::chaos::KillSwitch;
 use crate::coordinator::{DistCoordinator, DistStats, ReplicatedFold};
 use crate::frame::write_frame;
 use crate::proto::{Msg, Role};
-use crate::worker::{connect_once, Conn};
+use crate::worker::{backoff, connect_once, Conn};
 use crate::DistConfig;
 use parcolor_core::{BlockEval, SeedSearcher};
 use parcolor_exec::SumMinArgmin;
+use parcolor_local::tape::SplitMix;
 use parcolor_prg::{SeedSelection, SeedStrategy};
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Duration;
 
 /// Tick granularity of the replication tail loop, in milliseconds.
 const TAIL_TICK_MS: u64 = 25;
@@ -84,7 +84,7 @@ struct SbInner {
     /// history is already complete returns without it).
     waited_for_fleet: bool,
     failed_attempts: u32,
-    jitter: SplitMix64,
+    jitter: SplitMix,
     stats: StandbyStats,
 }
 
@@ -102,15 +102,8 @@ impl SbInner {
         if self.failed_attempts >= self.cfg.standby_reconnects {
             return false;
         }
-        let shift = self.failed_attempts.min(16);
-        let base = self
-            .cfg
-            .connect_backoff_ms
-            .saturating_mul(1u64 << shift)
-            .min(self.cfg.max_backoff_ms);
-        let jitter = self.jitter.next_u64() % (base / 2 + 1);
-        std::thread::sleep(Duration::from_millis(base + jitter));
-        match connect_once(&self.primary, &self.cfg, Role::Standby) {
+        backoff(&self.cfg, self.failed_attempts, &mut self.jitter);
+        match connect_once(&self.primary, Role::Standby) {
             Ok((conn, epoch, _job, history)) => {
                 if history.len() > self.history.len() {
                     self.history = history;
@@ -361,13 +354,13 @@ impl Standby {
     /// completed unit is replicated here) and bind the embedded
     /// coordinator on `listen` (e.g. `"127.0.0.1:0"`).
     pub fn start(listen: &str, primary: &str, cfg: DistConfig) -> io::Result<Standby> {
-        let (conn, epoch, job, history) = connect_once(primary, &cfg, Role::Standby)?;
+        let (conn, epoch, job, history) = connect_once(primary, Role::Standby)?;
         let coord = Arc::new(DistCoordinator::bind_standby(
             listen,
             job.clone(),
             cfg.clone(),
         )?);
-        let jitter = SplitMix64::new(cfg.jitter_seed ^ 0x5741_4E44_4259);
+        let jitter = SplitMix::new(cfg.jitter_seed ^ 0x5741_4E44_4259);
         let searcher = Arc::new(StandbySearcher {
             coord: Arc::clone(&coord),
             inner: Mutex::new(SbInner {

@@ -28,11 +28,11 @@
 //! cutting frame count roughly `max_outstanding`-fold on chatty links
 //! while dedup-by-unit-id semantics stay exactly as before.
 
-use crate::chaos::SplitMix64;
 use crate::frame::{write_frame, FrameReader};
 use crate::proto::{Msg, Role, UnitResult, PROTO_VERSION};
 use crate::DistConfig;
 use parcolor_core::{BlockEval, SeedSearcher, SimScratch};
+use parcolor_local::tape::SplitMix;
 use parcolor_prg::{
     fold_seed_range_in, seed_workers, select_seed_blocks_n, SeedSelection, SeedStrategy,
 };
@@ -101,7 +101,7 @@ struct Inner {
     next_search: u64,
     standalone: bool,
     failed_attempts: u32,
-    jitter: SplitMix64,
+    jitter: SplitMix,
     /// Completed units awaiting one coalesced `Result` frame.
     batch: Vec<UnitResult>,
     /// `(epoch, search_id, fold_id)` every batched unit shares.
@@ -125,7 +125,7 @@ pub(crate) type Handshake = (Conn, u64, Vec<u8>, Vec<SeedSelection>);
 /// One connect + handshake as `role`.  A `Refuse` answer (version
 /// mismatch, or an unpromoted standby) becomes a friendly
 /// `ConnectionRefused` error carrying the peer's reason.
-pub(crate) fn connect_once(addr: &str, _cfg: &DistConfig, role: Role) -> io::Result<Handshake> {
+pub(crate) fn connect_once(addr: &str, role: Role) -> io::Result<Handshake> {
     let stream = TcpStream::connect(addr)?;
     stream.set_nodelay(true).ok();
     stream.set_read_timeout(Some(Duration::from_millis(READ_TICK_MS)))?;
@@ -184,17 +184,26 @@ pub(crate) fn connect_once(addr: &str, _cfg: &DistConfig, role: Role) -> io::Res
     }
 }
 
+/// Sleep before the next connection attempt after `failures`
+/// consecutive failed ones: `connect_backoff_ms · 2^failures` (exponent
+/// capped at 16) up to `max_backoff_ms`, plus a jitter of up to half that
+/// drawn from `jitter`.
+pub(crate) fn backoff(cfg: &DistConfig, failures: u32, jitter: &mut SplitMix) {
+    let base = cfg
+        .connect_backoff_ms
+        .saturating_mul(1u64 << failures.min(16))
+        .min(cfg.max_backoff_ms);
+    let jitter = jitter.next_u64() % (base / 2 + 1);
+    std::thread::sleep(Duration::from_millis(base + jitter));
+}
+
 /// One sweep over the coordinator list starting at `start_idx`.
 /// Returns the index of the address that answered, with its handshake.
-fn connect_sweep(
-    addrs: &[String],
-    start_idx: usize,
-    cfg: &DistConfig,
-) -> io::Result<(usize, Handshake)> {
+fn connect_sweep(addrs: &[String], start_idx: usize) -> io::Result<(usize, Handshake)> {
     let mut last_err = None;
     for k in 0..addrs.len() {
         let i = (start_idx + k) % addrs.len();
-        match connect_once(&addrs[i], cfg, Role::Worker) {
+        match connect_once(&addrs[i], Role::Worker) {
             Ok(handshake) => return Ok((i, handshake)),
             Err(e) => last_err = Some(e),
         }
@@ -232,15 +241,8 @@ impl Inner {
             self.standalone = true;
             return;
         }
-        let shift = self.failed_attempts.min(16);
-        let base = self
-            .cfg
-            .connect_backoff_ms
-            .saturating_mul(1u64 << shift)
-            .min(self.cfg.max_backoff_ms);
-        let jitter = self.jitter.next_u64() % (base / 2 + 1);
-        std::thread::sleep(Duration::from_millis(base + jitter));
-        match connect_sweep(&self.addrs, self.addr_idx, &self.cfg) {
+        backoff(&self.cfg, self.failed_attempts, &mut self.jitter);
+        match connect_sweep(&self.addrs, self.addr_idx) {
             Ok((idx, (conn, epoch, _job, history))) => {
                 self.adopt_history(history);
                 self.addr_idx = idx;
@@ -299,10 +301,10 @@ impl WorkerSearcher {
                 "empty coordinator list",
             ));
         }
-        let mut jitter = SplitMix64::new(cfg.jitter_seed);
+        let mut jitter = SplitMix::new(cfg.jitter_seed);
         let mut last_err = None;
         for attempt in 0..cfg.max_reconnects.max(1) {
-            match connect_sweep(addrs, 0, &cfg) {
+            match connect_sweep(addrs, 0) {
                 Ok((idx, (conn, epoch, job, history))) => {
                     return Ok(WorkerSearcher {
                         inner: Mutex::new(Inner {
@@ -326,13 +328,7 @@ impl WorkerSearcher {
                 }
                 Err(e) => {
                     last_err = Some(e);
-                    let base = cfg
-                        .connect_backoff_ms
-                        .saturating_mul(1u64 << attempt.min(16))
-                        .min(cfg.max_backoff_ms);
-                    std::thread::sleep(Duration::from_millis(
-                        base + jitter.next_u64() % (base / 2 + 1),
-                    ));
+                    backoff(&cfg, attempt, &mut jitter);
                 }
             }
         }

@@ -8,11 +8,11 @@
 //!    invokes the existential `(t, ε)` PRG of Vadhan (Proposition 7.8),
 //!    constructed in exponential time (Lemma 9).  That construction is a
 //!    proof device; we substitute a keyed avalanche mixer whose output is
-//!    addressed by `(seed, chunk, index)`.  The substitution is recorded in
-//!    `DESIGN.md` §5: the run-time guarantee the framework needs — *the seed
-//!    chosen by conditional expectations achieves at most the seed-space
-//!    mean failure count* — is enforced and measured directly, independent
-//!    of any indistinguishability assumption.
+//!    addressed by `(seed, chunk, index)`.  The run-time guarantee the
+//!    framework needs — *the seed chosen by conditional expectations
+//!    achieves at most the seed-space mean failure count* — is enforced
+//!    and measured directly by [`seed_search`], independent of any
+//!    indistinguishability assumption.
 //! 2. **k-wise independent hash families** ([`hashing`]) over a Mersenne
 //!    prime field, used by the degree-reduction step (Section 6,
 //!    `LowSpacePartition`) exactly as in CDP21d.

@@ -53,6 +53,10 @@
 //! * [`select_seed_folded`] — the strategy logic against any
 //!   [`RangeFolder`].  `select_seed_blocks_n` is this over the in-process
 //!   folder; the distributed coordinator runs it over a fleet.
+//!
+//! Lemma 23's hash search (`parcolor_core::reduce`) runs no strategy: it
+//! folds doubling seed prefixes through [`fold_seed_range_in`], the kernel
+//! under the local folder, until one holds a seed of cost 0.
 
 use parcolor_exec::{Executor, SumMinArgmin};
 

@@ -40,6 +40,26 @@ const RANDOMIZED_GOLDEN: &[(&str, u64)] = &[
     ("torus", 0x2bf269ea158f4392),
 ];
 
+/// Solves that run Lemma 23's partition recursion and search its hash
+/// family past seed 0: the coloring hash, then one `(chosen_seed,
+/// seeds_tried, violations_moved_to_mid)` per partition level, in the
+/// order `SolveStats::partition_stats` lists them.
+type PartitionLevel = (u64, u64, usize);
+const PARTITION_GOLDEN: &[(&str, u32, u64, &[PartitionLevel])] = &[
+    (
+        "gnm_dense",
+        16,
+        0x6999b57e597b8803,
+        &[(106, 256, 2), (0, 1, 0), (0, 1, 0), (0, 1, 0)],
+    ),
+    (
+        "planted_lists",
+        32,
+        0x9071afc885477bd6,
+        &[(0, 1, 0), (3, 4, 0), (1, 2, 0), (0, 1, 0)],
+    ),
+];
+
 fn instance_of(name: &str) -> parcolor_core::D1lcInstance {
     match name {
         "gnm_small" => gen::degree_plus_one(gen::gnm(500, 2_000, 1)),
@@ -47,6 +67,13 @@ fn instance_of(name: &str) -> parcolor_core::D1lcInstance {
         "planted" => gen::degree_plus_one(gen::planted_cliques(&[24, 20], 0.1, 300, 6, 3)),
         "lists" => gen::random_lists(gen::gnm(400, 1_600, 4), 1_024, 2, 5),
         "torus" => gen::degree_plus_one(gen::torus(15, 15)),
+        "gnm_dense" => gen::degree_plus_one(gen::gnm(600, 9_000, 3)),
+        "planted_lists" => gen::random_lists(
+            gen::planted_cliques(&[128; 4], 0.1, 2_000, 8, 1),
+            4096,
+            0,
+            1,
+        ),
         other => panic!("unknown golden case {other}"),
     }
 }
@@ -62,6 +89,30 @@ fn deterministic_solver_matches_golden_hashes() {
             got, expected,
             "{name}: deterministic output drifted (got 0x{got:016x})"
         );
+    }
+}
+
+#[test]
+fn partitioned_solves_match_golden_hashes_and_hash_seeds() {
+    for &(name, mid_cap, expected, levels) in PARTITION_GOLDEN {
+        let inst = instance_of(name);
+        let params = Params::default()
+            .with_seed_bits(5)
+            .with_mid_degree_cap(mid_cap);
+        let sol = Solver::deterministic(params).solve(&inst);
+        inst.verify_coloring(&sol.colors).unwrap();
+        let got = fnv(&sol.colors);
+        assert_eq!(
+            got, expected,
+            "{name}: partitioned output drifted (got 0x{got:016x})"
+        );
+        let got: Vec<PartitionLevel> = sol
+            .stats
+            .partition_stats
+            .iter()
+            .map(|p| (p.chosen_seed, p.seeds_tried, p.violations_moved_to_mid))
+            .collect();
+        assert_eq!(got, levels, "{name}: partition levels drifted");
     }
 }
 
@@ -86,8 +137,12 @@ fn golden_hashes_are_distinct() {
         .iter()
         .chain(RANDOMIZED_GOLDEN)
         .map(|&(_, h)| h)
+        .chain(PARTITION_GOLDEN.iter().map(|&(_, _, h, _)| h))
         .collect();
     hs.sort_unstable();
     hs.dedup();
-    assert_eq!(hs.len(), GOLDEN.len() + RANDOMIZED_GOLDEN.len());
+    assert_eq!(
+        hs.len(),
+        GOLDEN.len() + RANDOMIZED_GOLDEN.len() + PARTITION_GOLDEN.len()
+    );
 }
