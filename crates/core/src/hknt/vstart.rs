@@ -103,13 +103,18 @@ pub fn identify_vstart(
         .filter(|&v| easy_mask[v as usize])
         .collect();
 
-    // Vheavy: heavy-color mass.
+    // Vheavy: heavy-color mass.  Each H(c) sums in adjacency order; the
+    // heavy colors are then summed in ascending color order, so the mass
+    // does not depend on the map's iteration order (randomly seeded per
+    // run).  The map and the heavy list are reused across nodes.
+    let mut h: HashMap<u32, f64> = HashMap::new();
+    let mut heavy_h: Vec<(u32, f64)> = Vec::new();
     let heavy: Vec<NodeId> = sparse
         .iter()
         .copied()
         .filter(|&v| !easy_mask[v as usize])
         .filter(|&v| {
-            let mut h: HashMap<u32, f64> = HashMap::new();
+            h.clear();
             for &u in g.neighbors(v) {
                 if !active[u as usize] || state.is_colored(u) {
                     continue;
@@ -123,7 +128,14 @@ pub fn identify_vstart(
                     *h.entry(c).or_insert(0.0) += w;
                 }
             }
-            let heavy_mass: f64 = h.values().filter(|&&m| m >= params.heavy_const).sum();
+            heavy_h.clear();
+            heavy_h.extend(
+                h.iter()
+                    .filter(|&(_, &m)| m >= params.heavy_const)
+                    .map(|(&c, &m)| (c, m)),
+            );
+            heavy_h.sort_unstable_by_key(|&(c, _)| c);
+            let heavy_mass: f64 = heavy_h.iter().map(|&(_, m)| m).sum();
             heavy_mass >= params.eps4 * table.degree(v) as f64
         })
         .collect();

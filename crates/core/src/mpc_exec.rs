@@ -7,8 +7,11 @@
 //! The main solver computes the same quantities in shared memory and
 //! *charges* the Lemma 17 costs (see `framework::Runner`); this module is
 //! the ground truth that the accounting layer is charging for a real
-//! algorithm.  The test suite cross-checks both paths value-for-value, and
-//! `tests/integration_mpc_costs.rs` compares their cost profiles.
+//! algorithm.  This module's unit tests check its slack and sparsity
+//! against [`compute_params`](crate::node_params::compute_params) and its
+//! round count for independence of `n`.  Nothing outside this module
+//! calls [`compute_params_mpc`], so no test compares its cost profile
+//! with the rounds the solver charges.
 //!
 //! Record shapes (one machine word ≈ one `u64` in the model):
 //! * degree: edge records `(u, v)`, sorted by `u`, group-counted;

@@ -7,20 +7,48 @@
 //! charges that cost through `parcolor-mpc`.
 //!
 //! [`compute_params`] runs once per stage on the `parcolor-exec` pool, at
-//! the auto worker count, as two fills: every active node's degree (1
-//! hop), then the stage nodes' parameters (2 hops), which read those
-//! degrees instead of rescanning each neighbor's adjacency.  Both fills
-//! write the node-indexed tables in place, stripe by stripe, with
-//! buffers reused across a stripe's nodes.  Every float sum runs over one
-//! node's neighbors in adjacency order, so the table is bit-identical at
-//! every worker count.  The ACD and `Vstart` read the degrees back
-//! through [`ParamTable::degree`].
+//! the auto worker count, as four passes over node stripes:
+//!
+//! 1. **Degrees**: every active node's active degree `d(v)`.
+//! 2. **Triangles**: `m(N(v))`, the number of edges among `v`'s active
+//!    neighbors, is the number of triangles of the active subgraph
+//!    through `v`.  Every active edge is oriented from the lower to the
+//!    higher `(d, id)`, the out-lists are built once as a CSR (rows in
+//!    adjacency order, i.e. ascending id), and merging `out(a)` with
+//!    `out(b)` for every out-edge `a → b` finds each triangle exactly
+//!    once, at its lowest-ranked corner — the forward count of
+//!    Chiba–Nishizeki and Schank–Wagner.  Each corner's count takes a
+//!    relaxed atomic add; the counts are read only after the pool call.
+//! 3. **Palette masks**: one `u64` per active node when every active
+//!    palette lies inside colors `0..64`.  Then `|Ψ(u) \ Ψ(v)|` is
+//!    `popcount(mask[u] & !mask[v])` and `|Ψ(u)|` is `popcount(mask[u])`
+//!    (palettes are sets), so no neighbor's palette is re-read.
+//! 4. **Stage fill**: each stage node's row, from the three tables.
+//!
+//! The table is bit-identical at every worker count, and to the per-node
+//! walk in this module's tests.  The triangle counts are integers, equal
+//! whatever order the workers add them in, and every float sum runs over
+//! one node's active neighbors in adjacency order, with the same
+//! numerators and denominators on both palette paths.
+//!
+//! A stage with an active color of 64 or above takes the fallback instead
+//! of the masks: a sorted copy of `v`'s palette, probed by binary search
+//! for each neighbor color (residual palettes are unsorted, by
+//! swap-remove).  Wider masks, or any membership bitmap, would be sized
+//! by the largest color id of a list palette rather than by the input.
+//! The choice is read from the palettes; nothing configures it.
+//!
+//! The ACD and `Vstart` read the degrees back through
+//! [`ParamTable::degree`].
 
 use crate::instance::ColoringState;
-use parcolor_exec::{par_fill, resolve_workers, Executor};
-use parcolor_local::graph::{sorted_intersection_size, Graph, NodeId};
+use parcolor_exec::{par_fill, par_map_chunks, resolve_workers, Executor, ScatterMut};
+use parcolor_local::graph::{Graph, NodeId};
+use std::cmp::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 
-/// Definition 2 parameters for one node.
+/// Definition 2 parameters for one node.  Strong slackability
+/// `σ_v = η_v + ζ_v` is not stored: it is `unevenness + sparsity`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NodeParams {
     /// Slack `s(v) = p(v) − d(v)`.
@@ -33,8 +61,6 @@ pub struct NodeParams {
     pub unevenness: f64,
     /// Slackability `σ̄_v = η̄_v + ζ_v`.
     pub slackability: f64,
-    /// Strong slackability `σ_v = η_v + ζ_v`.
-    pub strong_slackability: f64,
 }
 
 /// One stage's Definition 2 table: the parameters of the stage nodes and
@@ -73,7 +99,7 @@ pub fn active_degree(g: &Graph, active: ActiveMask, v: NodeId) -> usize {
         .count()
 }
 
-/// Nodes per stripe of the two pool fills.
+/// Nodes per stripe of the pool passes.
 const STRIPE: usize = 1024;
 
 /// Compute Definition 2's parameters for all nodes in `nodes` (which must
@@ -98,81 +124,214 @@ pub fn compute_params(
             }
         }
     });
+    let pass = Pass {
+        g,
+        state,
+        active,
+        triangles: triangle_counts(g, active, &degree, pool, workers),
+        masks: palette_masks(state, active, pool, workers),
+        degree,
+    };
     let mut in_stage = vec![false; n];
     for &v in nodes {
+        debug_assert!(active[v as usize], "stage node {v} is not active");
         in_stage[v as usize] = true;
     }
     let mut per_node = vec![NodeParams::default(); n];
     par_fill(pool, workers, &mut per_node, STRIPE, |start, stripe| {
-        let mut nv = Vec::new();
         let mut pv = Vec::new();
         for (v, out) in (start as NodeId..).zip(stripe) {
             if in_stage[v as usize] {
-                *out = node_params(g, state, active, &degree, v, &mut nv, &mut pv);
+                *out = pass.node_params(v, &mut pv);
             }
         }
     });
-    ParamTable { per_node, degree }
+    ParamTable {
+        per_node,
+        degree: pass.degree,
+    }
 }
 
-/// Definition 2 for one stage node.  `nv` and `pv` are the stripe's
-/// reused buffers for `v`'s active neighbors and its sorted palette.
-fn node_params(
+/// Triangles of the active subgraph through each node (0 for inactive
+/// nodes), by the forward count over `(degree, id)`-oriented edges.
+fn triangle_counts(
     g: &Graph,
-    state: &ColoringState,
     active: ActiveMask,
     degree: &[u32],
-    v: NodeId,
-    nv: &mut Vec<NodeId>,
-    pv: &mut Vec<u32>,
-) -> NodeParams {
-    nv.clear();
-    nv.extend(
-        g.neighbors(v)
-            .iter()
+    pool: &Executor,
+    workers: usize,
+) -> Vec<u64> {
+    let n = g.n();
+    // `a → b` for active `a`, `b` with `(d(a), a) < (d(b), b)`, in
+    // adjacency order.
+    let out_neighbors = |a: NodeId| {
+        let key = (degree[a as usize], a);
+        let row = if active[a as usize] {
+            g.neighbors(a)
+        } else {
+            &[]
+        };
+        row.iter()
             .copied()
-            .filter(|&u| active[u as usize]),
-    );
-    let d = nv.len();
-    let slack = state.palette_size(v) as i64 - d as i64;
-    // m(N(v)) within the active subgraph: `nv` holds only active nodes,
-    // so a sorted merge against each N(u) counts exactly those edges.
-    let m_nv = nv
-        .iter()
-        .map(|&u| sorted_intersection_size(g.neighbors(u), nv))
-        .sum::<usize>()
-        / 2;
-    let sparsity = if d >= 2 {
-        let pairs = (d * (d - 1) / 2) as f64;
-        (pairs - m_nv as f64) / d as f64
-    } else {
-        0.0
+            .filter(move |&b| active[b as usize] && key < (degree[b as usize], b))
     };
-    // Disparity sums: |Ψ(u) \ Ψ(v)|.  Residual palettes are unsorted
-    // (swap-remove), so sort a copy of v's palette once and probe it by
-    // binary search; a color-indexed stamp array would be faster but
-    // unbounded in a list palette's largest color id.
-    pv.clear();
-    pv.extend_from_slice(state.palette(v));
-    pv.sort_unstable();
-    let mut discrepancy = 0.0;
-    let mut unevenness = 0.0;
-    for &u in nv.iter() {
-        let pu = state.palette(u);
-        if !pu.is_empty() {
-            let outside = pu.iter().filter(|c| pv.binary_search(c).is_err()).count();
-            discrepancy += outside as f64 / pu.len() as f64;
+    let mut offsets = vec![0usize; n + 1];
+    par_fill(pool, workers, &mut offsets[1..], STRIPE, |start, stripe| {
+        for (a, len) in (start as NodeId..).zip(stripe) {
+            *len = out_neighbors(a).count();
         }
-        let du = degree[u as usize] as usize;
-        unevenness += (du.saturating_sub(d)) as f64 / (du as f64 + 1.0);
+    });
+    for v in 0..n {
+        offsets[v + 1] += offsets[v];
     }
-    NodeParams {
-        slack,
-        sparsity,
-        discrepancy,
-        unevenness,
-        slackability: discrepancy + sparsity,
-        strong_slackability: unevenness + sparsity,
+    let mut out = vec![0 as NodeId; offsets[n]];
+    let rows = ScatterMut::new(&mut out);
+    par_map_chunks(pool, workers, n, STRIPE, |start, len| {
+        let span = offsets[start]..offsets[start + len];
+        // SAFETY: nodes `start..start + len` own exactly the rows
+        // `out[offsets[start]..offsets[start + len]]`, and the chunks of
+        // one `par_map_chunks` call are disjoint node ranges, so no two
+        // workers' spans overlap.
+        let stripe = unsafe { rows.stripe_mut(span.start, span.len()) };
+        let nodes = start as NodeId..(start + len) as NodeId;
+        for (slot, b) in stripe.iter_mut().zip(nodes.flat_map(out_neighbors)) {
+            *slot = b;
+        }
+    });
+    let row = |a: usize| &out[offsets[a]..offsets[a + 1]];
+    let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+    par_map_chunks(pool, workers, n, STRIPE, |start, len| {
+        for a in start..start + len {
+            let out_a = row(a);
+            // The lowest corner of a triangle has two out-neighbors.
+            if out_a.len() < 2 {
+                continue;
+            }
+            let mut at_a = 0;
+            for &b in out_a {
+                // Every common out-neighbor `c` closes the triangle
+                // `{a, b, c}`, ranked `a < b < c`.
+                let at_b = merge_common(out_a, row(b as usize), |c| {
+                    counts[c as usize].fetch_add(1, Relaxed);
+                });
+                if at_b > 0 {
+                    counts[b as usize].fetch_add(at_b, Relaxed);
+                    at_a += at_b;
+                }
+            }
+            if at_a > 0 {
+                counts[a].fetch_add(at_a, Relaxed);
+            }
+        }
+    });
+    counts.into_iter().map(AtomicU64::into_inner).collect()
+}
+
+/// Walk two ascending rows in step, calling `hit` on every entry they
+/// share; returns how many there were.
+fn merge_common(a: &[NodeId], b: &[NodeId], mut hit: impl FnMut(NodeId)) -> u64 {
+    let (mut i, mut j, mut shared) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => i += 1,
+            Ordering::Greater => j += 1,
+            Ordering::Equal => {
+                hit(a[i]);
+                shared += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    shared
+}
+
+/// One palette word per node (0 for inactive nodes), or `None` when some
+/// active palette holds a color of 64 or above.
+fn palette_masks(
+    state: &ColoringState,
+    active: ActiveMask,
+    pool: &Executor,
+    workers: usize,
+) -> Option<Vec<u64>> {
+    let wide = AtomicBool::new(false);
+    let mut masks = vec![0u64; active.len()];
+    par_fill(pool, workers, &mut masks, STRIPE, |start, stripe| {
+        for (v, mask) in (start as NodeId..).zip(stripe) {
+            if active[v as usize] {
+                let palette = state.palette(v);
+                if palette.iter().any(|&c| c >= u64::BITS) {
+                    wide.store(true, Relaxed);
+                }
+                *mask = palette.iter().fold(0, |m, &c| m | 1 << (c % u64::BITS));
+            }
+        }
+    });
+    (!wide.into_inner()).then_some(masks)
+}
+
+/// The node-indexed tables one stage fill reads.
+struct Pass<'a> {
+    g: &'a Graph,
+    state: &'a ColoringState,
+    active: ActiveMask<'a>,
+    degree: Vec<u32>,
+    triangles: Vec<u64>,
+    masks: Option<Vec<u64>>,
+}
+
+impl Pass<'_> {
+    /// Definition 2 for one stage node.  `pv` is the stripe's reused
+    /// buffer for `v`'s sorted palette on the fallback path.
+    fn node_params(&self, v: NodeId, pv: &mut Vec<u32>) -> NodeParams {
+        let d = self.degree[v as usize] as usize;
+        let slack = self.state.palette_size(v) as i64 - d as i64;
+        let sparsity = if d >= 2 {
+            let pairs = (d * (d - 1) / 2) as f64;
+            (pairs - self.triangles[v as usize] as f64) / d as f64
+        } else {
+            0.0
+        };
+        if self.masks.is_none() {
+            pv.clear();
+            pv.extend_from_slice(self.state.palette(v));
+            pv.sort_unstable();
+        }
+        // `(|Ψ(u) \ Ψ(v)|, |Ψ(u)|)` for an active neighbor `u`.
+        let outside = |u: NodeId| match &self.masks {
+            Some(m) => {
+                let mu = m[u as usize];
+                (
+                    (mu & !m[v as usize]).count_ones() as usize,
+                    mu.count_ones() as usize,
+                )
+            }
+            None => {
+                let pu = self.state.palette(u);
+                let out = pu.iter().filter(|c| pv.binary_search(c).is_err()).count();
+                (out, pu.len())
+            }
+        };
+        let mut discrepancy = 0.0;
+        let mut unevenness = 0.0;
+        for &u in self.g.neighbors(v) {
+            if !self.active[u as usize] {
+                continue;
+            }
+            let (out, size) = outside(u);
+            if size > 0 {
+                discrepancy += out as f64 / size as f64;
+            }
+            let du = self.degree[u as usize] as usize;
+            unevenness += (du.saturating_sub(d)) as f64 / (du as f64 + 1.0);
+        }
+        NodeParams {
+            slack,
+            sparsity,
+            discrepancy,
+            unevenness,
+            slackability: discrepancy + sparsity,
+        }
     }
 }
 
@@ -319,7 +478,6 @@ mod tests {
                 discrepancy,
                 unevenness,
                 slackability: discrepancy + sparsity,
-                strong_slackability: unevenness + sparsity,
             };
         }
         per_node
@@ -342,10 +500,14 @@ mod tests {
             .filter(|&(a, b)| a != b)
             .collect();
         let g = Graph::from_edges(n, &edges);
+        // Half the cases widen the universe by 64 colors, so an active
+        // palette leaves `0..64` and the pass takes its binary-search
+        // path; the rest stay on the palette masks.
+        let delta = g.max_degree() as u64;
+        let wide = 64 * rng.below(2);
+        let universe = (wide + delta + 1 + rng.below(2 * delta + 2)) as u32;
         // `random_lists` builds a `parcolor_core` instance of the library
         // build; copy its palettes into this crate's types.
-        let delta = g.max_degree() as u64;
-        let universe = (delta + 1 + rng.below(2 * delta + 2)) as u32;
         let extra = rng.below(3) as usize;
         let lists = parcolor_graphgen::random_lists(g.clone(), universe, extra, rng.next_u64());
         let lists: Vec<Vec<u32>> = (0..n as NodeId)
@@ -378,6 +540,29 @@ mod tests {
         (g, state, active, nodes)
     }
 
+    /// `random_stage` reaches both palette paths and the triangle count:
+    /// over seeds `0..48`, at least a quarter of the stages hold an active
+    /// color ≥ 64, a quarter stay inside the masks, and a quarter have a
+    /// triangle through a stage node.
+    #[test]
+    fn random_stages_reach_both_palette_paths_and_triangles() {
+        let (mut wide, mut closed) = (0, 0);
+        for seed in 0..48 {
+            let (g, state, active, nodes) = random_stage(seed);
+            let is_active = |v: &NodeId| active[*v as usize];
+            wide += (0..g.n() as NodeId)
+                .filter(is_active)
+                .any(|v| state.palette(v).iter().any(|&c| c >= 64)) as usize;
+            closed += nodes.iter().any(|&v| {
+                let nv: Vec<NodeId> = g.neighbors(v).iter().copied().filter(is_active).collect();
+                nv.iter()
+                    .any(|&u| g.neighbors(u).iter().any(|w| nv.binary_search(w).is_ok()))
+            }) as usize;
+        }
+        assert!((12..=36).contains(&wide), "{wide} of 48 stages are wide");
+        assert!(closed >= 12, "{closed} of 48 stages have a triangle");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -394,7 +579,6 @@ mod tests {
                         p.discrepancy,
                         p.unevenness,
                         p.slackability,
-                        p.strong_slackability,
                     ]
                     .map(f64::to_bits),
                 )
