@@ -6,20 +6,21 @@
 //! The second half benchmarks the **seed-search fast path**
 //! (`select_seed_blocks_n` + `seed_cost_block`: seed-lane blocks,
 //! reusable scratch arenas and the pool fold) against the reference
-//! allocation-heavy path at `seed_bits = 16`, and 1-lane blocks against
-//! full blocks, and writes the numbers to `BENCH_seed_search.json`; the
-//! third half benchmarks the **batched randomness plane** (lane-mixed
-//! tape stripes + `KWiseHash::eval_batch`) against forced-scalar tapes
-//! and writes `BENCH_hash_batch.json`.  Every search asserts that it
-//! selects what its comparison leg selects.
+//! allocation-heavy path at `seed_bits = 16`, and MultiTrial's block
+//! evaluator against the trait's default loop it would otherwise take
+//! (the `block_procs` row), and writes the numbers to
+//! `BENCH_seed_search.json`; the third half benchmarks the **batched
+//! randomness plane** (lane-mixed tape stripes + `KWiseHash::eval_batch`)
+//! against forced-scalar tapes and writes `BENCH_hash_batch.json`.  Every
+//! search asserts that it selects what its comparison leg selects.
 
 use parcolor_bench::{f1, f2, host_json, s, scaled, timed, Table};
-use parcolor_core::framework::{NormalProcedure, SimScratch};
-use parcolor_core::hknt::procs::{GenerateSlack, SspMode, StageSet, TryRandomColor};
+use parcolor_core::framework::{NormalProcedure, Outcome, SimScratch};
+use parcolor_core::hknt::procs::{MultiTrial, SspMode, StageSet, TryRandomColor};
 use parcolor_core::instance::ColoringState;
 use parcolor_core::{D1lcInstance, NodeId};
 use parcolor_graphgen::gnm;
-use parcolor_local::tape::{ForceScalar, Randomness};
+use parcolor_local::tape::{CryptoTape, ForceScalar, Randomness};
 use parcolor_prg::hashing::KWiseFamily;
 use parcolor_prg::{
     select_seed, select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedSelection, SeedStrategy,
@@ -28,17 +29,14 @@ use parcolor_prg::{
 
 /// The production seed search over `proc` (`select_seed_blocks_n` +
 /// `seed_cost_block`, per-node chunks) with `workers` workers (`0` =
-/// auto).  Each block of seeds is costed `lanes` lanes per
-/// `seed_cost_block` call — `SEED_BLOCK` in production, 1 to cost every
-/// seed on its own — and `force_scalar` routes every tape through the
-/// scalar trait defaults instead of the lane mixers.
+/// auto); `force_scalar` routes every tape through the scalar trait
+/// defaults instead of the lane mixers.
 fn block_search(
     proc: &dyn NormalProcedure,
     state: &ColoringState,
     seed_bits: u32,
     strategy: SeedStrategy,
     workers: usize,
-    lanes: usize,
     force_scalar: bool,
 ) -> SeedSelection {
     let prg = Prg::new(seed_bits);
@@ -57,12 +55,49 @@ fn block_search(
                     &tapes[i].0
                 }
             });
-            let refs = &refs[..costs.len()];
-            for (t, c) in refs.chunks(lanes).zip(costs.chunks_mut(lanes)) {
-                proc.seed_cost_block(state, t, scratch, c);
-            }
+            proc.seed_cost_block(state, &refs[..costs.len()], scratch, costs);
         },
     )
+}
+
+/// `proc` with every [`NormalProcedure`] method forwarded except
+/// `seed_cost_block`, so a search over it costs seeds through the trait's
+/// default loop — what the procedure would run without its block
+/// evaluator.
+struct DefaultLoop<'p>(&'p dyn NormalProcedure);
+
+impl NormalProcedure for DefaultLoop<'_> {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn tau(&self) -> u32 {
+        self.0.tau()
+    }
+
+    fn local_rounds(&self) -> u64 {
+        self.0.local_rounds()
+    }
+
+    fn active_count(&self) -> usize {
+        self.0.active_count()
+    }
+
+    fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome {
+        self.0.simulate(state, rng)
+    }
+
+    fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
+        self.0.ssp_failures(state, out)
+    }
+
+    fn seed_cost(&self, state: &ColoringState, out: &Outcome) -> f64 {
+        self.0.seed_cost(state, out)
+    }
+
+    fn zero_cost_under_every_seed(&self, state: &ColoringState) -> bool {
+        self.0.zero_cost_under_every_seed(state)
+    }
 }
 
 fn main() {
@@ -91,8 +126,7 @@ fn main() {
         ("FixedSubset(8)", SeedStrategy::FixedSubset(8)),
         ("SingleSeed(0)", SeedStrategy::SingleSeed(0)),
     ] {
-        let (sel, ms) =
-            timed(|| block_search(&proc, &state, seed_bits, strat, 0, SEED_BLOCK, false));
+        let (sel, ms) = timed(|| block_search(&proc, &state, seed_bits, strat, 0, false));
         t.row(&[
             s(name),
             s(sel.evaluated),
@@ -118,61 +152,77 @@ fn main() {
     hash_batch_comparison();
 }
 
-/// Full seed-lane blocks vs 1-lane blocks (every seed costed on its own)
-/// for `GenerateSlack`'s slack-target scan, the hottest non-clash cost.
+/// MultiTrial's block evaluator vs the trait's default loop it would
+/// otherwise take ([`DefaultLoop`]), under `SlackRatio`, so both its
+/// candidate merge and the lane slack kernel run.  The stage is the kind
+/// SlackColor hands MultiTrial: the nodes that TryRandomColor trials left
+/// uncolored in a large graph (489 of 10^5 on search_bound's instance
+/// 11000033).  There the default loop pays for n-sized adoption maps on
+/// every seed and the block evaluator does not; with every node of a
+/// 2,000-node graph active, the block evaluator measured slower (0.72×).
 /// One worker, so the measured ratio is pure per-seed-eval speedup.
 fn block_proc_comparison() -> Vec<String> {
-    let seed_bits = 14u32;
-    let n = scaled(2_000, 256);
+    let seed_bits = scaled(14, 12) as u32;
+    let n = scaled(100_000, 10_000);
     let g = gnm(n, n * 4, 7);
     let inst = D1lcInstance::delta_plus_one(g.clone());
-    let state = ColoringState::new(&inst);
+    let mut state = ColoringState::new(&inst);
+    let trials = scaled(4, 3) as u64;
+    for r in 0..trials {
+        let set = StageSet::new(n, state.uncolored_nodes());
+        let trial = TryRandomColor::new(&g, set, SspMode::Auto, r);
+        let out = trial.simulate(&state, &CryptoTape::new(r));
+        state.apply_adoptions(&g, &out.adoptions);
+    }
+    let set = StageSet::new(n, state.uncolored_nodes());
+    let stage = set.active.len();
+    let (x, ratio) = (2usize, 2.0f64);
     println!(
-        "\n# Slack-plane block evaluation, full blocks vs 1-lane blocks \
-         (seed_bits = {seed_bits}, n = {n}, m = {}, 1 worker)",
+        "\n# MultiTrial block evaluator vs the default loop (x = {x}, SlackRatio({ratio}), \
+         seed_bits = {seed_bits}, stage {stage} of n = {n} after {trials} trials, m = {}, \
+         1 worker)",
         g.m()
     );
-    let mut t = Table::new(&["procedure", "1-lane ms", "block ms", "speedup", "same seed"]);
-    let set = StageSet::new(n, (0..n as NodeId).collect());
-    // Demanding targets (≈ the initial slack of a mid-degree node) so
-    // costs are non-trivial and the assert below compares real failure
-    // counts, not a degenerate all-zero space.
-    let targets = vec![g.max_degree() as f64 * 0.6; n];
-    let proc = GenerateSlack::new(&g, set, 0.2, targets, 3);
-    let search = |lanes| {
-        timed(|| {
-            block_search(
-                &proc,
-                &state,
-                seed_bits,
-                SeedStrategy::Exhaustive,
-                1,
-                lanes,
-                false,
-            )
-        })
+    let mut t = Table::new(&[
+        "procedure",
+        "default loop ms",
+        "block ms",
+        "speedup",
+        "same seed",
+    ]);
+    let proc = MultiTrial::new(&g, set, x, SspMode::SlackRatio(ratio), 3);
+    let search = |p: &dyn NormalProcedure| {
+        timed(|| block_search(p, &state, seed_bits, SeedStrategy::Exhaustive, 1, false))
     };
-    let (lane_sel, lane_ms) = search(1);
-    let (block_sel, block_ms) = search(SEED_BLOCK);
-    let same = lane_sel.seed == block_sel.seed && lane_sel.cost == block_sel.cost;
+    let (default_sel, default_ms) = search(&DefaultLoop(&proc));
+    let (block_sel, block_ms) = search(&proc);
+    // Costs are integer failure counts, so equal means are exact too.
+    let same = default_sel.seed == block_sel.seed
+        && default_sel.cost == block_sel.cost
+        && default_sel.mean_cost == block_sel.mean_cost;
     assert!(
         same,
-        "GenerateSlack: full blocks diverged from 1-lane blocks"
+        "MultiTrial: the block evaluator diverged from the default loop"
     );
-    let speedup = lane_ms / block_ms.max(1e-9);
+    let speedup = default_ms / block_ms.max(1e-9);
     t.row(&[
-        s("GenerateSlack"),
-        f1(lane_ms),
+        s("MultiTrial"),
+        f1(default_ms),
         f1(block_ms),
         f2(speedup),
         s(same),
     ]);
     t.print();
     vec![format!(
-        "    {{\"procedure\": \"GenerateSlack\", \"one_lane_ms\": {lane_ms:.1}, \
-         \"block_ms\": {block_ms:.1}, \"per_eval_speedup\": {speedup:.2}, \
-         \"chosen_seed\": {}, \"chosen_cost\": {}}}",
-        block_sel.seed, block_sel.cost
+        "    {{\"procedure\": \"MultiTrial\", \"ssp\": \"SlackRatio({ratio})\", \"x\": {x}, \
+         \"seed_bits\": {seed_bits}, \"n\": {n}, \"m\": {}, \"stage\": {stage}, \
+         \"workers\": 1, \"default_loop_ms\": {default_ms:.1}, \"block_ms\": {block_ms:.1}, \
+         \"per_eval_speedup\": {speedup:.2}, \"chosen_seed\": {}, \"chosen_cost\": {}, \
+         \"mean_cost\": {}}}",
+        g.m(),
+        block_sel.seed,
+        block_sel.cost,
+        block_sel.mean_cost
     )]
 }
 
@@ -206,7 +256,6 @@ fn workers_matrix() -> Vec<String> {
                 seed_bits,
                 SeedStrategy::Exhaustive,
                 workers,
-                SEED_BLOCK,
                 false,
             )
         });
@@ -291,7 +340,7 @@ fn fastpath_comparison() -> Vec<String> {
             })
         });
         let (new_sel, new_ms) =
-            timed(|| block_search(&proc, &state, seed_bits, strategy, 0, SEED_BLOCK, false));
+            timed(|| block_search(&proc, &state, seed_bits, strategy, 0, false));
         let same = old_sel.seed == new_sel.seed && old_sel.cost == new_sel.cost;
         assert!(same, "{name}: fast path diverged from reference");
         let speedup = old_ms / new_ms.max(1e-9);
@@ -405,17 +454,7 @@ fn hash_batch_comparison() {
         ("BitwiseCondExp", SeedStrategy::BitwiseCondExp),
     ] {
         let search = |force_scalar| {
-            timed(|| {
-                block_search(
-                    &proc,
-                    &state,
-                    seed_bits,
-                    strategy,
-                    1,
-                    SEED_BLOCK,
-                    force_scalar,
-                )
-            })
+            timed(|| block_search(&proc, &state, seed_bits, strategy, 1, force_scalar))
         };
         let (scalar_sel, scalar_ms) = search(true);
         let (batched_sel, batched_ms) = search(false);

@@ -29,20 +29,26 @@
 //! call — the same reference every block evaluator is pinned to.  Four
 //! structural decisions keep the hot loop at memory speed:
 //!
-//! 1. **Seed-lane block evaluation.**  Every HKNT procedure overrides
-//!    [`NormalProcedure::seed_cost_block`]: a block of up to `SEED_BLOCK`
-//!    seeds materializes its picks/samples/proposals as one
-//!    structure-of-arrays plane (`SimScratch::soa` + the lane bitmasks),
-//!    and the clash/slack/undominated scans run ONCE over the graph with
-//!    lane-parallel compares, instead of once per seed.  See the block
-//!    contract on [`NormalProcedure::seed_cost_block`].
+//! 1. **Seed-lane block evaluation where the workloads search.**
+//!    TryRandomColor and MultiTrial, the procedures whose searches
+//!    dominate a solve, override [`NormalProcedure::seed_cost_block`]: a
+//!    block of up to `SEED_BLOCK` seeds materializes its picks or
+//!    candidates as one structure-of-arrays plane (`SimScratch::soa` +
+//!    the lane bitmasks), and the clash and slack scans run ONCE over the
+//!    graph with lane-parallel compares, instead of once per seed.  See
+//!    the block contract on [`NormalProcedure::seed_cost_block`].  Every
+//!    other procedure takes the trait's default, the reference loop
+//!    `seed_cost(simulate(tape))` per lane: GenerateSlack's steps are
+//!    certified at the sizes the workloads run, PutAside never runs
+//!    there, and SynchColorTrial's searches take milliseconds.  (Luby
+//!    MIS in `mis.rs` keeps a block evaluator of its own.)
 //! 2. **Pick caching in reusable arenas** ([`SimScratch`]).  A node's
 //!    random draw under a fixed seed is the same no matter which neighbor
-//!    asks, so the block evaluators compute each active node's pick
-//!    **once** per lane (`O(n_active)` tape reads) and resolve clashes
-//!    with `O(m)` array lookups — as the reference
+//!    asks, so the two block evaluators compute each active node's pick
+//!    or candidate set **once** per lane (`O(n_active)` tape reads) and
+//!    resolve clashes with `O(m)` array lookups — as the reference
 //!    `TryRandomColor::simulate` does for its one tape.  The arena's
-//!    buffers are retained across evaluations, so after warm-up an
+//!    buffers are retained across evaluations, so after warm-up a block
 //!    evaluation performs **zero heap allocation**.
 //! 3. **Sharded seed-parallelism.**  `parcolor_prg::select_seed_blocks_n`
 //!    folds the seed space on the persistent `parcolor-exec` pool, one
@@ -108,22 +114,19 @@ pub struct Outcome {
 /// per (stream, stripe) instead of one scalar tape read per node.
 ///
 /// Every buffer is block-scoped: each block evaluation overwrites what it
-/// reads for its own stripe (or resets the dense rows of its own active
+/// reads for its own stripe (or rewrites the dense rows of its own active
 /// nodes), so nothing needs clearing between evaluations and capacity is
 /// retained across the whole seed search — after warm-up an evaluation
 /// performs no heap allocation.  Every draw is bit-identical to the
 /// scalar calls it replaces (the tape-level batch contract), which is
-/// what keeps the block evaluators pinned to the reference path.
+/// what keeps the block evaluators pinned to the reference path.  The
+/// default `seed_cost_block` leaves the arena untouched.
 #[derive(Clone, Debug)]
 pub struct SimScratch {
-    /// Node stripe scratch (gathered subsets, e.g. sampled nodes).
-    pub(crate) nodes: Vec<NodeId>,
     /// Per-node draw bounds gathered for the current stripe.
     pub(crate) bounds: Vec<u64>,
     /// Raw words or bounded draws, aligned with the stripe.
     pub(crate) vals: Vec<u64>,
-    /// Bernoulli outcomes, aligned with the stripe.
-    pub(crate) bits: Vec<bool>,
     /// Seed-lane plane: picks of up to [`SEED_BLOCK`] seeds per node,
     /// dense by node id, one `u32` lane per seed — the
     /// structure-of-arrays layout block cost evaluators scan with
@@ -133,12 +136,6 @@ pub struct SimScratch {
     /// dense by node id — clash scans OR into it branchlessly and count
     /// bits per lane afterwards.
     pub(crate) lane_mask: Vec<u8>,
-    /// Per-node seed-lane validity bits (bit `s` ⇔ the node holds a draw
-    /// in lane `s`: it was sampled / received a proposal under seed lane
-    /// `s`), dense by node id.  Lane-masked scans AND with both
-    /// endpoints' validity so stale `soa` lanes never produce phantom
-    /// clashes.
-    pub(crate) valid_mask: Vec<u8>,
     /// Per-node seed-lane **adoption** bits (bit `s` ⇔ the node adopted
     /// `soa[v][s]` under seed lane `s`), dense by node id — the
     /// block-evaluation analogue of an [`Outcome`]'s adoptions, consumed
@@ -151,7 +148,7 @@ pub struct SimScratch {
     pub(crate) draw_colors: Vec<u32>,
     /// Offsets into `draw_colors`, one per (lane, active node) + 1.
     pub(crate) draw_off: Vec<usize>,
-    /// Permutation buffer (SynchColorTrial leader deals).
+    /// Palette-copy buffer (MultiTrial's dense partial Fisher-Yates).
     pub(crate) perm: Vec<u32>,
 }
 
@@ -160,13 +157,10 @@ impl SimScratch {
     /// allocations, so only the rows a search touches become resident.
     pub fn new(n: usize) -> Self {
         SimScratch {
-            nodes: Vec::new(),
             bounds: Vec::new(),
             vals: Vec::new(),
-            bits: Vec::new(),
             soa: vec![[0; SEED_BLOCK]; n],
             lane_mask: vec![0; n],
-            valid_mask: vec![0; n],
             adopted_mask: vec![0; n],
             taken_lanes: Default::default(),
             draw_colors: Vec::new(),
@@ -209,10 +203,12 @@ pub trait NormalProcedure: Sync {
     /// `costs[i] = seed_cost(state, &simulate(state, tapes[i]))` for every
     /// lane.  This is the only path the derandomizer costs candidate
     /// seeds through; a per-seed evaluation is a 1-lane block.  The
-    /// default is exactly that reference loop (allocating); every HKNT
-    /// procedure overrides it to materialize the whole block's picks into
-    /// the seed-lane plane (`SimScratch::soa`) and amortize its clash scan
-    /// across lanes.
+    /// default is exactly that reference loop (allocating, scratch
+    /// unused).  TryRandomColor and MultiTrial override it, because the
+    /// workloads search them: they materialize the whole block's picks or
+    /// candidates into the seed-lane plane (`SimScratch::soa`) and
+    /// amortize the clash and slack scans across lanes.  An override is
+    /// only ever a faster way to the default's value.
     ///
     /// ## The block contract
     ///
@@ -230,12 +226,12 @@ pub trait NormalProcedure: Sync {
     ///    own tape with the same `(node, stream, idx)` addresses
     ///    `simulate` reads — materializing lanes into the plane is a
     ///    layout change, never a randomness change.
-    /// 3. **Stale lanes are masked.**  Dense SoA rows
-    ///    (`SimScratch::soa`) retain garbage from earlier blocks in lanes
-    ///    a node did not draw in; any lane-parallel compare must AND
-    ///    with the validity bits (`SimScratch::valid_mask`) or pad unused
-    ///    lanes with values that cannot collide (e.g. the node's own
-    ///    id across an edge).
+    /// 3. **Stale lanes are never read.**  Dense SoA rows
+    ///    (`SimScratch::soa`) retain garbage from earlier blocks.  An
+    ///    override either pads the lanes it does not fill with values that
+    ///    cannot collide (TryRandomColor: the node's own id across an
+    ///    edge), or rewrites every active node's lane bits per block and
+    ///    reads only the lanes they mark (MultiTrial: `adopted_mask`).
     /// 4. **Short blocks are legal.**  `tapes.len()` may be any length
     ///    in `1..=SEED_BLOCK` (tail blocks, `SingleSeed`); lanes past
     ///    `costs.len()` must not be read or written as costs.
@@ -507,13 +503,6 @@ impl<'g> Runner<'g> {
         self.deferred[v as usize]
     }
 
-    /// All currently deferred nodes, ascending.
-    pub fn deferred_nodes(&self) -> Vec<NodeId> {
-        (0..self.graph.n() as NodeId)
-            .filter(|&v| self.deferred[v as usize])
-            .collect()
-    }
-
     /// Reset deferrals (between Theorem 12 repetitions).
     pub fn clear_deferrals(&mut self) {
         self.deferred.iter_mut().for_each(|d| *d = false);
@@ -772,7 +761,8 @@ mod tests {
         };
         let rep = runner.run_step(&proc, &mut state);
         assert_eq!(rep.adopted + rep.failures, 8);
-        assert_eq!(runner.deferred_nodes().len(), rep.failures);
+        let deferred = runner.deferred.iter().filter(|&&d| d).count();
+        assert_eq!(deferred, rep.failures);
         assert!(state.verify_partial(&inst.graph).is_ok());
         assert!(runner.engine.rounds() > 0);
         assert!(runner.mpc.metrics().rounds() > 0);

@@ -226,7 +226,10 @@ fn collect_active_edges(g: &Graph, set: &StageSet) -> Vec<(NodeId, NodeId)> {
 }
 
 // ---------------------------------------------------------------------
-// Lane-parallel SSP evaluation against the seed-lane adoption plane.
+// Lane-parallel SSP evaluation against the seed-lane adoption plane —
+// the kernels of the two block evaluators, TryRandomColor's and
+// MultiTrial's (the procedures the workloads search; the others cost
+// seeds through the trait's reference loop).
 //
 // A block evaluator materializes the whole block's outcome as the plane
 // pair (`SimScratch::soa`, `SimScratch::adopted_mask`): lane `s` of node
@@ -893,8 +896,6 @@ pub struct GenerateSlack<'a> {
     ssp: SspMode,
     /// Distinguishes repeated calls within one stage.
     pub round_tag: u64,
-    /// Active-active edges, built lazily at first seed evaluation.
-    active_edges: std::sync::OnceLock<Vec<(NodeId, NodeId)>>,
 }
 
 impl<'a> GenerateSlack<'a> {
@@ -907,13 +908,7 @@ impl<'a> GenerateSlack<'a> {
             prob,
             ssp: SspMode::SlackTarget(targets),
             round_tag,
-            active_edges: std::sync::OnceLock::new(),
         }
-    }
-
-    fn active_edges(&self) -> &[(NodeId, NodeId)] {
-        self.active_edges
-            .get_or_init(|| collect_active_edges(self.g, &self.set))
     }
 
     #[inline]
@@ -959,87 +954,6 @@ impl NormalProcedure for GenerateSlack<'_> {
         }
     }
 
-    /// Slack-lane block evaluation: all lanes' sample bits and picks are
-    /// materialized once (Bernoulli stripes over the active set, bounded
-    /// draws over each lane's gathered sampled subset — the same tape
-    /// addresses the scalar path reads), then **one** lane-masked pass
-    /// over the active edge list finds same-pick collisions between
-    /// sampled endpoints for the whole block, and the lane-parallel slack
-    /// kernel evaluates every lane's slack-target failures in one
-    /// neighborhood pass per candidate node — where a per-seed evaluation
-    /// would re-walk edges and neighborhoods once per seed.
-    fn seed_cost_block(
-        &self,
-        state: &ColoringState,
-        tapes: &[&dyn Randomness],
-        scratch: &mut SimScratch,
-        costs: &mut [f64],
-    ) {
-        debug_assert_eq!(tapes.len(), costs.len());
-        let lanes = tapes.len();
-        let n = state.n();
-        scratch.soa.resize(n, [0u32; SEED_BLOCK]);
-        scratch.valid_mask.resize(n, 0);
-        scratch.lane_mask.resize(n, 0);
-        scratch.adopted_mask.resize(n, 0);
-        for &v in &self.set.active {
-            scratch.valid_mask[v as usize] = 0;
-            scratch.lane_mask[v as usize] = 0;
-        }
-        // Per lane: Bernoulli stripe over the active set, then bounded
-        // picks over the gathered sampled subset only (the scalar path
-        // also draws picks only for sampled nodes).
-        let stream_s = S_SAMPLE ^ (self.round_tag << 8);
-        let stream_p = S_PICK ^ (self.round_tag << 8);
-        let sampled = &mut scratch.nodes;
-        for (s, tape) in tapes.iter().enumerate() {
-            scratch.bits.resize(self.set.active.len(), false);
-            tape.fill_bernoulli(stream_s, &self.set.active, 0, self.prob, &mut scratch.bits);
-            sampled.clear();
-            sampled.extend(
-                self.set
-                    .active
-                    .iter()
-                    .zip(scratch.bits.iter())
-                    .filter(|&(_, &hit)| hit)
-                    .map(|(&v, _)| v),
-            );
-            scratch.bounds.clear();
-            scratch
-                .bounds
-                .extend(sampled.iter().map(|&v| state.palette(v).len() as u64));
-            scratch.vals.resize(sampled.len(), 0);
-            tape.fill_below(stream_p, sampled, 1, &scratch.bounds, &mut scratch.vals);
-            for (i, &v) in sampled.iter().enumerate() {
-                scratch.soa[v as usize][s] = state.palette(v)[scratch.vals[i] as usize];
-                scratch.valid_mask[v as usize] |= 1 << s;
-            }
-        }
-        // Lane-masked collision scan: an edge clashes in lane `s` iff
-        // both endpoints are sampled there and drew the same color.
-        // ANDing with both validity masks keeps stale SoA lanes (nodes
-        // unsampled this block) from producing phantom clashes.
-        {
-            let soa = &scratch.soa;
-            let valid = &scratch.valid_mask;
-            let mask = &mut scratch.lane_mask;
-            for &(a, b) in self.active_edges() {
-                let both = valid[a as usize] & valid[b as usize];
-                if both == 0 {
-                    continue;
-                }
-                let eq = lane_eq_mask8(&soa[a as usize], &soa[b as usize]) & both;
-                mask[a as usize] |= eq;
-                mask[b as usize] |= eq;
-            }
-        }
-        for &v in &self.set.active {
-            scratch.adopted_mask[v as usize] =
-                scratch.valid_mask[v as usize] & !scratch.lane_mask[v as usize];
-        }
-        lane_ssp_costs(self.g, state, &self.set, &self.ssp, scratch, lanes, costs);
-    }
-
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
         evaluate_ssp(self.g, state, &self.set, &self.ssp, out)
     }
@@ -1077,10 +991,6 @@ pub struct SynchColorTrial<'a> {
     pub tolerance: usize,
     /// Distinguishes repeated calls within one stage.
     pub round_tag: u64,
-    /// Union of all cliques' inliers (the only possible proposal holders)
-    /// and the edges among them — the lane-masked conflict scan's
-    /// pre-filtered edge list, built lazily at first seed evaluation.
-    prop_edges: std::sync::OnceLock<(StageSet, Vec<(NodeId, NodeId)>)>,
 }
 
 impl<'a> SynchColorTrial<'a> {
@@ -1098,23 +1008,7 @@ impl<'a> SynchColorTrial<'a> {
             cliques,
             tolerance,
             round_tag,
-            prop_edges: std::sync::OnceLock::new(),
         }
-    }
-
-    fn prop_edges(&self) -> &(StageSet, Vec<(NodeId, NodeId)>) {
-        self.prop_edges.get_or_init(|| {
-            let mut holders: Vec<NodeId> = self
-                .cliques
-                .iter()
-                .flat_map(|ct| ct.inliers.iter().copied())
-                .collect();
-            holders.sort_unstable();
-            holders.dedup();
-            let holder_set = StageSet::new(self.g.n(), holders);
-            let edges = collect_active_edges(self.g, &holder_set);
-            (holder_set, edges)
-        })
     }
 }
 
@@ -1186,115 +1080,6 @@ impl NormalProcedure for SynchColorTrial<'_> {
         Outcome {
             adoptions,
             aux: Vec::new(),
-        }
-    }
-
-    /// Seed-lane block evaluation: every lane's leader deals (the
-    /// data-dependent Fisher-Yates stays per-lane, fed by one idx-stripe
-    /// off that lane's tape) land in the proposal SoA plane, then **one**
-    /// lane-masked pass over the proposal-holder edge list resolves
-    /// conflicts for the whole block, and one pass over the cliques
-    /// counts every lane's tolerance-gated failures — where a per-seed
-    /// evaluation would re-walk inlier neighborhoods once per seed.
-    fn seed_cost_block(
-        &self,
-        state: &ColoringState,
-        tapes: &[&dyn Randomness],
-        scratch: &mut SimScratch,
-        costs: &mut [f64],
-    ) {
-        debug_assert_eq!(tapes.len(), costs.len());
-        let lanes = tapes.len();
-        let (holders, prop_edges) = self.prop_edges();
-        let perm = &mut scratch.perm;
-        let n = state.n();
-        scratch.soa.resize(n, [0u32; SEED_BLOCK]);
-        scratch.valid_mask.resize(n, 0);
-        scratch.lane_mask.resize(n, 0);
-        scratch.adopted_mask.resize(n, 0);
-        for &v in holders.active.iter().chain(self.set.active.iter()) {
-            scratch.valid_mask[v as usize] = 0;
-            scratch.lane_mask[v as usize] = 0;
-        }
-        // Phase 1: leaders deal colors, one Fisher-Yates per (clique,
-        // lane); cliques outer so shared inliers keep the scalar path's
-        // last-writer proposal in every lane.
-        let stream = S_PERM ^ (self.round_tag << 8);
-        for ct in &self.cliques {
-            let pal = state.palette(ct.leader);
-            if pal.is_empty() {
-                continue;
-            }
-            for (s, tape) in tapes.iter().enumerate() {
-                perm.clear();
-                perm.extend_from_slice(pal);
-                scratch.vals.resize(perm.len().saturating_sub(1), 0);
-                tape.fill_words_seq(ct.leader, stream, 1, &mut scratch.vals);
-                for i in (1..perm.len()).rev() {
-                    let j = ((scratch.vals[i - 1] as u128 * (i as u128 + 1)) >> 64) as usize;
-                    perm.swap(i, j);
-                }
-                for (k, &v) in ct.inliers.iter().take(perm.len()).enumerate() {
-                    scratch.soa[v as usize][s] = perm[k];
-                    scratch.valid_mask[v as usize] |= 1 << s;
-                }
-            }
-        }
-        // Phase 2: lane-masked conflict scan over proposal holders; a
-        // clash in lane `s` needs both endpoints to hold (raw) proposals
-        // there — palette membership gates adoption, not clashing,
-        // exactly as in the scalar path.
-        {
-            let soa = &scratch.soa;
-            let valid = &scratch.valid_mask;
-            let mask = &mut scratch.lane_mask;
-            for &(a, b) in prop_edges {
-                let both = valid[a as usize] & valid[b as usize];
-                if both == 0 {
-                    continue;
-                }
-                let eq = lane_eq_mask8(&soa[a as usize], &soa[b as usize]) & both;
-                mask[a as usize] |= eq;
-                mask[b as usize] |= eq;
-            }
-        }
-        // Adoption: proposal held, in own palette, clash-free.
-        for &v in &self.set.active {
-            let mut am = scratch.valid_mask[v as usize] & !scratch.lane_mask[v as usize];
-            if am != 0 {
-                let pal = state.palette(v);
-                let row = &scratch.soa[v as usize];
-                let mut keep = 0u8;
-                for (s, c) in row.iter().enumerate().take(lanes) {
-                    if am >> s & 1 == 1 && pal.contains(c) {
-                        keep |= 1 << s;
-                    }
-                }
-                am = keep;
-            }
-            scratch.adopted_mask[v as usize] = am;
-        }
-        // Tolerance-gated per-clique failure counts, all lanes at once.
-        let mut total = [0usize; SEED_BLOCK];
-        for ct in &self.cliques {
-            let mut failed = [0usize; SEED_BLOCK];
-            for &v in &ct.inliers {
-                if !self.set.contains(v) {
-                    continue;
-                }
-                let am = scratch.adopted_mask[v as usize];
-                for (s, f) in failed.iter_mut().enumerate().take(lanes) {
-                    *f += usize::from(am >> s & 1 == 0);
-                }
-            }
-            for (s, t) in total.iter_mut().enumerate().take(lanes) {
-                if failed[s] > self.tolerance {
-                    *t += failed[s];
-                }
-            }
-        }
-        for (s, c) in costs.iter_mut().enumerate() {
-            *c = total[s] as f64;
         }
     }
 
@@ -1404,96 +1189,6 @@ impl NormalProcedure for PutAside<'_> {
         Outcome {
             adoptions: Vec::new(),
             aux,
-        }
-    }
-
-    /// Seed-lane block evaluation: every lane's sample bits are
-    /// materialized as per-node lane bitmasks (one Bernoulli stripe per
-    /// clique per lane, later cliques overwriting shared inliers exactly
-    /// like the scalar last-writer probability table), then **one**
-    /// neighborhood pass computes every lane's kept set `P` (sampled, no
-    /// sampled active neighbor) and one pass over the cliques counts all
-    /// lanes' target misses — where a per-seed evaluation would re-walk
-    /// the inlier neighborhoods once per seed.
-    fn seed_cost_block(
-        &self,
-        state: &ColoringState,
-        tapes: &[&dyn Randomness],
-        scratch: &mut SimScratch,
-        costs: &mut [f64],
-    ) {
-        debug_assert_eq!(tapes.len(), costs.len());
-        let lanes = tapes.len();
-        let n = state.n();
-        scratch.valid_mask.resize(n, 0);
-        scratch.adopted_mask.resize(n, 0);
-        for &v in &self.set.active {
-            scratch.valid_mask[v as usize] = 0;
-            scratch.adopted_mask[v as usize] = 0;
-        }
-        for cq in &self.cliques {
-            for &v in &cq.inliers {
-                scratch.valid_mask[v as usize] = 0;
-                scratch.adopted_mask[v as usize] = 0;
-            }
-        }
-        let stream = S_SAMPLE ^ (self.round_tag << 8) ^ 0x5041;
-        for cq in &self.cliques {
-            for (s, tape) in tapes.iter().enumerate() {
-                scratch.bits.resize(cq.inliers.len(), false);
-                tape.fill_bernoulli(stream, &cq.inliers, 0, cq.prob, &mut scratch.bits);
-                for (i, &v) in cq.inliers.iter().enumerate() {
-                    // Last-writer overwrite per lane, matching the scalar
-                    // path's dense probability table.
-                    let bit = 1u8 << s;
-                    if cq.prob > 0.0 && scratch.bits[i] {
-                        scratch.valid_mask[v as usize] |= bit;
-                    } else {
-                        scratch.valid_mask[v as usize] &= !bit;
-                    }
-                }
-            }
-        }
-        // P per lane: sampled with no sampled active neighbor.
-        let full: u8 = ((1u16 << lanes) - 1) as u8;
-        for &v in &self.set.active {
-            let sv = scratch.valid_mask[v as usize];
-            if sv == 0 {
-                continue;
-            }
-            let mut blocked = 0u8;
-            for &u in self.g.neighbors(v) {
-                if self.set.contains(u) {
-                    blocked |= scratch.valid_mask[u as usize];
-                    if blocked & full == full {
-                        break;
-                    }
-                }
-            }
-            scratch.adopted_mask[v as usize] = sv & !blocked;
-        }
-        // Per-clique target misses, all lanes at once.
-        let mut total = [0usize; SEED_BLOCK];
-        for cq in &self.cliques {
-            let mut got = [0usize; SEED_BLOCK];
-            let mut missing = [0usize; SEED_BLOCK];
-            for &v in &cq.inliers {
-                let pm = scratch.adopted_mask[v as usize];
-                let in_set = self.set.contains(v);
-                for s in 0..lanes {
-                    let kept = pm >> s & 1 == 1;
-                    got[s] += usize::from(kept);
-                    missing[s] += usize::from(in_set && !kept);
-                }
-            }
-            for (s, t) in total.iter_mut().enumerate().take(lanes) {
-                if got[s] < cq.target {
-                    *t += missing[s];
-                }
-            }
-        }
-        for (s, c) in costs.iter_mut().enumerate() {
-            *c = total[s] as f64;
         }
     }
 

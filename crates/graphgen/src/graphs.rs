@@ -207,49 +207,6 @@ pub fn complete_bipartite(a: usize, b: usize) -> Graph {
     })
 }
 
-/// Random tree with maximum degree `max_deg`: each new node attaches to a
-/// uniformly random earlier node that still has stub capacity.  Trees are
-/// the classic worst case for local symmetry breaking (Linial's lower
-/// bound lives here).
-pub fn bounded_degree_tree(n: usize, max_deg: usize, seed: u64) -> Graph {
-    assert!(n >= 1 && max_deg >= 2);
-    Graph::from_edge_stream(n, |sink| {
-        let mut rng = SplitMix::new(seed);
-        let mut capacity: Vec<u32> = Vec::with_capacity(n);
-        capacity.push(max_deg as u32);
-        let mut open: Vec<NodeId> = vec![0];
-        for v in 1..n as NodeId {
-            let slot = rng.below(open.len() as u64) as usize;
-            let parent = open[slot];
-            sink(parent, v);
-            capacity[parent as usize] -= 1;
-            if capacity[parent as usize] == 0 {
-                open.swap_remove(slot);
-            }
-            capacity.push(max_deg as u32 - 1);
-            open.push(v);
-        }
-    })
-}
-
-/// Caterpillar: a spine path of length `spine` with `legs` leaves per
-/// spine node — maximal unevenness along the legs, a stress input for the
-/// ACD's `Vuneven` classification.
-pub fn caterpillar(spine: usize, legs: usize) -> Graph {
-    assert!(spine >= 2);
-    let n = spine * (1 + legs);
-    Graph::from_edge_stream(n, |sink| {
-        for i in 0..spine as NodeId - 1 {
-            sink(i, i + 1);
-        }
-        for i in 0..spine as NodeId {
-            for l in 0..legs as NodeId {
-                sink(i, spine as NodeId + i * legs as NodeId + l);
-            }
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -321,26 +278,6 @@ mod tests {
         for v in 0..30u32 {
             assert_eq!(g.degree(v), 4);
         }
-    }
-
-    #[test]
-    fn bounded_tree_is_a_tree() {
-        let g = bounded_degree_tree(200, 4, 7);
-        assert_eq!(g.m(), 199);
-        let (_, ncomp) = g.components();
-        assert_eq!(ncomp, 1);
-        assert!(g.max_degree() <= 4);
-    }
-
-    #[test]
-    fn caterpillar_shape() {
-        let g = caterpillar(10, 3);
-        assert_eq!(g.n(), 40);
-        assert_eq!(g.m(), 9 + 30);
-        // interior spine nodes: 2 spine + 3 legs = 5
-        assert_eq!(g.degree(5), 5);
-        // legs are leaves
-        assert_eq!(g.degree(15), 1);
     }
 
     #[test]
