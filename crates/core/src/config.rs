@@ -11,6 +11,7 @@
 //! so that instances in the 10³–10⁶ node range actually exercise all of
 //! the pipeline's regimes.
 
+use crate::reduce::MAX_BINS;
 use parcolor_prg::SeedStrategy;
 
 /// How PRG output is split into per-node chunks (Lemma 10).
@@ -181,9 +182,10 @@ impl Params {
     }
 
     /// Number of node bins `B ≈ n^δ` used by one LowSpacePartition level
-    /// (at least 3 so that color bins `B - 1 ≥ 2`).
+    /// (at least 3 so that color bins `B - 1 ≥ 2`, at most 64 so that
+    /// bins fit the partition's `u8` seed lanes).
     pub fn partition_bins(&self, n: usize) -> usize {
-        ((n.max(2) as f64).powf(self.delta).ceil() as usize).clamp(3, 64)
+        ((n.max(2) as f64).powf(self.delta).ceil() as usize).clamp(3, MAX_BINS)
     }
 
     /// `ℓ = (log₂ Δ)^{ell_exp}` — the low-slackability threshold.

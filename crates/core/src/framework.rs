@@ -41,7 +41,11 @@
 //!    `seed_cost(simulate(tape))` per lane: GenerateSlack's steps are
 //!    certified at the sizes the workloads run, PutAside never runs
 //!    there, and SynchColorTrial's searches take milliseconds.  (Luby
-//!    MIS in `mis.rs` keeps a block evaluator of its own.)
+//!    MIS in `mis.rs` keeps a block evaluator of its own.)  Lemma 23's
+//!    hash search in `reduce.rs` also costs its seeds by lanes: each seed
+//!    of a block fills one lane of the `u8` node- and color-bin planes,
+//!    and one walk over the high nodes' neighbors and palettes counts
+//!    every lane.
 //! 2. **Pick caching in reusable arenas** ([`SimScratch`]).  A node's
 //!    random draw under a fixed seed is the same no matter which neighbor
 //!    asks, so the two block evaluators compute each active node's pick
@@ -657,8 +661,8 @@ impl<R: Randomness + ?Sized> Randomness for StreamTape<'_, R> {
     }
 
     // Forward the batch plane with the remapped stream so the inner
-    // tape's lane mixers stay engaged.  `fill_below`/`fill_bernoulli`
-    // need no override: their trait defaults route through `fill_words`.
+    // tape's lane mixers stay engaged.  `fill_below` needs no override:
+    // its trait default routes through `fill_words`.
     fn fill_words(&self, stream: u64, nodes: &[u32], idx: u32, out: &mut [u64]) {
         self.inner.fill_words(
             self.stream.wrapping_mul(0x1000_0000_01B3) ^ stream,

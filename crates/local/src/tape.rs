@@ -18,8 +18,8 @@
 //! ## The batch contract
 //!
 //! Hot paths consume randomness through the batch plane — the
-//! `fill_words` / `fill_words_seq` / `fill_below` / `fill_bernoulli`
-//! methods of [`Randomness`] — rather than one scalar [`Randomness::word`]
+//! `fill_words` / `fill_words_seq` / `fill_below` methods of
+//! [`Randomness`] — rather than one scalar [`Randomness::word`]
 //! call at a time.  The contract every implementation must honor:
 //!
 //! * **Bit-identical to scalar.**  `fill_*` over a stripe must produce
@@ -107,24 +107,6 @@ pub trait Randomness: Sync {
         for (o, &b) in out.iter_mut().zip(bounds) {
             debug_assert!(b > 0);
             *o = ((*o as u128 * b as u128) >> 64) as u64;
-        }
-    }
-
-    /// Bernoulli trials with probability `p` for a stripe of nodes:
-    /// `out[i] = bernoulli(nodes[i], stream, idx, p)`.
-    ///
-    /// Chunks through a stack buffer of [`Randomness::fill_words`] calls,
-    /// so overriding `fill_words` batches this for free.
-    fn fill_bernoulli(&self, stream: u64, nodes: &[u32], idx: u32, p: f64, out: &mut [bool]) {
-        debug_assert_eq!(nodes.len(), out.len());
-        let mut buf = [0u64; 64];
-        for (nch, och) in nodes.chunks(64).zip(out.chunks_mut(64)) {
-            let b = &mut buf[..nch.len()];
-            self.fill_words(stream, nch, idx, b);
-            for (o, &w) in och.iter_mut().zip(b.iter()) {
-                let u = (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-                *o = u < p;
-            }
         }
     }
 }
@@ -400,11 +382,8 @@ mod tests {
         let bounds: Vec<u64> = (0..37u64).map(|i| i % 9 + 1).collect();
         let mut below = vec![0u64; 37];
         t.fill_below(2, &nodes, 1, &bounds, &mut below);
-        let mut bern = vec![false; 37];
-        t.fill_bernoulli(3, &nodes, 0, 0.3, &mut bern);
         for (i, &v) in nodes.iter().enumerate() {
             assert_eq!(below[i], t.below(v, 2, 1, bounds[i]));
-            assert_eq!(bern[i], t.bernoulli(v, 3, 0, 0.3));
         }
     }
 

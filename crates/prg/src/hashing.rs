@@ -10,9 +10,10 @@
 //!
 //! ## The batch contract
 //!
-//! Hot paths (the partition's per-seed hash plane) evaluate members over
-//! a stripe of inputs at once with [`KWiseHash::eval_batch`] instead of
-//! one scalar [`KWiseHash::eval`] per key.  The batch is **bit-identical
+//! Hot paths (the partition's seed-lane planes, one lane filled per
+//! hash seed of a block) evaluate members over a stripe of inputs at once
+//! with [`KWiseHash::eval_batch`] instead of one scalar
+//! [`KWiseHash::eval`] per key.  The batch is **bit-identical
 //! to scalar** — the same Horner recurrence over `F_{2^61-1}` with the
 //! same coefficient vector (expanded once per seed by
 //! [`KWiseFamily::member`]), merely run structure-of-arrays: coefficients
@@ -182,26 +183,26 @@ impl PairwiseHash {
     }
 }
 
-/// Chi-square statistic of a hash member's bucket distribution over the
-/// keys `0..nkeys` — used by tests and the E4 diagnostics to confirm the
-/// family spreads loads as pairwise independence predicts.
-pub fn bucket_chi_square(h: &KWiseHash, nkeys: u64, range: u64) -> f64 {
-    let counts: Vec<u64> = (0..range)
-        .map(|b| (0..nkeys).filter(|&x| h.eval(x) == b).count() as u64)
-        .collect();
-    let expected = nkeys as f64 / range as f64;
-    counts
-        .iter()
-        .map(|&c| {
-            let d = c as f64 - expected;
-            d * d / expected
-        })
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Chi-square statistic of a hash member's bucket distribution over
+    /// the keys `0..nkeys`: does the family spread loads as pairwise
+    /// independence predicts?
+    fn bucket_chi_square(h: &KWiseHash, nkeys: u64, range: u64) -> f64 {
+        let counts: Vec<u64> = (0..range)
+            .map(|b| (0..nkeys).filter(|&x| h.eval(x) == b).count() as u64)
+            .collect();
+        let expected = nkeys as f64 / range as f64;
+        counts
+            .iter()
+            .map(|&c| {
+                let d = c as f64 - expected;
+                d * d / expected
+            })
+            .sum()
+    }
 
     #[test]
     fn mersenne_arithmetic() {

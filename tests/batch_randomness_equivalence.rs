@@ -4,11 +4,11 @@
 //!
 //! For every tape type — `CryptoTape`, `PrgTape` under both chunk
 //! assignments, and the `ForceScalar` adapter running the trait defaults —
-//! the batched `fill_words` / `fill_words_seq` / `fill_below` /
-//! `fill_bernoulli` must equal the scalar `word` / `below` / `bernoulli`
-//! calls element-for-element, over random node stripes and explicitly at
-//! the lane boundaries of both lane widths (the 4-lane `splitmix4`
-//! mixers and the 8-lane k-wise hash).  Likewise
+//! the batched `fill_words` / `fill_words_seq` / `fill_below` must
+//! equal the scalar `word` / `below` calls element-for-element, over
+//! random node stripes and explicitly at the lane boundaries of both lane
+//! widths (the 4-lane `splitmix4` mixers and the 8-lane k-wise hash).
+//! Likewise
 //! `KWiseHash::eval_batch` must equal `eval` for every independence
 //! `k ∈ 1..=4`.
 
@@ -36,15 +36,9 @@ fn probe_sizes(full: usize) -> Vec<usize> {
     sizes
 }
 
-/// Assert all four batch methods equal their scalar counterparts on a
+/// Assert all three batch methods equal their scalar counterparts on a
 /// prefix stripe of `nodes`.
-fn assert_batch_matches_scalar(
-    tape: &dyn Randomness,
-    nodes: &[u32],
-    stream: u64,
-    idx: u32,
-    p: f64,
-) {
+fn assert_batch_matches_scalar(tape: &dyn Randomness, nodes: &[u32], stream: u64, idx: u32) {
     for len in probe_sizes(nodes.len()) {
         let stripe = &nodes[..len];
         let bounds: Vec<u64> = stripe.iter().map(|&v| (v as u64 % 23) + 1).collect();
@@ -52,8 +46,6 @@ fn assert_batch_matches_scalar(
         tape.fill_words(stream, stripe, idx, &mut words);
         let mut below = vec![0u64; len];
         tape.fill_below(stream, stripe, idx, &bounds, &mut below);
-        let mut bern = vec![false; len];
-        tape.fill_bernoulli(stream, stripe, idx, p, &mut bern);
         for (i, &v) in stripe.iter().enumerate() {
             prop_assert_eq!(
                 words[i],
@@ -63,7 +55,6 @@ fn assert_batch_matches_scalar(
                 i
             );
             prop_assert_eq!(below[i], tape.below(v, stream, idx, bounds[i]));
-            prop_assert_eq!(bern[i], tape.bernoulli(v, stream, idx, p));
         }
         if len > 0 {
             let mut seq = vec![0u64; len];
@@ -84,10 +75,9 @@ proptest! {
         stream in any::<u64>(),
         idx in 0u32..10_000,
         nodes in proptest::collection::vec(0u32..512, (3 * MIX_LANES)..(4 * MIX_LANES)),
-        p in 0.0f64..1.0,
     ) {
         let tape = CryptoTape::new(key);
-        assert_batch_matches_scalar(&tape, &nodes, stream, idx, p);
+        assert_batch_matches_scalar(&tape, &nodes, stream, idx);
         // The ForceScalar adapter (trait defaults over the scalar mixer)
         // must agree with the lane overrides word-for-word.
         let forced = ForceScalar(CryptoTape::new(key));
@@ -104,7 +94,6 @@ proptest! {
         stream in any::<u64>(),
         idx in 0u32..10_000,
         nodes in proptest::collection::vec(0u32..512, (3 * MIX_LANES)..(4 * MIX_LANES)),
-        p in 0.0f64..1.0,
     ) {
         let prg = Prg::new(12);
         let per_node = ChunkAssignment::PerNode;
@@ -113,7 +102,7 @@ proptest! {
         };
         for chunks in [&per_node, &coloring] {
             let tape = PrgTape::new(prg, seed, chunks);
-            assert_batch_matches_scalar(&tape, &nodes, stream, idx, p);
+            assert_batch_matches_scalar(&tape, &nodes, stream, idx);
             let forced = ForceScalar(PrgTape::new(prg, seed, chunks));
             let mut lanes = vec![0u64; nodes.len()];
             let mut scalar = vec![0u64; nodes.len()];
