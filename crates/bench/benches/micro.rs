@@ -1,7 +1,6 @@
 //! Criterion microbenches backing the wall-clock columns of E6-E8:
 //! seed-search throughput, Definition 2 parameter computation, ACD,
-//! partition hash selection, one LOCAL procedure pass, and the MPC sort
-//! primitive.
+//! partition hash selection and one LOCAL procedure pass.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use parcolor_core::framework::{NormalProcedure, SimScratch};
@@ -13,7 +12,6 @@ use parcolor_core::reduce::low_space_partition;
 use parcolor_core::{D1lcInstance, NodeId, Params};
 use parcolor_graphgen::gnm;
 use parcolor_local::tape::Randomness;
-use parcolor_mpc::{Cluster, MpcConfig};
 use parcolor_prg::{
     select_seed, select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedStrategy, SEED_BLOCK,
 };
@@ -119,26 +117,11 @@ fn bench_procedure_pass(c: &mut Criterion) {
     });
 }
 
-fn bench_mpc_sort(c: &mut Criterion) {
-    let mut group = c.benchmark_group("mpc_sort");
-    for n in [1usize << 14, 1 << 17] {
-        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let cl = Cluster::new(MpcConfig::new(n, n, 0.5));
-                let d = cl.distribute((0..n as u64).rev().collect(), 1);
-                black_box(cl.sort_by_key(d, 1, |&x| x))
-            })
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_seed_search,
     bench_params_and_acd,
     bench_partition,
-    bench_procedure_pass,
-    bench_mpc_sort
+    bench_procedure_pass
 );
 criterion_main!(benches);

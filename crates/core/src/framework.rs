@@ -40,12 +40,11 @@
 //!    other procedure takes the trait's default, the reference loop
 //!    `seed_cost(simulate(tape))` per lane: GenerateSlack's steps are
 //!    certified at the sizes the workloads run, PutAside never runs
-//!    there, and SynchColorTrial's searches take milliseconds.  (Luby
-//!    MIS in `mis.rs` keeps a block evaluator of its own.)  Lemma 23's
-//!    hash search in `reduce.rs` also costs its seeds by lanes: each seed
-//!    of a block fills one lane of the `u8` node- and color-bin planes,
-//!    and one walk over the high nodes' neighbors and palettes counts
-//!    every lane.
+//!    there, and SynchColorTrial's searches take milliseconds.  Lemma
+//!    23's hash search in `reduce.rs` also costs its seeds by lanes: each
+//!    seed of a block fills one lane of the `u8` node- and color-bin
+//!    planes, and one walk over the high nodes' neighbors and palettes
+//!    counts every lane.
 //! 2. **Pick caching in reusable arenas** ([`SimScratch`]).  A node's
 //!    random draw under a fixed seed is the same no matter which neighbor
 //!    asks, so the two block evaluators compute each active node's pick

@@ -36,8 +36,9 @@
 //! | Section 4.1's Luby-MIS example | [`mis`] |
 //!
 //! Substrates live in sibling crates: `parcolor-local` (graphs, tapes,
-//! LOCAL engine), `parcolor-mpc` (MPC simulator), `parcolor-prg` (PRG and
-//! seed selection), `parcolor-graphgen` (workloads).
+//! LOCAL engine), `parcolor-mpc` (the MPC model's configuration and the
+//! Lemma 17 round and space accountant the solver charges), `parcolor-prg`
+//! (PRG and seed selection), `parcolor-graphgen` (workloads).
 
 pub mod baselines;
 pub mod config;
@@ -48,7 +49,6 @@ pub mod instance;
 pub mod linial;
 pub mod lowdeg;
 pub mod mis;
-pub mod mpc_exec;
 pub mod node_params;
 pub mod reduce;
 pub mod simd;

@@ -14,7 +14,7 @@
 
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_local::tape::{CryptoTape, Randomness};
-use parcolor_prg::{select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedStrategy, SEED_BLOCK};
+use parcolor_prg::{select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedStrategy};
 
 /// Result of one MIS construction.
 #[derive(Clone, Debug)]
@@ -30,15 +30,25 @@ pub struct MisResult {
 }
 
 /// Simulate one Luby round on the live set: returns `joined` (nodes that
-/// enter the MIS this round).  Pure in `(live, rng, round)`.
+/// enter the MIS this round).  Pure in `(live, rng, round)`.  A node's
+/// priority is a pure function of (node, tape), whichever neighbor
+/// compares against it, so each live node's priority is drawn once — one
+/// `fill_words` stripe over the live set — into a dense array.
 fn luby_round(g: &Graph, live: &[bool], rng: &dyn Randomness, round: u64) -> Vec<NodeId> {
-    (0..g.n() as NodeId)
-        .filter(|&v| live[v as usize])
+    let live_list: Vec<NodeId> = (0..g.n() as NodeId).filter(|&v| live[v as usize]).collect();
+    let mut vals = vec![0u64; live_list.len()];
+    rng.fill_words(round, &live_list, 0, &mut vals);
+    let mut prio = vec![0u64; g.n()];
+    for (&v, &p) in live_list.iter().zip(&vals) {
+        prio[v as usize] = p;
+    }
+    live_list
+        .into_iter()
         .filter(|&v| {
-            let pv = rng.word(v, round, 0);
+            let pv = prio[v as usize];
             g.neighbors(v).iter().all(|&u| {
                 !live[u as usize] || {
-                    let pu = rng.word(u, round, 0);
+                    let pu = prio[u as usize];
                     // Strict winner with id tiebreak: deterministic.
                     pv > pu || (pv == pu && v < u)
                 }
@@ -61,100 +71,6 @@ fn undominated(g: &Graph, live: &[bool], joined: &[NodeId]) -> usize {
         .filter(|&v| live[v as usize] && !jmask[v as usize])
         .filter(|&v| !g.neighbors(v).iter().any(|&u| jmask[u as usize]))
         .count()
-}
-
-/// Per-worker scratch for the derandomized seed search: the round's
-/// seed-lane **priority plane** — the live nodes' tape words, filled by
-/// one batched `fill_words` stripe per lane and scattered densely so the
-/// winner scan reads priorities as array lookups instead of re-mixing the
-/// tape once per incident edge.  One block evaluation allocates nothing
-/// after warm-up.
-#[derive(Default)]
-struct LubyScratch {
-    /// Stripe buffer aligned with the round's live-node list.
-    vals: Vec<u64>,
-    /// Seed-lane priority plane: the priorities of up to [`SEED_BLOCK`]
-    /// seeds per node, dense by node id — the block evaluator's
-    /// structure-of-arrays view.
-    prio_soa: Vec<[u64; SEED_BLOCK]>,
-    /// Per-node seed-lane join bits (bit `s` ⇔ the node wins its
-    /// neighborhood under seed lane `s`).
-    join_mask: Vec<u8>,
-}
-
-/// Seed-lane block evaluation of one Luby round: all lanes' priorities
-/// are materialized as one structure-of-arrays plane (one batched
-/// `fill_words` stripe per lane), then **one** pass over the live
-/// neighborhoods decides every lane's winners (lane-masked strict-max
-/// compare with [`luby_round`]'s id tiebreak) and a second pass counts
-/// every lane's undominated nodes — where a per-seed evaluation would
-/// re-walk the neighborhoods once per seed.  `costs[s]` equals exactly
-/// `undominated(g, live, &luby_round(g, live, &tapes[s], round))`.
-#[allow(clippy::too_many_arguments)] // internal block kernel, all state explicit
-fn luby_round_block_costs(
-    g: &Graph,
-    live: &[bool],
-    live_list: &[NodeId],
-    tapes: &[PrgTape],
-    lanes: usize,
-    round: u64,
-    scratch: &mut LubyScratch,
-    costs: &mut [f64],
-) {
-    debug_assert!(lanes <= SEED_BLOCK && costs.len() == lanes);
-    scratch.prio_soa.resize(g.n(), [0u64; SEED_BLOCK]);
-    scratch.join_mask.resize(g.n(), 0);
-    scratch.vals.resize(live_list.len(), 0);
-    for (s, tape) in tapes.iter().enumerate().take(lanes) {
-        tape.fill_words(round, live_list, 0, &mut scratch.vals);
-        for (i, &v) in live_list.iter().enumerate() {
-            scratch.prio_soa[v as usize][s] = scratch.vals[i];
-        }
-    }
-    let full: u8 = ((1u16 << lanes) - 1) as u8;
-    let prio_soa = &scratch.prio_soa;
-    let join_mask = &mut scratch.join_mask;
-    // Pass 1: winners per lane (strict winner with id tiebreak).
-    for &v in live_list {
-        let pv = &prio_soa[v as usize];
-        let mut wins = full;
-        for &u in g.neighbors(v) {
-            if !live[u as usize] {
-                continue;
-            }
-            let pu = &prio_soa[u as usize];
-            for s in 0..lanes {
-                let beat = pv[s] > pu[s] || (pv[s] == pu[s] && v < u);
-                wins &= !(u8::from(!beat) << s);
-            }
-            if wins == 0 {
-                break;
-            }
-        }
-        join_mask[v as usize] = wins;
-    }
-    // Pass 2: per-lane undominated counts off the join masks.
-    let join_mask = &scratch.join_mask;
-    let mut undom = [0usize; SEED_BLOCK];
-    for &v in live_list {
-        let mut dom = join_mask[v as usize];
-        if dom & full != full {
-            for &u in g.neighbors(v) {
-                if live[u as usize] {
-                    dom |= join_mask[u as usize];
-                    if dom & full == full {
-                        break;
-                    }
-                }
-            }
-        }
-        for (s, c) in undom.iter_mut().enumerate().take(lanes) {
-            *c += usize::from(dom >> s & 1 == 0);
-        }
-    }
-    for (s, c) in costs.iter_mut().enumerate() {
-        *c = undom[s] as f64;
-    }
 }
 
 fn retire(g: &Graph, live: &mut [bool], joined: &[NodeId], in_mis: &mut [bool]) {
@@ -201,10 +117,10 @@ pub fn derandomized_luby_mis(
 }
 
 /// [`derandomized_luby_mis`] with an explicit seed-search worker count
-/// (`0` = auto).  Seeds are evaluated in [`SEED_BLOCK`]-lane blocks
-/// (`luby_round_block_costs`) dealt to workers by atomic stealing; any
-/// worker count selects the identical seed every round, so the MIS is
-/// identical too.
+/// (`0` = auto).  Each seed costs one `luby_round` under its tape;
+/// seed blocks are dealt to workers by atomic stealing, and any worker
+/// count selects the identical seed every round, so the MIS is identical
+/// too.
 pub fn derandomized_luby_mis_sharded(
     g: &Graph,
     seed_bits: u32,
@@ -222,30 +138,16 @@ pub fn derandomized_luby_mis_sharded(
     while live.iter().any(|&l| l) {
         rounds += 1;
         assert!(rounds <= max_rounds, "derandomized Luby exceeded budget");
-        let live_ro = &live;
-        // The round's live-node list, computed once and shared by every
-        // seed evaluation as the batch stripe of the priority plane.
-        let live_list: Vec<NodeId> = (0..g.n() as NodeId)
-            .filter(|&v| live_ro[v as usize])
-            .collect();
-        let live_list = &live_list;
         let sel = select_seed_blocks_n(
             seed_bits,
             strategy,
             workers,
-            LubyScratch::default,
-            |seed0, costs, scratch| {
-                let tapes = prg.block_tapes(seed0, &chunks);
-                luby_round_block_costs(
-                    g,
-                    live_ro,
-                    live_list,
-                    &tapes,
-                    costs.len(),
-                    rounds,
-                    scratch,
-                    costs,
-                );
+            || (),
+            |seed0, costs, _: &mut ()| {
+                for (seed, cost) in (seed0..).zip(costs.iter_mut()) {
+                    let tape = PrgTape::new(prg, seed, &chunks);
+                    *cost = undominated(g, &live, &luby_round(g, &live, &tape, rounds)) as f64;
+                }
             },
         );
         debug_assert!(sel.satisfies_guarantee());
@@ -300,46 +202,6 @@ mod tests {
             }
         }
         Graph::from_edges(n, &edges)
-    }
-
-    #[test]
-    fn batched_round_matches_reference_round() {
-        // Every lane of the seed-lane block evaluation must cost exactly
-        // what the reference round (`luby_round` + `undominated`) costs
-        // under that lane's tape: full, short and unit blocks, on full
-        // and partial live sets, through one reused scratch.
-        let g = random_graph(300, 1200, 9);
-        let prg = Prg::new(6);
-        let chunks = ChunkAssignment::PerNode;
-        let mut scratch = LubyScratch::default();
-        let mut nonzero = 0;
-        for (round, stride) in [(1u64, 1usize), (2, 2), (3, 3)] {
-            // Stride 1 keeps every node live.
-            let live: Vec<bool> = (0..g.n()).map(|v| v % stride == 0).collect();
-            let live_list: Vec<NodeId> =
-                (0..g.n() as NodeId).filter(|&v| live[v as usize]).collect();
-            for (seed0, lanes) in [(0u64, SEED_BLOCK), (8, 3), (63, 1)] {
-                let tapes = prg.block_tapes(seed0, &chunks);
-                let mut costs = vec![0.0f64; lanes];
-                luby_round_block_costs(
-                    &g,
-                    &live,
-                    &live_list,
-                    &tapes,
-                    lanes,
-                    round,
-                    &mut scratch,
-                    &mut costs,
-                );
-                for (s, &got) in costs.iter().enumerate() {
-                    let joined = luby_round(&g, &live, &tapes[s], round);
-                    let want = undominated(&g, &live, &joined) as f64;
-                    assert_eq!(got, want, "round {round}, lane {s} of block at {seed0}");
-                    nonzero += usize::from(want > 0.0);
-                }
-            }
-        }
-        assert!(nonzero > 0, "every lane cost 0: the pin compared nothing");
     }
 
     #[test]

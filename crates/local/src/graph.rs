@@ -273,41 +273,6 @@ impl Graph {
         })
     }
 
-    /// Number of edges inside the subgraph induced by the *sorted* node set
-    /// `nodes`.  `O(Σ_{v∈nodes} d(v) · log |nodes|)`.
-    pub fn edges_within(&self, nodes: &[NodeId]) -> usize {
-        debug_assert!(nodes.windows(2).all(|w| w[0] < w[1]));
-        let total: usize = nodes
-            .iter()
-            .map(|&v| {
-                self.neighbors(v)
-                    .iter()
-                    .filter(|&&u| nodes.binary_search(&u).is_ok())
-                    .count()
-            })
-            .sum();
-        total / 2
-    }
-
-    /// Number of edges between neighbors of `v` (the quantity `m(N(v))`
-    /// from Definition 2 of the paper, used for sparsity ζ_v).
-    ///
-    /// Computed as `½ Σ_{u∈N(v)} |N(u) ∩ N(v)|` with sorted-merge
-    /// intersections: `O(Σ_{u∈N(v)} (d(u)+d(v)))`.
-    pub fn edges_in_neighborhood(&self, v: NodeId) -> usize {
-        let nv = self.neighbors(v);
-        let total: usize = nv
-            .iter()
-            .map(|&u| sorted_intersection_size(self.neighbors(u), nv))
-            .sum();
-        total / 2
-    }
-
-    /// Size of `N(u) ∩ N(v)` (common-neighbor count), by sorted merge.
-    pub fn common_neighbors(&self, u: NodeId, v: NodeId) -> usize {
-        sorted_intersection_size(self.neighbors(u), self.neighbors(v))
-    }
-
     /// The subgraph induced by `nodes` (need not be sorted; duplicates are
     /// an error).  Returns the induced graph over `nodes.len()` fresh ids
     /// plus the mapping from new id to original id.
@@ -559,15 +524,6 @@ mod tests {
     }
 
     #[test]
-    fn triangle_neighborhood_edges() {
-        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]);
-        // N(0) = {1,2,3}; edges inside: (1,2), (2,3) -> 2
-        assert_eq!(g.edges_in_neighborhood(0), 2);
-        // N(2) = {0,1,3}; edges inside: (0,1),(0,3) -> 2
-        assert_eq!(g.edges_in_neighborhood(2), 2);
-    }
-
-    #[test]
     fn induced_subgraph_maps_back() {
         let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)]);
         let (h, map) = g.induced(&[1, 2, 4]);
@@ -613,22 +569,6 @@ mod tests {
             .greedy_color_with(&order, |v| (0..=g.degree(v) as u32).collect())
             .unwrap();
         assert!(g.is_proper_coloring(&colors));
-    }
-
-    #[test]
-    fn edges_within_subset() {
-        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]);
-        assert_eq!(g.edges_within(&[0, 1, 2]), 2);
-        assert_eq!(g.edges_within(&[0, 2, 4]), 1);
-        assert_eq!(g.edges_within(&[1, 3]), 0);
-    }
-
-    #[test]
-    fn common_neighbors_counts() {
-        let g = Graph::from_edges(5, &[(0, 2), (1, 2), (0, 3), (1, 3), (0, 4)]);
-        assert_eq!(g.common_neighbors(0, 1), 2); // {2,3}
-        assert_eq!(g.common_neighbors(2, 3), 2); // {0,1}
-        assert_eq!(g.common_neighbors(2, 4), 1); // {0}
     }
 
     #[test]

@@ -43,17 +43,6 @@ impl MpcConfig {
     pub fn local_space(&self) -> usize {
         (self.space_constant * (self.n as f64).powf(self.phi)).ceil() as usize
     }
-
-    /// `√s`: the degree bound under which Lemma 17's per-node operations
-    /// are legal.
-    pub fn sqrt_space(&self) -> usize {
-        (self.local_space() as f64).sqrt().floor() as usize
-    }
-
-    /// Number of worker machines needed to hold `words` of input.
-    pub fn machines_for(&self, words: usize) -> usize {
-        words.div_ceil(self.local_space()).max(1)
-    }
 }
 
 #[cfg(test)]
@@ -66,24 +55,6 @@ mod tests {
         let b = MpcConfig::new(1 << 16, 1 << 18, 0.25);
         assert!(a.local_space() > b.local_space());
         assert_eq!(a.local_space(), (8.0 * 256.0) as usize);
-    }
-
-    #[test]
-    fn sqrt_space_is_consistent() {
-        let cfg = MpcConfig::new(10_000, 50_000, 0.5);
-        let s = cfg.local_space();
-        let r = cfg.sqrt_space();
-        assert!(r * r <= s);
-        assert!((r + 1) * (r + 1) > s);
-    }
-
-    #[test]
-    fn machines_cover_input() {
-        let cfg = MpcConfig::new(4096, 10_000, 0.5);
-        let s = cfg.local_space();
-        assert_eq!(cfg.machines_for(0), 1);
-        assert_eq!(cfg.machines_for(s), 1);
-        assert_eq!(cfg.machines_for(s + 1), 2);
     }
 
     #[test]

@@ -1,46 +1,20 @@
-//! Round/space/message accounting for MPC executions.
+//! Round/space/message accounting for the Lemma 17 charges.
 //!
-//! Callers may publish from any thread — the cluster's machines and the
-//! node-machine charges of `graphops`, which fold over their nodes on the
-//! `parcolor-exec` pool and publish each fold once through
+//! `graphops` folds each charge over its nodes on the `parcolor-exec`
+//! pool and publishes the fold once through
 //! [`MpcMetrics::observe_machines`], so per-node closures never touch
-//! these atomics.  The peak trackers are atomics (fetch_max) and the
-//! cold-path phase log sits behind a mutex: no locks on hot paths.
+//! these atomics.  Every tracker is an atomic (`fetch_add`/`fetch_max`),
+//! so callers may publish from any thread without a lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Lock `m`, recovering the data from a poisoned lock: every critical
-/// section below leaves the log consistent, so a panic elsewhere never
-/// makes it unreadable.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// One phase's snapshot in the metrics log.
-#[derive(Clone, Debug)]
-pub struct PhaseMetrics {
-    /// Phase label.
-    pub label: String,
-    /// Rounds charged during the phase.
-    pub rounds: u64,
-    /// Peak single-machine words during the phase.
-    pub max_machine_words: u64,
-    /// Words of traffic during the phase.
-    pub messages: u64,
-}
 
 /// Aggregate metrics of an MPC execution.
 #[derive(Debug, Default)]
 pub struct MpcMetrics {
     rounds: AtomicU64,
     max_machine_words: AtomicU64,
-    global_words_peak: AtomicU64,
     messages: AtomicU64,
     budget_violations: AtomicU64,
-    phases: Mutex<Vec<PhaseMetrics>>,
-    phase_open: Mutex<Option<(String, u64, u64)>>, // label, rounds at start, msgs at start
-    phase_peak: AtomicU64,
 }
 
 /// Point-in-time snapshot of [`MpcMetrics`].
@@ -50,14 +24,10 @@ pub struct MetricsSnapshot {
     pub rounds: u64,
     /// Peak words held by any single machine.
     pub max_machine_words: u64,
-    /// Peak aggregate residency across all machines.
-    pub global_words_peak: u64,
     /// Total cross-machine traffic in words.
     pub messages: u64,
     /// Number of times a machine exceeded its budget.
     pub budget_violations: u64,
-    /// Per-phase breakdown.
-    pub phases: Vec<PhaseMetrics>,
 }
 
 impl MpcMetrics {
@@ -88,38 +58,9 @@ impl MpcMetrics {
     pub fn observe_machines(&self, max_words: u64, over_budget: u64) {
         self.max_machine_words
             .fetch_max(max_words, Ordering::Relaxed);
-        self.phase_peak.fetch_max(max_words, Ordering::Relaxed);
         if over_budget > 0 {
             self.budget_violations
                 .fetch_add(over_budget, Ordering::Relaxed);
-        }
-    }
-
-    /// Record a global residency level (sum over machines).
-    pub fn observe_global(&self, words: u64) {
-        self.global_words_peak.fetch_max(words, Ordering::Relaxed);
-    }
-
-    /// Start a labelled phase (ends any open one).
-    pub fn begin_phase(&self, label: impl Into<String>) {
-        self.end_phase();
-        *lock(&self.phase_open) = Some((
-            label.into(),
-            self.rounds.load(Ordering::Relaxed),
-            self.messages.load(Ordering::Relaxed),
-        ));
-        self.phase_peak.store(0, Ordering::Relaxed);
-    }
-
-    /// Close the open phase, recording its deltas.
-    pub fn end_phase(&self) {
-        if let Some((label, r0, m0)) = lock(&self.phase_open).take() {
-            lock(&self.phases).push(PhaseMetrics {
-                label,
-                rounds: self.rounds.load(Ordering::Relaxed) - r0,
-                max_machine_words: self.phase_peak.load(Ordering::Relaxed),
-                messages: self.messages.load(Ordering::Relaxed) - m0,
-            });
         }
     }
 
@@ -138,16 +79,13 @@ impl MpcMetrics {
         self.budget_violations.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the totals and the phase log (closes any open phase).
+    /// Snapshot of the totals.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.end_phase();
         MetricsSnapshot {
             rounds: self.rounds.load(Ordering::Relaxed),
             max_machine_words: self.max_machine_words.load(Ordering::Relaxed),
-            global_words_peak: self.global_words_peak.load(Ordering::Relaxed),
             messages: self.messages.load(Ordering::Relaxed),
             budget_violations: self.budget_violations.load(Ordering::Relaxed),
-            phases: lock(&self.phases).clone(),
         }
     }
 }
@@ -183,24 +121,6 @@ mod tests {
         m.observe_machine(99, 100);
         m.observe_machine(150, 100);
         assert_eq!(m.budget_violations(), 2);
-    }
-
-    #[test]
-    fn phases_capture_deltas_and_peaks() {
-        let m = MpcMetrics::new();
-        m.begin_phase("sort");
-        m.add_rounds(3);
-        m.observe_machine(40, 100);
-        m.begin_phase("color");
-        m.add_rounds(1);
-        m.observe_machine(10, 100);
-        let snap = m.snapshot();
-        assert_eq!(snap.phases.len(), 2);
-        assert_eq!(snap.phases[0].label, "sort");
-        assert_eq!(snap.phases[0].rounds, 3);
-        assert_eq!(snap.phases[0].max_machine_words, 40);
-        assert_eq!(snap.phases[1].rounds, 1);
-        assert_eq!(snap.phases[1].max_machine_words, 10);
     }
 
     #[test]

@@ -140,16 +140,6 @@ impl ChunkAssignment {
             ChunkAssignment::PerNode => node as u64,
         }
     }
-
-    /// Number of distinct chunks if known (power-coloring mode).
-    pub fn chunk_count(&self) -> Option<usize> {
-        match self {
-            ChunkAssignment::PowerColoring { colors } => {
-                Some(colors.iter().map(|&c| c as usize + 1).max().unwrap_or(0))
-            }
-            ChunkAssignment::PerNode => None,
-        }
-    }
 }
 
 impl Prg {
@@ -291,14 +281,12 @@ mod tests {
         };
         assert_eq!(chunks.chunk_of(0), 0);
         assert_eq!(chunks.chunk_of(3), 2);
-        assert_eq!(chunks.chunk_count(), Some(3));
     }
 
     #[test]
     fn per_node_chunks() {
         let chunks = ChunkAssignment::PerNode;
         assert_eq!(chunks.chunk_of(17), 17);
-        assert_eq!(chunks.chunk_count(), None);
     }
 
     #[test]

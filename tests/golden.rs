@@ -4,13 +4,16 @@
 //! if *any* behavioral change slips into the deterministic pipeline —
 //! seed search, PRG, procedure order, ACD tie-breaks, anything.  A second
 //! table pins the randomized solver (Lemma 4) under a fixed master key,
-//! which covers how each step's outcome is built and applied.
+//! which covers how each step's outcome is built and applied.  A last
+//! row pins derandomized Luby MIS, the same seed search outside the
+//! coloring pipeline.
 //!
 //! If a change is intentional, regenerate with the snippet in this file's
 //! history (FNV-1a over the color vector) and update the table — the
 //! point is that such changes are *noticed*, not forbidden.
 
-use parcolor_core::{Params, Solver};
+use parcolor_core::mis::{derandomized_luby_mis, verify_mis};
+use parcolor_core::{Params, SeedStrategy, Solver};
 use parcolor_graphgen as gen;
 
 fn fnv(colors: &[u32]) -> u64 {
@@ -59,6 +62,16 @@ const PARTITION_GOLDEN: &[(&str, u32, u64, &[PartitionLevel])] = &[
         &[(0, 1, 0), (3, 4, 0), (1, 2, 0), (0, 1, 0)],
     ),
 ];
+
+/// Derandomized Luby MIS (Section 4.1) on E10's quick determinism
+/// instance, `gnm(500, 2000, 9)` at 7 seed bits, Exhaustive: the hash of
+/// the in-set mask, the rounds, and each round's `(chosen cost, seed-space
+/// mean)`.
+const MIS_GOLDEN: (u64, u64, &[(f64, f64)]) = (
+    0x8c5ad437ed79b147,
+    3,
+    &[(108.0, 152.6484375), (5.0, 12.703125), (0.0, 0.0)],
+);
 
 fn instance_of(name: &str) -> parcolor_core::D1lcInstance {
     match name {
@@ -128,6 +141,19 @@ fn randomized_solver_matches_golden_hashes() {
             "{name}: randomized output drifted (got 0x{got:016x})"
         );
     }
+}
+
+#[test]
+fn derandomized_mis_matches_golden() {
+    let g = gen::gnm(500, 2_000, 9);
+    let res = derandomized_luby_mis(&g, 7, SeedStrategy::Exhaustive, 10_000);
+    verify_mis(&g, &res.in_mis).unwrap();
+    let bits: Vec<u32> = res.in_mis.iter().map(|&b| u32::from(b)).collect();
+    let (hash, rounds, checks) = MIS_GOLDEN;
+    let got = fnv(&bits);
+    assert_eq!(got, hash, "MIS drifted (got 0x{got:016x})");
+    assert_eq!(res.rounds, rounds, "MIS rounds drifted");
+    assert_eq!(res.guarantee_checks, checks, "per-round seed costs drifted");
 }
 
 #[test]

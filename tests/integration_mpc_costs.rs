@@ -4,7 +4,6 @@
 use parcolor_core::{Params, Solver};
 use parcolor_graphgen as gen;
 use parcolor_local::engine::log_star;
-use parcolor_mpc::{Cluster, MpcConfig};
 
 fn fast_params() -> Params {
     Params::default().with_seed_bits(5)
@@ -43,20 +42,6 @@ fn machine_space_stays_sublinear() {
 }
 
 #[test]
-fn sort_primitive_is_constant_rounds_at_scale() {
-    // GSZ11-style sorting: same round charge regardless of input size.
-    let mut counts = Vec::new();
-    for n in [1usize << 12, 1 << 15] {
-        let c = Cluster::new(MpcConfig::new(n, n, 0.5));
-        let d = c.distribute((0..n as u64).rev().collect(), 1);
-        let before = c.metrics().rounds();
-        let _ = c.sort_by_key(d, 1, |&x| x);
-        counts.push(c.metrics().rounds() - before);
-    }
-    assert_eq!(counts[0], counts[1], "sort rounds depend on n: {counts:?}");
-}
-
-#[test]
 fn local_rounds_track_log_star_budget() {
     // The HKNT stage is a series of O(log* n) procedures; LOCAL rounds
     // charged per stage should be within a constant factor of
@@ -71,21 +56,6 @@ fn local_rounds_track_log_star_budget() {
         sol.cost.local_rounds,
         per_stage_budget
     );
-}
-
-#[test]
-fn global_space_budget_holds() {
-    let n = 3_000usize;
-    let m = 15_000usize;
-    let cfg = MpcConfig::new(n, m, 0.5);
-    // Global budget must dominate the instance itself.
-    assert!(cfg.global_budget >= m + n);
-    // And the cluster must fit the edge list without violations.
-    let c = Cluster::new(cfg);
-    let edges: Vec<u64> = (0..m as u64).collect();
-    let d = c.distribute(edges, 2);
-    assert_eq!(c.metrics().budget_violations(), 0);
-    assert!(d.machine_count() >= 2, "degenerate distribution");
 }
 
 #[test]
