@@ -6,9 +6,11 @@
 //! The second half benchmarks the **seed-search fast path**
 //! (`select_seed_blocks_n` + `seed_cost_block`: seed-lane blocks,
 //! reusable scratch arenas and the pool fold) against the reference
-//! allocation-heavy path at `seed_bits = 16`, and MultiTrial's block
-//! evaluator against the trait's default loop it would otherwise take
-//! (the `block_procs` row), and writes the numbers to
+//! allocation-heavy path at `seed_bits = 16`, and TryRandomColor's block
+//! evaluator, the one override of `seed_cost_block`, against the trait's
+//! default loop it would otherwise take (the `block_procs` rows: its
+//! clash-count arm under `Auto`, its lane-outcome arm under
+//! `SlackRatio(2)`), and writes the numbers to
 //! `BENCH_seed_search.json`; the third half benchmarks the **batched
 //! randomness plane** (lane-mixed tape stripes + `KWiseHash::eval_batch`)
 //! against forced-scalar tapes and writes `BENCH_hash_batch.json`.  Every
@@ -16,7 +18,7 @@
 
 use parcolor_bench::{f1, f2, host_json, s, scaled, timed, Table};
 use parcolor_core::framework::{NormalProcedure, Outcome, SimScratch};
-use parcolor_core::hknt::procs::{MultiTrial, SspMode, StageSet, TryRandomColor};
+use parcolor_core::hknt::procs::{SspMode, StageSet, TryRandomColor};
 use parcolor_core::instance::ColoringState;
 use parcolor_core::{D1lcInstance, NodeId};
 use parcolor_graphgen::gnm;
@@ -152,78 +154,82 @@ fn main() {
     hash_batch_comparison();
 }
 
-/// MultiTrial's block evaluator vs the trait's default loop it would
-/// otherwise take ([`DefaultLoop`]), under `SlackRatio`, so both its
-/// candidate merge and the lane slack kernel run.  The stage is the kind
-/// SlackColor hands MultiTrial: the nodes that TryRandomColor trials left
-/// uncolored in a large graph (489 of 10^5 on search_bound's instance
-/// 11000033).  There the default loop pays for n-sized adoption maps on
-/// every seed and the block evaluator does not; with every node of a
-/// 2,000-node graph active, the block evaluator measured slower (0.72×).
-/// One worker, so the measured ratio is pure per-seed-eval speedup.
+/// TryRandomColor's block evaluator vs the trait's default loop it would
+/// otherwise take ([`DefaultLoop`]), one row per arm of the evaluator:
+/// `Auto` with every node of the graph active, where each lane's
+/// clashed-node count is its cost, and `SlackRatio(2)` on the stage the
+/// Auto trials leave uncolored, where each lane's outcome is read off the
+/// pick plane and costed by `seed_cost`.  One worker, so the measured
+/// ratio is pure per-seed-eval speedup.
 fn block_proc_comparison() -> Vec<String> {
-    let seed_bits = scaled(14, 12) as u32;
-    let n = scaled(100_000, 10_000);
+    let seed_bits = scaled(12, 8) as u32;
+    let n = scaled(30_000, 5_000);
     let g = gnm(n, n * 4, 7);
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let mut state = ColoringState::new(&inst);
-    let trials = scaled(4, 3) as u64;
-    for r in 0..trials {
-        let set = StageSet::new(n, state.uncolored_nodes());
-        let trial = TryRandomColor::new(&g, set, SspMode::Auto, r);
-        let out = trial.simulate(&state, &CryptoTape::new(r));
-        state.apply_adoptions(&g, &out.adoptions);
-    }
-    let set = StageSet::new(n, state.uncolored_nodes());
-    let stage = set.active.len();
-    let (x, ratio) = (2usize, 2.0f64);
     println!(
-        "\n# MultiTrial block evaluator vs the default loop (x = {x}, SlackRatio({ratio}), \
-         seed_bits = {seed_bits}, stage {stage} of n = {n} after {trials} trials, m = {}, \
-         1 worker)",
+        "\n# TryRandomColor block evaluator vs the default loop (seed_bits = {seed_bits}, \
+         n = {n}, m = {}, 1 worker)",
         g.m()
     );
     let mut t = Table::new(&[
-        "procedure",
+        "ssp",
+        "stage",
         "default loop ms",
         "block ms",
         "speedup",
         "same seed",
     ]);
-    let proc = MultiTrial::new(&g, set, x, SspMode::SlackRatio(ratio), 3);
-    let search = |p: &dyn NormalProcedure| {
-        timed(|| block_search(p, &state, seed_bits, SeedStrategy::Exhaustive, 1, false))
+    let mut row = |state: &ColoringState, ssp: SspMode| {
+        let set = StageSet::new(n, state.uncolored_nodes());
+        let stage = set.active.len();
+        let proc = TryRandomColor::new(&g, set, ssp.clone(), 3);
+        let search = |p: &dyn NormalProcedure| {
+            timed(|| block_search(p, state, seed_bits, SeedStrategy::Exhaustive, 1, false))
+        };
+        let (default_sel, default_ms) = search(&DefaultLoop(&proc));
+        let (block_sel, block_ms) = search(&proc);
+        // Costs are integer counts, so equal means are exact too.
+        let same = default_sel.seed == block_sel.seed
+            && default_sel.cost == block_sel.cost
+            && default_sel.mean_cost == block_sel.mean_cost;
+        assert!(
+            same,
+            "TryRandomColor {ssp:?}: the block evaluator diverged from the default loop"
+        );
+        let speedup = default_ms / block_ms.max(1e-9);
+        t.row(&[
+            s(format!("{ssp:?}")),
+            s(stage),
+            f1(default_ms),
+            f1(block_ms),
+            f2(speedup),
+            s(same),
+        ]);
+        format!(
+            "    {{\"procedure\": \"TryRandomColor\", \"ssp\": \"{ssp:?}\", \
+             \"seed_bits\": {seed_bits}, \"n\": {n}, \"m\": {}, \"stage\": {stage}, \
+             \"workers\": 1, \"default_loop_ms\": {default_ms:.1}, \"block_ms\": {block_ms:.1}, \
+             \"per_eval_speedup\": {speedup:.2}, \"chosen_seed\": {}, \"chosen_cost\": {}, \
+             \"mean_cost\": {}}}",
+            g.m(),
+            block_sel.seed,
+            block_sel.cost,
+            block_sel.mean_cost
+        )
     };
-    let (default_sel, default_ms) = search(&DefaultLoop(&proc));
-    let (block_sel, block_ms) = search(&proc);
-    // Costs are integer failure counts, so equal means are exact too.
-    let same = default_sel.seed == block_sel.seed
-        && default_sel.cost == block_sel.cost
-        && default_sel.mean_cost == block_sel.mean_cost;
-    assert!(
-        same,
-        "MultiTrial: the block evaluator diverged from the default loop"
-    );
-    let speedup = default_ms / block_ms.max(1e-9);
-    t.row(&[
-        s("MultiTrial"),
-        f1(default_ms),
-        f1(block_ms),
-        f2(speedup),
-        s(same),
-    ]);
+    let mut rows = vec![row(&state, SspMode::Auto)];
+    // The stage SlackColor gates after its warm-ups: what the Auto trials
+    // leave uncolored.
+    for r in 0..2 {
+        let set = StageSet::new(n, state.uncolored_nodes());
+        let trial = TryRandomColor::new(&g, set, SspMode::Auto, r);
+        let out = trial.simulate(&state, &CryptoTape::new(r));
+        state.apply_adoptions(&g, &out.adoptions);
+    }
+    rows.push(row(&state, SspMode::SlackRatio(2.0)));
     t.print();
-    vec![format!(
-        "    {{\"procedure\": \"MultiTrial\", \"ssp\": \"SlackRatio({ratio})\", \"x\": {x}, \
-         \"seed_bits\": {seed_bits}, \"n\": {n}, \"m\": {}, \"stage\": {stage}, \
-         \"workers\": 1, \"default_loop_ms\": {default_ms:.1}, \"block_ms\": {block_ms:.1}, \
-         \"per_eval_speedup\": {speedup:.2}, \"chosen_seed\": {}, \"chosen_cost\": {}, \
-         \"mean_cost\": {}}}",
-        g.m(),
-        block_sel.seed,
-        block_sel.cost,
-        block_sel.mean_cost
-    )]
+    rows
 }
 
 /// Sharded seed search: the same block search at `workers ∈ {1, 2, 4, 8}`.

@@ -26,33 +26,34 @@
 //! candidate goes through [`NormalProcedure::seed_cost_block`].  The
 //! outcome of the *chosen* seed (or, randomized, of the keyed tape) is
 //! built once per step by one sequential [`NormalProcedure::simulate`]
-//! call — the same reference every block evaluator is pinned to.  Four
-//! structural decisions keep the hot loop at memory speed:
+//! call — the same reference the block evaluator is pinned to.  Every
+//! seed's cost is [`NormalProcedure::seed_cost`] of that seed's outcome,
+//! and four structural decisions keep the hot loop at memory speed:
 //!
-//! 1. **Seed-lane block evaluation where the workloads search.**
-//!    TryRandomColor and MultiTrial, the procedures whose searches
-//!    dominate a solve, override [`NormalProcedure::seed_cost_block`]: a
-//!    block of up to `SEED_BLOCK` seeds materializes its picks or
-//!    candidates as one structure-of-arrays plane (`SimScratch::soa` +
-//!    the lane bitmasks), and the clash and slack scans run ONCE over the
-//!    graph with lane-parallel compares, instead of once per seed.  See
+//! 1. **One seed-lane block evaluator, where the workloads search.**
+//!    TryRandomColor, the procedure whose searches dominate a solve,
+//!    overrides [`NormalProcedure::seed_cost_block`]: a block of up to
+//!    `SEED_BLOCK` seeds draws its picks into one structure-of-arrays
+//!    plane (`SimScratch::soa`), and the clash scan runs ONCE over the
+//!    active edges with lane-parallel compares, instead of once per seed.
+//!    Its costs are `seed_cost`'s values: each lane's clashed-node count
+//!    is the `Auto`/`Colored` cost, and under a slack SSP each lane's
+//!    outcome is read off the plane and costed by `seed_cost` itself.  See
 //!    the block contract on [`NormalProcedure::seed_cost_block`].  Every
-//!    other procedure takes the trait's default, the reference loop
-//!    `seed_cost(simulate(tape))` per lane: GenerateSlack's steps are
-//!    certified at the sizes the workloads run, PutAside never runs
-//!    there, and SynchColorTrial's searches take milliseconds.  Lemma
-//!    23's hash search in `reduce.rs` also costs its seeds by lanes: each
-//!    seed of a block fills one lane of the `u8` node- and color-bin
-//!    planes, and one walk over the high nodes' neighbors and palettes
-//!    counts every lane.
+//!    other procedure, MultiTrial included, takes the trait's default,
+//!    the reference loop `seed_cost(simulate(tape))` per lane; their SSP
+//!    evaluation reads stage-sized maps, so a seed of a small stage costs
+//!    no pass over the whole graph.  Lemma 23's hash search in
+//!    `reduce.rs` also costs its seeds by lanes: each seed of a block
+//!    fills one lane of the `u8` node- and color-bin planes, and one walk
+//!    over the high nodes' neighbors and palettes counts every lane.
 //! 2. **Pick caching in reusable arenas** ([`SimScratch`]).  A node's
 //!    random draw under a fixed seed is the same no matter which neighbor
-//!    asks, so the two block evaluators compute each active node's pick
-//!    or candidate set **once** per lane (`O(n_active)` tape reads) and
-//!    resolve clashes with `O(m)` array lookups — as the reference
-//!    `TryRandomColor::simulate` does for its one tape.  The arena's
-//!    buffers are retained across evaluations, so after warm-up a block
-//!    evaluation performs **zero heap allocation**.
+//!    asks, so the block evaluator draws each active node's pick **once**
+//!    per lane (`O(n_active)` tape reads) and resolves clashes with `O(m)`
+//!    array lookups — as the reference `TryRandomColor::simulate` does for
+//!    its one tape.  The arena's buffers are retained across evaluations,
+//!    so after warm-up the draws and the clash scan allocate nothing.
 //! 3. **Sharded seed-parallelism.**  `parcolor_prg::select_seed_blocks_n`
 //!    folds the seed space on the persistent `parcolor-exec` pool, one
 //!    scratch per worker; each block evaluation is sequential.  Workers
@@ -70,9 +71,10 @@
 //!    seeds; see the batch contract in `parcolor_local::tape`), so the
 //!    reference `simulate` path and the golden hashes are unchanged.
 //!
-//! Per derandomized step the fast path therefore costs
-//! `O(2^seed_bits · (n_active + m_active) / workers)` with no allocation,
-//! and `BitwiseCondExp` streams each half-space mean instead of
+//! Per derandomized step a TryRandomColor or MultiTrial search therefore
+//! costs `O(2^seed_bits · Σ_{v ∈ stage} (1 + d(v)) / workers)`, in
+//! proportion to the stage and its neighborhoods rather than to the whole
+//! graph, and `BitwiseCondExp` streams each half-space mean instead of
 //! materializing the `2^seed_bits` cost table (see
 //! `parcolor_prg::seed_search`).  `tests/seed_fastpath_equivalence.rs`
 //! pins the fast path to the reference path (`simulate` + `seed_cost`
@@ -112,47 +114,31 @@ pub struct Outcome {
 }
 
 /// Reusable arena for [`NormalProcedure::seed_cost_block`], one per
-/// seed-search worker: the batched randomness plane and the seed-lane
-/// planes the block evaluators fill with one `Randomness::fill_*` call
-/// per (stream, stripe) instead of one scalar tape read per node.
+/// seed-search worker: the buffers of TryRandomColor's block evaluator,
+/// which draws a whole block's picks with one `Randomness::fill_below`
+/// call per seed lane and resolves their clashes in one lane-parallel
+/// scan.
 ///
 /// Every buffer is block-scoped: each block evaluation overwrites what it
-/// reads for its own stripe (or rewrites the dense rows of its own active
+/// reads (the draws of its own stripe, the dense rows of its own active
 /// nodes), so nothing needs clearing between evaluations and capacity is
-/// retained across the whole seed search — after warm-up an evaluation
-/// performs no heap allocation.  Every draw is bit-identical to the
-/// scalar calls it replaces (the tape-level batch contract), which is
-/// what keeps the block evaluators pinned to the reference path.  The
+/// retained across the whole seed search.  Every draw is bit-identical to
+/// the scalar calls it replaces (the tape-level batch contract), which is
+/// what keeps the block evaluator pinned to the reference path.  The
 /// default `seed_cost_block` leaves the arena untouched.
 #[derive(Clone, Debug)]
 pub struct SimScratch {
     /// Per-node draw bounds gathered for the current stripe.
     pub(crate) bounds: Vec<u64>,
-    /// Raw words or bounded draws, aligned with the stripe.
+    /// Bounded draws, one stripe per seed lane.
     pub(crate) vals: Vec<u64>,
     /// Seed-lane plane: picks of up to [`SEED_BLOCK`] seeds per node,
     /// dense by node id, one `u32` lane per seed — the
-    /// structure-of-arrays layout block cost evaluators scan with
-    /// lane-parallel compares.
+    /// structure-of-arrays layout the clash scan compares lane-parallel.
     pub(crate) soa: Vec<[u32; SEED_BLOCK]>,
-    /// Per-node seed-lane bit accumulator (bit `s` ⇔ event in lane `s`),
-    /// dense by node id — clash scans OR into it branchlessly and count
-    /// bits per lane afterwards.
+    /// Per-node seed-lane clash bits (bit `s` ⇔ the node clashed in lane
+    /// `s`), dense by node id — the clash scan ORs into it branchlessly.
     pub(crate) lane_mask: Vec<u8>,
-    /// Per-node seed-lane **adoption** bits (bit `s` ⇔ the node adopted
-    /// `soa[v][s]` under seed lane `s`), dense by node id — the
-    /// block-evaluation analogue of an [`Outcome`]'s adoptions, consumed
-    /// by the lane-parallel SSP evaluators.
-    pub(crate) adopted_mask: Vec<u8>,
-    /// Per-lane sorted-set buffers for lane-parallel slack evaluation
-    /// (the distinct lost palette colors of one node, per lane).
-    pub(crate) taken_lanes: [Vec<u32>; SEED_BLOCK],
-    /// Flat candidate-color arena (MultiTrial draws).
-    pub(crate) draw_colors: Vec<u32>,
-    /// Offsets into `draw_colors`, one per (lane, active node) + 1.
-    pub(crate) draw_off: Vec<usize>,
-    /// Palette-copy buffer (MultiTrial's dense partial Fisher-Yates).
-    pub(crate) perm: Vec<u32>,
 }
 
 impl SimScratch {
@@ -164,11 +150,6 @@ impl SimScratch {
             vals: Vec::new(),
             soa: vec![[0; SEED_BLOCK]; n],
             lane_mask: vec![0; n],
-            adopted_mask: vec![0; n],
-            taken_lanes: Default::default(),
-            draw_colors: Vec::new(),
-            draw_off: Vec::new(),
-            perm: Vec::new(),
         }
     }
 }
@@ -207,11 +188,10 @@ pub trait NormalProcedure: Sync {
     /// lane.  This is the only path the derandomizer costs candidate
     /// seeds through; a per-seed evaluation is a 1-lane block.  The
     /// default is exactly that reference loop (allocating, scratch
-    /// unused).  TryRandomColor and MultiTrial override it, because the
-    /// workloads search them: they materialize the whole block's picks or
-    /// candidates into the seed-lane plane (`SimScratch::soa`) and
-    /// amortize the clash and slack scans across lanes.  An override is
-    /// only ever a faster way to the default's value.
+    /// unused).  TryRandomColor overrides it, because the workloads search
+    /// it most: it draws the whole block's picks into the seed-lane plane
+    /// (`SimScratch::soa`) and amortizes the clash scan across lanes.  An
+    /// override is only ever a faster way to the default's value.
     ///
     /// ## The block contract
     ///
@@ -231,10 +211,9 @@ pub trait NormalProcedure: Sync {
     ///    layout change, never a randomness change.
     /// 3. **Stale lanes are never read.**  Dense SoA rows
     ///    (`SimScratch::soa`) retain garbage from earlier blocks.  An
-    ///    override either pads the lanes it does not fill with values that
-    ///    cannot collide (TryRandomColor: the node's own id across an
-    ///    edge), or rewrites every active node's lane bits per block and
-    ///    reads only the lanes they mark (MultiTrial: `adopted_mask`).
+    ///    override pads the lanes it does not fill with values that cannot
+    ///    collide: TryRandomColor writes the node's own id, which no
+    ///    endpoint across an edge shares.
     /// 4. **Short blocks are legal.**  `tapes.len()` may be any length
     ///    in `1..=SEED_BLOCK` (tail blocks, `SingleSeed`); lanes past
     ///    `costs.len()` must not be read or written as costs.
@@ -470,7 +449,7 @@ impl<'g> Runner<'g> {
                 let active = vec![true; graph.n()];
                 let lin = linial_coloring(&gp, &active);
                 // Charged per Theorem 12: O(τ + log* n) rounds to color G^{4τ}.
-                engine.charge(lin.rounds * (4 * params.tau as u64).max(1), 0);
+                engine.charge(lin.rounds * (4 * params.tau as u64).max(1));
                 mpc.charge_rounds(lin.rounds + params.tau as u64);
                 ChunkAssignment::PowerColoring { colors: lin.colors }
             }
@@ -530,7 +509,7 @@ impl<'g> Runner<'g> {
         // Lemma 10's round/space charges: collect the 8τ-hop input info
         // (τ rounds of neighborhood exchange), one round of seed agreement
         // / output application.
-        self.engine.charge(proc.local_rounds(), 0);
+        self.engine.charge(proc.local_rounds());
         self.mpc
             .charge_neighbor_broadcast(self.graph, |v| !state.is_colored(v), 1);
         self.mpc.charge_rounds(tau + 1);

@@ -83,7 +83,7 @@ pub fn color_middle(
         .mpc
         .charge_two_hop_collection(g, |v| active[v as usize]);
     runner.mpc.charge_rounds(4);
-    runner.engine.charge(4, 0);
+    runner.engine.charge(4);
     let table = compute_params(g, state, &stage, &active);
     let acd = compute_acd(g, &stage, &active, &table, params);
     let vs = identify_vstart(g, state, &acd, &table, &active, params);
@@ -293,7 +293,7 @@ pub fn color_middle(
             })
             .collect();
         state.apply_adoptions(g, &adoptions);
-        runner.engine.charge(2, put_nodes.len() as u64);
+        runner.engine.charge(2);
         runner.mpc.charge_rounds(2);
     }
 

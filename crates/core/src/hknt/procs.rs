@@ -2,7 +2,7 @@
 //! procedures (Definition 5 instances; see Lemma 13 of the paper).
 //!
 //! Conventions shared by all procedures:
-//! * `active`/`mask` name the nodes participating in *this* invocation
+//! * A [`StageSet`] names the nodes participating in *this* invocation
 //!   (uncolored, in the current stage, not deferred).  Inactive neighbors
 //!   neither propose nor conflict.
 //! * Adoption is by **symmetric abstention**: a node adopts a color only
@@ -11,6 +11,12 @@
 //! * Every random draw is addressed `(node, stream, idx)` through the
 //!   [`Randomness`] tape, keeping `simulate` a pure function of the seed —
 //!   the property the derandomizer relies on.
+//! * A candidate seed costs `seed_cost` of its outcome, and the SSP
+//!   evaluation reads stage-sized state: `adoption_map` is indexed by
+//!   position in the stage.  Only TryRandomColor overrides
+//!   `seed_cost_block`, to draw a block's picks and resolve their clashes
+//!   by seed lane; every other procedure costs its seeds through the
+//!   trait's reference loop.
 
 use crate::framework::{NormalProcedure, Outcome, SimScratch};
 use crate::instance::ColoringState;
@@ -44,36 +50,46 @@ pub enum SspMode {
 pub struct StageSet {
     /// Participating nodes, ascending.
     pub active: Vec<NodeId>,
-    /// Dense membership mask (`mask[v] ⇔ v ∈ active`).
-    pub mask: Vec<bool>,
+    /// Dense by node id: 1 + `v`'s position in `active`, or 0 for a node
+    /// outside the stage, so the map starts as a zeroed allocation whose
+    /// untouched pages a small stage never faults in.
+    pos: Vec<u32>,
 }
 
 impl StageSet {
     /// Build from the active node list (`n` = total node count).
     pub fn new(n: usize, active: Vec<NodeId>) -> Self {
-        let mut mask = vec![false; n];
-        for &v in &active {
-            mask[v as usize] = true;
+        let mut pos = vec![0; n];
+        for (i, &v) in active.iter().enumerate() {
+            pos[v as usize] = i as u32 + 1;
         }
-        StageSet { active, mask }
+        StageSet { active, pos }
     }
 
     /// Whether `v` participates.
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
-        self.mask[v as usize]
+        self.pos[v as usize] != 0
+    }
+
+    /// `v`'s position in `active`, if it participates.
+    #[inline]
+    fn position(&self, v: NodeId) -> Option<usize> {
+        (self.pos[v as usize] as usize).checked_sub(1)
     }
 }
 
-/// Post-outcome metrics: active degree and slack of `v` under the dense
-/// adoption map `adopted` — the reference formula the lane kernel
-/// [`lane_slack_fail_costs`] evaluates per seed lane.
+/// Post-outcome metrics: active degree and slack of `v` under the
+/// stage-indexed adoption map `adopted` ([`adoption_map`]).  `taken` is
+/// the caller's buffer for the colors v's palette loses; it is cleared
+/// here.
 fn post_deg_slack(
     g: &Graph,
     state: &ColoringState,
     set: &StageSet,
     adopted: &[u32],
     v: NodeId,
+    taken: &mut Vec<u32>,
 ) -> (usize, i64) {
     let mut deg = 0usize;
     let mut pal_lost = 0usize;
@@ -82,12 +98,12 @@ fn post_deg_slack(
     // colors only: two non-adjacent neighbors may adopt the same color but
     // v's palette loses it once.  Neighbor lists are short (≤ Δ); a sorted
     // vector beats hashing here.
-    let mut taken: Vec<u32> = Vec::new();
+    taken.clear();
     for &u in g.neighbors(v) {
-        if !set.contains(u) {
+        let Some(p) = set.position(u) else {
             continue;
-        }
-        let c = adopted[u as usize];
+        };
+        let c = adopted[p];
         if c == crate::instance::NO_COLOR {
             deg += 1;
         } else if pal.contains(&c) {
@@ -101,11 +117,14 @@ fn post_deg_slack(
     (deg, slack)
 }
 
-/// Dense `adopted-color` lookup built once per SSP evaluation.
-fn adoption_map(n: usize, out: &Outcome) -> Vec<u32> {
-    let mut adopted = vec![crate::instance::NO_COLOR; n];
+/// Adopted-color lookup built once per SSP evaluation, indexed by stage
+/// position: entry `i` is the color `out` gives `set.active[i]`, or
+/// `NO_COLOR`.  Every procedure here adopts only stage nodes.
+fn adoption_map(set: &StageSet, out: &Outcome) -> Vec<u32> {
+    let mut adopted = vec![crate::instance::NO_COLOR; set.active.len()];
     for &(v, c) in &out.adoptions {
-        adopted[v as usize] = c;
+        let p = set.position(v).expect("adoption outside the stage");
+        adopted[p] = c;
     }
     adopted
 }
@@ -117,40 +136,46 @@ fn evaluate_ssp(
     ssp: &SspMode,
     out: &Outcome,
 ) -> Vec<NodeId> {
+    use crate::instance::NO_COLOR;
     match ssp {
         SspMode::Auto => Vec::new(),
         SspMode::Colored => {
-            let adopted = adoption_map(state.n(), out);
+            let adopted = adoption_map(set, out);
             set.active
                 .iter()
-                .copied()
-                .filter(|&v| adopted[v as usize] == crate::instance::NO_COLOR)
+                .zip(&adopted)
+                .filter(|&(_, &c)| c == NO_COLOR)
+                .map(|(&v, _)| v)
                 .collect()
         }
         SspMode::SlackRatio(ratio) => {
-            let adopted = adoption_map(state.n(), out);
+            let adopted = adoption_map(set, out);
+            let mut taken = Vec::new();
             set.active
                 .iter()
-                .copied()
-                .filter(|&v| {
-                    if adopted[v as usize] != crate::instance::NO_COLOR {
+                .zip(&adopted)
+                .filter(|&(&v, &c)| {
+                    if c != NO_COLOR {
                         return false; // colored ⇒ success
                     }
-                    let (deg, slack) = post_deg_slack(g, state, set, &adopted, v);
+                    let (deg, slack) = post_deg_slack(g, state, set, &adopted, v, &mut taken);
                     (slack as f64) < ratio * deg as f64
                 })
+                .map(|(&v, _)| v)
                 .collect()
         }
         SspMode::SlackTarget(targets) => {
-            let adopted = adoption_map(state.n(), out);
+            let adopted = adoption_map(set, out);
+            let mut taken = Vec::new();
             set.active
                 .iter()
+                .zip(&adopted)
                 .zip(targets)
-                .filter_map(|(&v, &t)| {
-                    if t <= 0.0 || adopted[v as usize] != crate::instance::NO_COLOR {
+                .filter_map(|((&v, &c), &t)| {
+                    if t <= 0.0 || c != NO_COLOR {
                         return None;
                     }
-                    let (_, slack) = post_deg_slack(g, state, set, &adopted, v);
+                    let (_, slack) = post_deg_slack(g, state, set, &adopted, v, &mut taken);
                     ((slack as f64) < t).then_some(v)
                 })
                 .collect()
@@ -197,19 +222,22 @@ fn zero_cost_certified(g: &Graph, state: &ColoringState, set: &StageSet, ssp: &S
 }
 
 /// Count of active nodes left uncolored by `out` — the progress-oriented
-/// seed cost used by warm-up steps.
-fn uncolored_cost(set: &StageSet, state: &ColoringState, out: &Outcome) -> f64 {
-    let adopted = adoption_map(state.n(), out);
-    set.active
-        .iter()
-        .filter(|&&v| adopted[v as usize] == crate::instance::NO_COLOR)
-        .count() as f64
+/// seed cost used by warm-up steps.  Its callers, TryRandomColor and
+/// MultiTrial, adopt only stage nodes, each at most once and in stage
+/// order, so the count is a subtraction.
+fn uncolored_cost(set: &StageSet, out: &Outcome) -> f64 {
+    debug_assert!(out
+        .adoptions
+        .windows(2)
+        .all(|w| set.position(w[0].0) < set.position(w[1].0)));
+    debug_assert!(out.adoptions.iter().all(|&(v, _)| set.contains(v)));
+    (set.active.len() - out.adoptions.len()) as f64
 }
 
 /// All edges whose endpoints are both in `set`, each once as `(a, b)` with
 /// `a < b`.  One flat pass at first use replaces per-seed adjacency walks:
 /// the clash scan then touches a contiguous edge array with pre-filtered
-/// membership instead of re-checking masks per neighbor per seed.
+/// membership instead of a stage lookup per neighbor per seed.
 fn collect_active_edges(g: &Graph, set: &StageSet) -> Vec<(NodeId, NodeId)> {
     let mut edges = Vec::new();
     for &v in &set.active {
@@ -223,192 +251,6 @@ fn collect_active_edges(g: &Graph, set: &StageSet) -> Vec<(NodeId, NodeId)> {
         }
     }
     edges
-}
-
-// ---------------------------------------------------------------------
-// Lane-parallel SSP evaluation against the seed-lane adoption plane —
-// the kernels of the two block evaluators, TryRandomColor's and
-// MultiTrial's (the procedures the workloads search; the others cost
-// seeds through the trait's reference loop).
-//
-// A block evaluator materializes the whole block's outcome as the plane
-// pair (`SimScratch::soa`, `SimScratch::adopted_mask`): lane `s` of node
-// `v` adopted color `soa[v][s]` iff bit `s` of `adopted_mask[v]` is set.
-// These kernels then compute every lane's seed cost in ONE pass over the
-// relevant nodes/neighborhoods — amortizing the graph traffic a per-seed
-// evaluation would pay once per seed — while evaluating, per lane,
-// exactly the formulas of `evaluate_ssp` / `uncolored_cost` (same
-// arithmetic, same dedup, same comparisons), so block costs are
-// bit-identical to the reference `seed_cost`.
-// ---------------------------------------------------------------------
-
-/// `costs[s] =` number of active nodes unadopted in lane `s` — the lane
-/// analogue of [`uncolored_cost`] (and of `SspMode::Colored`'s failure
-/// count in [`evaluate_ssp`]).
-fn lane_uncolored_costs(set: &StageSet, scratch: &SimScratch, lanes: usize, costs: &mut [f64]) {
-    let mut adopted = [0usize; SEED_BLOCK];
-    for &v in &set.active {
-        let am = scratch.adopted_mask[v as usize];
-        for (s, a) in adopted.iter_mut().enumerate().take(lanes) {
-            *a += usize::from(am >> s & 1 == 1);
-        }
-    }
-    for (s, c) in costs.iter_mut().enumerate() {
-        *c = (set.active.len() - adopted[s]) as f64;
-    }
-}
-
-/// Lane-parallel slack-failure count: for every lane `s`, `costs[s] = `
-/// number of active nodes `v` with `skip(i) == false`, unadopted in lane
-/// `s`, whose post-outcome slack in lane `s` falls below
-/// `thresh(i, deg_s)` (where `deg_s` is `v`'s count of unadopted active
-/// neighbors in lane `s`) — the lane analogue of the `SlackTarget` and
-/// `SlackRatio` arms of [`evaluate_ssp`].  Walks each candidate node's
-/// neighborhood ONCE for all lanes, reading adopted colors as 32-byte SoA
-/// rows, with per-lane sorted-set dedup identical to the `taken` buffer
-/// of [`post_deg_slack`].
-#[allow(clippy::too_many_arguments)] // one shared kernel, two threshold shapes
-fn lane_slack_fail_costs(
-    g: &Graph,
-    state: &ColoringState,
-    set: &StageSet,
-    scratch: &mut SimScratch,
-    lanes: usize,
-    mut skip: impl FnMut(usize) -> bool,
-    mut thresh: impl FnMut(usize, usize) -> f64,
-    costs: &mut [f64],
-) {
-    let SimScratch {
-        soa,
-        adopted_mask,
-        taken_lanes,
-        ..
-    } = scratch;
-    let full: u8 = ((1u16 << lanes) - 1) as u8;
-    let mut fails = [0usize; SEED_BLOCK];
-    for (i, &v) in set.active.iter().enumerate() {
-        if skip(i) {
-            continue;
-        }
-        let need = !adopted_mask[v as usize] & full;
-        if need == 0 {
-            continue; // adopted in every lane ⇒ success everywhere
-        }
-        let pal = state.palette(v);
-        // deg_s = (active neighbors) − (active neighbors adopted in lane
-        // s), so the neighbor loop only touches SET adoption bits —
-        // iterating each mask's population instead of all 8 lanes keeps
-        // the common unadopted-everywhere neighbor at one increment.
-        let mut nbr = 0usize;
-        let mut adopted_nbrs = [0usize; SEED_BLOCK];
-        let mut pal_lost = [0usize; SEED_BLOCK];
-        for t in taken_lanes.iter_mut().take(lanes) {
-            t.clear();
-        }
-        for &u in g.neighbors(v) {
-            if !set.contains(u) {
-                continue;
-            }
-            nbr += 1;
-            let mut amu = adopted_mask[u as usize];
-            if amu == 0 {
-                continue;
-            }
-            let row = &soa[u as usize];
-            while amu != 0 {
-                let s = amu.trailing_zeros() as usize;
-                amu &= amu - 1;
-                adopted_nbrs[s] += 1;
-                let c = row[s];
-                if pal.contains(&c) {
-                    // Distinct colors only, exactly like the `taken`
-                    // dedup of `post_deg_slack`: two neighbors adopting
-                    // the same color cost v's palette one entry.
-                    let taken = &mut taken_lanes[s];
-                    if let Err(pos) = taken.binary_search(&c) {
-                        taken.insert(pos, c);
-                        pal_lost[s] += 1;
-                    }
-                }
-            }
-        }
-        for (s, f) in fails.iter_mut().enumerate().take(lanes) {
-            if need >> s & 1 == 1 {
-                let deg = nbr - adopted_nbrs[s];
-                let slack = (pal.len() - pal_lost[s]) as i64 - deg as i64;
-                if (slack as f64) < thresh(i, deg) {
-                    *f += 1;
-                }
-            }
-        }
-    }
-    for (s, c) in costs.iter_mut().enumerate() {
-        *c = fails[s] as f64;
-    }
-}
-
-/// Dispatch a whole block's SSP costs off the adoption plane — one entry
-/// point for every `SspMode`, mirroring the dispatch in [`evaluate_ssp`]
-/// (with `Auto` mapped to the uncolored count of [`uncolored_cost`],
-/// matching the warm-up `seed_cost` overrides).
-fn lane_ssp_costs(
-    g: &Graph,
-    state: &ColoringState,
-    set: &StageSet,
-    ssp: &SspMode,
-    scratch: &mut SimScratch,
-    lanes: usize,
-    costs: &mut [f64],
-) {
-    match ssp {
-        SspMode::Auto | SspMode::Colored => lane_uncolored_costs(set, scratch, lanes, costs),
-        SspMode::SlackRatio(ratio) => {
-            let r = *ratio;
-            lane_slack_fail_costs(
-                g,
-                state,
-                set,
-                scratch,
-                lanes,
-                |_| false,
-                |_, deg| r * deg as f64,
-                costs,
-            );
-        }
-        SspMode::SlackTarget(targets) => {
-            lane_slack_fail_costs(
-                g,
-                state,
-                set,
-                scratch,
-                lanes,
-                |i| targets[i] <= 0.0,
-                |i, _| targets[i],
-                costs,
-            );
-        }
-    }
-}
-
-/// Bit `j` of the result ⇔ `mine[j] ∈ theirs`, for sorted slices with
-/// `mine.len() ≤ 64` — the merge-scan equivalent of the scalar path's
-/// per-candidate binary searches (identical set semantics).
-fn sorted_intersect_mask(mine: &[u32], theirs: &[u32]) -> u64 {
-    debug_assert!(mine.len() <= 64);
-    let mut m = 0u64;
-    let (mut a, mut b) = (0usize, 0usize);
-    while a < mine.len() && b < theirs.len() {
-        match mine[a].cmp(&theirs[b]) {
-            std::cmp::Ordering::Equal => {
-                m |= 1 << a;
-                a += 1;
-                b += 1;
-            }
-            std::cmp::Ordering::Less => a += 1,
-            std::cmp::Ordering::Greater => b += 1,
-        }
-    }
-    m
 }
 
 // ---------------------------------------------------------------------
@@ -505,9 +347,10 @@ impl NormalProcedure for TryRandomColor<'_> {
     /// which can never collide across an edge.
     ///
     /// For `Colored`/`Auto` each lane's clashed-node count is the cost
-    /// directly; for the slack SSPs the clash masks become the lane
-    /// adoption plane and the lane-parallel slack kernel evaluates all
-    /// lanes' failure counts in one neighborhood pass per candidate node.
+    /// directly.  For the slack SSPs lane `s`'s outcome is read off the
+    /// plane — the active nodes whose lane-`s` clash bit is clear, each
+    /// with its lane-`s` pick, in active order, exactly what `simulate`
+    /// returns for that tape — and costed by [`NormalProcedure::seed_cost`].
     fn seed_cost_block(
         &self,
         state: &ColoringState,
@@ -584,24 +427,21 @@ impl NormalProcedure for TryRandomColor<'_> {
                     *c = clashed[s] as f64;
                 }
             }
-            // Slack-based SSPs: every active node holds a pick, so the
-            // lane adoption plane is just the complement of the clash
-            // mask; the lane-parallel slack kernel does the rest.
+            // Slack-based SSPs: every active node holds a pick, so lane
+            // s adopts exactly the nodes its clash bit spares.
             _ => {
-                let full: u8 = ((1u16 << tapes.len()) - 1) as u8;
-                scratch.adopted_mask.resize(state.n(), 0);
-                for &v in &self.set.active {
-                    scratch.adopted_mask[v as usize] = !scratch.lane_mask[v as usize] & full;
+                let mut out = Outcome::default();
+                for (s, c) in costs.iter_mut().enumerate() {
+                    out.adoptions.clear();
+                    out.adoptions.extend(
+                        self.set
+                            .active
+                            .iter()
+                            .filter(|&&v| scratch.lane_mask[v as usize] >> s & 1 == 0)
+                            .map(|&v| (v, scratch.soa[v as usize][s])),
+                    );
+                    *c = self.seed_cost(state, &out);
                 }
-                lane_ssp_costs(
-                    self.g,
-                    state,
-                    &self.set,
-                    &self.ssp,
-                    scratch,
-                    tapes.len(),
-                    costs,
-                );
             }
         }
     }
@@ -613,7 +453,7 @@ impl NormalProcedure for TryRandomColor<'_> {
     fn seed_cost(&self, state: &ColoringState, out: &Outcome) -> f64 {
         match self.ssp {
             // Warm-up: maximize colored nodes.
-            SspMode::Auto => uncolored_cost(&self.set, state, out),
+            SspMode::Auto => uncolored_cost(&self.set, out),
             _ => self.ssp_failures(state, out).len() as f64,
         }
     }
@@ -646,24 +486,17 @@ pub struct MultiTrial<'a> {
     pub ssp: SspMode,
     /// Distinguishes repeated calls within one stage.
     pub round_tag: u64,
-    /// Position of each node in `set.active` (for proposal lookup).
-    pos: Vec<u32>,
 }
 
 impl<'a> MultiTrial<'a> {
     /// Construct one invocation (`x` clamped to [`MULTI_TRIAL_CAP`]).
     pub fn new(g: &'a Graph, set: StageSet, x: usize, ssp: SspMode, round_tag: u64) -> Self {
-        let mut pos = vec![u32::MAX; g.n()];
-        for (i, &v) in set.active.iter().enumerate() {
-            pos[v as usize] = i as u32;
-        }
         MultiTrial {
             g,
             set,
             x: x.clamp(1, MULTI_TRIAL_CAP),
             ssp,
             round_tag,
-            pos,
         }
     }
 
@@ -751,10 +584,10 @@ impl NormalProcedure for MultiTrial<'_> {
             .filter_map(|(i, &v)| {
                 'cand: for &c in draw(i) {
                     for &u in self.g.neighbors(v) {
-                        if !self.set.contains(u) {
+                        let Some(p) = self.set.position(u) else {
                             continue;
-                        }
-                        let theirs = draw(self.pos[u as usize] as usize);
+                        };
+                        let theirs = draw(p);
                         if theirs.binary_search(&c).is_ok() {
                             continue 'cand;
                         }
@@ -770,103 +603,13 @@ impl NormalProcedure for MultiTrial<'_> {
         }
     }
 
-    /// Seed-lane block evaluation: all lanes' candidate sets are drawn
-    /// into one lane-major flat arena (identical tape addresses to the
-    /// scalar draw), then the adoption scan walks each node's
-    /// neighborhood **once** for the whole block — per neighbor, a
-    /// sorted merge-intersection eliminates the node's surviving
-    /// candidates in every lane at once (64-bit alive masks, one bit per
-    /// candidate), where a per-seed evaluation would re-walk the neighbor
-    /// list and re-run the binary searches once per seed.  The first
-    /// surviving candidate per lane is the adopted color, feeding the
-    /// lane-parallel SSP kernel.
-    fn seed_cost_block(
-        &self,
-        state: &ColoringState,
-        tapes: &[&dyn Randomness],
-        scratch: &mut SimScratch,
-        costs: &mut [f64],
-    ) {
-        debug_assert_eq!(tapes.len(), costs.len());
-        let lanes = tapes.len();
-        let n_active = self.set.active.len();
-        let SimScratch {
-            draw_colors,
-            draw_off,
-            perm: tmp,
-            vals,
-            soa,
-            adopted_mask,
-            ..
-        } = &mut *scratch;
-        // Phase 1: lane-major candidate arena; range of (lane s, active
-        // index i) is draw_off[s·n_active + i] .. draw_off[s·n_active + i + 1].
-        draw_colors.clear();
-        draw_off.clear();
-        draw_off.push(0);
-        for tape in tapes {
-            for &v in &self.set.active {
-                self.draw_into(state, *tape, v, draw_colors, tmp, vals);
-                draw_off.push(draw_colors.len());
-            }
-        }
-        // Phase 2: block adoption scan.
-        soa.resize(state.n(), [0u32; SEED_BLOCK]);
-        adopted_mask.resize(state.n(), 0);
-        let off = |s: usize, i: usize| (draw_off[s * n_active + i], draw_off[s * n_active + i + 1]);
-        for (i, &v) in self.set.active.iter().enumerate() {
-            let mut alive = [0u64; SEED_BLOCK];
-            for (s, a) in alive.iter_mut().enumerate().take(lanes) {
-                let (lo, hi) = off(s, i);
-                let want = hi - lo;
-                *a = if want >= 64 {
-                    u64::MAX
-                } else {
-                    (1u64 << want) - 1
-                };
-            }
-            for &u in self.g.neighbors(v) {
-                if !self.set.contains(u) {
-                    continue;
-                }
-                let p = self.pos[u as usize] as usize;
-                let mut any = 0u64;
-                for (s, a) in alive.iter_mut().enumerate().take(lanes) {
-                    if *a == 0 {
-                        continue;
-                    }
-                    let (lo, hi) = off(s, i);
-                    let (ulo, uhi) = off(s, p);
-                    *a &= !sorted_intersect_mask(&draw_colors[lo..hi], &draw_colors[ulo..uhi]);
-                    any |= *a;
-                }
-                if any == 0 {
-                    break; // eliminated everywhere: no lane can adopt
-                }
-            }
-            let mut am = 0u8;
-            let row = &mut soa[v as usize];
-            for (s, &a) in alive.iter().enumerate().take(lanes) {
-                if a != 0 {
-                    let (lo, _) = off(s, i);
-                    // First surviving candidate in sorted order — exactly
-                    // the scalar path's first adoptable color.
-                    row[s] = draw_colors[lo + a.trailing_zeros() as usize];
-                    am |= 1 << s;
-                }
-            }
-            adopted_mask[v as usize] = am;
-        }
-        lane_ssp_costs(self.g, state, &self.set, &self.ssp, scratch, lanes, costs);
-    }
-
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
         evaluate_ssp(self.g, state, &self.set, &self.ssp, out)
     }
 
     fn seed_cost(&self, state: &ColoringState, out: &Outcome) -> f64 {
         match self.ssp {
-            SspMode::Auto => uncolored_cost(&self.set, state, out),
+            SspMode::Auto => uncolored_cost(&self.set, out),
             _ => self.ssp_failures(state, out).len() as f64,
         }
     }
@@ -1083,8 +826,8 @@ impl NormalProcedure for SynchColorTrial<'_> {
         }
     }
 
-    fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
-        let adopted = adoption_map(state.n(), out);
+    fn ssp_failures(&self, _state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
+        let adopted = adoption_map(&self.set, out);
         let mut failures = Vec::new();
         for ct in &self.cliques {
             let failed: Vec<NodeId> = ct
@@ -1092,7 +835,9 @@ impl NormalProcedure for SynchColorTrial<'_> {
                 .iter()
                 .copied()
                 .filter(|&v| {
-                    self.set.contains(v) && adopted[v as usize] == crate::instance::NO_COLOR
+                    self.set
+                        .position(v)
+                        .is_some_and(|p| adopted[p] == crate::instance::NO_COLOR)
                 })
                 .collect();
             // SSP (paper): the clique has at most O(t) failed nodes.  If
@@ -1457,9 +1202,9 @@ mod tests {
                 adoptions: vec![(1, 1), (2, 1)],
                 aux: Vec::new(),
             };
-            super::adoption_map(3, &out)
+            super::adoption_map(&set, &out)
         };
-        let (deg, slack) = super::post_deg_slack(&g, &state, &set, &adopted, 0);
+        let (deg, slack) = super::post_deg_slack(&g, &state, &set, &adopted, 0, &mut Vec::new());
         assert_eq!(deg, 0);
         // palette {0,1,2} minus {1} = 2 colors, degree 0 → slack 2
         assert_eq!(slack, 2);

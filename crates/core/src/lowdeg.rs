@@ -90,7 +90,7 @@ pub fn color_low_degree(
             rest.len() * 4 + rest.iter().map(|&v| state.palette_size(v)).sum::<usize>();
         runner.mpc.charge_single_machine(words);
         runner.mpc.charge_rounds(1);
-        runner.engine.charge(1, rest.len() as u64);
+        runner.engine.charge(1);
         for &v in &rest {
             let pal = state.palette(v);
             assert!(

@@ -21,7 +21,7 @@
 //!
 //! The pool kernel hands the search blocks of up to [`SEED_BLOCK`]
 //! contiguous seeds, and a block costs **one pass**, as TryRandomColor's
-//! and MultiTrial's block evaluators do.  Each seed fills one lane of two
+//! block evaluator does.  Each seed fills one lane of two
 //! `u8` seed-lane planes — node → `h₁` bin and color → `h₂` bin — and one
 //! walk over each high node's neighbors and palette counts `d'(v)` and
 //! its in-bin palette in every lane with plain per-lane compares.  The

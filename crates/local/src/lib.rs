@@ -16,8 +16,8 @@
 //!   derandomized executions substitute a PRG keyed by a short seed chosen
 //!   by the method of conditional expectations (supplied by `parcolor-prg`
 //!   through the same trait).
-//! * [`engine`] — a synchronous round engine with round/message metrics,
-//!   used to run LOCAL procedures and to charge their simulation cost.
+//! * [`engine`] — a synchronous round counter that charges LOCAL
+//!   procedures their rounds.
 //!
 //! Design rules: parallel loops run on the `parcolor-exec` pool over
 //! disjoint per-node slices (data-race freedom by construction), hot paths
@@ -33,7 +33,7 @@ pub mod simd;
 pub mod store;
 pub mod tape;
 
-pub use engine::{LocalMetrics, RoundEngine};
+pub use engine::RoundEngine;
 pub use graph::{Graph, NodeId};
 #[cfg(all(unix, target_endian = "little"))]
 pub use store::{MappedCsr, Mmap};

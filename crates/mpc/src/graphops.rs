@@ -8,15 +8,14 @@
 //! per-node assignment.
 //!
 //! `NodeMpc` charges these operations: computation is carried out by the
-//! caller; the accountant charges rounds/messages and records
-//! per-node-machine space against the budget `s`, counting every machine
-//! an operation would overfill as a budget violation.  Each charge folds
-//! `(count, Σ words, max words, machines over budget)` over the nodes on
-//! the `parcolor-exec` pool — the per-node closures touch no shared
-//! state — and publishes the fold to [`MpcMetrics`] once.  This keeps the
-//! accounting honest about the two quantities the paper's theorems
-//! constrain (rounds, words) without forcing every neighbor scan through
-//! a mailbox data structure.
+//! caller; the accountant charges rounds and records per-node-machine
+//! space against the budget `s`, counting every machine an operation
+//! would overfill as a budget violation.  Each charge folds `(count, max
+//! words, machines over budget)` over the nodes on the `parcolor-exec`
+//! pool — the per-node closures touch no shared state — and publishes the
+//! fold to [`MpcMetrics`] once.  This keeps the accounting honest about
+//! the two quantities the paper's theorems constrain (rounds, words)
+//! without forcing every neighbor scan through a mailbox data structure.
 
 use crate::config::MpcConfig;
 use crate::metrics::MpcMetrics;
@@ -30,8 +29,6 @@ const FOLD_BLOCK: u64 = 1024;
 struct Charge {
     /// Active nodes.
     count: usize,
-    /// Σ words over their machines.
-    words: u64,
     /// The largest machine's words.
     max_words: u64,
     /// Machines over the budget.
@@ -42,7 +39,6 @@ impl Charge {
     fn merge(self, o: Charge) -> Charge {
         Charge {
             count: self.count + o.count,
-            words: self.words + o.words,
             max_words: self.max_words.max(o.max_words),
             over_budget: self.over_budget + o.over_budget,
         }
@@ -51,8 +47,8 @@ impl Charge {
 
 /// Fold `words(v)` over the machines of every active node against the
 /// per-machine `budget`, on the executor pool in [`FOLD_BLOCK`]-node
-/// blocks.  Sums, max and count are integers, so the result is the same
-/// at every worker count.
+/// blocks.  Max and counts are integers, so the result is the same at
+/// every worker count.
 fn charge_active<A, W>(n: usize, active: A, words: W, budget: u64) -> Charge
 where
     A: Fn(NodeId) -> bool + Sync,
@@ -69,7 +65,6 @@ where
                 if active(v) {
                     let w = words(v);
                     acc.count += 1;
-                    acc.words += w;
                     acc.max_words = acc.max_words.max(w);
                     acc.over_budget += u64::from(w > budget);
                 }
@@ -137,13 +132,12 @@ impl NodeMpc {
         self.publish_round(charge)
     }
 
-    /// Publish one folded round: its machines, its traffic, and the
-    /// round itself.  Returns the number of active nodes.
+    /// Publish one folded round: its machines and the round itself.
+    /// Returns the number of active nodes.
     fn publish_round(&self, charge: Charge) -> usize {
         self.metrics
             .observe_machines(charge.max_words, charge.over_budget);
         self.metrics.add_rounds(1);
-        self.metrics.add_messages(charge.words);
         charge.count
     }
 
@@ -180,8 +174,6 @@ mod tests {
         // center sends 10*2 = 20 words; that's the per-machine peak
         assert_eq!(mpc.metrics().max_machine_words(), 20);
         assert_eq!(mpc.metrics().rounds(), 1);
-        // total = 20 + 10 leaves * 2
-        assert_eq!(mpc.metrics().snapshot().messages, 40);
     }
 
     /// A materialized 2-hop collection: every edge `(u, w)` with

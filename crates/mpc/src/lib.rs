@@ -16,7 +16,7 @@
 //!   accountant charges the rounds and words the op would use and records
 //!   violations of the `s` budget.
 //! * [`metrics`] — the totals it charges: rounds, the largest machine's
-//!   words, traffic and budget violations.
+//!   words and budget violations.
 //!
 //! The split mirrors how the paper itself operates: correctness lives in
 //! the LOCAL simulation, the MPC contribution is the round/space budget.

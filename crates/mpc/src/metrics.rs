@@ -1,4 +1,4 @@
-//! Round/space/message accounting for the Lemma 17 charges.
+//! Round and space accounting for the Lemma 17 charges.
 //!
 //! `graphops` folds each charge over its nodes on the `parcolor-exec`
 //! pool and publishes the fold once through
@@ -13,7 +13,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct MpcMetrics {
     rounds: AtomicU64,
     max_machine_words: AtomicU64,
-    messages: AtomicU64,
     budget_violations: AtomicU64,
 }
 
@@ -24,8 +23,6 @@ pub struct MetricsSnapshot {
     pub rounds: u64,
     /// Peak words held by any single machine.
     pub max_machine_words: u64,
-    /// Total cross-machine traffic in words.
-    pub messages: u64,
     /// Number of times a machine exceeded its budget.
     pub budget_violations: u64,
 }
@@ -39,11 +36,6 @@ impl MpcMetrics {
     /// Charge `r` synchronous rounds.
     pub fn add_rounds(&self, r: u64) {
         self.rounds.fetch_add(r, Ordering::Relaxed);
-    }
-
-    /// Charge `w` words of cross-machine traffic.
-    pub fn add_messages(&self, w: u64) {
-        self.messages.fetch_add(w, Ordering::Relaxed);
     }
 
     /// Record that some machine currently holds `words` words.
@@ -84,7 +76,6 @@ impl MpcMetrics {
         MetricsSnapshot {
             rounds: self.rounds.load(Ordering::Relaxed),
             max_machine_words: self.max_machine_words.load(Ordering::Relaxed),
-            messages: self.messages.load(Ordering::Relaxed),
             budget_violations: self.budget_violations.load(Ordering::Relaxed),
         }
     }
@@ -99,9 +90,7 @@ mod tests {
         let m = MpcMetrics::new();
         m.add_rounds(2);
         m.add_rounds(3);
-        m.add_messages(10);
         assert_eq!(m.rounds(), 5);
-        assert_eq!(m.snapshot().messages, 10);
     }
 
     #[test]
@@ -137,13 +126,11 @@ mod tests {
                     start.wait();
                     for i in (t * 1000 / THREADS)..((t + 1) * 1000 / THREADS) {
                         m.observe_machine(i, 500);
-                        m.add_messages(1);
                     }
                 });
             }
         });
         assert_eq!(m.max_machine_words(), 999);
-        assert_eq!(m.snapshot().messages, 1000);
         assert_eq!(m.budget_violations(), 499);
     }
 }

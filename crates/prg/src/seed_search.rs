@@ -63,8 +63,9 @@ use parcolor_exec::{Executor, SumMinArgmin};
 /// Width of one seed block: [`select_seed_blocks_n`] hands its evaluator
 /// up to this many **contiguous** seeds at a time, so cost functions can
 /// amortize shared work (graph scans, plane fills) across the block's
-/// seed lanes.  Capped at 8 by the `u8` lane bitmasks block evaluators
-/// accumulate clash bits in (widen those before raising this).
+/// seed lanes.  Capped at 8 by the `u8` lane bitmasks TryRandomColor's
+/// block evaluator accumulates clash bits in (widen those before raising
+/// this).
 /// Evaluators may rely on block lengths never exceeding this.
 pub const SEED_BLOCK: usize = 8;
 const _: () = assert!(SEED_BLOCK <= u8::BITS as usize, "lane masks are u8");
