@@ -51,8 +51,9 @@ pub struct Params {
     /// Randomized mode runs no seed search, and a step's chosen seed is
     /// applied by one sequential `simulate` call in both modes.  The
     /// Definition-2 stage pass (`compute_params`), the MPC accounting
-    /// folds, the partition's hash search and the CSR row sort always
-    /// take the auto count.  Any value yields bit-identical
+    /// folds, the partition's hash search, the CSR row sort and the
+    /// residual-palette update of each adoption batch always take the
+    /// auto count.  Any value yields bit-identical
     /// results — all reduces are grouping-invariant and stripe splices
     /// are positional — so this is purely a throughput knob.
     pub workers: usize,
@@ -201,13 +202,6 @@ impl Params {
         self
     }
 
-    /// Set the degree-reduction exponent δ (must satisfy 7δ ≤ 1).
-    pub fn with_delta(mut self, delta: f64) -> Self {
-        assert!(delta > 0.0 && delta < 1.0 / 7.0 + 1e-9);
-        self.delta = delta;
-        self
-    }
-
     /// Set the PRG seed length in bits.
     pub fn with_seed_bits(mut self, bits: u32) -> Self {
         self.seed_bits = bits;
@@ -262,6 +256,15 @@ impl Params {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Params {
+        /// Set the degree-reduction exponent δ (must satisfy 7δ ≤ 1).
+        fn with_delta(mut self, delta: f64) -> Self {
+            assert!(delta > 0.0 && delta < 1.0 / 7.0 + 1e-9);
+            self.delta = delta;
+            self
+        }
+    }
 
     #[test]
     fn thresholds_are_ordered() {

@@ -103,18 +103,6 @@ pub fn edge_color_deterministic(g: &Graph, params: Params) -> EdgeColoring {
     }
 }
 
-/// Randomized counterpart (Lemma 4 on `L(G)`).
-pub fn edge_color_randomized(g: &Graph, params: Params, key: u64) -> EdgeColoring {
-    let (inst, edges) = edge_coloring_instance(g);
-    let solution = Solver::randomized(params, key).solve(&inst);
-    let colors = solution.colors.clone();
-    EdgeColoring {
-        edges,
-        colors,
-        solution,
-    }
-}
-
 /// Verify a proper edge coloring: incident edges differ, and the color
 /// count respects the (2Δ−1) bound.
 pub fn verify_edge_coloring(g: &Graph, ec: &EdgeColoring) -> Result<(), String> {
@@ -165,19 +153,31 @@ pub fn verify_edge_coloring(g: &Graph, ec: &EdgeColoring) -> Result<(), String> 
     Ok(())
 }
 
-/// Degree statistics of the line graph (used by tests/diagnostics).
-pub fn line_graph_degree_bound_holds(g: &Graph) -> bool {
-    let lg = line_graph(g);
-    lg.edges
-        .iter()
-        .enumerate()
-        .all(|(i, &(u, v))| lg.graph.degree(i as NodeId) == g.degree(u) + g.degree(v) - 2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use parcolor_local::tape::SplitMix;
+
+    /// Randomized counterpart (Lemma 4 on `L(G)`).
+    fn edge_color_randomized(g: &Graph, params: Params, key: u64) -> EdgeColoring {
+        let (inst, edges) = edge_coloring_instance(g);
+        let solution = Solver::randomized(params, key).solve(&inst);
+        let colors = solution.colors.clone();
+        EdgeColoring {
+            edges,
+            colors,
+            solution,
+        }
+    }
+
+    /// Whether every line-graph node `{u, v}` has degree `d(u) + d(v) − 2`.
+    fn line_graph_degree_bound_holds(g: &Graph) -> bool {
+        let lg = line_graph(g);
+        lg.edges
+            .iter()
+            .enumerate()
+            .all(|(i, &(u, v))| lg.graph.degree(i as NodeId) == g.degree(u) + g.degree(v) - 2)
+    }
 
     fn random_graph(n: usize, m: usize, seed: u64) -> Graph {
         let mut rng = SplitMix::new(seed);

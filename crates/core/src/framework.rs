@@ -87,8 +87,9 @@
 //! under every seed.  If it does, Lemma 10's mean is 0, every seed
 //! reaches it, and the runner applies the seed every strategy selects on
 //! a constant cost (`SeedStrategy::constant_cost_seed`).  Such a
-//! *certified* step costs one `O(n_active + m_active)` pass for the bound
-//! and evaluates no seed; its coloring is the one the search would have
+//! *certified* step costs one `O(n_active + m_active)` pass for the bound,
+//! evaluates no seed and skips the post-step SSP scan (the bound shows
+//! no node fails); its coloring is the one the search would have
 //! produced (`tests/ssp_certificate.rs`).
 
 use crate::config::{ChunkMode, Params};
@@ -250,13 +251,15 @@ pub trait NormalProcedure: Sync {
     }
 
     /// Whether a bound that does not depend on the seed shows this step's
-    /// seed cost is 0 under every seed.  Contract: return `true` only if
-    /// `seed_cost(state, &simulate(state, t)) == 0` for **every** tape
-    /// `t`.  The runner then skips the seed search and applies
-    /// `SeedStrategy::constant_cost_seed`, the seed any search over a
-    /// constant cost selects.  Asked once per derandomized step, before
-    /// the search; it must be a pure function of `state`, so every replica
-    /// of a distributed solve skips the same steps.  The default claims
+    /// seed cost is 0 under every seed.  Contract: return `true` only if,
+    /// for **every** tape `t`, with `out = simulate(state, t)`, both
+    /// `seed_cost(state, &out) == 0` and `ssp_failures(state, &out)` is
+    /// empty.  The runner then skips the seed search, applies
+    /// `SeedStrategy::constant_cost_seed` (the seed any search over a
+    /// constant cost selects), and defers nothing without scanning for SSP
+    /// failures.  Asked once per derandomized step, before the search; it
+    /// must be a pure function of `state`, so every replica of a
+    /// distributed solve skips the same steps.  The default claims
     /// nothing.
     fn zero_cost_under_every_seed(&self, state: &ColoringState) -> bool {
         let _ = state;
@@ -575,7 +578,17 @@ impl<'g> Runner<'g> {
         };
         let outcome = proc.simulate(state, &keyed);
 
-        let failures = proc.ssp_failures(state, &outcome);
+        // A certified step fails nowhere, so only debug builds scan it.
+        let failures = if certified {
+            debug_assert!(
+                proc.ssp_failures(state, &outcome).is_empty(),
+                "certified {} step has SSP failures",
+                proc.name()
+            );
+            Vec::new()
+        } else {
+            proc.ssp_failures(state, &outcome)
+        };
         let adopted = outcome.adoptions.len();
         state.apply_adoptions(self.graph, &outcome.adoptions);
         self.last_aux = outcome.aux;

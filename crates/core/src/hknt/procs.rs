@@ -187,7 +187,9 @@ fn evaluate_ssp(
 /// cost under `ssp` is 0 under every outcome — the certificate behind
 /// `zero_cost_under_every_seed` of TryRandomColor, MultiTrial and
 /// GenerateSlack, in which every active node adopts at most one color.
-/// Stops at the first node it cannot certify.
+/// It also shows that no node fails the SSP: outside `Auto` the seed
+/// cost is the failure count, and `Auto` never fails.  Stops at the
+/// first node it cannot certify.
 ///
 /// Each of v's `d_S(v)` neighbors in `set` either stays unadopted (it
 /// counts in v's post-step degree) or adopts one color (it removes at

@@ -9,10 +9,19 @@
 //! [`ColoringState`] maintains exactly that residual view incrementally
 //! and machine-checks the invariant.
 
+use parcolor_exec::{par_map_chunks, resolve_workers, Executor, ScatterMut};
 use parcolor_local::graph::{Graph, NodeId};
 
 /// Sentinel for "not colored yet".
 pub const NO_COLOR: u32 = u32::MAX;
+
+/// [`ColoringState::apply_adoptions`] updates palettes on the caller alone
+/// unless its batch marks at least this many nodes per pool worker.
+const MIN_MARKED_PER_WORKER: usize = 1024;
+
+/// `affected_words` words (4,096 node ids each) per pool chunk of the
+/// palette update.
+const CHUNK_WORDS: usize = 1;
 
 /// Immutable per-node palettes in a flat arena (no per-node allocation).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -185,7 +194,9 @@ impl D1lcInstance {
 pub struct ColoringState {
     n: usize,
     color: Vec<u32>,
-    /// Residual palettes: arena with per-node live prefix `pal_len[v]`.
+    /// Residual palettes: an arena in node order, with per-node live
+    /// prefix `pal_len[v]`.  The palette update's node-id stripes own
+    /// disjoint arena ranges because of that order.
     pal_off: Vec<u64>,
     pal: Vec<u32>,
     pal_len: Vec<u32>,
@@ -193,35 +204,39 @@ pub struct ColoringState {
     /// Epoch stamps marking "colored in the current batch" during updates.
     stamp: Vec<u32>,
     epoch: u32,
+    /// The uncolored neighbors of the batch
+    /// [`ColoringState::apply_adoptions`] is applying, as a two-level
+    /// bitset: bit `u` of `affected` marks node `u`, and bit `w` of
+    /// `affected_words` marks a non-zero `affected[w]`.  The edge walk
+    /// sets bits and the palette update clears every word it visits, so
+    /// both are all zero between calls that return.
+    affected: Vec<u64>,
+    affected_words: Vec<u64>,
     colored_count: usize,
 }
 
 impl ColoringState {
-    /// Fresh all-uncolored state over the instance.
+    /// Fresh all-uncolored state over the instance.  The residual arena
+    /// starts as a copy of the input arena, which has the same node-order
+    /// layout.
     pub fn new(inst: &D1lcInstance) -> Self {
         let n = inst.n();
-        let mut pal_off = Vec::with_capacity(n + 1);
-        pal_off.push(0u64);
-        let mut pal = Vec::new();
-        let mut pal_len = Vec::with_capacity(n);
-        for v in 0..n as NodeId {
-            let p = inst.palettes.palette(v);
-            pal.extend_from_slice(p);
-            pal_off.push(pal.len() as u64);
-            pal_len.push(p.len() as u32);
-        }
+        let PaletteArena { offsets, colors } = &inst.palettes;
+        let pal_len = offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
         let unc_deg: Vec<u32> = (0..n as NodeId)
             .map(|v| inst.graph.degree(v) as u32)
             .collect();
         ColoringState {
             n,
             color: vec![NO_COLOR; n],
-            pal_off,
-            pal,
+            pal_off: offsets.clone(),
+            pal: colors.clone(),
             pal_len,
             unc_deg,
             stamp: vec![0; n],
             epoch: 0,
+            affected: vec![0; n.div_ceil(64)],
+            affected_words: vec![0; n.div_ceil(64 * 64)],
             colored_count: 0,
         }
     }
@@ -291,15 +306,28 @@ impl ColoringState {
     /// residual palette, and the batch is internally conflict-free (no two
     /// *adjacent* nodes adopt the same color).  Procedures guarantee the
     /// last point by symmetric abstention; it is re-verified here because a
-    /// violation would silently corrupt the whole run.
+    /// violation would silently corrupt the whole run.  A conflict panics
+    /// naming the first one in batch order.
+    ///
+    /// The batch commits sequentially, then one walk over its edges checks
+    /// conflicts and marks every uncolored neighbor in the `affected`
+    /// bitset.  Each marked node `u` then drops its newly colored
+    /// neighbors' colors from its palette, in adjacency order.  That
+    /// update reads only the neighbors' `stamp` and `color`, which nothing
+    /// writes meanwhile, and writes only `u`'s own palette slice and
+    /// counters, so it runs on the `parcolor-exec` pool over stripes of
+    /// node ids (the arena is in node order).  Every residual palette,
+    /// order included, is the same at every worker count.  The sweep
+    /// reads the `affected_words` words between the lowest and the highest
+    /// marked node, and only the non-zero `affected` words they point to,
+    /// so a one-node batch costs its node's edges plus at most `n / 4096`
+    /// word reads.
     pub fn apply_adoptions(&mut self, g: &Graph, adoptions: &[(NodeId, u32)]) {
         if adoptions.is_empty() {
             return;
         }
         self.epoch += 1;
         let epoch = self.epoch;
-        // Commit colors (and stamp) sequentially; batches are small
-        // relative to palette scans, this is not a hot loop.
         for &(v, c) in adoptions {
             assert!(!self.is_colored(v), "node {v} adopted twice");
             assert!(
@@ -310,39 +338,98 @@ impl ColoringState {
             self.stamp[v as usize] = epoch;
             self.colored_count += 1;
         }
-        // Verify conflict-freedom among the batch.
+        let (mut lo, mut hi, mut marked) = (usize::MAX, 0, 0);
         for &(v, c) in adoptions {
             for &u in g.neighbors(v) {
-                if self.stamp[u as usize] == epoch && self.color[u as usize] == c {
-                    panic!("conflicting adoptions: {v} and {u} both took {c}");
-                }
-            }
-        }
-        // Pull-based neighbor updates, once per affected node.
-        let mut affected: Vec<NodeId> = adoptions
-            .iter()
-            .flat_map(|&(v, _)| g.neighbors(v).iter().copied())
-            .filter(|&u| !self.is_colored(u))
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        for &u in &affected {
-            let start = self.pal_off[u as usize] as usize;
-            let mut live = self.pal_len[u as usize] as usize;
-            for &w in g.neighbors(u) {
-                if self.stamp[w as usize] == epoch {
-                    self.unc_deg[u as usize] -= 1;
-                    let c = self.color[w as usize];
-                    // Remove c from the live palette prefix if present.
-                    let slice = &mut self.pal[start..start + live];
-                    if let Some(pos) = slice.iter().position(|&x| x == c) {
-                        slice.swap(pos, live - 1);
-                        live -= 1;
+                let u = u as usize;
+                match self.color[u] {
+                    NO_COLOR => {
+                        let (w, bit) = (u / 64, 1 << (u % 64));
+                        if self.affected[w] & bit == 0 {
+                            self.affected[w] |= bit;
+                            self.affected_words[w / 64] |= 1 << (w % 64);
+                            marked += 1;
+                            lo = lo.min(w / 64);
+                            hi = hi.max(w / 64);
+                        }
                     }
+                    // Only the batch's own nodes carry this epoch's stamp.
+                    cu if cu == c && self.stamp[u] == epoch => {
+                        panic!("conflicting adoptions: {v} and {u} both took {c}");
+                    }
+                    _ => {}
                 }
             }
-            self.pal_len[u as usize] = live as u32;
         }
+        if marked == 0 {
+            return;
+        }
+        // `resolve_workers` can read the host's CPU quota, which costs more
+        // than a small batch's whole update: ask only when two workers
+        // would take part.
+        let workers = match marked / MIN_MARKED_PER_WORKER {
+            0 | 1 => 1,
+            cap => resolve_workers(0).min(cap),
+        };
+        let (n, pal_off, stamp, color) = (self.n, &self.pal_off, &self.stamp, &self.color);
+        let (tops, words) = (
+            ScatterMut::new(&mut self.affected_words[lo..=hi]),
+            ScatterMut::new(&mut self.affected),
+        );
+        let (pal, pal_len, unc_deg) = (
+            ScatterMut::new(&mut self.pal),
+            ScatterMut::new(&mut self.pal_len),
+            ScatterMut::new(&mut self.unc_deg),
+        );
+        // A lone worker sweeps the span as one chunk: a sparse batch's
+        // empty chunks would cost more than its few updates.
+        let span = hi + 1 - lo;
+        let chunk = if workers == 1 { span } else { CHUNK_WORDS };
+        let pool = Executor::global();
+        par_map_chunks(pool, workers, span, chunk, |start, len| {
+            let first = (lo + start) * 64 * 64;
+            let end = ((lo + start + len) * 64 * 64).min(n);
+            let base = pal_off[first] as usize;
+            // SAFETY: the chunks of one `par_map_chunks` call are disjoint
+            // ranges `start..start + len` of `affected_words[lo..=hi]`.
+            // Each owns the node ids `first..end`: the disjoint ranges
+            // `first / 64..end.div_ceil(64)` of `affected`,
+            // `first..end` of `pal_len` and `unc_deg`, and
+            // `pal_off[first]..pal_off[end]` of the node-order arena.
+            let (tops, words, pal, pal_len, unc_deg) = unsafe {
+                (
+                    tops.stripe_mut(start, len),
+                    words.stripe_mut(first / 64, (end - first).div_ceil(64)),
+                    pal.stripe_mut(base, pal_off[end] as usize - base),
+                    pal_len.stripe_mut(first, end - first),
+                    unc_deg.stripe_mut(first, end - first),
+                )
+            };
+            // Most words of a sparse batch's span are zero; skipping them
+            // here keeps `drain_bits` calls to the marked ones.
+            for (t, top) in tops.iter_mut().enumerate().filter(|(_, top)| **top != 0) {
+                drain_bits(top, |j| {
+                    let i = t * 64 + j;
+                    drain_bits(&mut words[i], |b| {
+                        let k = i * 64 + b;
+                        let u = first + k;
+                        let row = &mut pal[pal_off[u] as usize - base..];
+                        let mut live = pal_len[k] as usize;
+                        for &w in g.neighbors(u as NodeId) {
+                            if stamp[w as usize] == epoch {
+                                unc_deg[k] -= 1;
+                                let c = color[w as usize];
+                                if let Some(pos) = row[..live].iter().position(|&x| x == c) {
+                                    row.swap(pos, live - 1);
+                                    live -= 1;
+                                }
+                            }
+                        }
+                        pal_len[k] = live as u32;
+                    });
+                });
+            }
+        });
     }
 
     /// The D1LC invariant `p(v) ≥ d(v) + 1` on every uncolored node — the
@@ -437,9 +524,20 @@ impl ColoringState {
     }
 }
 
+/// Clear `*word` and call `f` with the index of each bit it held, in
+/// ascending order.
+fn drain_bits(word: &mut u64, mut f: impl FnMut(usize)) {
+    let mut bits = std::mem::take(word);
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parcolor_local::tape::SplitMix;
 
     fn cycle(n: usize) -> Graph {
         let edges: Vec<_> = (0..n as NodeId)
@@ -628,5 +726,126 @@ mod tests {
             assert!(st.slack(v) >= 1);
         }
         assert!(st.invariant_violation().is_none());
+    }
+
+    /// The update as one sequential loop over a sorted affected list: the
+    /// oracle [`ColoringState::apply_adoptions`] must match bit for bit.
+    fn reference_apply(st: &mut ColoringState, g: &Graph, adoptions: &[(NodeId, u32)]) {
+        if adoptions.is_empty() {
+            return;
+        }
+        st.epoch += 1;
+        let epoch = st.epoch;
+        for &(v, c) in adoptions {
+            assert!(!st.is_colored(v), "node {v} adopted twice");
+            assert!(
+                st.palette(v).contains(&c),
+                "node {v}: adopted color {c} not in residual palette"
+            );
+            st.color[v as usize] = c;
+            st.stamp[v as usize] = epoch;
+            st.colored_count += 1;
+        }
+        for &(v, c) in adoptions {
+            for &u in g.neighbors(v) {
+                if st.stamp[u as usize] == epoch && st.color[u as usize] == c {
+                    panic!("conflicting adoptions: {v} and {u} both took {c}");
+                }
+            }
+        }
+        let mut affected: Vec<NodeId> = adoptions
+            .iter()
+            .flat_map(|&(v, _)| g.neighbors(v).iter().copied())
+            .filter(|&u| !st.is_colored(u))
+            .collect();
+        affected.sort_unstable();
+        affected.dedup();
+        for &u in &affected {
+            let start = st.pal_off[u as usize] as usize;
+            let mut live = st.pal_len[u as usize] as usize;
+            for &w in g.neighbors(u) {
+                if st.stamp[w as usize] == epoch {
+                    st.unc_deg[u as usize] -= 1;
+                    let c = st.color[w as usize];
+                    let slice = &mut st.pal[start..start + live];
+                    if let Some(pos) = slice.iter().position(|&x| x == c) {
+                        slice.swap(pos, live - 1);
+                        live -= 1;
+                    }
+                }
+            }
+            st.pal_len[u as usize] = live as u32;
+        }
+    }
+
+    /// Up to `tries` random uncolored nodes, each with a random color of
+    /// its residual palette, keeping a node only if no neighbor kept
+    /// before it took the same color.
+    fn random_batch(
+        st: &ColoringState,
+        g: &Graph,
+        rng: &mut SplitMix,
+        tries: usize,
+    ) -> Vec<(NodeId, u32)> {
+        let mut nodes = st.uncolored_nodes();
+        rng.shuffle(&mut nodes);
+        let mut took = vec![NO_COLOR; st.n()];
+        let mut batch = Vec::new();
+        for v in nodes.into_iter().take(tries) {
+            let pal = st.palette(v);
+            let c = pal[rng.below(pal.len() as u64) as usize];
+            if g.neighbors(v).iter().all(|&u| took[u as usize] != c) {
+                took[v as usize] = c;
+                batch.push((v, c));
+            }
+        }
+        batch
+    }
+
+    #[test]
+    fn striped_update_matches_the_sequential_loop() {
+        // List palettes out of 64 colors, so neighbors share colors and
+        // batches really remove them.  The large batches mark several
+        // times `MIN_MARKED_PER_WORKER` nodes, so they run on the pool
+        // at any worker count above 1.
+        let n = 20_000;
+        let g = parcolor_graphgen::gnp(n, 8.0 / n as f64, 7);
+        // `random_lists` builds a `parcolor_core` instance of the library
+        // build; copy its palettes into this crate's types.
+        let lists = parcolor_graphgen::random_lists(g.clone(), 64, 3, 11);
+        let lists: Vec<Vec<u32>> = (0..n as NodeId)
+            .map(|v| lists.palettes.palette(v).to_vec())
+            .collect();
+        let inst = D1lcInstance::new(g, PaletteArena::from_lists(&lists));
+        let g = &inst.graph;
+        let mut st = ColoringState::new(&inst);
+        let mut reference = st.clone();
+        let mut rng = SplitMix::new(5);
+        for tries in [1, 6_000, 1, 1, 2_500, 40, 1, 4_000, 300, 1, 20_000] {
+            let batch = random_batch(&st, g, &mut rng, tries);
+            st.apply_adoptions(g, &batch);
+            reference_apply(&mut reference, g, &batch);
+            assert_eq!(st.color, reference.color);
+            // The whole arena: every residual palette in order, and the
+            // removed colors behind each live prefix.
+            assert_eq!(st.pal, reference.pal);
+            assert_eq!(st.pal_len, reference.pal_len);
+            assert_eq!(st.unc_deg, reference.unc_deg);
+            assert_eq!(st.colored_count, reference.colored_count);
+            assert!(st.affected.iter().all(|&w| w == 0));
+            assert!(st.affected_words.iter().all(|&w| w == 0));
+        }
+        assert!(st.colored_count() > n / 2);
+        assert!(st.invariant_violation().is_none());
+    }
+
+    #[test]
+    #[should_panic(expected = "conflicting adoptions: 4 and 3 both took 2")]
+    fn conflict_panic_names_the_first_conflict_in_batch_order() {
+        // Two conflicts on C6: 4–3 on color 2 comes first in the batch,
+        // 0–1 on color 1 first in node order.
+        let inst = inst_cycle(6);
+        let mut st = ColoringState::new(&inst);
+        st.apply_adoptions(&inst.graph, &[(4, 2), (0, 1), (3, 2), (1, 1)]);
     }
 }

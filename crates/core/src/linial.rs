@@ -162,23 +162,22 @@ pub fn linial_coloring(g: &Graph, active: &[bool]) -> LinialColoring {
     }
 }
 
-/// Proper coloring check restricted to an active mask (test helper shared
-/// by the framework tests).
-pub fn is_proper_on_active(g: &Graph, active: &[bool], colors: &[u32]) -> bool {
-    (0..g.n() as NodeId)
-        .filter(|&v| active[v as usize])
-        .all(|v| {
-            g.neighbors(v)
-                .iter()
-                .filter(|&&u| active[u as usize])
-                .all(|&u| colors[u as usize] != colors[v as usize])
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use parcolor_local::engine::log_star;
+
+    /// Proper coloring check restricted to an active mask.
+    fn is_proper_on_active(g: &Graph, active: &[bool], colors: &[u32]) -> bool {
+        (0..g.n() as NodeId)
+            .filter(|&v| active[v as usize])
+            .all(|v| {
+                g.neighbors(v)
+                    .iter()
+                    .filter(|&&u| active[u as usize])
+                    .all(|&u| colors[u as usize] != colors[v as usize])
+            })
+    }
 
     fn ring(n: usize) -> Graph {
         let edges: Vec<_> = (0..n as NodeId)

@@ -6,14 +6,14 @@
 //! that a grouping-invariant merge combines into a deterministic result.
 //! This crate generalizes that scheduler so every data-parallel surface —
 //! seed search, the Definition-2 stage pass, the MPC accounting and
-//! partition-diagnostic folds, and the CSR row sort — shares **one
-//! lazily-spawned persistent pool** instead of spawning scoped threads
-//! per call.  Callers reach it directly through [`par_fold`],
+//! partition-diagnostic folds, the CSR row sort, and the residual-palette
+//! update that applies a step's adoptions (node-id stripes) — shares
+//! **one lazily-spawned persistent pool** instead of spawning scoped
+//! threads per call.  Callers reach it directly through [`par_fold`],
 //! [`par_fill`] and friends; everything else in the workspace is plain
-//! sequential code.  That includes applying a derandomized step's chosen
-//! seed (one pass per step; striping it over the pool measured no faster
-//! at 2 workers) and the adoption batch's sort (a plain `sort_unstable`
-//! measured no slower than a pool sort at 2 workers).
+//! sequential code.  That includes simulating a derandomized step under
+//! its chosen seed (one pass per step; striping it over the pool
+//! measured no faster at 2 workers).
 //!
 //! ## The executor contract
 //!

@@ -66,37 +66,37 @@ pub fn ball(g: &Graph, v: NodeId, k: usize) -> Vec<NodeId> {
     seen
 }
 
-/// Exact distance between `u` and `v` up to `limit` hops; `None` if larger.
-pub fn bounded_distance(g: &Graph, u: NodeId, v: NodeId, limit: usize) -> Option<usize> {
-    if u == v {
-        return Some(0);
-    }
-    let mut frontier = vec![u];
-    let mut seen = vec![u];
-    for dist in 1..=limit {
-        let mut next = Vec::new();
-        for &x in &frontier {
-            for &w in g.neighbors(x) {
-                if w == v {
-                    return Some(dist);
-                }
-                if let Err(pos) = seen.binary_search(&w) {
-                    seen.insert(pos, w);
-                    next.push(w);
-                }
-            }
-        }
-        if next.is_empty() {
-            return None;
-        }
-        frontier = next;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Exact distance between `u` and `v` up to `limit` hops; `None` if larger.
+    fn bounded_distance(g: &Graph, u: NodeId, v: NodeId, limit: usize) -> Option<usize> {
+        if u == v {
+            return Some(0);
+        }
+        let mut frontier = vec![u];
+        let mut seen = vec![u];
+        for dist in 1..=limit {
+            let mut next = Vec::new();
+            for &x in &frontier {
+                for &w in g.neighbors(x) {
+                    if w == v {
+                        return Some(dist);
+                    }
+                    if let Err(pos) = seen.binary_search(&w) {
+                        seen.insert(pos, w);
+                        next.push(w);
+                    }
+                }
+            }
+            if next.is_empty() {
+                return None;
+            }
+            frontier = next;
+        }
+        None
+    }
 
     fn path(n: usize) -> Graph {
         let edges: Vec<_> = (0..n as NodeId - 1).map(|i| (i, i + 1)).collect();

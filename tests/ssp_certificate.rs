@@ -1,6 +1,7 @@
 //! Soundness of the seed-independent SSP certificate: whenever a
 //! procedure's `zero_cost_under_every_seed` holds, its seed cost really
-//! is 0 under every seed, every strategy's search selects
+//! is 0 and its SSP scan finds no failure under every seed (the runner
+//! skips that scan on a certified step), every strategy's search selects
 //! `SeedStrategy::constant_cost_seed`, and a `Runner` step that skips the
 //! search colors exactly what the search would have.
 //!
@@ -129,18 +130,17 @@ fn random_case(rng: &mut TestRng) -> Case {
 fn check_certified(proc: &dyn NormalProcedure, g: &Graph, state: &ColoringState, ctx: &str) {
     let prg = Prg::new(SEED_BITS);
     let chunks = ChunkAssignment::PerNode;
-    // The reference cost is 0 under every seed (and any other tape).
+    // The reference cost is 0, and no node fails, under every seed (and
+    // any other tape).
+    let check_tape = |tape: &dyn Randomness, what: &str| {
+        let out = proc.simulate(state, tape);
+        assert_eq!(proc.seed_cost(state, &out), 0.0, "{ctx}: {what}");
+        assert!(proc.ssp_failures(state, &out).is_empty(), "{ctx}: {what}");
+    };
     for seed in 0..prg.seed_space() {
-        let tape = PrgTape::new(prg, seed, &chunks);
-        let cost = proc.seed_cost(state, &proc.simulate(state, &tape));
-        assert_eq!(cost, 0.0, "{ctx}: seed {seed}");
+        check_tape(&PrgTape::new(prg, seed, &chunks), &format!("seed {seed}"));
     }
-    let tape = CryptoTape::new(0x55AA);
-    assert_eq!(
-        proc.seed_cost(state, &proc.simulate(state, &tape)),
-        0.0,
-        "{ctx}"
-    );
+    check_tape(&CryptoTape::new(0x55AA), "crypto tape");
 
     for strategy in STRATEGIES {
         let expected = strategy.constant_cost_seed(SEED_BITS);
