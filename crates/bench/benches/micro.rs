@@ -22,8 +22,8 @@ fn bench_seed_search(c: &mut Criterion) {
     let g = gnm(n, n * 4, 1);
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
-    let set = StageSet::new(n, (0..n as NodeId).collect());
-    let proc = TryRandomColor::new(&g, set, SspMode::Colored, 1);
+    let set = StageSet::new(&g, (0..n as NodeId).collect());
+    let proc = TryRandomColor::new(set, SspMode::Colored, 1);
     let chunks = ChunkAssignment::PerNode;
 
     let mut group = c.benchmark_group("seed_search");
@@ -109,8 +109,8 @@ fn bench_procedure_pass(c: &mut Criterion) {
     let g = gnm(n, n * 5, 4);
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
-    let set = StageSet::new(n, (0..n as NodeId).collect());
-    let proc = TryRandomColor::new(&g, set, SspMode::Auto, 1);
+    let set = StageSet::new(&g, (0..n as NodeId).collect());
+    let proc = TryRandomColor::new(set, SspMode::Auto, 1);
     let tape = parcolor_local::tape::CryptoTape::new(5);
     c.bench_function("try_random_color_pass_8k", |b| {
         b.iter(|| black_box(proc.simulate(&state, &tape)))

@@ -73,10 +73,6 @@ impl NormalProcedure for DefaultLoop<'_> {
         self.0.name()
     }
 
-    fn tau(&self) -> u32 {
-        self.0.tau()
-    }
-
     fn local_rounds(&self) -> u64 {
         self.0.local_rounds()
     }
@@ -108,8 +104,8 @@ fn main() {
     let g = gnm(n, n * 4, 5);
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
-    let set = StageSet::new(n, (0..n as NodeId).collect());
-    let proc = TryRandomColor::new(&g, set, SspMode::Colored, 1);
+    let set = StageSet::new(&g, (0..n as NodeId).collect());
+    let proc = TryRandomColor::new(set, SspMode::Colored, 1);
     let seed_bits = 10;
 
     let mut t = Table::new(&[
@@ -181,9 +177,9 @@ fn block_proc_comparison() -> Vec<String> {
         "same seed",
     ]);
     let mut row = |state: &ColoringState, ssp: SspMode| {
-        let set = StageSet::new(n, state.uncolored_nodes());
+        let set = StageSet::new(&g, state.uncolored_nodes());
         let stage = set.active.len();
-        let proc = TryRandomColor::new(&g, set, ssp.clone(), 3);
+        let proc = TryRandomColor::new(set, ssp.clone(), 3);
         let search = |p: &dyn NormalProcedure| {
             timed(|| block_search(p, state, seed_bits, SeedStrategy::Exhaustive, 1, false))
         };
@@ -222,8 +218,8 @@ fn block_proc_comparison() -> Vec<String> {
     // The stage SlackColor gates after its warm-ups: what the Auto trials
     // leave uncolored.
     for r in 0..2 {
-        let set = StageSet::new(n, state.uncolored_nodes());
-        let trial = TryRandomColor::new(&g, set, SspMode::Auto, r);
+        let set = StageSet::new(&g, state.uncolored_nodes());
+        let trial = TryRandomColor::new(set, SspMode::Auto, r);
         let out = trial.simulate(&state, &CryptoTape::new(r));
         state.apply_adoptions(&g, &out.adoptions);
     }
@@ -242,8 +238,8 @@ fn workers_matrix() -> Vec<String> {
     let g = gnm(n, n * 4, 7);
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
-    let set = StageSet::new(n, (0..n as NodeId).collect());
-    let proc = TryRandomColor::new(&g, set, SspMode::Colored, 1);
+    let set = StageSet::new(&g, (0..n as NodeId).collect());
+    let proc = TryRandomColor::new(set, SspMode::Colored, 1);
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     println!(
         "\n# Sharded seed search, workers matrix (seed_bits = {seed_bits}, n = {n}, \
@@ -316,8 +312,8 @@ fn fastpath_comparison() -> Vec<String> {
     let g = gnm(n, n * 4, 7);
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
-    let set = StageSet::new(n, (0..n as NodeId).collect());
-    let proc = TryRandomColor::new(&g, set, SspMode::Colored, 1);
+    let set = StageSet::new(&g, (0..n as NodeId).collect());
+    let proc = TryRandomColor::new(set, SspMode::Colored, 1);
     let prg = Prg::new(seed_bits);
     let chunks = ChunkAssignment::PerNode;
     let workers = parcolor_exec::resolve_workers(0);
@@ -439,8 +435,8 @@ fn hash_batch_comparison() {
     let g = gnm(n, n * 4, 7);
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
-    let set = StageSet::new(n, (0..n as NodeId).collect());
-    let proc = TryRandomColor::new(&g, set, SspMode::Colored, 1);
+    let set = StageSet::new(&g, (0..n as NodeId).collect());
+    let proc = TryRandomColor::new(set, SspMode::Colored, 1);
 
     println!(
         "\n# Seed search, scalar tape vs batched plane (seed_bits = {seed_bits}, n = {n}, \

@@ -40,8 +40,8 @@ fn main() {
                     ColoringState::new(&inst),
                 )
             });
-            let set = StageSet::new(g.n(), (0..g.n() as NodeId).collect());
-            let proc = TryRandomColor::new(g, set, SspMode::Colored, 1);
+            let set = StageSet::new(g, (0..g.n() as NodeId).collect());
+            let proc = TryRandomColor::new(set, SspMode::Colored, 1);
             let rep = runner.run_step(&proc, &mut state);
             let sel = rep.selection.unwrap();
             t.row(&[

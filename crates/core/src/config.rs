@@ -44,8 +44,6 @@ pub struct Params {
     pub strategy: SeedStrategy,
     /// PRG chunk assignment mode.
     pub chunking: ChunkMode,
-    /// Locality radius τ of the normal procedures (all of ours are O(1)).
-    pub tau: u32,
     /// Worker threads for the sharded seed search (`0` = auto: the
     /// `PARCOLOR_THREADS` env var if set, else all hardware threads).
     /// Randomized mode runs no seed search, and a step's chosen seed is
@@ -135,7 +133,6 @@ impl Default for Params {
             seed_bits: 10,
             strategy: SeedStrategy::Exhaustive,
             chunking: ChunkMode::PerNode,
-            tau: 1,
             workers: 0,
             low_beta: 1.5,
             low_exp: 1.2,

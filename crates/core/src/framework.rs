@@ -35,25 +35,29 @@
 //!    overrides [`NormalProcedure::seed_cost_block`]: a block of up to
 //!    `SEED_BLOCK` seeds draws its picks into one structure-of-arrays
 //!    plane (`SimScratch::soa`), and the clash scan runs ONCE over the
-//!    active edges with lane-parallel compares, instead of once per seed.
-//!    Its costs are `seed_cost`'s values: each lane's clashed-node count
-//!    is the `Auto`/`Colored` cost, and under a slack SSP each lane's
-//!    outcome is read off the plane and costed by `seed_cost` itself.  See
-//!    the block contract on [`NormalProcedure::seed_cost_block`].  Every
-//!    other procedure, MultiTrial included, takes the trait's default,
-//!    the reference loop `seed_cost(simulate(tape))` per lane; their SSP
-//!    evaluation reads stage-sized maps, so a seed of a small stage costs
-//!    no pass over the whole graph.  Lemma 23's hash search in
+//!    step's in-stage edges with lane-parallel compares, instead of once
+//!    per seed.  Its costs are `seed_cost`'s values: each lane's
+//!    clashed-node count is the `Auto`/`Colored` cost, and under a slack
+//!    SSP each lane's outcome is read off the plane and costed by
+//!    `seed_cost` itself.  See the block contract on
+//!    [`NormalProcedure::seed_cost_block`].  Every other procedure,
+//!    MultiTrial included, takes the trait's default, the reference loop
+//!    `seed_cost(simulate(tape))` per lane.  Every procedure walks the
+//!    in-stage adjacency its `StageSet` builds once per step, and indexes
+//!    its per-node state by stage position, so a seed of a small stage
+//!    costs no pass over the whole graph.  Lemma 23's hash search in
 //!    `reduce.rs` also costs its seeds by lanes: each seed of a block
 //!    fills one lane of the `u8` node- and color-bin planes, and one walk
 //!    over the high nodes' neighbors and palettes counts every lane.
 //! 2. **Pick caching in reusable arenas** ([`SimScratch`]).  A node's
 //!    random draw under a fixed seed is the same no matter which neighbor
 //!    asks, so the block evaluator draws each active node's pick **once**
-//!    per lane (`O(n_active)` tape reads) and resolves clashes with `O(m)`
-//!    array lookups — as the reference `TryRandomColor::simulate` does for
-//!    its one tape.  The arena's buffers are retained across evaluations,
-//!    so after warm-up the draws and the clash scan allocate nothing.
+//!    per lane (`O(n_active)` tape reads) into the row of its stage
+//!    position and resolves clashes with `O(m_active)` lookups by position
+//!    — as the reference `TryRandomColor::simulate` does for its one tape.
+//!    The planes are sized by the stage, and the arena's buffers are
+//!    retained across evaluations, so after warm-up the draws and the
+//!    clash scan allocate nothing.
 //! 3. **Sharded seed-parallelism.**  `parcolor_prg::select_seed_blocks_n`
 //!    folds the seed space on the persistent `parcolor-exec` pool, one
 //!    scratch per worker; each block evaluation is sequential.  Workers
@@ -72,11 +76,12 @@
 //!    reference `simulate` path and the golden hashes are unchanged.
 //!
 //! Per derandomized step a TryRandomColor or MultiTrial search therefore
-//! costs `O(2^seed_bits · Σ_{v ∈ stage} (1 + d(v)) / workers)`, in
-//! proportion to the stage and its neighborhoods rather than to the whole
-//! graph, and `BitwiseCondExp` streams each half-space mean instead of
-//! materializing the `2^seed_bits` cost table (see
-//! `parcolor_prg::seed_search`).  `tests/seed_fastpath_equivalence.rs`
+//! costs one `O(Σ_{v ∈ stage} (1 + d(v)))` pass that builds the stage's
+//! rows, then `O(2^seed_bits · (n_S + m_S) / workers)` for the seeds,
+//! where `m_S` counts the in-stage edges — in proportion to the stage
+//! rather than to the whole graph — and `BitwiseCondExp` streams each
+//! half-space mean instead of materializing the `2^seed_bits` cost table
+//! (see `parcolor_prg::seed_search`).  `tests/seed_fastpath_equivalence.rs`
 //! pins the fast path to the reference path (`simulate` + `seed_cost`
 //! under `select_seed`): identical `SeedSelection` (seed, cost, mean,
 //! trace) for every strategy, and identical costs in every block lane.
@@ -87,10 +92,10 @@
 //! under every seed.  If it does, Lemma 10's mean is 0, every seed
 //! reaches it, and the runner applies the seed every strategy selects on
 //! a constant cost (`SeedStrategy::constant_cost_seed`).  Such a
-//! *certified* step costs one `O(n_active + m_active)` pass for the bound,
-//! evaluates no seed and skips the post-step SSP scan (the bound shows
-//! no node fails); its coloring is the one the search would have
-//! produced (`tests/ssp_certificate.rs`).
+//! *certified* step costs one `O(n_active)` pass over its rows' lengths
+//! for the bound, evaluates no seed and skips the post-step SSP scan (the
+//! bound shows no node fails); its coloring is the one the search would
+//! have produced (`tests/ssp_certificate.rs`).
 
 use crate::config::{ChunkMode, Params};
 use crate::instance::ColoringState;
@@ -118,15 +123,17 @@ pub struct Outcome {
 /// seed-search worker: the buffers of TryRandomColor's block evaluator,
 /// which draws a whole block's picks with one `Randomness::fill_below`
 /// call per seed lane and resolves their clashes in one lane-parallel
-/// scan.
+/// scan.  The dense planes are indexed by stage position (a participant's
+/// index in the step's `StageSet`) and sized by the stage.
 ///
-/// Every buffer is block-scoped: each block evaluation overwrites what it
-/// reads (the draws of its own stripe, the dense rows of its own active
-/// nodes), so nothing needs clearing between evaluations and capacity is
-/// retained across the whole seed search.  Every draw is bit-identical to
-/// the scalar calls it replaces (the tape-level batch contract), which is
-/// what keeps the block evaluator pinned to the reference path.  The
-/// default `seed_cost_block` leaves the arena untouched.
+/// Every buffer is block-scoped: each block evaluation sizes the planes
+/// to its stage and overwrites what it reads (the draws of its own
+/// stripe, every position's row), so nothing needs clearing between
+/// evaluations and capacity is retained across the whole seed search.
+/// Every draw is bit-identical to the scalar calls it replaces (the
+/// tape-level batch contract), which is what keeps the block evaluator
+/// pinned to the reference path.  The default `seed_cost_block` leaves
+/// the arena untouched.
 #[derive(Clone, Debug)]
 pub struct SimScratch {
     /// Per-node draw bounds gathered for the current stripe.
@@ -134,17 +141,18 @@ pub struct SimScratch {
     /// Bounded draws, one stripe per seed lane.
     pub(crate) vals: Vec<u64>,
     /// Seed-lane plane: picks of up to [`SEED_BLOCK`] seeds per node,
-    /// dense by node id, one `u32` lane per seed — the
+    /// dense by stage position, one `u32` lane per seed — the
     /// structure-of-arrays layout the clash scan compares lane-parallel.
     pub(crate) soa: Vec<[u32; SEED_BLOCK]>,
     /// Per-node seed-lane clash bits (bit `s` ⇔ the node clashed in lane
-    /// `s`), dense by node id — the clash scan ORs into it branchlessly.
+    /// `s`), dense by stage position — the clash scan ORs into it
+    /// branchlessly.
     pub(crate) lane_mask: Vec<u8>,
 }
 
 impl SimScratch {
-    /// Arena for an `n`-node state.  The dense per-node planes are zeroed
-    /// allocations, so only the rows a search touches become resident.
+    /// Arena for a stage of `n` participants (a search over another stage
+    /// resizes it).
     pub fn new(n: usize) -> Self {
         SimScratch {
             bounds: Vec::new(),
@@ -155,7 +163,13 @@ impl SimScratch {
     }
 }
 
-/// A normal `(τ, Δ)`-round distributed procedure (Definition 5).
+/// Locality radius τ of every [`NormalProcedure`] here: each reads only
+/// its neighbors' state, so one constant sets Lemma 10's round charges and
+/// failure bound, and the radius of the `G^{4τ}` chunk coloring.
+const TAU: u64 = 1;
+
+/// A normal `(τ, Δ)`-round distributed procedure (Definition 5); every
+/// procedure here has τ = 1.
 ///
 /// Implementations must keep `simulate` **pure**: the outcome must be a
 /// deterministic function of `(state, rng)` and must not mutate anything —
@@ -164,11 +178,6 @@ impl SimScratch {
 pub trait NormalProcedure: Sync {
     /// Human-readable procedure name (for reports).
     fn name(&self) -> &'static str;
-
-    /// Locality radius τ (all procedures in this repo are O(1)-round).
-    fn tau(&self) -> u32 {
-        1
-    }
 
     /// LOCAL rounds one execution costs (charged to the round engine).
     fn local_rounds(&self) -> u64 {
@@ -213,8 +222,8 @@ pub trait NormalProcedure: Sync {
     /// 3. **Stale lanes are never read.**  Dense SoA rows
     ///    (`SimScratch::soa`) retain garbage from earlier blocks.  An
     ///    override pads the lanes it does not fill with values that cannot
-    ///    collide: TryRandomColor writes the node's own id, which no
-    ///    endpoint across an edge shares.
+    ///    collide: TryRandomColor writes the node's own stage position,
+    ///    which no in-stage neighbor shares.
     /// 4. **Short blocks are legal.**  `tapes.len()` may be any length
     ///    in `1..=SEED_BLOCK` (tail blocks, `SingleSeed`); lanes past
     ///    `costs.len()` must not be read or written as costs.
@@ -308,8 +317,9 @@ pub type BlockEval<'a> = &'a (dyn Fn(u64, &mut [f64], &mut SimScratch) + Sync);
 /// `(seed_bits, strategy, eval_block)` — every cost is a pure function
 /// of its seed and the reduce is grouping-invariant, so any backend
 /// that folds each seed exactly once (deduplicating retries) satisfies
-/// this by construction.  `n` sizes the per-worker [`SimScratch`]
-/// arenas.
+/// this by construction.  `n` is the step's stage size (its participant
+/// count, `NormalProcedure::active_count`); it sizes the per-worker
+/// [`SimScratch`] arenas, whose planes are indexed by stage position.
 ///
 /// Searches within one solve are issued sequentially and in a
 /// deterministic order: the solver tree is walked depth-first, and
@@ -448,12 +458,12 @@ impl<'g> Runner<'g> {
         let chunks = match params.chunking {
             ChunkMode::PerNode => ChunkAssignment::PerNode,
             ChunkMode::PowerColoring => {
-                let gp = power_graph(graph, 4 * params.tau as usize);
+                let gp = power_graph(graph, 4 * TAU as usize);
                 let active = vec![true; graph.n()];
                 let lin = linial_coloring(&gp, &active);
                 // Charged per Theorem 12: O(τ + log* n) rounds to color G^{4τ}.
-                engine.charge(lin.rounds * (4 * params.tau as u64).max(1));
-                mpc.charge_rounds(lin.rounds + params.tau as u64);
+                engine.charge(lin.rounds * 4 * TAU);
+                mpc.charge_rounds(lin.rounds + TAU);
                 ChunkAssignment::PowerColoring { colors: lin.colors }
             }
         };
@@ -508,14 +518,13 @@ impl<'g> Runner<'g> {
         state: &mut ColoringState,
     ) -> StepReport {
         let stream = self.next_stream();
-        let tau = proc.tau() as u64;
         // Lemma 10's round/space charges: collect the 8τ-hop input info
         // (τ rounds of neighborhood exchange), one round of seed agreement
         // / output application.
         self.engine.charge(proc.local_rounds());
         self.mpc
             .charge_neighbor_broadcast(self.graph, |v| !state.is_colored(v), 1);
-        self.mpc.charge_rounds(tau + 1);
+        self.mpc.charge_rounds(TAU + 1);
 
         // Derandomized: Lemma 10's seed search picks the PRG seed the
         // step runs under, unless a seed-independent bound shows every
@@ -564,8 +573,9 @@ impl<'g> Runner<'g> {
                         std::array::from_fn(|i| &keyed[i] as &dyn Randomness);
                     proc.seed_cost_block(st, &refs[..costs.len()], scratch, costs);
                 };
+                let n_active = proc.active_count();
                 let sel =
-                    searcher.select(prg.seed_bits(), *strategy, *workers, st.n(), &eval_block);
+                    searcher.select(prg.seed_bits(), *strategy, *workers, n_active, &eval_block);
                 debug_assert!(sel.satisfies_guarantee());
                 chosen = PrgTape::new(*prg, sel.seed, chunks);
                 (&chosen, Some(sel))
@@ -618,7 +628,7 @@ impl<'g> Runner<'g> {
         // Lemma 10's bound on deferred nodes for one derandomized step.
         let delta = self.graph.max_degree().max(2) as f64;
         let n_g = proc.active_count() as f64;
-        let failure_bound = 0.5 + n_g * delta.powf(-11.0 * tau as f64);
+        let failure_bound = 0.5 + n_g * delta.powf(-11.0 * TAU as f64);
         let report = StepReport {
             name: proc.name(),
             active: proc.active_count(),

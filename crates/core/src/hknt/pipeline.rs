@@ -14,7 +14,7 @@ use crate::hknt::acd::{compute_acd, NodeClass};
 use crate::hknt::procs::{
     CliquePutAside, CliqueTrial, GenerateSlack, PutAside, StageSet, SynchColorTrial,
 };
-use crate::hknt::slack_color::{slack_color, SlackColorReport};
+use crate::hknt::slack_color::{live, slack_color, SlackColorReport};
 use crate::hknt::vstart::identify_vstart;
 use crate::instance::ColoringState;
 use crate::node_params::compute_params;
@@ -45,14 +45,6 @@ pub struct MidReport {
     pub deferred: usize,
     /// Per-series SlackColor breakdowns.
     pub slack_color_reports: Vec<SlackColorReport>,
-}
-
-fn live(runner: &Runner, state: &ColoringState, nodes: &[NodeId]) -> Vec<NodeId> {
-    nodes
-        .iter()
-        .copied()
-        .filter(|&v| !state.is_colored(v) && !runner.is_deferred(v))
-        .collect()
 }
 
 /// Run one ColorMiddle stage on `stage_nodes` (uncolored nodes whose
@@ -129,8 +121,8 @@ pub fn color_middle(
                 }
             })
             .collect();
-        let set = StageSet::new(n, gs_nodes);
-        let proc = GenerateSlack::new(g, set, params.gs_prob, targets, 0x11);
+        let set = StageSet::new(g, gs_nodes);
+        let proc = GenerateSlack::new(set, params.gs_prob, targets, 0x11);
         runner.run_step(&proc, state);
     }
     // Step 3: SlackColor(Vstart).
@@ -170,8 +162,8 @@ pub fn color_middle(
                 }
             })
             .collect();
-        let set = StageSet::new(n, dense_live);
-        let proc = GenerateSlack::new(g, set, params.gs_prob, targets, 0x21);
+        let set = StageSet::new(g, dense_live);
+        let proc = GenerateSlack::new(set, params.gs_prob, targets, 0x21);
         runner.run_step(&proc, state);
     }
 
@@ -210,9 +202,8 @@ pub fn color_middle(
             .iter()
             .flat_map(|c| c.inliers.iter().copied())
             .collect();
-        let set = StageSet::new(n, all);
+        let set = StageSet::new(g, all);
         let proc = PutAside {
-            g,
             set,
             cliques: put_cliques,
             round_tag: 0x31,
@@ -262,8 +253,8 @@ pub fn color_middle(
             .collect();
         let max_deg = g.max_degree().max(2);
         let tolerance = params.ell(max_deg).ceil().max(2.0) as usize;
-        let set = StageSet::new(n, all);
-        let proc = SynchColorTrial::new(g, set, trial_cliques, tolerance, 0x41);
+        let set = StageSet::new(g, all);
+        let proc = SynchColorTrial::new(set, trial_cliques, tolerance, 0x41);
         runner.run_step(&proc, state);
     }
 

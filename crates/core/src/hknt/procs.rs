@@ -2,24 +2,29 @@
 //! procedures (Definition 5 instances; see Lemma 13 of the paper).
 //!
 //! Conventions shared by all procedures:
-//! * A [`StageSet`] names the nodes participating in *this* invocation
-//!   (uncolored, in the current stage, not deferred).  Inactive neighbors
-//!   neither propose nor conflict.
+//! * A [`StageSet`] is the geometry of one step: the nodes participating
+//!   in *this* invocation (uncolored, in the current stage, not deferred)
+//!   and each one's in-stage neighbors, built once per step.  Inactive
+//!   neighbors neither propose nor conflict, so every conflict walk reads
+//!   the set's rows, never the whole neighbor list.
+//! * Per-node state is indexed by **stage position** (a participant's
+//!   index in `StageSet::active`) and sized by the stage: picks, clash
+//!   bits, proposals, sampling probabilities, the search planes of
+//!   [`SimScratch`], and the SSP evaluation's adoption map.  A step of a
+//!   small stage costs no pass over the whole graph.
 //! * Adoption is by **symmetric abstention**: a node adopts a color only
 //!   if no active neighbor proposes the same color, so batches are
 //!   conflict-free by construction (re-checked by `apply_adoptions`).
 //! * Every random draw is addressed `(node, stream, idx)` through the
 //!   [`Randomness`] tape, keeping `simulate` a pure function of the seed —
 //!   the property the derandomizer relies on.
-//! * A candidate seed costs `seed_cost` of its outcome, and the SSP
-//!   evaluation reads stage-sized state: `adoption_map` is indexed by
-//!   position in the stage.  Only TryRandomColor overrides
-//!   `seed_cost_block`, to draw a block's picks and resolve their clashes
-//!   by seed lane; every other procedure costs its seeds through the
-//!   trait's reference loop.
+//! * A candidate seed costs `seed_cost` of its outcome.  Only
+//!   TryRandomColor overrides `seed_cost_block`, to draw a block's picks
+//!   and resolve their clashes by seed lane; every other procedure costs
+//!   its seeds through the trait's reference loop.
 
 use crate::framework::{NormalProcedure, Outcome, SimScratch};
-use crate::instance::ColoringState;
+use crate::instance::{ColoringState, NO_COLOR};
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_local::simd::lane_eq_mask8;
 use parcolor_local::tape::Randomness;
@@ -45,25 +50,63 @@ pub enum SspMode {
     SlackTarget(Vec<f64>),
 }
 
-/// Shared geometry of one procedure invocation.
+/// The geometry of one procedure invocation: its participants and their
+/// in-stage adjacency, built once per step.
+///
+/// A participant's *stage position* is its index in `active`.  Row `i`
+/// lists the positions of `active[i]`'s neighbors that participate, in
+/// adjacency order (ascending node id), and marks where the neighbors
+/// with a higher id than `active[i]` start: a walk over every row's
+/// higher part meets each in-stage edge once.  This is the only code that
+/// maps node ids to positions.
 #[derive(Clone, Debug)]
 pub struct StageSet {
-    /// Participating nodes, ascending.
+    /// Participating nodes, in the caller's order; no node twice.
     pub active: Vec<NodeId>,
     /// Dense by node id: 1 + `v`'s position in `active`, or 0 for a node
     /// outside the stage, so the map starts as a zeroed allocation whose
     /// untouched pages a small stage never faults in.
     pos: Vec<u32>,
+    /// Row `i` is `nbrs[off[i]..off[i + 1]]`.
+    off: Vec<usize>,
+    /// Row `i`'s higher-id neighbors are `nbrs[upper[i]..off[i + 1]]`.
+    upper: Vec<usize>,
+    /// In-stage neighbors as stage positions, row after row.
+    nbrs: Vec<u32>,
 }
 
 impl StageSet {
-    /// Build from the active node list (`n` = total node count).
-    pub fn new(n: usize, active: Vec<NodeId>) -> Self {
-        let mut pos = vec![0; n];
+    /// Build the geometry of a step on `g` whose participants are
+    /// `active`.
+    pub fn new(g: &Graph, active: Vec<NodeId>) -> Self {
+        let mut pos = vec![0; g.n()];
         for (i, &v) in active.iter().enumerate() {
             pos[v as usize] = i as u32 + 1;
         }
-        StageSet { active, pos }
+        let mut off = Vec::with_capacity(active.len() + 1);
+        let mut upper = Vec::with_capacity(active.len());
+        let mut nbrs = Vec::new();
+        off.push(0);
+        for &v in &active {
+            let mut higher = None;
+            for &u in g.neighbors(v) {
+                if u > v && higher.is_none() {
+                    higher = Some(nbrs.len());
+                }
+                if let Some(p) = pos[u as usize].checked_sub(1) {
+                    nbrs.push(p);
+                }
+            }
+            upper.push(higher.unwrap_or(nbrs.len()));
+            off.push(nbrs.len());
+        }
+        StageSet {
+            active,
+            pos,
+            off,
+            upper,
+            nbrs,
+        }
     }
 
     /// Whether `v` participates.
@@ -72,43 +115,61 @@ impl StageSet {
         self.pos[v as usize] != 0
     }
 
-    /// `v`'s position in `active`, if it participates.
+    /// `v`'s stage position, if it participates.
     #[inline]
     fn position(&self, v: NodeId) -> Option<usize> {
         (self.pos[v as usize] as usize).checked_sub(1)
     }
+
+    /// The in-stage neighbors of position `i`, as positions, in adjacency
+    /// order.
+    #[inline]
+    pub(crate) fn neighbors(&self, i: usize) -> &[u32] {
+        &self.nbrs[self.off[i]..self.off[i + 1]]
+    }
+
+    /// Each row's part whose nodes have a higher id than its own, in
+    /// stage order: walking them all meets each in-stage edge once.
+    pub(crate) fn higher_rows(&self) -> impl Iterator<Item = &[u32]> {
+        self.upper
+            .iter()
+            .zip(&self.off[1..])
+            .map(|(&a, &b)| &self.nbrs[a..b])
+    }
+
+    /// In-stage degree `d_S` of position `i`.
+    #[inline]
+    pub(crate) fn degree(&self, i: usize) -> usize {
+        self.off[i + 1] - self.off[i]
+    }
 }
 
-/// Post-outcome metrics: active degree and slack of `v` under the
-/// stage-indexed adoption map `adopted` ([`adoption_map`]).  `taken` is
-/// the caller's buffer for the colors v's palette loses; it is cleared
-/// here.
+/// Post-outcome metrics of the participant at stage position `i`: its
+/// active degree and slack under the stage-indexed adoption map
+/// `adopted` ([`adoption_map`]).  `taken` is the caller's buffer for the
+/// colors its palette loses; it is cleared here.
 fn post_deg_slack(
-    g: &Graph,
     state: &ColoringState,
     set: &StageSet,
     adopted: &[u32],
-    v: NodeId,
+    i: usize,
     taken: &mut Vec<u32>,
 ) -> (usize, i64) {
     let mut deg = 0usize;
     let mut pal_lost = 0usize;
-    let pal = state.palette(v);
-    // Colors adopted by ≥1 neighbor that intersect v's palette.  Distinct
+    let pal = state.palette(set.active[i]);
+    // Colors adopted by ≥1 neighbor that intersect the palette.  Distinct
     // colors only: two non-adjacent neighbors may adopt the same color but
-    // v's palette loses it once.  Neighbor lists are short (≤ Δ); a sorted
-    // vector beats hashing here.
+    // the palette loses it once.  Rows are short (≤ Δ); a sorted vector
+    // beats hashing here.
     taken.clear();
-    for &u in g.neighbors(v) {
-        let Some(p) = set.position(u) else {
-            continue;
-        };
-        let c = adopted[p];
-        if c == crate::instance::NO_COLOR {
+    for &p in set.neighbors(i) {
+        let c = adopted[p as usize];
+        if c == NO_COLOR {
             deg += 1;
         } else if pal.contains(&c) {
-            if let Err(pos) = taken.binary_search(&c) {
-                taken.insert(pos, c);
+            if let Err(at) = taken.binary_search(&c) {
+                taken.insert(at, c);
                 pal_lost += 1;
             }
         }
@@ -121,7 +182,7 @@ fn post_deg_slack(
 /// position: entry `i` is the color `out` gives `set.active[i]`, or
 /// `NO_COLOR`.  Every procedure here adopts only stage nodes.
 fn adoption_map(set: &StageSet, out: &Outcome) -> Vec<u32> {
-    let mut adopted = vec![crate::instance::NO_COLOR; set.active.len()];
+    let mut adopted = vec![NO_COLOR; set.active.len()];
     for &(v, c) in &out.adoptions {
         let p = set.position(v).expect("adoption outside the stage");
         adopted[p] = c;
@@ -130,13 +191,11 @@ fn adoption_map(set: &StageSet, out: &Outcome) -> Vec<u32> {
 }
 
 fn evaluate_ssp(
-    g: &Graph,
     state: &ColoringState,
     set: &StageSet,
     ssp: &SspMode,
     out: &Outcome,
 ) -> Vec<NodeId> {
-    use crate::instance::NO_COLOR;
     match ssp {
         SspMode::Auto => Vec::new(),
         SspMode::Colored => {
@@ -153,15 +212,15 @@ fn evaluate_ssp(
             let mut taken = Vec::new();
             set.active
                 .iter()
-                .zip(&adopted)
-                .filter(|&(&v, &c)| {
-                    if c != NO_COLOR {
+                .enumerate()
+                .filter(|&(i, _)| {
+                    if adopted[i] != NO_COLOR {
                         return false; // colored ⇒ success
                     }
-                    let (deg, slack) = post_deg_slack(g, state, set, &adopted, v, &mut taken);
+                    let (deg, slack) = post_deg_slack(state, set, &adopted, i, &mut taken);
                     (slack as f64) < ratio * deg as f64
                 })
-                .map(|(&v, _)| v)
+                .map(|(_, &v)| v)
                 .collect()
         }
         SspMode::SlackTarget(targets) => {
@@ -169,13 +228,13 @@ fn evaluate_ssp(
             let mut taken = Vec::new();
             set.active
                 .iter()
-                .zip(&adopted)
+                .enumerate()
                 .zip(targets)
-                .filter_map(|((&v, &c), &t)| {
-                    if t <= 0.0 || c != NO_COLOR {
+                .filter_map(|((i, &v), &t)| {
+                    if t <= 0.0 || adopted[i] != NO_COLOR {
                         return None;
                     }
-                    let (_, slack) = post_deg_slack(g, state, set, &adopted, v, &mut taken);
+                    let (_, slack) = post_deg_slack(state, set, &adopted, i, &mut taken);
                     ((slack as f64) < t).then_some(v)
                 })
                 .collect()
@@ -191,35 +250,27 @@ fn evaluate_ssp(
 /// cost is the failure count, and `Auto` never fails.  Stops at the
 /// first node it cannot certify.
 ///
-/// Each of v's `d_S(v)` neighbors in `set` either stays unadopted (it
-/// counts in v's post-step degree) or adopts one color (it removes at
-/// most one color from v's palette).  So under every outcome v's
-/// post-step slack is at least `|Ψ(v)| − d_S(v)` and its post-step
-/// degree at most `d_S(v)`; the comparisons are [`evaluate_ssp`]'s, on
-/// the same `f64`s.  For `Auto` (whose cost is the uncolored count) and
-/// `Colored`, v is certified when it has a color to pick and no active
-/// neighbor: TryRandomColor and MultiTrial then always adopt.
-/// GenerateSlack, which samples, always holds a `SlackTarget`.
-fn zero_cost_certified(g: &Graph, state: &ColoringState, set: &StageSet, ssp: &SspMode) -> bool {
-    let d_s = |v: NodeId| g.neighbors(v).iter().filter(|&&u| set.contains(u)).count();
-    let slack_floor = |v: NodeId, d: usize| (state.palette(v).len() as i64 - d as i64) as f64;
+/// Each of v's `d_S(v)` neighbors in `set` (its row's length) either
+/// stays unadopted (it counts in v's post-step degree) or adopts one
+/// color (it removes at most one color from v's palette).  So under every
+/// outcome v's post-step slack is at least `|Ψ(v)| − d_S(v)` and its
+/// post-step degree at most `d_S(v)`; the comparisons are
+/// [`evaluate_ssp`]'s, on the same `f64`s.  For `Auto` (whose cost is the
+/// uncolored count) and `Colored`, v is certified when it has a color to
+/// pick and no active neighbor: TryRandomColor and MultiTrial then always
+/// adopt.  GenerateSlack, which samples, always holds a `SlackTarget`.
+fn zero_cost_certified(state: &ColoringState, set: &StageSet, ssp: &SspMode) -> bool {
+    let mut positions = 0..set.active.len();
+    let pal_len = |i: usize| state.palette(set.active[i]).len();
+    let slack_floor = |i: usize| (pal_len(i) as i64 - set.degree(i) as i64) as f64;
     match ssp {
-        SspMode::Auto | SspMode::Colored => set
-            .active
-            .iter()
-            .all(|&v| !state.palette(v).is_empty() && d_s(v) == 0),
+        SspMode::Auto | SspMode::Colored => positions.all(|i| pal_len(i) > 0 && set.degree(i) == 0),
         SspMode::SlackRatio(ratio) => {
-            *ratio >= 0.0
-                && set.active.iter().all(|&v| {
-                    let d = d_s(v);
-                    slack_floor(v, d) >= ratio * d as f64
-                })
+            *ratio >= 0.0 && positions.all(|i| slack_floor(i) >= ratio * set.degree(i) as f64)
         }
-        SspMode::SlackTarget(targets) => set
-            .active
-            .iter()
+        SspMode::SlackTarget(targets) => positions
             .zip(targets)
-            .all(|(&v, &t)| t <= 0.0 || slack_floor(v, d_s(v)) >= t),
+            .all(|(i, &t)| t <= 0.0 || slack_floor(i) >= t),
     }
 }
 
@@ -236,25 +287,6 @@ fn uncolored_cost(set: &StageSet, out: &Outcome) -> f64 {
     (set.active.len() - out.adoptions.len()) as f64
 }
 
-/// All edges whose endpoints are both in `set`, each once as `(a, b)` with
-/// `a < b`.  One flat pass at first use replaces per-seed adjacency walks:
-/// the clash scan then touches a contiguous edge array with pre-filtered
-/// membership instead of a stage lookup per neighbor per seed.
-fn collect_active_edges(g: &Graph, set: &StageSet) -> Vec<(NodeId, NodeId)> {
-    let mut edges = Vec::new();
-    for &v in &set.active {
-        for &u in g.neighbors(v).iter().rev() {
-            if u <= v {
-                break;
-            }
-            if set.contains(u) {
-                edges.push((v, u));
-            }
-        }
-    }
-    edges
-}
-
 // ---------------------------------------------------------------------
 // TryRandomColor (Algorithm 3)
 // ---------------------------------------------------------------------
@@ -262,40 +294,27 @@ fn collect_active_edges(g: &Graph, set: &StageSet) -> Vec<(NodeId, NodeId)> {
 /// Each participating node picks one color uniformly at random from its
 /// residual palette and keeps it unless an active neighbor picked the same
 /// color.
-pub struct TryRandomColor<'a> {
-    /// The graph.
-    pub g: &'a Graph,
+pub struct TryRandomColor {
     /// Participating nodes.
     pub set: StageSet,
     /// Strong-success-property variant for this call.
     pub ssp: SspMode,
     /// Distinguishes repeated calls within one stage (fresh randomness).
     pub round_tag: u64,
-    /// Edges with both endpoints active, each once (`a < b`) — built
-    /// lazily on the first seed evaluation and amortized over the whole
-    /// seed space; read-only afterwards, shared across workers.
-    active_edges: std::sync::OnceLock<Vec<(NodeId, NodeId)>>,
 }
 
-impl<'a> TryRandomColor<'a> {
+impl TryRandomColor {
     /// Construct one invocation.
-    pub fn new(g: &'a Graph, set: StageSet, ssp: SspMode, round_tag: u64) -> Self {
+    pub fn new(set: StageSet, ssp: SspMode, round_tag: u64) -> Self {
         TryRandomColor {
-            g,
             set,
             ssp,
             round_tag,
-            active_edges: std::sync::OnceLock::new(),
         }
-    }
-
-    fn active_edges(&self) -> &[(NodeId, NodeId)] {
-        self.active_edges
-            .get_or_init(|| collect_active_edges(self.g, &self.set))
     }
 }
 
-impl NormalProcedure for TryRandomColor<'_> {
+impl NormalProcedure for TryRandomColor {
     fn name(&self) -> &'static str {
         "TryRandomColor"
     }
@@ -307,7 +326,7 @@ impl NormalProcedure for TryRandomColor<'_> {
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome {
         // A node's pick is a pure function of (node, tape), whichever
         // neighbor asks, so each active node's pick is drawn once — one
-        // `fill_below` stripe over the active set — into a dense array.
+        // `fill_below` stripe over the active set — by stage position.
         let active = &self.set.active;
         let bounds: Vec<u64> = active
             .iter()
@@ -315,23 +334,27 @@ impl NormalProcedure for TryRandomColor<'_> {
             .collect();
         let mut vals = vec![0u64; active.len()];
         rng.fill_below(S_PICK ^ self.round_tag << 8, active, 0, &bounds, &mut vals);
-        let mut pick = vec![0u32; state.n()];
-        for (&v, &i) in active.iter().zip(&vals) {
-            pick[v as usize] = state.palette(v)[i as usize];
-        }
-        // Clashing is symmetric: one pass over the pre-filtered active
-        // edge list marks both endpoints of every same-pick edge.
-        let mut clashed = vec![false; state.n()];
-        for &(a, b) in self.active_edges() {
-            if pick[a as usize] == pick[b as usize] {
-                clashed[a as usize] = true;
-                clashed[b as usize] = true;
+        let pick: Vec<u32> = active
+            .iter()
+            .zip(&vals)
+            .map(|(&v, &k)| state.palette(v)[k as usize])
+            .collect();
+        // Clashing is symmetric: one pass over every row's higher part
+        // meets each in-stage edge once and marks both endpoints.
+        let mut clashed = vec![false; active.len()];
+        for (i, row) in self.set.higher_rows().enumerate() {
+            for &p in row {
+                if pick[i] == pick[p as usize] {
+                    clashed[i] = true;
+                    clashed[p as usize] = true;
+                }
             }
         }
         let adoptions = active
             .iter()
-            .filter(|&&v| !clashed[v as usize])
-            .map(|&v| (v, pick[v as usize]))
+            .enumerate()
+            .filter(|&(i, _)| !clashed[i])
+            .map(|(i, &v)| (v, pick[i]))
             .collect();
         Outcome {
             adoptions,
@@ -340,18 +363,18 @@ impl NormalProcedure for TryRandomColor<'_> {
     }
 
     /// Seed-lane block evaluation: the picks of all the block's seeds are
-    /// materialized as one structure-of-arrays plane (`soa[v] = [pick
-    /// under seed lane 0, …, lane 7]`), then **one** pass over the active
-    /// edge list compares whole 8-lane rows at a time (`lane_eq_mask8`) —
-    /// amortizing the clash scan's memory traffic across up to
-    /// `SEED_BLOCK` seeds, where a per-seed evaluation would re-walk the
-    /// edges once per seed.  Unused lanes are padded with the node's own id,
-    /// which can never collide across an edge.
+    /// materialized as one structure-of-arrays plane by stage position
+    /// (`soa[i] = [pick under seed lane 0, …, lane 7]`), then **one** pass
+    /// over the rows' higher parts compares whole 8-lane rows at a time
+    /// (`lane_eq_mask8`) — amortizing the clash scan's memory traffic
+    /// across up to `SEED_BLOCK` seeds, where a per-seed evaluation would
+    /// re-walk the edges once per seed.  Unused lanes are padded with the
+    /// node's own position, which no in-stage neighbor shares.
     ///
     /// For `Colored`/`Auto` each lane's clashed-node count is the cost
     /// directly.  For the slack SSPs lane `s`'s outcome is read off the
     /// plane — the active nodes whose lane-`s` clash bit is clear, each
-    /// with its lane-`s` pick, in active order, exactly what `simulate`
+    /// with its lane-`s` pick, in stage order, exactly what `simulate`
     /// returns for that tape — and costed by [`NormalProcedure::seed_cost`].
     fn seed_cost_block(
         &self,
@@ -362,67 +385,59 @@ impl NormalProcedure for TryRandomColor<'_> {
     ) {
         debug_assert_eq!(tapes.len(), costs.len());
         // Bounds gathered once for the whole block.
-        let n_active = self.set.active.len();
+        let active = &self.set.active;
+        let n_active = active.len();
         scratch.bounds.clear();
-        scratch.bounds.extend(
-            self.set
-                .active
-                .iter()
-                .map(|&v| state.palette(v).len() as u64),
-        );
-        scratch.soa.resize(state.n(), [0u32; SEED_BLOCK]);
+        scratch
+            .bounds
+            .extend(active.iter().map(|&v| state.palette(v).len() as u64));
         // All lanes' draws land in one stripe-major buffer
         // (lane s at offset s·n_active) …
         scratch.vals.resize(n_active * tapes.len(), 0);
         let stream = S_PICK ^ self.round_tag << 8;
         for (s, tape) in tapes.iter().enumerate() {
             let out = &mut scratch.vals[s * n_active..(s + 1) * n_active];
-            tape.fill_below(stream, &self.set.active, 0, &scratch.bounds, out);
+            tape.fill_below(stream, active, 0, &scratch.bounds, out);
         }
-        // … so the pick map resolves each node's palette once and
-        // writes its whole seed-lane row (pad lanes get the node's
-        // own id, which can never collide across an edge).
+        // … so the pick plane resolves each node's palette once and
+        // writes its whole seed-lane row.
+        scratch.soa.resize(n_active, [0; SEED_BLOCK]);
         let vals = &scratch.vals;
-        let soa = &mut scratch.soa;
-        for (i, &v) in self.set.active.iter().enumerate() {
+        for (i, (&v, lanes)) in active.iter().zip(&mut scratch.soa).enumerate() {
             let pal = state.palette(v);
-            let lanes = &mut soa[v as usize];
             for (s, lane) in lanes.iter_mut().take(tapes.len()).enumerate() {
                 *lane = pal[vals[s * n_active + i] as usize];
             }
             for lane in lanes.iter_mut().skip(tapes.len()) {
-                *lane = v;
+                *lane = i as u32;
             }
         }
         // One lane-parallel clash scan for the whole block: each
         // edge contributes a lane-equality bitmask OR-ed into both
         // endpoints' accumulators — branchless, so the (frequent)
         // clash case costs the same as the clean case.  Pad lanes
-        // never fire (distinct endpoint ids), so every set bit
-        // belongs to a real seed lane.
-        scratch.lane_mask.resize(state.n(), 0);
-        for &v in &self.set.active {
-            scratch.lane_mask[v as usize] = 0;
-        }
+        // never fire (distinct positions), so every set bit belongs
+        // to a real seed lane.
+        scratch.lane_mask.clear();
+        scratch.lane_mask.resize(n_active, 0);
         let soa = &scratch.soa;
         let mask = &mut scratch.lane_mask;
-        for &(a, b) in self.active_edges() {
-            let eq = lane_eq_mask8(&soa[a as usize], &soa[b as usize]);
-            mask[a as usize] |= eq;
-            mask[b as usize] |= eq;
+        for (i, row) in self.set.higher_rows().enumerate() {
+            for &p in row {
+                let eq = lane_eq_mask8(&soa[i], &soa[p as usize]);
+                mask[i] |= eq;
+                mask[p as usize] |= eq;
+            }
         }
         match self.ssp {
             // For Colored (and the Auto warm-up cost) the failure count
             // is exactly the per-lane number of clashed nodes, read off
-            // the masks in one pass over the active stripe.
+            // the masks in one pass.
             SspMode::Colored | SspMode::Auto => {
                 let mut clashed = [0usize; SEED_BLOCK];
-                for &v in &self.set.active {
-                    let m = scratch.lane_mask[v as usize];
-                    if m != 0 {
-                        for (s, c) in clashed.iter_mut().enumerate() {
-                            *c += usize::from(m >> s & 1);
-                        }
+                for &m in mask.iter().filter(|&&m| m != 0) {
+                    for (s, c) in clashed.iter_mut().enumerate() {
+                        *c += usize::from(m >> s & 1);
                     }
                 }
                 for (s, c) in costs.iter_mut().enumerate() {
@@ -436,11 +451,12 @@ impl NormalProcedure for TryRandomColor<'_> {
                 for (s, c) in costs.iter_mut().enumerate() {
                     out.adoptions.clear();
                     out.adoptions.extend(
-                        self.set
-                            .active
+                        active
                             .iter()
-                            .filter(|&&v| scratch.lane_mask[v as usize] >> s & 1 == 0)
-                            .map(|&v| (v, scratch.soa[v as usize][s])),
+                            .zip(soa)
+                            .zip(mask.iter())
+                            .filter(|&(_, &m)| m >> s & 1 == 0)
+                            .map(|((&v, lanes), _)| (v, lanes[s])),
                     );
                     *c = self.seed_cost(state, &out);
                 }
@@ -449,7 +465,7 @@ impl NormalProcedure for TryRandomColor<'_> {
     }
 
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
-        evaluate_ssp(self.g, state, &self.set, &self.ssp, out)
+        evaluate_ssp(state, &self.set, &self.ssp, out)
     }
 
     fn seed_cost(&self, state: &ColoringState, out: &Outcome) -> f64 {
@@ -461,7 +477,7 @@ impl NormalProcedure for TryRandomColor<'_> {
     }
 
     fn zero_cost_under_every_seed(&self, state: &ColoringState) -> bool {
-        zero_cost_certified(self.g, state, &self.set, &self.ssp)
+        zero_cost_certified(state, &self.set, &self.ssp)
     }
 }
 
@@ -477,9 +493,7 @@ pub const MULTI_TRIAL_CAP: usize = 64;
 
 /// Each participating node draws `x` distinct palette colors; it adopts
 /// one that no active neighbor drew.
-pub struct MultiTrial<'a> {
-    /// The graph.
-    pub g: &'a Graph,
+pub struct MultiTrial {
     /// Participating nodes.
     pub set: StageSet,
     /// Candidate colors drawn per node.
@@ -490,11 +504,10 @@ pub struct MultiTrial<'a> {
     pub round_tag: u64,
 }
 
-impl<'a> MultiTrial<'a> {
+impl MultiTrial {
     /// Construct one invocation (`x` clamped to [`MULTI_TRIAL_CAP`]).
-    pub fn new(g: &'a Graph, set: StageSet, x: usize, ssp: SspMode, round_tag: u64) -> Self {
+    pub fn new(set: StageSet, x: usize, ssp: SspMode, round_tag: u64) -> Self {
         MultiTrial {
-            g,
             set,
             x: x.clamp(1, MULTI_TRIAL_CAP),
             ssp,
@@ -557,7 +570,7 @@ impl<'a> MultiTrial<'a> {
     }
 }
 
-impl NormalProcedure for MultiTrial<'_> {
+impl NormalProcedure for MultiTrial {
     fn name(&self) -> &'static str {
         "MultiTrial"
     }
@@ -568,7 +581,7 @@ impl NormalProcedure for MultiTrial<'_> {
 
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome {
         // Phase 1: every active node draws into one flat candidate arena;
-        // active node i's set is `colors[off[i]..off[i + 1]]`.
+        // position i's set is `colors[off[i]..off[i + 1]]`.
         let (mut colors, mut tmp, mut words) = (Vec::new(), Vec::new(), Vec::new());
         let mut off = Vec::with_capacity(self.set.active.len() + 1);
         off.push(0);
@@ -577,26 +590,19 @@ impl NormalProcedure for MultiTrial<'_> {
             off.push(colors.len());
         }
         let draw = |i: usize| &colors[off[i]..off[i + 1]];
-        // Phase 2: adopt the first candidate no active neighbor drew.
+        // Phase 2: adopt the first candidate no in-stage neighbor drew.
         let adoptions: Vec<(NodeId, u32)> = self
             .set
             .active
             .iter()
             .enumerate()
             .filter_map(|(i, &v)| {
-                'cand: for &c in draw(i) {
-                    for &u in self.g.neighbors(v) {
-                        let Some(p) = self.set.position(u) else {
-                            continue;
-                        };
-                        let theirs = draw(p);
-                        if theirs.binary_search(&c).is_ok() {
-                            continue 'cand;
-                        }
-                    }
-                    return Some((v, c));
-                }
-                None
+                let row = self.set.neighbors(i);
+                let free = |c: &&u32| {
+                    !row.iter()
+                        .any(|&p| draw(p as usize).binary_search(c).is_ok())
+                };
+                draw(i).iter().find(free).map(|&c| (v, c))
             })
             .collect();
         Outcome {
@@ -606,7 +612,7 @@ impl NormalProcedure for MultiTrial<'_> {
     }
 
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
-        evaluate_ssp(self.g, state, &self.set, &self.ssp, out)
+        evaluate_ssp(state, &self.set, &self.ssp, out)
     }
 
     fn seed_cost(&self, state: &ColoringState, out: &Outcome) -> f64 {
@@ -617,7 +623,7 @@ impl NormalProcedure for MultiTrial<'_> {
     }
 
     fn zero_cost_under_every_seed(&self, state: &ColoringState) -> bool {
-        zero_cost_certified(self.g, state, &self.set, &self.ssp)
+        zero_cost_certified(state, &self.set, &self.ssp)
     }
 }
 
@@ -629,9 +635,7 @@ impl NormalProcedure for MultiTrial<'_> {
 /// `S` run one TryRandomColor among themselves.  Same-colored pairs of
 /// sampled neighbors "collide away" palette colors of bystanders, creating
 /// permanent slack (HKNT's slack-generation lemmas).
-pub struct GenerateSlack<'a> {
-    /// The graph.
-    pub g: &'a Graph,
+pub struct GenerateSlack {
     /// Participating nodes.
     pub set: StageSet,
     /// Sampling probability (paper: 1/10).
@@ -643,12 +647,11 @@ pub struct GenerateSlack<'a> {
     pub round_tag: u64,
 }
 
-impl<'a> GenerateSlack<'a> {
+impl GenerateSlack {
     /// Construct one invocation (`targets` aligned with `set.active`).
-    pub fn new(g: &'a Graph, set: StageSet, prob: f64, targets: Vec<f64>, round_tag: u64) -> Self {
+    pub fn new(set: StageSet, prob: f64, targets: Vec<f64>, round_tag: u64) -> Self {
         assert_eq!(set.active.len(), targets.len());
         GenerateSlack {
-            g,
             set,
             prob,
             ssp: SspMode::SlackTarget(targets),
@@ -668,7 +671,7 @@ impl<'a> GenerateSlack<'a> {
     }
 }
 
-impl NormalProcedure for GenerateSlack<'_> {
+impl NormalProcedure for GenerateSlack {
     fn name(&self) -> &'static str {
         "GenerateSlack"
     }
@@ -678,17 +681,18 @@ impl NormalProcedure for GenerateSlack<'_> {
     }
 
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome {
-        let adoptions: Vec<(NodeId, u32)> = self
-            .set
-            .active
+        let active = &self.set.active;
+        let adoptions: Vec<(NodeId, u32)> = active
             .iter()
-            .filter_map(|&v| {
+            .enumerate()
+            .filter_map(|(i, &v)| {
                 if !self.sampled(rng, v) {
                     return None;
                 }
                 let c = self.pick(state, rng, v);
-                let clash = self.g.neighbors(v).iter().any(|&u| {
-                    self.set.contains(u) && self.sampled(rng, u) && self.pick(state, rng, u) == c
+                let clash = self.set.neighbors(i).iter().any(|&p| {
+                    let u = active[p as usize];
+                    self.sampled(rng, u) && self.pick(state, rng, u) == c
                 });
                 (!clash).then_some((v, c))
             })
@@ -700,11 +704,11 @@ impl NormalProcedure for GenerateSlack<'_> {
     }
 
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
-        evaluate_ssp(self.g, state, &self.set, &self.ssp, out)
+        evaluate_ssp(state, &self.set, &self.ssp, out)
     }
 
     fn zero_cost_under_every_seed(&self, state: &ColoringState) -> bool {
-        zero_cost_certified(self.g, state, &self.set, &self.ssp)
+        zero_cost_certified(state, &self.set, &self.ssp)
     }
 }
 
@@ -724,10 +728,9 @@ pub struct CliqueTrial {
 /// The leader of each almost-clique permutes its palette and proposes a
 /// distinct color to each inlier; an inlier keeps the proposal if it is in
 /// its own palette and conflicts with no neighbor's proposal.
-pub struct SynchColorTrial<'a> {
-    /// The graph.
-    pub g: &'a Graph,
-    /// All proposal-receiving inliers across cliques.
+pub struct SynchColorTrial {
+    /// All proposal-receiving inliers across cliques: every clique's
+    /// inliers participate.
     pub set: StageSet,
     /// Per-clique leader/inlier views.
     pub cliques: Vec<CliqueTrial>,
@@ -738,17 +741,10 @@ pub struct SynchColorTrial<'a> {
     pub round_tag: u64,
 }
 
-impl<'a> SynchColorTrial<'a> {
+impl SynchColorTrial {
     /// Construct one invocation.
-    pub fn new(
-        g: &'a Graph,
-        set: StageSet,
-        cliques: Vec<CliqueTrial>,
-        tolerance: usize,
-        round_tag: u64,
-    ) -> Self {
+    pub fn new(set: StageSet, cliques: Vec<CliqueTrial>, tolerance: usize, round_tag: u64) -> Self {
         SynchColorTrial {
-            g,
             set,
             cliques,
             tolerance,
@@ -757,7 +753,7 @@ impl<'a> SynchColorTrial<'a> {
     }
 }
 
-impl NormalProcedure for SynchColorTrial<'_> {
+impl NormalProcedure for SynchColorTrial {
     fn name(&self) -> &'static str {
         "SynchColorTrial"
     }
@@ -767,41 +763,26 @@ impl NormalProcedure for SynchColorTrial<'_> {
     }
 
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome {
-        // Phase 1: leaders deal colors.  proposal[v] for each inlier v.
-        let mut proposal = vec![crate::instance::NO_COLOR; state.n()];
-        let deals: Vec<Vec<(NodeId, u32)>> = self
-            .cliques
-            .iter()
-            .map(|ct| {
-                let pal = state.palette(ct.leader);
-                if pal.is_empty() {
-                    return Vec::new();
-                }
-                // Leader permutes its palette with its own randomness:
-                // the Fisher-Yates words (idx 1..|pal|) arrive as one
-                // `fill_words_seq` stripe fetch — only the
-                // data-dependent swaps stay sequential.  `below(v, s, i,
-                // i+1)` is the Lemire reduction of `word(v, s, i)`, so
-                // this is bit-identical to per-draw scalar calls.
-                let mut perm: Vec<u32> = pal.to_vec();
-                let stream = S_PERM ^ (self.round_tag << 8);
-                let mut words = vec![0u64; perm.len().saturating_sub(1)];
-                rng.fill_words_seq(ct.leader, stream, 1, &mut words);
-                for i in (1..perm.len()).rev() {
-                    let j = ((words[i - 1] as u128 * (i as u128 + 1)) >> 64) as usize;
-                    perm.swap(i, j);
-                }
-                ct.inliers
-                    .iter()
-                    .take(perm.len())
-                    .enumerate()
-                    .map(|(k, &v)| (v, perm[k]))
-                    .collect()
-            })
-            .collect();
-        for deal in &deals {
-            for &(v, c) in deal {
-                proposal[v as usize] = c;
+        // Phase 1: leaders deal colors, `proposal[i]` for the inlier at
+        // stage position i.
+        let mut proposal = vec![NO_COLOR; self.set.active.len()];
+        let stream = S_PERM ^ (self.round_tag << 8);
+        for ct in &self.cliques {
+            // Leader permutes its palette with its own randomness: the
+            // Fisher-Yates words (idx 1..|pal|) arrive as one
+            // `fill_words_seq` stripe fetch — only the data-dependent
+            // swaps stay sequential.  `below(v, s, i, i+1)` is the Lemire
+            // reduction of `word(v, s, i)`, so this is bit-identical to
+            // per-draw scalar calls.
+            let mut perm: Vec<u32> = state.palette(ct.leader).to_vec();
+            let mut words = vec![0u64; perm.len().saturating_sub(1)];
+            rng.fill_words_seq(ct.leader, stream, 1, &mut words);
+            for i in (1..perm.len()).rev() {
+                let j = ((words[i - 1] as u128 * (i as u128 + 1)) >> 64) as usize;
+                perm.swap(i, j);
+            }
+            for (&v, &c) in ct.inliers.iter().zip(&perm) {
+                proposal[self.set.position(v).expect("inlier outside the stage")] = c;
             }
         }
         // Phase 2: symmetric conflict resolution + palette membership.
@@ -809,16 +790,17 @@ impl NormalProcedure for SynchColorTrial<'_> {
             .set
             .active
             .iter()
-            .filter_map(|&v| {
-                let c = proposal[v as usize];
-                if c == crate::instance::NO_COLOR || !state.palette(v).contains(&c) {
+            .enumerate()
+            .filter_map(|(i, &v)| {
+                let c = proposal[i];
+                if c == NO_COLOR || !state.palette(v).contains(&c) {
                     return None;
                 }
                 let clash = self
-                    .g
-                    .neighbors(v)
+                    .set
+                    .neighbors(i)
                     .iter()
-                    .any(|&u| proposal[u as usize] == c);
+                    .any(|&p| proposal[p as usize] == c);
                 (!clash).then_some((v, c))
             })
             .collect();
@@ -836,11 +818,7 @@ impl NormalProcedure for SynchColorTrial<'_> {
                 .inliers
                 .iter()
                 .copied()
-                .filter(|&v| {
-                    self.set
-                        .position(v)
-                        .is_some_and(|p| adopted[p] == crate::instance::NO_COLOR)
-                })
+                .filter(|&v| self.set.position(v).is_some_and(|p| adopted[p] == NO_COLOR))
                 .collect();
             // SSP (paper): the clique has at most O(t) failed nodes.  If
             // exceeded, the clique's uncolored inliers defer.
@@ -870,12 +848,10 @@ pub struct CliquePutAside {
 }
 
 /// Sample each inlier independently; keep those with no sampled neighbor.
-/// The kept set `P` is independent (globally: a kept node has *no* sampled
-/// neighbor at all) and is put aside to be colored greedily at the very
-/// end, meanwhile donating slack to the rest of its clique.
-pub struct PutAside<'a> {
-    /// The graph.
-    pub g: &'a Graph,
+/// The kept set `P` is independent (a kept node has no sampled in-stage
+/// neighbor) and is put aside to be colored greedily at the very end,
+/// meanwhile donating slack to the rest of its clique.
+pub struct PutAside {
     /// All participating inliers across low-slack cliques.
     pub set: StageSet,
     /// Per-clique sampling parameters.
@@ -884,19 +860,14 @@ pub struct PutAside<'a> {
     pub round_tag: u64,
 }
 
-impl PutAside<'_> {
+impl PutAside {
     #[inline]
     fn sampled(&self, rng: &dyn Randomness, v: NodeId, prob: f64) -> bool {
         rng.bernoulli(v, S_SAMPLE ^ (self.round_tag << 8) ^ 0x5041, 0, prob)
     }
-
-    /// The sampling probability applicable to node `v` (its clique's).
-    fn prob_of(&self, probs: &[f64], v: NodeId) -> f64 {
-        probs[v as usize]
-    }
 }
 
-impl NormalProcedure for PutAside<'_> {
+impl NormalProcedure for PutAside {
     fn name(&self) -> &'static str {
         "PutAside"
     }
@@ -909,29 +880,25 @@ impl NormalProcedure for PutAside<'_> {
         self.set.active.len()
     }
 
-    fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome {
-        // Per-node sampling probability lookup.
-        let mut probs = vec![0.0f64; state.n()];
+    fn simulate(&self, _state: &ColoringState, rng: &dyn Randomness) -> Outcome {
+        // Each participant's sampling probability (its clique's), by
+        // stage position.
+        let active = &self.set.active;
+        let mut probs = vec![0.0f64; active.len()];
         for cq in &self.cliques {
-            for &v in &cq.inliers {
-                probs[v as usize] = cq.prob;
+            for p in cq.inliers.iter().filter_map(|&v| self.set.position(v)) {
+                probs[p] = cq.prob;
             }
         }
-        // P = sampled nodes with no sampled neighbor (anywhere).
-        let aux: Vec<NodeId> = self
-            .set
-            .active
+        let sampled = |i: usize| probs[i] > 0.0 && self.sampled(rng, active[i], probs[i]);
+        // P = sampled nodes with no sampled in-stage neighbor.
+        let aux: Vec<NodeId> = active
             .iter()
-            .copied()
-            .filter(|&v| {
-                let pv = self.prob_of(&probs, v);
-                pv > 0.0 && self.sampled(rng, v, pv) && {
-                    !self.g.neighbors(v).iter().any(|&u| {
-                        let pu = self.prob_of(&probs, u);
-                        pu > 0.0 && self.set.contains(u) && self.sampled(rng, u, pu)
-                    })
-                }
+            .enumerate()
+            .filter(|&(i, _)| {
+                sampled(i) && !self.set.neighbors(i).iter().any(|&p| sampled(p as usize))
             })
+            .map(|(_, &v)| v)
             .collect();
         Outcome {
             adoptions: Vec::new(),
@@ -943,19 +910,28 @@ impl NormalProcedure for PutAside<'_> {
         // SSP per clique: |P_C| ≥ target.  On failure the clique's inliers
         // defer (they will be recursed on; deferral only creates slack for
         // the rest — see Lemma 13's PutAside case).
-        let mut in_p = vec![false; self.g.n()];
+        let mut in_p = vec![false; self.set.active.len()];
         for &v in &out.aux {
-            in_p[v as usize] = true;
+            let p = self
+                .set
+                .position(v)
+                .expect("put-aside node outside the stage");
+            in_p[p] = true;
         }
+        let kept = |v: NodeId| self.set.position(v).map(|p| in_p[p]);
         let mut failures = Vec::new();
         for cq in &self.cliques {
-            let got = cq.inliers.iter().filter(|&&v| in_p[v as usize]).count();
+            let got = cq
+                .inliers
+                .iter()
+                .filter(|&&v| kept(v) == Some(true))
+                .count();
             if got < cq.target {
                 failures.extend(
                     cq.inliers
                         .iter()
                         .copied()
-                        .filter(|&v| self.set.contains(v) && !in_p[v as usize]),
+                        .filter(|&v| kept(v) == Some(false)),
                 );
             }
         }
@@ -967,7 +943,8 @@ impl NormalProcedure for PutAside<'_> {
 mod tests {
     use super::*;
     use crate::instance::D1lcInstance;
-    use parcolor_local::tape::CryptoTape;
+    use parcolor_local::tape::{CryptoTape, SplitMix};
+    use proptest::prelude::*;
 
     fn ring(n: usize) -> Graph {
         let edges: Vec<_> = (0..n as NodeId)
@@ -986,8 +963,8 @@ mod tests {
         Graph::from_edges(n, &edges)
     }
 
-    fn full_set(n: usize) -> StageSet {
-        StageSet::new(n, (0..n as NodeId).collect())
+    fn full_set(g: &Graph) -> StageSet {
+        StageSet::new(g, (0..g.n() as NodeId).collect())
     }
 
     #[test]
@@ -995,7 +972,7 @@ mod tests {
         let g = ring(50);
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let mut state = ColoringState::new(&inst);
-        let proc = TryRandomColor::new(&g, full_set(50), SspMode::Auto, 0);
+        let proc = TryRandomColor::new(full_set(&g), SspMode::Auto, 0);
         let tape = CryptoTape::new(7);
         let out = proc.simulate(&state, &tape);
         assert!(!out.adoptions.is_empty(), "ring trial should color someone");
@@ -1008,7 +985,7 @@ mod tests {
         let g = ring(30);
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let state = ColoringState::new(&inst);
-        let proc = TryRandomColor::new(&g, full_set(30), SspMode::Auto, 3);
+        let proc = TryRandomColor::new(full_set(&g), SspMode::Auto, 3);
         let tape = CryptoTape::new(11);
         let a = proc.simulate(&state, &tape);
         let b = proc.simulate(&state, &tape);
@@ -1021,8 +998,8 @@ mod tests {
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let state = ColoringState::new(&inst);
         let tape = CryptoTape::new(11);
-        let a = TryRandomColor::new(&g, full_set(30), SspMode::Auto, 1).simulate(&state, &tape);
-        let b = TryRandomColor::new(&g, full_set(30), SspMode::Auto, 2).simulate(&state, &tape);
+        let a = TryRandomColor::new(full_set(&g), SspMode::Auto, 1).simulate(&state, &tape);
+        let b = TryRandomColor::new(full_set(&g), SspMode::Auto, 2).simulate(&state, &tape);
         assert_ne!(a.adoptions, b.adoptions);
     }
 
@@ -1031,7 +1008,7 @@ mod tests {
         let g = ring(10);
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let state = ColoringState::new(&inst);
-        let proc = MultiTrial::new(&g, full_set(10), 2, SspMode::Auto, 0);
+        let proc = MultiTrial::new(full_set(&g), 2, SspMode::Auto, 0);
         let tape = CryptoTape::new(3);
         let (mut d, mut tmp, mut words) = (Vec::new(), Vec::new(), Vec::new());
         for v in 0..10 {
@@ -1050,7 +1027,7 @@ mod tests {
         let g = Graph::empty(5);
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let mut state = ColoringState::new(&inst);
-        let proc = MultiTrial::new(&g, full_set(5), 8, SspMode::Colored, 0);
+        let proc = MultiTrial::new(full_set(&g), 8, SspMode::Colored, 0);
         let tape = CryptoTape::new(5);
         let out = proc.simulate(&state, &tape);
         assert_eq!(out.adoptions.len(), 5);
@@ -1064,7 +1041,7 @@ mod tests {
         let g = clique(4);
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let mut state = ColoringState::new(&inst);
-        let proc = MultiTrial::new(&g, full_set(4), 2, SspMode::Auto, 1);
+        let proc = MultiTrial::new(full_set(&g), 2, SspMode::Auto, 1);
         let tape = CryptoTape::new(9);
         let out = proc.simulate(&state, &tape);
         state.apply_adoptions(&g, &out.adoptions);
@@ -1076,9 +1053,9 @@ mod tests {
         let g = ring(2000);
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let mut state = ColoringState::new(&inst);
-        let set = full_set(2000);
+        let set = full_set(&g);
         let targets = vec![0.0; 2000];
-        let proc = GenerateSlack::new(&g, set, 0.1, targets, 0);
+        let proc = GenerateSlack::new(set, 0.1, targets, 0);
         let tape = CryptoTape::new(13);
         let out = proc.simulate(&state, &tape);
         // ~10% sampled, nearly all succeed on a ring: between 3% and 15%.
@@ -1096,10 +1073,10 @@ mod tests {
         let g = ring(8);
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let state = ColoringState::new(&inst);
-        let set = full_set(8);
+        let set = full_set(&g);
         // Impossible target: everyone uncolored fails.
         let targets = vec![100.0; 8];
-        let proc = GenerateSlack::new(&g, set, 0.0, targets, 0);
+        let proc = GenerateSlack::new(set, 0.0, targets, 0);
         let tape = CryptoTape::new(1);
         let out = proc.simulate(&state, &tape);
         assert_eq!(out.adoptions.len(), 0);
@@ -1112,8 +1089,8 @@ mod tests {
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let mut state = ColoringState::new(&inst);
         let inliers: Vec<NodeId> = (1..6).collect();
-        let set = StageSet::new(6, inliers.clone());
-        let proc = SynchColorTrial::new(&g, set, vec![CliqueTrial { leader: 0, inliers }], 6, 0);
+        let set = StageSet::new(&g, inliers.clone());
+        let proc = SynchColorTrial::new(set, vec![CliqueTrial { leader: 0, inliers }], 6, 0);
         let tape = CryptoTape::new(17);
         let out = proc.simulate(&state, &tape);
         // In a true clique all proposals are distinct colors of a shared
@@ -1129,8 +1106,8 @@ mod tests {
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let state = ColoringState::new(&inst);
         let inliers: Vec<NodeId> = (1..5).collect();
-        let set = StageSet::new(5, inliers.clone());
-        let proc = SynchColorTrial::new(&g, set, vec![CliqueTrial { leader: 0, inliers }], 0, 0);
+        let set = StageSet::new(&g, inliers.clone());
+        let proc = SynchColorTrial::new(set, vec![CliqueTrial { leader: 0, inliers }], 0, 0);
         let tape = CryptoTape::new(17);
         let out = proc.simulate(&state, &tape);
         let fails = proc.ssp_failures(&state, &out);
@@ -1148,9 +1125,8 @@ mod tests {
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let state = ColoringState::new(&inst);
         let inliers: Vec<NodeId> = (0..12).collect();
-        let set = StageSet::new(12, inliers.clone());
+        let set = StageSet::new(&g, inliers.clone());
         let proc = PutAside {
-            g: &g,
             set,
             cliques: vec![CliquePutAside {
                 clique_id: 0,
@@ -1173,9 +1149,8 @@ mod tests {
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let state = ColoringState::new(&inst);
         let inliers: Vec<NodeId> = (0..6).collect();
-        let set = StageSet::new(6, inliers.clone());
+        let set = StageSet::new(&g, inliers.clone());
         let proc = PutAside {
-            g: &g,
             set,
             cliques: vec![CliquePutAside {
                 clique_id: 0,
@@ -1198,7 +1173,7 @@ mod tests {
         let g = Graph::from_edges(3, &[(0, 1), (0, 2)]);
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let state = ColoringState::new(&inst);
-        let set = full_set(3);
+        let set = full_set(&g);
         let adopted = {
             let out = Outcome {
                 adoptions: vec![(1, 1), (2, 1)],
@@ -1206,9 +1181,64 @@ mod tests {
             };
             super::adoption_map(&set, &out)
         };
-        let (deg, slack) = super::post_deg_slack(&g, &state, &set, &adopted, 0, &mut Vec::new());
+        let (deg, slack) = super::post_deg_slack(&state, &set, &adopted, 0, &mut Vec::new());
         assert_eq!(deg, 0);
         // palette {0,1,2} minus {1} = 2 colors, degree 0 → slack 2
         assert_eq!(slack, 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Every row is the brute-force filter of `g.neighbors` to the
+        // stage, as positions in adjacency order, split where the higher
+        // ids start; the node list comes whole and shuffled, as a strict
+        // subset, as a single node, or empty.
+        #[test]
+        fn stage_rows_match_a_filter_of_the_neighbor_lists(
+            gseed in any::<u64>(),
+            n in 2usize..60,
+            m in 0usize..240,
+            shape in 0u64..4,
+        ) {
+            let g = parcolor_graphgen::gnm(n, m.min(n * (n - 1) / 2), gseed);
+            let mut rng = SplitMix::new(gseed);
+            let mut nodes: Vec<NodeId> = (0..n as NodeId).collect();
+            for i in (1..n).rev() {
+                nodes.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            match shape {
+                0 => {}
+                1 => nodes.truncate(rng.below(n as u64) as usize),
+                2 => nodes.truncate(1),
+                _ => nodes.clear(),
+            }
+            let set = StageSet::new(&g, nodes.clone());
+            prop_assert_eq!(&set.active, &nodes);
+            let higher_rows: Vec<&[u32]> = set.higher_rows().collect();
+            prop_assert_eq!(higher_rows.len(), nodes.len());
+            let position = |v: NodeId| nodes.iter().position(|&u| u == v);
+            for v in 0..n as NodeId {
+                prop_assert_eq!(set.position(v), position(v), "node {}", v);
+                prop_assert_eq!(set.contains(v), position(v).is_some(), "node {}", v);
+            }
+            for (i, &v) in nodes.iter().enumerate() {
+                let row: Vec<u32> = g
+                    .neighbors(v)
+                    .iter()
+                    .filter_map(|&u| position(u).map(|p| p as u32))
+                    .collect();
+                let higher: Vec<u32> =
+                    row.iter().copied().filter(|&p| nodes[p as usize] > v).collect();
+                prop_assert_eq!(set.neighbors(i), &row[..], "row {}", i);
+                prop_assert!(
+                    row.windows(2).all(|w| nodes[w[0] as usize] < nodes[w[1] as usize]),
+                    "row {} out of adjacency order",
+                    i
+                );
+                prop_assert_eq!(higher_rows[i], &higher[..], "row {}", i);
+                prop_assert_eq!(set.degree(i), row.len(), "row {}", i);
+            }
+        }
     }
 }

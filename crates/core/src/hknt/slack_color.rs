@@ -18,7 +18,7 @@
 //! [`MULTI_TRIAL_CAP`] candidates.
 
 use crate::config::Params;
-use crate::framework::Runner;
+use crate::framework::{NormalProcedure, Runner};
 use crate::hknt::procs::{MultiTrial, SspMode, StageSet, TryRandomColor, MULTI_TRIAL_CAP};
 use crate::instance::ColoringState;
 use parcolor_local::engine::{log_star, tower};
@@ -44,7 +44,7 @@ pub struct SlackColorReport {
 }
 
 /// Nodes from `nodes` that are still uncolored and not deferred.
-fn filter_live(runner: &Runner, state: &ColoringState, nodes: &[NodeId]) -> Vec<NodeId> {
+pub(crate) fn live(runner: &Runner, state: &ColoringState, nodes: &[NodeId]) -> Vec<NodeId> {
     nodes
         .iter()
         .copied()
@@ -52,21 +52,45 @@ fn filter_live(runner: &Runner, state: &ColoringState, nodes: &[NodeId]) -> Vec<
         .collect()
 }
 
-/// Stage slack of `v`: residual palette minus *active* degree.
-fn stage_slack(state: &ColoringState, set: &StageSet, runner: &Runner) -> i64 {
+/// The least stage slack over `set`'s participants: residual palette size
+/// minus *active* degree (the participant's row length).
+fn stage_slack(state: &ColoringState, set: &StageSet) -> i64 {
     set.active
         .iter()
-        .map(|&v| {
-            let act_deg = runner
-                .graph
-                .neighbors(v)
-                .iter()
-                .filter(|&&u| set.contains(u))
-                .count() as i64;
-            state.palette_size(v) as i64 - act_deg
-        })
+        .enumerate()
+        .map(|(i, &v)| state.palette_size(v) as i64 - set.degree(i) as i64)
         .min()
         .unwrap_or(1)
+}
+
+/// `reps` steps on what is left of `initial`, the last under
+/// `SlackRatio(gate)` and the others under `Auto`; `step(set, ssp, rep)`
+/// builds each one's procedure.  Returns `false` as soon as nothing is
+/// left to run on.
+fn gated_steps<P: NormalProcedure>(
+    runner: &mut Runner,
+    state: &mut ColoringState,
+    initial: &[NodeId],
+    reps: u32,
+    gate: f64,
+    steps: &mut usize,
+    step: impl Fn(StageSet, SspMode, u32) -> P,
+) -> bool {
+    for rep in 0..reps {
+        let live = live(runner, state, initial);
+        if live.is_empty() {
+            return false;
+        }
+        let set = StageSet::new(runner.graph, live);
+        let ssp = if rep + 1 == reps {
+            SspMode::SlackRatio(gate)
+        } else {
+            SspMode::Auto
+        };
+        runner.run_step(&step(set, ssp, rep), state);
+        *steps += 1;
+    }
+    true
 }
 
 /// Run the SlackColor series on `nodes`.  Returns the report; colored
@@ -78,7 +102,7 @@ pub fn slack_color(
     nodes: &[NodeId],
     label: &str,
 ) -> SlackColorReport {
-    let initial: Vec<NodeId> = filter_live(runner, state, nodes);
+    let initial: Vec<NodeId> = live(runner, state, nodes);
     let participants = initial.len();
     let mut steps = 0usize;
     let report = |runner: &Runner, state: &ColoringState, s_min: i64, rho: f64, steps: usize| {
@@ -101,29 +125,17 @@ pub fn slack_color(
 
     // --- Phase 1: TryRandomColor warm-up + line-2 gate. ---
     let reps = params.try_color_repeats.max(1);
-    for t in 0..reps {
-        let live = filter_live(runner, state, &initial);
-        if live.is_empty() {
-            return report(runner, state, 0, 0.0, steps);
-        }
-        let set = StageSet::new(state.n(), live);
-        let ssp = if t + 1 == reps {
-            SspMode::SlackRatio(2.0)
-        } else {
-            SspMode::Auto
-        };
-        let proc = TryRandomColor::new(g, set, ssp, 0x100 + t as u64);
-        runner.run_step(&proc, state);
-        steps += 1;
+    let warm = |set, ssp, t| TryRandomColor::new(set, ssp, 0x100 + t as u64);
+    if !gated_steps(runner, state, &initial, reps, 2.0, &mut steps, warm) {
+        return report(runner, state, 0, 0.0, steps);
     }
 
     // s_min over survivors, measured on the stage subgraph.
-    let live = filter_live(runner, state, &initial);
-    if live.is_empty() {
+    let live_now = live(runner, state, &initial);
+    if live_now.is_empty() {
         return report(runner, state, 0, 0.0, steps);
     }
-    let set0 = StageSet::new(state.n(), live.clone());
-    let s_min = stage_slack(state, &set0, runner).max(1);
+    let s_min = stage_slack(state, &StageSet::new(g, live_now)).max(1);
     let kappa = params.kappa.clamp(0.05, 1.0);
     let rho = (s_min as f64).powf(1.0 / (1.0 + kappa)).max(2.0);
     let rho_k = rho.powf(kappa);
@@ -138,20 +150,11 @@ pub fn slack_color(
             (1u64 << xi) as f64
         };
         let gate = two_pow.min(rho_k);
-        for rep in 0..params.multi_trial_reps_a.max(1) {
-            let live = filter_live(runner, state, &initial);
-            if live.is_empty() {
-                return report(runner, state, s_min, rho, steps);
-            }
-            let set = StageSet::new(state.n(), live);
-            let ssp = if rep + 1 == params.multi_trial_reps_a.max(1) {
-                SspMode::SlackRatio(gate)
-            } else {
-                SspMode::Auto
-            };
-            let proc = MultiTrial::new(g, set, xi, ssp, 0x200 + (i as u64) * 8 + rep as u64);
-            runner.run_step(&proc, state);
-            steps += 1;
+        let reps = params.multi_trial_reps_a.max(1);
+        let trial =
+            |set, ssp, rep| MultiTrial::new(set, xi, ssp, 0x200 + i as u64 * 8 + rep as u64);
+        if !gated_steps(runner, state, &initial, reps, gate, &mut steps, trial) {
+            return report(runner, state, s_min, rho, steps);
         }
         if two_pow >= rho_k {
             break;
@@ -163,28 +166,18 @@ pub fn slack_color(
     for i in 1..=loop_b_len {
         let x = rho.powf(i as f64 * kappa).ceil() as usize;
         let gate = rho.powf((i + 1) as f64 * kappa).min(rho);
-        for rep in 0..params.multi_trial_reps_b.max(1) {
-            let live = filter_live(runner, state, &initial);
-            if live.is_empty() {
-                return report(runner, state, s_min, rho, steps);
-            }
-            let set = StageSet::new(state.n(), live);
-            let ssp = if rep + 1 == params.multi_trial_reps_b.max(1) {
-                SspMode::SlackRatio(gate)
-            } else {
-                SspMode::Auto
-            };
-            let proc = MultiTrial::new(g, set, x, ssp, 0x300 + (i as u64) * 8 + rep as u64);
-            runner.run_step(&proc, state);
-            steps += 1;
+        let reps = params.multi_trial_reps_b.max(1);
+        let trial = |set, ssp, rep| MultiTrial::new(set, x, ssp, 0x300 + i as u64 * 8 + rep as u64);
+        if !gated_steps(runner, state, &initial, reps, gate, &mut steps, trial) {
+            return report(runner, state, s_min, rho, steps);
         }
     }
 
     // --- Phase 3: final MultiTrial(ρ); survivors defer. ---
-    let live = filter_live(runner, state, &initial);
-    if !live.is_empty() {
-        let set = StageSet::new(state.n(), live);
-        let proc = MultiTrial::new(g, set, rho.ceil() as usize, SspMode::Colored, 0x400);
+    let live_now = live(runner, state, &initial);
+    if !live_now.is_empty() {
+        let set = StageSet::new(g, live_now);
+        let proc = MultiTrial::new(set, rho.ceil() as usize, SspMode::Colored, 0x400);
         runner.run_step(&proc, state);
         steps += 1;
     }

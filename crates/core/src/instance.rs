@@ -364,13 +364,9 @@ impl ColoringState {
         if marked == 0 {
             return;
         }
-        // `resolve_workers` can read the host's CPU quota, which costs more
-        // than a small batch's whole update: ask only when two workers
-        // would take part.
-        let workers = match marked / MIN_MARKED_PER_WORKER {
-            0 | 1 => 1,
-            cap => resolve_workers(0).min(cap),
-        };
+        let workers = resolve_workers(0)
+            .min(marked / MIN_MARKED_PER_WORKER)
+            .max(1);
         let (n, pal_off, stamp, color) = (self.n, &self.pal_off, &self.stamp, &self.color);
         let (tops, words) = (
             ScatterMut::new(&mut self.affected_words[lo..=hi]),
@@ -459,11 +455,8 @@ impl ColoringState {
     /// uncolored).  Returns the instance and the map new-id → old-id.
     /// This is the `O(1)`-round re-input computation of Definition 11.
     pub fn residual_instance(&self, g: &Graph, nodes: &[NodeId]) -> (D1lcInstance, Vec<NodeId>) {
-        debug_assert!(nodes.iter().all(|&v| !self.is_colored(v)));
-        let (sub, map) = g.induced(nodes);
-        let lists: Vec<Vec<u32>> = map.iter().map(|&old| self.palette(old).to_vec()).collect();
-        let palettes = PaletteArena::from_lists(&lists);
-        (D1lcInstance::new(sub, palettes), map)
+        self.restricted_instance(g, nodes, |_| true)
+            .expect("residual palettes keep the D1LC invariant p(v) ≥ d(v) + 1")
     }
 
     /// Residual instance with palettes filtered by a predicate (used by
@@ -485,11 +478,10 @@ impl ColoringState {
         let lists: Vec<Vec<u32>> = map
             .iter()
             .map(|&old| {
-                self.palette(old)
-                    .iter()
-                    .copied()
-                    .filter(|&c| keep_color(c))
-                    .collect()
+                let pal = self.palette(old);
+                let mut list = Vec::with_capacity(pal.len());
+                list.extend(pal.iter().copied().filter(|&c| keep_color(c)));
+                list
             })
             .collect();
         for (new_v, list) in lists.iter().enumerate() {

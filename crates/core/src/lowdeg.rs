@@ -60,10 +60,10 @@ pub fn color_low_degree(
             break;
         }
         let before = live.len();
-        let set = StageSet::new(state.n(), live);
+        let set = StageSet::new(g, live);
         // SSP = Auto: nobody defers here; the seed cost (uncolored count)
         // drives the progress guarantee instead.
-        let proc = TryRandomColor::new(g, set, SspMode::Auto, 0x1000 + tag);
+        let proc = TryRandomColor::new(set, SspMode::Auto, 0x1000 + tag);
         tag += 1;
         runner.run_step(&proc, state);
         report.trial_rounds += 1;

@@ -67,7 +67,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Condvar, Mutex, Once, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 pub mod lease;
 pub use lease::{Lease, LeaseStats, LeaseTable};
@@ -111,38 +111,28 @@ pub fn parse_thread_var(value: Option<&str>) -> ThreadVar {
     }
 }
 
-/// Read one thread-count env var, warning (once per process) and falling
-/// back to `None` when it is set but malformed — a typo'd
-/// `PARCOLOR_THREADS=abc` or `=0` must degrade to the hardware-thread
-/// default loudly, not silently misconfigure the pool.
-fn env_threads(key: &str) -> Option<usize> {
-    let raw = std::env::var(key).ok();
-    match parse_thread_var(raw.as_deref()) {
-        ThreadVar::Unset => None,
-        ThreadVar::Valid(t) => Some(t),
-        ThreadVar::Invalid(raw) => {
-            static WARNED: Once = Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "parcolor: ignoring {key}={raw:?}: expected a positive integer \
-                     thread count; falling back to hardware threads"
-                );
-            });
-            None
-        }
-    }
-}
-
 /// Worker-thread count configured for this process: the
 /// `PARCOLOR_THREADS` env var if set, else all hardware threads.  A
-/// malformed value (`"abc"`, `"0"`, `"-3"`…) warns once and falls
-/// through as if unset.
-///
-/// Read per call (not cached) so benches can pin a section by setting
-/// the variable at runtime.
+/// malformed value (`"abc"`, `"0"`, `"-3"`…) warns and falls through as
+/// if unset — a typo must degrade to the hardware-thread default loudly,
+/// not silently misconfigure the pool.  Read once, at the first call, and
+/// cached for the process.
 pub fn configured_threads() -> usize {
-    env_threads("PARCOLOR_THREADS")
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()))
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        let hardware = || std::thread::available_parallelism().map_or(1, |p| p.get());
+        match parse_thread_var(std::env::var("PARCOLOR_THREADS").ok().as_deref()) {
+            ThreadVar::Unset => hardware(),
+            ThreadVar::Valid(t) => t,
+            ThreadVar::Invalid(raw) => {
+                eprintln!(
+                    "parcolor: ignoring PARCOLOR_THREADS={raw:?}: expected a positive \
+                     integer thread count; falling back to hardware threads"
+                );
+                hardware()
+            }
+        }
+    })
 }
 
 /// Resolve a requested worker count: `0` = auto ([`configured_threads`]),

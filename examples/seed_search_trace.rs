@@ -24,8 +24,8 @@ fn main() {
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
 
-    let set = StageSet::new(n, (0..n as NodeId).collect());
-    let proc = TryRandomColor::new(&g, set, SspMode::Colored, 1);
+    let set = StageSet::new(&g, (0..n as NodeId).collect());
+    let proc = TryRandomColor::new(set, SspMode::Colored, 1);
 
     let seed_bits = 10;
     let prg = Prg::new(seed_bits);

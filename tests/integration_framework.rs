@@ -22,8 +22,8 @@ fn chosen_seed_beats_mean_on_every_step() {
         if live.is_empty() {
             break;
         }
-        let set = StageSet::new(500, live);
-        let proc = TryRandomColor::new(&g, set, SspMode::Colored, tag);
+        let set = StageSet::new(&g, live);
+        let proc = TryRandomColor::new(set, SspMode::Colored, tag);
         let rep = runner.run_step(&proc, &mut state);
         let sel = rep.selection.expect("derandomized");
         assert!(
@@ -45,10 +45,10 @@ fn deferral_only_creates_slack() {
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
     let all: Vec<NodeId> = (0..300).collect();
-    let full = StageSet::new(300, all.clone());
+    let full = StageSet::new(&g, all.clone());
     // Defer every third node.
     let reduced: Vec<NodeId> = all.iter().copied().filter(|v| v % 3 != 0).collect();
-    let sub = StageSet::new(300, reduced.clone());
+    let sub = StageSet::new(&g, reduced.clone());
     for &v in &reduced {
         let deg_full = g.neighbors(v).iter().filter(|&&u| full.contains(u)).count() as i64;
         let deg_sub = g.neighbors(v).iter().filter(|&&u| sub.contains(u)).count() as i64;
@@ -66,8 +66,8 @@ fn power_coloring_chunks_agree_with_per_node() {
         let params = Params::default().with_seed_bits(5).with_chunking(chunking);
         let mut state = ColoringState::new(&inst);
         let mut runner = Runner::derandomized(&g, &params, 120);
-        let set = StageSet::new(120, state.uncolored_nodes());
-        let proc = TryRandomColor::new(&g, set, SspMode::Colored, 0);
+        let set = StageSet::new(&g, state.uncolored_nodes());
+        let proc = TryRandomColor::new(set, SspMode::Colored, 0);
         let rep = runner.run_step(&proc, &mut state);
         assert!(rep.selection.unwrap().satisfies_guarantee());
         assert!(state.verify_partial(&g).is_ok(), "{chunking:?}");
@@ -80,8 +80,8 @@ fn randomized_and_derandomized_share_procedure_code() {
     let g = gen::gnm(100, 300, 4);
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
-    let set = StageSet::new(100, state.uncolored_nodes());
-    let proc = TryRandomColor::new(&g, set, SspMode::Auto, 0);
+    let set = StageSet::new(&g, state.uncolored_nodes());
+    let proc = TryRandomColor::new(set, SspMode::Auto, 0);
     let out_true = proc.simulate(&state, &CryptoTape::new(1));
     assert!(!out_true.adoptions.is_empty());
 }
@@ -118,7 +118,7 @@ fn mis_on_structured_graphs() {
 
 #[test]
 fn stage_set_membership_is_consistent() {
-    let set = StageSet::new(10, vec![1, 3, 5]);
+    let set = StageSet::new(&Graph::empty(10), vec![1, 3, 5]);
     assert!(set.contains(1));
     assert!(!set.contains(0));
     assert_eq!(set.active.len(), 3);
@@ -140,12 +140,12 @@ fn message_passing_matches_pass_implementation() {
     let inst = D1lcInstance::delta_plus_one(g.clone());
     let state = ColoringState::new(&inst);
     let active: Vec<NodeId> = state.uncolored_nodes();
-    let set = StageSet::new(g.n(), active.clone());
+    let set = StageSet::new(&g, active.clone());
     let tape = CryptoTape::new(31);
 
     // Reference: the whole-graph pass.
     let round_tag = 5u64;
-    let proc = TryRandomColor::new(&g, set, SspMode::Auto, round_tag);
+    let proc = TryRandomColor::new(set, SspMode::Auto, round_tag);
     let mut reference: Vec<(NodeId, u32)> = proc.simulate(&state, &tape).adoptions;
     reference.sort_unstable();
 

@@ -130,8 +130,8 @@ fn partially_colored(n: usize, m: usize, seed: u64) -> (D1lcInstance, ColoringSt
     (inst, state)
 }
 
-fn active_uncolored(state: &ColoringState) -> StageSet {
-    StageSet::new(state.n(), state.uncolored_nodes())
+fn active_uncolored(g: &Graph, state: &ColoringState) -> StageSet {
+    StageSet::new(g, state.uncolored_nodes())
 }
 
 #[test]
@@ -139,7 +139,7 @@ fn try_random_color_matches_reference_path() {
     for seed in [1u64, 2] {
         let (inst, state) = partially_colored(200, 600, seed);
         for ssp in [SspMode::Colored, SspMode::Auto, SspMode::SlackRatio(0.4)] {
-            let proc = TryRandomColor::new(&inst.graph, active_uncolored(&state), ssp.clone(), 2);
+            let proc = TryRandomColor::new(active_uncolored(&inst.graph, &state), ssp.clone(), 2);
             check_equivalence(&proc, &state, &format!("TryRandomColor g{seed} {ssp:?}"));
         }
     }
@@ -150,8 +150,7 @@ fn multi_trial_matches_reference_path() {
     for (seed, x) in [(3u64, 2usize), (4, 5)] {
         let (inst, state) = partially_colored(150, 450, seed);
         let proc = MultiTrial::new(
-            &inst.graph,
-            active_uncolored(&state),
+            active_uncolored(&inst.graph, &state),
             x,
             SspMode::Colored,
             1,
@@ -163,7 +162,7 @@ fn multi_trial_matches_reference_path() {
 #[test]
 fn generate_slack_matches_reference_path() {
     let (inst, state) = partially_colored(180, 540, 5);
-    let set = active_uncolored(&state);
+    let set = active_uncolored(&inst.graph, &state);
     // Mixed targets: a third auto-succeed, the rest must gain slack.
     let targets: Vec<f64> = set
         .active
@@ -171,7 +170,7 @@ fn generate_slack_matches_reference_path() {
         .enumerate()
         .map(|(i, _)| if i % 3 == 0 { 0.0 } else { 1.0 })
         .collect();
-    let proc = GenerateSlack::new(&inst.graph, set, 0.2, targets, 3);
+    let proc = GenerateSlack::new(set, 0.2, targets, 3);
     check_equivalence(&proc, &state, "GenerateSlack");
 }
 
@@ -192,8 +191,7 @@ fn synch_color_trial_matches_reference_path() {
     let state = ColoringState::new(&inst);
     let inliers: Vec<NodeId> = (1..14).collect();
     let proc = SynchColorTrial::new(
-        &g,
-        StageSet::new(14, inliers.clone()),
+        StageSet::new(&g, inliers.clone()),
         vec![CliqueTrial { leader: 0, inliers }],
         2,
         1,
@@ -208,8 +206,7 @@ fn put_aside_matches_reference_path() {
     let state = ColoringState::new(&inst);
     let inliers: Vec<NodeId> = (0..16).collect();
     let proc = PutAside {
-        g: &g,
-        set: StageSet::new(16, inliers.clone()),
+        set: StageSet::new(&g, inliers.clone()),
         cliques: vec![CliquePutAside {
             clique_id: 0,
             inliers,
@@ -230,7 +227,7 @@ fn put_aside_matches_reference_path() {
 #[test]
 fn try_random_color_slack_target_matches_reference_path() {
     let (inst, state) = partially_colored(150, 500, 9);
-    let set = active_uncolored(&state);
+    let set = active_uncolored(&inst.graph, &state);
     // Mixed targets: auto-succeed, reachable, unreachable, negative.
     let targets: Vec<f64> = set
         .active
@@ -243,7 +240,7 @@ fn try_random_color_slack_target_matches_reference_path() {
             _ => -2.0,
         })
         .collect();
-    let proc = TryRandomColor::new(&inst.graph, set, SspMode::SlackTarget(targets), 4);
+    let proc = TryRandomColor::new(set, SspMode::SlackTarget(targets), 4);
     check_equivalence(&proc, &state, "TryRandomColor SlackTarget");
 }
 
@@ -254,7 +251,7 @@ fn multi_trial_matches_reference_path_for_every_ssp() {
         SspMode::Auto,
         SspMode::SlackRatio(0.3),
         SspMode::SlackTarget(
-            active_uncolored(&state)
+            active_uncolored(&inst.graph, &state)
                 .active
                 .iter()
                 .enumerate()
@@ -262,7 +259,7 @@ fn multi_trial_matches_reference_path_for_every_ssp() {
                 .collect(),
         ),
     ] {
-        let proc = MultiTrial::new(&inst.graph, active_uncolored(&state), 3, ssp.clone(), 2);
+        let proc = MultiTrial::new(active_uncolored(&inst.graph, &state), 3, ssp.clone(), 2);
         check_equivalence(&proc, &state, &format!("MultiTrial {ssp:?}"));
     }
 }
@@ -271,14 +268,14 @@ fn multi_trial_matches_reference_path_for_every_ssp() {
 fn generate_slack_matches_reference_path_more_probs() {
     for (seed, prob) in [(6u64, 0.05), (7, 0.5), (8, 0.95)] {
         let (inst, state) = partially_colored(120, 380, seed);
-        let set = active_uncolored(&state);
+        let set = active_uncolored(&inst.graph, &state);
         let targets: Vec<f64> = set
             .active
             .iter()
             .enumerate()
             .map(|(i, _)| (i % 4) as f64 - 1.0)
             .collect();
-        let proc = GenerateSlack::new(&inst.graph, set, prob, targets, 5);
+        let proc = GenerateSlack::new(set, prob, targets, 5);
         check_equivalence(&proc, &state, &format!("GenerateSlack p={prob}"));
     }
 }
@@ -325,9 +322,9 @@ proptest! {
         let g = gnm(n, n + extra, gseed);
         let inst = D1lcInstance::delta_plus_one(g.clone());
         let state = ColoringState::new(&inst);
-        let full = StageSet::new(n, (0..n as NodeId).collect());
+        let full = StageSet::new(&g, (0..n as NodeId).collect());
         let subset = StageSet::new(
-            n,
+            &g,
             (0..n as NodeId).filter(|&v| !(v as u64 + gseed).is_multiple_of(3)).collect(),
         );
         for (name, set) in [("full", full), ("subset", subset)] {
@@ -338,7 +335,7 @@ proptest! {
                 SspMode::SlackRatio(ratio),
                 SspMode::SlackTarget(targets),
             ] {
-                let proc = TryRandomColor::new(&g, set.clone(), ssp.clone(), 1);
+                let proc = TryRandomColor::new(set.clone(), ssp.clone(), 1);
                 assert_block_matches_reference(
                     &proc,
                     &state,
@@ -358,9 +355,9 @@ proptest! {
 #[test]
 fn sharded_search_is_worker_invariant_on_procedures() {
     let (inst, state) = partially_colored(180, 540, 11);
-    let set = active_uncolored(&state);
+    let set = active_uncolored(&inst.graph, &state);
     let targets: Vec<f64> = set.active.iter().map(|_| 3.0).collect();
-    let proc = TryRandomColor::new(&inst.graph, set, SspMode::SlackTarget(targets), 6);
+    let proc = TryRandomColor::new(set, SspMode::SlackTarget(targets), 6);
     let chunks = ChunkAssignment::PerNode;
     let run = |workers: usize, strategy: SeedStrategy| {
         block_selection(&proc, &state, &chunks, strategy, workers, |t| t)

@@ -203,7 +203,7 @@ fn certified_steps_cost_nothing_and_color_what_the_search_would() {
             continue;
         }
         let g = &inst.graph;
-        let set = || StageSet::new(g.n(), active.clone());
+        let set = || StageSet::new(g, active.clone());
         let ratio = rng.f64() * 3.0;
         let x = 1 + rng.below(6) as usize;
         let tag = rng.below(1 << 10);
@@ -222,18 +222,15 @@ fn certified_steps_cost_nothing_and_color_what_the_search_would() {
         ];
         let mut procs: Vec<(&str, Box<dyn NormalProcedure + '_>)> = Vec::new();
         for (trc, mt, ssp) in modes {
-            procs.push((
-                trc,
-                Box::new(TryRandomColor::new(g, set(), ssp.clone(), tag)),
-            ));
-            procs.push((mt, Box::new(MultiTrial::new(g, set(), x, ssp, tag))));
+            procs.push((trc, Box::new(TryRandomColor::new(set(), ssp.clone(), tag))));
+            procs.push((mt, Box::new(MultiTrial::new(set(), x, ssp, tag))));
         }
         // Slack targets, some ≤ 0 (auto-success), some fractional.
         let targets: Vec<f64> = active.iter().map(|_| rng.f64() * 12.0 - 4.0).collect();
         let prob = [0.1, 0.5, 1.0][rng.below(3) as usize];
         procs.push((
             "GenerateSlack/SlackTarget",
-            Box::new(GenerateSlack::new(g, set(), prob, targets, tag)),
+            Box::new(GenerateSlack::new(set(), prob, targets, tag)),
         ));
         for (label, proc) in &procs {
             *tried.entry(label).or_default() += 1;
@@ -260,9 +257,9 @@ fn a_negative_ratio_is_never_certified() {
     // An isolated node with a large palette meets every other bound.
     let inst = D1lcInstance::new(Graph::empty(1), PaletteArena::from_lists(&[vec![1, 2, 3]]));
     let state = ColoringState::new(&inst);
-    let set = StageSet::new(1, vec![0]);
-    let ok = TryRandomColor::new(&inst.graph, set.clone(), SspMode::SlackRatio(0.0), 0);
+    let set = StageSet::new(&inst.graph, vec![0]);
+    let ok = TryRandomColor::new(set.clone(), SspMode::SlackRatio(0.0), 0);
     assert!(ok.zero_cost_under_every_seed(&state));
-    let neg = TryRandomColor::new(&inst.graph, set, SspMode::SlackRatio(-0.5), 0);
+    let neg = TryRandomColor::new(set, SspMode::SlackRatio(-0.5), 0);
     assert!(!neg.zero_cost_under_every_seed(&state));
 }
