@@ -11,9 +11,8 @@ use parcolor_core::node_params::compute_params;
 use parcolor_core::reduce::low_space_partition;
 use parcolor_core::{D1lcInstance, NodeId, Params};
 use parcolor_graphgen::gnm;
-use parcolor_local::tape::Randomness;
 use parcolor_prg::{
-    select_seed, select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedStrategy, SEED_BLOCK,
+    select_seed, select_seed_blocks_n, ChunkAssignment, Prg, PrgBlock, PrgTape, SeedStrategy,
 };
 use std::hint::black_box;
 
@@ -60,10 +59,8 @@ fn bench_seed_search(c: &mut Criterion) {
                         0,
                         || SimScratch::new(n),
                         |seed0, costs, scratch| {
-                            let tapes = prg.block_tapes(seed0, &chunks);
-                            let refs: [&dyn Randomness; SEED_BLOCK] =
-                                std::array::from_fn(|i| &tapes[i] as &dyn Randomness);
-                            proc.seed_cost_block(&state, &refs[..costs.len()], scratch, costs);
+                            let block = PrgBlock::new(prg, seed0, costs.len(), &chunks);
+                            proc.seed_cost_block(&state, &block, scratch, costs);
                         },
                     ))
                 })

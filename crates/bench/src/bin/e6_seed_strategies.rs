@@ -25,14 +25,15 @@ use parcolor_graphgen::gnm;
 use parcolor_local::tape::{CryptoTape, ForceScalar, Randomness};
 use parcolor_prg::hashing::KWiseFamily;
 use parcolor_prg::{
-    select_seed, select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedSelection, SeedStrategy,
-    SEED_BLOCK,
+    select_seed, select_seed_blocks_n, ChunkAssignment, Prg, PrgBlock, PrgTape, SeedSelection,
+    SeedStrategy,
 };
 
 /// The production seed search over `proc` (`select_seed_blocks_n` +
 /// `seed_cost_block`, per-node chunks) with `workers` workers (`0` =
-/// auto); `force_scalar` routes every tape through the scalar trait
-/// defaults instead of the lane mixers.
+/// auto); `force_scalar` routes every block through the scalar trait
+/// defaults (the per-lane `below_lanes` loop, scalar tapes) instead of
+/// the lane mixers.
 fn block_search(
     proc: &dyn NormalProcedure,
     state: &ColoringState,
@@ -49,15 +50,12 @@ fn block_search(
         workers,
         || SimScratch::new(state.n()),
         |seed0, costs, scratch| {
-            let tapes = prg.block_tapes(seed0, &chunks).map(ForceScalar);
-            let refs: [&dyn Randomness; SEED_BLOCK] = std::array::from_fn(|i| {
-                if force_scalar {
-                    &tapes[i] as &dyn Randomness
-                } else {
-                    &tapes[i].0
-                }
-            });
-            proc.seed_cost_block(state, &refs[..costs.len()], scratch, costs);
+            let block = PrgBlock::new(prg, seed0, costs.len(), &chunks);
+            if force_scalar {
+                proc.seed_cost_block(state, &ForceScalar(block), scratch, costs);
+            } else {
+                proc.seed_cost_block(state, &block, scratch, costs);
+            }
         },
     )
 }
@@ -376,8 +374,9 @@ fn fastpath_comparison() -> Vec<String> {
 /// throughput and the end-to-end seed search at `seed_bits = 16` on a
 /// single worker (so per-seed evaluation cost is what's measured, not
 /// thread scaling).  Both legs run the *same* `seed_cost_block`; the
-/// scalar leg forces the tape's scalar trait defaults (one mixer call per
-/// node per seed), so the measured gap is the tape-level batching alone.
+/// scalar leg forces the scalar trait defaults (the per-lane
+/// `below_lanes` loop: one whole mixer call per node per seed), so the
+/// measured gap is the lane draw alone.
 /// Emits `BENCH_hash_batch.json`.
 fn hash_batch_comparison() {
     println!("\n# Batched randomness plane vs scalar tape (1 worker)");

@@ -32,14 +32,16 @@
 //!
 //! 1. **One seed-lane block evaluator, where the workloads search.**
 //!    TryRandomColor, the procedure whose searches dominate a solve,
-//!    overrides [`NormalProcedure::seed_cost_block`]: a block of up to
-//!    `SEED_BLOCK` seeds draws its picks into one structure-of-arrays
-//!    plane (`SimScratch::soa`), and the clash scan runs ONCE over the
-//!    step's in-stage edges with lane-parallel compares, instead of once
-//!    per seed.  Its costs are `seed_cost`'s values: each lane's
-//!    clashed-node count is the `Auto`/`Colored` cost, and under a slack
-//!    SSP each lane's outcome is read off the plane and costed by
-//!    `seed_cost` itself.  See the block contract on
+//!    overrides [`NormalProcedure::seed_cost_block`]: for a block of up
+//!    to `SEED_BLOCK` seeds it draws each stage node's picks under every
+//!    seed in one `TapeBlock::below_lanes` call, straight into the node's
+//!    row of one structure-of-arrays plane (`SimScratch::soa`), and the
+//!    clash scan runs ONCE over the step's in-stage edges with
+//!    lane-parallel compares, instead of once per seed.  Its costs are
+//!    `seed_cost`'s values: each lane's clashed-node count is the
+//!    `Auto`/`Colored` cost, and under a slack SSP each lane's outcome is
+//!    read off the plane and costed by `seed_cost` itself.  See the
+//!    block contract on
 //!    [`NormalProcedure::seed_cost_block`].  Every other procedure,
 //!    MultiTrial included, takes the trait's default, the reference loop
 //!    `seed_cost(simulate(tape))` per lane.  Every procedure walks the
@@ -51,13 +53,13 @@
 //!    over the high nodes' neighbors and palettes counts every lane.
 //! 2. **Pick caching in reusable arenas** ([`SimScratch`]).  A node's
 //!    random draw under a fixed seed is the same no matter which neighbor
-//!    asks, so the block evaluator draws each active node's pick **once**
-//!    per lane (`O(n_active)` tape reads) into the row of its stage
-//!    position and resolves clashes with `O(m_active)` lookups by position
-//!    — as the reference `TryRandomColor::simulate` does for its one tape.
-//!    The planes are sized by the stage, and the arena's buffers are
-//!    retained across evaluations, so after warm-up the draws and the
-//!    clash scan allocate nothing.
+//!    asks, so the block evaluator draws each active node's picks **once**
+//!    per block (one lane call per node, `O(n_active)` in all) into the
+//!    row of its stage position and resolves clashes with `O(m_active)`
+//!    lookups by position — as the reference `TryRandomColor::simulate`
+//!    does for its one tape.  The planes are sized by the stage, and the
+//!    arena's buffers are retained across evaluations, so after warm-up
+//!    the draws and the clash scan allocate nothing.
 //! 3. **Sharded seed-parallelism.**  `parcolor_prg::select_seed_blocks_n`
 //!    folds the seed space on the persistent `parcolor-exec` pool, one
 //!    scratch per worker; each block evaluation is sequential.  Workers
@@ -65,15 +67,19 @@
 //!    the fold merges `(sum, min, argmin)` with a lowest-seed tie-break —
 //!    grouping-invariant for the integer SSP costs, so results are
 //!    bit-identical for any worker count and any steal order.
-//! 4. **Batched randomness plane** ([`SimScratch`]).  A procedure's random
-//!    draws are materialized for a whole stripe of active nodes in one
-//!    `Randomness::fill_*` call per stream — the tape's seed/stream mixer
-//!    rounds are hoisted once per stripe and the per-node rounds run four
-//!    lanes at a time through the inline `parcolor_local::simd::splitmix4`
-//!    — instead of one scalar `word` per node.  The plane is bit-identical
-//!    to the scalar tape walk (same mixer outputs, same picks, same chosen
-//!    seeds; see the batch contract in `parcolor_local::tape`), so the
-//!    reference `simulate` path and the golden hashes are unchanged.
+//! 4. **Batched randomness.**  `simulate` draws a whole stripe of active
+//!    nodes in one `Randomness::fill_*` call per stream — the tape's
+//!    seed/stream mixer rounds are hoisted once per stripe and the
+//!    per-node rounds run four lanes at a time through the inline
+//!    `parcolor_local::simd::splitmix4` — instead of one scalar `word` per
+//!    node.  The block evaluator draws a node's seed lanes together: the
+//!    PRG block (`parcolor_prg::PrgBlock`) hoists each lane's seed round
+//!    once per block and the chunk product once per node, leaving two
+//!    scalar splitmix rounds and one Lemire multiply per lane.  Both are
+//!    bit-identical to the scalar tape walk (same mixer outputs, same
+//!    picks, same chosen seeds; see the batch contract in
+//!    `parcolor_local::tape`), so the reference `simulate` path and the
+//!    golden hashes are unchanged.
 //!
 //! Per derandomized step a TryRandomColor or MultiTrial search therefore
 //! costs one `O(Σ_{v ∈ stage} (1 + d(v)))` pass that builds the stage's
@@ -103,11 +109,13 @@ use crate::linial::linial_coloring;
 use parcolor_local::engine::RoundEngine;
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_local::power::power_graph;
-use parcolor_local::tape::{CryptoTape, Randomness};
+use parcolor_local::tape::{CryptoTape, Randomness, TapeBlock, BLOCK_LANES};
 use parcolor_mpc::{MpcConfig, NodeMpc};
 use parcolor_prg::{
-    select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedSelection, SeedStrategy, SEED_BLOCK,
+    select_seed_blocks_n, ChunkAssignment, Prg, PrgBlock, PrgTape, SeedSelection, SeedStrategy,
+    SEED_BLOCK,
 };
+use std::time::Instant;
 
 /// Output of simulating one normal procedure (the `Out_v` of Definition 5,
 /// gathered for the whole graph).
@@ -120,26 +128,19 @@ pub struct Outcome {
 }
 
 /// Reusable arena for [`NormalProcedure::seed_cost_block`], one per
-/// seed-search worker: the buffers of TryRandomColor's block evaluator,
-/// which draws a whole block's picks with one `Randomness::fill_below`
-/// call per seed lane and resolves their clashes in one lane-parallel
-/// scan.  The dense planes are indexed by stage position (a participant's
-/// index in the step's `StageSet`) and sized by the stage.
+/// seed-search worker: the two planes of TryRandomColor's block
+/// evaluator, which writes each stage node's picks under the block's seed
+/// lanes as one row (one `TapeBlock::below_lanes` call per node) and
+/// resolves their clashes in one lane-parallel scan.  The planes are
+/// indexed by stage position (a participant's index in the step's
+/// `StageSet`) and sized by the stage.
 ///
-/// Every buffer is block-scoped: each block evaluation sizes the planes
-/// to its stage and overwrites what it reads (the draws of its own
-/// stripe, every position's row), so nothing needs clearing between
-/// evaluations and capacity is retained across the whole seed search.
-/// Every draw is bit-identical to the scalar calls it replaces (the
-/// tape-level batch contract), which is what keeps the block evaluator
-/// pinned to the reference path.  The default `seed_cost_block` leaves
-/// the arena untouched.
+/// Both planes are block-scoped: each block evaluation sizes them to its
+/// stage and overwrites every row it reads, so nothing needs clearing
+/// between evaluations and capacity is retained across the whole seed
+/// search.  The default `seed_cost_block` leaves the arena untouched.
 #[derive(Clone, Debug)]
 pub struct SimScratch {
-    /// Per-node draw bounds gathered for the current stripe.
-    pub(crate) bounds: Vec<u64>,
-    /// Bounded draws, one stripe per seed lane.
-    pub(crate) vals: Vec<u64>,
     /// Seed-lane plane: picks of up to [`SEED_BLOCK`] seeds per node,
     /// dense by stage position, one `u32` lane per seed — the
     /// structure-of-arrays layout the clash scan compares lane-parallel.
@@ -155,8 +156,6 @@ impl SimScratch {
     /// resizes it).
     pub fn new(n: usize) -> Self {
         SimScratch {
-            bounds: Vec::new(),
-            vals: Vec::new(),
             soa: vec![[0; SEED_BLOCK]; n],
             lane_mask: vec![0; n],
         }
@@ -192,16 +191,18 @@ pub trait NormalProcedure: Sync {
     /// the chosen seed (or, randomized, under the keyed tape).
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome;
 
-    /// Cost evaluation for a **block** of candidate seeds, one tape per
-    /// seed (at most `parcolor_prg::SEED_BLOCK`): must write
-    /// `costs[i] = seed_cost(state, &simulate(state, tapes[i]))` for every
-    /// lane.  This is the only path the derandomizer costs candidate
-    /// seeds through; a per-seed evaluation is a 1-lane block.  The
-    /// default is exactly that reference loop (allocating, scratch
-    /// unused).  TryRandomColor overrides it, because the workloads search
-    /// it most: it draws the whole block's picks into the seed-lane plane
-    /// (`SimScratch::soa`) and amortizes the clash scan across lanes.  An
-    /// override is only ever a faster way to the default's value.
+    /// Cost evaluation for a **block** of candidate seeds, one seed per
+    /// lane of `block` (at most `parcolor_prg::SEED_BLOCK`): must write
+    /// `costs[i] = seed_cost(state, &simulate(state, t))` for every lane
+    /// `i`, where `t` is lane `i`'s tape.  This is the only path the
+    /// derandomizer costs candidate seeds through; a per-seed evaluation
+    /// is a 1-lane block.  The default is exactly that reference loop
+    /// (allocating, scratch unused).  TryRandomColor overrides it, because
+    /// the workloads search it most: it draws each node's picks under
+    /// every lane in one `TapeBlock::below_lanes` call into the seed-lane
+    /// plane (`SimScratch::soa`) and amortizes the clash scan across
+    /// lanes.  An override is only ever a faster way to the default's
+    /// value.
     ///
     /// ## The block contract
     ///
@@ -209,37 +210,43 @@ pub trait NormalProcedure: Sync {
     ///
     /// 1. **Per-lane purity.**  `costs[i]` is a pure function of seed
     ///    lane `i` alone — exactly the value `seed_cost(state,
-    ///    &simulate(state, tapes[i]))` computes, bit-for-bit (costs are
-    ///    integer SSP-failure counts, so "bit-for-bit" is meaningful).
+    ///    &simulate(state, t))` computes on lane `i`'s tape `t`,
+    ///    bit-for-bit (costs are integer SSP-failure counts, so
+    ///    "bit-for-bit" is meaningful).
     ///    Lanes must not leak into one another: the block fold regroups
     ///    blocks freely across workers, and
     ///    `tests/seed_fastpath_equivalence.rs` pins every override to the
     ///    reference path.
-    /// 2. **Tape addressing is unchanged.**  Each lane draws through its
-    ///    own tape with the same `(node, stream, idx)` addresses
-    ///    `simulate` reads — materializing lanes into the plane is a
-    ///    layout change, never a randomness change.
+    /// 2. **Lanes are drawn together, at unchanged addresses.**  Lane `i`
+    ///    draws what `simulate` draws on lane `i`'s tape, at the same
+    ///    `(node, stream, idx)` addresses.  An override draws every lane
+    ///    at an address in one `TapeBlock::below_lanes` call, which is
+    ///    bit-identical to the per-lane scalar draws: drawing lanes
+    ///    together is a layout change, never a randomness change.
     /// 3. **Stale lanes are never read.**  Dense SoA rows
     ///    (`SimScratch::soa`) retain garbage from earlier blocks.  An
     ///    override pads the lanes it does not fill with values that cannot
     ///    collide: TryRandomColor writes the node's own stage position,
     ///    which no in-stage neighbor shares.
-    /// 4. **Short blocks are legal.**  `tapes.len()` may be any length
-    ///    in `1..=SEED_BLOCK` (tail blocks, `SingleSeed`); lanes past
-    ///    `costs.len()` must not be read or written as costs.
+    /// 4. **Short blocks are legal.**  `block.lanes()` equals
+    ///    `costs.len()` and may be any length in `1..=SEED_BLOCK` (tail
+    ///    blocks, `SingleSeed`); lanes past it must not be read or written
+    ///    as costs.
     ///
     /// Block grouping must never change any individual seed's cost.
     fn seed_cost_block(
         &self,
         state: &ColoringState,
-        tapes: &[&dyn Randomness],
+        block: &dyn TapeBlock,
         scratch: &mut SimScratch,
         costs: &mut [f64],
     ) {
-        debug_assert_eq!(tapes.len(), costs.len());
+        debug_assert_eq!(block.lanes(), costs.len());
         let _ = scratch;
-        for (tape, c) in tapes.iter().zip(costs.iter_mut()) {
-            *c = self.seed_cost(state, &self.simulate(state, *tape));
+        for (s, c) in costs.iter_mut().enumerate() {
+            block.with_lane(s, &mut |tape| {
+                *c = self.seed_cost(state, &self.simulate(state, tape));
+            });
         }
     }
 
@@ -299,6 +306,22 @@ pub struct StepReport {
     /// ran under `SeedStrategy::constant_cost_seed`.  Always `false` in
     /// randomized mode.
     pub certified: bool,
+    /// Wall time of the seed search (`SeedSearcher::select`), in ms; 0
+    /// for a certified step and in randomized mode.
+    pub search_ms: f64,
+    /// Wall time of the one `simulate` that applies the chosen seed (or,
+    /// randomized, the keyed tape), in ms.
+    pub apply_ms: f64,
+    /// Wall time of the post-step SSP scan, in ms.  Release builds skip
+    /// the scan on a certified step; debug builds still run it.
+    pub ssp_ms: f64,
+    /// Wall time of `ColoringState::apply_adoptions`, in ms.
+    pub adopt_ms: f64,
+}
+
+/// Milliseconds since `t`.
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
 }
 
 /// The block evaluator a [`SeedSearcher`] receives: writes
@@ -533,6 +556,7 @@ impl<'g> Runner<'g> {
         let certified = matches!(self.mode, Mode::Derandomized { .. })
             && proc.zero_cost_under_every_seed(state);
         let chosen;
+        let mut search_ms = 0.0;
         let (tape, selection): (&dyn Randomness, _) = match &self.mode {
             Mode::Randomized { tape } => (tape, None),
             Mode::Derandomized {
@@ -563,32 +587,34 @@ impl<'g> Runner<'g> {
                 // identical (see `SeedSearcher`).
                 let st: &ColoringState = state;
                 let eval_block = |seed0: u64, costs: &mut [f64], scratch: &mut SimScratch| {
-                    let tapes = prg.block_tapes(seed0, chunks);
-                    let keyed: [StreamTape<PrgTape>; SEED_BLOCK] =
-                        std::array::from_fn(|i| StreamTape {
-                            inner: &tapes[i],
-                            stream,
-                        });
-                    let refs: [&dyn Randomness; SEED_BLOCK] =
-                        std::array::from_fn(|i| &keyed[i] as &dyn Randomness);
-                    proc.seed_cost_block(st, &refs[..costs.len()], scratch, costs);
+                    let block = PrgBlock::new(*prg, seed0, costs.len(), chunks);
+                    let keyed = StepStream {
+                        inner: &block,
+                        stream,
+                    };
+                    proc.seed_cost_block(st, &keyed, scratch, costs);
                 };
                 let n_active = proc.active_count();
+                let t = Instant::now();
                 let sel =
                     searcher.select(prg.seed_bits(), *strategy, *workers, n_active, &eval_block);
+                search_ms = ms_since(t);
                 debug_assert!(sel.satisfies_guarantee());
                 chosen = PrgTape::new(*prg, sel.seed, chunks);
                 (&chosen, Some(sel))
             }
         };
         // Apply the step's randomness once: one `simulate` in both modes.
-        let keyed = StreamTape {
+        let keyed = StepStream {
             inner: tape,
             stream,
         };
+        let t = Instant::now();
         let outcome = proc.simulate(state, &keyed);
+        let apply_ms = ms_since(t);
 
         // A certified step fails nowhere, so only debug builds scan it.
+        let t = Instant::now();
         let failures = if certified {
             debug_assert!(
                 proc.ssp_failures(state, &outcome).is_empty(),
@@ -599,8 +625,11 @@ impl<'g> Runner<'g> {
         } else {
             proc.ssp_failures(state, &outcome)
         };
+        let ssp_ms = ms_since(t);
         let adopted = outcome.adoptions.len();
+        let t = Instant::now();
         state.apply_adoptions(self.graph, &outcome.adoptions);
+        let adopt_ms = ms_since(t);
         self.last_aux = outcome.aux;
         for &v in &failures {
             debug_assert!(
@@ -637,49 +666,70 @@ impl<'g> Runner<'g> {
             failure_bound,
             selection,
             certified,
+            search_ms,
+            apply_ms,
+            ssp_ms,
+            adopt_ms,
         };
         self.reports.push(report.clone());
         report
     }
 }
 
-/// Adapter fixing the `stream` coordinate of an underlying tape, so each
-/// procedure invocation draws from its own pseudorandom substream.
-struct StreamTape<'a, R: Randomness + ?Sized> {
-    inner: &'a R,
+/// Adapter fixing the `stream` coordinate of an underlying tape, or of
+/// every lane of a seed block, so each procedure invocation draws from
+/// its own pseudorandom substream.
+struct StepStream<'a, T: ?Sized> {
+    inner: &'a T,
     stream: u64,
 }
 
-impl<R: Randomness + ?Sized> Randomness for StreamTape<'_, R> {
+impl<T: ?Sized> StepStream<'_, T> {
+    /// Combine the runner-level stream with the procedure-internal one.
+    #[inline]
+    fn remap(&self, stream: u64) -> u64 {
+        self.stream.wrapping_mul(0x1000_0000_01B3) ^ stream
+    }
+}
+
+impl<R: Randomness + ?Sized> Randomness for StepStream<'_, R> {
     #[inline]
     fn word(&self, node: u32, stream: u64, idx: u32) -> u64 {
-        // Combine the runner-level stream with the procedure-internal one.
-        self.inner.word(
-            node,
-            self.stream.wrapping_mul(0x1000_0000_01B3) ^ stream,
-            idx,
-        )
+        self.inner.word(node, self.remap(stream), idx)
     }
 
     // Forward the batch plane with the remapped stream so the inner
     // tape's lane mixers stay engaged.  `fill_below` needs no override:
     // its trait default routes through `fill_words`.
     fn fill_words(&self, stream: u64, nodes: &[u32], idx: u32, out: &mut [u64]) {
-        self.inner.fill_words(
-            self.stream.wrapping_mul(0x1000_0000_01B3) ^ stream,
-            nodes,
-            idx,
-            out,
-        )
+        self.inner.fill_words(self.remap(stream), nodes, idx, out)
     }
 
     fn fill_words_seq(&self, node: u32, stream: u64, idx0: u32, out: &mut [u64]) {
-        self.inner.fill_words_seq(
-            node,
-            self.stream.wrapping_mul(0x1000_0000_01B3) ^ stream,
-            idx0,
-            out,
-        )
+        self.inner
+            .fill_words_seq(node, self.remap(stream), idx0, out)
+    }
+}
+
+/// The whole block's lanes under the step's stream, as [`StepStream`]
+/// does for one tape.
+impl<B: TapeBlock + ?Sized> TapeBlock for StepStream<'_, B> {
+    fn lanes(&self) -> usize {
+        self.inner.lanes()
+    }
+
+    fn with_lane(&self, s: usize, f: &mut dyn FnMut(&dyn Randomness)) {
+        self.inner.with_lane(s, &mut |tape| {
+            f(&StepStream {
+                inner: tape,
+                stream: self.stream,
+            })
+        });
+    }
+
+    #[inline]
+    fn below_lanes(&self, node: u32, stream: u64, idx: u32, bound: u64) -> [u64; BLOCK_LANES] {
+        self.inner.below_lanes(node, self.remap(stream), idx, bound)
     }
 }
 
@@ -865,6 +915,97 @@ mod tests {
             // Not a strict requirement, but with fresh randomness the second
             // round almost surely colors someone on a ring.
             assert!(r2.adopted > 0 || r1.adopted == 8);
+        }
+    }
+
+    /// `ToyProc` on an independent set: no active node has an active
+    /// neighbor, so every node adopts under every seed, and it certifies
+    /// so.
+    struct Isolated<'a>(ToyProc<'a>);
+
+    impl NormalProcedure for Isolated<'_> {
+        fn name(&self) -> &'static str {
+            "isolated toy"
+        }
+
+        fn active_count(&self) -> usize {
+            self.0.active_count()
+        }
+
+        fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome {
+            self.0.simulate(state, rng)
+        }
+
+        fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
+            self.0.ssp_failures(state, out)
+        }
+
+        fn zero_cost_under_every_seed(&self, _state: &ColoringState) -> bool {
+            true
+        }
+    }
+
+    /// The ring's nodes `first, first + 2, …` as a toy step.
+    fn alternate(g: &Graph, first: NodeId) -> ToyProc<'_> {
+        let active: Vec<NodeId> = (first..8).step_by(2).collect();
+        let mut mask = vec![false; 8];
+        for &v in &active {
+            mask[v as usize] = true;
+        }
+        ToyProc { g, active, mask }
+    }
+
+    #[test]
+    fn step_reports_time_each_phase() {
+        let (inst, _, _) = setup();
+        let params = Params::default().with_seed_bits(6);
+        let mut state = ColoringState::new(&inst);
+        let mut runner = Runner::derandomized(&inst.graph, &params, 8);
+        let certified = runner.run_step(&Isolated(alternate(&inst.graph, 0)), &mut state);
+        assert!(certified.certified);
+        assert_eq!(
+            certified.search_ms, 0.0,
+            "a certified step searches nothing"
+        );
+        let searched = runner.run_step(&alternate(&inst.graph, 1), &mut state);
+        assert!(searched.selection.is_some());
+        let mut state = ColoringState::new(&inst);
+        let randomized = Runner::randomized(&inst.graph, &params, 3, 8)
+            .run_step(&alternate(&inst.graph, 0), &mut state);
+        assert_eq!(
+            randomized.search_ms, 0.0,
+            "a randomized step searches nothing"
+        );
+        for rep in [&certified, &searched, &randomized] {
+            for t in [rep.search_ms, rep.apply_ms, rep.ssp_ms, rep.adopt_ms] {
+                assert!(t.is_finite() && t >= 0.0, "{}: {t} ms", rep.name);
+            }
+        }
+    }
+
+    /// The step stream remaps every lane of a seed block as it does one
+    /// tape, in the lane draw and in each lane's tape.
+    #[test]
+    fn step_stream_remaps_every_lane() {
+        let prg = Prg::new(6);
+        let chunks = ChunkAssignment::PerNode;
+        let block = PrgBlock::new(prg, 56, SEED_BLOCK, &chunks);
+        let keyed = StepStream {
+            inner: &block,
+            stream: 9,
+        };
+        for v in 0..20 {
+            let draws = keyed.below_lanes(v, 3, 1, 7);
+            for (s, &got) in draws.iter().enumerate() {
+                let tape = PrgTape::new(prg, 56 + s as u64, &chunks);
+                let want = StepStream {
+                    inner: &tape,
+                    stream: 9,
+                }
+                .below(v, 3, 1, 7);
+                assert_eq!(got, want, "node {v} lane {s}");
+                keyed.with_lane(s, &mut |t| assert_eq!(t.below(v, 3, 1, 7), want));
+            }
         }
     }
 }

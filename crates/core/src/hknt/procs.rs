@@ -27,7 +27,7 @@ use crate::framework::{NormalProcedure, Outcome, SimScratch};
 use crate::instance::{ColoringState, NO_COLOR};
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_local::simd::lane_eq_mask8;
-use parcolor_local::tape::Randomness;
+use parcolor_local::tape::{Randomness, TapeBlock};
 use parcolor_prg::SEED_BLOCK;
 
 /// Streams used to separate the random draws inside one procedure.
@@ -364,12 +364,14 @@ impl NormalProcedure for TryRandomColor {
 
     /// Seed-lane block evaluation: the picks of all the block's seeds are
     /// materialized as one structure-of-arrays plane by stage position
-    /// (`soa[i] = [pick under seed lane 0, …, lane 7]`), then **one** pass
-    /// over the rows' higher parts compares whole 8-lane rows at a time
-    /// (`lane_eq_mask8`) — amortizing the clash scan's memory traffic
-    /// across up to `SEED_BLOCK` seeds, where a per-seed evaluation would
-    /// re-walk the edges once per seed.  Unused lanes are padded with the
-    /// node's own position, which no in-stage neighbor shares.
+    /// (`soa[i] = [pick under seed lane 0, …, lane 7]`), each row from one
+    /// `TapeBlock::below_lanes` call that draws the node under every lane,
+    /// then **one** pass over the rows' higher parts compares whole 8-lane
+    /// rows at a time (`lane_eq_mask8`) — amortizing the clash scan's
+    /// memory traffic across up to `SEED_BLOCK` seeds, where a per-seed
+    /// evaluation would re-walk the edges once per seed.  Unused lanes are
+    /// padded with the node's own position, which no in-stage neighbor
+    /// shares.
     ///
     /// For `Colored`/`Auto` each lane's clashed-node count is the cost
     /// directly.  For the slack SSPs lane `s`'s outcome is read off the
@@ -379,36 +381,25 @@ impl NormalProcedure for TryRandomColor {
     fn seed_cost_block(
         &self,
         state: &ColoringState,
-        tapes: &[&dyn Randomness],
+        block: &dyn TapeBlock,
         scratch: &mut SimScratch,
         costs: &mut [f64],
     ) {
-        debug_assert_eq!(tapes.len(), costs.len());
-        // Bounds gathered once for the whole block.
+        let n_lanes = block.lanes();
+        debug_assert_eq!(n_lanes, costs.len());
+        // One lane call per node draws its picks under every seed of the
+        // block, and the node's palette resolves them into its row.
         let active = &self.set.active;
         let n_active = active.len();
-        scratch.bounds.clear();
-        scratch
-            .bounds
-            .extend(active.iter().map(|&v| state.palette(v).len() as u64));
-        // All lanes' draws land in one stripe-major buffer
-        // (lane s at offset s·n_active) …
-        scratch.vals.resize(n_active * tapes.len(), 0);
         let stream = S_PICK ^ self.round_tag << 8;
-        for (s, tape) in tapes.iter().enumerate() {
-            let out = &mut scratch.vals[s * n_active..(s + 1) * n_active];
-            tape.fill_below(stream, active, 0, &scratch.bounds, out);
-        }
-        // … so the pick plane resolves each node's palette once and
-        // writes its whole seed-lane row.
         scratch.soa.resize(n_active, [0; SEED_BLOCK]);
-        let vals = &scratch.vals;
         for (i, (&v, lanes)) in active.iter().zip(&mut scratch.soa).enumerate() {
             let pal = state.palette(v);
-            for (s, lane) in lanes.iter_mut().take(tapes.len()).enumerate() {
-                *lane = pal[vals[s * n_active + i] as usize];
+            let draws = block.below_lanes(v, stream, 0, pal.len() as u64);
+            for (lane, &k) in lanes.iter_mut().zip(&draws).take(n_lanes) {
+                *lane = pal[k as usize];
             }
-            for lane in lanes.iter_mut().skip(tapes.len()) {
+            for lane in lanes.iter_mut().skip(n_lanes) {
                 *lane = i as u32;
             }
         }

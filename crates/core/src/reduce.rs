@@ -30,9 +30,10 @@
 //! level takes at most 64 bins.
 
 use crate::instance::ColoringState;
+use parcolor_exec::resolve_workers;
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_prg::hashing::{KWiseFamily, KWiseHash};
-use parcolor_prg::{fold_seed_range_in, seed_workers, SumMinArgmin, SEED_BLOCK};
+use parcolor_prg::{fold_seed_range_in, SumMinArgmin, SEED_BLOCK};
 
 /// Independence of the partition hashes.  CDP21d uses `O(log n)`-wise
 /// independence for Chernoff-type concentration of in-bin degrees; 8-wise
@@ -333,10 +334,12 @@ pub fn low_space_partition(
     let mut best = SumMinArgmin::EMPTY;
     let mut tried = 0;
     // Prefixes [0,1), [1,2), [2,4), …: no seed beats cost 0, so the first
-    // prefix holding one ends the search.
+    // prefix holding one ends the search.  A lane block walks the high
+    // nodes' neighbors and palettes, so every block is worth a worker.
+    let hw = resolve_workers(0);
     while tried < budget && best.min > 0.0 {
         let len = tried.max(1).min(budget - tried);
-        let workers = seed_workers(len, 0);
+        let workers = hw.min(len.div_ceil(SEED_BLOCK as u64) as usize);
         while pool.len() < workers {
             pool.push(pool[0].clone());
         }

@@ -8,6 +8,17 @@
 //! per-element loops in the same callers.  Integer lane arithmetic is
 //! exact, so every build target produces the same bytes as
 //! [`crate::tape::splitmix64`] and the per-lane `==`.
+//!
+//! The seed-block lane draw (`parcolor_prg::PrgBlock`'s
+//! `TapeBlock::below_lanes`) is kept scalar on purpose: a plain loop over
+//! its eight lanes, two splitmix rounds and one Lemire multiply each,
+//! that compiles to scalar `imul` on the default x86-64 target.  The
+//! baseline target has no 64-bit lane multiply, so when LLVM
+//! SLP-vectorized the same chain it emulated every product with
+//! `pmuludq` and shifts: a standalone micro on a 2-vCPU Xeon ran it at
+//! 6.0–6.5 ns per (seed, node), against 2.8–2.9 ns scalar and 3.8–4.1 ns
+//! under AVX2.  If the kernel's shape changes, check its codegen
+//! (`objdump -d … | grep pmuludq`) and time it again.
 
 /// Number of 64-bit lanes [`splitmix4`] mixes at once.
 pub const SPLITMIX_LANES: usize = 4;
@@ -25,13 +36,22 @@ pub fn splitmix4(z: [u64; SPLITMIX_LANES]) -> [u64; SPLITMIX_LANES] {
 
 /// Bit `s` of the result ⇔ `a[s] == b[s]`: the seed-lane clash compare
 /// of two 8-lane pick rows.
-#[inline]
+///
+/// The compares land in a `[bool; 8]` before they are packed, and the
+/// body is inlined early (`inline(always)`): in that shape x86-64 builds
+/// compile it to two `pcmpeqd` and one `pmovmskb` wherever it is called.
+/// The fused form `eq |= u8::from(a[s] == b[s]) << s` compiled so only
+/// where the surrounding code happened to allow it; TryRandomColor's
+/// clash scan got lanes 0 and 5–7 as scalar `sete`s and ran about 1.4×
+/// slower (2-vCPU Xeon, one worker, gnm 5·10^4 nodes).
+#[inline(always)]
 pub fn lane_eq_mask8(a: &[u32; 8], b: &[u32; 8]) -> u8 {
-    let mut eq = 0u8;
-    for s in 0..8 {
-        eq |= u8::from(a[s] == b[s]) << s;
+    let eq: [bool; 8] = std::array::from_fn(|s| a[s] == b[s]);
+    let mut mask = 0u8;
+    for (s, &e) in eq.iter().enumerate() {
+        mask |= u8::from(e) << s;
     }
-    eq
+    mask
 }
 
 #[cfg(test)]

@@ -35,6 +35,12 @@
 //! * **Defaults are correct.**  The trait defaults fall back to scalar
 //!   `word` calls (chunked through `fill_words` where that helps), so a
 //!   tape only implementing `word` is already a valid, if slower, source.
+//!
+//! A [`TapeBlock`] holds the tapes of one seed block, one per lane, and
+//! draws every lane at one address in one call
+//! ([`TapeBlock::below_lanes`]).  The same contract holds across lanes:
+//! lane `s` of the call is bit-identical to the scalar `below` on lane
+//! `s`'s tape, and the trait default is that per-lane loop.
 
 use crate::simd::{splitmix4, SPLITMIX_LANES};
 
@@ -111,17 +117,90 @@ pub trait Randomness: Sync {
     }
 }
 
+/// A reference reads exactly the tape it points to, batch plane included.
+impl<R: Randomness + ?Sized> Randomness for &R {
+    #[inline]
+    fn word(&self, node: u32, stream: u64, idx: u32) -> u64 {
+        (**self).word(node, stream, idx)
+    }
+
+    fn below(&self, node: u32, stream: u64, idx: u32, bound: u64) -> u64 {
+        (**self).below(node, stream, idx, bound)
+    }
+
+    fn bernoulli(&self, node: u32, stream: u64, idx: u32, p: f64) -> bool {
+        (**self).bernoulli(node, stream, idx, p)
+    }
+
+    fn fill_words(&self, stream: u64, nodes: &[u32], idx: u32, out: &mut [u64]) {
+        (**self).fill_words(stream, nodes, idx, out)
+    }
+
+    fn fill_words_seq(&self, node: u32, stream: u64, idx0: u32, out: &mut [u64]) {
+        (**self).fill_words_seq(node, stream, idx0, out)
+    }
+
+    fn fill_below(&self, stream: u64, nodes: &[u32], idx: u32, bounds: &[u64], out: &mut [u64]) {
+        (**self).fill_below(stream, nodes, idx, bounds, out)
+    }
+}
+
+/// Lanes of a [`TapeBlock`]: the seeds of one block of a seed search
+/// (`parcolor_prg::SEED_BLOCK`).
+pub const BLOCK_LANES: usize = 8;
+
+/// The tapes of one seed block, one per lane (lane `s` of a seed search's
+/// block reads seed `seed0 + s`), drawn together.
+///
+/// A block evaluator that needs each node's draw under every lane makes
+/// one [`TapeBlock::below_lanes`] call per node, so a tape family can
+/// hoist each lane's seed work once per block and the per-node work once
+/// per node.  Lanes are independent: lane `s` of every call is exactly
+/// what lane `s`'s tape returns (the batch contract, across lanes).
+pub trait TapeBlock: Sync {
+    /// Live lanes, in `1..=BLOCK_LANES`.
+    fn lanes(&self) -> usize;
+
+    /// Call `f` with the tape of live lane `s`.
+    fn with_lane(&self, s: usize, f: &mut dyn FnMut(&dyn Randomness));
+
+    /// Entry `s` is `below(node, stream, idx, bound)` on live lane `s`'s
+    /// tape (bound > 0); entries past [`TapeBlock::lanes`] are
+    /// unspecified.
+    ///
+    /// The default is the per-lane scalar loop; a tape family with a
+    /// known mixer overrides it bit-identically.
+    fn below_lanes(&self, node: u32, stream: u64, idx: u32, bound: u64) -> [u64; BLOCK_LANES] {
+        let mut out = [0; BLOCK_LANES];
+        for (s, o) in out.iter_mut().enumerate().take(self.lanes()) {
+            self.with_lane(s, &mut |tape| *o = tape.below(node, stream, idx, bound));
+        }
+        out
+    }
+}
+
 /// Adapter forcing the scalar default batch methods of an inner tape —
 /// the "batching off" mode used by equivalence tests and the scalar legs
 /// of the batch benchmarks.  Only [`Randomness::word`] is forwarded, so
 /// every `fill_*` call runs the trait defaults over the inner scalar
-/// mixer.
+/// mixer.  Around a [`TapeBlock`] it forces the same on every lane and
+/// draws the lanes through the default [`TapeBlock::below_lanes`] loop.
 pub struct ForceScalar<R>(pub R);
 
 impl<R: Randomness> Randomness for ForceScalar<R> {
     #[inline]
     fn word(&self, node: u32, stream: u64, idx: u32) -> u64 {
         self.0.word(node, stream, idx)
+    }
+}
+
+impl<B: TapeBlock> TapeBlock for ForceScalar<B> {
+    fn lanes(&self) -> usize {
+        self.0.lanes()
+    }
+
+    fn with_lane(&self, s: usize, f: &mut dyn FnMut(&dyn Randomness)) {
+        self.0.with_lane(s, &mut |tape| f(&ForceScalar(tape)));
     }
 }
 

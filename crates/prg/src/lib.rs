@@ -29,7 +29,7 @@ pub mod prg;
 pub mod seed_search;
 
 pub use hashing::{KWiseFamily, PairwiseHash};
-pub use prg::{ChunkAssignment, Prg, PrgTape};
+pub use prg::{ChunkAssignment, Prg, PrgBlock, PrgTape};
 pub use seed_search::{
     fold_seed_range_in, seed_workers, select_seed, select_seed_blocks_n, select_seed_folded,
     RangeFolder, SeedSelection, SeedStrategy, SEED_BLOCK,

@@ -8,7 +8,7 @@
 //! and arbitrarily long; `ChunkAssignment` carries the node→chunk map.
 
 use parcolor_local::simd::{splitmix4, SPLITMIX_LANES};
-use parcolor_local::tape::{splitmix64, Randomness};
+use parcolor_local::tape::{splitmix64, Randomness, TapeBlock, BLOCK_LANES};
 
 /// A PRG family parameterized by seed length in bits.
 ///
@@ -142,21 +142,70 @@ impl ChunkAssignment {
     }
 }
 
-impl Prg {
-    /// Tapes for one seed block: `tapes[i]` reads seed `seed0 + i`.  Pad
-    /// lanes past the end of the seed space are clamped to the last valid
-    /// seed — a block evaluator only reads lanes `0..costs.len()`, so the
-    /// clamped tapes are never consulted; the clamp exists solely to keep
-    /// the construction in range.  This is the one place that invariant
-    /// lives: every `select_seed_blocks_n` call site should build its
-    /// tapes here.
-    pub fn block_tapes<'a>(
-        &self,
-        seed0: u64,
-        chunks: &'a ChunkAssignment,
-    ) -> [PrgTape<'a>; crate::seed_search::SEED_BLOCK] {
-        let last = self.seed_space() - 1;
-        std::array::from_fn(|i| PrgTape::new(*self, (seed0 + i as u64).min(last), chunks))
+/// One seed block of a PRG family as a [`TapeBlock`]: lane `s` is
+/// `PrgTape::new(prg, seed0 + s, chunks)`.
+///
+/// [`TapeBlock::below_lanes`] draws a node's lanes in one pass: each
+/// lane's seed round is hoisted once per block and the chunk product once
+/// per node, leaving two splitmix rounds and one Lemire multiply per lane
+/// — the rounds and constants of [`Prg::word`] and [`Randomness::below`],
+/// so every lane is bit-identical to its tape's scalar `below`.
+pub struct PrgBlock<'a> {
+    prg: Prg,
+    seed0: u64,
+    lanes: usize,
+    chunks: &'a ChunkAssignment,
+    /// Lane `s`'s seed round, `splitmix64((seed0 + s) ^ K)`.  Keys past
+    /// `lanes` belong to seeds outside the block; their draws are the
+    /// unspecified entries of `below_lanes`.
+    keys: [u64; BLOCK_LANES],
+}
+
+impl<'a> PrgBlock<'a> {
+    /// The block of `lanes` seeds from `seed0` (`1..=BLOCK_LANES` lanes,
+    /// all inside the seed space).
+    pub fn new(prg: Prg, seed0: u64, lanes: usize, chunks: &'a ChunkAssignment) -> Self {
+        assert!(
+            (1..=BLOCK_LANES).contains(&lanes) && seed0 + lanes as u64 <= prg.seed_space(),
+            "seed block out of range"
+        );
+        PrgBlock {
+            prg,
+            seed0,
+            lanes,
+            chunks,
+            keys: std::array::from_fn(|s| splitmix64((seed0 + s as u64) ^ 0xD1B5_4A32_D192_ED03)),
+        }
+    }
+}
+
+impl TapeBlock for PrgBlock<'_> {
+    fn lanes(&self) -> usize {
+        self.lanes
+    }
+
+    fn with_lane(&self, s: usize, f: &mut dyn FnMut(&dyn Randomness)) {
+        assert!(s < self.lanes, "lane {s} of a {}-lane block", self.lanes);
+        f(&PrgTape::new(self.prg, self.seed0 + s as u64, self.chunks));
+    }
+
+    /// Plain scalar lanes: see the note in `parcolor_local::simd` on why
+    /// this kernel is not vectorized.
+    #[inline]
+    fn below_lanes(&self, node: u32, stream: u64, idx: u32, bound: u64) -> [u64; BLOCK_LANES] {
+        debug_assert!(bound > 0);
+        let cm = self
+            .chunks
+            .chunk_of(node)
+            .wrapping_mul(0x2545_F491_4F6C_DD1D);
+        let eff = (splitmix64(stream) as u32) ^ idx;
+        let im = (eff as u64).wrapping_mul(0x9E6C_63D0_876A_368B);
+        let mut out = [0; BLOCK_LANES];
+        for (o, &a) in out.iter_mut().zip(&self.keys) {
+            let w = splitmix64(splitmix64(a ^ cm) ^ im);
+            *o = ((w as u128 * bound as u128) >> 64) as u64;
+        }
+        out
     }
 }
 

@@ -66,8 +66,9 @@ use parcolor_exec::{Executor, SumMinArgmin};
 /// seed lanes.  Capped at 8 by the `u8` lane bitmasks TryRandomColor's
 /// block evaluator accumulates clash bits in (widen those before raising
 /// this).
-/// Evaluators may rely on block lengths never exceeding this.
-pub const SEED_BLOCK: usize = 8;
+/// Evaluators may rely on block lengths never exceeding this.  It is the
+/// lane count of a seed block's tapes (`parcolor_local::tape::TapeBlock`).
+pub const SEED_BLOCK: usize = parcolor_local::tape::BLOCK_LANES;
 const _: () = assert!(SEED_BLOCK <= u8::BITS as usize, "lane masks are u8");
 
 /// Strategy for choosing a PRG seed deterministically.

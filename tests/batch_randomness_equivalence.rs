@@ -8,14 +8,19 @@
 //! equal the scalar `word` / `below` calls element-for-element, over
 //! random node stripes and explicitly at the lane boundaries of both lane
 //! widths (the 4-lane `splitmix4` mixers and the 8-lane k-wise hash).
-//! Likewise
+//! A PRG seed block's `below_lanes` must equal each lane tape's scalar
+//! `below`, and the trait's per-lane default (`ForceScalar`), at every
+//! lane count, for a block that ends at the last seed of the space, and
+//! at the extreme bounds.  Likewise
 //! `KWiseHash::eval_batch` must equal `eval` for every independence
 //! `k ∈ 1..=4`.
 
 use parcolor_local::simd::{lane_eq_mask8, splitmix4, SPLITMIX_LANES};
-use parcolor_local::tape::{splitmix64, CryptoTape, ForceScalar, Randomness, MIX_LANES};
+use parcolor_local::tape::{
+    splitmix64, CryptoTape, ForceScalar, Randomness, TapeBlock, BLOCK_LANES, MIX_LANES,
+};
 use parcolor_prg::hashing::KWiseFamily;
-use parcolor_prg::{ChunkAssignment, Prg, PrgTape};
+use parcolor_prg::{ChunkAssignment, Prg, PrgBlock, PrgTape};
 use proptest::prelude::*;
 
 /// Stripe lengths every property probes: the lane boundaries of
@@ -109,6 +114,53 @@ proptest! {
             tape.fill_words(stream, &nodes, idx, &mut lanes);
             forced.fill_words(stream, &nodes, idx, &mut scalar);
             prop_assert_eq!(lanes, scalar);
+        }
+    }
+
+    #[test]
+    fn prg_block_lanes_match_scalar(
+        seed0 in 0u64..4096,
+        stream in any::<u64>(),
+        idx in 0u32..10_000,
+        bound in 2u64..(1 << 32),
+        nodes in proptest::collection::vec(0u32..512, 1..MIX_LANES),
+    ) {
+        let prg = Prg::new(12);
+        let space = prg.seed_space();
+        let per_node = ChunkAssignment::PerNode;
+        let coloring = ChunkAssignment::PowerColoring {
+            colors: (0..512u32).map(|v| v % 13).collect(),
+        };
+        for chunks in [&per_node, &coloring] {
+            for lanes in 1..=BLOCK_LANES {
+                // A block where the draw put it, and the one ending at the
+                // last seed of the space.
+                let last = space - lanes as u64;
+                for start in [seed0.min(last), last] {
+                    let block = PrgBlock::new(prg, start, lanes, chunks);
+                    let forced = ForceScalar(PrgBlock::new(prg, start, lanes, chunks));
+                    prop_assert_eq!(block.lanes(), lanes);
+                    for &v in &nodes {
+                        for b in [1, bound, (1 << 32) - 1, 1 << 32] {
+                            let got = block.below_lanes(v, stream, idx, b);
+                            let want = forced.below_lanes(v, stream, idx, b);
+                            for s in 0..lanes {
+                                let tape = PrgTape::new(prg, start + s as u64, chunks);
+                                prop_assert_eq!(
+                                    got[s],
+                                    tape.below(v, stream, idx, b),
+                                    "lanes {} from seed {} lane {} bound {}",
+                                    lanes,
+                                    start,
+                                    s,
+                                    b
+                                );
+                                prop_assert_eq!(want[s], got[s]);
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

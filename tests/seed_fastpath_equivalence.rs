@@ -22,10 +22,10 @@ use parcolor_core::hknt::procs::{
 use parcolor_core::instance::{ColoringState, D1lcInstance};
 use parcolor_core::{Graph, NodeId};
 use parcolor_graphgen::gnm;
-use parcolor_local::tape::{ForceScalar, Randomness};
+use parcolor_local::tape::{ForceScalar, TapeBlock};
 use parcolor_prg::{
-    select_seed, select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedSelection, SeedStrategy,
-    SEED_BLOCK,
+    select_seed, select_seed_blocks_n, ChunkAssignment, Prg, PrgBlock, PrgTape, SeedSelection,
+    SeedStrategy, SEED_BLOCK,
 };
 use proptest::prelude::*;
 
@@ -50,15 +50,15 @@ fn assert_selection_eq(old: &SeedSelection, new: &SeedSelection, ctx: &str) {
 }
 
 /// The production search: `select_seed_blocks_n` over `seed_cost_block`
-/// (what `Runner::run_step` drives), each lane's tape passed through
+/// (what `Runner::run_step` drives), each seed block passed through
 /// `wrap`.
-fn block_selection<'c, T: Randomness>(
+fn block_selection<'c, B: TapeBlock>(
     proc: &dyn NormalProcedure,
     state: &ColoringState,
     chunks: &'c ChunkAssignment,
     strategy: SeedStrategy,
     workers: usize,
-    wrap: impl Fn(PrgTape<'c>) -> T + Sync,
+    wrap: impl Fn(PrgBlock<'c>) -> B + Sync,
 ) -> SeedSelection {
     let prg = Prg::new(SEED_BITS);
     select_seed_blocks_n(
@@ -67,10 +67,8 @@ fn block_selection<'c, T: Randomness>(
         workers,
         || SimScratch::new(state.n()),
         |seed0, costs, scratch| {
-            let tapes = prg.block_tapes(seed0, chunks).map(&wrap);
-            let refs: [&dyn Randomness; SEED_BLOCK] =
-                std::array::from_fn(|i| &tapes[i] as &dyn Randomness);
-            proc.seed_cost_block(state, &refs[..costs.len()], scratch, costs);
+            let block = wrap(PrgBlock::new(prg, seed0, costs.len(), chunks));
+            proc.seed_cost_block(state, &block, scratch, costs);
         },
     )
 }
@@ -92,10 +90,10 @@ fn check_equivalence(proc: &dyn NormalProcedure, state: &ColoringState, ctx: &st
             "{ctx} / {strategy:?}: guarantee"
         );
 
-        // And with batching forced off at the tape level: the block
-        // evaluators' batched draws, consuming the scalar trait defaults,
-        // must reproduce the lane mixers word-for-word, hence the
-        // identical selection.
+        // And with batching forced off: the block's lanes drawn by the
+        // trait default (each lane's scalar `below`) and every lane's tape
+        // on the scalar trait defaults must reproduce the lane mixers
+        // word-for-word, hence the identical selection.
         let forced = block_selection(proc, state, &chunks, strategy, 0, ForceScalar);
         assert_selection_eq(
             &old,
@@ -280,7 +278,7 @@ fn generate_slack_matches_reference_path_more_probs() {
     }
 }
 
-/// Direct lane pin: for a block of tapes, `seed_cost_block` must write
+/// Direct lane pin: for a seed block, `seed_cost_block` must write
 /// exactly the reference `seed_cost(simulate(tape))` of every lane —
 /// including short and unit blocks (the tail/SingleSeed shapes).
 fn assert_block_matches_reference(proc: &dyn NormalProcedure, state: &ColoringState, ctx: &str) {
@@ -289,11 +287,9 @@ fn assert_block_matches_reference(proc: &dyn NormalProcedure, state: &ColoringSt
     let mut block_scratch = SimScratch::new(state.n());
     for seed0 in [0u64, 8, 56] {
         for blen in [SEED_BLOCK, 3, 1] {
-            let tapes = prg.block_tapes(seed0, &chunks);
-            let refs: [&dyn Randomness; SEED_BLOCK] =
-                std::array::from_fn(|i| &tapes[i] as &dyn Randomness);
+            let block = PrgBlock::new(prg, seed0, blen, &chunks);
             let mut costs = vec![0.0f64; blen];
-            proc.seed_cost_block(state, &refs[..blen], &mut block_scratch, &mut costs);
+            proc.seed_cost_block(state, &block, &mut block_scratch, &mut costs);
             for (i, &got) in costs.iter().enumerate() {
                 let tape = PrgTape::new(prg, seed0 + i as u64, &chunks);
                 let want = proc.seed_cost(state, &proc.simulate(state, &tape));

@@ -17,8 +17,8 @@ use parcolor_core::framework::{NormalProcedure, Outcome, Runner, SimScratch};
 use parcolor_core::hknt::procs::{GenerateSlack, MultiTrial, SspMode, StageSet, TryRandomColor};
 use parcolor_core::instance::{ColoringState, D1lcInstance, PaletteArena};
 use parcolor_core::{Graph, NodeId, Params};
-use parcolor_local::tape::{CryptoTape, Randomness};
-use parcolor_prg::{select_seed_blocks_n, ChunkAssignment, Prg, PrgTape, SeedStrategy, SEED_BLOCK};
+use parcolor_local::tape::{CryptoTape, Randomness, TapeBlock};
+use parcolor_prg::{select_seed_blocks_n, ChunkAssignment, Prg, PrgBlock, PrgTape, SeedStrategy};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -52,11 +52,11 @@ impl NormalProcedure for Searched<'_> {
     fn seed_cost_block(
         &self,
         state: &ColoringState,
-        tapes: &[&dyn Randomness],
+        block: &dyn TapeBlock,
         scratch: &mut SimScratch,
         costs: &mut [f64],
     ) {
-        self.0.seed_cost_block(state, tapes, scratch, costs)
+        self.0.seed_cost_block(state, block, scratch, costs)
     }
 
     fn ssp_failures(&self, state: &ColoringState, out: &Outcome) -> Vec<NodeId> {
@@ -151,10 +151,8 @@ fn check_certified(proc: &dyn NormalProcedure, g: &Graph, state: &ColoringState,
             0,
             || SimScratch::new(state.n()),
             |seed0, costs, scratch| {
-                let tapes = prg.block_tapes(seed0, &chunks);
-                let refs: [&dyn Randomness; SEED_BLOCK] =
-                    std::array::from_fn(|i| &tapes[i] as &dyn Randomness);
-                proc.seed_cost_block(state, &refs[..costs.len()], scratch, costs);
+                let block = PrgBlock::new(prg, seed0, costs.len(), &chunks);
+                proc.seed_cost_block(state, &block, scratch, costs);
             },
         );
         assert_eq!(sel.seed, expected, "{ctx} {strategy:?}: forced search");
