@@ -4,9 +4,10 @@
 //! Conventions shared by all procedures:
 //! * A [`StageSet`] is the geometry of one step: the nodes participating
 //!   in *this* invocation (uncolored, in the current stage, not deferred)
-//!   and each one's in-stage neighbors, built once per step.  Inactive
-//!   neighbors neither propose nor conflict, so every conflict walk reads
-//!   the set's rows, never the whole neighbor list.
+//!   and each one's in-stage neighbors, built once per step on the
+//!   `parcolor-exec` pool.  Inactive neighbors neither propose nor
+//!   conflict, so every conflict walk reads the set's rows, never the
+//!   whole neighbor list.
 //! * Per-node state is indexed by **stage position** (a participant's
 //!   index in `StageSet::active`) and sized by the stage: picks, clash
 //!   bits, proposals, sampling probabilities, the search planes of
@@ -25,6 +26,7 @@
 
 use crate::framework::{NormalProcedure, Outcome, SimScratch};
 use crate::instance::{ColoringState, NO_COLOR};
+use crate::stripes::par_rows;
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_local::simd::lane_eq_mask8;
 use parcolor_local::tape::{Randomness, TapeBlock};
@@ -59,6 +61,12 @@ pub enum SspMode {
 /// with a higher id than `active[i]` start: a walk over every row's
 /// higher part meets each in-stage edge once.  This is the only code that
 /// maps node ids to positions.
+///
+/// The position map is filled on the caller; the rows are built on the
+/// pool by stripes of 1,024 stage positions, one adjacency walk per
+/// participant, into one buffer sized by the participants' degrees that
+/// is compacted in place afterwards.  A set under two stripes builds
+/// inline.  The rows do not depend on the worker count.
 #[derive(Clone, Debug)]
 pub struct StageSet {
     /// Participating nodes, in the caller's order; no node twice.
@@ -83,22 +91,28 @@ impl StageSet {
         for (i, &v) in active.iter().enumerate() {
             pos[v as usize] = i as u32 + 1;
         }
-        let mut off = Vec::with_capacity(active.len() + 1);
-        let mut upper = Vec::with_capacity(active.len());
-        let mut nbrs = Vec::new();
-        off.push(0);
-        for &v in &active {
-            let mut higher = None;
-            for &u in g.neighbors(v) {
-                if u > v && higher.is_none() {
-                    higher = Some(nbrs.len());
+        // One walk per participant; a row's tag is its count of lower-id
+        // neighbors, rebased to an index into `nbrs` once `off` is known.
+        let (off, mut upper, nbrs) = par_rows(
+            active.len(),
+            |i| g.degree(active[i]),
+            |i, row| {
+                let v = active[i];
+                let (mut len, mut lower) = (0, 0);
+                for &u in g.neighbors(v) {
+                    if let Some(p) = pos[u as usize].checked_sub(1) {
+                        row[len] = p;
+                        len += 1;
+                        if u < v {
+                            lower = len;
+                        }
+                    }
                 }
-                if let Some(p) = pos[u as usize].checked_sub(1) {
-                    nbrs.push(p);
-                }
-            }
-            upper.push(higher.unwrap_or(nbrs.len()));
-            off.push(nbrs.len());
+                (len, lower)
+            },
+        );
+        for (split, &start) in upper.iter_mut().zip(&off) {
+            *split += start;
         }
         StageSet {
             active,
@@ -934,6 +948,7 @@ impl NormalProcedure for PutAside {
 mod tests {
     use super::*;
     use crate::instance::D1lcInstance;
+    use crate::stripes::STRIPE;
     use parcolor_local::tape::{CryptoTape, SplitMix};
     use proptest::prelude::*;
 
@@ -1184,23 +1199,29 @@ mod tests {
         // Every row is the brute-force filter of `g.neighbors` to the
         // stage, as positions in adjacency order, split where the higher
         // ids start; the node list comes whole and shuffled, as a strict
-        // subset, as a single node, or empty.
+        // subset, as a single node, or empty.  A quarter of the graphs
+        // span two to three pool stripes, and their whole and subset
+        // lists keep at least two stripes of participants, so the pool
+        // builds their rows.
         #[test]
         fn stage_rows_match_a_filter_of_the_neighbor_lists(
             gseed in any::<u64>(),
-            n in 2usize..60,
-            m in 0usize..240,
+            size in 0u64..4,
             shape in 0u64..4,
         ) {
-            let g = parcolor_graphgen::gnm(n, m.min(n * (n - 1) / 2), gseed);
             let mut rng = SplitMix::new(gseed);
+            let (n, least) = if size == 0 {
+                (2 * STRIPE + 1 + rng.below(STRIPE as u64) as usize, 2 * STRIPE)
+            } else {
+                (2 + rng.below(58) as usize, 0)
+            };
+            let m = (rng.below(4 * n as u64 + 1) as usize).min(n * (n - 1) / 2);
+            let g = parcolor_graphgen::gnm(n, m, gseed);
             let mut nodes: Vec<NodeId> = (0..n as NodeId).collect();
-            for i in (1..n).rev() {
-                nodes.swap(i, rng.below(i as u64 + 1) as usize);
-            }
+            rng.shuffle(&mut nodes);
             match shape {
                 0 => {}
-                1 => nodes.truncate(rng.below(n as u64) as usize),
+                1 => nodes.truncate(least + rng.below((n - least) as u64) as usize),
                 2 => nodes.truncate(1),
                 _ => nodes.clear(),
             }
@@ -1208,7 +1229,11 @@ mod tests {
             prop_assert_eq!(&set.active, &nodes);
             let higher_rows: Vec<&[u32]> = set.higher_rows().collect();
             prop_assert_eq!(higher_rows.len(), nodes.len());
-            let position = |v: NodeId| nodes.iter().position(|&u| u == v);
+            let mut at = vec![None; n];
+            for (i, &v) in nodes.iter().enumerate() {
+                at[v as usize] = Some(i);
+            }
+            let position = |v: NodeId| at[v as usize];
             for v in 0..n as NodeId {
                 prop_assert_eq!(set.position(v), position(v), "node {}", v);
                 prop_assert_eq!(set.contains(v), position(v).is_some(), "node {}", v);

@@ -63,32 +63,35 @@ fn stage_slack(state: &ColoringState, set: &StageSet) -> i64 {
         .unwrap_or(1)
 }
 
+/// The step set of what is left of `initial`, if anything is.
+fn live_set(runner: &Runner, state: &ColoringState, initial: &[NodeId]) -> Option<StageSet> {
+    let live = live(runner, state, initial);
+    (!live.is_empty()).then(|| StageSet::new(runner.graph, live))
+}
+
 /// `reps` steps on what is left of `initial`, the last under
-/// `SlackRatio(gate)` and the others under `Auto`; `step(set, ssp, rep)`
-/// builds each one's procedure.  Returns `false` as soon as nothing is
-/// left to run on.
+/// `SlackRatio(gate)` and the others under `Auto`; `first`, when given,
+/// is the first step's set, and `step(set, ssp, rep)` builds each one's
+/// procedure.  Returns `false` as soon as nothing is left to run on.
 fn gated_steps<P: NormalProcedure>(
     runner: &mut Runner,
     state: &mut ColoringState,
     initial: &[NodeId],
+    mut first: Option<StageSet>,
     reps: u32,
     gate: f64,
-    steps: &mut usize,
     step: impl Fn(StageSet, SspMode, u32) -> P,
 ) -> bool {
     for rep in 0..reps {
-        let live = live(runner, state, initial);
-        if live.is_empty() {
+        let Some(set) = first.take().or_else(|| live_set(runner, state, initial)) else {
             return false;
-        }
-        let set = StageSet::new(runner.graph, live);
+        };
         let ssp = if rep + 1 == reps {
             SspMode::SlackRatio(gate)
         } else {
             SspMode::Auto
         };
         runner.run_step(&step(set, ssp, rep), state);
-        *steps += 1;
     }
     true
 }
@@ -104,8 +107,9 @@ pub fn slack_color(
 ) -> SlackColorReport {
     let initial: Vec<NodeId> = live(runner, state, nodes);
     let participants = initial.len();
-    let mut steps = 0usize;
-    let report = |runner: &Runner, state: &ColoringState, s_min: i64, rho: f64, steps: usize| {
+    // Every step of the series is one `run_step`, which files one report.
+    let first_report = runner.reports.len();
+    let report = |runner: &Runner, state: &ColoringState, s_min: i64, rho: f64| {
         let colored = initial.iter().filter(|&&v| state.is_colored(v)).count();
         let deferred = initial.iter().filter(|&&v| runner.is_deferred(v)).count();
         SlackColorReport {
@@ -113,29 +117,29 @@ pub fn slack_color(
             participants,
             colored,
             deferred,
-            steps,
+            steps: runner.reports.len() - first_report,
             s_min,
             rho,
         }
     };
     if initial.is_empty() {
-        return report(runner, state, 0, 0.0, 0);
+        return report(runner, state, 0, 0.0);
     }
-    let g = runner.graph;
 
     // --- Phase 1: TryRandomColor warm-up + line-2 gate. ---
     let reps = params.try_color_repeats.max(1);
     let warm = |set, ssp, t| TryRandomColor::new(set, ssp, 0x100 + t as u64);
-    if !gated_steps(runner, state, &initial, reps, 2.0, &mut steps, warm) {
-        return report(runner, state, 0, 0.0, steps);
+    if !gated_steps(runner, state, &initial, None, reps, 2.0, warm) {
+        return report(runner, state, 0, 0.0);
     }
 
-    // s_min over survivors, measured on the stage subgraph.
-    let live_now = live(runner, state, &initial);
-    if live_now.is_empty() {
-        return report(runner, state, 0, 0.0, steps);
-    }
-    let s_min = stage_slack(state, &StageSet::new(g, live_now)).max(1);
+    // s_min over survivors, measured on the stage subgraph; the same set
+    // is loop A's first step.
+    let Some(survivors) = live_set(runner, state, &initial) else {
+        return report(runner, state, 0, 0.0);
+    };
+    let s_min = stage_slack(state, &survivors).max(1);
+    let mut first = Some(survivors);
     let kappa = params.kappa.clamp(0.05, 1.0);
     let rho = (s_min as f64).powf(1.0 / (1.0 + kappa)).max(2.0);
     let rho_k = rho.powf(kappa);
@@ -153,8 +157,8 @@ pub fn slack_color(
         let reps = params.multi_trial_reps_a.max(1);
         let trial =
             |set, ssp, rep| MultiTrial::new(set, xi, ssp, 0x200 + i as u64 * 8 + rep as u64);
-        if !gated_steps(runner, state, &initial, reps, gate, &mut steps, trial) {
-            return report(runner, state, s_min, rho, steps);
+        if !gated_steps(runner, state, &initial, first.take(), reps, gate, trial) {
+            return report(runner, state, s_min, rho);
         }
         if two_pow >= rho_k {
             break;
@@ -168,21 +172,18 @@ pub fn slack_color(
         let gate = rho.powf((i + 1) as f64 * kappa).min(rho);
         let reps = params.multi_trial_reps_b.max(1);
         let trial = |set, ssp, rep| MultiTrial::new(set, x, ssp, 0x300 + i as u64 * 8 + rep as u64);
-        if !gated_steps(runner, state, &initial, reps, gate, &mut steps, trial) {
-            return report(runner, state, s_min, rho, steps);
+        if !gated_steps(runner, state, &initial, None, reps, gate, trial) {
+            return report(runner, state, s_min, rho);
         }
     }
 
     // --- Phase 3: final MultiTrial(ρ); survivors defer. ---
-    let live_now = live(runner, state, &initial);
-    if !live_now.is_empty() {
-        let set = StageSet::new(g, live_now);
+    if let Some(set) = live_set(runner, state, &initial) {
         let proc = MultiTrial::new(set, rho.ceil() as usize, SspMode::Colored, 0x400);
         runner.run_step(&proc, state);
-        steps += 1;
     }
 
-    report(runner, state, s_min, rho, steps)
+    report(runner, state, s_min, rho)
 }
 
 #[cfg(test)]

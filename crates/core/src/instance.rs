@@ -9,7 +9,8 @@
 //! [`ColoringState`] maintains exactly that residual view incrementally
 //! and machine-checks the invariant.
 
-use parcolor_exec::{par_map_chunks, resolve_workers, Executor, ScatterMut};
+use crate::stripes::STRIPE;
+use parcolor_exec::{par_fold, par_map_chunks, resolve_workers, Executor, ScatterMut};
 use parcolor_local::graph::{Graph, NodeId};
 
 /// Sentinel for "not colored yet".
@@ -162,21 +163,51 @@ impl D1lcInstance {
     }
 
     /// Verify a complete coloring: every node colored from its own palette
-    /// and no monochromatic edge.
+    /// and no monochromatic edge.  The error names the lowest node that is
+    /// uncolored or off its palette; "monochromatic edge" is reported only
+    /// when every node passes.
+    ///
+    /// One fold over node-id stripes on the pool finds that node and
+    /// whether any adjacency entry joins two equal colors; both are a
+    /// `min` and an `or`, so the verdict is the same at every worker count.
     pub fn verify_coloring(&self, colors: &[u32]) -> Result<(), String> {
         if colors.len() != self.n() {
             return Err("wrong length".into());
         }
-        for v in 0..self.n() as NodeId {
-            let c = colors[v as usize];
-            if c == NO_COLOR {
-                return Err(format!("node {v} uncolored"));
-            }
-            if !self.palettes.palette(v).contains(&c) {
-                return Err(format!("node {v}: color {c} not in palette"));
-            }
+        let off_palette =
+            |v: NodeId, c: u32| c == NO_COLOR || !self.palettes.palette(v).contains(&c);
+        let (lowest_bad, monochromatic) = par_fold(
+            Executor::global(),
+            resolve_workers(0),
+            0..self.n() as u64,
+            STRIPE as u64,
+            || (u64::MAX, false),
+            |start, len, (mut bad, mut mono)| {
+                for v in start..start + len {
+                    let c = colors[v as usize];
+                    if v < bad && off_palette(v as NodeId, c) {
+                        bad = v;
+                    }
+                    mono = mono
+                        || self
+                            .graph
+                            .neighbors(v as NodeId)
+                            .iter()
+                            .any(|&u| colors[u as usize] == c);
+                }
+                (bad, mono)
+            },
+            |(a, x), (b, y)| (a.min(b), x || y),
+        );
+        if lowest_bad != u64::MAX {
+            let (v, c) = (lowest_bad, colors[lowest_bad as usize]);
+            return Err(if c == NO_COLOR {
+                format!("node {v} uncolored")
+            } else {
+                format!("node {v}: color {c} not in palette")
+            });
         }
-        if !self.graph.is_proper_coloring(colors) {
+        if monochromatic {
             return Err("monochromatic edge".into());
         }
         Ok(())
@@ -700,6 +731,76 @@ mod tests {
         // proper but node 0 uses color 5 ∉ palette {0,1,2}
         assert!(inst.verify_coloring(&[5, 1, 2]).is_err());
         assert!(inst.verify_coloring(&[0, 1, 2]).is_ok());
+    }
+
+    /// The sequential check the pool fold replaced, kept as its oracle.
+    fn reference_verify(inst: &D1lcInstance, colors: &[u32]) -> Result<(), String> {
+        if colors.len() != inst.n() {
+            return Err("wrong length".into());
+        }
+        for v in 0..inst.n() as NodeId {
+            let c = colors[v as usize];
+            if c == NO_COLOR {
+                return Err(format!("node {v} uncolored"));
+            }
+            if !inst.palettes.palette(v).contains(&c) {
+                return Err(format!("node {v}: color {c} not in palette"));
+            }
+        }
+        let g = &inst.graph;
+        let proper = (0..inst.n() as NodeId).all(|v| {
+            g.neighbors(v)
+                .iter()
+                .all(|&u| colors[u as usize] != colors[v as usize])
+        });
+        if !proper {
+            return Err("monochromatic edge".into());
+        }
+        Ok(())
+    }
+
+    /// Violations in different fold blocks of a cycle over five blocks:
+    /// the lowest violating node names the error, whatever kind the
+    /// others are, and "monochromatic edge" needs every palette check to
+    /// pass; every verdict equals the sequential loop's.
+    #[test]
+    fn verify_fold_reports_the_lowest_violation() {
+        let n = 5 * STRIPE + 7;
+        let inst = inst_cycle(n);
+        let mut proper: Vec<u32> = (0..n as u32).map(|v| v % 2).collect();
+        proper[n - 1] = 2;
+        let with = |changes: &[(usize, u32)]| {
+            let mut colors = proper.clone();
+            for &(v, c) in changes {
+                colors[v] = c;
+            }
+            colors
+        };
+        let mono = (STRIPE + 501, 0);
+        let uncolored = (2 * STRIPE + 300, NO_COLOR);
+        let off = (3 * STRIPE + 200, 7);
+        let low_off = (STRIPE + 100, 5);
+        let cases: [(Vec<u32>, Result<(), String>); 6] = [
+            (proper.clone(), Ok(())),
+            (with(&[mono]), Err("monochromatic edge".into())),
+            (
+                with(&[mono, off]),
+                Err(format!("node {}: color 7 not in palette", off.0)),
+            ),
+            (
+                with(&[off, uncolored, mono]),
+                Err(format!("node {} uncolored", uncolored.0)),
+            ),
+            (
+                with(&[uncolored, low_off]),
+                Err(format!("node {}: color 5 not in palette", low_off.0)),
+            ),
+            (proper[1..].to_vec(), Err("wrong length".into())),
+        ];
+        for (i, (colors, want)) in cases.iter().enumerate() {
+            assert_eq!(&inst.verify_coloring(colors), want, "case {i}");
+            assert_eq!(&reference_verify(&inst, colors), want, "case {i}");
+        }
     }
 
     #[test]

@@ -53,6 +53,7 @@ pub mod node_params;
 pub mod reduce;
 pub mod simd;
 pub mod solver;
+mod stripes;
 
 pub use config::{ChunkMode, Params};
 pub use framework::{

@@ -14,7 +14,8 @@
 //!    neighbors, is the number of triangles of the active subgraph
 //!    through `v`.  Every active edge is oriented from the lower to the
 //!    higher `(d, id)`, the out-lists are built once as a CSR (rows in
-//!    adjacency order, i.e. ascending id), and merging `out(a)` with
+//!    adjacency order, i.e. ascending id) by the one-walk row builder
+//!    each step's `StageSet` uses, and merging `out(a)` with
 //!    `out(b)` for every out-edge `a → b` finds each triangle exactly
 //!    once, at its lowest-ranked corner — the forward count of
 //!    Chiba–Nishizeki and Schank–Wagner.  Each corner's count takes a
@@ -42,7 +43,8 @@
 //! [`ParamTable::degree`].
 
 use crate::instance::ColoringState;
-use parcolor_exec::{par_fill, par_map_chunks, resolve_workers, Executor, ScatterMut};
+use crate::stripes::{par_rows, stripe_workers, STRIPE};
+use parcolor_exec::{par_fill, par_map_chunks, Executor};
 use parcolor_local::graph::{Graph, NodeId};
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -99,9 +101,6 @@ pub fn active_degree(g: &Graph, active: ActiveMask, v: NodeId) -> usize {
         .count()
 }
 
-/// Nodes per stripe of the pool passes.
-const STRIPE: usize = 1024;
-
 /// Compute Definition 2's parameters for all nodes in `nodes` (which must
 /// be uncolored and marked in `active`).  Degrees, sparsity and palettes
 /// are all taken in the residual graph induced by `active`.
@@ -113,9 +112,7 @@ pub fn compute_params(
 ) -> ParamTable {
     let n = g.n();
     let pool = Executor::global();
-    // No more workers than full stripes: a table under two stripes fills
-    // inline without waking the pool.
-    let workers = resolve_workers(0).min(n / STRIPE).max(1);
+    let workers = stripe_workers(n);
     let mut degree = vec![0u32; n];
     par_fill(pool, workers, &mut degree, STRIPE, |start, stripe| {
         for (v, d) in (start as NodeId..).zip(stripe) {
@@ -175,29 +172,19 @@ fn triangle_counts(
             .copied()
             .filter(move |&b| active[b as usize] && key < (degree[b as usize], b))
     };
-    let mut offsets = vec![0usize; n + 1];
-    par_fill(pool, workers, &mut offsets[1..], STRIPE, |start, stripe| {
-        for (a, len) in (start as NodeId..).zip(stripe) {
-            *len = out_neighbors(a).count();
-        }
-    });
-    for v in 0..n {
-        offsets[v + 1] += offsets[v];
-    }
-    let mut out = vec![0 as NodeId; offsets[n]];
-    let rows = ScatterMut::new(&mut out);
-    par_map_chunks(pool, workers, n, STRIPE, |start, len| {
-        let span = offsets[start]..offsets[start + len];
-        // SAFETY: nodes `start..start + len` own exactly the rows
-        // `out[offsets[start]..offsets[start + len]]`, and the chunks of
-        // one `par_map_chunks` call are disjoint node ranges, so no two
-        // workers' spans overlap.
-        let stripe = unsafe { rows.stripe_mut(span.start, span.len()) };
-        let nodes = start as NodeId..(start + len) as NodeId;
-        for (slot, b) in stripe.iter_mut().zip(nodes.flat_map(out_neighbors)) {
-            *slot = b;
-        }
-    });
+    // An active node's out-list holds at most its active degree.
+    let (offsets, _, out) = par_rows(
+        n,
+        |a| degree[a] as usize,
+        |a, row| {
+            let mut len = 0;
+            for b in out_neighbors(a as NodeId) {
+                row[len] = b;
+                len += 1;
+            }
+            (len, ())
+        },
+    );
     let row = |a: usize| &out[offsets[a]..offsets[a + 1]];
     let counts: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
     par_map_chunks(pool, workers, n, STRIPE, |start, len| {

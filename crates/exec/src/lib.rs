@@ -5,11 +5,13 @@
 //! blocks off one shared atomic counter** and fold per-worker partials
 //! that a grouping-invariant merge combines into a deterministic result.
 //! This crate generalizes that scheduler so every data-parallel surface —
-//! seed search, the Definition-2 stage pass, the MPC accounting and
-//! partition-diagnostic folds, the CSR row sort, and the residual-palette
-//! update that applies a step's adoptions (node-id stripes) — shares
-//! **one lazily-spawned persistent pool** instead of spawning scoped
-//! threads per call.  Callers reach it directly through [`par_fold`],
+//! seed search, the Definition-2 stage pass, the `Vstart` flag passes,
+//! each step's in-stage rows (stage-position stripes), the MPC
+//! accounting and partition-diagnostic folds, the CSR row sort, the
+//! residual-palette update that applies a step's adoptions (node-id
+//! stripes) and the final coloring check (a fold over node-id stripes)
+//! — shares **one lazily-spawned persistent pool** instead of spawning
+//! scoped threads per call.  Callers reach it directly through [`par_fold`],
 //! [`par_fill`] and friends; everything else in the workspace is plain
 //! sequential code.  That includes simulating a derandomized step under
 //! its chosen seed (one pass per step; striping it over the pool

@@ -303,18 +303,6 @@ impl Graph {
         )
     }
 
-    /// Check that `colors[v] != colors[u]` for every edge; `None` colors
-    /// (encoded by callers as sentinels) must be pre-filtered — this checker
-    /// treats every entry as a committed color.
-    pub fn is_proper_coloring(&self, colors: &[u32]) -> bool {
-        assert_eq!(colors.len(), self.n());
-        (0..self.n() as NodeId).all(|v| {
-            self.neighbors(v)
-                .iter()
-                .all(|&u| colors[u as usize] != colors[v as usize])
-        })
-    }
-
     /// Connected components; returns `(component_id per node, #components)`.
     pub fn components(&self) -> (Vec<u32>, usize) {
         let n = self.n();
@@ -544,11 +532,21 @@ mod tests {
         assert!(map.is_empty());
     }
 
+    /// Whether `colors[v] != colors[u]` for every edge.
+    fn is_proper_coloring(g: &Graph, colors: &[u32]) -> bool {
+        assert_eq!(colors.len(), g.n());
+        (0..g.n() as NodeId).all(|v| {
+            g.neighbors(v)
+                .iter()
+                .all(|&u| colors[u as usize] != colors[v as usize])
+        })
+    }
+
     #[test]
     fn proper_coloring_checker() {
         let g = path(4);
-        assert!(g.is_proper_coloring(&[0, 1, 0, 1]));
-        assert!(!g.is_proper_coloring(&[0, 0, 1, 0]));
+        assert!(is_proper_coloring(&g, &[0, 1, 0, 1]));
+        assert!(!is_proper_coloring(&g, &[0, 0, 1, 0]));
     }
 
     #[test]
@@ -568,7 +566,7 @@ mod tests {
         let colors = g
             .greedy_color_with(&order, |v| (0..=g.degree(v) as u32).collect())
             .unwrap();
-        assert!(g.is_proper_coloring(&colors));
+        assert!(is_proper_coloring(&g, &colors));
     }
 
     #[test]
