@@ -27,9 +27,10 @@
 //!
 //! Pass 2 finds the `H(c)` without a hash map, by one of two exact
 //! paths chosen per node from its neighbors' palettes:
-//! * **dense**: when the largest neighbor color is below twice the
-//!   node's palette entries plus 1024, a per-worker table indexed by
-//!   color takes each `1/p(u)` in adjacency order, as the old per-color
+//! * **dense**: when the crate's dense-color rule admits the largest
+//!   neighbor color (below twice the node's neighbor palette entries
+//!   plus 1024), a table indexed by color, reused across a stripe's
+//!   nodes, takes each `1/p(u)` in adjacency order, as the old per-color
 //!   map did, and the colors it touched are sorted to add the heavy ones;
 //! * **sort**: otherwise each entry becomes the key
 //!   `c << 32 | slot` (`slot` counts the contributing neighbors in
@@ -47,7 +48,7 @@
 
 use crate::config::Params;
 use crate::hknt::acd::{Acd, NodeClass};
-use crate::instance::ColoringState;
+use crate::instance::{dense_colors, ColoringState};
 use crate::node_params::ParamTable;
 use crate::stripes::{stripe_workers, STRIPE};
 use parcolor_exec::{par_fill, Executor};
@@ -116,10 +117,7 @@ impl HeavyMass {
             top = pu.iter().fold(top, |t, &c| t.max(c as usize));
         }
         let mut mass = 0.0;
-        // A table over the colors costs no more than the entries when the
-        // universe is not much wider than them; the rule is reduce's
-        // dense color mode.
-        if top < 2 * entries + 1024 {
+        if dense_colors(top, entries) {
             if self.h.len() <= top {
                 self.h.resize(top + 1, 0.0);
             }

@@ -24,6 +24,18 @@ const MIN_MARKED_PER_WORKER: usize = 1024;
 /// palette update.
 const CHUNK_WORDS: usize = 1;
 
+/// The dense-color rule: whether a table indexed by color over `0..=top`
+/// may serve `entries` palette entries.  Such a table costs no more than
+/// the entries it serves while `top` stays below twice their count plus
+/// 1,024, so every color table sized under this rule is linear in its
+/// input; a wide list universe (say 10^8 colors over a few thousand
+/// entries) fails it and its callers fall back to per-entry work.  The
+/// partition's hash search (dense color mode), its bins' color filter,
+/// Definition 2's stage fill and `Vstart`'s `H(c)` all apply it.
+pub(crate) fn dense_colors(top: usize, entries: usize) -> bool {
+    top < 2 * entries + 1024
+}
+
 /// Immutable per-node palettes in a flat arena (no per-node allocation).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PaletteArena {
@@ -494,7 +506,14 @@ impl ColoringState {
     /// `LowSpacePartition`'s color-bin restriction).  The caller is
     /// responsible for the filtered instance satisfying the D1LC promise
     /// (Lemma 23 selects hash functions that guarantee it); this method
-    /// checks and reports rather than asserting.
+    /// checks and reports rather than asserting: the error names the
+    /// lowest new id whose kept list is too small.
+    ///
+    /// The kept colors go straight into one arena, in residual-palette
+    /// order, with no per-node list and no dedup: every residual palette
+    /// is already a set (the input arenas are, and adoptions only
+    /// swap-remove), so the arena equals `PaletteArena::from_lists` of the
+    /// filtered lists.
     pub fn restricted_instance<F>(
         &self,
         g: &Graph,
@@ -506,27 +525,24 @@ impl ColoringState {
     {
         debug_assert!(nodes.iter().all(|&v| !self.is_colored(v)));
         let (sub, map) = g.induced(nodes);
-        let lists: Vec<Vec<u32>> = map
-            .iter()
-            .map(|&old| {
-                let pal = self.palette(old);
-                let mut list = Vec::with_capacity(pal.len());
-                list.extend(pal.iter().copied().filter(|&c| keep_color(c)));
-                list
-            })
-            .collect();
-        for (new_v, list) in lists.iter().enumerate() {
-            if list.len() < sub.degree(new_v as NodeId) + 1 {
+        let mut offsets = Vec::with_capacity(map.len() + 1);
+        offsets.push(0u64);
+        let mut colors = Vec::with_capacity(map.iter().map(|&v| self.palette_size(v)).sum());
+        for (new_v, &old) in (0..).zip(&map) {
+            let start = colors.len();
+            colors.extend(self.palette(old).iter().copied().filter(|&c| keep_color(c)));
+            let (kept, degree) = (colors.len() - start, sub.degree(new_v));
+            if kept < degree + 1 {
                 return Err(format!(
-                    "restricted palette of node {} (orig {}) too small: {} ≤ degree {}",
-                    new_v,
-                    map[new_v],
-                    list.len(),
-                    sub.degree(new_v as NodeId)
+                    "restricted palette of node {new_v} (orig {old}) too small: {kept} ≤ degree {degree}"
                 ));
             }
+            offsets.push(colors.len() as u64);
         }
-        let palettes = PaletteArena::from_lists(&lists);
+        // The instance keeps the arena for its life: drop what the filter
+        // did not keep.
+        colors.shrink_to_fit();
+        let palettes = PaletteArena { offsets, colors };
         Ok((D1lcInstance::new(sub, palettes), map))
     }
 
@@ -893,6 +909,101 @@ mod tests {
             }
         }
         batch
+    }
+
+    /// The build `restricted_instance` replaced, kept as its oracle: one
+    /// filtered `Vec` per node, the promise checked over all of them, then
+    /// `PaletteArena::from_lists`.
+    fn reference_restricted(
+        st: &ColoringState,
+        g: &Graph,
+        nodes: &[NodeId],
+        keep_color: impl Fn(u32) -> bool,
+    ) -> Result<(D1lcInstance, Vec<NodeId>), String> {
+        let (sub, map) = g.induced(nodes);
+        let lists: Vec<Vec<u32>> = map
+            .iter()
+            .map(|&old| {
+                let pal = st.palette(old);
+                pal.iter().copied().filter(|&c| keep_color(c)).collect()
+            })
+            .collect();
+        for (new_v, list) in lists.iter().enumerate() {
+            if list.len() < sub.degree(new_v as NodeId) + 1 {
+                return Err(format!(
+                    "restricted palette of node {} (orig {}) too small: {} ≤ degree {}",
+                    new_v,
+                    map[new_v],
+                    list.len(),
+                    sub.degree(new_v as NodeId)
+                ));
+            }
+        }
+        let palettes = PaletteArena::from_lists(&lists);
+        Ok((D1lcInstance::new(sub, palettes), map))
+    }
+
+    #[test]
+    fn restricted_instance_matches_the_list_build() {
+        // Random graphs with list palettes (a narrow or a 10^6-color
+        // universe, 0 to 48 spare colors), partly colored by a few random
+        // batches, and a shuffled subset of the uncolored nodes restricted
+        // to one of `bins` color bins; `bins = 1` keeps every color, as
+        // `residual_instance` does.  Outcomes: kept every color, built a
+        // restricted bin, refused a restricted bin.
+        let mut outcomes = [0; 3];
+        for seed in 0..64 {
+            let mut rng = SplitMix::new(seed);
+            let n = 2 + rng.below(300) as usize;
+            let p = (rng.below(12) as f64 / n as f64).min(1.0);
+            let g = parcolor_graphgen::gnp(n, p, seed);
+            let extra = [0, 2, 48][rng.below(3) as usize];
+            let universe = [g.max_degree() as u32 + 64, 1_000_000][rng.below(2) as usize];
+            let lists = parcolor_graphgen::random_lists(g.clone(), universe, extra, seed);
+            let lists: Vec<Vec<u32>> = (0..n as NodeId)
+                .map(|v| lists.palettes.palette(v).to_vec())
+                .collect();
+            let inst = D1lcInstance::new(g, PaletteArena::from_lists(&lists));
+            let g = &inst.graph;
+            let mut st = ColoringState::new(&inst);
+            for _ in 0..rng.below(4) {
+                let batch = random_batch(&st, g, &mut rng, n / 4);
+                st.apply_adoptions(g, &batch);
+            }
+            let mut nodes: Vec<NodeId> = st
+                .uncolored_nodes()
+                .into_iter()
+                .filter(|_| rng.below(3) > 0)
+                .collect();
+            rng.shuffle(&mut nodes);
+            let bins = [1, 2, 3, 5][rng.below(4) as usize];
+            let bin = rng.below(bins);
+            let keep =
+                |c: u32| (u64::from(c).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % bins == bin;
+            let got = st.restricted_instance(g, &nodes, keep);
+            let want = reference_restricted(&st, g, &nodes, keep);
+            match (got, want) {
+                (Ok((sub, map)), Ok((want_sub, want_map))) => {
+                    assert_eq!(sub.palettes, want_sub.palettes, "seed {seed}");
+                    assert_eq!(map, want_map, "seed {seed}");
+                    assert_eq!(sub.graph.m(), want_sub.graph.m(), "seed {seed}");
+                    outcomes[(bins > 1) as usize] += 1;
+                }
+                (Err(e), Err(want_e)) => {
+                    assert_eq!(e, want_e, "seed {seed}");
+                    outcomes[2] += 1;
+                }
+                (got, want) => panic!(
+                    "seed {seed}: got {:?}, want {:?}",
+                    got.map(|_| ()),
+                    want.map(|_| ())
+                ),
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&k| k >= 6),
+            "{outcomes:?} of 64 restrictions kept all, built and refused"
+        );
     }
 
     #[test]

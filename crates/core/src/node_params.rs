@@ -20,34 +20,45 @@
 //!    once, at its lowest-ranked corner — the forward count of
 //!    Chiba–Nishizeki and Schank–Wagner.  Each corner's count takes a
 //!    relaxed atomic add; the counts are read only after the pool call.
-//! 3. **Palette masks**: one `u64` per active node when every active
-//!    palette lies inside colors `0..64`.  Then `|Ψ(u) \ Ψ(v)|` is
-//!    `popcount(mask[u] & !mask[v])` and `|Ψ(u)|` is `popcount(mask[u])`
-//!    (palettes are sets), so no neighbor's palette is re-read.
-//! 4. **Stage fill**: each stage node's row, from the three tables.
+//! 3. **Palettes**: one walk over the active palettes finds the
+//!    stage's largest active color `top` and its active palette entries,
+//!    and writes one `u64` mask per active node.  That picks how the fill
+//!    reads `|Ψ(u) \ Ψ(v)|` (see below).
+//! 4. **Stage fill**: each stage node's row, from the three tables, on
+//!    one scratch per pool worker.
 //!
 //! The table is bit-identical at every worker count, and to the per-node
 //! walk in this module's tests.  The triangle counts are integers, equal
 //! whatever order the workers add them in, and every float sum runs over
-//! one node's active neighbors in adjacency order, with the same
-//! numerators and denominators on both palette paths.
+//! one node's active neighbors in adjacency order, with the same integer
+//! numerators and denominators on every palette path.
 //!
-//! A stage with an active color of 64 or above takes the fallback instead
-//! of the masks: a sorted copy of `v`'s palette, probed by binary search
-//! for each neighbor color (residual palettes are unsorted, by
-//! swap-remove).  Wider masks, or any membership bitmap, would be sized
-//! by the largest color id of a list palette rather than by the input.
+//! The palette paths (palettes are sets, so each reads a count):
+//! * **masks**, when every active color is below 64:
+//!   `|Ψ(u) \ Ψ(v)|` is `popcount(mask[u] & !mask[v])` and `|Ψ(u)|` is
+//!   `popcount(mask[u])`, so no neighbor's palette is re-read;
+//! * **color table**, when the crate's dense-color rule admits `top`
+//!   against the stage's active palette entries (`top < 2·entries +
+//!   1024`, the rule the partition's hash search and `Vstart` apply):
+//!   a stage node marks `Ψ(v)` in its worker's table over `0..=top`,
+//!   counts each active neighbor's unmarked colors in adjacency order,
+//!   then clears its marks.  The tables cost at most the worker count
+//!   times the stage's palette entries, never a table per stripe;
+//! * **binary search**, otherwise (a wide list universe): a sorted copy
+//!   of `Ψ(v)` (residual palettes are unsorted, by swap-remove), probed
+//!   for each neighbor color.
+//!
 //! The choice is read from the palettes; nothing configures it.
 //!
 //! The ACD and `Vstart` read the degrees back through
 //! [`ParamTable::degree`].
 
-use crate::instance::ColoringState;
+use crate::instance::{dense_colors, ColoringState};
 use crate::stripes::{par_rows, stripe_workers, STRIPE};
-use parcolor_exec::{par_fill, par_map_chunks, Executor};
+use parcolor_exec::{par_fill, par_fold_in, par_map_chunks, Executor, ScatterMut};
 use parcolor_local::graph::{Graph, NodeId};
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 
 /// Definition 2 parameters for one node.  Strong slackability
 /// `σ_v = η_v + ζ_v` is not stored: it is `unevenness + sparsity`.
@@ -126,7 +137,7 @@ pub fn compute_params(
         state,
         active,
         triangles: triangle_counts(g, active, &degree, pool, workers),
-        masks: palette_masks(state, active, pool, workers),
+        palettes: palette_pass(state, active, pool, workers),
         degree,
     };
     let mut in_stage = vec![false; n];
@@ -135,14 +146,28 @@ pub fn compute_params(
         in_stage[v as usize] = true;
     }
     let mut per_node = vec![NodeParams::default(); n];
-    par_fill(pool, workers, &mut per_node, STRIPE, |start, stripe| {
-        let mut pv = Vec::new();
-        for (v, out) in (start as NodeId..).zip(stripe) {
-            if in_stage[v as usize] {
-                *out = pass.node_params(v, &mut pv);
+    let out = ScatterMut::new(&mut per_node);
+    // One scratch per worker: the color table is sized by the stage, so
+    // a scratch per stripe would cost the stripe count times that.
+    par_fold_in(
+        pool,
+        &mut vec![Scratch::default(); workers],
+        0..n as u64,
+        STRIPE as u64,
+        || (),
+        |start, len, (), scratch| {
+            // SAFETY: the blocks of one `par_fold_in` call are disjoint
+            // node ranges, so this call is the only writer of rows
+            // `start..start + len`.
+            let stripe = unsafe { out.stripe_mut(start as usize, len as usize) };
+            for (v, row) in (start as NodeId..).zip(stripe) {
+                if in_stage[v as usize] {
+                    *row = pass.node_params(v, scratch);
+                }
             }
-        }
-    });
+        },
+        |(), ()| (),
+    );
     ParamTable {
         per_node,
         degree: pass.degree,
@@ -233,28 +258,47 @@ fn merge_common(a: &[NodeId], b: &[NodeId], mut hit: impl FnMut(NodeId)) -> u64 
     shared
 }
 
-/// One palette word per node (0 for inactive nodes), or `None` when some
-/// active palette holds a color of 64 or above.
-fn palette_masks(
+/// How the stage fill reads `|Ψ(u) \ Ψ(v)|` (see the module notes).
+enum Palettes {
+    /// One word per node (0 for inactive nodes): every active color is
+    /// below 64.
+    Masks(Vec<u64>),
+    /// A per-worker table over colors `0..=top`.
+    Table { top: usize },
+    /// A sorted copy of `Ψ(v)`, probed by binary search.
+    Sorted,
+}
+
+/// One walk over the active palettes: their masks, largest color and
+/// entry count pick the stage's palette path.
+fn palette_pass(
     state: &ColoringState,
     active: ActiveMask,
     pool: &Executor,
     workers: usize,
-) -> Option<Vec<u64>> {
-    let wide = AtomicBool::new(false);
+) -> Palettes {
+    let (top, entries) = (AtomicUsize::new(0), AtomicUsize::new(0));
     let mut masks = vec![0u64; active.len()];
     par_fill(pool, workers, &mut masks, STRIPE, |start, stripe| {
+        let (mut stripe_top, mut stripe_entries) = (0, 0);
         for (v, mask) in (start as NodeId..).zip(stripe) {
             if active[v as usize] {
                 let palette = state.palette(v);
-                if palette.iter().any(|&c| c >= u64::BITS) {
-                    wide.store(true, Relaxed);
+                stripe_entries += palette.len();
+                for &c in palette {
+                    stripe_top = stripe_top.max(c);
+                    *mask |= 1 << (c % u64::BITS);
                 }
-                *mask = palette.iter().fold(0, |m, &c| m | 1 << (c % u64::BITS));
             }
         }
+        top.fetch_max(stripe_top as usize, Relaxed);
+        entries.fetch_add(stripe_entries, Relaxed);
     });
-    (!wide.into_inner()).then_some(masks)
+    match top.into_inner() {
+        top if top < u64::BITS as usize => Palettes::Masks(masks),
+        top if dense_colors(top, entries.into_inner()) => Palettes::Table { top },
+        _ => Palettes::Sorted,
+    }
 }
 
 /// The node-indexed tables one stage fill reads.
@@ -264,13 +308,22 @@ struct Pass<'a> {
     active: ActiveMask<'a>,
     degree: Vec<u32>,
     triangles: Vec<u64>,
-    masks: Option<Vec<u64>>,
+    palettes: Palettes,
+}
+
+/// One pool worker's buffers for the stage fill.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// Table path: `marks[c]` holds while `c ∈ Ψ(v)` of the node being
+    /// filled, sized `top + 1` on the worker's first node.
+    marks: Vec<bool>,
+    /// Binary-search path: `v`'s sorted palette.
+    sorted: Vec<u32>,
 }
 
 impl Pass<'_> {
-    /// Definition 2 for one stage node.  `pv` is the stripe's reused
-    /// buffer for `v`'s sorted palette on the fallback path.
-    fn node_params(&self, v: NodeId, pv: &mut Vec<u32>) -> NodeParams {
+    /// Definition 2 for one stage node.
+    fn node_params(&self, v: NodeId, scratch: &mut Scratch) -> NodeParams {
         let d = self.degree[v as usize] as usize;
         let slack = self.state.palette_size(v) as i64 - d as i64;
         let sparsity = if d >= 2 {
@@ -279,26 +332,64 @@ impl Pass<'_> {
         } else {
             0.0
         };
-        if self.masks.is_none() {
-            pv.clear();
-            pv.extend_from_slice(self.state.palette(v));
-            pv.sort_unstable();
-        }
-        // `(|Ψ(u) \ Ψ(v)|, |Ψ(u)|)` for an active neighbor `u`.
-        let outside = |u: NodeId| match &self.masks {
-            Some(m) => {
-                let mu = m[u as usize];
-                (
-                    (mu & !m[v as usize]).count_ones() as usize,
-                    mu.count_ones() as usize,
-                )
+        let pv = self.state.palette(v);
+        let (discrepancy, unevenness) = match &self.palettes {
+            Palettes::Masks(m) => {
+                let mv = m[v as usize];
+                self.neighbor_sums(v, d, |u| {
+                    let mu = m[u as usize];
+                    ((mu & !mv).count_ones() as usize, mu.count_ones() as usize)
+                })
             }
-            None => {
-                let pu = self.state.palette(u);
-                let out = pu.iter().filter(|c| pv.binary_search(c).is_err()).count();
-                (out, pu.len())
+            Palettes::Table { top } => {
+                let marks = &mut scratch.marks;
+                marks.resize(top + 1, false);
+                for &c in pv {
+                    marks[c as usize] = true;
+                }
+                let sums = self.neighbor_sums(v, d, |u| {
+                    let pu = self.state.palette(u);
+                    let out = pu.iter().filter(|&&c| !marks[c as usize]).count();
+                    (out, pu.len())
+                });
+                for &c in pv {
+                    marks[c as usize] = false;
+                }
+                sums
+            }
+            Palettes::Sorted => {
+                let sorted = &mut scratch.sorted;
+                sorted.clear();
+                sorted.extend_from_slice(pv);
+                sorted.sort_unstable();
+                self.neighbor_sums(v, d, |u| {
+                    let pu = self.state.palette(u);
+                    let out = pu
+                        .iter()
+                        .filter(|c| sorted.binary_search(c).is_err())
+                        .count();
+                    (out, pu.len())
+                })
             }
         };
+        NodeParams {
+            slack,
+            sparsity,
+            discrepancy,
+            unevenness,
+            slackability: discrepancy + sparsity,
+        }
+    }
+
+    /// `(η̄_v, η_v)` of a node of active degree `d`, summed over its
+    /// active neighbors in adjacency order; `outside(u)` is
+    /// `(|Ψ(u) \ Ψ(v)|, |Ψ(u)|)`.
+    fn neighbor_sums(
+        &self,
+        v: NodeId,
+        d: usize,
+        outside: impl Fn(NodeId) -> (usize, usize),
+    ) -> (f64, f64) {
         let mut discrepancy = 0.0;
         let mut unevenness = 0.0;
         for &u in self.g.neighbors(v) {
@@ -312,13 +403,7 @@ impl Pass<'_> {
             let du = self.degree[u as usize] as usize;
             unevenness += (du.saturating_sub(d)) as f64 / (du as f64 + 1.0);
         }
-        NodeParams {
-            slack,
-            sparsity,
-            discrepancy,
-            unevenness,
-            slackability: discrepancy + sparsity,
-        }
+        (discrepancy, unevenness)
     }
 }
 
@@ -488,8 +573,10 @@ mod tests {
             .collect();
         let g = Graph::from_edges(n, &edges);
         // Half the cases widen the universe by 64 colors, so an active
-        // palette leaves `0..64` and the pass takes its binary-search
-        // path; the rest stay on the palette masks.
+        // palette leaves `0..64` and the pass takes its color table; the
+        // rest stay on the palette masks.  `wide_shift` then moves a
+        // third of the stages past the dense-color rule, onto the
+        // binary-search path.
         let delta = g.max_degree() as u64;
         let wide = 64 * rng.below(2);
         let universe = (wide + delta + 1 + rng.below(2 * delta + 2)) as u32;
@@ -497,8 +584,12 @@ mod tests {
         // build; copy its palettes into this crate's types.
         let extra = rng.below(3) as usize;
         let lists = parcolor_graphgen::random_lists(g.clone(), universe, extra, rng.next_u64());
+        let shift = wide_shift(seed);
         let lists: Vec<Vec<u32>> = (0..n as NodeId)
-            .map(|v| lists.palettes.palette(v).to_vec())
+            .map(|v| {
+                let palette = lists.palettes.palette(v);
+                palette.iter().map(|&c| c + shift).collect()
+            })
             .collect();
         let inst = D1lcInstance::new(g.clone(), PaletteArena::from_lists(&lists));
         let mut state = ColoringState::new(&inst);
@@ -527,26 +618,38 @@ mod tests {
         (g, state, active, nodes)
     }
 
-    /// `random_stage` reaches both palette paths and the triangle count:
-    /// over seeds `0..48`, at least a quarter of the stages hold an active
-    /// color ≥ 64, a quarter stay inside the masks, and a quarter have a
-    /// triangle through a stage node.
+    /// The offset `random_stage(seed)` adds to every color: 2^24 when
+    /// `seed % 3 == 2`, so the stage's largest color lies far above its
+    /// palette entries and the dense-color rule rejects it, else 0.
+    fn wide_shift(seed: u64) -> u32 {
+        u32::from(seed % 3 == 2) << 24
+    }
+
+    /// `random_stage` reaches all three palette paths and the triangle
+    /// count: over seeds `0..48`, at least 8 stages take each path, and a
+    /// quarter have a triangle through a stage node.
     #[test]
     fn random_stages_reach_both_palette_paths_and_triangles() {
-        let (mut wide, mut closed) = (0, 0);
+        let (mut paths, mut closed) = ([0; 3], 0);
         for seed in 0..48 {
             let (g, state, active, nodes) = random_stage(seed);
+            let path = match palette_pass(&state, &active, Executor::global(), 1) {
+                Palettes::Masks(_) => 0,
+                Palettes::Table { .. } => 1,
+                Palettes::Sorted => 2,
+            };
+            paths[path] += 1;
             let is_active = |v: &NodeId| active[*v as usize];
-            wide += (0..g.n() as NodeId)
-                .filter(is_active)
-                .any(|v| state.palette(v).iter().any(|&c| c >= 64)) as usize;
             closed += nodes.iter().any(|&v| {
                 let nv: Vec<NodeId> = g.neighbors(v).iter().copied().filter(is_active).collect();
                 nv.iter()
                     .any(|&u| g.neighbors(u).iter().any(|w| nv.binary_search(w).is_ok()))
             }) as usize;
         }
-        assert!((12..=36).contains(&wide), "{wide} of 48 stages are wide");
+        assert!(
+            paths.iter().all(|&p| p >= 8),
+            "{paths:?} of 48 stages take the masks, the table and the binary search"
+        );
         assert!(closed >= 12, "{closed} of 48 stages have a triangle");
     }
 

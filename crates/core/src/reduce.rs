@@ -29,7 +29,7 @@
 //! run as a 1-lane block.  `u8` lanes hold bins below a sentinel, so a
 //! level takes at most 64 bins.
 
-use crate::instance::ColoringState;
+use crate::instance::{dense_colors, ColoringState};
 use parcolor_exec::resolve_workers;
 use parcolor_local::graph::{Graph, NodeId};
 use parcolor_prg::hashing::{KWiseFamily, KWiseHash};
@@ -194,7 +194,7 @@ impl<'a> HashPlane<'a> {
         // palette storage (always true for degree+1 palettes).  Sparse
         // universes fall back to one evaluation per palette occurrence —
         // exactly the scalar path's count, just batched.
-        let dense = max_color.is_some_and(|m| (m as usize) < 2 * pal_words + 1024);
+        let dense = max_color.is_some_and(|m| dense_colors(m as usize, pal_words));
         let (xs_colors, color_off) = if dense {
             ((0..=max_color.unwrap() as u64).collect(), Vec::new())
         } else {

@@ -18,10 +18,11 @@
 use crate::config::Params;
 use crate::framework::{Runner, SeedSearcher, StepReport};
 use crate::hknt::pipeline::{color_middle, MidReport};
-use crate::instance::{ColoringState, D1lcInstance};
+use crate::instance::{dense_colors, ColoringState, D1lcInstance};
 use crate::lowdeg::color_low_degree;
 use crate::reduce::{low_space_partition, PartitionStats};
 use parcolor_local::graph::NodeId;
+use parcolor_prg::hashing::KWiseHash;
 
 /// Execution mode of the solver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -208,7 +209,7 @@ impl Solver {
         // they are solved one after another, in bin order: this loop is
         // what makes the solve's seed searches reach the `SeedSearcher`
         // in one fixed sequence (see its doc). ---
-        let color_hash = &part.color_hash;
+        let color_bin = ColorBins::new(&part.color_hash, &state, &part.bins[..bins - 1]);
         let mut parallel_cost = Cost::default();
         let mut all_adoptions = Vec::new();
         for (b, bin_nodes) in part.bins.iter().enumerate().take(bins - 1) {
@@ -216,9 +217,7 @@ impl Solver {
                 continue;
             }
             let (sub, map) = state
-                .restricted_instance(&inst.graph, bin_nodes, |c| {
-                    color_hash.eval(c as u64) as usize == b
-                })
+                .restricted_instance(&inst.graph, bin_nodes, |c| color_bin.of(c) == b)
                 .expect("Lemma 23 selection produced an invalid bin instance");
             let (sub_colors, c, s) = self.solve_rec(&sub, n_orig, depth + 1);
             parallel_cost = parallel_cost.par(c);
@@ -388,6 +387,44 @@ impl Solver {
             .into_colors()
             .expect("mid-degree stage left nodes uncolored");
         (colors, cost, stats)
+    }
+}
+
+/// The color bins `h₂` of one partition level, as its restricted bins'
+/// palette filter reads them.  When the dense-color rule admits the
+/// binned nodes' largest color against their palette entries, one
+/// [`KWiseHash::eval_batch`] fills a bin table over `0..=top`; otherwise
+/// (a sparse universe, the partition's occurrence mode) each palette
+/// entry costs one `eval`.  The batch is bit-identical to `eval`, so both
+/// read the same bins.
+struct ColorBins<'a> {
+    hash: &'a KWiseHash,
+    table: Option<Vec<u8>>,
+}
+
+impl<'a> ColorBins<'a> {
+    fn new(hash: &'a KWiseHash, state: &ColoringState, bins: &[Vec<NodeId>]) -> Self {
+        let (mut entries, mut top) = (0, 0);
+        for palette in bins.iter().flatten().map(|&v| state.palette(v)) {
+            entries += palette.len();
+            top = palette.iter().fold(top, |t, &c| t.max(c as usize));
+        }
+        // Color bins are below `MAX_BINS`, so they fit a `u8`.
+        let table = dense_colors(top, entries).then(|| {
+            let colors: Vec<u64> = (0..=top as u64).collect();
+            let mut out = vec![0; colors.len()];
+            hash.eval_batch(&colors, &mut out);
+            out.into_iter().map(|b| b as u8).collect()
+        });
+        ColorBins { hash, table }
+    }
+
+    /// The bin of color `c`, which must lie in a binned node's palette.
+    fn of(&self, c: u32) -> usize {
+        match &self.table {
+            Some(bins) => bins[c as usize] as usize,
+            None => self.hash.eval(c as u64) as usize,
+        }
     }
 }
 

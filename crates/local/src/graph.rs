@@ -275,13 +275,21 @@ impl Graph {
 
     /// The subgraph induced by `nodes` (need not be sorted; duplicates are
     /// an error).  Returns the induced graph over `nodes.len()` fresh ids
-    /// plus the mapping from new id to original id.
+    /// plus the mapping from new id to original id, which ascends: new
+    /// ids follow old id order.
+    ///
+    /// Old ids map to new ids through one dense position map over the
+    /// whole graph (`1 + new id`, or 0 outside the set), one lookup per
+    /// adjacency entry.  Rows come out ascending because the map and
+    /// every neighbor list are.
     pub fn induced(&self, nodes: &[NodeId]) -> (Graph, Vec<NodeId>) {
         let mut sorted: Vec<NodeId> = nodes.to_vec();
         sorted.sort_unstable();
         debug_assert!(sorted.windows(2).all(|w| w[0] != w[1]), "duplicate nodes");
-        // old id -> new id lookup via binary search on `sorted`; rows come
-        // out sorted because `sorted` and every neighbor list are.
+        let mut pos = vec![0 as NodeId; self.n()];
+        for (new_v, &v) in (1..).zip(&sorted) {
+            pos[v as usize] = new_v;
+        }
         let mut offsets = Vec::with_capacity(sorted.len() + 1);
         offsets.push(0u64);
         let mut adj: Vec<NodeId> = Vec::new();
@@ -289,7 +297,7 @@ impl Graph {
             adj.extend(
                 self.neighbors(v)
                     .iter()
-                    .filter_map(|u| sorted.binary_search(u).ok().map(|new_u| new_u as NodeId)),
+                    .filter_map(|&u| pos[u as usize].checked_sub(1)),
             );
             offsets.push(adj.len() as u64);
         }

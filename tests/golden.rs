@@ -46,7 +46,11 @@ const RANDOMIZED_GOLDEN: &[(&str, u64)] = &[
 /// Solves that run Lemma 23's partition recursion and search its hash
 /// family past seed 0: the coloring hash, then one `(chosen_seed,
 /// seeds_tried, violations_moved_to_mid)` per partition level, in the
-/// order `SolveStats::partition_stats` lists them.
+/// order `SolveStats::partition_stats` lists them.  `planted_lists` draws
+/// its lists from 4,096 colors, where the partition, its bins' color
+/// filter and Definition 2's fill index tables by color;
+/// `sparse_lists` draws them from 10^8, where the dense-color rule
+/// sends all three to their per-entry paths.
 type PartitionLevel = (u64, u64, usize);
 const PARTITION_GOLDEN: &[(&str, u32, u64, &[PartitionLevel])] = &[
     (
@@ -60,6 +64,12 @@ const PARTITION_GOLDEN: &[(&str, u32, u64, &[PartitionLevel])] = &[
         32,
         0x9071afc885477bd6,
         &[(0, 1, 0), (3, 4, 0), (1, 2, 0), (0, 1, 0)],
+    ),
+    (
+        "sparse_lists",
+        32,
+        0xc8e055409b60faa8,
+        &[(0, 1, 0), (2, 4, 0), (1, 2, 0), (0, 1, 0)],
     ),
 ];
 
@@ -84,6 +94,12 @@ fn instance_of(name: &str) -> parcolor_core::D1lcInstance {
         "planted_lists" => gen::random_lists(
             gen::planted_cliques(&[128; 4], 0.1, 2_000, 8, 1),
             4096,
+            0,
+            1,
+        ),
+        "sparse_lists" => gen::random_lists(
+            gen::planted_cliques(&[128; 4], 0.1, 2_000, 8, 1),
+            100_000_000,
             0,
             1,
         ),

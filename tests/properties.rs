@@ -38,15 +38,26 @@ proptest! {
 
     #[test]
     fn induced_subgraph_preserves_edges(g in graph_strategy(40, 120), pick in any::<u64>()) {
-        // Take a pseudorandom subset of nodes.
-        let nodes: Vec<NodeId> = (0..g.n() as NodeId)
+        // Take a pseudorandom subset of nodes, in shuffled order.
+        let mut nodes: Vec<NodeId> = (0..g.n() as NodeId)
             .filter(|&v| (pick >> (v % 64)) & 1 == 1)
             .collect();
+        let picked = nodes.clone();
+        parcolor_local::tape::SplitMix::new(pick).shuffle(&mut nodes);
         let (h, map) = g.induced(&nodes);
         prop_assert!(h.validate().is_ok());
+        // New ids follow old id order.
+        prop_assert_eq!(&map, &picked);
         for (new_u, &old_u) in map.iter().enumerate() {
             for &new_v in h.neighbors(new_u as NodeId) {
                 prop_assert!(g.has_edge(old_u, map[new_v as usize]));
+            }
+        }
+        // And every edge of g between two picked nodes is an edge of h.
+        let new_id = |v: NodeId| map.binary_search(&v).ok().map(|i| i as NodeId);
+        for (a, b) in g.edges() {
+            if let (Some(x), Some(y)) = (new_id(a), new_id(b)) {
+                prop_assert!(h.has_edge(x, y), "edge {}-{} lost", a, b);
             }
         }
     }
