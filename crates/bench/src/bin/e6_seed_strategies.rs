@@ -11,10 +11,12 @@
 //! default loop it would otherwise take (the `block_procs` rows: its
 //! clash-count arm under `Auto`, its lane-outcome arm under
 //! `SlackRatio(2)`), and writes the numbers to
-//! `BENCH_seed_search.json`; the third half benchmarks the **batched
-//! randomness plane** (lane-mixed tape stripes + `KWiseHash::eval_batch`)
-//! against forced-scalar tapes and writes `BENCH_hash_batch.json`.  Every
-//! search asserts that it selects what its comparison leg selects.
+//! `BENCH_seed_search.json`; the third half benchmarks the **lane
+//! kernels** (`KWiseHash::eval_batch`, and the PRG block's lane draw
+//! `PrgBlock::below_lanes`) against their scalar forms (`eval`, and the
+//! per-lane `below_lanes` default through `ForceScalar`) and writes
+//! `BENCH_hash_batch.json`.  Every search asserts that it selects what
+//! its comparison leg selects.
 
 use parcolor_bench::{f1, f2, host_json, s, scaled, timed, Table};
 use parcolor_core::framework::{NormalProcedure, Outcome, SimScratch};
@@ -31,9 +33,8 @@ use parcolor_prg::{
 
 /// The production seed search over `proc` (`select_seed_blocks_n` +
 /// `seed_cost_block`, per-node chunks) with `workers` workers (`0` =
-/// auto); `force_scalar` routes every block through the scalar trait
-/// defaults (the per-lane `below_lanes` loop, scalar tapes) instead of
-/// the lane mixers.
+/// auto); `force_scalar` draws every block's lanes through the trait's
+/// per-lane `below_lanes` default instead of the PRG block's lane draw.
 fn block_search(
     proc: &dyn NormalProcedure,
     state: &ColoringState,
@@ -370,16 +371,15 @@ fn fastpath_comparison() -> Vec<String> {
     rows_json
 }
 
-/// Batched randomness plane vs the scalar tape walk — `eval_batch`
-/// throughput and the end-to-end seed search at `seed_bits = 16` on a
-/// single worker (so per-seed evaluation cost is what's measured, not
-/// thread scaling).  Both legs run the *same* `seed_cost_block`; the
-/// scalar leg forces the scalar trait defaults (the per-lane
-/// `below_lanes` loop: one whole mixer call per node per seed), so the
-/// measured gap is the lane draw alone.
+/// The lane kernels vs their scalar forms — `eval_batch` throughput and
+/// the end-to-end seed search at `seed_bits = 16` on a single worker (so
+/// per-seed evaluation cost is what's measured, not thread scaling).
+/// Both legs run the *same* `seed_cost_block`; the scalar leg forces the
+/// trait's per-lane `below_lanes` default (one whole mixer call per node
+/// per seed), so the measured gap is the lane draw alone.
 /// Emits `BENCH_hash_batch.json`.
 fn hash_batch_comparison() {
-    println!("\n# Batched randomness plane vs scalar tape (1 worker)");
+    println!("\n# Lane kernels vs scalar (1 worker)");
 
     // -- KWiseHash::eval_batch throughput ------------------------------
     let nkeys = scaled(400_000, 40_000);
@@ -392,9 +392,10 @@ fn hash_batch_comparison() {
     let mut hash_rows = Vec::new();
     for k in [2u32, 4, 8] {
         let h = KWiseFamily::new(k, 1 << 20).member(0xE6);
-        // Both legs fill a draw buffer — that is what plane consumers do —
-        // so the comparison isolates the evaluation, not store traffic
-        // (a store-free reduce loop made the old k = 2 row read 0.77×).
+        // Both legs fill a draw buffer — that is what `eval_batch`'s
+        // callers do — so the comparison isolates the evaluation, not store
+        // traffic (a store-free reduce loop made the old k = 2 row read
+        // 0.77×).
         // One warm-up pass apiece takes page faults out of the timings.
         for (o, &x) in out_scalar.iter_mut().zip(&keys) {
             *o = h.eval(x);
@@ -438,7 +439,7 @@ fn hash_batch_comparison() {
     let proc = TryRandomColor::new(set, SspMode::Colored, 1);
 
     println!(
-        "\n# Seed search, scalar tape vs batched plane (seed_bits = {seed_bits}, n = {n}, \
+        "\n# Seed search, per-lane scalar draw vs lane draw (seed_bits = {seed_bits}, n = {n}, \
          m = {}, 1 worker)",
         g.m()
     );
@@ -460,7 +461,10 @@ fn hash_batch_comparison() {
         let (scalar_sel, scalar_ms) = search(true);
         let (batched_sel, batched_ms) = search(false);
         let same = scalar_sel.seed == batched_sel.seed && scalar_sel.cost == batched_sel.cost;
-        assert!(same, "{name}: batched plane diverged from scalar tape");
+        assert!(
+            same,
+            "{name}: the lane draw diverged from the per-lane draw"
+        );
         // Both legs evaluate the same number of seeds, so wall-clock
         // speedup IS per-seed-eval speedup here.
         let speedup = scalar_ms / batched_ms.max(1e-9);

@@ -67,19 +67,16 @@
 //!    the fold merges `(sum, min, argmin)` with a lowest-seed tie-break —
 //!    grouping-invariant for the integer SSP costs, so results are
 //!    bit-identical for any worker count and any steal order.
-//! 4. **Batched randomness.**  `simulate` draws a whole stripe of active
-//!    nodes in one `Randomness::fill_*` call per stream — the tape's
-//!    seed/stream mixer rounds are hoisted once per stripe and the
-//!    per-node rounds run four lanes at a time through the inline
-//!    `parcolor_local::simd::splitmix4` — instead of one scalar `word` per
-//!    node.  The block evaluator draws a node's seed lanes together: the
-//!    PRG block (`parcolor_prg::PrgBlock`) hoists each lane's seed round
-//!    once per block and the chunk product once per node, leaving two
-//!    scalar splitmix rounds and one Lemire multiply per lane.  Both are
-//!    bit-identical to the scalar tape walk (same mixer outputs, same
-//!    picks, same chosen seeds; see the batch contract in
-//!    `parcolor_local::tape`), so the reference `simulate` path and the
-//!    golden hashes are unchanged.
+//! 4. **One draw per address, lanes drawn together.**  `simulate` reads
+//!    each random word it uses with one scalar `Randomness::below` or
+//!    `word` call at its `(node, stream, idx)` address; no tape computes a
+//!    word any other way.  The block evaluator draws a node's seed lanes
+//!    together: the PRG block (`parcolor_prg::PrgBlock`) hoists each
+//!    lane's seed round once per block and the chunk product once per
+//!    node, leaving two scalar splitmix rounds and one Lemire multiply per
+//!    lane, bit-identical to each lane's scalar `below` (see
+//!    `parcolor_local::tape`), so the chosen seeds and the golden hashes
+//!    match the reference `simulate` path.
 //!
 //! Per derandomized step a TryRandomColor or MultiTrial search therefore
 //! costs one `O(Σ_{v ∈ stage} (1 + d(v)))` pass that builds the stage's
@@ -696,18 +693,6 @@ impl<R: Randomness + ?Sized> Randomness for StepStream<'_, R> {
     #[inline]
     fn word(&self, node: u32, stream: u64, idx: u32) -> u64 {
         self.inner.word(node, self.remap(stream), idx)
-    }
-
-    // Forward the batch plane with the remapped stream so the inner
-    // tape's lane mixers stay engaged.  `fill_below` needs no override:
-    // its trait default routes through `fill_words`.
-    fn fill_words(&self, stream: u64, nodes: &[u32], idx: u32, out: &mut [u64]) {
-        self.inner.fill_words(self.remap(stream), nodes, idx, out)
-    }
-
-    fn fill_words_seq(&self, node: u32, stream: u64, idx0: u32, out: &mut [u64]) {
-        self.inner
-            .fill_words_seq(node, self.remap(stream), idx0, out)
     }
 }
 

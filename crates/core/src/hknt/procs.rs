@@ -339,19 +339,16 @@ impl NormalProcedure for TryRandomColor {
 
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome {
         // A node's pick is a pure function of (node, tape), whichever
-        // neighbor asks, so each active node's pick is drawn once — one
-        // `fill_below` stripe over the active set — by stage position.
+        // neighbor asks, so each active node's pick is drawn once, by
+        // stage position.
         let active = &self.set.active;
-        let bounds: Vec<u64> = active
-            .iter()
-            .map(|&v| state.palette(v).len() as u64)
-            .collect();
-        let mut vals = vec![0u64; active.len()];
-        rng.fill_below(S_PICK ^ self.round_tag << 8, active, 0, &bounds, &mut vals);
+        let stream = S_PICK ^ self.round_tag << 8;
         let pick: Vec<u32> = active
             .iter()
-            .zip(&vals)
-            .map(|(&v, &k)| state.palette(v)[k as usize])
+            .map(|&v| {
+                let pal = state.palette(v);
+                pal[rng.below(v, stream, 0, pal.len() as u64) as usize]
+            })
             .collect();
         // Clashing is symmetric: one pass over every row's higher part
         // meets each in-stage edge once and marks both endpoints.
@@ -522,9 +519,7 @@ impl MultiTrial {
 
     /// Append the sorted set of `min(x, p(v))` distinct colors from `v`'s
     /// palette to `buf` (allocation-free once the buffers have warmed
-    /// up).  The node's tape words are fetched as one `fill_words_seq`
-    /// stripe into `words`; tape addressing is identical to a scalar
-    /// walk of `word(v, stream, idx)`.
+    /// up).
     fn draw_into(
         &self,
         state: &ColoringState,
@@ -532,40 +527,28 @@ impl MultiTrial {
         v: NodeId,
         buf: &mut Vec<u32>,
         tmp: &mut Vec<u32>,
-        words: &mut Vec<u64>,
     ) {
         let pal = state.palette(v);
         let want = self.x.min(pal.len());
         let stream = S_PICK ^ (self.round_tag << 8) ^ 0x4d54;
         let start = buf.len();
-        words.resize(want, 0);
         if want * 2 >= pal.len() {
-            // Dense draw: partial Fisher-Yates over a palette copy, words
-            // at idx 0..want batched up front.
-            rng.fill_words_seq(v, stream, 0, words);
+            // Dense draw: partial Fisher-Yates over a palette copy, swap i
+            // drawn from word i.
             tmp.clear();
             tmp.extend_from_slice(pal);
-            for (i, &w) in words.iter().enumerate() {
-                let bound = (tmp.len() - i) as u64;
-                let j = i + ((w as u128 * bound as u128) >> 64) as usize;
+            for i in 0..want {
+                let j = i + rng.below(v, stream, i as u32, (tmp.len() - i) as u64) as usize;
                 tmp.swap(i, j);
             }
             buf.extend_from_slice(&tmp[..want]);
         } else {
-            // Sparse draw: rejection sampling of distinct indices.  The
-            // loop consumes at least `want` words (idx 1000, 1001, …), so
-            // that minimum is prefetched as a stripe; collisions beyond it
-            // fall back to scalar reads of the same addresses.
-            rng.fill_words_seq(v, stream, 1000, words);
-            let mut idx = 0u32;
+            // Sparse draw: rejection sampling of distinct indices from
+            // words 1000, 1001, ….
+            let mut idx = 1000;
             while buf.len() - start < want {
-                let w = match words.get(idx as usize) {
-                    Some(&w) => w,
-                    None => rng.word(v, stream, 1000 + idx),
-                };
-                let j = ((w as u128 * pal.len() as u128) >> 64) as usize;
+                let c = pal[rng.below(v, stream, idx, pal.len() as u64) as usize];
                 idx += 1;
-                let c = pal[j];
                 if !buf[start..].contains(&c) {
                     buf.push(c);
                 }
@@ -587,11 +570,11 @@ impl NormalProcedure for MultiTrial {
     fn simulate(&self, state: &ColoringState, rng: &dyn Randomness) -> Outcome {
         // Phase 1: every active node draws into one flat candidate arena;
         // position i's set is `colors[off[i]..off[i + 1]]`.
-        let (mut colors, mut tmp, mut words) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut colors, mut tmp) = (Vec::new(), Vec::new());
         let mut off = Vec::with_capacity(self.set.active.len() + 1);
         off.push(0);
         for &v in &self.set.active {
-            self.draw_into(state, rng, v, &mut colors, &mut tmp, &mut words);
+            self.draw_into(state, rng, v, &mut colors, &mut tmp);
             off.push(colors.len());
         }
         let draw = |i: usize| &colors[off[i]..off[i + 1]];
@@ -773,17 +756,12 @@ impl NormalProcedure for SynchColorTrial {
         let mut proposal = vec![NO_COLOR; self.set.active.len()];
         let stream = S_PERM ^ (self.round_tag << 8);
         for ct in &self.cliques {
-            // Leader permutes its palette with its own randomness: the
-            // Fisher-Yates words (idx 1..|pal|) arrive as one
-            // `fill_words_seq` stripe fetch — only the data-dependent
-            // swaps stay sequential.  `below(v, s, i, i+1)` is the Lemire
-            // reduction of `word(v, s, i)`, so this is bit-identical to
-            // per-draw scalar calls.
+            // Leader permutes its palette with its own randomness: a
+            // Fisher-Yates shuffle drawing swap i from word i (idx
+            // 1..|pal|).
             let mut perm: Vec<u32> = state.palette(ct.leader).to_vec();
-            let mut words = vec![0u64; perm.len().saturating_sub(1)];
-            rng.fill_words_seq(ct.leader, stream, 1, &mut words);
             for i in (1..perm.len()).rev() {
-                let j = ((words[i - 1] as u128 * (i as u128 + 1)) >> 64) as usize;
+                let j = rng.below(ct.leader, stream, i as u32, i as u64 + 1) as usize;
                 perm.swap(i, j);
             }
             for (&v, &c) in ct.inliers.iter().zip(&perm) {
@@ -947,7 +925,7 @@ impl NormalProcedure for PutAside {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instance::D1lcInstance;
+    use crate::instance::{D1lcInstance, PaletteArena};
     use crate::stripes::STRIPE;
     use parcolor_local::tape::{CryptoTape, SplitMix};
     use proptest::prelude::*;
@@ -1016,13 +994,89 @@ mod tests {
         let state = ColoringState::new(&inst);
         let proc = MultiTrial::new(full_set(&g), 2, SspMode::Auto, 0);
         let tape = CryptoTape::new(3);
-        let (mut d, mut tmp, mut words) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut d, mut tmp) = (Vec::new(), Vec::new());
         for v in 0..10 {
             d.clear();
-            proc.draw_into(&state, &tape, v, &mut d, &mut tmp, &mut words);
+            proc.draw_into(&state, &tape, v, &mut d, &mut tmp);
             assert_eq!(d.len(), 2);
             assert!(d[0] < d[1]);
         }
+    }
+
+    /// MultiTrial's draw against an oracle that reads each tape word on
+    /// its own: the dense draw (`2·want ≥ |Ψ(v)|`) is a partial
+    /// Fisher–Yates over a palette copy on words `0..want`, the sparse
+    /// draw rejection-samples palette indices on words `1000, 1001, …`.
+    /// Palettes of 1–40 unsorted colors against `x` up to the cap reach
+    /// the sparse draw, the dense draw with `want < |Ψ(v)|` and the
+    /// whole-palette draw.
+    #[test]
+    fn multi_trial_draw_matches_per_word_oracle() {
+        fn oracle(pal: &[u32], x: usize, rng: &dyn Randomness, v: NodeId, stream: u64) -> Vec<u32> {
+            let want = x.min(pal.len());
+            let lemire = |w: u64, bound: usize| ((w as u128 * bound as u128) >> 64) as usize;
+            let mut out = if want * 2 >= pal.len() {
+                let mut tmp = pal.to_vec();
+                for i in 0..want {
+                    let j = i + lemire(rng.word(v, stream, i as u32), tmp.len() - i);
+                    tmp.swap(i, j);
+                }
+                tmp.truncate(want);
+                tmp
+            } else {
+                let mut out = Vec::new();
+                let mut k = 0;
+                while out.len() < want {
+                    let c = pal[lemire(rng.word(v, stream, 1000 + k), pal.len())];
+                    k += 1;
+                    if !out.contains(&c) {
+                        out.push(c);
+                    }
+                }
+                out
+            };
+            out.sort_unstable();
+            out
+        }
+
+        let n = 40;
+        let lists: Vec<Vec<u32>> = (0..n as u32)
+            .map(|v| (0..=v).map(|k| (k * 37 + v * 11) % 1009).collect())
+            .collect();
+        let g = Graph::empty(n);
+        let inst = D1lcInstance::new(g.clone(), PaletteArena::from_lists(&lists));
+        let state = ColoringState::new(&inst);
+        let (mut sparse, mut dense, mut whole) = (0, 0, 0);
+        let (mut d, mut tmp) = (Vec::new(), Vec::new());
+        for key in [3, 0xDEC0DE] {
+            let tape = CryptoTape::new(key);
+            for x in [1, 2, 3, 5, 8, 13, 20, 33, MULTI_TRIAL_CAP] {
+                for round_tag in [0, 7] {
+                    let proc = MultiTrial::new(full_set(&g), x, SspMode::Auto, round_tag);
+                    let stream = S_PICK ^ (round_tag << 8) ^ 0x4d54;
+                    for v in 0..n as NodeId {
+                        let pal = state.palette(v);
+                        let want = x.min(pal.len());
+                        match (want * 2 >= pal.len(), want < pal.len()) {
+                            (false, _) => sparse += 1,
+                            (true, true) => dense += 1,
+                            (true, false) => whole += 1,
+                        }
+                        d.clear();
+                        proc.draw_into(&state, &tape, v, &mut d, &mut tmp);
+                        assert_eq!(
+                            d,
+                            oracle(pal, x, &tape, v, stream),
+                            "key {key} x {x} tag {round_tag} node {v}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            sparse > 0 && dense > 0 && whole > 0,
+            "{sparse} {dense} {whole}"
+        );
     }
 
     #[test]

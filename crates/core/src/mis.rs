@@ -32,15 +32,13 @@ pub struct MisResult {
 /// Simulate one Luby round on the live set: returns `joined` (nodes that
 /// enter the MIS this round).  Pure in `(live, rng, round)`.  A node's
 /// priority is a pure function of (node, tape), whichever neighbor
-/// compares against it, so each live node's priority is drawn once — one
-/// `fill_words` stripe over the live set — into a dense array.
+/// compares against it, so each live node's priority is drawn once into
+/// a dense array.
 fn luby_round(g: &Graph, live: &[bool], rng: &dyn Randomness, round: u64) -> Vec<NodeId> {
     let live_list: Vec<NodeId> = (0..g.n() as NodeId).filter(|&v| live[v as usize]).collect();
-    let mut vals = vec![0u64; live_list.len()];
-    rng.fill_words(round, &live_list, 0, &mut vals);
     let mut prio = vec![0u64; g.n()];
-    for (&v, &p) in live_list.iter().zip(&vals) {
-        prio[v as usize] = p;
+    for &v in &live_list {
+        prio[v as usize] = rng.word(v, round, 0);
     }
     live_list
         .into_iter()

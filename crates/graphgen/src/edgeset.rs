@@ -86,6 +86,15 @@ impl EdgeSet {
         }
     }
 
+    /// Call `f(a, b)` once for every edge in the set, with `a < b`, in
+    /// slot order.
+    pub fn for_each(&self, mut f: impl FnMut(NodeId, NodeId)) {
+        for &key in self.slots.iter().filter(|&&k| k != 0) {
+            let k = key - 1;
+            f((k >> 32) as NodeId, k as NodeId);
+        }
+    }
+
     fn grow(&mut self) {
         let new_cap = self.slots.len() * 2;
         let old = std::mem::replace(&mut self.slots, vec![0u64; new_cap]);
@@ -129,5 +138,23 @@ mod tests {
         assert!(!s.insert(7, 3));
         assert_eq!(s.len(), 1);
         assert!(!s.is_empty());
+    }
+
+    #[test]
+    fn for_each_decodes_every_edge_once() {
+        let mut ours = EdgeSet::with_capacity(8); // undersized: forces growth
+        let mut want: HashSet<(NodeId, NodeId)> = HashSet::new();
+        for i in 0..500u32 {
+            let (u, v) = (i * 7 % 101, (i * 13 + 5) % 103);
+            if u != v {
+                ours.insert(u, v);
+                want.insert((u.min(v), u.max(v)));
+            }
+        }
+        let mut got = Vec::new();
+        ours.for_each(|a, b| got.push((a, b)));
+        assert_eq!(got.len(), ours.len());
+        assert!(got.iter().all(|&(a, b)| a < b));
+        assert_eq!(got.into_iter().collect::<HashSet<_>>(), want);
     }
 }

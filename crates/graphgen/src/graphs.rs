@@ -1,11 +1,19 @@
 //! Graph generators.  All deterministic in `seed`.
 //!
 //! Every generator is expressed as a **re-runnable edge stream** fed to
-//! [`Graph::from_edge_stream`]: the stream closure replays the exact
-//! same draw sequence (seeded rng, dedup set and all) on both passes,
-//! so the two-pass builder counts degrees and then scatters without
-//! ever materializing a `Vec<(u32, u32)>` edge list.  This is the
-//! memory-lean construction path that makes n = 10^7 instances fit.
+//! [`Graph::from_edge_stream`], which runs the stream twice: it counts
+//! degrees, then scatters, without ever materializing a
+//! `Vec<(u32, u32)>` edge list.  This is the memory-lean construction
+//! path that makes n = 10^7 instances fit.
+//!
+//! A generator whose draws need no state beyond its rng (`gnp`, the
+//! planted cliques) replays the same draw sequence on both passes.  One
+//! that must deduplicate or shuffle draws once, before the builder runs:
+//! `gnm` and `power_law` draw into an [`EdgeSet`] and stream the set's
+//! edges ([`EdgeSet::for_each`]), `random_regular` shuffles its stub list
+//! and streams its pairs, so peak memory is the set or the stubs plus the
+//! CSR.  The builder sorts every row, so the stream's order does not
+//! change the graph.
 
 use crate::edgeset::EdgeSet;
 use parcolor_local::graph::{Graph, NodeId};
@@ -16,17 +24,16 @@ pub fn gnm(n: usize, m: usize, seed: u64) -> Graph {
     assert!(n >= 2);
     let max_edges = n * (n - 1) / 2;
     assert!(m <= max_edges, "m={m} exceeds max {max_edges}");
-    Graph::from_edge_stream(n, |sink| {
-        let mut rng = SplitMix::new(seed);
-        let mut seen = EdgeSet::with_capacity(m);
-        while seen.len() < m {
-            let a = rng.below(n as u64) as NodeId;
-            let b = rng.below(n as u64) as NodeId;
-            if a != b && seen.insert(a, b) {
-                sink(a.min(b), a.max(b));
-            }
+    let mut rng = SplitMix::new(seed);
+    let mut seen = EdgeSet::with_capacity(m);
+    while seen.len() < m {
+        let a = rng.below(n as u64) as NodeId;
+        let b = rng.below(n as u64) as NodeId;
+        if a != b {
+            seen.insert(a, b);
         }
-    })
+    }
+    Graph::from_edge_stream(n, |sink| seen.for_each(sink))
 }
 
 /// Erdős–Rényi `G(n, p)` via the geometric skipping method — `O(m)` time.
@@ -62,12 +69,11 @@ pub fn gnp(n: usize, p: f64, seed: u64) -> Graph {
 /// so degrees are `≤ d`, concentrated at `d`).
 pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
     assert!((n * d).is_multiple_of(2), "n*d must be even");
+    let mut stubs: Vec<NodeId> = (0..n as NodeId)
+        .flat_map(|v| std::iter::repeat_n(v, d))
+        .collect();
+    SplitMix::new(seed).shuffle(&mut stubs);
     Graph::from_edge_stream(n, |sink| {
-        let mut rng = SplitMix::new(seed);
-        let mut stubs: Vec<NodeId> = (0..n as NodeId)
-            .flat_map(|v| std::iter::repeat_n(v, d))
-            .collect();
-        rng.shuffle(&mut stubs);
         for pair in stubs.chunks(2) {
             if pair.len() == 2 && pair[0] != pair[1] {
                 sink(pair[0], pair[1]);
@@ -100,20 +106,19 @@ pub fn power_law(n: usize, gamma: f64, avg_deg: f64, seed: u64) -> Graph {
         cdf.partition_point(|&c| c < x).min(n - 1) as NodeId
     };
     let target = (wsum / 2.0) as usize;
-    Graph::from_edge_stream(n, |sink| {
-        let mut rng = SplitMix::new(seed);
-        let mut seen = EdgeSet::with_capacity(target);
-        for _ in 0..target * 2 {
-            if seen.len() >= target {
-                break;
-            }
-            let a = draw(&mut rng);
-            let b = draw(&mut rng);
-            if a != b && seen.insert(a, b) {
-                sink(a.min(b), a.max(b));
-            }
+    let mut rng = SplitMix::new(seed);
+    let mut seen = EdgeSet::with_capacity(target);
+    for _ in 0..target * 2 {
+        if seen.len() >= target {
+            break;
         }
-    })
+        let a = draw(&mut rng);
+        let b = draw(&mut rng);
+        if a != b {
+            seen.insert(a, b);
+        }
+    }
+    Graph::from_edge_stream(n, |sink| seen.for_each(sink))
 }
 
 /// Planted almost-cliques: `k` cliques of the given sizes, each with an

@@ -26,7 +26,6 @@
 
 pub mod engine;
 pub mod graph;
-pub mod message;
 pub mod power;
 pub mod simd;
 #[cfg(all(unix, target_endian = "little"))]

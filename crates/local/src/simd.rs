@@ -1,13 +1,15 @@
-//! The four-lane mixer and eight-lane compare of the hot randomness and
-//! clash-scan loops.
+//! The eight-lane compare of the seed-lane clash scan, and the codegen
+//! notes of the two seed-block kernels.
 //!
-//! Both are plain scalar code, inlined at their call sites.  The fixed
-//! lane shape (whole `[u64; 4]` / `[u32; 8]` arrays, no tail) is what the
-//! callers keep: it hands the optimizer straight-line lanes it can
-//! vectorize for the build target, and it measured faster end to end than
-//! per-element loops in the same callers.  Integer lane arithmetic is
-//! exact, so every build target produces the same bytes as
-//! [`crate::tape::splitmix64`] and the per-lane `==`.
+//! [`lane_eq_mask8`] is plain scalar code, inlined at its call sites.
+//! Its fixed lane shape (whole `[u32; 8]` rows, no tail) hands the
+//! optimizer straight-line lanes it can vectorize for the build target.
+//! Integer compares are exact, so every build target produces the same
+//! mask as the per-lane `==`.
+//!
+//! Tape words have one scalar draw path (`crate::tape`) and no stripe
+//! mixer: on the default target a multi-lane `splitmix64` compiles to the
+//! emulated `pmuludq` products described next.
 //!
 //! The seed-block lane draw (`parcolor_prg::PrgBlock`'s
 //! `TapeBlock::below_lanes`) is kept scalar on purpose: a plain loop over
@@ -17,22 +19,10 @@
 //! SLP-vectorized the same chain it emulated every product with
 //! `pmuludq` and shifts: a standalone micro on a 2-vCPU Xeon ran it at
 //! 6.0–6.5 ns per (seed, node), against 2.8–2.9 ns scalar and 3.8–4.1 ns
-//! under AVX2.  If the kernel's shape changes, check its codegen
-//! (`objdump -d … | grep pmuludq`) and time it again.
-
-/// Number of 64-bit lanes [`splitmix4`] mixes at once.
-pub const SPLITMIX_LANES: usize = 4;
-
-/// Four independent [`crate::tape::splitmix64`] lanes.
-#[inline]
-pub fn splitmix4(z: [u64; SPLITMIX_LANES]) -> [u64; SPLITMIX_LANES] {
-    [
-        crate::tape::splitmix64(z[0]),
-        crate::tape::splitmix64(z[1]),
-        crate::tape::splitmix64(z[2]),
-        crate::tape::splitmix64(z[3]),
-    ]
-}
+//! under AVX2.  CI's codegen step fails if the lane draw,
+//! `<StepStream<B> as TapeBlock>::below_lanes` in the `parcolor` binary,
+//! holds a `pmuludq`, or if TryRandomColor's `seed_cost_block` compares
+//! rows other than with [`lane_eq_mask8`]'s `pcmpeqd` and `pmovmskb`.
 
 /// Bit `s` of the result ⇔ `a[s] == b[s]`: the seed-lane clash compare
 /// of two 8-lane pick rows.
@@ -57,27 +47,6 @@ pub fn lane_eq_mask8(a: &[u32; 8], b: &[u32; 8]) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::splitmix64;
-
-    /// Structured and avalanche-y probe inputs, including extremes.
-    fn probes() -> Vec<u64> {
-        (0..64u64)
-            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i << 59))
-            .chain([0, 1, u64::MAX, u64::MAX - 1, 1u64 << 63])
-            .collect()
-    }
-
-    #[test]
-    fn splitmix4_matches_scalar() {
-        for w in probes().chunks(4) {
-            let mut z = [0u64; 4];
-            z[..w.len()].copy_from_slice(w);
-            let got = splitmix4(z);
-            for l in 0..4 {
-                assert_eq!(got[l], splitmix64(z[l]), "lane {l} of {z:?}");
-            }
-        }
-    }
 
     #[test]
     fn lane_eq_mask_matches_scalar() {

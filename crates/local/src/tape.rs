@@ -15,34 +15,21 @@
 //! * PRG-backed tapes (in `parcolor-prg`) — short-seed pseudorandomness
 //!   used by the derandomized pipeline (Lemma 10 / Theorem 12).
 //!
-//! ## The batch contract
+//! ## One draw per address
 //!
-//! Hot paths consume randomness through the batch plane — the
-//! `fill_words` / `fill_words_seq` / `fill_below` methods of
-//! [`Randomness`] — rather than one scalar [`Randomness::word`]
-//! call at a time.  The contract every implementation must honor:
+//! A tape has one way to read an address: [`Randomness::word`], with
+//! [`Randomness::below`] and [`Randomness::bernoulli`] derived from that
+//! word.  A procedure that needs a stripe of nodes' draws, or a run of
+//! one node's words, reads them one address at a time; nothing else
+//! computes a tape word, so there is no second path to keep equal.
 //!
-//! * **Bit-identical to scalar.**  `fill_*` over a stripe must produce
-//!   exactly the words/draws that the corresponding scalar calls would:
-//!   `fill_words(stream, nodes, idx, out)` ⇔ `out[i] = word(nodes[i],
-//!   stream, idx)`, and likewise for the derived draws.  Batching is a
-//!   throughput optimization, never a semantic change — the golden tests
-//!   and `tests/batch_randomness_equivalence.rs` pin this.
-//! * **Lane width is an internal detail.**  Overrides mix fixed-width
-//!   lanes the compiler can autovectorize, with a scalar tail; callers
-//!   must not observe (or depend on) any particular lane width, and
-//!   stripes of every length — including empty — are valid.
-//! * **Defaults are correct.**  The trait defaults fall back to scalar
-//!   `word` calls (chunked through `fill_words` where that helps), so a
-//!   tape only implementing `word` is already a valid, if slower, source.
-//!
-//! A [`TapeBlock`] holds the tapes of one seed block, one per lane, and
-//! draws every lane at one address in one call
-//! ([`TapeBlock::below_lanes`]).  The same contract holds across lanes:
-//! lane `s` of the call is bit-identical to the scalar `below` on lane
-//! `s`'s tape, and the trait default is that per-lane loop.
-
-use crate::simd::{splitmix4, SPLITMIX_LANES};
+//! A seed block is the one place where lanes are drawn together.  A
+//! [`TapeBlock`] holds the tapes of one seed block, one per lane, and
+//! [`TapeBlock::below_lanes`] draws every lane at one address in one
+//! call, so a tape family can hoist each lane's seed work once per block.
+//! Lane `s` of the call is bit-identical to the scalar `below` on lane
+//! `s`'s tape, and the trait default is that per-lane loop
+//! (`tests/batch_randomness_equivalence.rs` pins the PRG block to it).
 
 /// A deterministic source of random words addressed by
 /// `(node, stream, index)`.
@@ -74,50 +61,9 @@ pub trait Randomness: Sync {
         let u = (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         u < p
     }
-
-    // -- batch plane -----------------------------------------------------
-
-    /// Word `idx` of `stream` for a stripe of nodes:
-    /// `out[i] = word(nodes[i], stream, idx)`.
-    ///
-    /// The default is the scalar loop; tapes with a known mixer override
-    /// it with autovectorizable lanes (bit-identically — see the module
-    /// docs for the batch contract).
-    fn fill_words(&self, stream: u64, nodes: &[u32], idx: u32, out: &mut [u64]) {
-        debug_assert_eq!(nodes.len(), out.len());
-        for (o, &v) in out.iter_mut().zip(nodes) {
-            *o = self.word(v, stream, idx);
-        }
-    }
-
-    /// Consecutive words of one node's tape:
-    /// `out[i] = word(node, stream, idx0 + i)`.
-    ///
-    /// The idx-stripe dual of [`Randomness::fill_words`], used by draws
-    /// that walk one node's tape (permutation deals, multi-color draws).
-    fn fill_words_seq(&self, node: u32, stream: u64, idx0: u32, out: &mut [u64]) {
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.word(node, stream, idx0.wrapping_add(i as u32));
-        }
-    }
-
-    /// Bounded draws for a stripe of nodes with per-node bounds:
-    /// `out[i] = below(nodes[i], stream, idx, bounds[i])`.
-    ///
-    /// Implemented on top of [`Randomness::fill_words`] (the Lemire
-    /// reduction is elementwise), so overriding `fill_words` batches this
-    /// for free.
-    fn fill_below(&self, stream: u64, nodes: &[u32], idx: u32, bounds: &[u64], out: &mut [u64]) {
-        debug_assert_eq!(nodes.len(), bounds.len());
-        self.fill_words(stream, nodes, idx, out);
-        for (o, &b) in out.iter_mut().zip(bounds) {
-            debug_assert!(b > 0);
-            *o = ((*o as u128 * b as u128) >> 64) as u64;
-        }
-    }
 }
 
-/// A reference reads exactly the tape it points to, batch plane included.
+/// A reference reads exactly the tape it points to.
 impl<R: Randomness + ?Sized> Randomness for &R {
     #[inline]
     fn word(&self, node: u32, stream: u64, idx: u32) -> u64 {
@@ -130,18 +76,6 @@ impl<R: Randomness + ?Sized> Randomness for &R {
 
     fn bernoulli(&self, node: u32, stream: u64, idx: u32, p: f64) -> bool {
         (**self).bernoulli(node, stream, idx, p)
-    }
-
-    fn fill_words(&self, stream: u64, nodes: &[u32], idx: u32, out: &mut [u64]) {
-        (**self).fill_words(stream, nodes, idx, out)
-    }
-
-    fn fill_words_seq(&self, node: u32, stream: u64, idx0: u32, out: &mut [u64]) {
-        (**self).fill_words_seq(node, stream, idx0, out)
-    }
-
-    fn fill_below(&self, stream: u64, nodes: &[u32], idx: u32, bounds: &[u64], out: &mut [u64]) {
-        (**self).fill_below(stream, nodes, idx, bounds, out)
     }
 }
 
@@ -156,7 +90,7 @@ pub const BLOCK_LANES: usize = 8;
 /// one [`TapeBlock::below_lanes`] call per node, so a tape family can
 /// hoist each lane's seed work once per block and the per-node work once
 /// per node.  Lanes are independent: lane `s` of every call is exactly
-/// what lane `s`'s tape returns (the batch contract, across lanes).
+/// what lane `s`'s tape returns.
 pub trait TapeBlock: Sync {
     /// Live lanes, in `1..=BLOCK_LANES`.
     fn lanes(&self) -> usize;
@@ -179,20 +113,12 @@ pub trait TapeBlock: Sync {
     }
 }
 
-/// Adapter forcing the scalar default batch methods of an inner tape —
-/// the "batching off" mode used by equivalence tests and the scalar legs
-/// of the batch benchmarks.  Only [`Randomness::word`] is forwarded, so
-/// every `fill_*` call runs the trait defaults over the inner scalar
-/// mixer.  Around a [`TapeBlock`] it forces the same on every lane and
-/// draws the lanes through the default [`TapeBlock::below_lanes`] loop.
-pub struct ForceScalar<R>(pub R);
-
-impl<R: Randomness> Randomness for ForceScalar<R> {
-    #[inline]
-    fn word(&self, node: u32, stream: u64, idx: u32) -> u64 {
-        self.0.word(node, stream, idx)
-    }
-}
+/// Adapter drawing a [`TapeBlock`]'s lanes through the trait's default
+/// [`TapeBlock::below_lanes`], one scalar `below` per lane on the lane's
+/// own tape — the per-lane reference that equivalence tests and the
+/// scalar legs of the seed-search benchmarks compare a block's lane draw
+/// against.
+pub struct ForceScalar<B>(pub B);
 
 impl<B: TapeBlock> TapeBlock for ForceScalar<B> {
     fn lanes(&self) -> usize {
@@ -200,7 +126,7 @@ impl<B: TapeBlock> TapeBlock for ForceScalar<B> {
     }
 
     fn with_lane(&self, s: usize, f: &mut dyn FnMut(&dyn Randomness)) {
-        self.0.with_lane(s, &mut |tape| f(&ForceScalar(tape)));
+        self.0.with_lane(s, f);
     }
 }
 
@@ -224,12 +150,6 @@ fn mix4(key: u64, node: u32, stream: u64, idx: u32) -> u64 {
     splitmix64(c ^ (idx as u64).wrapping_mul(0x5897_89E6_C7C0_A791))
 }
 
-/// Fixed lane width of the batched k-wise hash (`KWiseHash::eval_batch`
-/// in `parcolor-prg`): eight independent Horner accumulators, few enough
-/// to stay in registers.  Exposed so equivalence tests can probe
-/// lane-boundary stripe sizes; callers must not depend on its value.
-pub const MIX_LANES: usize = 8;
-
 /// A stateless keyed tape built from [`splitmix64`]; stands in for "true"
 /// randomness in the randomized baselines.
 ///
@@ -251,56 +171,6 @@ impl Randomness for CryptoTape {
     #[inline]
     fn word(&self, node: u32, stream: u64, idx: u32) -> u64 {
         mix4(self.key, node, stream, idx)
-    }
-
-    /// `mix4` over lanes: the key round is hoisted once per stripe and
-    /// the stream/idx products are loop invariants, leaving three
-    /// straight-line splitmix rounds per lane, mixed four lanes at a time
-    /// by [`splitmix4`] with a scalar tail.
-    fn fill_words(&self, stream: u64, nodes: &[u32], idx: u32, out: &mut [u64]) {
-        debug_assert_eq!(nodes.len(), out.len());
-        let a = splitmix64(self.key ^ 0xA076_1D64_78BD_642F);
-        let sm = stream.wrapping_mul(0x8EBC_6AF0_9C88_C6E3);
-        let im = (idx as u64).wrapping_mul(0x5897_89E6_C7C0_A791);
-        let mut node_it = nodes.chunks_exact(SPLITMIX_LANES);
-        let mut out_it = out.chunks_exact_mut(SPLITMIX_LANES);
-        for (nch, och) in (&mut node_it).zip(&mut out_it) {
-            let b = splitmix4(std::array::from_fn(|l| {
-                a ^ (nch[l] as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB)
-            }));
-            let c = splitmix4(std::array::from_fn(|l| b[l] ^ sm));
-            let w = splitmix4(std::array::from_fn(|l| c[l] ^ im));
-            och.copy_from_slice(&w);
-        }
-        for (&v, o) in node_it.remainder().iter().zip(out_it.into_remainder()) {
-            let b = splitmix64(a ^ (v as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB));
-            let c = splitmix64(b ^ sm);
-            *o = splitmix64(c ^ im);
-        }
-    }
-
-    /// `mix4` along one node's tape: key, node and stream rounds hoisted
-    /// once, one splitmix round per output word (four words per
-    /// [`splitmix4`] call, then a scalar tail).
-    fn fill_words_seq(&self, node: u32, stream: u64, idx0: u32, out: &mut [u64]) {
-        let a = splitmix64(self.key ^ 0xA076_1D64_78BD_642F);
-        let b = splitmix64(a ^ (node as u64).wrapping_mul(0xE703_7ED1_A0B4_28DB));
-        let c = splitmix64(b ^ stream.wrapping_mul(0x8EBC_6AF0_9C88_C6E3));
-        let mut out_it = out.chunks_exact_mut(SPLITMIX_LANES);
-        let mut i = 0u32;
-        for och in &mut out_it {
-            let w = splitmix4(std::array::from_fn(|l| {
-                let idx = idx0.wrapping_add(i).wrapping_add(l as u32);
-                c ^ (idx as u64).wrapping_mul(0x5897_89E6_C7C0_A791)
-            }));
-            och.copy_from_slice(&w);
-            i += SPLITMIX_LANES as u32;
-        }
-        for o in out_it.into_remainder() {
-            let idx = idx0.wrapping_add(i);
-            *o = splitmix64(c ^ (idx as u64).wrapping_mul(0x5897_89E6_C7C0_A791));
-            i += 1;
-        }
     }
 }
 
@@ -420,62 +290,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
         assert_ne!(xs, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn batched_words_match_scalar_at_lane_boundaries() {
-        let t = CryptoTape::new(0xBEEF);
-        for len in [
-            0,
-            1,
-            MIX_LANES - 1,
-            MIX_LANES,
-            MIX_LANES + 1,
-            3 * MIX_LANES + 5,
-        ] {
-            let nodes: Vec<u32> = (0..len as u32)
-                .map(|i| i.wrapping_mul(2654435761))
-                .collect();
-            let mut got = vec![0u64; len];
-            t.fill_words(7, &nodes, 3, &mut got);
-            for (i, &v) in nodes.iter().enumerate() {
-                assert_eq!(got[i], t.word(v, 7, 3), "len {len} lane {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_seq_matches_scalar() {
-        let t = CryptoTape::new(99);
-        let mut got = vec![0u64; 21];
-        t.fill_words_seq(5, 11, 1000, &mut got);
-        for (i, &w) in got.iter().enumerate() {
-            assert_eq!(w, t.word(5, 11, 1000 + i as u32));
-        }
-    }
-
-    #[test]
-    fn batched_draws_match_scalar() {
-        let t = CryptoTape::new(4242);
-        let nodes: Vec<u32> = (0..37).collect();
-        let bounds: Vec<u64> = (0..37u64).map(|i| i % 9 + 1).collect();
-        let mut below = vec![0u64; 37];
-        t.fill_below(2, &nodes, 1, &bounds, &mut below);
-        for (i, &v) in nodes.iter().enumerate() {
-            assert_eq!(below[i], t.below(v, 2, 1, bounds[i]));
-        }
-    }
-
-    #[test]
-    fn force_scalar_is_transparent() {
-        let t = CryptoTape::new(17);
-        let s = ForceScalar(CryptoTape::new(17));
-        let nodes: Vec<u32> = (0..MIX_LANES as u32 + 1).collect();
-        let mut a = vec![0u64; nodes.len()];
-        let mut b = vec![0u64; nodes.len()];
-        t.fill_words(5, &nodes, 2, &mut a);
-        s.fill_words(5, &nodes, 2, &mut b);
-        assert_eq!(a, b);
     }
 
     #[test]

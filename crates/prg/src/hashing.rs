@@ -21,10 +21,16 @@
 //! modular multiply-add autovectorizes.  The lane width is an internal
 //! detail; stripes of any length, including empty, are valid.
 
-use parcolor_local::tape::{splitmix64, MIX_LANES};
+use parcolor_local::tape::splitmix64;
 
 /// The Mersenne prime `2^61 - 1`.
 pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
+
+/// Fixed lane width of [`KWiseHash::eval_batch`]: eight independent
+/// Horner accumulators, few enough to stay in registers.  Exposed so
+/// equivalence tests can probe lane-boundary stripe sizes; callers must
+/// not depend on its value.
+pub const MIX_LANES: usize = 8;
 
 /// Reduce a 122-bit product modulo `2^61 - 1` without division.
 #[inline]

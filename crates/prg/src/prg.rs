@@ -7,7 +7,6 @@
 //! function of `(seed, chunk, index)`, so the "output string" is virtual
 //! and arbitrarily long; `ChunkAssignment` carries the node→chunk map.
 
-use parcolor_local::simd::{splitmix4, SPLITMIX_LANES};
 use parcolor_local::tape::{splitmix64, Randomness, TapeBlock, BLOCK_LANES};
 
 /// A PRG family parameterized by seed length in bits.
@@ -52,64 +51,6 @@ impl Prg {
         let a = splitmix64(seed ^ 0xD1B5_4A32_D192_ED03);
         let b = splitmix64(a ^ chunk.wrapping_mul(0x2545_F491_4F6C_DD1D));
         splitmix64(b ^ (idx as u64).wrapping_mul(0x9E6C_63D0_876A_368B))
-    }
-
-    /// Batched [`Prg::word`] over a chunk assignment: for a stripe of
-    /// nodes, `out[i] = word(seed, chunks.chunk_of(nodes[i]), idx)`.
-    ///
-    /// The seed round and the idx product are hoisted once per stripe;
-    /// what remains per lane is the chunk lookup plus two splitmix rounds
-    /// (see `fill_two_rounds`).  Bit-identical to the scalar path by
-    /// construction: same rounds, same constants.
-    pub fn fill_words(
-        &self,
-        seed: u64,
-        chunks: &ChunkAssignment,
-        nodes: &[u32],
-        idx: u32,
-        out: &mut [u64],
-    ) {
-        debug_assert!(seed < self.seed_space());
-        debug_assert_eq!(nodes.len(), out.len());
-        let a = splitmix64(seed ^ 0xD1B5_4A32_D192_ED03);
-        let im = (idx as u64).wrapping_mul(0x9E6C_63D0_876A_368B);
-        // Resolve the assignment variant once, outside the lane loop.
-        match chunks {
-            ChunkAssignment::PerNode => {
-                fill_two_rounds(a, im, nodes, out, |v| v as u64);
-            }
-            ChunkAssignment::PowerColoring { colors } => {
-                fill_two_rounds(a, im, nodes, out, |v| colors[v as usize] as u64);
-            }
-        }
-    }
-}
-
-/// The two per-lane mixer rounds shared by both chunk assignments:
-/// `out[i] = splitmix64(splitmix64(a ^ chunk(nodes[i])·K) ^ im)`, four
-/// lanes per [`splitmix4`] call with a scalar tail.
-#[inline]
-fn fill_two_rounds(
-    a: u64,
-    im: u64,
-    nodes: &[u32],
-    out: &mut [u64],
-    mut chunk_of: impl FnMut(u32) -> u64,
-) {
-    let mut node_it = nodes.chunks_exact(SPLITMIX_LANES);
-    let mut out_it = out.chunks_exact_mut(SPLITMIX_LANES);
-    for (nch, och) in (&mut node_it).zip(&mut out_it) {
-        let mut z = [0u64; SPLITMIX_LANES];
-        for l in 0..SPLITMIX_LANES {
-            z[l] = a ^ chunk_of(nch[l]).wrapping_mul(0x2545_F491_4F6C_DD1D);
-        }
-        let b = splitmix4(z);
-        let w = splitmix4(std::array::from_fn(|l| b[l] ^ im));
-        och.copy_from_slice(&w);
-    }
-    for (&v, o) in node_it.remainder().iter().zip(out_it.into_remainder()) {
-        let b = splitmix64(a ^ chunk_of(v).wrapping_mul(0x2545_F491_4F6C_DD1D));
-        *o = splitmix64(b ^ im);
     }
 }
 
@@ -239,40 +180,6 @@ impl Randomness for PrgTape<'_> {
         self.prg
             .word(self.seed, chunk, (splitmix64(stream) as u32) ^ idx)
     }
-
-    /// Batched plane: the stream mix and the seed round are computed once
-    /// per stripe (the scalar path re-derives both per call), then
-    /// [`Prg::fill_words`] runs the remaining two rounds over lanes.
-    fn fill_words(&self, stream: u64, nodes: &[u32], idx: u32, out: &mut [u64]) {
-        let eff = (splitmix64(stream) as u32) ^ idx;
-        self.prg.fill_words(self.seed, self.chunks, nodes, eff, out);
-    }
-
-    /// Idx-stripe along one node's chunk: seed, chunk and stream rounds
-    /// hoisted, one splitmix round per output word.  The effective index
-    /// is `splitmix64(stream) ^ (idx0 + i)` — identical to what the
-    /// scalar [`Randomness::word`] computes per call.
-    fn fill_words_seq(&self, node: u32, stream: u64, idx0: u32, out: &mut [u64]) {
-        let s = splitmix64(stream) as u32;
-        let chunk = self.chunks.chunk_of(node);
-        let a = splitmix64(self.seed ^ 0xD1B5_4A32_D192_ED03);
-        let b = splitmix64(a ^ chunk.wrapping_mul(0x2545_F491_4F6C_DD1D));
-        let mut out_it = out.chunks_exact_mut(SPLITMIX_LANES);
-        let mut i = 0u32;
-        for och in &mut out_it {
-            let w = splitmix4(std::array::from_fn(|l| {
-                let idx = s ^ idx0.wrapping_add(i).wrapping_add(l as u32);
-                b ^ (idx as u64).wrapping_mul(0x9E6C_63D0_876A_368B)
-            }));
-            och.copy_from_slice(&w);
-            i += SPLITMIX_LANES as u32;
-        }
-        for o in out_it.into_remainder() {
-            let idx = s ^ idx0.wrapping_add(i);
-            *o = splitmix64(b ^ (idx as u64).wrapping_mul(0x9E6C_63D0_876A_368B));
-            i += 1;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -349,41 +256,6 @@ mod tests {
         }
         let avg = ones as f64 / 500.0;
         assert!((avg - 32.0).abs() < 1.5, "avg bit weight {avg}");
-    }
-
-    #[test]
-    fn batched_tape_matches_scalar_for_both_assignments() {
-        let prg = Prg::new(12);
-        let per_node = ChunkAssignment::PerNode;
-        let coloring = ChunkAssignment::PowerColoring {
-            colors: (0..64u32).map(|v| v % 7).collect(),
-        };
-        for chunks in [&per_node, &coloring] {
-            let tape = PrgTape::new(prg, 777, chunks);
-            let nodes: Vec<u32> = (0..37u32).map(|i| i % 64).collect();
-            let mut got = vec![0u64; nodes.len()];
-            tape.fill_words(5, &nodes, 2, &mut got);
-            for (i, &v) in nodes.iter().enumerate() {
-                assert_eq!(got[i], tape.word(v, 5, 2), "node {v}");
-            }
-            let mut seq = vec![0u64; 19];
-            tape.fill_words_seq(9, 5, 100, &mut seq);
-            for (i, &w) in seq.iter().enumerate() {
-                assert_eq!(w, tape.word(9, 5, 100 + i as u32));
-            }
-        }
-    }
-
-    #[test]
-    fn prg_fill_words_matches_word() {
-        let prg = Prg::new(8);
-        let chunks = ChunkAssignment::PerNode;
-        let nodes: Vec<u32> = (0..17).collect();
-        let mut out = vec![0u64; 17];
-        prg.fill_words(3, &chunks, &nodes, 42, &mut out);
-        for (i, &v) in nodes.iter().enumerate() {
-            assert_eq!(out[i], prg.word(3, v as u64, 42));
-        }
     }
 
     #[test]

@@ -1,121 +1,30 @@
-//! Property tests pinning the batched randomness plane to its scalar
-//! counterpart (the batch contract of `parcolor_local::tape` and
-//! `parcolor_prg::hashing`).
+//! Property tests pinning the seed-block and hash lanes to their scalar
+//! counterparts.
 //!
-//! For every tape type — `CryptoTape`, `PrgTape` under both chunk
-//! assignments, and the `ForceScalar` adapter running the trait defaults —
-//! the batched `fill_words` / `fill_words_seq` / `fill_below` must
-//! equal the scalar `word` / `below` calls element-for-element, over
-//! random node stripes and explicitly at the lane boundaries of both lane
-//! widths (the 4-lane `splitmix4` mixers and the 8-lane k-wise hash).
 //! A PRG seed block's `below_lanes` must equal each lane tape's scalar
 //! `below`, and the trait's per-lane default (`ForceScalar`), at every
 //! lane count, for a block that ends at the last seed of the space, and
-//! at the extreme bounds.  Likewise
-//! `KWiseHash::eval_batch` must equal `eval` for every independence
-//! `k ∈ 1..=4`.
+//! at the extreme bounds.  The clash scan's `lane_eq_mask8` must equal
+//! the per-lane `==`.  `KWiseHash::eval_batch` must equal `eval` for
+//! every independence `k ∈ 1..=4`, over random stripes and explicitly at
+//! the lane boundaries of [`MIX_LANES`].
 
-use parcolor_local::simd::{lane_eq_mask8, splitmix4, SPLITMIX_LANES};
-use parcolor_local::tape::{
-    splitmix64, CryptoTape, ForceScalar, Randomness, TapeBlock, BLOCK_LANES, MIX_LANES,
-};
-use parcolor_prg::hashing::KWiseFamily;
+use parcolor_local::simd::lane_eq_mask8;
+use parcolor_local::tape::{ForceScalar, Randomness, TapeBlock, BLOCK_LANES};
+use parcolor_prg::hashing::{KWiseFamily, MIX_LANES};
 use parcolor_prg::{ChunkAssignment, Prg, PrgBlock, PrgTape};
 use proptest::prelude::*;
 
-/// Stripe lengths every property probes: the lane boundaries of
-/// [`SPLITMIX_LANES`] and [`MIX_LANES`] plus the full random stripe.
+/// Stripe lengths the `eval_batch` property probes: the lane boundaries
+/// of [`MIX_LANES`] plus the full random stripe.
 fn probe_sizes(full: usize) -> Vec<usize> {
-    let mut sizes = vec![
-        0,
-        1,
-        SPLITMIX_LANES - 1,
-        SPLITMIX_LANES,
-        SPLITMIX_LANES + 1,
-        MIX_LANES - 1,
-        MIX_LANES,
-        MIX_LANES + 1,
-        full,
-    ];
+    let mut sizes = vec![0, 1, MIX_LANES - 1, MIX_LANES, MIX_LANES + 1, full];
     sizes.retain(|&s| s <= full);
     sizes
 }
 
-/// Assert all three batch methods equal their scalar counterparts on a
-/// prefix stripe of `nodes`.
-fn assert_batch_matches_scalar(tape: &dyn Randomness, nodes: &[u32], stream: u64, idx: u32) {
-    for len in probe_sizes(nodes.len()) {
-        let stripe = &nodes[..len];
-        let bounds: Vec<u64> = stripe.iter().map(|&v| (v as u64 % 23) + 1).collect();
-        let mut words = vec![0u64; len];
-        tape.fill_words(stream, stripe, idx, &mut words);
-        let mut below = vec![0u64; len];
-        tape.fill_below(stream, stripe, idx, &bounds, &mut below);
-        for (i, &v) in stripe.iter().enumerate() {
-            prop_assert_eq!(
-                words[i],
-                tape.word(v, stream, idx),
-                "words len {} lane {}",
-                len,
-                i
-            );
-            prop_assert_eq!(below[i], tape.below(v, stream, idx, bounds[i]));
-        }
-        if len > 0 {
-            let mut seq = vec![0u64; len];
-            tape.fill_words_seq(stripe[0], stream, idx, &mut seq);
-            for (i, &w) in seq.iter().enumerate() {
-                prop_assert_eq!(w, tape.word(stripe[0], stream, idx.wrapping_add(i as u32)));
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn crypto_tape_batches_match_scalar(
-        key in any::<u64>(),
-        stream in any::<u64>(),
-        idx in 0u32..10_000,
-        nodes in proptest::collection::vec(0u32..512, (3 * MIX_LANES)..(4 * MIX_LANES)),
-    ) {
-        let tape = CryptoTape::new(key);
-        assert_batch_matches_scalar(&tape, &nodes, stream, idx);
-        // The ForceScalar adapter (trait defaults over the scalar mixer)
-        // must agree with the lane overrides word-for-word.
-        let forced = ForceScalar(CryptoTape::new(key));
-        let mut lanes = vec![0u64; nodes.len()];
-        let mut scalar = vec![0u64; nodes.len()];
-        tape.fill_words(stream, &nodes, idx, &mut lanes);
-        forced.fill_words(stream, &nodes, idx, &mut scalar);
-        prop_assert_eq!(lanes, scalar);
-    }
-
-    #[test]
-    fn prg_tape_batches_match_scalar(
-        seed in 0u64..4096,
-        stream in any::<u64>(),
-        idx in 0u32..10_000,
-        nodes in proptest::collection::vec(0u32..512, (3 * MIX_LANES)..(4 * MIX_LANES)),
-    ) {
-        let prg = Prg::new(12);
-        let per_node = ChunkAssignment::PerNode;
-        let coloring = ChunkAssignment::PowerColoring {
-            colors: (0..512u32).map(|v| v % 13).collect(),
-        };
-        for chunks in [&per_node, &coloring] {
-            let tape = PrgTape::new(prg, seed, chunks);
-            assert_batch_matches_scalar(&tape, &nodes, stream, idx);
-            let forced = ForceScalar(PrgTape::new(prg, seed, chunks));
-            let mut lanes = vec![0u64; nodes.len()];
-            let mut scalar = vec![0u64; nodes.len()];
-            tape.fill_words(stream, &nodes, idx, &mut lanes);
-            forced.fill_words(stream, &nodes, idx, &mut scalar);
-            prop_assert_eq!(lanes, scalar);
-        }
-    }
 
     #[test]
     fn prg_block_lanes_match_scalar(
@@ -164,19 +73,13 @@ proptest! {
         }
     }
 
-    // The lane kernels must be bit-identical to the per-lane mixer and
-    // compare they batch.
+    // The lane compare must be bit-identical to the per-lane `==` it
+    // batches.
     #[test]
     fn simd_kernels_match_scalar(
-        zs in proptest::collection::vec(any::<u64>(), SPLITMIX_LANES),
         a in proptest::collection::vec(any::<u32>(), 8),
         flip in 0usize..8,
     ) {
-        let z: [u64; SPLITMIX_LANES] = [zs[0], zs[1], zs[2], zs[3]];
-        let got = splitmix4(z);
-        for l in 0..SPLITMIX_LANES {
-            prop_assert_eq!(got[l], splitmix64(z[l]), "lane {}", l);
-        }
         let row: [u32; 8] = std::array::from_fn(|i| a[i]);
         let mut other = row;
         other[flip] = other[flip].wrapping_add(1);

@@ -2,6 +2,9 @@
 //! weak-success-property semantics (deferral only helps), and the MIS
 //! generality example, across crates.
 
+#[path = "support/message.rs"]
+mod message;
+
 use parcolor_core::framework::{NormalProcedure, Runner};
 use parcolor_core::hknt::procs::{SspMode, StageSet, TryRandomColor};
 use parcolor_core::instance::ColoringState;
@@ -132,8 +135,7 @@ fn stage_set_membership_is_consistent() {
 /// correspondence the round-accounting engine's docs assert.
 #[test]
 fn message_passing_matches_pass_implementation() {
-    use parcolor_core::hknt::procs::TryRandomColor;
-    use parcolor_local::message::{run_message_passing, MessageAlgorithm};
+    use message::{run_message_passing, MessageAlgorithm};
     use parcolor_local::tape::Randomness;
 
     let g = gen::gnm(400, 1_600, 77);

@@ -90,10 +90,9 @@ fn check_equivalence(proc: &dyn NormalProcedure, state: &ColoringState, ctx: &st
             "{ctx} / {strategy:?}: guarantee"
         );
 
-        // And with batching forced off: the block's lanes drawn by the
-        // trait default (each lane's scalar `below`) and every lane's tape
-        // on the scalar trait defaults must reproduce the lane mixers
-        // word-for-word, hence the identical selection.
+        // And with the lane draw forced off: the block's lanes drawn by the
+        // trait default (each lane's scalar `below`) must reproduce the PRG
+        // block's lane draw word-for-word, hence the identical selection.
         let forced = block_selection(proc, state, &chunks, strategy, 0, ForceScalar);
         assert_selection_eq(
             &old,

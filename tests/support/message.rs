@@ -2,16 +2,15 @@
 //!
 //! The coloring procedures in `parcolor-core` are written as whole-graph
 //! data-parallel passes that *account* their LOCAL round cost.  This
-//! module provides the ground truth those passes
-//! are compared against: nodes hold private state, exchange messages with
-//! neighbors in synchronous rounds through real mailboxes, and cannot see
-//! anything else.  The cross-check test
-//! (`integration_framework::message_passing_matches_pass_implementation`)
-//! runs `TryRandomColor` both ways under the same randomness tape and
-//! requires identical outcomes.
+//! executor is the ground truth those passes are compared against: nodes
+//! hold private state, exchange messages with neighbors in synchronous
+//! rounds through real mailboxes, and cannot see anything else.  Its one
+//! caller, `message_passing_matches_pass_implementation` in
+//! `tests/integration_framework.rs`, runs `TryRandomColor` both ways under
+//! the same randomness tape and requires identical outcomes.
 
-use crate::graph::{Graph, NodeId};
-use crate::tape::Randomness;
+use parcolor_local::graph::{Graph, NodeId};
+use parcolor_local::tape::Randomness;
 
 /// A node-level synchronous message-passing algorithm.
 ///
@@ -115,7 +114,7 @@ pub fn run_message_passing<A: MessageAlgorithm>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::CryptoTape;
+    use parcolor_local::tape::CryptoTape;
 
     /// Flood: every node learns the minimum id in its component (the
     /// algorithm carries a graph handle so nodes can enumerate their
