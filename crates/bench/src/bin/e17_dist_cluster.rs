@@ -6,9 +6,10 @@
 //! coloring (asserted); what varies is the path the work takes — local
 //! pool, a healthy fleet, a fleet with a kill-looped worker, a fleet
 //! with a straggler past every lease deadline.  Writes
-//! `BENCH_dist.json` with re-issue/eviction counters and wall times.
+//! `BENCH_dist.json` with re-issue/eviction counters, wall times and the
+//! host's thread count and CPU model.
 
-use parcolor_bench::{f1, s, scaled, timed, Table};
+use parcolor_bench::{f1, host_json, s, scaled, timed, Table};
 use parcolor_core::{D1lcInstance, Params, SeedStrategy, Solver};
 use parcolor_dist::{
     solve_on_cluster, solve_on_failover_cluster, ChaosConfig, DistConfig, DistStats,
@@ -201,7 +202,9 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"experiment\": \"e17_dist_cluster\",\n  \"n\": {n},\n  \"rows\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"experiment\": \"e17_dist_cluster\",\n  \"host\": {},\n  \"n\": {n},\n  \
+         \"rows\": [\n{}\n  ]\n}}\n",
+        host_json(),
         json_rows.join(",\n")
     );
     match std::fs::write("BENCH_dist.json", &json) {

@@ -27,6 +27,7 @@ use crate::DistConfig;
 use parcolor_core::{D1lcInstance, Params, Solution, Solver};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Everything a cluster run produced.
 pub struct ClusterOutcome {
@@ -58,6 +59,66 @@ pub fn install_quiet_kill_hook() {
     });
 }
 
+/// What one worker thread produced: its solution, whether it went
+/// standalone, and its counters (`None` if it never completed its
+/// initial handshake).
+type Replica = Option<(Solution, bool, WorkerStats)>;
+
+/// Start a worker replica on `scope` against the ordered coordinator
+/// list `addrs`, keeping `proxy` (its chaos link, if any) alive for the
+/// run.
+fn spawn_replica<'scope, B>(
+    scope: &'scope Scope<'scope, '_>,
+    decode: &'scope B,
+    addrs: Vec<String>,
+    proxy: Option<ChaosProxy>,
+    cfg: DistConfig,
+) -> ScopedJoinHandle<'scope, Replica>
+where
+    B: Fn(&[u8]) -> (D1lcInstance, Params) + Sync,
+{
+    scope.spawn(move || {
+        let _proxy = proxy;
+        run_worker(&addrs, cfg, |job, searcher| {
+            let (inst, params) = decode(job);
+            let sol = Solver::deterministic(params)
+                .with_seed_searcher(searcher.clone())
+                .solve(&inst);
+            (sol, searcher.is_standalone(), searcher.stats())
+        })
+        .ok()
+    })
+}
+
+/// The fleet's per-worker outcome columns, in worker order.
+struct Fleet {
+    workers: Vec<Option<Solution>>,
+    worker_stats: Vec<Option<WorkerStats>>,
+    standalone: Vec<bool>,
+}
+
+impl Fleet {
+    /// Join every replica thread and split its outcome into columns.
+    fn join(handles: Vec<ScopedJoinHandle<'_, Replica>>) -> Fleet {
+        let mut fleet = Fleet {
+            workers: Vec::new(),
+            worker_stats: Vec::new(),
+            standalone: Vec::new(),
+        };
+        for h in handles {
+            let replica = h.join().expect("worker thread");
+            let (sol, alone, ws) = match replica {
+                Some((sol, alone, ws)) => (Some(sol), alone, Some(ws)),
+                None => (None, false, None),
+            };
+            fleet.workers.push(sol);
+            fleet.worker_stats.push(ws);
+            fleet.standalone.push(alone);
+        }
+        fleet
+    }
+}
+
 /// Solve `job` on a loopback cluster of `nworkers` workers, the i-th
 /// connected through `chaos[i]` (if given, else directly).  `decode`
 /// reconstructs `(instance, params)` from the job bytes on every node —
@@ -78,65 +139,33 @@ where
     let target = coordinator.local_addr();
     let decode = &decode;
 
-    let (coord_solution, worker_results) = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for i in 0..nworkers {
-            let proxy = chaos
-                .get(i)
-                .and_then(|c| *c)
-                .map(|c| ChaosProxy::start(target, c).expect("proxy"));
-            let addr = proxy.as_ref().map(|p| p.addr()).unwrap_or(target);
-            let wcfg = cfg.clone();
-            handles.push(scope.spawn(move || {
-                let _proxy = proxy; // keep the proxy alive for the run
-                run_worker(&[addr.to_string()], wcfg, |job, searcher| {
-                    let (inst, params) = decode(job);
-                    let sol = Solver::deterministic(params)
-                        .with_seed_searcher(searcher.clone())
-                        .solve(&inst);
-                    (sol, searcher.is_standalone(), searcher.stats())
-                })
-                .ok()
-            }));
-        }
+    let (coord_solution, fleet) = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..nworkers)
+            .map(|i| {
+                let proxy = chaos
+                    .get(i)
+                    .and_then(|c| *c)
+                    .map(|c| ChaosProxy::start(target, c).expect("proxy"));
+                let addr = proxy.as_ref().map(|p| p.addr()).unwrap_or(target);
+                spawn_replica(scope, decode, vec![addr.to_string()], proxy, cfg.clone())
+            })
+            .collect();
 
         let (inst, params) = decode(job);
         let sol = Solver::deterministic(params)
             .with_seed_searcher(Arc::clone(&coordinator) as Arc<dyn parcolor_core::SeedSearcher>)
             .solve(&inst);
-
-        let results: Vec<Option<(Solution, bool, WorkerStats)>> = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread"))
-            .collect();
-        (sol, results)
+        (sol, Fleet::join(handles))
     });
 
     let stats = coordinator.stats();
     coordinator.shutdown();
-    let mut workers = Vec::new();
-    let mut worker_stats = Vec::new();
-    let mut standalone = Vec::new();
-    for r in worker_results {
-        match r {
-            Some((sol, alone, ws)) => {
-                workers.push(Some(sol));
-                worker_stats.push(Some(ws));
-                standalone.push(alone);
-            }
-            None => {
-                workers.push(None);
-                worker_stats.push(None);
-                standalone.push(false);
-            }
-        }
-    }
     ClusterOutcome {
         coordinator: coord_solution,
-        workers,
-        worker_stats,
+        workers: fleet.workers,
+        worker_stats: fleet.worker_stats,
         stats,
-        standalone,
+        standalone: fleet.standalone,
     }
 }
 
@@ -212,7 +241,7 @@ where
     ];
     let decode = &decode;
 
-    let (primary_solution, standby_solution, worker_results) = std::thread::scope(|scope| {
+    let (primary_solution, standby_solution, fleet) = std::thread::scope(|scope| {
         let standby_handle = {
             let standby = Arc::clone(&standby);
             scope.spawn(move || {
@@ -225,21 +254,9 @@ where
                 .ok()
             })
         };
-        let mut handles = Vec::new();
-        for _ in 0..nworkers {
-            let wcfg = cfg.clone();
-            let addrs = addrs.clone();
-            handles.push(scope.spawn(move || {
-                run_worker(&addrs, wcfg, |job, searcher| {
-                    let (inst, params) = decode(job);
-                    let sol = Solver::deterministic(params)
-                        .with_seed_searcher(searcher.clone())
-                        .solve(&inst);
-                    (sol, searcher.is_standalone(), searcher.stats())
-                })
-                .ok()
-            }));
-        }
+        let handles: Vec<_> = (0..nworkers)
+            .map(|_| spawn_replica(scope, decode, addrs.clone(), None, cfg.clone()))
+            .collect();
 
         let (inst, params) = decode(job);
         let primary_solution = catch_unwind(AssertUnwindSafe(|| {
@@ -255,36 +272,15 @@ where
 
         let standby_solution = standby_handle.join().expect("standby thread");
         standby.finish();
-        let worker_results: Vec<Option<(Solution, bool, WorkerStats)>> = handles
-            .into_iter()
-            .map(|h| h.join().expect("worker thread"))
-            .collect();
-        (primary_solution, standby_solution, worker_results)
+        (primary_solution, standby_solution, Fleet::join(handles))
     });
 
-    let mut workers = Vec::new();
-    let mut worker_stats = Vec::new();
-    let mut standalone = Vec::new();
-    for r in worker_results {
-        match r {
-            Some((sol, alone, ws)) => {
-                workers.push(Some(sol));
-                worker_stats.push(Some(ws));
-                standalone.push(alone);
-            }
-            None => {
-                workers.push(None);
-                worker_stats.push(None);
-                standalone.push(false);
-            }
-        }
-    }
     FailoverOutcome {
         primary: primary_solution,
         standby: standby_solution,
-        workers,
-        worker_stats,
-        standalone,
+        workers: fleet.workers,
+        worker_stats: fleet.worker_stats,
+        standalone: fleet.standalone,
         primary_stats: primary.stats(),
         primary_killed: primary.was_killed(),
         standby_stats: standby.stats(),

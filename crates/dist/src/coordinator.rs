@@ -27,8 +27,7 @@ use crate::DistConfig;
 use parcolor_core::{BlockEval, SeedSearcher, SimScratch};
 use parcolor_exec::{LeaseTable, SumMinArgmin};
 use parcolor_prg::{
-    fold_seed_range_in, seed_workers, select_seed_folded, RangeFolder, SeedSelection, SeedStrategy,
-    SEED_BLOCK,
+    select_seed_folded, LocalFolder, RangeFolder, SeedSelection, SeedStrategy, SEED_BLOCK,
 };
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -459,10 +458,7 @@ impl DistCoordinator {
             fold_seq: 0,
             preseed,
             kill,
-            n,
-            workers,
-            eval_block,
-            pool: Vec::new(),
+            local: LocalFolder::new(workers, move || SimScratch::new(n), eval_block),
         };
         let sel = select_seed_folded(seed_bits, strategy, &mut folder);
         st.stats.searches += 1;
@@ -524,9 +520,9 @@ impl SeedSearcher for DistCoordinator {
     }
 }
 
-/// The [`RangeFolder`] that leases.  Lives for one search; `pool` is
-/// its local-evaluation scratch arena (fallbacks and short folds).
-struct LeasingFolder<'a, 'b> {
+/// The [`RangeFolder`] that leases.  Lives for one search; `local` folds
+/// in process (fallbacks and short folds).
+struct LeasingFolder<'a, L> {
     shared: &'a Shared,
     st: &'a mut CoordState,
     search_id: u64,
@@ -538,10 +534,9 @@ struct LeasingFolder<'a, 'b> {
     fold_seq: u64,
     preseed: HashMap<u64, ReplicatedFold>,
     kill: Option<Arc<KillSwitch>>,
-    n: usize,
-    workers: usize,
-    eval_block: BlockEval<'b>,
-    pool: Vec<SimScratch>,
+    /// The same folder `select_seed_blocks_n` runs, so local shares are
+    /// bit-identical.
+    local: L,
 }
 
 fn unit_range(start: u64, len: u64, unit_len: u64, unit: u32) -> (u64, u64) {
@@ -550,7 +545,7 @@ fn unit_range(start: u64, len: u64, unit_len: u64, unit: u32) -> (u64, u64) {
     (ustart, ulen)
 }
 
-impl LeasingFolder<'_, '_> {
+impl<L: RangeFolder> LeasingFolder<'_, L> {
     /// Crash now if the armed kill switch says this completed unit was
     /// the trigger (simulated coordinator death, mid-fold).
     fn kill_check_unit(&mut self) {
@@ -596,18 +591,6 @@ impl LeasingFolder<'_, '_> {
                 self.st.stats.disconnects += 1;
             }
         }
-    }
-
-    /// Fold a range on the in-process pool — the same primitive
-    /// `select_seed_blocks_n` uses, so local shares are bit-identical.
-    fn local_fold(&mut self, start: u64, len: u64) -> SumMinArgmin {
-        let w = seed_workers(len, self.workers);
-        while self.pool.len() < w {
-            self.pool.push(SimScratch::new(self.n));
-        }
-        let eb = self.eval_block;
-        let eval = move |s: u64, c: &mut [f64], sc: &mut SimScratch| eb(s, c, sc);
-        fold_seed_range_in(&mut self.pool[..w], start, len, &eval)
     }
 
     /// Lease the fold out to the fleet; merge first-completions; expire,
@@ -765,7 +748,7 @@ impl LeasingFolder<'_, '_> {
             if !table.is_done() && (fleet_gone || stalled) {
                 if let Some(lease) = table.grant(LOCAL_WORKER, now, u64::MAX / 2) {
                     let (ustart, ulen) = unit_range(start, len, unit_len, lease.unit);
-                    let part = self.local_fold(ustart, ulen);
+                    let part = self.local.fold_range(ustart, ulen);
                     table.complete(lease.unit);
                     acc = acc.merge(part);
                     self.st.stats.local_units += 1;
@@ -785,7 +768,7 @@ impl LeasingFolder<'_, '_> {
     }
 }
 
-impl RangeFolder for LeasingFolder<'_, '_> {
+impl<L: RangeFolder> RangeFolder for LeasingFolder<'_, L> {
     fn fold_range(&mut self, start: u64, len: u64) -> SumMinArgmin {
         self.st.stats.folds += 1;
         let seq = self.fold_seq;
@@ -797,7 +780,7 @@ impl RangeFolder for LeasingFolder<'_, '_> {
         if len < cfg.min_remote_len || no_fleet {
             let units = len.div_ceil(unit_len);
             self.st.stats.local_units += units;
-            let acc = self.local_fold(start, len);
+            let acc = self.local.fold_range(start, len);
             for _ in 0..units {
                 self.kill_check_unit();
             }
@@ -807,12 +790,7 @@ impl RangeFolder for LeasingFolder<'_, '_> {
     }
 
     fn eval_seed(&mut self, seed: u64) -> f64 {
-        if self.pool.is_empty() {
-            self.pool.push(SimScratch::new(self.n));
-        }
-        let mut c = [0.0f64];
-        (self.eval_block)(seed, &mut c, &mut self.pool[0]);
-        c[0]
+        self.local.eval_seed(seed)
     }
 }
 

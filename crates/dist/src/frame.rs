@@ -36,27 +36,22 @@ pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> io::Result<()> {
 /// [`poll_frame`](FrameReader::poll_frame) returns `Ok(Some(frame))`
 /// when a whole frame is available, `Ok(None)` when the read timed out
 /// with the frame still incomplete (the partial bytes stay buffered),
-/// and `Err` on EOF or a real I/O error.
+/// and `Err` on EOF or a real I/O error.  The read timeout is the
+/// caller's poll tick: it is set on the stream once, before wrapping
+/// (25 ms on a worker's or standby's connection, 100 ms on the
+/// coordinator's per-peer readers).
 pub struct FrameReader {
     stream: TcpStream,
     buf: Vec<u8>,
 }
 
 impl FrameReader {
-    /// Wrap `stream` (whose read timeout the caller configures).
+    /// Wrap `stream`, whose read timeout the caller has set.
     pub fn new(stream: TcpStream) -> Self {
         FrameReader {
             stream,
             buf: Vec::new(),
         }
-    }
-
-    /// Adjust the underlying socket's read timeout.  The worker uses
-    /// this to shrink its poll tick while a result batch is pending, so
-    /// the flush window (`result_flush_ms`) can be shorter than the
-    /// steady-state tick.
-    pub fn set_read_timeout(&self, timeout: Option<std::time::Duration>) -> io::Result<()> {
-        self.stream.set_read_timeout(timeout)
     }
 
     fn take_frame(&mut self) -> io::Result<Option<Vec<u8>>> {

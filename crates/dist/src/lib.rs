@@ -63,10 +63,10 @@
 //!
 //! A `Hello` with any other version is answered with
 //! `Refuse{required_version: 2, ...}` — a clean version refusal on both
-//! sides, never a panic.  `Result` is a **batch**: workers coalesce
-//! completed units under a `result_flush_ms` window (flushing early on
-//! the pipelining depth, a key change, or a heartbeat), cutting frame
-//! count on chatty links while dedup semantics stay per unit.
+//! sides, never a panic.  A worker sends each unit's aggregate as soon
+//! as it is folded, as a one-entry `Result`; the message carries a list
+//! of unit aggregates, and the coordinator dedups and merges it entry by
+//! entry.
 //!
 //! Workers are **replicated state machines**: each runs the full
 //! deterministic solve on the same job bytes, so graph state never
@@ -91,8 +91,9 @@
 //!
 //! ## Failover state machine
 //!
-//! A **standby** ([`standby::Standby`]) is a worker-shaped tail plus a
-//! refusing listener plus a full replica:
+//! A **standby** ([`standby::Standby`]) is the worker's replica tail
+//! (one connection loop, shared code) plus a refusing listener plus a
+//! full replica:
 //!
 //! 1. **Tailing** — connected to the primary with `role: Standby`, it
 //!    receives the standard `Welcome`, every `Chosen`, and a
@@ -132,20 +133,25 @@
 //!    wins, by the exactness argument above.
 //! 3. **Orphan** — a disconnect or heartbeat eviction returns all of
 //!    that worker's outstanding units to the pending queue.
-//! 4. **Complete** — the first `Result` per unit merges into the fold
-//!    accumulator and is streamed to the standbys as `Replicate`; later
-//!    copies (and results for stale folds or fenced epochs) are counted
-//!    and dropped.
+//! 4. **Complete** — the worker returns each unit's aggregate in a
+//!    `Result` frame of its own as soon as it is folded.  The first
+//!    copy per unit merges into the fold accumulator and is streamed to
+//!    the standbys as `Replicate`; later copies (and results for stale
+//!    folds or fenced epochs) are counted and dropped.
 //! 5. **Local fallback** — whenever no worker is connected, the
 //!    coordinator folds pending units itself on the in-process pool, so
 //!    the solve finishes even if the entire fleet dies (graceful
 //!    degradation to `select_seed_blocks_n`).
 //!
-//! Workers reconnect with exponential backoff plus deterministic
-//! jitter, sweeping their whole ordered coordinator list per attempt;
-//! after `max_reconnects` consecutive failed sweeps a worker flips to
-//! **standalone** mode and finishes its replica locally — still
-//! producing the bit-identical coloring, never a panic.
+//! Workers and standbys share one replica tail: it reconnects with
+//! exponential backoff plus deterministic jitter, sweeping the whole
+//! ordered coordinator list per attempt, heartbeats, resyncs through
+//! `Welcome.history` after a silence or a `Chosen` gap, and fast-forwards
+//! through selections it already knows.  After `max_reconnects`
+//! consecutive failed sweeps a worker flips to **standalone** mode and
+//! finishes its replica locally — still producing the bit-identical
+//! coloring, never a panic; after `standby_reconnects` a standby
+//! promotes.
 //!
 //! [`chaos`] supplies the deterministic failure harness: a frame-aware
 //! TCP proxy that drops, delays, and severs whole frames under a seeded
@@ -164,6 +170,7 @@ pub mod coordinator;
 pub mod frame;
 pub mod proto;
 pub mod standby;
+mod tail;
 pub mod worker;
 
 pub use chaos::{ChaosConfig, ChaosProxy, FailoverSchedule, KillSpec, KillSwitch};
@@ -175,7 +182,7 @@ pub use coordinator::{CoordinatorKilled, DistCoordinator, DistStats, ReplicatedF
 pub use standby::{run_standby, Standby, StandbySearcher, StandbyStats};
 pub use worker::{run_worker, WorkerSearcher, WorkerStats};
 
-/// Tuning knobs shared by the coordinator and the workers.
+/// Tuning knobs shared by the coordinator, the workers and the standbys.
 #[derive(Clone, Debug)]
 pub struct DistConfig {
     /// Lease deadline: a unit unacked for this long goes back to the
@@ -187,10 +194,10 @@ pub struct DistConfig {
     /// Seed blocks per lease; the unit is `blocks_per_lease ×
     /// SEED_BLOCK` seeds.
     pub blocks_per_lease: u64,
-    /// Coordinator event-loop tick and worker idle-poll granularity.
+    /// Coordinator event-loop tick (workers and standbys poll their
+    /// connection on a fixed 25 ms tick).
     pub poll_ms: u64,
-    /// Maximum leases outstanding per worker (pipelining depth); also
-    /// the worker's result-batch flush threshold.
+    /// Maximum leases outstanding per worker (pipelining depth).
     pub max_outstanding: usize,
     /// Folds shorter than this many seeds are evaluated on the
     /// coordinator without distribution (the deep bits of the bitwise
@@ -211,25 +218,24 @@ pub struct DistConfig {
     pub min_workers: usize,
     /// How long to wait for `min_workers`.
     pub min_worker_wait_ms: u64,
-    /// Worker: initial reconnect backoff (doubles per failure).
+    /// Worker and standby: initial reconnect backoff (doubles per
+    /// failure).
     pub connect_backoff_ms: u64,
-    /// Worker: backoff ceiling.
+    /// Worker and standby: backoff ceiling.
     pub max_backoff_ms: u64,
     /// Worker: consecutive failed sweeps of the coordinator list
     /// tolerated before flipping to standalone (local) mode.
     pub max_reconnects: u32,
-    /// Worker: reconnect if the coordinator has been silent this long
-    /// (covers a lost `Chosen` frame — the reconnect's `Welcome`
-    /// history resynchronizes the replica).
+    /// Worker and standby: reconnect if the coordinator has been silent
+    /// this long (covers a lost `Chosen` frame — the reconnect's
+    /// `Welcome` history resynchronizes the replica).
     pub idle_reconnect_ms: u64,
-    /// Worker: flush window for result batching — a completed unit
-    /// waits at most this long before its (possibly singleton) batch is
-    /// sent as one `Result` frame.
-    pub result_flush_ms: u64,
     /// Standby: consecutive failed reconnects to the primary before
     /// concluding it is dead and promoting itself.
     pub standby_reconnects: u32,
-    /// Worker: seed for the backoff jitter PRG.
+    /// Worker and standby: seed for the backoff jitter PRG (a standby
+    /// mixes in a constant so it does not back off in step with the
+    /// workers).
     pub jitter_seed: u64,
 }
 
@@ -249,7 +255,6 @@ impl Default for DistConfig {
             max_backoff_ms: 2_000,
             max_reconnects: 8,
             idle_reconnect_ms: 10_000,
-            result_flush_ms: 3,
             standby_reconnects: 3,
             jitter_seed: 0x9E37_79B9_7F4A_7C15,
         }

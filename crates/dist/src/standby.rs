@@ -3,13 +3,15 @@
 //!
 //! A standby is three things at once:
 //!
-//! 1. **A replication tail.**  It connects to the primary with
-//!    `Hello{role: Standby}` and receives the same `Welcome` (job bytes
-//!    plus selection history) a worker would, plus a stream the primary
-//!    sends only to standbys: one [`Msg::Replicate`] per completed work
-//!    unit, carrying the unit's aggregate and its fold's deterministic
-//!    position (`search_id`, per-search `fold_seq`, geometry).
-//!    `Chosen` broadcasts advance its history exactly like a worker's.
+//! 1. **A replication tail.**  It drives the same replica tail as a
+//!    worker — one connection with heartbeats, the idle resync, the
+//!    in-order `Chosen` history and its fast path — to the primary, as
+//!    `Hello{role: Standby}`, under the `standby_reconnects` budget.  It
+//!    receives the same `Welcome` (job bytes plus selection history) a
+//!    worker would, plus a stream the primary sends only to standbys:
+//!    one [`Msg::Replicate`] per completed work unit, carrying the
+//!    unit's aggregate and its fold's deterministic position
+//!    (`search_id`, per-search `fold_seq`, geometry).
 //! 2. **A refusing listener.**  Its embedded [`DistCoordinator`] is
 //!    bound from the start, but answers every worker handshake with a
 //!    friendly `Refuse` until promotion — workers probing their
@@ -34,21 +36,16 @@
 
 use crate::chaos::KillSwitch;
 use crate::coordinator::{DistCoordinator, DistStats, ReplicatedFold};
-use crate::frame::write_frame;
 use crate::proto::{Msg, Role};
-use crate::worker::{backoff, connect_once, Conn};
+use crate::tail::{Tail, Tailed};
 use crate::DistConfig;
 use parcolor_core::{BlockEval, SeedSearcher};
 use parcolor_exec::SumMinArgmin;
-use parcolor_local::tape::SplitMix;
 use parcolor_prg::{SeedSelection, SeedStrategy};
 use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex, MutexGuard};
-
-/// Tick granularity of the replication tail loop, in milliseconds.
-const TAIL_TICK_MS: u64 = 25;
 
 /// Standby-side counters (tests assert on these).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -68,59 +65,20 @@ pub struct StandbyStats {
 }
 
 struct SbInner {
-    primary: String,
-    cfg: DistConfig,
-    conn: Option<Conn>,
-    /// Last epoch learned from the primary's `Welcome`.
-    epoch: u64,
-    history: Vec<SeedSelection>,
-    next_search: u64,
+    tail: Tail,
     /// Replicated completion state, keyed `(search_id, fold_seq)`.
     repl: HashMap<(u64, u64), ReplicatedFold>,
-    promoted: bool,
     /// Whether the post-promotion fleet wait already happened (it is
     /// lazy: only a search that actually needs the leasing machinery
     /// waits for the orphaned fleet to re-home — a standby whose tailed
     /// history is already complete returns without it).
     waited_for_fleet: bool,
-    failed_attempts: u32,
-    jitter: SplitMix,
+    /// The standby's own counters; the tail keeps the tailed
+    /// selections, reconnects and pings.
     stats: StandbyStats,
 }
 
 impl SbInner {
-    fn drop_conn(&mut self) {
-        if let Some(c) = self.conn.take() {
-            let _ = c.writer.shutdown(std::net::Shutdown::Both);
-        }
-    }
-
-    /// One backoff-then-connect attempt against the primary.  Returns
-    /// false when the `standby_reconnects` budget is exhausted — the
-    /// caller promotes.
-    fn reconnect(&mut self) -> bool {
-        if self.failed_attempts >= self.cfg.standby_reconnects {
-            return false;
-        }
-        backoff(&self.cfg, self.failed_attempts, &mut self.jitter);
-        match connect_once(&self.primary, Role::Standby) {
-            Ok((conn, epoch, _job, history)) => {
-                if history.len() > self.history.len() {
-                    self.history = history;
-                }
-                self.epoch = epoch;
-                self.conn = Some(conn);
-                self.failed_attempts = 0;
-                self.stats.reconnects += 1;
-                true
-            }
-            Err(_) => {
-                self.failed_attempts += 1;
-                self.failed_attempts < self.cfg.standby_reconnects
-            }
-        }
-    }
-
     /// Record one replicated unit completion (idempotent per unit).
     fn record_replicate(&mut self, msg: Msg) {
         let Msg::Replicate {
@@ -198,7 +156,13 @@ impl StandbySearcher {
 
     /// Counter snapshot.
     pub fn stats(&self) -> StandbyStats {
-        self.lock().stats
+        let inner = self.lock();
+        StandbyStats {
+            tailed_selections: inner.tail.tailed,
+            reconnects: inner.tail.reconnects,
+            pings: inner.tail.pings,
+            ..inner.stats
+        }
     }
 
     /// The full selection history this standby holds (tailed from the
@@ -206,21 +170,20 @@ impl StandbySearcher {
     /// chosen-seed sequence tests compare bit-for-bit against the
     /// single-machine path.
     pub fn history(&self) -> Vec<SeedSelection> {
-        self.lock().history.clone()
+        self.lock().tail.history().to_vec()
     }
 
-    /// Adopt primacy: install the tailed history into the embedded
-    /// coordinator and open the listener to workers.
+    /// Adopt primacy: leave the tail, install the tailed history into
+    /// the embedded coordinator and open the listener to workers.
     fn promote(&self, inner: &mut SbInner, epoch: u64) {
-        inner.drop_conn();
-        inner.promoted = true;
-        inner.epoch = epoch;
+        inner.tail.close();
         inner.stats.promoted = true;
         inner.stats.promote_epoch = epoch;
         // May panic with `CoordinatorKilled` under the double-fault
         // schedule — the promoted flag above keeps stats truthful.
-        self.coord
-            .promote(epoch, inner.history.clone(), inner.history.len() as u64);
+        let history = inner.tail.history().to_vec();
+        let next_search = history.len() as u64;
+        self.coord.promote(epoch, history, next_search);
     }
 }
 
@@ -234,109 +197,47 @@ impl SeedSearcher for StandbySearcher {
         eval_block: BlockEval,
     ) -> SeedSelection {
         let mut inner = self.lock();
-        let sid = inner.next_search;
         loop {
-            // Lock-step fast path: already tailed (or already run).
-            if let Some(sel) = inner.history.get(sid as usize) {
-                let sel = sel.clone();
-                inner.next_search += 1;
-                return sel;
-            }
-            if inner.promoted {
-                // We are the primary now: run the search through the
-                // leasing machinery, replaying what the dead primary
-                // already completed.
-                if !inner.waited_for_fleet {
-                    inner.waited_for_fleet = true;
-                    self.coord.wait_for_fleet();
+            match inner.tail.next() {
+                Tailed::Known(sel) => {
+                    // Concluded searches' replicated state is dead
+                    // weight — prune it.
+                    let next = inner.tail.next_search();
+                    inner.repl.retain(|(s, _), _| *s >= next);
+                    return sel;
                 }
-                let preseed = inner.take_preseed(sid);
-                let sel = self
-                    .coord
-                    .run_search(seed_bits, strategy, workers, n, eval_block, preseed);
-                inner.history.push(sel.clone());
-                inner.next_search += 1;
-                return sel;
-            }
-            if inner.conn.is_none() {
-                if !inner.reconnect() && !inner.promoted {
+                Tailed::Closed if inner.stats.promoted => break,
+                Tailed::Closed => {
                     // Primary unreachable past the budget: take over.
-                    let epoch = inner.epoch + 1;
+                    let epoch = inner.tail.epoch() + 1;
                     self.promote(&mut inner, epoch);
                 }
-                continue;
-            }
-
-            // One tail tick.
-            let msg = {
-                let cfg_hb = inner.cfg.heartbeat_timeout_ms;
-                let cfg_idle = inner.cfg.idle_reconnect_ms;
-                let conn = inner.conn.as_mut().expect("checked above");
-                match conn.reader.poll_frame() {
-                    Ok(Some(frame)) => match Msg::decode(&frame) {
-                        Ok(m) => {
-                            conn.idle_ms = 0;
-                            Some(m)
-                        }
-                        Err(_) => {
-                            inner.drop_conn();
-                            continue;
-                        }
-                    },
-                    Ok(None) => {
-                        conn.idle_ms += TAIL_TICK_MS;
-                        conn.since_send_ms += TAIL_TICK_MS;
-                        if conn.since_send_ms >= cfg_hb / 3 {
-                            // Heartbeat so the primary's eviction sweep
-                            // keeps the replication stream alive.
-                            conn.since_send_ms = 0;
-                            if write_frame(&mut conn.writer, &Msg::Ping.encode()).is_err() {
-                                inner.drop_conn();
-                                continue;
-                            }
-                            inner.stats.pings += 1;
-                        } else if conn.idle_ms >= cfg_idle {
-                            inner.drop_conn();
-                        }
-                        continue;
-                    }
-                    Err(_) => {
-                        inner.drop_conn();
-                        continue;
-                    }
-                }
-            };
-
-            match msg {
-                Some(Msg::Chosen {
-                    search_id,
-                    selection,
-                    ..
-                }) => {
-                    let have = inner.history.len() as u64;
-                    if search_id == have {
-                        inner.history.push(selection);
-                        inner.stats.tailed_selections += 1;
-                        // Concluded searches' replicated state is dead
-                        // weight — prune it.
-                        inner.repl.retain(|(s, _), _| *s > search_id);
-                    } else if search_id > have {
-                        inner.drop_conn(); // gap: resync via Welcome
-                    }
-                }
-                Some(m @ Msg::Replicate { .. }) => inner.record_replicate(m),
-                Some(Msg::Promote { epoch }) => {
+                Tailed::Frame(m @ Msg::Replicate { .. }) => inner.record_replicate(m),
+                Tailed::Frame(Msg::Promote { epoch }) => {
                     // Orderly handover: the primary names our epoch.
                     self.promote(&mut inner, epoch);
                 }
-                Some(Msg::Bye) => {
+                Tailed::Frame(Msg::Bye) => {
                     // Orderly shutdown with searches left: take over.
-                    let epoch = inner.epoch + 1;
+                    let epoch = inner.tail.epoch() + 1;
                     self.promote(&mut inner, epoch);
                 }
-                Some(_) | None => {}
+                Tailed::Frame(_) => {}
             }
         }
+        // We are the primary now: run the search through the leasing
+        // machinery, replaying what the dead primary already completed.
+        if !inner.waited_for_fleet {
+            inner.waited_for_fleet = true;
+            self.coord.wait_for_fleet();
+        }
+        let sid = inner.tail.next_search();
+        let preseed = inner.take_preseed(sid);
+        let sel = self
+            .coord
+            .run_search(seed_bits, strategy, workers, n, eval_block, preseed);
+        inner.tail.record(sel.clone());
+        sel
     }
 }
 
@@ -354,27 +255,14 @@ impl Standby {
     /// completed unit is replicated here) and bind the embedded
     /// coordinator on `listen` (e.g. `"127.0.0.1:0"`).
     pub fn start(listen: &str, primary: &str, cfg: DistConfig) -> io::Result<Standby> {
-        let (conn, epoch, job, history) = connect_once(primary, Role::Standby)?;
-        let coord = Arc::new(DistCoordinator::bind_standby(
-            listen,
-            job.clone(),
-            cfg.clone(),
-        )?);
-        let jitter = SplitMix::new(cfg.jitter_seed ^ 0x5741_4E44_4259);
+        let (tail, job) = Tail::connect(&[primary.to_string()], Role::Standby, cfg.clone())?;
+        let coord = Arc::new(DistCoordinator::bind_standby(listen, job.clone(), cfg)?);
         let searcher = Arc::new(StandbySearcher {
             coord: Arc::clone(&coord),
             inner: Mutex::new(SbInner {
-                primary: primary.to_string(),
-                cfg,
-                conn: Some(conn),
-                epoch,
-                history,
-                next_search: 0,
+                tail,
                 repl: HashMap::new(),
-                promoted: false,
                 waited_for_fleet: false,
-                failed_attempts: 0,
-                jitter,
                 stats: StandbyStats::default(),
             }),
         });

@@ -106,7 +106,6 @@ fn failover_cfg(min_workers: usize) -> DistConfig {
         max_backoff_ms: 150,
         max_reconnects: 10,
         idle_reconnect_ms: 400,
-        result_flush_ms: 3,
         standby_reconnects: 3,
         jitter_seed: 0xFA110FF,
     }

@@ -66,7 +66,6 @@ fn test_cfg(min_workers: usize) -> DistConfig {
         max_backoff_ms: 100,
         max_reconnects: 5,
         idle_reconnect_ms: 400,
-        result_flush_ms: 3,
         standby_reconnects: 3,
         jitter_seed: 0xD15C0,
     }
@@ -107,17 +106,15 @@ fn bitwise_walk_distributes_identically() {
 }
 
 #[test]
-fn result_batching_coalesces_frames_and_stays_exact() {
-    // Satellite pin: the worker coalesces completed units into one
-    // `Result` frame per flush (depth, key-change, or window), and the
-    // coordinator's per-entry dedup keeps the merge exact.  With a
-    // lease depth of 4 the flush-at-depth path alone guarantees fewer
-    // frames than units.
+fn each_served_unit_is_one_result_frame() {
+    // The worker sends each unit's aggregate as soon as it is folded,
+    // in a `Result` frame of its own, even with four leases in flight;
+    // the coordinator merges every unit once and the replica stays
+    // exact.
     let j = job(240, 1_200, 8, 8, "ex");
     let expected = local_solution(&j);
     let mut cfg = test_cfg(1);
     cfg.max_outstanding = 4;
-    cfg.result_flush_ms = 10;
     let out = solve_on_cluster(&j, decode, 1, &[None], cfg);
     assert_eq!(out.coordinator.colors, expected, "{:?}", out.stats);
     assert_eq!(
@@ -130,13 +127,11 @@ fn result_batching_coalesces_frames_and_stays_exact() {
         ws.served_units >= 8,
         "worker should have served real work: {ws:?}"
     );
-    assert!(
-        ws.result_frames < ws.served_units,
-        "batching must coalesce: {} frames for {} units",
-        ws.result_frames,
-        ws.served_units
+    assert_eq!(
+        ws.result_frames, ws.served_units,
+        "one Result frame per served unit: {ws:?}"
     );
-    assert_eq!(out.stats.duplicates, 0, "batching must not duplicate");
+    assert_eq!(out.stats.duplicates, 0, "no unit may merge twice");
 }
 
 #[test]

@@ -8,11 +8,12 @@ use parcolor_core::framework::{SeedSearcher, SimScratch};
 use parcolor_core::SeedStrategy;
 use parcolor_dist::frame::{write_frame, FrameReader};
 use parcolor_dist::proto::{Msg, Role, UnitResult, PROTO_VERSION};
-use parcolor_dist::{DistConfig, DistCoordinator, WorkerSearcher};
-use parcolor_prg::{fold_seed_range_in, select_seed_blocks_n};
-use std::net::{TcpListener, TcpStream};
+use parcolor_dist::{DistConfig, DistCoordinator, Standby, WorkerSearcher};
+use parcolor_prg::{fold_seed_range_in, select_seed_blocks_n, SeedSelection};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Pure integer-valued cost: exact sums, so any double-merge would shift
 /// `mean_cost` and fail the selection-equality assert below.
@@ -410,4 +411,153 @@ fn worker_surfaces_a_refusal_as_a_friendly_error() {
         "error must carry the peer's reason: {msg:?}"
     );
     drop(server); // server thread exits on its own accept budget
+}
+
+#[test]
+fn worker_connect_fails_without_a_backoff_after_its_last_sweep() {
+    // One sweep in the budget and a 5 s backoff: an address nobody
+    // listens on must fail at once, not after one more backoff.
+    let addr = TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let cfg = DistConfig {
+        max_reconnects: 1,
+        connect_backoff_ms: 5_000,
+        max_backoff_ms: 5_000,
+        ..DistConfig::default()
+    };
+    let t0 = Instant::now();
+    let err = WorkerSearcher::connect(&[addr.to_string()], cfg)
+        .err()
+        .expect("nothing listens there");
+    let waited = t0.elapsed();
+    assert!(
+        waited < Duration::from_secs(1),
+        "connect returned after {waited:?}: {err}"
+    );
+}
+
+fn selection(seed: u64) -> SeedSelection {
+    SeedSelection {
+        seed,
+        cost: seed as f64,
+        mean_cost: 7.5,
+        min_cost: seed as f64,
+        evaluated: 256,
+        trace: Vec::new(),
+    }
+}
+
+/// A scripted coordinator that skips a `Chosen`: the first connection's
+/// `Welcome` has an empty history and is followed by search 1's
+/// `Chosen`, never search 0's; the second connection's `Welcome`
+/// carries both selections.  Each connection is held until the peer
+/// closes it, and the thread ends after the second.
+fn gap_coordinator(selections: [SeedSelection; 2]) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        for history in [Vec::new(), selections.to_vec()] {
+            let (stream, _) = listener.accept().expect("accept");
+            stream
+                .set_read_timeout(Some(Duration::from_millis(25)))
+                .unwrap();
+            let mut reader = FrameReader::new(stream.try_clone().unwrap());
+            let hello = loop {
+                if let Some(f) = reader.poll_frame().expect("hello") {
+                    break f;
+                }
+            };
+            assert!(matches!(Msg::decode(&hello), Ok(Msg::Hello { .. })));
+            let skip = history.is_empty();
+            let mut w = stream;
+            let welcome = Msg::Welcome {
+                worker_id: 1,
+                epoch: 1,
+                job: b"gap-test".to_vec(),
+                history,
+            };
+            write_frame(&mut w, &welcome.encode()).unwrap();
+            if skip {
+                let chosen = Msg::Chosen {
+                    epoch: 1,
+                    search_id: 1,
+                    selection: selections[1].clone(),
+                };
+                write_frame(&mut w, &chosen.encode()).unwrap();
+            }
+            while reader.poll_frame().is_ok() {}
+        }
+    });
+    (addr, server)
+}
+
+/// Quick reconnects, and an idle window far past [`GAP_DEADLINE`], so
+/// only the gap itself can trigger the resync in time.
+fn gap_cfg() -> DistConfig {
+    DistConfig {
+        connect_backoff_ms: 1,
+        max_backoff_ms: 5,
+        idle_reconnect_ms: 30_000,
+        ..DistConfig::default()
+    }
+}
+
+const GAP_DEADLINE: Duration = Duration::from_secs(5);
+
+#[test]
+fn replicas_resync_through_welcome_after_a_chosen_gap() {
+    // The worker and the standby drive the same tail: each must drop
+    // the connection on the gap, reconnect once, and fast-forward
+    // through the second Welcome's history.
+    let selections = [selection(3), selection(5)];
+    let (addr, server) = gap_coordinator(selections.clone());
+    let t0 = Instant::now();
+    let worker = WorkerSearcher::connect(&[addr.to_string()], gap_cfg()).expect("connect");
+    for expected in &selections {
+        let got = SeedSearcher::select(&worker, 8, SeedStrategy::Exhaustive, 1, 16, &eval);
+        assert_eq!(
+            &got, expected,
+            "worker: selection not from the second Welcome"
+        );
+    }
+    assert!(
+        t0.elapsed() < GAP_DEADLINE,
+        "worker resynced by the idle window"
+    );
+    let stats = worker.stats();
+    assert_eq!(stats.reconnects, 1, "one resync per gap: {stats:?}");
+    assert_eq!(stats.adopted, 2, "{stats:?}");
+    assert_eq!(stats.served_units, 0, "{stats:?}");
+    assert!(!worker.is_standalone());
+    worker.finish();
+    server.join().expect("scripted coordinator");
+
+    let (addr, server) = gap_coordinator(selections.clone());
+    let t0 = Instant::now();
+    let standby =
+        Standby::start("127.0.0.1:0", &addr.to_string(), gap_cfg()).expect("standby start");
+    let searcher = standby.searcher();
+    for expected in &selections {
+        let got = SeedSearcher::select(&*searcher, 8, SeedStrategy::Exhaustive, 1, 16, &eval);
+        assert_eq!(
+            &got, expected,
+            "standby: selection not from the second Welcome"
+        );
+    }
+    assert!(
+        t0.elapsed() < GAP_DEADLINE,
+        "standby resynced by the idle window"
+    );
+    let stats = standby.stats();
+    assert_eq!(stats.reconnects, 1, "one resync per gap: {stats:?}");
+    assert_eq!(stats.tailed_selections, 0, "{stats:?}");
+    assert!(!stats.promoted, "{stats:?}");
+    assert_eq!(standby.history(), selections);
+    standby.finish();
+    // Dropping the standby closes its tail, which ends the script.
+    drop(searcher);
+    drop(standby);
+    server.join().expect("scripted coordinator");
 }

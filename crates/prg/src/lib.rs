@@ -32,7 +32,7 @@ pub use hashing::{KWiseFamily, PairwiseHash};
 pub use prg::{ChunkAssignment, Prg, PrgBlock, PrgTape};
 pub use seed_search::{
     fold_seed_range_in, seed_workers, select_seed, select_seed_blocks_n, select_seed_folded,
-    RangeFolder, SeedSelection, SeedStrategy, SEED_BLOCK,
+    LocalFolder, RangeFolder, SeedSelection, SeedStrategy, SEED_BLOCK,
 };
 // Re-exported so remote-sharding backends can merge partial folds with
 // the exact kernel the local path uses.

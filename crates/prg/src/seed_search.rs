@@ -52,7 +52,7 @@
 //!     `tests/seed_fastpath_equivalence.rs`).
 //! * [`select_seed_folded`] — the strategy logic against any
 //!   [`RangeFolder`].  `select_seed_blocks_n` is this over the in-process
-//!   folder; the distributed coordinator runs it over a fleet.
+//!   [`LocalFolder`]; the distributed coordinator runs it over a fleet.
 //!
 //! Lemma 23's hash search (`parcolor_core::reduce`) runs no strategy: it
 //! folds doubling seed prefixes through [`fold_seed_range_in`], the kernel
@@ -222,12 +222,7 @@ where
     M: Fn() -> S + Sync,
     F: Fn(u64, &mut [f64], &mut S) + Sync,
 {
-    let mut folder = LocalFolder {
-        pool: Vec::new(),
-        requested: workers,
-        make_scratch: &make_scratch,
-        eval_block: &eval_block,
-    };
+    let mut folder = LocalFolder::new(workers, make_scratch, eval_block);
     select_seed_folded(seed_bits, strategy, &mut folder)
 }
 
@@ -339,14 +334,32 @@ pub fn select_seed_folded(
 /// The in-process [`RangeFolder`]: block-stealing folds on the
 /// persistent executor pool, with per-worker scratch arenas grown
 /// lazily to the widest fold and reused across every fold of the walk.
-struct LocalFolder<'a, S, M, F> {
+/// [`select_seed_blocks_n`] runs its strategy over one; the distributed
+/// coordinator folds its local shares with one, and a worker its leased
+/// units and standalone searches.
+pub struct LocalFolder<S, M, F> {
     pool: Vec<S>,
     requested: usize,
-    make_scratch: &'a M,
-    eval_block: &'a F,
+    make_scratch: M,
+    eval_block: F,
 }
 
-impl<S, M, F> RangeFolder for LocalFolder<'_, S, M, F>
+impl<S, M, F> LocalFolder<S, M, F> {
+    /// A folder over up to `requested` workers per fold (see
+    /// [`seed_workers`]; `0` = auto) that costs seeds with `eval_block`
+    /// and makes each worker's scratch arena with `make_scratch` the
+    /// first time a fold needs it.
+    pub fn new(requested: usize, make_scratch: M, eval_block: F) -> Self {
+        LocalFolder {
+            pool: Vec::new(),
+            requested,
+            make_scratch,
+            eval_block,
+        }
+    }
+}
+
+impl<S, M, F> RangeFolder for LocalFolder<S, M, F>
 where
     S: Send,
     M: Fn() -> S + Sync,
@@ -357,7 +370,7 @@ where
         while self.pool.len() < w {
             self.pool.push((self.make_scratch)());
         }
-        fold_seed_range_in(&mut self.pool[..w], start, len, self.eval_block)
+        fold_seed_range_in(&mut self.pool[..w], start, len, &self.eval_block)
     }
 
     fn eval_seed(&mut self, seed: u64) -> f64 {
