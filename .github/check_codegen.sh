@@ -1,12 +1,16 @@
 #!/usr/bin/env bash
-# Codegen rules of the two seed-block kernels on the default x86-64
+# Codegen rules of the three seed-lane kernels on the default x86-64
 # target (the notes are in crates/local/src/simd.rs):
 #  * the lane draw, `<StepStream<B> as TapeBlock>::below_lanes`, is scalar
 #    `imul` with no `pmuludq` (an SLP-vectorized chain emulates every
 #    64-bit product and runs about twice as slow);
 #  * TryRandomColor's `seed_cost_block` compares pick rows with two
-#    `pcmpeqd` and one `pmovmskb` (`lane_eq_mask8`) and no `sete`.
-# Exits 1 if either rule breaks or either function has no symbol.
+#    `pcmpeqd` and one `pmovmskb` (`lane_eq_mask8`) and no `sete`;
+#  * the partition's count kernel, `reduce::lane_matches`, counts each
+#    entry's 32 lanes with two 16-byte `pcmpeqb` and two `psubb` and no
+#    `movd` (the fused-flush shape splits them into 4-byte groups and
+#    its walks ran 2.1–3.2× slower).
+# Exits 1 if any rule breaks or any of the functions has no symbol.
 #
 # Usage: .github/check_codegen.sh [binary]   (default target/release/parcolor)
 set -euo pipefail
@@ -32,6 +36,7 @@ count() {
 status=0
 draw_sym='<parcolor_core::framework::StepStream<B> as parcolor_local::tape::TapeBlock>::below_lanes'
 scan_sym='<parcolor_core::hknt::procs::TryRandomColor as parcolor_core::framework::NormalProcedure>::seed_cost_block'
+count_sym='parcolor_core::reduce::lane_matches'
 
 if draw=$(mnemonics "$draw_sym"); then
   imul=$(count "$draw" '^imul') pmuludq=$(count "$draw" '^pmuludq$')
@@ -55,6 +60,19 @@ if scan=$(mnemonics "$scan_sym"); then
   fi
 else
   echo "::error::no symbol $scan_sym in $bin"
+  status=1
+fi
+
+if counts=$(mnemonics "$count_sym"); then
+  pcmpeqb=$(count "$counts" '^pcmpeqb$') psubb=$(count "$counts" '^psubb$')
+  movd=$(count "$counts" '^movd$')
+  echo "count kernel: $pcmpeqb pcmpeqb, $psubb psubb, $movd movd"
+  if [ "$pcmpeqb" -ne 2 ] || [ "$psubb" -ne 2 ] || [ "$movd" -ne 0 ]; then
+    echo "::error::the count kernel must count an entry with 2 pcmpeqb and 2 psubb, no movd"
+    status=1
+  fi
+else
+  echo "::error::no symbol $count_sym in $bin"
   status=1
 fi
 exit $status

@@ -11,10 +11,11 @@
 //! default loop it would otherwise take (the `block_procs` rows: its
 //! clash-count arm under `Auto`, its lane-outcome arm under
 //! `SlackRatio(2)`), and writes the numbers to
-//! `BENCH_seed_search.json`; the third half benchmarks the **lane
-//! kernels** (`KWiseHash::eval_batch`, and the PRG block's lane draw
-//! `PrgBlock::below_lanes`) against their scalar forms (`eval`, and the
-//! per-lane `below_lanes` default through `ForceScalar`) and writes
+//! `BENCH_seed_search.json`; the third half benchmarks the **batch
+//! kernels** (the hash `MemberBlock` at 1 and 32 members, and the PRG
+//! block's lane draw `PrgBlock::below_lanes`) against their scalar forms
+//! (one `KWiseHash::eval` per member and key, and the per-lane
+//! `below_lanes` default through `ForceScalar`) and writes
 //! `BENCH_hash_batch.json`.  Every search asserts that it selects what
 //! its comparison leg selects.
 
@@ -25,7 +26,7 @@ use parcolor_core::instance::ColoringState;
 use parcolor_core::{D1lcInstance, NodeId};
 use parcolor_graphgen::gnm;
 use parcolor_local::tape::{CryptoTape, ForceScalar, Randomness};
-use parcolor_prg::hashing::KWiseFamily;
+use parcolor_prg::hashing::{KWiseFamily, KWiseHash, MemberBlock};
 use parcolor_prg::{
     select_seed, select_seed_blocks_n, ChunkAssignment, Prg, PrgBlock, PrgTape, SeedSelection,
     SeedStrategy,
@@ -371,61 +372,85 @@ fn fastpath_comparison() -> Vec<String> {
     rows_json
 }
 
-/// The lane kernels vs their scalar forms — `eval_batch` throughput and
-/// the end-to-end seed search at `seed_bits = 16` on a single worker (so
-/// per-seed evaluation cost is what's measured, not thread scaling).
-/// Both legs run the *same* `seed_cost_block`; the scalar leg forces the
-/// trait's per-lane `below_lanes` default (one whole mixer call per node
-/// per seed), so the measured gap is the lane draw alone.
-/// Emits `BENCH_hash_batch.json`.
+/// The batch kernels vs their scalar forms — the hash member block's
+/// throughput and the end-to-end seed search at `seed_bits = 16` on a
+/// single worker (so per-seed evaluation cost is what's measured, not
+/// thread scaling).  The search legs run the *same* `seed_cost_block`;
+/// the scalar leg forces the trait's per-lane `below_lanes` default (one
+/// whole mixer call per node per seed), so the measured gap is the lane
+/// draw alone.  Emits `BENCH_hash_batch.json`.
 fn hash_batch_comparison() {
-    println!("\n# Lane kernels vs scalar (1 worker)");
+    println!("\n# Batch kernels vs scalar (1 worker)");
 
-    // -- KWiseHash::eval_batch throughput ------------------------------
+    // -- MemberBlock throughput ----------------------------------------
+    // The partition's hash search evaluates 32 members (one per seed
+    // lane) at each key and the bins' color table one; both legs write
+    // each member's bin into a `u8` plane, as the search does, so the
+    // comparison isolates the evaluation.
     let nkeys = scaled(400_000, 40_000);
+    let range = 64;
     let keys: Vec<u64> = (0..nkeys as u64)
         .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         .collect();
-    let mut out = vec![0u64; keys.len()];
-    let mut out_scalar = vec![0u64; keys.len()];
-    let mut t = Table::new(&["hash k", "scalar Mkeys/s", "batched Mkeys/s", "speedup"]);
+    let mut t = Table::new(&[
+        "hash k",
+        "members",
+        "scalar Mevals/s",
+        "block Mevals/s",
+        "speedup",
+    ]);
     let mut hash_rows = Vec::new();
     for k in [2u32, 4, 8] {
-        let h = KWiseFamily::new(k, 1 << 20).member(0xE6);
-        // Both legs fill a draw buffer — that is what `eval_batch`'s
-        // callers do — so the comparison isolates the evaluation, not store
-        // traffic (a store-free reduce loop made the old k = 2 row read
-        // 0.77×).
-        // One warm-up pass apiece takes page faults out of the timings.
-        for (o, &x) in out_scalar.iter_mut().zip(&keys) {
-            *o = h.eval(x);
+        for members in [1usize, 32] {
+            let hs: Vec<KWiseHash> = (0..members as u64)
+                .map(|m| KWiseFamily::new(k, range).member(0xE6 + m))
+                .collect();
+            let block = MemberBlock::new(&hs);
+            let mut out = vec![0u8; nkeys * members];
+            let mut out_scalar = vec![0u8; nkeys * members];
+            let scalar = |out: &mut [u8]| {
+                for (entry, &x) in out.chunks_exact_mut(members).zip(&keys) {
+                    for (b, h) in entry.iter_mut().zip(&hs) {
+                        *b = h.eval(x) as u8;
+                    }
+                }
+            };
+            let batched = |out: &mut [u8]| {
+                let mut bins = [0; 32];
+                for (entry, &x) in out.chunks_exact_mut(members).zip(&keys) {
+                    block.eval(x, &mut bins[..members]);
+                    for (b, &o) in entry.iter_mut().zip(&bins) {
+                        *b = o as u8;
+                    }
+                }
+            };
+            // One warm-up pass apiece takes page faults out of the timings.
+            scalar(&mut out_scalar);
+            batched(&mut out);
+            let (_, scalar_ms) = timed(|| scalar(&mut out_scalar));
+            let (_, batch_ms) = timed(|| batched(&mut out));
+            // Keep both legs observable (and cross-check them while at it).
+            assert_eq!(out, out_scalar, "k {k}, {members} members");
+            std::hint::black_box((&out, &out_scalar));
+            let evals = (nkeys * members) as f64;
+            let scalar_rate = evals / scalar_ms / 1e3; // M evals/s
+            let batch_rate = evals / batch_ms / 1e3;
+            t.row(&[
+                s(k),
+                s(members),
+                f2(scalar_rate),
+                f2(batch_rate),
+                f2(batch_rate / scalar_rate),
+            ]);
+            hash_rows.push(format!(
+                "    {{\"k\": {k}, \"members\": {members}, \"keys\": {nkeys}, \
+                 \"range\": {range}, \"scalar_evals_per_sec\": {:.0}, \
+                 \"block_evals_per_sec\": {:.0}, \"speedup\": {:.2}}}",
+                scalar_rate * 1e6,
+                batch_rate * 1e6,
+                batch_rate / scalar_rate
+            ));
         }
-        h.eval_batch(&keys, &mut out);
-        let (_, scalar_ms) = timed(|| {
-            for (o, &x) in out_scalar.iter_mut().zip(&keys) {
-                *o = h.eval(x);
-            }
-        });
-        let (_, batch_ms) = timed(|| h.eval_batch(&keys, &mut out));
-        // Keep both legs observable (and cross-check them while at it).
-        assert_eq!(out, out_scalar);
-        std::hint::black_box(&out_scalar);
-        std::hint::black_box(&out);
-        let scalar_rate = nkeys as f64 / scalar_ms / 1e3; // M keys/s
-        let batch_rate = nkeys as f64 / batch_ms / 1e3;
-        t.row(&[
-            s(k),
-            f2(scalar_rate),
-            f2(batch_rate),
-            f2(batch_rate / scalar_rate),
-        ]);
-        hash_rows.push(format!(
-            "    {{\"k\": {k}, \"keys\": {nkeys}, \"scalar_keys_per_sec\": {:.0}, \
-             \"batched_keys_per_sec\": {:.0}, \"speedup\": {:.2}}}",
-            scalar_rate * 1e6,
-            batch_rate * 1e6,
-            batch_rate / scalar_rate
-        ));
     }
     t.print();
 
@@ -481,7 +506,7 @@ fn hash_batch_comparison() {
     let json = format!(
         "{{\n  \"experiment\": \"e6_hash_batch\",\n  \"host\": {},\n  \
          \"seed_bits\": {seed_bits},\n  \"n\": {n},\n  \"m\": {},\n  \"workers\": 1,\n  \
-         \"eval_batch\": [\n{}\n  ],\n  \"seed_search\": [\n{}\n  ]\n}}\n",
+         \"member_block\": [\n{}\n  ],\n  \"seed_search\": [\n{}\n  ]\n}}\n",
         host_json(),
         g.m(),
         hash_rows.join(",\n"),

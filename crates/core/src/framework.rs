@@ -48,9 +48,10 @@
 //!    in-stage adjacency its `StageSet` builds once per step, and indexes
 //!    its per-node state by stage position, so a seed of a small stage
 //!    costs no pass over the whole graph.  Lemma 23's hash search in
-//!    `reduce.rs` also costs its seeds by lanes: each seed of a block
-//!    fills one lane of the `u8` node- and color-bin planes, and one walk
-//!    over the high nodes' neighbors and palettes counts every lane.
+//!    `reduce.rs` also costs its seeds by lanes: each of a pass's 32
+//!    seeds fills one lane of the `u8` node- and color-bin planes, and
+//!    one walk over the high nodes' neighbors and palettes counts every
+//!    lane.
 //! 2. **Pick caching in reusable arenas** ([`SimScratch`]).  A node's
 //!    random draw under a fixed seed is the same no matter which neighbor
 //!    asks, so the block evaluator draws each active node's picks **once**

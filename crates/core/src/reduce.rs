@@ -11,29 +11,33 @@
 //! family (the method of conditional expectations over the family, run
 //! here as a deterministic argmin over an indexed prefix of the family).
 //!
-//! The search costs hash seeds on the pool kernel every PRG seed search
-//! uses ([`fold_seed_range_in`]).  It folds the doubling prefixes
-//! `[0,1), [1,2), [2,4), …` of its budget and stops after the first one
-//! that holds a seed of cost 0, the least possible cost.  The chosen seed
-//! is therefore the lowest minimum-cost seed of the whole budget, and a
-//! search whose first perfect seed is `s` evaluates at most `2(s + 1)`
-//! seeds.
+//! The search folds the doubling prefixes `[0,1), [1,2), [2,4), …` of its
+//! budget and stops after the first one that holds a seed of cost 0, the
+//! least possible cost.  The chosen seed is therefore the lowest
+//! minimum-cost seed of the whole budget, and a search whose first
+//! perfect seed is `s` folds at most `2(s + 1)` seeds.
 //!
-//! The pool kernel hands the search blocks of up to [`SEED_BLOCK`]
-//! contiguous seeds, and a block costs **one pass**, as TryRandomColor's
-//! block evaluator does.  Each seed fills one lane of two
-//! `u8` seed-lane planes — node → `h₁` bin and color → `h₂` bin — and one
-//! walk over each high node's neighbors and palette counts `d'(v)` and
-//! its in-bin palette in every lane with plain per-lane compares.  The
-//! chosen seed's violators, bins and worst ratio come from the same walk,
-//! run as a 1-lane block.  `u8` lanes hold bins below a sentinel, so a
-//! level takes at most 64 bins.
+//! The prefix fold reads a cost vector that **passes** of 32 contiguous
+//! seeds fill ahead of it: a budget of 256 seeds costs 8 passes, and at
+//! most 31 seeds past the stop are costed and never folded.  A pass fills
+//! lane `s` of two `u8` planes with seed `s`'s bins, through one
+//! [`MemberBlock`] per hash: `h₁` of each high node, by its position
+//! among the high nodes, and `h₂` of each color (or palette occurrence).
+//! One walk then counts `d'(v)` and the in-bin palette of every high node
+//! in all 32 lanes at once, over the node's high neighbors (rows of high
+//! positions, built once per call by the row builder a step's `StageSet`
+//! uses) and over its palette.  The fills run on the pool by key stripes
+//! and the walk by stripes of high positions, into per-lane
+//! `(hard, soft)` tallies: integer sums, the same at every worker count.
+//! Two more walks over the same stripes give the chosen seed's
+//! violators, then its bins and worst ratio.  `u8` lanes hold bins below
+//! a sentinel, so a level takes at most 64 bins.
 
 use crate::instance::{dense_colors, ColoringState};
-use parcolor_exec::resolve_workers;
+use crate::stripes::{par_rows, stripe_workers, STRIPE};
+use parcolor_exec::{par_fill, par_fold, resolve_workers, Executor};
 use parcolor_local::graph::{Graph, NodeId};
-use parcolor_prg::hashing::{KWiseFamily, KWiseHash};
-use parcolor_prg::{fold_seed_range_in, SumMinArgmin, SEED_BLOCK};
+use parcolor_prg::hashing::{KWiseFamily, KWiseHash, MemberBlock};
 
 /// Independence of the partition hashes.  CDP21d uses `O(log n)`-wise
 /// independence for Chernoff-type concentration of in-bin degrees; 8-wise
@@ -45,12 +49,35 @@ const HASH_INDEPENDENCE: u32 = 8;
 /// clamps to this.
 pub(crate) const MAX_BINS: usize = 64;
 
-/// One seed-lane plane entry: a bin per seed of a block.
-type Lanes = [u8; SEED_BLOCK];
+/// Hash seeds one pass costs: the lanes of a plane entry.
+const LANES: usize = 32;
 
-/// Lane entry of a node outside every bin: not high, or a violator of
-/// the chosen seed.  It equals no bin, since bins are below [`MAX_BINS`].
+/// One plane entry: a bin per seed lane of a pass.
+type Lanes = [u8; LANES];
+
+/// Lane entry of a violator of the chosen seed, which leaves its bin.  It
+/// equals no bin, since bins are below [`MAX_BINS`].
 const NO_BIN: u8 = u8::MAX;
+
+/// Entries one [`lane_matches`] call counts: its `u8` counters hold at
+/// most 255 matches, so longer runs are flushed into `u32`s every
+/// `FLUSH` entries.
+const FLUSH: usize = u8::MAX as usize;
+
+/// `0, 1, …, FLUSH − 1`: the index run of up to [`FLUSH`] contiguous
+/// entries.
+const IOTA: [u32; FLUSH] = {
+    let mut run = [0; FLUSH];
+    let mut i = 0;
+    while i < FLUSH {
+        run[i] = i as u32;
+        i += 1;
+    }
+    run
+};
+
+/// Slot of a node of the call that is not high (see [`split_by_degree`]).
+const MID_SLOT: u32 = u32::MAX;
 
 /// Result of one `LowSpacePartition` call.
 #[derive(Debug)]
@@ -104,86 +131,141 @@ fn hash_pair(bins: usize, seed: u64) -> (KWiseHash, KWiseHash) {
     )
 }
 
-/// One high node under one seed lane, as [`HashPlane::verdicts`] reads it.
-#[derive(Clone, Copy)]
-struct Verdict {
-    /// `h₁(v)`, or [`NO_BIN`] once `v` left its bin as a violator.
-    bin: u8,
-    /// `d'(v)`: neighbors in `v`'s bin.
-    d_in: u32,
-    /// *Hard* violation: the bin is restricted and the restricted palette
-    /// `|{c ∈ Ψ(v) : h₂(c) = h₁(v)}|` does not cover `d'(v)` (breaks the
-    /// D1LC promise of the sub-instance — such nodes must fall back to
-    /// `G_mid`).
-    hard: bool,
-    /// *Soft* violation: the `2d/B` degree bound is exceeded (slows the
-    /// recursion but breaks nothing).
-    soft: bool,
+/// The count kernel: `matches[l]` ← how many entries `plane[j]`,
+/// `j ∈ run`, hold `bin[l]` in lane `l`.  `run` has at most [`FLUSH`]
+/// entries, so the `u8` counters are exact.
+///
+/// The kernel is its own function, the flush stays outside it, and the
+/// counts leave through `matches`.  In this shape x86-64 builds compile
+/// each entry to two 16-byte `pcmpeqb` and two `psubb`.  With the flush
+/// fused into the entry loop the same counts compiled to eight 4-byte
+/// `movd` groups, and the search's 8 walks took 44–64 ms against 18–26
+/// ms (E4's dense_lists row, 2 workers, 2-vCPU Xeon); returned by value,
+/// they compiled to a mix of vector and `sete` lanes.  CI's codegen step
+/// checks the shape.
+#[inline(never)]
+fn lane_matches(bin: &Lanes, plane: &[Lanes], run: &[u32], matches: &mut Lanes) {
+    debug_assert!(run.len() <= FLUSH);
+    let mut counts = [0u8; LANES];
+    for &j in run {
+        let entry = &plane[j as usize];
+        for l in 0..LANES {
+            counts[l] += u8::from(entry[l] == bin[l]);
+        }
+    }
+    *matches = counts;
 }
 
-/// One search worker's seed-lane planes (Lemma 23's search).
+/// `acc[l] +=` the matches of `bin[l]` among `plane[j][l]`, `j ∈ at`, in
+/// every lane: [`lane_matches`] runs of at most [`FLUSH`] entries, each
+/// flushed into the `u32` counters, so the counts are exact at any
+/// length.
+fn count_at(acc: &mut [u32; LANES], bin: &Lanes, plane: &[Lanes], at: &[u32]) {
+    let mut matches = [0; LANES];
+    for run in at.chunks(FLUSH) {
+        lane_matches(bin, plane, run, &mut matches);
+        for (a, &m) in acc.iter_mut().zip(&matches) {
+            *a += u32::from(m);
+        }
+    }
+}
+
+/// [`count_at`] over the contiguous entries `entries`.
+fn count_run(acc: &mut [u32; LANES], bin: &Lanes, entries: &[Lanes]) {
+    for part in entries.chunks(FLUSH) {
+        count_at(acc, bin, part, &IOTA[..part.len()]);
+    }
+}
+
+/// `plane[i][..lanes]` ← the bins of `key(i)` under the block's members,
+/// on the pool by key stripes.
+fn fill_lanes(plane: &mut [Lanes], block: &MemberBlock, key: impl Fn(usize) -> u64 + Sync) {
+    let lanes = block.members();
+    let workers = stripe_workers(plane.len());
+    par_fill(
+        Executor::global(),
+        workers,
+        plane,
+        STRIPE,
+        |start, stripe| {
+            let mut out = [0; LANES];
+            for (i, entry) in (start..).zip(stripe) {
+                block.eval(key(i), &mut out[..lanes]);
+                // Bins are below `MAX_BINS`, so they fit a `u8`.
+                for (b, &o) in entry.iter_mut().zip(&out[..lanes]) {
+                    *b = o as u8;
+                }
+            }
+        },
+    );
+}
+
+/// The seed-lane planes of one partition call's hash search (Lemma 23).
 ///
-/// The seed-independent inputs — high node ids, the color hash inputs and
-/// each high node's degree bound — are built **once per partition call**
-/// and cloned to each worker.  Each seed of a block fills lane `s` of the
-/// two planes with two [`KWiseHash::eval_batch`] passes, and one
-/// [`HashPlane::verdicts`] walk then reads all lanes of each neighbor's
-/// and palette color's entry at once.  Every entry reproduces the scalar
-/// `eval` bit-for-bit (the hashing batch contract) and lane `s` depends
-/// on its own seed alone, so the costs, the chosen seed and all
-/// statistics are those of a per-seed scan.  Lanes a short block does not
-/// fill keep an earlier block's bins; their verdicts are never read.
-/// `u8` entries hold bins below [`NO_BIN`], hence `bins ≤ MAX_BINS`.
-#[derive(Clone)]
+/// Everything seed-independent is built once per call: each high node's
+/// high neighbors as a row of high positions, its residual degree, and
+/// the `h₂` keys.  A pass fills lanes `0..lanes` of both planes with the
+/// bins of `lanes` contiguous seeds; the lanes past them keep an earlier
+/// pass's bins, and their counts are never read.  Every bin is the scalar
+/// `eval`'s (the hashing batch contract) and lane `s` depends on its own
+/// seed alone, so the costs, the chosen seed and all statistics are those
+/// of a per-seed scan.  `u8` entries hold bins below [`NO_BIN`], hence
+/// `bins ≤ MAX_BINS`.
 struct HashPlane<'a> {
-    g: &'a Graph,
     state: &'a ColoringState,
+    /// High nodes; a node's index here is its high position.
+    high: &'a [NodeId],
     /// Node bins `B`.
     bins: usize,
-    /// High node ids as `h₁` inputs (fixed across seeds).
-    xs_high: Vec<u64>,
-    /// Degree reduction bound `max(2, 2 d(v)/B)` of each high node, with
-    /// `d(v)` its high neighbors, aligned with `xs_high`.
-    deg_bound: Vec<f64>,
-    /// Dense node → `h₁` bin per lane (refilled per seed at high
-    /// positions, [`NO_BIN`] in every lane elsewhere, so only high
-    /// neighbors share a bin).
+    /// Row `i`, the high neighbors of `high[i]` as high positions, is
+    /// `nbrs[off[i]..off[i + 1]]`; its length is `d(v)`.
+    off: Vec<usize>,
+    nbrs: Vec<u32>,
+    /// Residual degree of each high node within the call's nodes.
+    deg: Vec<u32>,
+    /// `h₁` bin per lane, by high position.
     node_bins: Vec<Lanes>,
-    /// `h₂` inputs: the color universe `0..=max_color` (dense mode) or
-    /// the concatenated high-node palettes (occurrence mode).
-    xs_colors: Vec<u64>,
-    /// Occurrence-mode offsets into `xs_colors`, one per high node + 1
-    /// (empty in dense mode).
-    color_off: Vec<usize>,
-    /// `h₂` bins per lane, aligned with `xs_colors` (refilled per seed).
+    /// Occurrence mode: the high nodes' palettes back to back, the `h₂`
+    /// keys (empty in dense mode, where a color is its own key).
+    occ_colors: Vec<u32>,
+    /// Occurrence mode: `high[i]`'s palette entries are
+    /// `occ_off[i]..occ_off[i + 1]` (empty in dense mode).
+    occ_off: Vec<usize>,
+    /// `h₂` bin per lane, by color (dense mode) or palette occurrence.
     color_bins: Vec<Lanes>,
-    /// [`KWiseHash::eval_batch`] output of the lane being filled.
-    out: Vec<u64>,
 }
 
 impl<'a> HashPlane<'a> {
-    fn new(g: &'a Graph, state: &'a ColoringState, high: &[NodeId], bins: usize) -> Self {
-        let xs_high: Vec<u64> = high.iter().map(|&v| v as u64).collect();
-        // Until the first fill, high nodes read bin 0 in every lane: d(v)
-        // counts the neighbors off NO_BIN.
-        let mut node_bins = vec![[NO_BIN; SEED_BLOCK]; g.n()];
-        for &v in high {
-            node_bins[v as usize] = [0; SEED_BLOCK];
-        }
-        // Degree reduction: d'(v) < max(2, 2 d(v)/B).  The `max(2)`
-        // absorbs integer effects at small degrees (Lemma 23 is stated
-        // for Δ ≥ n^{7δ} where 2d/B ≫ 1).
-        let deg_bound = high
-            .iter()
-            .map(|&v| {
-                let d = g
-                    .neighbors(v)
-                    .iter()
-                    .filter(|&&u| node_bins[u as usize][0] != NO_BIN)
-                    .count();
-                (2.0 * d as f64 / bins as f64).max(2.0)
-            })
-            .collect();
+    /// The planes over `high`.  `slot[u]` is `1 +` `u`'s high position,
+    /// [`MID_SLOT`] for the call's other nodes and 0 outside the call.
+    fn new(
+        g: &Graph,
+        state: &'a ColoringState,
+        high: &'a [NodeId],
+        slot: &[u32],
+        bins: usize,
+    ) -> Self {
+        // One adjacency walk per high node; a row's tag is the node's
+        // residual degree.
+        let (off, deg, nbrs) = par_rows(
+            high.len(),
+            |i| g.degree(high[i]),
+            |i, row| {
+                let (mut len, mut deg) = (0, 0);
+                for &u in g.neighbors(high[i]) {
+                    match slot[u as usize] {
+                        0 => {}
+                        MID_SLOT => deg += 1,
+                        s => {
+                            row[len] = s - 1;
+                            len += 1;
+                            deg += 1;
+                        }
+                    }
+                }
+                (len, deg)
+            },
+        );
         let pal_words: usize = high.iter().map(|&v| state.palette(v).len()).sum();
         let max_color = high
             .iter()
@@ -192,108 +274,173 @@ impl<'a> HashPlane<'a> {
         // Dense mode evaluates each color of the universe once per seed;
         // it wins whenever the universe is not much larger than the
         // palette storage (always true for degree+1 palettes).  Sparse
-        // universes fall back to one evaluation per palette occurrence —
-        // exactly the scalar path's count, just batched.
-        let dense = max_color.is_some_and(|m| dense_colors(m as usize, pal_words));
-        let (xs_colors, color_off) = if dense {
-            ((0..=max_color.unwrap() as u64).collect(), Vec::new())
-        } else {
-            let mut xs = Vec::with_capacity(pal_words);
-            let mut off = Vec::with_capacity(high.len() + 1);
-            off.push(0);
-            for &v in high {
-                xs.extend(state.palette(v).iter().map(|&c| c as u64));
-                off.push(xs.len());
+        // universes fall back to one evaluation per palette occurrence.
+        let (occ_colors, occ_off) = match max_color {
+            Some(m) if dense_colors(m as usize, pal_words) => (Vec::new(), Vec::new()),
+            _ => {
+                let mut colors = Vec::with_capacity(pal_words);
+                let mut off = Vec::with_capacity(high.len() + 1);
+                off.push(0);
+                for &v in high {
+                    colors.extend_from_slice(state.palette(v));
+                    off.push(colors.len());
+                }
+                (colors, off)
             }
-            (xs, off)
+        };
+        let keys = if occ_off.is_empty() {
+            max_color.map_or(0, |m| m as usize + 1)
+        } else {
+            occ_colors.len()
         };
         HashPlane {
-            g,
             state,
+            high,
             bins,
-            out: vec![0; xs_high.len().max(xs_colors.len())],
-            xs_high,
-            deg_bound,
-            node_bins,
-            color_bins: vec![[0; SEED_BLOCK]; xs_colors.len()],
-            xs_colors,
-            color_off,
+            off,
+            nbrs,
+            deg,
+            node_bins: vec![[0; LANES]; high.len()],
+            occ_colors,
+            occ_off,
+            color_bins: vec![[0; LANES]; keys],
         }
     }
 
-    /// Fill lane `s` of both planes with the bins of `(h₁, h₂)`.
-    fn fill_lane(&mut self, s: usize, h1: &KWiseHash, h2: &KWiseHash) {
-        let out = &mut self.out[..self.xs_high.len()];
-        h1.eval_batch(&self.xs_high, out);
-        for (&x, &b) in self.xs_high.iter().zip(out.iter()) {
-            self.node_bins[x as usize][s] = b as u8;
-        }
-        let out = &mut self.out[..self.xs_colors.len()];
-        h2.eval_batch(&self.xs_colors, out);
-        for (lanes, &b) in self.color_bins.iter_mut().zip(out.iter()) {
-            lanes[s] = b as u8;
-        }
-    }
-
-    /// The violation kernel: one walk over each high node's neighbors and
-    /// palette counts, in every lane, `d'(v)` and
-    /// `|{c ∈ Ψ(v) : h₂(c) = h₁(v)}|`, and hands `visit` the node's
-    /// index in the high set with its verdict in every lane.
-    fn verdicts(&self, mut visit: impl FnMut(usize, &[Verdict; SEED_BLOCK])) {
-        // Plain per-lane compares into `u32` counters, exact at any
-        // degree; the compiler vectorizes them per target.
-        fn count(acc: &mut [u32; SEED_BLOCK], bin: &Lanes, other: &Lanes) {
-            for ((a, &b), &o) in acc.iter_mut().zip(bin).zip(other) {
-                *a += u32::from(b == o);
-            }
-        }
-        for (i, &x) in self.xs_high.iter().enumerate() {
-            let v = x as NodeId;
-            let bin = self.node_bins[v as usize];
-            let mut d_in = [0; SEED_BLOCK];
-            for &u in self.g.neighbors(v) {
-                count(&mut d_in, &bin, &self.node_bins[u as usize]);
-            }
-            let mut pal_in = [0; SEED_BLOCK];
-            if self.color_off.is_empty() {
-                for &c in self.state.palette(v) {
-                    count(&mut pal_in, &bin, &self.color_bins[c as usize]);
-                }
+    /// Fill lanes `0..lanes` of both planes with the bins of hash seeds
+    /// `seed0..seed0 + lanes`.
+    fn fill(&mut self, seed0: u64, lanes: usize) {
+        let (h1, h2): (Vec<KWiseHash>, Vec<KWiseHash>) = (seed0..seed0 + lanes as u64)
+            .map(|seed| hash_pair(self.bins, seed))
+            .unzip();
+        let high = self.high;
+        fill_lanes(&mut self.node_bins, &MemberBlock::new(&h1), |i| {
+            u64::from(high[i])
+        });
+        let (dense, occ) = (self.occ_off.is_empty(), &self.occ_colors);
+        fill_lanes(&mut self.color_bins, &MemberBlock::new(&h2), |i| {
+            if dense {
+                i as u64
             } else {
-                for lanes in &self.color_bins[self.color_off[i]..self.color_off[i + 1]] {
-                    count(&mut pal_in, &bin, lanes);
-                }
-            }
-            let verdicts = std::array::from_fn(|s| Verdict {
-                bin: bin[s],
-                d_in: d_in[s],
-                // Palette property for restricted bins only.
-                hard: usize::from(bin[s]) < self.bins - 1 && pal_in[s] <= d_in[s],
-                soft: d_in[s] as f64 >= self.deg_bound[i],
-            });
-            visit(i, &verdicts);
-        }
-    }
-
-    /// `costs[s]` ← the cost of hash seed `seed0 + s`, for a block of at
-    /// most [`SEED_BLOCK`] seeds, in one pass: `1_000_000 · hard + soft`
-    /// violations, so hard violations dominate.
-    fn cost_block(&mut self, seed0: u64, costs: &mut [f64]) {
-        for s in 0..costs.len() {
-            let (h1, h2) = hash_pair(self.bins, seed0 + s as u64);
-            self.fill_lane(s, &h1, &h2);
-        }
-        let mut tally = [(0usize, 0usize); SEED_BLOCK];
-        self.verdicts(|_, lanes| {
-            for ((hard, soft), l) in tally.iter_mut().zip(lanes) {
-                *hard += usize::from(l.hard);
-                *soft += usize::from(l.soft);
+                u64::from(occ[i])
             }
         });
-        for (cost, (hard, soft)) in costs.iter_mut().zip(tally) {
-            *cost = (hard * 1_000_000 + soft) as f64;
-        }
     }
+
+    /// `d'(v)` of high position `i` in every lane: its high neighbors in
+    /// its bin.
+    fn d_in(&self, i: usize) -> [u32; LANES] {
+        let mut d_in = [0; LANES];
+        let row = &self.nbrs[self.off[i]..self.off[i + 1]];
+        count_at(&mut d_in, &self.node_bins[i], &self.node_bins, row);
+        d_in
+    }
+
+    /// The in-bin palette `|{c ∈ Ψ(v) : h₂(c) = h₁(v)}|` of high position
+    /// `i` in every lane.
+    fn pal_in(&self, i: usize) -> [u32; LANES] {
+        let mut pal_in = [0; LANES];
+        let bin = &self.node_bins[i];
+        if self.occ_off.is_empty() {
+            let palette = self.state.palette(self.high[i]);
+            count_at(&mut pal_in, bin, &self.color_bins, palette);
+        } else {
+            let entries = &self.color_bins[self.occ_off[i]..self.occ_off[i + 1]];
+            count_run(&mut pal_in, bin, entries);
+        }
+        pal_in
+    }
+
+    /// *Hard* violation of a node in `bin`: the bin is restricted and the
+    /// restricted palette does not cover `d'(v)`.  That breaks the D1LC
+    /// promise of the sub-instance, so such nodes fall back to `G_mid`.
+    fn hard(&self, bin: u8, d_in: u32, pal_in: u32) -> bool {
+        usize::from(bin) < self.bins - 1 && pal_in <= d_in
+    }
+
+    /// The least `d'(v)` of high position `i` that is a *soft* violation,
+    /// `d'(v) ≥ max(2, 2 d(v)/B)` (slows the recursion but breaks
+    /// nothing).  The `max(2)` absorbs integer effects at small degrees
+    /// (Lemma 23 is stated for Δ ≥ n^{7δ}, where 2d/B ≫ 1).
+    fn soft_at(&self, i: usize) -> u32 {
+        let d = self.off[i + 1] - self.off[i];
+        (2 * d).div_ceil(self.bins).max(2) as u32
+    }
+
+    /// Fold `visit(acc, i)` over every high position on the pool, by
+    /// stripes of [`STRIPE`] positions; `merge` must not depend on how
+    /// positions were grouped.
+    fn fold<T: Send>(
+        &self,
+        identity: impl Fn() -> T + Sync,
+        visit: impl Fn(T, usize) -> T + Sync,
+        merge: impl Fn(T, T) -> T + Sync,
+    ) -> T {
+        par_fold(
+            Executor::global(),
+            resolve_workers(0),
+            0..self.high.len() as u64,
+            STRIPE as u64,
+            identity,
+            |start, len, acc| (start as usize..(start + len) as usize).fold(acc, &visit),
+            merge,
+        )
+    }
+
+    /// Append the costs of hash seeds `seed0..seed0 + lanes` to `costs`,
+    /// from one pass: `1_000_000 · hard + soft` violations, so hard
+    /// violations dominate.
+    fn cost_pass(&mut self, seed0: u64, lanes: usize, costs: &mut Vec<u64>) {
+        self.fill(seed0, lanes);
+        let (hard, soft) = self.fold(
+            || ([0u32; LANES], [0u32; LANES]),
+            |(mut hard, mut soft), i| {
+                let (bin, d_in, pal_in) = (&self.node_bins[i], self.d_in(i), self.pal_in(i));
+                let soft_at = self.soft_at(i);
+                for l in 0..LANES {
+                    hard[l] += u32::from(self.hard(bin[l], d_in[l], pal_in[l]));
+                    soft[l] += u32::from(d_in[l] >= soft_at);
+                }
+                (hard, soft)
+            },
+            |(mut hard, mut soft), (h, s)| {
+                for l in 0..LANES {
+                    hard[l] += h[l];
+                    soft[l] += s[l];
+                }
+                (hard, soft)
+            },
+        );
+        costs.extend((0..lanes).map(|l| u64::from(hard[l]) * 1_000_000 + u64::from(soft[l])));
+    }
+}
+
+/// Split `nodes` by residual degree, their neighbors among `nodes`:
+/// `(mid, high, slot)`, with `mid` the nodes of degree at most
+/// `threshold` and `high` the rest, both in `nodes`' order.  `slot[u]`
+/// is 0 outside `nodes`, [`MID_SLOT`] for a mid node and `1 +` the high
+/// position of a high node.
+fn split_by_degree(
+    g: &Graph,
+    nodes: &[NodeId],
+    threshold: usize,
+) -> (Vec<NodeId>, Vec<NodeId>, Vec<u32>) {
+    let mut slot = vec![0u32; g.n()];
+    for &v in nodes {
+        slot[v as usize] = MID_SLOT;
+    }
+    let deg_of = |v: NodeId| {
+        g.neighbors(v)
+            .iter()
+            .filter(|&&u| slot[u as usize] != 0)
+            .count()
+    };
+    let (mid, high): (Vec<NodeId>, Vec<NodeId>) =
+        nodes.iter().partition(|&&v| deg_of(v) <= threshold);
+    for (i, &v) in high.iter().enumerate() {
+        slot[v as usize] = i as u32 + 1;
+    }
+    (mid, high, slot)
 }
 
 /// Run one partition level over `nodes` (uncolored).  `threshold` is the
@@ -309,87 +456,83 @@ pub fn low_space_partition(
 ) -> PartitionOutcome {
     assert!(bins >= 3, "need at least 3 bins (B-1 ≥ 2 color bins)");
     assert!(bins <= MAX_BINS, "at most {MAX_BINS} bins (u8 seed lanes)");
-    // Residual degree within the instance decides mid membership.
-    let mut in_set = vec![false; g.n()];
-    for &v in nodes {
-        in_set[v as usize] = true;
-    }
-    let deg_of = |v: NodeId| {
-        g.neighbors(v)
-            .iter()
-            .filter(|&&u| in_set[u as usize])
-            .count()
-    };
-    let (mut mid, high): (Vec<NodeId>, Vec<NodeId>) =
-        nodes.iter().partition(|&&v| deg_of(v) <= threshold);
+    let (mut mid, high, slot) = split_by_degree(g, nodes, threshold);
 
     // Deterministic search (the method of conditional expectations over
     // the hash family, realized as an argmin over an indexed prefix).
-    // Each block of candidate seeds fills one lane of its worker's planes
-    // per seed, and one verdict walk costs the whole block.  Costs are
-    // integers far below 2^53, so the fold's min and lowest-seed argmin
-    // are exact at every worker count.
-    let budget = budget.max(1);
-    let mut pool = vec![HashPlane::new(g, state, &high, bins)];
-    let mut best = SumMinArgmin::EMPTY;
-    let mut tried = 0;
     // Prefixes [0,1), [1,2), [2,4), …: no seed beats cost 0, so the first
-    // prefix holding one ends the search.  A lane block walks the high
-    // nodes' neighbors and palettes, so every block is worth a worker.
-    let hw = resolve_workers(0);
-    while tried < budget && best.min > 0.0 {
-        let len = tried.max(1).min(budget - tried);
-        let workers = hw.min(len.div_ceil(SEED_BLOCK as u64) as usize);
-        while pool.len() < workers {
-            pool.push(pool[0].clone());
+    // prefix holding one ends the search.  The fold reads costs that
+    // passes of `LANES` seeds compute ahead of it; costs are integers, so
+    // the lowest-seed argmin is exact.
+    let budget = budget.max(1);
+    let mut plane = HashPlane::new(g, state, &high, &slot, bins);
+    let mut costs = Vec::new();
+    let (mut best, mut chosen_seed, mut tried) = (u64::MAX, 0, 0);
+    while tried < budget && best > 0 {
+        let end = tried + tried.max(1).min(budget - tried);
+        while (costs.len() as u64) < end {
+            let seed0 = costs.len() as u64;
+            let lanes = (budget - seed0).min(LANES as u64) as usize;
+            plane.cost_pass(seed0, lanes, &mut costs);
         }
-        let fold = fold_seed_range_in(
-            &mut pool[..workers],
-            tried,
-            len,
-            &|seed0, costs: &mut [f64], plane: &mut HashPlane| plane.cost_block(seed0, costs),
-        );
-        best = best.merge(fold);
-        tried += len;
+        for seed in tried..end {
+            if costs[seed as usize] < best {
+                (best, chosen_seed) = (costs[seed as usize], seed);
+            }
+        }
+        tried = end;
     }
-    let chosen_seed = best.argmin;
-    let (h1, h2) = hash_pair(bins, chosen_seed);
-    pool.truncate(1);
-    let plane = &mut pool[0];
-    plane.fill_lane(0, &h1, &h2);
-    let mut violators = Vec::new();
-    let mut soft_violations = 0;
-    plane.verdicts(|i, lanes| {
-        if lanes[0].hard {
-            violators.push(high[i]);
-        }
-        soft_violations += usize::from(lanes[0].soft);
-    });
+
+    // The chosen seed's violators, in high order, off lane 0.
+    plane.fill(chosen_seed, 1);
+    let (mut violators, soft_violations) = plane.fold(
+        || (Vec::new(), 0),
+        |(mut violators, mut soft), i| {
+            let d_in = plane.d_in(i)[0];
+            if plane.hard(plane.node_bins[i][0], d_in, plane.pal_in(i)[0]) {
+                violators.push(i);
+            }
+            soft += usize::from(d_in >= plane.soft_at(i));
+            (violators, soft)
+        },
+        |(mut a, x), (b, y)| {
+            a.extend(b);
+            (a, x + y)
+        },
+    );
+    violators.sort_unstable();
 
     // Fallback: violators leave their bin and join G_mid (they keep full
     // palettes and are colored after the bins, so correctness is
     // unaffected; only the degree bound of the mid instance may be
     // looser — recorded).
-    for &v in &violators {
-        plane.node_bins[v as usize][0] = NO_BIN;
+    for &i in &violators {
+        plane.node_bins[i][0] = NO_BIN;
     }
-    mid.extend(&violators);
+    mid.extend(violators.iter().map(|&i| high[i]));
     mid.sort_unstable();
 
-    // The bins, and the realized degree-reduction ratio of the binned
-    // nodes, off the same kernel with the violators out of their bins.
-    // Every ratio is ≥ 0, so 0.0 is both the fold's identity and the
-    // reading when no node is binned.
+    // The realized degree-reduction ratio of the binned nodes, off the
+    // same counts with the violators out of their bins.  Every ratio is
+    // ≥ 0, so 0.0 is both the fold's identity and the reading when no
+    // node is binned.
+    let worst_ratio = plane.fold(
+        || 0.0f64,
+        |worst, i| {
+            if plane.node_bins[i][0] == NO_BIN {
+                return worst;
+            }
+            let d_in = plane.d_in(i)[0];
+            worst.max(d_in as f64 * bins as f64 / plane.deg[i].max(1) as f64)
+        },
+        f64::max,
+    );
     let mut bins_vec: Vec<Vec<NodeId>> = vec![Vec::new(); bins];
-    let mut worst_ratio = 0.0f64;
-    plane.verdicts(|i, lanes| {
-        let Verdict { bin, d_in, .. } = lanes[0];
-        if bin != NO_BIN {
-            let v = high[i];
-            bins_vec[bin as usize].push(v);
-            worst_ratio = worst_ratio.max(d_in as f64 * bins as f64 / deg_of(v).max(1) as f64);
+    for (&v, lanes) in high.iter().zip(&plane.node_bins) {
+        if lanes[0] != NO_BIN {
+            bins_vec[lanes[0] as usize].push(v);
         }
-    });
+    }
 
     let stats = PartitionStats {
         bins,
@@ -404,7 +547,7 @@ pub fn low_space_partition(
     PartitionOutcome {
         bins: bins_vec,
         mid,
-        color_hash: h2,
+        color_hash: hash_pair(bins, chosen_seed).1,
         stats,
     }
 }
@@ -414,7 +557,6 @@ mod tests {
     use super::*;
     use crate::instance::{D1lcInstance, PaletteArena};
     use parcolor_local::tape::SplitMix;
-    use proptest::prelude::*;
 
     /// Dense random graph with a wide palette universe.
     fn dense_instance(n: usize, avg_deg: usize, seed: u64) -> D1lcInstance {
@@ -587,58 +729,109 @@ mod tests {
         (g, state, nodes, threshold, bins, dense)
     }
 
-    // Every lane of blocks of each length 1..=8, at unaligned offsets and
-    // over the stale lanes of earlier blocks, costs its seed as the
-    // per-seed reference does; the search takes the reference's doubling
-    // prefixes and argmin; and the chosen seed's bins, `mid`, violators
-    // and worst ratio are the reference's.
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
+    /// Checks one random input against the per-seed reference: every
+    /// lane of passes of each length 1..=32, at unaligned, overlapping
+    /// offsets and over the stale lanes of earlier passes, costs its seed
+    /// as the reference does; the search takes the reference's doubling
+    /// prefixes and argmin; and the chosen seed's bins, `mid`, violators
+    /// and worst ratio are the reference's.  Returns whether the input
+    /// took the dense color mode.
+    fn check_against_reference(seed: u64) -> bool {
+        let (g, state, nodes, threshold, bins, dense) = random_input(seed);
+        let (_, high) = split(&g, &nodes, threshold);
+        // Passes overlap, so each seed's reference cost is computed once.
+        let mut memo = std::collections::HashMap::new();
+        let mut cost = |s: u64| {
+            *memo
+                .entry(s)
+                .or_insert_with(|| reference_cost(&g, &state, &high, bins, s))
+        };
+        let (_, plane_high, slot) = split_by_degree(&g, &nodes, threshold);
+        let mut plane = HashPlane::new(&g, &state, &plane_high, &slot, bins);
+        assert_eq!(plane.occ_off.is_empty(), dense, "seed {seed}");
+        let mut rng = SplitMix::new(seed ^ 0x1a7e);
+        let mut lens: Vec<usize> = (1..=LANES).collect();
+        rng.shuffle(&mut lens);
+        // A full pass first: every shorter one leaves stale lanes.
+        lens.insert(0, LANES);
+        let mut seed0 = rng.below(64);
+        for len in lens {
+            let mut costs = Vec::new();
+            plane.cost_pass(seed0, len, &mut costs);
+            assert_eq!(costs.len(), len);
+            for (s, &c) in (seed0..).zip(&costs) {
+                assert_eq!(c as f64, cost(s), "seed {seed} pass {seed0}+{len}");
+            }
+            seed0 += 1 + rng.below(4);
+        }
 
-        #[test]
-        fn lane_kernel_matches_per_seed_reference(seed in any::<u64>()) {
-            let (g, state, nodes, threshold, bins, dense) = random_input(seed);
-            let (_, high) = split(&g, &nodes, threshold);
-            let cost = |s: u64| reference_cost(&g, &state, &high, bins, s);
-            let mut plane = HashPlane::new(&g, &state, &high, bins);
-            prop_assert_eq!(plane.color_off.is_empty(), dense, "seed {}", seed);
-            let mut rng = SplitMix::new(seed ^ 0x1a7e);
-            let mut lens: Vec<usize> = (1..=SEED_BLOCK).collect();
-            rng.shuffle(&mut lens);
-            // A full block first: every shorter one leaves stale lanes.
-            lens.insert(0, SEED_BLOCK);
-            let mut seed0 = 1 + rng.below(1000);
-            for len in lens {
-                let mut costs = [f64::NAN; SEED_BLOCK];
-                plane.cost_block(seed0, &mut costs[..len]);
-                for (s, &c) in (seed0..).zip(&costs[..len]) {
-                    prop_assert_eq!(c, cost(s), "seed {} block {}+{}", seed, seed0, len);
+        let budget = 1 + rng.below(80);
+        let out = low_space_partition(&g, &state, &nodes, threshold, bins, budget);
+        let costs: Vec<f64> = (0..out.stats.seeds_tried).map(&mut cost).collect();
+        let mut tried = 0;
+        while tried < budget && costs[..tried as usize].iter().all(|&c| c > 0.0) {
+            tried += tried.max(1).min(budget - tried);
+        }
+        let chosen = (0..tried).min_by(|&a, &b| costs[a as usize].total_cmp(&costs[b as usize]));
+        assert_eq!(
+            (out.stats.seeds_tried, out.stats.chosen_seed),
+            (tried, chosen.unwrap()),
+            "seed {seed}"
+        );
+        let (bins_vec, mid, moved, soft, worst) =
+            reference_partition(&g, &state, &nodes, threshold, bins, out.stats.chosen_seed);
+        assert_eq!(out.bins, bins_vec, "seed {seed}");
+        assert_eq!(out.mid, mid, "seed {seed}");
+        assert_eq!(out.stats.violations_moved_to_mid, moved);
+        assert_eq!(out.stats.soft_degree_violations, soft);
+        assert_eq!(out.stats.worst_degree_ratio.to_bits(), worst.to_bits());
+        assert_eq!(out.stats.high_nodes, high.len());
+        dense
+    }
+
+    // 32 random inputs against the per-seed reference, which between
+    // them take both color modes.
+    #[test]
+    fn lane_kernel_matches_per_seed_reference() {
+        let mut rng = SplitMix::new(0x1a7e_c0de);
+        let mut modes = [0; 2];
+        for _ in 0..32 {
+            modes[usize::from(check_against_reference(rng.next_u64()))] += 1;
+        }
+        assert!(
+            modes.iter().all(|&m| m > 0),
+            "color modes (occurrence, dense) reached {modes:?}"
+        );
+    }
+
+    /// The lane counts stay exact past the 255 matches a `u8` counter
+    /// holds: runs of every length around the flush, over planes whose
+    /// entries all match in some lanes.
+    #[test]
+    fn lane_counts_stay_exact_past_255_matches() {
+        let mut rng = SplitMix::new(0xf105);
+        for len in [0, 1, FLUSH - 1, FLUSH, FLUSH + 1, 2 * FLUSH + 7, 1000] {
+            // Three entries, each matching `bin` in lanes 0..8.
+            let mut plane = vec![[0u8; LANES]; 3];
+            for entry in &mut plane {
+                for b in &mut entry[8..] {
+                    *b = rng.below(3) as u8;
                 }
-                seed0 += len as u64 + rng.below(3);
             }
-
-            let budget = 1 + rng.below(24);
-            let out = low_space_partition(&g, &state, &nodes, threshold, bins, budget);
-            let costs: Vec<f64> = (0..out.stats.seeds_tried).map(cost).collect();
-            let mut tried = 0;
-            while tried < budget && costs[..tried as usize].iter().all(|&c| c > 0.0) {
-                tried += tried.max(1).min(budget - tried);
-            }
-            let chosen = (0..tried).min_by(|&a, &b| costs[a as usize].total_cmp(&costs[b as usize]));
-            prop_assert_eq!(
-                (out.stats.seeds_tried, out.stats.chosen_seed),
-                (tried, chosen.unwrap()),
-                "seed {}",
-                seed
-            );
-            let (bins_vec, mid, moved, soft, worst) =
-                reference_partition(&g, &state, &nodes, threshold, bins, out.stats.chosen_seed);
-            prop_assert_eq!(&out.bins, &bins_vec, "seed {}", seed);
-            prop_assert_eq!(&out.mid, &mid, "seed {}", seed);
-            prop_assert_eq!(out.stats.violations_moved_to_mid, moved);
-            prop_assert_eq!(out.stats.soft_degree_violations, soft);
-            prop_assert_eq!(out.stats.worst_degree_ratio.to_bits(), worst.to_bits());
-            prop_assert_eq!(out.stats.high_nodes, high.len());
+            let bin: Lanes = std::array::from_fn(|l| if l < 8 { 0 } else { rng.below(3) as u8 });
+            let at: Vec<u32> = (0..len).map(|_| rng.below(3) as u32).collect();
+            let want: [u32; LANES] = std::array::from_fn(|l| {
+                at.iter()
+                    .filter(|&&j| plane[j as usize][l] == bin[l])
+                    .count() as u32
+            });
+            let mut got = [1; LANES];
+            count_at(&mut got, &bin, &plane, &at);
+            assert_eq!(got, want.map(|w| w + 1), "indexed run of {len}");
+            let entries: Vec<Lanes> = at.iter().map(|&j| plane[j as usize]).collect();
+            let mut got = [0; LANES];
+            count_run(&mut got, &bin, &entries);
+            assert_eq!(got, want, "contiguous run of {len}");
         }
     }
 

@@ -22,7 +22,7 @@ use crate::instance::{dense_colors, ColoringState, D1lcInstance};
 use crate::lowdeg::color_low_degree;
 use crate::reduce::{low_space_partition, PartitionStats};
 use parcolor_local::graph::NodeId;
-use parcolor_prg::hashing::KWiseHash;
+use parcolor_prg::hashing::{KWiseHash, MemberBlock};
 
 /// Execution mode of the solver.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -392,10 +392,10 @@ impl Solver {
 
 /// The color bins `h₂` of one partition level, as its restricted bins'
 /// palette filter reads them.  When the dense-color rule admits the
-/// binned nodes' largest color against their palette entries, one
-/// [`KWiseHash::eval_batch`] fills a bin table over `0..=top`; otherwise
+/// binned nodes' largest color against their palette entries, a
+/// one-member [`MemberBlock`] fills a bin table over `0..=top`; otherwise
 /// (a sparse universe, the partition's occurrence mode) each palette
-/// entry costs one `eval`.  The batch is bit-identical to `eval`, so both
+/// entry costs one `eval`.  The block is bit-identical to `eval`, so both
 /// read the same bins.
 struct ColorBins<'a> {
     hash: &'a KWiseHash,
@@ -411,10 +411,14 @@ impl<'a> ColorBins<'a> {
         }
         // Color bins are below `MAX_BINS`, so they fit a `u8`.
         let table = dense_colors(top, entries).then(|| {
-            let colors: Vec<u64> = (0..=top as u64).collect();
-            let mut out = vec![0; colors.len()];
-            hash.eval_batch(&colors, &mut out);
-            out.into_iter().map(|b| b as u8).collect()
+            let block = MemberBlock::new(std::slice::from_ref(hash));
+            let mut bin = [0];
+            (0..=top as u64)
+                .map(|c| {
+                    block.eval(c, &mut bin);
+                    bin[0] as u8
+                })
+                .collect()
         });
         ColorBins { hash, table }
     }

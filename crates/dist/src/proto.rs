@@ -10,8 +10,9 @@
 //! v2 is the failover revision: `Hello` carries the peer's [`Role`],
 //! `Welcome`/`Grant`/`Chosen` carry the coordinator **epoch** (fencing:
 //! frames from a deposed primary are dropped by epoch mismatch, never
-//! merged), `Result` became a *batch* of unit aggregates (worker-side
-//! result coalescing), and three messages were added: [`Msg::Replicate`]
+//! merged), `Result` became a *list* of unit aggregates (a worker sends
+//! each unit as a one-entry `Result`; the coordinator still merges lists
+//! of any length), and three messages were added: [`Msg::Replicate`]
 //! (primary → standby unit-completion stream), [`Msg::Promote`]
 //! (deliberate leadership handover) and [`Msg::Refuse`] (friendly
 //! handshake refusal — version mismatch or "not primary yet").
@@ -143,11 +144,11 @@ pub enum Msg {
         /// Number of seeds in the unit.
         len: u64,
     },
-    /// Worker → coordinator: a batch of completed unit aggregates for
-    /// one `(epoch, search, fold)`.  Workers coalesce every result that
-    /// completes within the flush window into one frame; the coordinator
-    /// merges each entry independently (first copy per unit wins) and
-    /// drops whole batches whose epoch is stale (fencing).
+    /// Worker → coordinator: completed unit aggregates for one
+    /// `(epoch, search, fold)`.  A worker sends each unit as a one-entry
+    /// `Result` as soon as it is folded; the coordinator still merges a
+    /// list of any length, each entry independently (first copy per unit
+    /// wins), and drops whole lists whose epoch is stale (fencing).
     Result {
         /// Epoch of the grants being answered.
         epoch: u64,

@@ -1,5 +1,5 @@
 //! The eight-lane compare of the seed-lane clash scan, and the codegen
-//! notes of the two seed-block kernels.
+//! notes of the three seed-lane kernels.
 //!
 //! [`lane_eq_mask8`] is plain scalar code, inlined at its call sites.
 //! Its fixed lane shape (whole `[u32; 8]` rows, no tail) hands the
@@ -19,10 +19,24 @@
 //! SLP-vectorized the same chain it emulated every product with
 //! `pmuludq` and shifts: a standalone micro on a 2-vCPU Xeon ran it at
 //! 6.0–6.5 ns per (seed, node), against 2.8–2.9 ns scalar and 3.8–4.1 ns
-//! under AVX2.  CI's codegen step fails if the lane draw,
+//! under AVX2.
+//!
+//! The partition's count kernel (`parcolor_core::reduce::lane_matches`)
+//! counts, for a run of at most 255 plane entries, how many hold a node's
+//! bin in each of 32 `u8` seed lanes.  Its shape is what vectorizes: its
+//! own `#[inline(never)]` function, with the flush of the `u8` counters
+//! into `u32`s outside it and the counts leaving through an out-parameter,
+//! compiles each entry to two 16-byte `pcmpeqb` and two `psubb`.  With the
+//! flush fused into the entry loop it compiled to eight 4-byte `movd`
+//! groups, and the hash search's walks ran 2.1–3.2× slower (E4's
+//! dense_lists row, 2 workers, 2-vCPU Xeon).
+//!
+//! CI's codegen step fails if the lane draw,
 //! `<StepStream<B> as TapeBlock>::below_lanes` in the `parcolor` binary,
-//! holds a `pmuludq`, or if TryRandomColor's `seed_cost_block` compares
-//! rows other than with [`lane_eq_mask8`]'s `pcmpeqd` and `pmovmskb`.
+//! holds a `pmuludq`, if TryRandomColor's `seed_cost_block` compares rows
+//! other than with [`lane_eq_mask8`]'s `pcmpeqd` and `pmovmskb`, or if
+//! the count kernel holds other than two `pcmpeqb` and two `psubb`, or
+//! any `movd`.
 
 /// Bit `s` of the result ⇔ `a[s] == b[s]`: the seed-lane clash compare
 /// of two 8-lane pick rows.

@@ -10,27 +10,27 @@
 //!
 //! ## The batch contract
 //!
-//! Hot paths (the partition's seed-lane planes, one lane filled per
-//! hash seed of a block) evaluate members over a stripe of inputs at once
-//! with [`KWiseHash::eval_batch`] instead of one scalar
-//! [`KWiseHash::eval`] per key.  The batch is **bit-identical
-//! to scalar** — the same Horner recurrence over `F_{2^61-1}` with the
-//! same coefficient vector (expanded once per seed by
-//! [`KWiseFamily::member`]), merely run structure-of-arrays: coefficients
-//! in the outer loop, a fixed-width lane of accumulators inner, so the
-//! modular multiply-add autovectorizes.  The lane width is an internal
-//! detail; stripes of any length, including empty, are valid.
+//! Hot paths evaluate several members of one family at the same keys:
+//! the partition's hash search fills 32 seed lanes per key, one member
+//! per hash seed, and the restricted bins' color filter fills a bin table
+//! with one member.  [`MemberBlock`] is the one batch path.  At each key
+//! it builds the powers `x⁰ … x^{k−1}` over `F_{2^61-1}` once; each member
+//! is then a `u128` dot product of its coefficients with those powers,
+//! reduced modulo `2^61 - 1` after every 32 terms so that no `k`
+//! overflows it.  That is the field element Horner's rule computes in
+//! [`KWiseHash::eval`], followed by the same range reduction, so every
+//! output is bit-identical to the scalar `eval` at any `k`, member count
+//! and key.
 
 use parcolor_local::tape::splitmix64;
 
 /// The Mersenne prime `2^61 - 1`.
 pub const MERSENNE_P: u64 = (1u64 << 61) - 1;
 
-/// Fixed lane width of [`KWiseHash::eval_batch`]: eight independent
-/// Horner accumulators, few enough to stay in registers.  Exposed so
-/// equivalence tests can probe lane-boundary stripe sizes; callers must
-/// not depend on its value.
-pub const MIX_LANES: usize = 8;
+/// Terms of a member's dot product [`MemberBlock::eval`] sums before it
+/// reduces the `u128` accumulator: a reduced carry below `2^61` plus 32
+/// products below `2^122` each stays below `2^128`.
+const FOLD_TERMS: usize = 32;
 
 /// Reduce a 122-bit product modulo `2^61 - 1` without division.
 #[inline]
@@ -42,6 +42,21 @@ fn mod_mersenne(x: u128) -> u64 {
         s -= MERSENNE_P;
     }
     s
+}
+
+/// Reduce any `u128` modulo `2^61 - 1`: `2^61 ≡ 1`, so one fold leaves
+/// fewer than 68 bits, which [`mod_mersenne`] reduces exactly.
+#[inline]
+fn mod_mersenne_wide(x: u128) -> u64 {
+    mod_mersenne((x & MERSENNE_P as u128) + (x >> 61))
+}
+
+/// Multiply-shift range reduction of a field element into `[range]`:
+/// bias ≤ range / p ≈ 2^-61·range, negligible at every range we use
+/// (≤ n^δ ≤ 2^32).
+#[inline]
+fn to_range(acc: u64, range: u64) -> u64 {
+    ((acc as u128 * range as u128) >> 61) as u64
 }
 
 /// `(a * b) mod (2^61 - 1)`.
@@ -116,49 +131,77 @@ impl KWiseHash {
         for &c in self.coeffs.iter().rev() {
             acc = addmod(mulmod(acc, xm), c);
         }
-        // Multiply-shift range reduction: bias ≤ range / p ≈ 2^-61·range,
-        // negligible at every range we use (≤ n^δ ≤ 2^32).
-        ((acc as u128 * self.range as u128) >> 61) as u64
+        to_range(acc, self.range)
+    }
+}
+
+/// Members of one [`KWiseFamily`] evaluated together at each key: the
+/// batch path of the module docs.  `eval(x, out)` writes member `m`'s
+/// `eval(x)` to `out[m]`, bit-identically.
+#[derive(Clone, Debug)]
+pub struct MemberBlock {
+    k: usize,
+    range: u64,
+    /// Member `m`'s coefficients, lowest degree first, are
+    /// `coeffs[m * k..(m + 1) * k]`.
+    coeffs: Vec<u64>,
+}
+
+impl MemberBlock {
+    /// The block of `members`, in order: at least one, all of one
+    /// family's `k` and range.
+    pub fn new(members: &[KWiseHash]) -> Self {
+        let first = members.first().expect("a member block needs a member");
+        let (k, range) = (first.coeffs.len(), first.range);
+        assert!(
+            members
+                .iter()
+                .all(|h| h.coeffs.len() == k && h.range == range),
+            "a member block's members share their family's k and range"
+        );
+        MemberBlock {
+            k,
+            range,
+            coeffs: members
+                .iter()
+                .flat_map(|h| h.coeffs.iter().copied())
+                .collect(),
+        }
     }
 
-    /// Batched [`KWiseHash::eval`] over a stripe of inputs:
-    /// `out[i] = eval(xs[i])`, bit-identically.
-    ///
-    /// Horner runs structure-of-arrays — each coefficient is applied to a
-    /// lane of accumulators before the next coefficient loads — so the
-    /// `F_{2^61-1}` multiply-add is straight-line per lane and
-    /// autovectorizable; the tail shorter than a lane falls back to the
-    /// scalar recurrence (identical arithmetic either way).
-    pub fn eval_batch(&self, xs: &[u64], out: &mut [u64]) {
-        debug_assert_eq!(xs.len(), out.len());
-        // No small-k scalar shortcut: measured on the AVX2 reference
-        // host (400k keys, target-cpu=native), the lane-staged Horner
-        // beats the scalar per-element loop at EVERY degree — 1.47× at
-        // k = 1, 1.32× at k = 2, rising to 1.58× at k = 8 — because the
-        // staged `% p` / reduction steps vectorize even when the Horner
-        // chain itself is one multiply-add.  (The previous `degree ≤ 1`
-        // shortcut was exactly the k = 2 regression
-        // `BENCH_hash_batch.json` recorded.)  Stripes shorter than one
-        // lane still run the scalar tail below.
-        let mut xs_it = xs.chunks_exact(MIX_LANES);
-        let mut out_it = out.chunks_exact_mut(MIX_LANES);
-        for (xch, och) in (&mut xs_it).zip(&mut out_it) {
-            let mut xm = [0u64; MIX_LANES];
-            for l in 0..MIX_LANES {
-                xm[l] = xch[l] % MERSENNE_P;
+    /// Members in the block.
+    pub fn members(&self) -> usize {
+        self.coeffs.len() / self.k
+    }
+
+    /// `out[m]` ← member `m`'s [`KWiseHash::eval`] of `x`, for every
+    /// member; `out` holds one entry per member.
+    pub fn eval(&self, x: u64, out: &mut [u64]) {
+        assert_eq!(out.len(), self.members(), "one output per member");
+        let xm = x % MERSENNE_P;
+        let mut pows = [0; FOLD_TERMS];
+        // `x^j` for the first term `j` of the next chunk.
+        let mut pow = 1;
+        for j0 in (0..self.k).step_by(FOLD_TERMS) {
+            let j1 = self.k.min(j0 + FOLD_TERMS);
+            let pows = &mut pows[..j1 - j0];
+            for p in pows.iter_mut() {
+                *p = pow;
+                pow = mulmod(pow, xm);
             }
-            let mut acc = [0u64; MIX_LANES];
-            for &c in self.coeffs.iter().rev() {
-                for l in 0..MIX_LANES {
-                    acc[l] = addmod(mulmod(acc[l], xm[l]), c);
+            for (o, coeffs) in out.iter_mut().zip(self.coeffs.chunks_exact(self.k)) {
+                // A member's reduced sum over the earlier chunks carries in.
+                let mut acc = if j0 == 0 { 0 } else { *o as u128 };
+                for (&c, &p) in coeffs[j0..j1].iter().zip(pows.iter()) {
+                    acc += c as u128 * p as u128;
                 }
+                let field = mod_mersenne_wide(acc);
+                *o = if j1 == self.k {
+                    to_range(field, self.range)
+                } else {
+                    field
+                };
             }
-            for l in 0..MIX_LANES {
-                och[l] = ((acc[l] as u128 * self.range as u128) >> 61) as u64;
-            }
-        }
-        for (&x, o) in xs_it.remainder().iter().zip(out_it.into_remainder()) {
-            *o = self.eval(x);
         }
     }
 }
@@ -292,21 +335,37 @@ mod tests {
     }
 
     #[test]
-    fn eval_batch_matches_scalar_all_k_and_lane_boundaries() {
-        for k in 1..=4u32 {
-            let fam = KWiseFamily::new(k, 1000);
-            let h = fam.member(0x1234_5678 ^ k as u64);
-            for len in [0usize, 1, MIX_LANES - 1, MIX_LANES, MIX_LANES + 1, 45] {
-                let xs: Vec<u64> = (0..len as u64)
-                    .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                    .collect();
-                let mut out = vec![0u64; len];
-                h.eval_batch(&xs, &mut out);
-                for (i, &x) in xs.iter().enumerate() {
-                    assert_eq!(out[i], h.eval(x), "k={k} len={len} lane={i}");
+    fn member_block_matches_scalar_all_k_and_member_counts() {
+        // k = 33 spans two chunks of the dot product.
+        for k in [1, 2, 3, 4, 8, 33] {
+            for range in [1, 3, 1000, 1 << 40, 1 << 61] {
+                let fam = KWiseFamily::new(k, range);
+                for members in [1, 2, 31, 32] {
+                    let hs: Vec<KWiseHash> = (0..members)
+                        .map(|m| fam.member(0x1234_5678 ^ ((k as u64) << 20) ^ m))
+                        .collect();
+                    let block = MemberBlock::new(&hs);
+                    assert_eq!(block.members(), members as usize);
+                    let mut out = vec![0; members as usize];
+                    let keys = (0..45u64).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                    for x in keys.chain([0, 1, MERSENNE_P - 1, MERSENNE_P, u64::MAX]) {
+                        block.eval(x, &mut out);
+                        for (m, h) in hs.iter().enumerate() {
+                            assert_eq!(out[m], h.eval(x), "k={k} range={range} member={m} x={x}");
+                        }
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "share their family")]
+    fn member_block_rejects_mixed_families() {
+        MemberBlock::new(&[
+            KWiseFamily::new(2, 8).member(1),
+            KWiseFamily::new(2, 7).member(1),
+        ]);
     }
 
     #[test]

@@ -54,9 +54,11 @@
 //!   [`RangeFolder`].  `select_seed_blocks_n` is this over the in-process
 //!   [`LocalFolder`]; the distributed coordinator runs it over a fleet.
 //!
-//! Lemma 23's hash search (`parcolor_core::reduce`) runs no strategy: it
-//! folds doubling seed prefixes through [`fold_seed_range_in`], the kernel
-//! under the local folder, until one holds a seed of cost 0.
+//! Lemma 23's hash search (`parcolor_core::reduce`) runs neither a
+//! strategy nor this module's kernels: it costs its hash seeds 32 at a
+//! time, in passes over the partition's own seed-lane planes striped
+//! across the pool, and folds doubling prefixes of those costs until one
+//! holds a seed of cost 0.
 
 use parcolor_exec::{Executor, SumMinArgmin};
 

@@ -5,23 +5,28 @@
 //! `below`, and the trait's per-lane default (`ForceScalar`), at every
 //! lane count, for a block that ends at the last seed of the space, and
 //! at the extreme bounds.  The clash scan's `lane_eq_mask8` must equal
-//! the per-lane `==`.  `KWiseHash::eval_batch` must equal `eval` for
-//! every independence `k ∈ 1..=4`, over random stripes and explicitly at
-//! the lane boundaries of [`MIX_LANES`].
+//! the per-lane `==`.  Every member of a hash `MemberBlock` must equal
+//! its own scalar `eval`, for `k ∈ 1..=8` and a `k` whose dot products
+//! would overflow a `u128` unless folded, at 1..=32 members, at keys on
+//! and above the field's modulus, and at small and large ranges up to
+//! the field itself.
 
 use parcolor_local::simd::lane_eq_mask8;
 use parcolor_local::tape::{ForceScalar, Randomness, TapeBlock, BLOCK_LANES};
-use parcolor_prg::hashing::{KWiseFamily, MIX_LANES};
+use parcolor_prg::hashing::{KWiseFamily, KWiseHash, MemberBlock, MERSENNE_P};
 use parcolor_prg::{ChunkAssignment, Prg, PrgBlock, PrgTape};
 use proptest::prelude::*;
 
-/// Stripe lengths the `eval_batch` property probes: the lane boundaries
-/// of [`MIX_LANES`] plus the full random stripe.
-fn probe_sizes(full: usize) -> Vec<usize> {
-    let mut sizes = vec![0, 1, MIX_LANES - 1, MIX_LANES, MIX_LANES + 1, full];
-    sizes.retain(|&s| s <= full);
-    sizes
-}
+/// An independence far above the 32 terms a member's dot product sums
+/// between folds: its unfolded sums of `k` products near `2^120` each
+/// would overflow a `u128`.
+const WIDE_K: u32 = 320;
+
+/// The range whose reduction maps every field element to itself, so an
+/// error in the field element shows in the output (a wrapped `u128`
+/// shifts it by a multiple of `2^128 mod p = 64`, which smaller ranges
+/// mostly round away).
+const FIELD_RANGE: u64 = 1 << 61;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -32,7 +37,7 @@ proptest! {
         stream in any::<u64>(),
         idx in 0u32..10_000,
         bound in 2u64..(1 << 32),
-        nodes in proptest::collection::vec(0u32..512, 1..MIX_LANES),
+        nodes in proptest::collection::vec(0u32..512, 1..BLOCK_LANES),
     ) {
         let prg = Prg::new(12);
         let space = prg.seed_space();
@@ -91,20 +96,27 @@ proptest! {
     }
 
     #[test]
-    fn kwise_eval_batch_matches_scalar(
-        k in 1u32..5,
+    fn kwise_member_block_matches_scalar(
+        k in 1u32..9,
+        members in 1usize..33,
         seed in any::<u64>(),
-        range in 1u64..100_000,
-        xs in proptest::collection::vec(any::<u64>(), (3 * MIX_LANES)..(4 * MIX_LANES)),
+        small_range in 1u64..65,
+        large_range in (1u64 << 20)..(1 << 40),
+        keys in proptest::collection::vec(any::<u64>(), 8..24),
     ) {
-        let fam = KWiseFamily::new(k, range);
-        let h = fam.member(seed);
-        for len in probe_sizes(xs.len()) {
-            let stripe = &xs[..len];
-            let mut out = vec![0u64; len];
-            h.eval_batch(stripe, &mut out);
-            for (i, &x) in stripe.iter().enumerate() {
-                prop_assert_eq!(out[i], h.eval(x), "k {} len {} lane {}", k, len, i);
+        let extremes = [0, 1, MERSENNE_P - 1, MERSENNE_P, MERSENNE_P + 1, u64::MAX];
+        let ranges = [small_range, large_range, FIELD_RANGE];
+        let wide = [(WIDE_K, small_range), (WIDE_K, FIELD_RANGE)];
+        for (k, range) in ranges.map(|r| (k, r)).into_iter().chain(wide) {
+            let fam = KWiseFamily::new(k, range);
+            let hs: Vec<KWiseHash> = (0..members as u64).map(|m| fam.member(seed ^ m)).collect();
+            let block = MemberBlock::new(&hs);
+            let mut out = vec![0; members];
+            for &x in keys.iter().chain(&extremes) {
+                block.eval(x, &mut out);
+                for (m, h) in hs.iter().enumerate() {
+                    prop_assert_eq!(out[m], h.eval(x), "k {} range {} member {} key {}", k, range, m, x);
+                }
             }
         }
     }
